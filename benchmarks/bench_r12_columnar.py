@@ -53,18 +53,6 @@ def test_filter_columnar_numpy(benchmark):
     assert result
 
 
-def test_filter_row_path(benchmark):
-    # The REPRO_COLUMNAR=off fallback (bound positional evaluator).
-    relation = _relation()
-    condition = parse_condition("V = 'dui' AND D >= 1995")
-    prev = columnar.set_columnar_enabled(False)
-    try:
-        result = benchmark(select_items, relation, condition)
-    finally:
-        columnar.set_columnar_enabled(prev)
-    assert result
-
-
 def test_semijoin_columnar(benchmark):
     relation = _relation()
     condition = parse_condition("D >= 1990")

@@ -55,7 +55,7 @@ from repro.optimize import (
     SJOptimizer,
 )
 from repro.optimize.search import DEFAULT_BEAM_WIDTH, STRATEGIES
-from repro.query.sqlparse import parse_fusion_query
+from repro.query.sqlparse import is_aggregate_query, parse_fusion_query
 from repro.sources.generators import dmv_fig1
 
 _OPTIMIZERS = {
@@ -130,20 +130,15 @@ def _build_parser() -> argparse.ArgumentParser:
             )
         if name == "query":
             sub.add_argument(
-                "--aggregate",
-                action="store_true",
-                help="treat the SQL as an aggregation fusion query "
-                "(COUNT/SUM/AVG/MIN/MAX ... GROUP BY over the fused "
-                "entity set); aggregate SQL is also auto-detected",
-            )
-            sub.add_argument(
                 "--pushdown",
                 choices=("auto", "force", "off"),
                 default="auto",
-                help="partial-aggregate pushdown to capable sources: "
-                "'auto' chooses per source by estimated cost, 'force' "
-                "pushes down everywhere possible, 'off' always fetches "
-                "raw tuples (default: auto)",
+                help="for aggregation fusion queries (COUNT/SUM/AVG/MIN/"
+                "MAX ... GROUP BY over the fused entity set, detected "
+                "from the SQL): partial-aggregate pushdown to capable "
+                "sources — 'auto' chooses per source by estimated cost, "
+                "'force' pushes down everywhere possible, 'off' always "
+                "fetches raw tuples (default: auto)",
             )
             sub.add_argument(
                 "--adaptive",
@@ -486,9 +481,9 @@ def _command_demo() -> int:
     return 0
 
 
-def _make_recorder(metrics: str | None, profile: bool, emit_events: str | None):
+def _make_recorder(args):
     """A Recorder when any telemetry flag asked for one, else None."""
-    if metrics is None and not profile and emit_events is None:
+    if args.metrics is None and not args.profile and args.emit_events is None:
         return None
     from repro.obs import Recorder
 
@@ -522,61 +517,46 @@ def _write_events(events, path: str) -> None:
     print(f"wrote {len(events)} events to {path}")
 
 
-def _emit_telemetry(
-    answer, recorder, metrics: str | None, profile: bool,
-    emit_events: str | None,
-) -> None:
+def _emit_telemetry(answer, recorder, args) -> None:
     """Print/persist whatever telemetry the flags asked for."""
     if recorder is None:
         return
-    if profile and answer.execution.profile is not None:
+    if args.profile and answer.execution.profile is not None:
         print()
         print(answer.execution.profile.render())
-    if metrics is not None and recorder.metrics is not None:
+    if args.metrics is not None and recorder.metrics is not None:
         print()
-        if metrics == "prom":
+        if args.metrics == "prom":
             print(recorder.metrics.to_prometheus())
         else:
             print(recorder.metrics.to_json_text())
-    if emit_events is not None and recorder.events is not None:
-        _write_events(recorder.events, emit_events)
+    if args.emit_events is not None and recorder.events is not None:
+        _write_events(recorder.events, args.emit_events)
 
 
-def _command_query(
-    spec: str,
-    sql: str,
-    optimizer_name: str,
-    adaptive: bool = False,
-    runtime: bool = False,
-    fault_rate: float = 0.0,
-    fault_seed: int = 0,
-    retries: int = 3,
-    timeline: bool = False,
-    hedge_delay: float | None = None,
-    breaker: str = "off",
-    replan: int = 0,
-    robust: bool = False,
-    robustness: float = 1.0,
-    load_balance: bool = False,
-    metrics: str | None = None,
-    profile: bool = False,
-    emit_events: str | None = None,
-    observed_stats: str | None = None,
-    search: str = "auto",
-    beam_width: int = DEFAULT_BEAM_WIDTH,
-    plan_cache: int | None = None,
-    deadline: float | None = None,
-    data_faults: str | None = None,
-    verify: str = "off",
-    quarantine: bool = False,
-    aggregate: bool = False,
-    pushdown: str = "auto",
-) -> int:
-    federation = load_federation(spec)
-    recorder = _make_recorder(metrics, profile, emit_events)
-    statistics = _load_observed_statistics(observed_stats)
-    if not runtime and (
-        data_faults is not None or verify != "off" or quarantine
+def _planning_options(args, recorder, statistics) -> dict:
+    """The Mediator keywords both query backends share."""
+    return dict(
+        statistics=statistics,
+        optimizer=(
+            "robust"
+            if args.robust
+            else _make_optimizer(args.optimizer, args.search, args.beam_width)
+        ),
+        robustness=args.robustness_lambda,
+        recorder=recorder,
+        plan_cache=args.plan_cache,
+        search=args.search,
+        beam_width=args.beam_width,
+    )
+
+
+def _command_query(args) -> int:
+    federation = load_federation(args.spec)
+    recorder = _make_recorder(args)
+    statistics = _load_observed_statistics(args.observed_stats)
+    if not args.runtime and (
+        args.data_faults is not None or args.verify != "off" or args.quarantine
     ):
         from repro.errors import CostModelError
 
@@ -584,41 +564,16 @@ def _command_query(
             "--data-faults/--verify/--quarantine need the runtime "
             "backend; add --runtime"
         )
-    from repro.query.sqlparse import is_aggregate_query
-
-    aggregate = aggregate or is_aggregate_query(sql)
-    if runtime:
-        return _run_runtime(
-            federation, sql, optimizer_name, fault_rate, fault_seed,
-            retries, timeline, hedge_delay, breaker, replan,
-            robust=robust, robustness=robustness,
-            load_balance=load_balance,
-            recorder=recorder, statistics=statistics,
-            metrics=metrics, profile=profile, emit_events=emit_events,
-            search=search, beam_width=beam_width, plan_cache=plan_cache,
-            deadline=deadline,
-            data_faults=data_faults, verify=verify, quarantine=quarantine,
-            aggregate=aggregate, pushdown=pushdown,
-        )
+    if args.runtime:
+        return _run_runtime(federation, args, recorder, statistics)
     mediator = Mediator(
-        federation,
-        statistics=statistics,
-        optimizer=(
-            "robust"
-            if robust
-            else _make_optimizer(optimizer_name, search, beam_width)
-        ),
-        robustness=robustness,
-        recorder=recorder,
-        plan_cache=plan_cache,
-        search=search,
-        beam_width=beam_width,
+        federation, **_planning_options(args, recorder, statistics)
     )
-    if aggregate:
-        return _run_aggregate(mediator, sql, pushdown)
-    if adaptive:
-        return _run_adaptive(mediator, sql)
-    answer = mediator.answer(sql)
+    if is_aggregate_query(args.sql):
+        return _run_aggregate(mediator, args.sql, args.pushdown)
+    if args.adaptive:
+        return _run_adaptive(mediator, args.sql)
+    answer = mediator.answer(args.sql)
     print(answer.plan.pretty())
     print()
     print(answer.execution.trace(answer.plan))
@@ -627,7 +582,7 @@ def _command_query(
     print(answer.summary())
     if mediator.plan_cache is not None:
         print(mediator.plan_cache.summary())
-    _emit_telemetry(answer, recorder, metrics, profile, emit_events)
+    _emit_telemetry(answer, recorder, args)
     return 0
 
 
@@ -651,35 +606,7 @@ def _run_aggregate(
     return 0
 
 
-def _run_runtime(
-    federation,
-    sql: str,
-    optimizer_name: str,
-    fault_rate: float,
-    fault_seed: int,
-    retries: int,
-    timeline: bool,
-    hedge_delay: float | None = None,
-    breaker: str = "off",
-    replan: int = 0,
-    robust: bool = False,
-    robustness: float = 1.0,
-    load_balance: bool = False,
-    recorder=None,
-    statistics=None,
-    metrics: str | None = None,
-    profile: bool = False,
-    emit_events: str | None = None,
-    search: str = "auto",
-    beam_width: int = DEFAULT_BEAM_WIDTH,
-    plan_cache: int | None = None,
-    deadline: float | None = None,
-    data_faults: str | None = None,
-    verify: str = "off",
-    quarantine: bool = False,
-    aggregate: bool = False,
-    pushdown: str = "auto",
-) -> int:
+def _run_runtime(federation, args, recorder, statistics) -> int:
     from dataclasses import replace as dc_replace
 
     from repro.runtime import (
@@ -694,11 +621,11 @@ def _run_runtime(
         "off": None,
         "default": BreakerConfig.default(),
         "aggressive": BreakerConfig.aggressive(),
-    }[breaker]
-    base_profile = FaultProfile.flaky(fault_rate)
+    }[args.breaker]
+    base_profile = FaultProfile.flaky(args.fault_rate)
     profiles: dict | FaultProfile = base_profile
-    if data_faults is not None:
-        parsed = _parse_data_faults(data_faults)
+    if args.data_faults is not None:
+        parsed = _parse_data_faults(args.data_faults)
         if isinstance(parsed, dict):
             profiles = {
                 name: dc_replace(base_profile, data=data)
@@ -708,46 +635,38 @@ def _run_runtime(
             profiles = dc_replace(base_profile, data=parsed)
     mediator = Mediator(
         federation,
-        statistics=statistics,
-        optimizer=(
-            "robust"
-            if robust
-            else _make_optimizer(optimizer_name, search, beam_width)
-        ),
         backend="runtime",
         faults=FaultInjector(
-            profiles, seed=fault_seed, default=base_profile
+            profiles, seed=args.fault_seed, default=base_profile
         ),
-        verify=verify if verify != "off" else False,
-        quarantine=quarantine or None,
-        retry_policy=RetryPolicy(max_retries=retries),
-        hedge_delay_s=hedge_delay,
+        verify=args.verify if args.verify != "off" else False,
+        quarantine=args.quarantine or None,
+        retry_policy=RetryPolicy(max_retries=args.retries),
+        hedge_delay_s=args.hedge_delay,
         breaker=breaker_config,
-        replan=replan,
-        robustness=robustness,
-        load_balance=load_balance,
-        recorder=recorder,
-        plan_cache=plan_cache,
-        search=search,
-        beam_width=beam_width,
+        replan=args.replan,
+        load_balance=args.load_balance,
+        **_planning_options(args, recorder, statistics),
     )
-    if aggregate:
-        return _run_aggregate(mediator, sql, pushdown, deadline=deadline)
-    answer = mediator.answer(sql, budget_s=deadline)
+    if is_aggregate_query(args.sql):
+        return _run_aggregate(
+            mediator, args.sql, args.pushdown, deadline=args.deadline
+        )
+    answer = mediator.answer(args.sql, budget_s=args.deadline)
     assert answer.runtime is not None
     print(answer.plan.pretty())
     print()
-    if robust:
+    if args.robust:
         opt = answer.optimization
         print(
-            f"robust ranking (λ={robustness:g}): "
+            f"robust ranking (λ={args.robustness_lambda:g}): "
             f"E[completeness] {opt.expected_completeness:.3f}, "
             f"utility {opt.utility:.1f}"
         )
         for candidate in opt.candidates:
             print(f"  {candidate.summary()}")
         print()
-    if timeline:
+    if args.timeline:
         print(answer.runtime.trace.timeline())
         print()
         print(answer.runtime.trace.utilization_report())
@@ -759,7 +678,7 @@ def _run_runtime(
         print()
     print("answer:", ", ".join(sorted(map(str, answer.items))) or "(empty)")
     print(answer.summary())
-    if verify != "off":
+    if args.verify != "off":
         quarantined = sorted(mediator.runtime.health.quarantined_names())
         if quarantined:
             print("quarantined:", ", ".join(quarantined))
@@ -768,16 +687,16 @@ def _run_runtime(
             ", ".join(answer.execution.incomplete_conditions) or "(unknown)"
         )
         print(
-            f"deadline {deadline:g}s hit: partial answer on time; "
+            f"deadline {args.deadline:g}s hit: partial answer on time; "
             f"conditions cut: {missing}"
         )
-    if fault_rate > 0:
+    if args.fault_rate > 0:
         report = completeness_report(
             federation, answer.query, answer.items,
             trace=answer.runtime.trace,
         )
         print(f"completeness: {report.summary()}")
-    _emit_telemetry(answer, recorder, metrics, profile, emit_events)
+    _emit_telemetry(answer, recorder, args)
     return 0
 
 
@@ -1047,36 +966,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "demo":
             return _command_demo()
         if args.command == "query":
-            return _command_query(
-                args.spec,
-                args.sql,
-                args.optimizer,
-                adaptive=args.adaptive,
-                runtime=args.runtime,
-                fault_rate=args.fault_rate,
-                fault_seed=args.fault_seed,
-                retries=args.retries,
-                timeline=args.timeline,
-                hedge_delay=args.hedge_delay,
-                breaker=args.breaker,
-                replan=args.replan,
-                robust=args.robust,
-                robustness=args.robustness_lambda,
-                load_balance=args.load_balance,
-                metrics=args.metrics,
-                profile=args.profile,
-                emit_events=args.emit_events,
-                observed_stats=args.observed_stats,
-                search=args.search,
-                beam_width=args.beam_width,
-                plan_cache=args.plan_cache,
-                deadline=args.deadline,
-                data_faults=args.data_faults,
-                verify=args.verify,
-                quarantine=args.quarantine,
-                aggregate=args.aggregate,
-                pushdown=args.pushdown,
-            )
+            return _command_query(args)
         if args.command == "explain":
             return _command_explain(
                 args.spec,

@@ -184,12 +184,11 @@ class Mediator:
             ignored when an external ``health`` registry is supplied
             (its own config wins).
         max_retries: Per-operation retry budget for transient failures.
-        cache_plans: Reuse optimization results for repeated identical
-            queries (shorthand for ``plan_cache=True``).
-            ``clear_plan_cache()`` resets it.
-        plan_cache: A :class:`~repro.mediator.plan_cache.PlanCache`
-            instance, a capacity (int), or ``True`` for the default
-            capacity.  Entries are keyed on a canonical query
+        plan_cache: Reuse optimization results for repeated identical
+            queries (``clear_plan_cache()`` resets it): a
+            :class:`~repro.mediator.plan_cache.PlanCache` instance, a
+            capacity (int), or ``True`` for the default capacity.
+            Entries are keyed on a canonical query
             fingerprint plus the statistics provider's fingerprint, so
             an :class:`~repro.sources.observed.ObservedStatistics`
             refresh invalidates stale plans automatically.
@@ -255,7 +254,6 @@ class Mediator:
         optimizer: Optimizer | str | None = None,
         verify: bool | str = False,
         max_retries: int = 3,
-        cache_plans: bool = False,
         backend: str = "sequential",
         faults: FaultInjector | None = None,
         retry_policy: RetryPolicy | None = None,
@@ -387,10 +385,7 @@ class Mediator:
             plan_cache = None
         elif isinstance(plan_cache, int):
             plan_cache = PlanCache(capacity=plan_cache)
-        if plan_cache is None and cache_plans:
-            plan_cache = PlanCache()
         self.plan_cache: PlanCache | None = plan_cache
-        self.cache_plans = plan_cache is not None
         # Single-shot answer() calls get deterministic trace ids derived
         # from this sequence when span recording is on and the caller
         # supplied none (a serving tier always derives its own).
@@ -411,7 +406,7 @@ class Mediator:
         return query
 
     def plan(self, query: FusionQuery | str) -> OptimizationResult:
-        """Optimize without executing (cached when ``cache_plans``)."""
+        """Optimize without executing (cached when ``plan_cache`` is set)."""
         query = self._coerce(query)
         return self._optimize(query)
 

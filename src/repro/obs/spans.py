@@ -124,13 +124,13 @@ class SpanLog:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._spans: list[Span] = []
-        #: trace_id -> first-seen index, for stable track numbering.
-        self._trace_order: dict[str, int] = {}
+        #: trace_id -> its spans in append order; key order is the
+        #: first-seen order that numbers the exported tracks.
+        self._by_trace: dict[str, list[Span]] = {}
 
     def add(self, span: Span) -> Span:
         with self._lock:
-            if span.trace_id not in self._trace_order:
-                self._trace_order[span.trace_id] = len(self._trace_order)
+            self._by_trace.setdefault(span.trace_id, []).append(span)
             self._spans.append(span)
         return span
 
@@ -150,11 +150,11 @@ class SpanLog:
     def trace_ids(self) -> list[str]:
         """Trace ids in first-seen order."""
         with self._lock:
-            return sorted(self._trace_order, key=self._trace_order.__getitem__)
+            return list(self._by_trace)
 
     def for_trace(self, trace_id: str) -> list[Span]:
         with self._lock:
-            return [s for s in self._spans if s.trace_id == trace_id]
+            return list(self._by_trace.get(trace_id, ()))
 
     # ------------------------------------------------------------------
     # Chrome trace-event export (Perfetto-loadable)
@@ -170,9 +170,9 @@ class SpanLog:
         """
         events: list[dict[str, Any]] = []
         with self._lock:
-            order = dict(self._trace_order)
+            order = {trace_id: i for i, trace_id in enumerate(self._by_trace)}
             spans = list(self._spans)
-        for trace_id in sorted(order, key=order.__getitem__):
+        for trace_id in order:
             events.append(
                 {
                     "ph": "M",

@@ -26,10 +26,8 @@ from repro.relational.conditions import (
 from repro.relational.parser import parse_aggregate_list, parse_condition
 from repro.relational.columnar import (
     ColumnarTable,
-    columnar_enabled,
     numpy_available,
     numpy_enabled,
-    set_columnar_enabled,
     set_numpy_enabled,
 )
 from repro.relational.aggregates import (
@@ -69,8 +67,6 @@ __all__ = [
     "parse_condition",
     "parse_aggregate_list",
     "ColumnarTable",
-    "columnar_enabled",
-    "set_columnar_enabled",
     "numpy_available",
     "numpy_enabled",
     "set_numpy_enabled",

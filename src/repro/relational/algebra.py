@@ -8,12 +8,9 @@ These are the data-level counterparts of the plan operators in
 
 Item sets are plain ``frozenset`` objects: hashable, immutable, cheap.
 
-Since PR 10 every function here dispatches to the vectorized kernels in
-:mod:`repro.relational.columnar` whenever the substrate is enabled and
-the relation is well-formed; the row-at-a-time fallback (kept for
-ragged fault-injected payloads and for ``REPRO_COLUMNAR=off``) binds
-attribute positions once per call via :func:`repro.relational.conditions.bind`
-instead of materializing a dict per row.
+Every function here runs on the vectorized kernels in
+:mod:`repro.relational.columnar`; only ragged fault-injected payloads
+(``Relation.unchecked``) take the row-at-a-time dict evaluator.
 """
 
 from __future__ import annotations
@@ -21,7 +18,7 @@ from __future__ import annotations
 from typing import Any, Iterable
 
 from repro.relational import columnar
-from repro.relational.conditions import Condition, bind
+from repro.relational.conditions import Condition
 from repro.relational.relation import Relation
 
 ItemSet = frozenset
@@ -107,15 +104,7 @@ def local_selection(
 
 
 def _row_predicate(relation: Relation, condition: Condition):
-    """A per-row predicate for the fallback path.
-
-    Well-formed relations get the positional bound evaluator (indices
-    resolved once, no dict per row); ragged fault-injected relations
-    keep the historical dict path, whose per-row ``row_to_dict`` is the
-    only evaluator with defined behaviour for arity-mismatched rows.
-    """
+    """The per-row predicate for ragged relations: ``row_to_dict`` is the
+    only evaluator with defined behaviour for arity-mismatched rows."""
     schema = relation.schema
-    width = len(schema.names)
-    if all(len(row) == width for row in relation.rows):
-        return bind(condition, schema.names)
     return lambda row: condition.evaluate(schema.row_to_dict(row))

@@ -23,21 +23,16 @@ Design rules (see DESIGN.md):
   the mediator merge operators are hash-based with smallest-first
   ordering and early exit.
 
-Feature flags (environment, read at import; override per-process with
-:func:`set_columnar_enabled` / :func:`set_numpy_enabled`):
-
-* ``REPRO_COLUMNAR=off`` disables the substrate entirely — every
-  operation takes the row-at-a-time fallback path (used by benchmarks
-  to measure the speedup, and by CI to prove result parity).
-* ``REPRO_COLUMNAR_NUMPY=off|on|auto`` controls the numpy fast path
-  (``auto``, the default, uses numpy when importable).
+One feature flag (environment, read at import; override per-process
+with :func:`set_numpy_enabled`): ``REPRO_COLUMNAR_NUMPY=off|on|auto``
+controls the numpy fast path (``auto``, the default, uses numpy when
+importable).
 """
 
 from __future__ import annotations
 
 import operator
 import os
-import re
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.errors import ConditionError
@@ -76,16 +71,8 @@ _COMPARE: dict[str, Callable[[Any, Any], bool]] = {
 }
 
 
-def _flag(name: str, default: str) -> str:
-    return os.environ.get(name, default).strip().lower()
-
-
-def _env_columnar_default() -> bool:
-    return _flag("REPRO_COLUMNAR", "on") not in ("off", "0", "false", "no")
-
-
 def _env_numpy_default() -> bool | None:
-    value = _flag("REPRO_COLUMNAR_NUMPY", "auto")
+    value = os.environ.get("REPRO_COLUMNAR_NUMPY", "auto").strip().lower()
     if value in ("off", "0", "false", "no"):
         return False
     if value in ("on", "1", "true", "yes"):
@@ -93,26 +80,7 @@ def _env_numpy_default() -> bool | None:
     return None  # auto
 
 
-_columnar_enabled: bool = _env_columnar_default()
 _numpy_override: bool | None = _env_numpy_default()
-
-
-def columnar_enabled() -> bool:
-    """True when the columnar substrate drives the relational hot paths."""
-    return _columnar_enabled
-
-
-def set_columnar_enabled(enabled: bool | None) -> bool:
-    """Enable/disable the substrate; ``None`` restores the env default.
-
-    Returns the previous setting so callers can restore it.
-    """
-    global _columnar_enabled
-    previous = _columnar_enabled
-    _columnar_enabled = (
-        _env_columnar_default() if enabled is None else bool(enabled)
-    )
-    return previous
 
 
 def numpy_available() -> bool:
@@ -262,14 +230,11 @@ class ColumnarTable:
 
 
 def table_for(relation) -> ColumnarTable | None:
-    """The relation's cached columnar view, when the substrate applies.
+    """The relation's cached columnar view, or ``None`` when it is ragged.
 
-    Returns ``None`` when the substrate is disabled or the relation is
-    ragged (only ``Relation.unchecked`` can produce that) — callers
+    Only ``Relation.unchecked`` can produce a ragged relation — callers
     must then take the row path.
     """
-    if not _columnar_enabled:
-        return None
     table = relation.columnar()
     if not table.well_formed:
         return None
@@ -611,15 +576,8 @@ def difference_items(left: Iterable[Any], right: Iterable[Any]) -> frozenset[Any
 # ---------------------------------------------------------------------------
 # Diagnostics
 
-_FLAG_PATTERN = re.compile(r"^(on|off|auto)$")
-
 
 def substrate_summary() -> str:
-    """One line describing the active configuration (used by the CLI)."""
-    numpy_state = (
-        "numpy" if numpy_enabled() else ("python" if _columnar_enabled else "row")
-    )
-    return (
-        f"columnar substrate: "
-        f"{'on' if _columnar_enabled else 'off'} ({numpy_state} kernels)"
-    )
+    """One line describing the active kernels (used by the CLI)."""
+    kernels = "numpy" if numpy_enabled() else "python"
+    return f"columnar substrate: on ({kernels} kernels)"

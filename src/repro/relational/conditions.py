@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.errors import ConditionError
 
@@ -388,122 +388,6 @@ def walk(condition: Condition) -> Iterator[Condition]:
             yield from walk(op)
     elif isinstance(condition, Not):
         yield from walk(condition.operand)
-
-
-def bind(
-    condition: Condition, attribute_names: Iterable[str]
-) -> "Callable[[tuple[Any, ...]], bool]":
-    """Compile ``condition`` into a positional row-tuple predicate.
-
-    Attribute lookups are resolved to tuple indices *once*, so the
-    returned callable evaluates rows without building a dict per row
-    (the historical ``schema.row_to_dict`` allocation in the row-path
-    fallback).  Semantics are identical to :meth:`Condition.evaluate`
-    over the dict form, including the missing-attribute behaviour:
-    :class:`Comparison` raises :class:`ConditionError`, every other
-    leaf sees ``None``.  Only valid for rows matching the schema the
-    names came from — ragged rows must keep using the dict path.
-    """
-    positions = {name: i for i, name in enumerate(attribute_names)}
-    return _bind(condition, positions)
-
-
-def _bind(
-    condition: Condition, positions: dict[str, int]
-) -> "Callable[[tuple[Any, ...]], bool]":
-    if isinstance(condition, And):
-        operands = [_bind(op, positions) for op in condition.operands]
-
-        def _and(row: tuple[Any, ...]) -> bool:
-            return all(fn(row) for fn in operands)
-
-        return _and
-    if isinstance(condition, Or):
-        operands = [_bind(op, positions) for op in condition.operands]
-
-        def _or(row: tuple[Any, ...]) -> bool:
-            return any(fn(row) for fn in operands)
-
-        return _or
-    if isinstance(condition, Not):
-        inner = _bind(condition.operand, positions)
-        return lambda row: not inner(row)
-    if isinstance(condition, TrueCondition):
-        return lambda row: True
-    if isinstance(condition, FalseCondition):
-        return lambda row: False
-    attribute = condition.attribute  # type: ignore[attr-defined]
-    pos = positions.get(attribute)
-    if isinstance(condition, Comparison):
-        if pos is None:
-
-            def _missing(row: tuple[Any, ...]) -> bool:
-                raise ConditionError(f"row lacks attribute {attribute!r}")
-
-            return _missing
-        value = condition.value
-        op = condition.op
-
-        def _compare(row: tuple[Any, ...]) -> bool:
-            actual = row[pos]
-            if actual is None or value is None:
-                return False
-            if not _comparable(actual, value):
-                return False
-            if op == "=":
-                return actual == value
-            if op == "!=":
-                return actual != value
-            if op == "<":
-                return actual < value
-            if op == "<=":
-                return actual <= value
-            if op == ">":
-                return actual > value
-            return actual >= value
-
-        return _compare
-    if pos is None:
-        if isinstance(condition, IsNull):
-            return lambda row: condition.negated is False
-        return lambda row: False
-    if isinstance(condition, Between):
-        low, high = condition.low, condition.high
-
-        def _between(row: tuple[Any, ...]) -> bool:
-            actual = row[pos]
-            if actual is None:
-                return False
-            if not (_comparable(actual, low) and _comparable(actual, high)):
-                return False
-            return low <= actual <= high
-
-        return _between
-    if isinstance(condition, InSet):
-        values = condition.values
-
-        def _in(row: tuple[Any, ...]) -> bool:
-            actual = row[pos]
-            return actual is not None and actual in values
-
-        return _in
-    if isinstance(condition, Like):
-        regex = _like_regex(condition.pattern)
-
-        def _like(row: tuple[Any, ...]) -> bool:
-            actual = row[pos]
-            return isinstance(actual, str) and regex.match(actual) is not None
-
-        return _like
-    if isinstance(condition, IsNull):
-        negated = condition.negated
-
-        def _is_null(row: tuple[Any, ...]) -> bool:
-            is_null = row[pos] is None
-            return not is_null if negated else is_null
-
-        return _is_null
-    raise ConditionError(f"unknown condition node {condition!r}")
 
 
 def validate_against(condition: Condition, attribute_names: Iterable[str]) -> None:

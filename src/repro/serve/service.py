@@ -508,6 +508,58 @@ class MediatorService:
             deadline_s=deadline_s if deadline_s is not None else 0.0,
         )
 
+    def _admit(
+        self,
+        now_s: float,
+        query: FusionQuery | str,
+        tenant: str,
+        deadline_s: float | None,
+    ) -> QueryTicket:
+        """Number one arrival, admit it (or raise the typed refusal) and
+        queue its ticket.  Both drivers call this at their own clock's
+        ``now_s``, thread mode under ``_cond``; waking the dispatcher
+        afterwards is the caller's job."""
+        seq = self._seq
+        self._seq += 1
+        predicted = None
+        if (
+            deadline_s is not None
+            and self.shed_policy == "deadline"
+            and valid_deadline(deadline_s)
+        ):
+            predicted = self._predict_completion_s(tenant, query)
+        try:
+            self.admission.admit(
+                tenant, deadline_s=deadline_s, predicted_s=predicted
+            )
+        except AdmissionError as exc:
+            self.recorder.query_rejected(
+                now_s, seq, tenant, exc.reason,
+                self.queue_depth, self.in_flight,
+            )
+            self._record_shed(now_s, seq, tenant, exc, deadline_s)
+            raise
+        ticket = QueryTicket(
+            seq=seq,
+            tenant=tenant,
+            query=query,
+            text=self._text_of(query),
+            submitted_s=now_s,
+            deadline_s=deadline_s,
+            trace_id=(
+                derive_trace_id(self.seed, seq)
+                if self.spans is not None
+                else ""
+            ),
+        )
+        self.tickets.append(ticket)
+        self._by_seq[seq] = ticket
+        self.scheduler.push(tenant, ticket)
+        self.recorder.query_admitted(
+            now_s, seq, tenant, self.queue_depth, self.in_flight
+        )
+        return ticket
+
     def _expired_in_queue(self, ticket: QueryTicket, now_s: float) -> bool:
         """True (and the ticket completed as an empty partial) when the
         deadline ran out while the query was still queued.
@@ -547,6 +599,24 @@ class MediatorService:
         self._note_deadline_outcome(ticket, now_s)
         self._finalize_trace(ticket, self.recorder)
         return True
+
+    def _fail_unplannable(
+        self, ticket: QueryTicket, exc: Exception, now_s: float
+    ) -> None:
+        """A query that cannot even be planned completes as failed."""
+        self.admission.on_dispatch(ticket.tenant)
+        self.admission.on_complete(ticket.tenant)
+        ticket.dispatched_s = now_s
+        ticket.completed_s = now_s
+        ticket.status = "failed"
+        ticket.error = f"{type(exc).__name__}: {exc}"
+        self.failed_count += 1
+        self.recorder.query_completed(
+            now_s, ticket.seq, ticket.tenant,
+            self.queue_depth, self.in_flight,
+            ticket.latency_s, error=ticket.error,
+        )
+        self._finalize_trace(ticket, self.recorder)
 
     def _note_deadline_outcome(
         self, ticket: QueryTicket, now_s: float
@@ -742,45 +812,7 @@ class MediatorService:
                 f"arrival at {at} is in the past (clock is at {self.now_s})"
             )
         self.advance_to(at)
-        seq = self._seq
-        self._seq += 1
-        predicted = None
-        if (
-            deadline_s is not None
-            and self.shed_policy == "deadline"
-            and valid_deadline(deadline_s)
-        ):
-            predicted = self._predict_completion_s(tenant, query)
-        try:
-            self.admission.admit(
-                tenant, deadline_s=deadline_s, predicted_s=predicted
-            )
-        except AdmissionError as exc:
-            self.recorder.query_rejected(
-                self.now_s, seq, tenant, exc.reason,
-                self.queue_depth, self.in_flight,
-            )
-            self._record_shed(self.now_s, seq, tenant, exc, deadline_s)
-            raise
-        ticket = QueryTicket(
-            seq=seq,
-            tenant=tenant,
-            query=query,
-            text=self._text_of(query),
-            submitted_s=self.now_s,
-            deadline_s=deadline_s,
-            trace_id=(
-                derive_trace_id(self.seed, seq)
-                if self.spans is not None
-                else ""
-            ),
-        )
-        self.tickets.append(ticket)
-        self._by_seq[seq] = ticket
-        self.scheduler.push(tenant, ticket)
-        self.recorder.query_admitted(
-            self.now_s, seq, tenant, self.queue_depth, self.in_flight
-        )
+        ticket = self._admit(self.now_s, query, tenant, deadline_s)
         self._pump()
         return ticket
 
@@ -835,7 +867,7 @@ class MediatorService:
             try:
                 optimization = self._det_mediator.plan(ticket.query)
             except FusionError as exc:
-                self._fail_unplannable(ticket, exc)
+                self._fail_unplannable(ticket, exc, self.now_s)
                 continue
             self._note_planned(
                 self.recorder,
@@ -860,22 +892,6 @@ class MediatorService:
                 self._blocked = (ticket, optimization)
                 return
             self._dispatch_deterministic(ticket, optimization, sources)
-
-    def _fail_unplannable(self, ticket: QueryTicket, exc: Exception) -> None:
-        """A query that cannot even be planned completes as failed."""
-        self.admission.on_dispatch(ticket.tenant)
-        self.admission.on_complete(ticket.tenant)
-        ticket.dispatched_s = self.now_s
-        ticket.completed_s = self.now_s
-        ticket.status = "failed"
-        ticket.error = f"{type(exc).__name__}: {exc}"
-        self.failed_count += 1
-        self.recorder.query_completed(
-            self.now_s, ticket.seq, ticket.tenant,
-            self.queue_depth, self.in_flight,
-            ticket.latency_s, error=ticket.error,
-        )
-        self._finalize_trace(ticket, self.recorder)
 
     def _dispatch_deterministic(
         self, ticket: QueryTicket, optimization, sources: list[str]
@@ -974,51 +990,7 @@ class MediatorService:
         self, query: FusionQuery | str, tenant: str, deadline_s: float | None
     ) -> QueryTicket:
         with self._cond:
-            now = self.elapsed_s
-            seq = self._seq
-            self._seq += 1
-            predicted = None
-            if (
-                deadline_s is not None
-                and self.shed_policy == "deadline"
-                and valid_deadline(deadline_s)
-            ):
-                # No per-plan makespan here: thread workers own the
-                # mediators, so admission predicts from observed
-                # service times alone.
-                predicted = self.wait_estimator.predict_completion_s(
-                    tenant, self.queue_depth + self.in_flight
-                )
-            try:
-                self.admission.admit(
-                    tenant, deadline_s=deadline_s, predicted_s=predicted
-                )
-            except AdmissionError as exc:
-                self.recorder.query_rejected(
-                    now, seq, tenant, exc.reason,
-                    self.queue_depth, self.in_flight,
-                )
-                self._record_shed(now, seq, tenant, exc, deadline_s)
-                raise
-            ticket = QueryTicket(
-                seq=seq,
-                tenant=tenant,
-                query=query,
-                text=self._text_of(query),
-                submitted_s=now,
-                deadline_s=deadline_s,
-                trace_id=(
-                    derive_trace_id(self.seed, seq)
-                if self.spans is not None
-                else ""
-                ),
-            )
-            self.tickets.append(ticket)
-            self._by_seq[seq] = ticket
-            self.scheduler.push(tenant, ticket)
-            self.recorder.query_admitted(
-                now, seq, tenant, self.queue_depth, self.in_flight
-            )
+            ticket = self._admit(self.elapsed_s, query, tenant, deadline_s)
             self._cond.notify()
             return ticket
 
@@ -1069,7 +1041,7 @@ class MediatorService:
                 sources = sorted(optimization.plan.sources_used())
             except FusionError as exc:
                 with self._cond:
-                    self._fail_unplannable_threads(ticket, exc)
+                    self._fail_unplannable(ticket, exc, self.elapsed_s)
                     self._cond.notify_all()
                 continue
             finally:
@@ -1191,21 +1163,3 @@ class MediatorService:
                 self._note_deadline_outcome(ticket, now)
                 self._finalize_trace(ticket, self.recorder)
                 self._cond.notify_all()
-
-    def _fail_unplannable_threads(
-        self, ticket: QueryTicket, exc: Exception
-    ) -> None:
-        self.admission.on_dispatch(ticket.tenant)
-        self.admission.on_complete(ticket.tenant)
-        now = self.elapsed_s
-        ticket.dispatched_s = now
-        ticket.completed_s = now
-        ticket.status = "failed"
-        ticket.error = f"{type(exc).__name__}: {exc}"
-        self.failed_count += 1
-        self.recorder.query_completed(
-            now, ticket.seq, ticket.tenant,
-            self.queue_depth, self.in_flight,
-            ticket.latency_s, error=ticket.error,
-        )
-        self._finalize_trace(ticket, self.recorder)

@@ -29,6 +29,7 @@ import random
 from typing import Any, Protocol
 
 from repro.errors import StatisticsError
+from repro.relational.algebra import select_items
 from repro.relational.conditions import (
     And,
     Between,
@@ -108,6 +109,13 @@ class _BaseStatistics:
         return self._universe
 
 
+def _item_fraction(relation: Relation, condition: Condition) -> float:
+    """Fraction of ``relation``'s distinct items with a row satisfying
+    ``condition``."""
+    total = len(relation.items())
+    return len(select_items(relation, condition)) / total if total else 0.0
+
+
 class ExactStatistics(_BaseStatistics):
     """Oracle statistics computed from ground-truth data, cached per
     (source, condition) pair.
@@ -132,19 +140,7 @@ class ExactStatistics(_BaseStatistics):
         if cached is not None:
             return cached
         relation = self._federation.source(source_name).table.relation
-        total = len(relation.items())
-        if total == 0:
-            value = 0.0
-        else:
-            schema = relation.schema
-            pos = schema.merge_position
-            satisfying = {
-                row[pos]
-                for row in relation
-                if condition.evaluate(schema.row_to_dict(row))
-            }
-            value = len(satisfying) / total
-        self._cache[key] = value
+        value = self._cache[key] = _item_fraction(relation, condition)
         return value
 
 
@@ -192,19 +188,7 @@ class SampledStatistics(_BaseStatistics):
         if cached is not None:
             return cached
         sample = self._samples[source_name]
-        total = len(sample.items())
-        if total == 0:
-            value = 0.0
-        else:
-            schema = sample.schema
-            pos = schema.merge_position
-            satisfying = {
-                row[pos]
-                for row in sample
-                if condition.evaluate(schema.row_to_dict(row))
-            }
-            value = len(satisfying) / total
-        self._cache[key] = value
+        value = self._cache[key] = _item_fraction(sample, condition)
         return value
 
 

@@ -203,9 +203,6 @@ def test_mediator_coerces_plan_cache_argument():
     assert enabled.plan_cache.capacity == DEFAULT_CAPACITY
     sized = Mediator(federation, plan_cache=4)
     assert sized.plan_cache.capacity == 4
-    legacy = Mediator(federation, cache_plans=True)
-    assert legacy.plan_cache is not None
-    assert legacy.cache_plans
 
 
 def test_summary_reports_usage():

@@ -78,7 +78,7 @@ class TestConfiguration:
 
 class TestPlanCache:
     def test_repeated_queries_hit_the_cache(self, dmv_federation, dmv_query):
-        mediator = Mediator(dmv_federation, cache_plans=True, verify=True)
+        mediator = Mediator(dmv_federation, plan_cache=True, verify=True)
         first = mediator.answer(dmv_query)
         second = mediator.answer(dmv_query)
         assert mediator.plan_cache_hits == 1
@@ -88,7 +88,7 @@ class TestPlanCache:
     def test_different_queries_miss(self, dmv_federation, dmv_query):
         from repro.query.fusion import FusionQuery
 
-        mediator = Mediator(dmv_federation, cache_plans=True)
+        mediator = Mediator(dmv_federation, plan_cache=True)
         mediator.plan(dmv_query)
         mediator.plan(FusionQuery.from_strings("L", ["V = 'sp'"]))
         assert mediator.plan_cache_hits == 0
@@ -99,14 +99,14 @@ class TestPlanCache:
         assert dmv_mediator.plan_cache_hits == 0
 
     def test_clear_plan_cache(self, dmv_federation, dmv_query):
-        mediator = Mediator(dmv_federation, cache_plans=True)
+        mediator = Mediator(dmv_federation, plan_cache=True)
         mediator.plan(dmv_query)
         mediator.clear_plan_cache()
         mediator.plan(dmv_query)
         assert mediator.plan_cache_hits == 0
 
     def test_explain_also_uses_cache(self, dmv_federation, dmv_query):
-        mediator = Mediator(dmv_federation, cache_plans=True)
+        mediator = Mediator(dmv_federation, plan_cache=True)
         mediator.plan(dmv_query)
         mediator.explain(dmv_query)
         assert mediator.plan_cache_hits == 1

@@ -107,6 +107,31 @@ class TestSpanLog:
         assert log.trace_ids() == [TRACE, other]
         assert [s.trace_id for s in log.for_trace(other)] == [other]
 
+    def test_for_trace_keeps_append_order_when_traces_interleave(self):
+        log = SpanLog()
+        other = derive_trace_id(0, 1)
+        mine = serve_tree()
+        theirs = [
+            Span(
+                trace_id=other,
+                span_id=item.span_id,
+                parent_id=item.parent_id,
+                name=item.name,
+                category=item.category,
+                start_s=item.start_s,
+                end_s=item.end_s,
+            )
+            for item in reversed(mine)
+        ]
+        for a, b in zip(mine, theirs):
+            log.add(b)
+            log.add(a)
+        assert log.for_trace(TRACE) == mine
+        assert log.for_trace(other) == theirs
+        assert log.for_trace(derive_trace_id(0, 2)) == []
+        assert log.trace_ids() == [other, TRACE]
+        assert [s.trace_id for s in log.spans] == [other, TRACE] * len(mine)
+
     def test_chrome_export_validates_and_is_deterministic(self):
         log = SpanLog()
         for item in serve_tree():

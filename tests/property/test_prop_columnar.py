@@ -15,6 +15,7 @@ from contextlib import contextmanager
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ConditionError
 from repro.relational import columnar
 from repro.relational.aggregates import (
     AggregateSpec,
@@ -138,17 +139,62 @@ def test_semijoin_matches_row_oracle(relation, condition, wanted_list):
             assert semijoin_items(relation, condition, wanted) == expected
 
 
-@settings(max_examples=60, deadline=None)
-@given(any_relations, dmv_conditions)
-def test_columnar_off_equals_on(relation, condition):
-    with _numpy(False):
-        on = select_items(relation, condition)
-    prev = columnar.set_columnar_enabled(False)
+# --- the one remaining row path: ragged payloads ---------------------------
+
+# A fault-injected payload: rows cut short (down to the merge attribute
+# alone) or carrying a stray extra value.
+ragged_rows = st.one_of(
+    st.tuples(licenses),
+    st.tuples(licenses, _violations),
+    st.tuples(licenses, _violations, _years),
+    st.tuples(licenses, _violations, _years, _years),
+)
+
+
+def _outcome(call):
+    """The call's result, or the ConditionError text it raised (a
+    Comparison on an attribute the short row lacks)."""
     try:
-        off = select_items(relation, condition)
-    finally:
-        columnar.set_columnar_enabled(prev)
-    assert on == off
+        return call()
+    except ConditionError as exc:
+        return str(exc)
+
+
+def _oracle_ragged_semijoin(relation, condition, wanted):
+    # Membership first: a row outside the binding set never sees the
+    # predicate, so it cannot raise for an attribute it lacks.
+    schema = relation.schema
+    merge_pos = schema.merge_position
+    return frozenset(
+        row[merge_pos]
+        for row in relation
+        if row[merge_pos] in wanted
+        and condition.evaluate(schema.row_to_dict(row))
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.lists(ragged_rows, max_size=12),
+    dmv_conditions,
+    st.lists(licenses, max_size=5),
+)
+def test_ragged_relation_matches_row_oracle(rows, condition, wanted_list):
+    relation = Relation.unchecked("bad", NULLABLE_SCHEMA, rows)
+    wanted = frozenset(wanted_list)
+    for use_numpy in _numpy_modes():
+        with _numpy(use_numpy):
+            assert _outcome(
+                lambda: select_rows(relation, condition)
+            ) == _outcome(lambda: _oracle_rows(relation, condition))
+            assert _outcome(
+                lambda: select_items(relation, condition)
+            ) == _outcome(lambda: _oracle_items(relation, condition))
+            assert _outcome(
+                lambda: semijoin_items(relation, condition, wanted)
+            ) == _outcome(
+                lambda: _oracle_ragged_semijoin(relation, condition, wanted)
+            )
 
 
 # --- hash set operators ---------------------------------------------------

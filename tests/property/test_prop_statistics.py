@@ -10,6 +10,7 @@ from repro.mediator.reference import (
     reference_answer_via_join,
 )
 from repro.query.sqlparse import parse_fusion_query
+from repro.relational import columnar
 from repro.sources.generators import synthetic_conditions, synthetic_query
 from repro.sources.statistics import (
     ExactStatistics,
@@ -17,7 +18,49 @@ from repro.sources.statistics import (
     SampledStatistics,
 )
 
-from tests.property.strategies import synthetic_kits
+from repro.sources.registry import Federation
+from repro.sources.remote import RemoteSource
+from repro.sources.table_source import TableSource
+
+from tests.property.strategies import (
+    dmv_conditions,
+    dmv_relations,
+    synthetic_kits,
+)
+
+
+def _oracle_selectivity(relation, condition):
+    """Set arithmetic over ``Condition.evaluate``, one dict per row."""
+    schema = relation.schema
+    pos = schema.merge_position
+    items = {row[pos] for row in relation}
+    satisfying = {
+        row[pos]
+        for row in relation
+        if condition.evaluate(schema.row_to_dict(row))
+    }
+    return len(satisfying) / len(items) if items else 0.0
+
+
+@given(relation=dmv_relations(), condition=dmv_conditions, sample_seed=st.integers(0, 50))
+@settings(max_examples=80, deadline=None)
+def test_measured_selectivity_matches_row_oracle(relation, condition, sample_seed):
+    federation = Federation([RemoteSource(TableSource(relation))])
+    for use_numpy in (False, True) if columnar.numpy_available() else (False,):
+        prev = columnar.set_numpy_enabled(use_numpy)
+        try:
+            exact = ExactStatistics(federation)
+            sampled = SampledStatistics(
+                federation, fraction=0.3, seed=sample_seed, min_sample_rows=3
+            )
+            assert exact.selectivity("R", condition) == _oracle_selectivity(
+                relation, condition
+            )
+            assert sampled.selectivity("R", condition) == _oracle_selectivity(
+                sampled._samples["R"], condition
+            )
+        finally:
+            columnar.set_numpy_enabled(prev)
 
 
 @given(kit=synthetic_kits())

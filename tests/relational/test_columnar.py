@@ -15,7 +15,6 @@ from repro.relational.columnar import (
     predicate_mask,
     select_items,
     semijoin_items,
-    set_columnar_enabled,
     set_numpy_enabled,
     substrate_summary,
     table_for,
@@ -78,23 +77,11 @@ class TestTableFor:
     def test_returns_view_when_enabled(self, relation):
         assert isinstance(table_for(relation), ColumnarTable)
 
-    def test_disabled_returns_none(self, relation):
-        prev = set_columnar_enabled(False)
-        try:
-            assert table_for(relation) is None
-        finally:
-            set_columnar_enabled(prev)
-
     def test_ragged_relation_returns_none(self):
         ragged = Relation.unchecked(
             "bad", dmv_schema(), [("J55", "dui", 1993), ("T21",)]
         )
         assert table_for(ragged) is None
-
-    def test_flag_restore(self):
-        prev = set_columnar_enabled(False)
-        set_columnar_enabled(prev)
-        assert table_for(Relation("R", dmv_schema(), ROWS)) is not None
 
 
 class TestPredicateMask:
@@ -208,7 +195,7 @@ class TestSubstrateSummary:
 
     def test_numpy_flag_roundtrip(self):
         prev = set_numpy_enabled(False)
-        assert "python" in substrate_summary() or "row" in substrate_summary()
+        assert "python" in substrate_summary()
         set_numpy_enabled(prev)
 
 

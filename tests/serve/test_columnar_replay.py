@@ -2,8 +2,8 @@
 
 PR 10 rewired the data plane under the mediator; nothing downstream —
 executed plans, recorded traces, serving-tier span trees — may change.
-These tests run the same work with the substrate on and off and demand
-byte-identical artifacts.
+The kernels have one remaining axis, numpy on/off: the same work under
+both must produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -19,13 +19,6 @@ DMV_SQL = (
     "SELECT u1.L FROM U u1, U u2 "
     "WHERE u1.L = u2.L AND u1.V = 'dui' AND u2.V = 'sp'"
 )
-
-
-@pytest.fixture
-def substrate_off():
-    prev = columnar.set_columnar_enabled(False)
-    yield
-    columnar.set_columnar_enabled(prev)
 
 
 def _single_query_artifacts() -> tuple:
@@ -52,27 +45,15 @@ def _serving_artifacts(seed: int = 77) -> tuple:
     )
 
 
-def test_single_query_trace_is_byte_identical(substrate_off):
-    off = _single_query_artifacts()
-    prev = columnar.set_columnar_enabled(True)
-    try:
-        on = _single_query_artifacts()
-    finally:
-        columnar.set_columnar_enabled(prev)
-    assert on == off
-    assert on[0] == DMV_FIG1_ANSWER
-
-
-def test_same_seed_serving_replay_is_byte_identical(substrate_off):
-    off = _serving_artifacts()
-    prev = columnar.set_columnar_enabled(True)
-    try:
-        on = _serving_artifacts()
-    finally:
-        columnar.set_columnar_enabled(prev)
-    assert on[0] == off[0] == 8
-    assert on[1] == off[1]
-    assert on[2] == off[2]
+def test_same_seed_serving_replay_is_byte_identical():
+    first = _serving_artifacts()
+    assert first[0] == 8
+    for use_numpy in (False, True):  # True is a no-op without numpy
+        prev = columnar.set_numpy_enabled(use_numpy)
+        try:
+            assert _serving_artifacts() == first
+        finally:
+            columnar.set_numpy_enabled(prev)
 
 
 def test_numpy_toggle_is_also_invisible():
@@ -89,6 +70,7 @@ def test_numpy_toggle_is_also_invisible():
     finally:
         columnar.set_numpy_enabled(prev)
     assert with_np == without
+    assert with_np[0] == DMV_FIG1_ANSWER
 
 
 def test_snapshot_reports_substrate():

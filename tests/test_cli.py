@@ -264,12 +264,12 @@ class TestAggregateQuery:
         assert "1994.5" in out
 
     def test_aggregate_flag_and_pushdown_modes(self, spec_path, capsys):
-        assert (
-            main(["query", spec_path, AGG_SQL, "--aggregate", "--pushdown", "off"])
-            == 0
-        )
+        assert main(["query", spec_path, AGG_SQL, "--pushdown", "off"]) == 0
         out = capsys.readouterr().out
         assert "fetch" in out
+        # Aggregate SQL is detected from the text; the flag is gone.
+        with pytest.raises(SystemExit):
+            main(["query", spec_path, AGG_SQL, "--aggregate"])
 
     def test_aggregate_under_runtime(self, spec_path, capsys):
         assert main(["query", spec_path, AGG_SQL, "--runtime"]) == 0
