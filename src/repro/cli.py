@@ -530,7 +530,7 @@ def _emit_telemetry(answer, recorder, args) -> None:
             print(recorder.metrics.to_prometheus())
         else:
             print(recorder.metrics.to_json_text())
-    if args.emit_events is not None and recorder.events is not None:
+    if args.emit_events is not None:
         _write_events(recorder.events, args.emit_events)
 
 

@@ -386,10 +386,6 @@ class Mediator:
         elif isinstance(plan_cache, int):
             plan_cache = PlanCache(capacity=plan_cache)
         self.plan_cache: PlanCache | None = plan_cache
-        # Single-shot answer() calls get deterministic trace ids derived
-        # from this sequence when span recording is on and the caller
-        # supplied none (a serving tier always derives its own).
-        self._answer_seq = 0
 
     # ------------------------------------------------------------------
 
@@ -452,10 +448,7 @@ class Mediator:
         return self.runtime.run(plan, budget_s=budget_s)
 
     def answer(
-        self,
-        query: FusionQuery | str,
-        budget_s: float | None = None,
-        trace_id: str | None = None,
+        self, query: FusionQuery | str, budget_s: float | None = None
     ) -> MediatorAnswer:
         """Optimize, execute, and (optionally) verify one fusion query.
 
@@ -464,37 +457,12 @@ class Mediator:
         partial answer found so far is returned — marked via
         ``execution.partial`` — instead of raising.  The sequential
         backend has no clock, so the budget is ignored there.
-
-        ``trace_id`` labels the recorded span tree when the recorder
-        has a span log attached; with none supplied a deterministic id
-        is derived from this mediator's answer sequence
-        (:func:`repro.obs.spans.derive_trace_id` with seed 0), so
-        repeated same-seed runs replay byte-identical traces.
         """
         query = self._coerce(query)
-        started_trace = False
-        if self.recorder is not None and self.recorder.spans is not None:
-            if trace_id is None:
-                from repro.obs.spans import derive_trace_id
-
-                trace_id = derive_trace_id(0, self._answer_seq)
-            started_trace = self.recorder.start_trace(trace_id)
-        self._answer_seq += 1
-        try:
-            return self._answer(query, budget_s)
-        finally:
-            if started_trace:
-                self.recorder.end_trace()
-
-    def _answer(
-        self, query: FusionQuery, budget_s: float | None
-    ) -> MediatorAnswer:
         runtime_result = None
         resilient = None
         events_before = (
-            len(self.recorder.events)
-            if self.recorder is not None and self.recorder.events is not None
-            else 0
+            len(self.recorder.events) if self.recorder is not None else 0
         )
         trips_before = self._breaker_trips()
         if self.backend == "runtime" and self.replanner is not None:
@@ -524,7 +492,7 @@ class Mediator:
             optimization = self._optimize(query)
             execution = self.executor.execute(optimization.plan)
         execution.breaker_trips = self._breaker_trips() - trips_before
-        if self.recorder is not None and self.recorder.events is not None:
+        if self.recorder is not None:
             from repro.obs.profile import QueryProfile
 
             breakdown = estimate_plan_cost(
@@ -619,7 +587,6 @@ class Mediator:
         self,
         query: AggregateQuery | str,
         budget_s: float | None = None,
-        trace_id: str | None = None,
         pushdown: bool | str = True,
     ) -> AggregateAnswer:
         """Optimize, execute, and aggregate one aggregation fusion query.
@@ -637,9 +604,7 @@ class Mediator:
         voter must see raw tuples.
         """
         query = self._coerce_aggregate(query)
-        fusion_answer = self.answer(
-            query.fusion, budget_s=budget_s, trace_id=trace_id
-        )
+        fusion_answer = self.answer(query.fusion, budget_s=budget_s)
         items = fusion_answer.items
         allow_pushdown = bool(pushdown) and self.verify_mode == "off"
         aggregate_plan = plan_aggregate(

@@ -2,40 +2,50 @@
 
 Execution used to be observable only through the ad-hoc ASCII renderers
 (:class:`~repro.runtime.trace.RuntimeTrace`, ``HealthRegistry.report``).
-This package makes observation a first-class subsystem with three
-complementary views, all driven by the runtime's *virtual* clock so
-every output is deterministic and replayable:
+This package makes observation a first-class subsystem with **one
+source and its folds**, all on the runtime's *virtual* clock so every
+output is deterministic and replayable.
 
-* :mod:`~repro.obs.metrics` — a metrics registry (counters, gauges,
-  histograms with fixed bucket boundaries) with JSON and
-  Prometheus-text exporters;
-* :mod:`~repro.obs.events` — a structured event log: every wrapper
-  query, semijoin send-set, retry, hedge, breaker transition, and
-  re-plan round as a JSONL record with a stable, validated schema
-  (:data:`~repro.obs.events.EVENT_SCHEMA`);
-* :mod:`~repro.obs.profile` — per-step / per-source / per-condition
-  query profiles (traffic moved, items confirmed, wall-clock vs wire
-  time, predicted vs observed cost);
-* :mod:`~repro.obs.spans` — causal span trees: every query carries a
-  deterministic trace id, its phases (admission, queue, plan, pool,
-  execute, merge) and engine operations become hierarchical spans
+The source is :mod:`~repro.obs.events` — a structured event log: every
+wrapper query, semijoin send-set, retry, hedge, breaker transition,
+re-plan round and serve-lifecycle step as a JSONL record with a stable,
+validated schema (:data:`~repro.obs.events.EVENT_SCHEMA`).  The
+:class:`~repro.obs.recorder.Recorder` is the hub the engine, executor,
+health registry, re-planner and serving tier report into; it writes
+events (always) and metrics (optionally) and nothing else.  With no
+recorder attached (the default) nothing is collected and traces stay
+byte-identical to the uninstrumented runtime.
+
+Everything else is a pure function of the event stream, so it can be
+rebuilt from a persisted JSONL file as well as from a live log:
+
+* :mod:`~repro.obs.spans` — causal span trees:
+  :func:`~repro.obs.spans.engine_spans` folds a query's events into the
+  op / attempt / backoff / hedge / marker subtree of its trace
+  (:func:`~repro.obs.spans.serve_spans` adds the admission / queue /
+  plan / pool / execute / merge skeleton from the ticket's timestamps),
   exportable as Chrome trace-event JSON, and a critical-path analyzer
   attributes end-to-end latency to phases exactly;
-* :mod:`~repro.obs.slo` — service-level objectives (latency,
-  completeness) scored over the registry with error-budget burn rates.
+* :mod:`~repro.obs.profile` — per-step / per-source / per-condition
+  query profiles (traffic moved, items confirmed, wall-clock vs wire
+  time, predicted vs observed cost),
+  :meth:`~repro.obs.profile.QueryProfile.from_events`;
+* :mod:`~repro.obs.replay` — the ASCII timeline as a *renderer*:
+  :func:`~repro.obs.replay.trace_from_events` rebuilds a
+  :class:`~repro.runtime.trace.RuntimeTrace` byte for byte.
 
-The :class:`~repro.obs.recorder.Recorder` is the hub the engine,
-executor, health registry, and re-planner report into; with no recorder
-attached (the default) nothing is collected and traces stay
-byte-identical to the uninstrumented runtime.  The ASCII timeline is now
-a *renderer* over the event stream — :func:`~repro.obs.replay.trace_from_events`
-rebuilds a :class:`~repro.runtime.trace.RuntimeTrace` from recorded
-events, byte for byte.
+:mod:`~repro.obs.metrics` (counters, gauges, fixed-bucket histograms,
+JSON and Prometheus exporters, scored by the SLOs of
+:mod:`~repro.obs.slo`) is the one eager exception: the recorder updates
+it alongside each event rather than folding it afterwards, because
+three updates have no event to fold from — clean-answer verification
+counts (only *tainted* answers emit ``quality``), the deadline
+met/missed tally, and the sources' traffic observer.
 
 Closing the loop, :class:`repro.sources.observed.ObservedStatistics`
-mines these event logs for cardinalities and per-condition
-selectivities, letting a mediator plan from what it has *watched
-happen* instead of oracle ground truth.
+is one more fold: it mines these event logs for cardinalities and
+per-condition selectivities, letting a mediator plan from what it has
+*watched happen* instead of oracle ground truth.
 """
 
 from repro.obs.events import (
@@ -68,6 +78,8 @@ from repro.obs.spans import (
     analyze_log,
     analyze_trace,
     derive_trace_id,
+    engine_spans,
+    serve_spans,
     top_contributors,
     validate_chrome_trace,
 )
@@ -96,6 +108,8 @@ __all__ = [
     "analyze_log",
     "analyze_trace",
     "derive_trace_id",
+    "engine_spans",
+    "serve_spans",
     "top_contributors",
     "validate_chrome_trace",
 ]

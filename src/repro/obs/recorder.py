@@ -1,22 +1,26 @@
 """The instrumentation hub the execution layers report into.
 
-A :class:`Recorder` owns (optionally) a metrics registry and an event
-log and exposes one domain-level method per observable incident; each
-call updates both sinks consistently, so engines never touch metric
+A :class:`Recorder` owns an event log and (optionally) a metrics
+registry and exposes one domain-level method per observable incident;
+each call updates both sinks consistently, so engines never touch metric
 names or event schemas directly.  Everything is keyed to the virtual
-clock passed by the caller.
+clock passed by the caller.  Events and metrics are all it writes:
+spans, profiles and timelines are folds of the event stream, built by
+whoever wants them (:func:`repro.obs.spans.engine_spans`,
+:class:`repro.obs.profile.QueryProfile`,
+:func:`repro.obs.replay.trace_from_events`).
 
 A recorder is shared across re-plan rounds: the resilient executor bumps
 ``round`` and ``clock_offset_s`` between rounds, so event timestamps
 stay monotone across a whole resilient run even though each engine round
 restarts its clock at zero.
 
-With ``Recorder()`` (no sinks requested) both a metrics registry and an
-event log are created; pass ``metrics=None`` / ``events=None`` through
-the keyword-only constructor arguments to drop one side.  The execution
-layers accept ``recorder=None`` (their default) and skip all
-instrumentation, which keeps the zero-config runtime byte-identical to
-the uninstrumented one.
+With ``Recorder()`` both a metrics registry and an event log are
+created; pass ``metrics=None`` to keep events only (the event log is
+always on — everything else is derived from it).  The execution layers
+accept ``recorder=None`` (their default) and skip all instrumentation,
+which keeps the zero-config runtime byte-identical to the
+uninstrumented one.
 """
 
 from __future__ import annotations
@@ -29,18 +33,6 @@ from repro.obs.metrics import (
     SIZE_BUCKETS,
     MetricsRegistry,
 )
-from repro.obs.spans import (
-    ADMISSION_SPAN_ID,
-    EXECUTE_SPAN_ID,
-    FIRST_ENGINE_SPAN_ID,
-    MERGE_SPAN_ID,
-    PLAN_SPAN_ID,
-    POOL_SPAN_ID,
-    QUEUE_SPAN_ID,
-    ROOT_SPAN_ID,
-    Span,
-    SpanLog,
-)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.trace import AttemptSpan, OpSpan
@@ -49,119 +41,32 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 _UNSET = object()
 
 
-class _ActiveTrace:
-    """Span-allocation state for the query currently executing.
-
-    Owned by exactly one recorder at a time (the engine runs
-    synchronously inside ``start_trace`` / ``end_trace``), so no lock:
-    span *ids* are allocated here deterministically in event order,
-    while the shared :class:`~repro.obs.spans.SpanLog` locks appends.
-    """
-
-    def __init__(self, trace_id: str):
-        self.trace_id = trace_id
-        self._next_id = FIRST_ENGINE_SPAN_ID
-        #: (round, step) -> pre-allocated op span id (attempt/retry
-        #: spans arrive before their op span is materialized; re-plan
-        #: rounds restart step numbering, so the round disambiguates).
-        self._op_ids: dict[tuple[int, int], int] = {}
-
-    def allocate(self) -> int:
-        span_id = self._next_id
-        self._next_id += 1
-        return span_id
-
-    def op_span_id(self, key: tuple[int, int]) -> int:
-        span_id = self._op_ids.get(key)
-        if span_id is None:
-            span_id = self.allocate()
-            self._op_ids[key] = span_id
-        return span_id
-
-
 class Recorder:
     """Collects events and metrics from one mediator's executions."""
 
     def __init__(
         self,
         metrics: MetricsRegistry | None | object = _UNSET,
-        events: EventLog | None | object = _UNSET,
-        spans: SpanLog | None = None,
+        events: EventLog | None = None,
     ):
         self.metrics: MetricsRegistry | None = (
             MetricsRegistry() if metrics is _UNSET else metrics  # type: ignore[assignment]
         )
-        self.events: EventLog | None = (
-            EventLog() if events is _UNSET else events  # type: ignore[assignment]
-        )
-        #: Optional span sink — a service shares one log across all of
-        #: its recorders; ``None`` disables span recording entirely.
-        self.spans: SpanLog | None = spans
+        self.events: EventLog = EventLog() if events is None else events
         #: Current re-plan round (0 = initial plan), set by the caller.
         self.round = 0
         #: Added to every timestamp — keeps event time monotone across
         #: re-plan rounds whose engine clocks each restart at zero.
         self.clock_offset_s = 0.0
-        self._trace: _ActiveTrace | None = None
 
     # ------------------------------------------------------------------
     # Low-level sinks
 
     def _emit(self, now_s: float, event_type: str, **fields) -> None:
-        if self.events is not None:
-            self.events.emit(
-                self.clock_offset_s + now_s, event_type, **fields
-            )
+        self.events.emit(self.clock_offset_s + now_s, event_type, **fields)
 
     def _now(self, now_s: float) -> float:
         return self.clock_offset_s + now_s
-
-    # ------------------------------------------------------------------
-    # Trace context (span recording)
-
-    def start_trace(self, trace_id: str) -> bool:
-        """Begin recording engine spans under ``trace_id``.
-
-        Returns ``True`` when a context was opened; a no-op (``False``)
-        when span recording is off or a trace is already active, so
-        nested layers (mediator around engine) compose without
-        double-starting.
-        """
-        if self.spans is None or self._trace is not None:
-            return False
-        self._trace = _ActiveTrace(trace_id)
-        return True
-
-    def end_trace(self) -> None:
-        self._trace = None
-
-    def _span(
-        self,
-        name: str,
-        category: str,
-        start_s: float,
-        end_s: float,
-        parent_id: int | None,
-        span_id: int | None = None,
-        **attributes,
-    ) -> None:
-        """Append one engine span under the active trace (offset into
-        the service timeline), if tracing is on."""
-        trace = self._trace
-        if self.spans is None or trace is None:
-            return
-        self.spans.add(
-            Span(
-                trace_id=trace.trace_id,
-                span_id=trace.allocate() if span_id is None else span_id,
-                parent_id=parent_id,
-                name=name,
-                category=category,
-                start_s=self.clock_offset_s + start_s,
-                end_s=self.clock_offset_s + end_s,
-                attributes=attributes,
-            )
-        )
 
     # ------------------------------------------------------------------
     # Run lifecycle
@@ -236,16 +141,6 @@ class Recorder:
             self.metrics.histogram(
                 "repro_sendset_size", buckets=SIZE_BUCKETS
             ).observe(size, now_s=self._now(now_s))
-        if self._trace is not None:
-            self._span(
-                "sendset",
-                "execute",
-                now_s,
-                now_s,
-                self._trace.op_span_id((self.round, step)),
-                source=source,
-                size=size,
-            )
 
     def attempt_finished(
         self,
@@ -301,19 +196,6 @@ class Recorder:
             self.metrics.histogram(
                 "repro_attempt_duration_s", buckets=DURATION_BUCKETS_S
             ).observe(span.duration_s, now_s=stamp)
-        if self._trace is not None:
-            self._span(
-                "attempt",
-                "execute",
-                span.start_s,
-                span.end_s,
-                self._trace.op_span_id((self.round, step)),
-                attempt=span.attempt,
-                source=source,
-                fate=span.fate.value,
-                hedge=span.hedge,
-                cost=span.cost,
-            )
 
     def retry_scheduled(
         self, now_s: float, step: int, source: str, retries: int, at_s: float
@@ -331,19 +213,6 @@ class Recorder:
             self.metrics.counter(
                 "repro_retries_total", source=source
             ).inc(now_s=self._now(now_s))
-        if self._trace is not None:
-            # The backoff window is blocked time on the op's critical
-            # path; recording it as a span lets the analyzer classify
-            # it separately from wire time.
-            self._span(
-                "backoff",
-                "execute",
-                now_s,
-                at_s,
-                self._trace.op_span_id((self.round, step)),
-                source=source,
-                retries=retries,
-            )
 
     def hedge_launched(
         self, now_s: float, step: int, primary: str, target: str, trigger: str
@@ -361,17 +230,6 @@ class Recorder:
             self.metrics.counter(
                 "repro_hedges_total", target=target, trigger=trigger
             ).inc(now_s=self._now(now_s))
-        if self._trace is not None:
-            self._span(
-                "hedge",
-                "execute",
-                now_s,
-                now_s,
-                self._trace.op_span_id((self.round, step)),
-                primary=primary,
-                target=target,
-                trigger=trigger,
-            )
 
     # ------------------------------------------------------------------
     # Health / planning
@@ -389,16 +247,6 @@ class Recorder:
             self.metrics.counter(
                 "repro_breaker_transitions_total", source=source, to=new_state
             ).inc(now_s=self._now(now_s))
-        if self._trace is not None:
-            self._span(
-                "breaker",
-                "execute",
-                now_s,
-                now_s,
-                EXECUTE_SPAN_ID,
-                source=source,
-                **{"from": old_state, "to": new_state},
-            )
 
     def answer_verified(self, now_s, step, report, score) -> None:
         """One answer passed through the verifier (``report`` is a
@@ -442,18 +290,6 @@ class Recorder:
                 conflicts=report.conflicts,
                 score=score,
             )
-        if self._trace is not None:
-            self._span(
-                "verify",
-                "execute",
-                now_s,
-                now_s,
-                self._trace.op_span_id((self.round, step)),
-                source=report.source,
-                outcome="clean" if report.clean else "tainted",
-                kept=report.kept,
-                dropped=report.delivered - report.kept,
-            )
 
     def quarantine_changed(
         self, now_s, source: str, action: str, score: float, answers: int
@@ -471,16 +307,6 @@ class Recorder:
             self.metrics.counter(
                 "repro_verify_quarantines_total", source=source
             ).inc(now_s=self._now(now_s))
-        if self._trace is not None:
-            self._span(
-                "quarantine",
-                "execute",
-                now_s,
-                now_s,
-                EXECUTE_SPAN_ID,
-                source=source,
-                action=action,
-            )
 
     def round_planned(
         self,
@@ -599,7 +425,7 @@ class Recorder:
             ).observe(latency_s, now_s=stamp)
 
     # ------------------------------------------------------------------
-    # Causal tracing (repro.obs.spans)
+    # Planning and latency attribution (serving tier)
 
     def query_planned(
         self,
@@ -634,107 +460,6 @@ class Recorder:
             self.metrics.histogram(
                 "repro_plan_latency_s", buckets=DURATION_BUCKETS_S
             ).observe(elapsed_s, now_s=stamp)
-
-    def query_trace(
-        self,
-        trace_id: str,
-        query: int,
-        tenant: str,
-        status: str,
-        submitted_s: float,
-        planned_s: float,
-        plan_elapsed_s: float,
-        dispatched_s: float,
-        finished_s: float,
-        completed_s: float,
-        cache: str = "off",
-        strategy: str = "",
-    ) -> None:
-        """Materialize the serving-tier spans of one finished query.
-
-        Called once, at completion, when every phase boundary is known;
-        the engine spans recorded during execution already parent under
-        the fixed ``EXECUTE_SPAN_ID``.  The six phase spans tile
-        ``[submitted, completed]`` exactly: admission (instantaneous),
-        queue wait, planning, pool acquisition, execution, and the
-        final merge/bookkeeping gap.
-        """
-        if self.spans is None:
-            return
-        plan_end = min(planned_s + plan_elapsed_s, dispatched_s)
-        add = self.spans.add
-
-        def span(
-            span_id: int,
-            parent_id: int | None,
-            name: str,
-            category: str,
-            start_s: float,
-            end_s: float,
-            **attributes,
-        ) -> None:
-            add(
-                Span(
-                    trace_id=trace_id,
-                    span_id=span_id,
-                    parent_id=parent_id,
-                    name=name,
-                    category=category,
-                    start_s=start_s,
-                    end_s=end_s,
-                    attributes=attributes,
-                )
-            )
-
-        span(
-            ROOT_SPAN_ID,
-            None,
-            "query",
-            "serve",
-            submitted_s,
-            completed_s,
-            query=query,
-            tenant=tenant,
-            status=status,
-        )
-        span(
-            ADMISSION_SPAN_ID,
-            ROOT_SPAN_ID,
-            "admission",
-            "serve",
-            submitted_s,
-            submitted_s,
-        )
-        span(
-            QUEUE_SPAN_ID, ROOT_SPAN_ID, "queue", "serve",
-            submitted_s, planned_s,
-        )
-        span(
-            PLAN_SPAN_ID,
-            ROOT_SPAN_ID,
-            "plan",
-            "plan",
-            planned_s,
-            plan_end,
-            cache=cache,
-            strategy=strategy,
-        )
-        span(
-            POOL_SPAN_ID, ROOT_SPAN_ID, "pool", "serve",
-            plan_end, dispatched_s,
-        )
-        span(
-            EXECUTE_SPAN_ID,
-            ROOT_SPAN_ID,
-            "execute",
-            "execute",
-            dispatched_s,
-            finished_s,
-        )
-        span(
-            MERGE_SPAN_ID, ROOT_SPAN_ID, "merge", "serve",
-            finished_s, completed_s,
-        )
 
     def query_phases(
         self,
@@ -867,22 +592,3 @@ class Recorder:
                 self.metrics.histogram(
                     "repro_op_queue_wait_s", buckets=DURATION_BUCKETS_S
                 ).observe(span.queue_wait_s, now_s=stamp)
-        if self._trace is not None:
-            # Uses the id pre-allocated when the op's first attempt (or
-            # sendset/retry) referenced this step, so children emitted
-            # earlier already parent correctly.
-            self._span(
-                "op",
-                "execute",
-                span.queued_s,
-                span.finished_s,
-                EXECUTE_SPAN_ID,
-                span_id=self._trace.op_span_id((self.round, span.step)),
-                step=span.step,
-                op=op.kind.value,
-                source=span.source,
-                remote=op.remote,
-                started=self.clock_offset_s + span.started_s,
-                status=span.status.value,
-                output=span.output_size,
-            )

@@ -1,19 +1,22 @@
 """Causal span trees: per-query traces, Chrome export, critical paths.
 
-Every query served by :class:`~repro.serve.service.MediatorService` (and
-every single-shot :meth:`~repro.mediator.session.Mediator.answer`) gets a
-deterministic ``trace_id`` — :func:`derive_trace_id` mixes the workload
+Every query served by :class:`~repro.serve.service.MediatorService` gets
+a deterministic ``trace_id`` — :func:`derive_trace_id` mixes the workload
 seed with the submission sequence number, so a deterministic-mode run
 replays its whole span forest byte-identically — and a hierarchical
-span tree recorded through the :class:`~repro.obs.recorder.Recorder`:
+span tree that is a *fold* of what the service already knows, built by
+two pure functions:
 
-* serving-tier phases: ``admission``, ``queue``, ``plan`` (plan-cache
+* :func:`serve_spans` — the serving-tier skeleton from the ticket's
+  phase boundaries: ``admission``, ``queue``, ``plan`` (plan-cache
   hit/miss and search strategy as attributes), ``pool`` acquisition,
   ``execute``, and the final ``merge``;
-* engine children under ``execute``: one ``op`` span per plan operation
+* :func:`engine_spans` — the children of ``execute`` from the query's
+  slice of the event stream: one ``op`` span per plan operation
   (queued → finished) with ``attempt`` / ``sendset`` / ``backoff`` /
   ``hedge`` / ``verify`` children, plus ``breaker`` and ``quarantine``
-  transition markers.
+  transition markers.  A span exists iff an event exists, so the same
+  subtree can be rebuilt from a persisted JSONL log.
 
 The :class:`SpanLog` is the storage: thread-safe, append-only, exported
 either as Chrome trace-event JSON (:meth:`SpanLog.to_chrome_json`,
@@ -32,11 +35,12 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping
 
 from repro.errors import ObservabilityError
+from repro.obs.events import Event
 
-#: Serving-tier span ids are fixed per trace, so the serving layer can
-#: parent engine spans under ``execute`` before the serve spans are
-#: materialized (they are only emitted once the query completes and all
-#: phase boundaries are known).
+#: Serving-tier span ids are fixed per trace, so engine spans can parent
+#: under ``execute`` before the serve spans are materialized (they are
+#: only built once the query completes and all phase boundaries are
+#: known).
 ROOT_SPAN_ID = 1
 ADMISSION_SPAN_ID = 2
 QUEUE_SPAN_ID = 3
@@ -113,12 +117,12 @@ class Span:
 class SpanLog:
     """Thread-safe append-only store for finished spans.
 
-    One log is shared by every recorder of a service (deterministic
-    mode has a single recorder; thread mode gives each worker its own
-    recorder but they all append here), so the lock is load-bearing.
-    Append order is deterministic under the virtual clock; the Chrome
-    exporter additionally sorts within each trace so the bytes do not
-    depend on insertion interleaving in thread mode.
+    One log belongs to one service, whose thread-mode workers all
+    append here, so the lock is load-bearing: :meth:`extend` lands a
+    whole batch (a trace's engine subtree, its serve skeleton) under
+    one acquisition.  Append order is deterministic under the virtual
+    clock; the Chrome exporter additionally sorts within each trace so
+    the bytes do not depend on insertion interleaving in thread mode.
     """
 
     def __init__(self) -> None:
@@ -129,10 +133,15 @@ class SpanLog:
         self._by_trace: dict[str, list[Span]] = {}
 
     def add(self, span: Span) -> Span:
-        with self._lock:
-            self._by_trace.setdefault(span.trace_id, []).append(span)
-            self._spans.append(span)
+        self.extend((span,))
         return span
+
+    def extend(self, spans: Iterable[Span]) -> None:
+        """Append a batch atomically (no other thread's spans between)."""
+        with self._lock:
+            for span in spans:
+                self._by_trace.setdefault(span.trace_id, []).append(span)
+                self._spans.append(span)
 
     def __len__(self) -> int:
         with self._lock:
@@ -220,6 +229,152 @@ class SpanLog:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(self.to_chrome_json() + "\n")
         return path
+
+
+# ----------------------------------------------------------------------
+# Span construction: pure folds of ticket timestamps and engine events
+
+#: Event type -> (span name, event fields copied onto its attributes).
+#: Events carrying a ``step`` parent under that op, the rest (health
+#: transitions) directly under ``execute``; other event types have no span.
+_ENGINE_SPANS = {
+    "sendset": ("sendset", ("source", "size")),
+    "attempt": ("attempt", ("attempt", "source", "fate", "hedge", "cost")),
+    "retry": ("backoff", ("source", "retries")),
+    "hedge": ("hedge", ("primary", "target", "trigger")),
+    "breaker": ("breaker", ("source", "from", "to")),
+    "quality": ("verify", ("source", "kept")),
+    "quarantine": ("quarantine", ("source", "action")),
+    "op": ("op", ("step", "op", "source", "remote", "status", "output")),
+}
+
+
+def engine_spans(
+    trace_id: str, events: Iterable[Event], offset_s: float
+) -> list[Span]:
+    """The ``execute`` subtree of one query, folded from its events.
+
+    ``events`` is the slice of the stream one engine run emitted and
+    ``offset_s`` the service-timeline instant its clock started at
+    (event ``ts`` already carries it; the engine-local ``start`` /
+    ``end`` / ``queued`` / ... fields do not).  Span ids are handed out
+    in event order from :data:`FIRST_ENGINE_SPAN_ID`; an op's id is
+    reserved the first time any event references its ``(round, step)``,
+    because attempts, send-sets and retries arrive before the ``op``
+    event that closes their parent.  Events without a span (``run_*``,
+    ``replan``, serve lifecycle) are skipped, so any superset of the
+    slice — e.g. a whole single-query JSONL file — folds the same way.
+    Every span stands for exactly one event, with one exception: an op
+    left open by a run that raised is closed here, ``status="aborted"``.
+    """
+    spans: list[Span] = []
+    op_ids: dict[tuple[int, int], int] = {}
+    next_id = FIRST_ENGINE_SPAN_ID
+    round_no = 0
+    for event in events:
+        fields = event.fields
+        # ``quality`` events carry no round; they inherit the run's.
+        round_no = fields.get("round", round_no)
+        kind = event.type
+        if kind not in _ENGINE_SPANS:
+            continue
+        name, copied = _ENGINE_SPANS[kind]
+        op_id = None
+        if "step" in fields:
+            key = (round_no, fields["step"])
+            if key not in op_ids:
+                op_ids[key] = next_id
+                next_id += 1
+            op_id = op_ids[key]
+        start_s = end_s = event.ts
+        attributes = {key: fields[key] for key in copied}
+        if kind == "op":
+            span_id, parent_id = op_id, EXECUTE_SPAN_ID
+            start_s = offset_s + fields["queued"]
+            end_s = offset_s + fields["finished"]
+            attributes["started"] = offset_s + fields["started"]
+        else:
+            span_id = next_id
+            next_id += 1
+            parent_id = EXECUTE_SPAN_ID if op_id is None else op_id
+        if kind == "attempt":
+            start_s = offset_s + fields["start"]
+            end_s = offset_s + fields["end"]
+        elif kind == "retry":
+            # The backoff window is blocked time on the op's critical
+            # path; the analyzer classifies it apart from wire time.
+            end_s = offset_s + fields["at"]
+        elif kind == "quality":
+            # Only tainted answers emit an event, hence get a marker.
+            attributes["outcome"] = "tainted"
+            attributes["dropped"] = fields["delivered"] - fields["kept"]
+        spans.append(
+            Span(
+                trace_id, span_id, parent_id, name, "execute",
+                start_s, end_s, attributes,
+            )
+        )
+    # A run that raised never emitted ``op`` for what it was still
+    # working on; close each such op over its children's extent, or
+    # they would dangle and the failed trace — the one most worth
+    # opening — would not be a tree.
+    closed = {span.span_id for span in spans if span.name == "op"}
+    for (__, step), span_id in op_ids.items():
+        if span_id not in closed:
+            children = [s for s in spans if s.parent_id == span_id]
+            spans.append(
+                Span(
+                    trace_id, span_id, EXECUTE_SPAN_ID, "op", "execute",
+                    min(child.start_s for child in children),
+                    max(child.end_s for child in children),
+                    {"step": step, "status": "aborted"},
+                )
+            )
+    return spans
+
+
+def serve_spans(
+    trace_id: str,
+    query: int,
+    tenant: str,
+    status: str,
+    submitted_s: float,
+    planned_s: float,
+    plan_elapsed_s: float,
+    dispatched_s: float,
+    completed_s: float,
+    cache: str = "off",
+    strategy: str = "",
+) -> list[Span]:
+    """The serving-tier skeleton of one finished query.
+
+    Built once, at completion, when every phase boundary is known; the
+    engine spans already parent under the fixed ``EXECUTE_SPAN_ID``.
+    The six phase spans tile ``[submitted, completed]`` exactly:
+    admission (instantaneous), queue wait, planning, pool acquisition,
+    execution, and the (instantaneous on both clocks) final merge.
+    """
+    plan_end = min(planned_s + plan_elapsed_s, dispatched_s)
+    root = {"query": query, "tenant": tenant, "status": status}
+    plan = {"cache": cache, "strategy": strategy}
+    rows = (
+        (ROOT_SPAN_ID, "query", "serve", submitted_s, completed_s, root),
+        (ADMISSION_SPAN_ID, "admission", "serve", submitted_s, submitted_s, {}),
+        (QUEUE_SPAN_ID, "queue", "serve", submitted_s, planned_s, {}),
+        (PLAN_SPAN_ID, "plan", "plan", planned_s, plan_end, plan),
+        (POOL_SPAN_ID, "pool", "serve", plan_end, dispatched_s, {}),
+        (EXECUTE_SPAN_ID, "execute", "execute", dispatched_s, completed_s, {}),
+        (MERGE_SPAN_ID, "merge", "serve", completed_s, completed_s, {}),
+    )
+    return [
+        Span(
+            trace_id,
+            span_id,
+            None if span_id == ROOT_SPAN_ID else ROOT_SPAN_ID,
+            name, category, start_s, end_s, attributes,
+        )
+        for span_id, name, category, start_s, end_s, attributes in rows
+    ]
 
 
 #: Required keys (and Python types) of an exported complete-span event —

@@ -302,10 +302,7 @@ class RuntimeEngine:
         return self._substitutes.get(source_name, ())
 
     def run(
-        self,
-        plan: Plan,
-        budget_s: float | None = None,
-        trace_id: str | None = None,
+        self, plan: Plan, budget_s: float | None = None
     ) -> RuntimeResult:
         """Execute ``plan`` concurrently and return answer + trace.
 
@@ -319,27 +316,12 @@ class RuntimeEngine:
         backoff and hedge timers are clamped so neither can be scheduled
         past the budget.  A budget that is already spent (``<= 0``)
         degrades everything without touching the wire.
-
-        ``trace_id`` scopes the recorder's span collection: while set,
-        every operation, attempt, retry, hedge, breaker transition, and
-        verification this run records becomes a span of that trace (see
-        :mod:`repro.obs.spans`).  No recorder or no span log attached
-        means the id is ignored.
         """
         if budget_s is not None and not math.isfinite(budget_s):
             raise CostModelError(
                 f"budget_s must be finite or None, got {budget_s}"
             )
-        started_trace = (
-            self.recorder is not None
-            and trace_id is not None
-            and self.recorder.start_trace(trace_id)
-        )
-        try:
-            return _Execution(self, plan, budget_s).run()
-        finally:
-            if started_trace:
-                self.recorder.end_trace()
+        return _Execution(self, plan, budget_s).run()
 
 
 class _Task:

@@ -53,10 +53,15 @@ from repro.errors import (
 from repro.mediator.plan_cache import PlanCache
 from repro.mediator.schedule import estimated_response_time
 from repro.mediator.session import Mediator
-from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import Recorder
-from repro.obs.spans import SpanLog, analyze_trace, derive_trace_id
+from repro.obs.spans import (
+    SpanLog,
+    analyze_trace,
+    derive_trace_id,
+    engine_spans,
+    serve_spans,
+)
 from repro.optimize.search import PlanningBudget
 from repro.query.fusion import FusionQuery
 from repro.relational.columnar import substrate_summary
@@ -224,15 +229,15 @@ class MediatorService:
             ``search="anytime"`` on every mediator unless
             ``mediator_options`` picks a search explicitly.
             ``None`` (default) leaves planning unbounded.
-        tracing: Record a causal span tree for every query (default
+        tracing: Build a causal span tree for every query (default
             on): a deterministic per-query ``trace_id``
             (:func:`~repro.obs.spans.derive_trace_id` over the workload
             seed and submission number), serving-tier phase spans, and
-            the engine's op/attempt/backoff children, all in
-            ``service.spans`` — exportable as Chrome trace-event JSON
-            and walked by the critical-path analyzer into
-            ``ticket.phases``.  ``False`` skips span collection (and
-            the ``plan`` / ``phases`` events) entirely.
+            the engine's op/attempt/backoff children folded from the
+            query's events, all in ``service.spans`` — exportable as
+            Chrome trace-event JSON and walked by the critical-path
+            analyzer into ``ticket.phases``.  ``False`` skips span
+            collection (and the ``plan`` / ``phases`` events) entirely.
     """
 
     def __init__(
@@ -314,15 +319,14 @@ class MediatorService:
             plan_cache = PlanCache(capacity=plan_cache)
         self.plan_cache: PlanCache | None = plan_cache
         self.metrics = MetricsRegistry()
-        #: One span log for the whole service (every recorder appends
-        #: here; see DESIGN.md for the ownership rules), or None with
-        #: tracing off.
+        #: One span log for the whole service, or None with tracing
+        #: off.  Only the service appends (see DESIGN.md): each trace's
+        #: engine subtree after its run, its skeleton at completion.
         self.spans: SpanLog | None = SpanLog() if tracing else None
-        #: The service's own telemetry: serve-lifecycle events plus (in
-        #: deterministic mode) every engine event, on one stream.
-        self.recorder = Recorder(
-            metrics=self.metrics, events=EventLog(), spans=self.spans
-        )
+        #: The service's own telemetry: serve-lifecycle events, every
+        #: breaker / quarantine transition of the shared registry, and
+        #: (in deterministic mode) every engine event, on one stream.
+        self.recorder = Recorder(metrics=self.metrics)
         self.tickets: list[QueryTicket] = []
         self._by_seq: dict[int, QueryTicket] = {}
         self._seq = 0
@@ -342,9 +346,22 @@ class MediatorService:
         # by _cond) — sizes the wall-clock planning budget.
         self._plan_latency_ewma: float | None = None
         self._t0 = time.monotonic()
+        # Attached before any mediator exists: an engine only adopts a
+        # registry nobody observes yet, which under threads would hand
+        # the shared registry to whichever worker started first.
         if mode == "deterministic":
+            self.health.observer = self.recorder.breaker_transition
+            self.health.quality_observer = self.recorder.quarantine_changed
             self._det_mediator = self._make_mediator(self.recorder)
         else:
+            # Engine-local virtual time means nothing on the service
+            # stream; stamp with the clock every other serve event uses.
+            self.health.observer = lambda _now_s, *change: (
+                self.recorder.breaker_transition(self.elapsed_s, *change)
+            )
+            self.health.quality_observer = lambda _now_s, *change: (
+                self.recorder.quarantine_changed(self.elapsed_s, *change)
+            )
             for index in range(workers):
                 thread = threading.Thread(
                     target=self._worker,
@@ -597,7 +614,7 @@ class MediatorService:
             partial=True,
         )
         self._note_deadline_outcome(ticket, now_s)
-        self._finalize_trace(ticket, self.recorder)
+        self._finalize_trace(ticket)
         return True
 
     def _fail_unplannable(
@@ -616,7 +633,7 @@ class MediatorService:
             self.queue_depth, self.in_flight,
             ticket.latency_s, error=ticket.error,
         )
-        self._finalize_trace(ticket, self.recorder)
+        self._finalize_trace(ticket)
 
     def _note_deadline_outcome(
         self, ticket: QueryTicket, now_s: float
@@ -633,7 +650,6 @@ class MediatorService:
 
     def _note_planned(
         self,
-        recorder: Recorder,
         ticket: QueryTicket,
         optimization,
         now_s: float,
@@ -656,7 +672,7 @@ class MediatorService:
         cache = "off"
         if cache_hit is not None:
             cache = "hit" if cache_hit else "miss"
-        recorder.query_planned(
+        self.recorder.query_planned(
             now_s,
             ticket.seq,
             ticket.tenant,
@@ -668,19 +684,17 @@ class MediatorService:
             exhausted=optimization.budget_exhausted,
         )
 
-    def _finalize_trace(self, ticket: QueryTicket, recorder: Recorder) -> None:
-        """Materialize the completed query's serve spans and attribute
-        its latency to phases (``ticket.phases``).
+    def _finalize_trace(self, ticket: QueryTicket) -> None:
+        """Append the completed query's serve spans and attribute its
+        latency to phases (``ticket.phases``).
 
         Every ticket that completed gets a trace — even ones that never
         planned or dispatched (queue-expired, unplannable): their phase
         boundaries collapse onto the completion instant, so the whole
         latency reads as queue time, which is exactly what happened.
         """
-        if self.spans is None or not ticket.trace_id:
-            return
         completed = ticket.completed_s
-        if completed is None:
+        if self.spans is None or completed is None:
             return
         planned = (
             ticket.planned_s if ticket.planned_s is not None else completed
@@ -695,25 +709,26 @@ class MediatorService:
         cache = "off"
         if ticket.plan_cache_hit is not None:
             cache = "hit" if ticket.plan_cache_hit else "miss"
-        recorder.query_trace(
-            ticket.trace_id,
-            ticket.seq,
-            ticket.tenant,
-            ticket.status,
-            submitted_s=ticket.submitted_s,
-            planned_s=planned,
-            plan_elapsed_s=ticket.plan_elapsed_s,
-            dispatched_s=dispatched,
-            finished_s=completed,
-            completed_s=completed,
-            cache=cache,
-            strategy=ticket.search_strategy,
+        self.spans.extend(
+            serve_spans(
+                ticket.trace_id,
+                ticket.seq,
+                ticket.tenant,
+                ticket.status,
+                submitted_s=ticket.submitted_s,
+                planned_s=planned,
+                plan_elapsed_s=ticket.plan_elapsed_s,
+                dispatched_s=dispatched,
+                completed_s=completed,
+                cache=cache,
+                strategy=ticket.search_strategy,
+            )
         )
         path = analyze_trace(self.spans.for_trace(ticket.trace_id))
         if path is None:
             return
         ticket.phases = path.by_phase()
-        recorder.query_phases(
+        self.recorder.query_phases(
             completed,
             ticket.seq,
             ticket.tenant,
@@ -721,6 +736,96 @@ class MediatorService:
             ticket.phases,
             path.total_s,
         )
+
+    def _execute(self, mediator: Mediator, ticket: QueryTicket, plan) -> bool:
+        """Run one dispatched query's plan on ``mediator``'s engine and
+        write the outcome onto the ticket; returns whether the deadline
+        cut the run short.
+
+        Called without the service lock: between dispatch and
+        completion a ticket belongs to the driver (or worker) running
+        it.  The events the run emitted are sliced once and folded
+        twice — into the trace's engine spans, appended as one batch
+        whether the run returned or raised, and into mined statistics.
+        """
+        recorder = mediator.recorder
+        engine = mediator.runtime
+        dispatched_s = ticket.dispatched_s
+        assert recorder is not None and dispatched_s is not None
+        events_before = len(recorder.events)
+        budget_s = None
+        if ticket.deadline_s is not None:
+            budget_s = max(
+                0.0, ticket.submitted_s + ticket.deadline_s - dispatched_s
+            )
+        saved_faults = engine.faults
+        engine.faults = self._injector_for(ticket)
+        # The engine's clock restarts at zero each run; offsetting its
+        # event timestamps by the dispatch time interleaves them onto
+        # the service timeline (under threads: virtual engine seconds
+        # laid onto the wall axis).
+        recorder.clock_offset_s = dispatched_s
+        deadline_cut = False
+        try:
+            result = engine.run(plan, budget_s=budget_s)
+            execution = result.to_execution_result()
+            ticket.items = execution.items
+            ticket.partial = execution.partial
+            ticket.incomplete_conditions = execution.incomplete_conditions
+            ticket.makespan_s = result.makespan_s
+            deadline_cut = result.deadline_expired
+        except FusionError as exc:
+            ticket.error = f"{type(exc).__name__}: {exc}"
+        finally:
+            recorder.clock_offset_s = 0.0
+            engine.faults = saved_faults
+        events = recorder.events.events[events_before:]
+        if self.spans is not None:
+            self.spans.extend(
+                engine_spans(ticket.trace_id, events, dispatched_s)
+            )
+        if self.mine_statistics:
+            observe = getattr(self.statistics, "observe", None)
+            if callable(observe):
+                observe(events)
+        return deadline_cut
+
+    def _note_deadline_cut(self, ticket: QueryTicket, now_s: float) -> None:
+        """The ``deadline`` event of a run the engine cut short."""
+        assert ticket.deadline_s is not None
+        self.recorder.deadline_expired(
+            now_s,
+            ticket.seq,
+            ticket.tenant,
+            stage="execution",
+            budget_s=ticket.deadline_s,
+            overrun_s=now_s - (ticket.submitted_s + ticket.deadline_s),
+        )
+
+    def _complete(
+        self, ticket: QueryTicket, sources: list[str], now_s: float
+    ) -> None:
+        """Completion bookkeeping of one executed query.  Both drivers
+        call this at their own clock's ``now_s``, thread mode under
+        ``_cond``; waking waiters afterwards is the caller's job."""
+        self.pools.release(sources)
+        self.admission.on_complete(ticket.tenant)
+        ticket.completed_s = now_s
+        if ticket.error:
+            ticket.status = "failed"
+            self.failed_count += 1
+        else:
+            ticket.status = "done"
+            self.completed_count += 1
+        self.wait_estimator.observe(ticket.tenant, ticket.makespan_s)
+        self.recorder.query_completed(
+            now_s, ticket.seq, ticket.tenant,
+            self.queue_depth, self.in_flight,
+            ticket.latency_s, error=ticket.error,
+            partial=ticket.partial,
+        )
+        self._note_deadline_outcome(ticket, now_s)
+        self._finalize_trace(ticket)
 
     @property
     def queue_depth(self) -> int:
@@ -821,7 +926,7 @@ class MediatorService:
         while self._completions and self._completions[0][0] <= at_s + 1e-12:
             done_at, seq, sources = heapq.heappop(self._completions)
             self.now_s = max(self.now_s, done_at)
-            self._complete_deterministic(seq, sources, done_at)
+            self._complete(self._by_seq[seq], sources, done_at)
             self._pump()
         self.now_s = max(self.now_s, at_s)
 
@@ -870,7 +975,6 @@ class MediatorService:
                 self._fail_unplannable(ticket, exc, self.now_s)
                 continue
             self._note_planned(
-                self.recorder,
                 ticket,
                 optimization,
                 self.now_s,
@@ -908,80 +1012,11 @@ class MediatorService:
             dispatch_at, ticket.seq, ticket.tenant,
             self.queue_depth, self.in_flight,
         )
-        engine = mediator.runtime
-        saved_faults = engine.faults
-        events_before = (
-            len(self.recorder.events) if self.recorder.events else 0
-        )
-        # The engine's clock restarts at zero each run; offsetting its
-        # event timestamps by the dispatch time interleaves them onto
-        # the service timeline.
-        self.recorder.clock_offset_s = dispatch_at
-        engine.faults = self._injector_for(ticket)
-        budget_s = None
-        if ticket.deadline_s is not None:
-            budget_s = max(
-                0.0, ticket.submitted_s + ticket.deadline_s - dispatch_at
-            )
-        deadline_cut = False
-        try:
-            result = engine.run(
-                optimization.plan,
-                budget_s=budget_s,
-                trace_id=ticket.trace_id or None,
-            )
-            execution = result.to_execution_result()
-            ticket.items = execution.items
-            ticket.partial = execution.partial
-            ticket.incomplete_conditions = execution.incomplete_conditions
-            ticket.makespan_s = result.makespan_s
-            deadline_cut = result.deadline_expired
-            done_at = dispatch_at + result.makespan_s
-        except FusionError as exc:
-            ticket.error = f"{type(exc).__name__}: {exc}"
-            done_at = dispatch_at
-        finally:
-            self.recorder.clock_offset_s = 0.0
-            engine.faults = saved_faults
+        deadline_cut = self._execute(mediator, ticket, optimization.plan)
+        done_at = dispatch_at + ticket.makespan_s
         if deadline_cut:
-            assert ticket.deadline_s is not None
-            self.recorder.deadline_expired(
-                done_at,
-                ticket.seq,
-                ticket.tenant,
-                stage="execution",
-                budget_s=ticket.deadline_s,
-                overrun_s=done_at
-                - (ticket.submitted_s + ticket.deadline_s),
-            )
-        if self.mine_statistics and self.recorder.events is not None:
-            observe = getattr(self.statistics, "observe", None)
-            if callable(observe):
-                observe(self.recorder.events.events[events_before:])
+            self._note_deadline_cut(ticket, done_at)
         heapq.heappush(self._completions, (done_at, ticket.seq, sources))
-
-    def _complete_deterministic(
-        self, seq: int, sources: list[str], done_at: float
-    ) -> None:
-        ticket = self._by_seq[seq]
-        self.pools.release(sources)
-        self.admission.on_complete(ticket.tenant)
-        ticket.completed_s = done_at
-        if ticket.error:
-            ticket.status = "failed"
-            self.failed_count += 1
-        else:
-            ticket.status = "done"
-            self.completed_count += 1
-        self.wait_estimator.observe(ticket.tenant, ticket.makespan_s)
-        self.recorder.query_completed(
-            done_at, seq, ticket.tenant,
-            self.queue_depth, self.in_flight,
-            ticket.latency_s, error=ticket.error,
-            partial=ticket.partial,
-        )
-        self._note_deadline_outcome(ticket, done_at)
-        self._finalize_trace(ticket, self.recorder)
 
     # ------------------------------------------------------------------
     # Thread mode: worker pool over shared scheduler + pools
@@ -1011,10 +1046,7 @@ class MediatorService:
                 self._cond.wait(min(remaining, 0.1))
 
     def _worker(self, index: int) -> None:
-        recorder = Recorder(
-            metrics=self.metrics, events=EventLog(), spans=self.spans
-        )
-        mediator = self._make_mediator(recorder)
+        mediator = self._make_mediator(Recorder(metrics=self.metrics))
         while True:
             with self._cond:
                 popped = None
@@ -1058,7 +1090,6 @@ class MediatorService:
                 # the shared counter can also move for a sibling worker
                 # between our read and the lookup.
                 self._note_planned(
-                    self.recorder,
                     ticket,
                     optimization,
                     planned_at,
@@ -1082,84 +1113,10 @@ class MediatorService:
                     ticket.dispatched_s, ticket.seq, ticket.tenant,
                     self.queue_depth, self.in_flight,
                 )
-            events_before = (
-                len(recorder.events) if recorder.events is not None else 0
-            )
-            error = ""
-            items = None
-            makespan = 0.0
-            partial = False
-            incomplete: tuple[str, ...] = ()
-            deadline_cut = False
-            engine = mediator.runtime
-            engine.faults = self._injector_for(ticket)
-            budget_s = None
-            if ticket.deadline_s is not None:
-                assert ticket.dispatched_s is not None
-                budget_s = max(
-                    0.0,
-                    ticket.submitted_s
-                    + ticket.deadline_s
-                    - ticket.dispatched_s,
-                )
-            # As in deterministic mode, offset the engine's restarted
-            # clock so its spans/events land on the service timeline
-            # (virtual engine seconds laid onto the wall axis).
-            assert ticket.dispatched_s is not None
-            recorder.clock_offset_s = ticket.dispatched_s
-            try:
-                result = engine.run(
-                    optimization.plan,
-                    budget_s=budget_s,
-                    trace_id=ticket.trace_id or None,
-                )
-                execution = result.to_execution_result()
-                items = execution.items
-                partial = execution.partial
-                incomplete = execution.incomplete_conditions
-                deadline_cut = result.deadline_expired
-                makespan = result.makespan_s
-            except FusionError as exc:
-                error = f"{type(exc).__name__}: {exc}"
-            finally:
-                recorder.clock_offset_s = 0.0
-            if self.mine_statistics and recorder.events is not None:
-                observe = getattr(self.statistics, "observe", None)
-                if callable(observe):
-                    observe(recorder.events.events[events_before:])
+            deadline_cut = self._execute(mediator, ticket, optimization.plan)
             with self._cond:
-                self.pools.release(sources)
-                self.admission.on_complete(ticket.tenant)
                 now = self.elapsed_s
-                ticket.completed_s = now
-                ticket.items = items
-                ticket.makespan_s = makespan
-                ticket.partial = partial
-                ticket.incomplete_conditions = incomplete
-                ticket.error = error
-                if error:
-                    ticket.status = "failed"
-                    self.failed_count += 1
-                else:
-                    ticket.status = "done"
-                    self.completed_count += 1
-                self.wait_estimator.observe(ticket.tenant, makespan)
                 if deadline_cut:
-                    assert ticket.deadline_s is not None
-                    self.recorder.deadline_expired(
-                        now,
-                        ticket.seq,
-                        ticket.tenant,
-                        stage="execution",
-                        budget_s=ticket.deadline_s,
-                        overrun_s=ticket.latency_s - ticket.deadline_s,
-                    )
-                self.recorder.query_completed(
-                    now, ticket.seq, ticket.tenant,
-                    self.queue_depth, self.in_flight,
-                    ticket.latency_s, error=error,
-                    partial=partial,
-                )
-                self._note_deadline_outcome(ticket, now)
-                self._finalize_trace(ticket, self.recorder)
+                    self._note_deadline_cut(ticket, now)
+                self._complete(ticket, sources, now)
                 self._cond.notify_all()

@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import ObservabilityError
 from repro.mediator.session import Mediator
-from repro.obs import EventLog, Recorder
+from repro.obs import EventLog, MetricsRegistry, Recorder
 from repro.obs.replay import trace_from_events
 from repro.optimize.sja_plus import SJAPlusOptimizer
 from repro.plans.builder import build_filter_plan
@@ -71,15 +71,18 @@ class TestInstrumentedRuns:
         )
 
     def test_recorder_with_one_sink_disabled(self):
+        # Metrics are the optional sink; events are always on (spans,
+        # profiles and timelines are all folded from them).
         events_only = Recorder(metrics=None)
         assert events_only.metrics is None
         assert events_only.events is not None
-        metrics_only = Recorder(events=None)
-        assert metrics_only.events is None
-        assert metrics_only.metrics is not None
         mediator, query = flaky_mediator(events_only)
         mediator.answer(query)
         assert len(events_only.events) > 0
+        # Caller-owned sinks are adopted, not copied.
+        registry, log = MetricsRegistry(), EventLog()
+        shared = Recorder(metrics=registry, events=log)
+        assert shared.metrics is registry and shared.events is log
 
 
 class TestDisabledRecorderIdentity:

@@ -1,0 +1,282 @@
+"""Spans are a fold of the event stream: pinned golden forests for every
+marker kind, recoverability from a persisted log, and the fold's id
+allocation rules."""
+
+from __future__ import annotations
+
+from repro.obs.events import Event, EventLog
+from repro.obs.spans import EXECUTE_SPAN_ID, FIRST_ENGINE_SPAN_ID, engine_spans
+from repro.query.fusion import FusionQuery
+from repro.runtime.faults import DataFaultProfile, FaultProfile
+from repro.runtime.health import BreakerConfig, QuarantineConfig
+from repro.serve import MediatorService
+from repro.sources.generators import (
+    SyntheticConfig,
+    build_synthetic,
+    dmv_fig1,
+    replicate_federation,
+    synthetic_query,
+)
+
+
+def one_condition_query() -> FusionQuery:
+    """Fig. 1's first condition alone: three selections and a union —
+    the smallest plan that still fans out over every source."""
+    __, query = dmv_fig1()
+    return FusionQuery("L", query.conditions[:1], name="one")
+
+
+def resilience_service() -> tuple[MediatorService, object, float]:
+    service = MediatorService(
+        replicate_federation(dmv_fig1()[0], 2),
+        seed=45,
+        faults=FaultProfile.flaky(0.6),
+        breaker=BreakerConfig.aggressive(),
+        mediator_options={"hedge_delay_s": 2.0},
+    )
+    return service, one_condition_query(), 1.5
+
+
+def verify_service() -> tuple[MediatorService, object, float]:
+    service = MediatorService(
+        dmv_fig1()[0],
+        seed=2,
+        data_faults={"R2": DataFaultProfile(corrupt_rate=1.0)},
+        verify="sanitize",
+        # One tainted answer is evidence enough: the quarantine fires
+        # inside the very query that delivered it.
+        quarantine=QuarantineConfig(min_volume=1, prior_weight=0.0),
+    )
+    return service, one_condition_query(), 0.5
+
+
+def semijoin_service() -> tuple[MediatorService, object, float]:
+    config = SyntheticConfig(n_sources=2, n_entities=40, seed=5, categories=3)
+    service = MediatorService(build_synthetic(config), seed=5)
+    return service, synthetic_query(config, 2, seed=5), 0.25
+
+
+def serve_one(scenario):
+    service, query, at_s = scenario()
+    ticket = service.submit(query, at_s=at_s)
+    service.run_until_idle()
+    assert ticket.status == "done"
+    return service, ticket
+
+
+def _round(value):
+    return round(value, 9) if isinstance(value, float) else value
+
+
+def engine_forest(spans) -> list[tuple]:
+    """Engine spans as plain tuples in append order, floats rounded to
+    the nanosecond so the goldens read as the engine's cost arithmetic
+    (0.701, not 0.7010000000000001)."""
+    return [
+        (
+            s.span_id, s.parent_id, s.name, _round(s.start_s), _round(s.end_s),
+            {key: _round(value) for key, value in s.attributes.items()},
+        )
+        for s in spans
+        if s.span_id >= FIRST_ENGINE_SPAN_ID
+    ]
+
+
+def attempt(number, source, fate, cost, hedge=False) -> dict:
+    return {
+        "attempt": number, "source": source, "fate": fate,
+        "hedge": hedge, "cost": cost,
+    }
+
+
+def op(step, kind, source, status, output, started) -> dict:
+    return {
+        "step": step, "op": kind, "source": source, "remote": bool(source),
+        "status": status, "output": output, "started": started,
+    }
+
+
+EXEC = EXECUTE_SPAN_ID
+
+#: attempt, hedge, backoff, breaker, and an op (step 2, span 8) whose id
+#: is reserved by its first attempt and closed three attempts, two
+#: backoffs and a hedge later — after every sibling op.
+RESILIENCE_FOREST = [
+    (9, 8, "attempt", 1.5, 1.7, attempt(1, "R2", "transient", 11.0)),
+    (10, 8, "hedge", 1.7, 1.7,
+     {"primary": "R2", "target": "R2~1", "trigger": "failure"}),
+    (11, 8, "backoff", 1.7, 1.8, {"source": "R2", "retries": 1}),
+    (13, 12, "attempt", 1.5, 1.7, attempt(1, "R3", "ok", 10.0)),
+    (12, EXEC, "op", 1.5, 1.7, op(3, "sq", "R3", "ok", 0, 1.5)),
+    (15, 14, "attempt", 1.5, 1.702, attempt(1, "R1", "ok", 12.0)),
+    (14, EXEC, "op", 1.5, 1.702, op(1, "sq", "R1", "ok", 2, 1.5)),
+    (16, 8, "attempt", 1.7, 1.9,
+     attempt(2, "R2~1", "transient", 11.0, hedge=True)),
+    (17, 8, "attempt", 1.8, 2.0, attempt(3, "R2", "transient", 11.0)),
+    (18, EXEC, "breaker", 2.0, 2.0,
+     {"source": "R2", "from": "closed", "to": "open"}),
+    (19, 8, "backoff", 2.0, 2.2, {"source": "R2", "retries": 2}),
+    (20, 8, "attempt", 2.2, 2.401, attempt(4, "R2~1", "ok", 11.0)),
+    (8, EXEC, "op", 1.5, 2.401, op(2, "sq", "R2", "recovered", 1, 1.5)),
+    (21, EXEC, "op", 2.401, 2.401, op(4, "union", "", "ok", 3, 2.401)),
+]
+
+#: quarantine (with the breaker transition it forces) and a tainted
+#: verify; the clean answers of R1 and R3 emit no event, hence no span.
+VERIFY_FOREST = [
+    (9, 8, "attempt", 0.5, 0.7, attempt(1, "R3", "ok", 10.0)),
+    (8, EXEC, "op", 0.5, 0.7, op(3, "sq", "R3", "ok", 0, 0.5)),
+    (11, 10, "attempt", 0.5, 0.701, attempt(1, "R2", "ok", 11.0)),
+    (12, EXEC, "breaker", 0.701, 0.701,
+     {"source": "R2", "from": "closed", "to": "quarantined"}),
+    (13, EXEC, "quarantine", 0.701, 0.701,
+     {"source": "R2", "action": "enter"}),
+    (14, 10, "verify", 0.701, 0.701,
+     {"source": "R2", "outcome": "tainted", "kept": 0, "dropped": 1}),
+    (10, EXEC, "op", 0.5, 0.701, op(2, "sq", "R2", "ok", 0, 0.5)),
+    (16, 15, "attempt", 0.5, 0.702, attempt(1, "R1", "ok", 12.0)),
+    (15, EXEC, "op", 0.5, 0.702, op(1, "sq", "R1", "ok", 2, 0.5)),
+    (17, EXEC, "op", 0.702, 0.702, op(4, "union", "", "ok", 2, 0.702)),
+]
+
+#: sendset: each semijoin ships its binding set before its attempt (the
+#: engine emits the event for ``SemijoinOp`` only, so these two rows are
+#: also the proof that the synthetic plan contains semijoins).
+SEMIJOIN_FOREST = [
+    (9, 8, "attempt", 0.25, 0.451, attempt(1, "S001", "ok", 11.0)),
+    (8, EXEC, "op", 0.25, 0.451, op(2, "sq", "S001", "ok", 1, 0.25)),
+    (11, 10, "attempt", 0.25, 0.453, attempt(1, "S000", "ok", 13.0)),
+    (10, EXEC, "op", 0.25, 0.453, op(1, "sq", "S000", "ok", 3, 0.25)),
+    (12, EXEC, "op", 0.453, 0.453, op(3, "union", "", "ok", 4, 0.453)),
+    (14, 13, "sendset", 0.453, 0.453, {"source": "S000", "size": 4}),
+    (15, 13, "attempt", 0.453, 0.66, attempt(1, "S000", "ok", 17.0)),
+    (13, EXEC, "op", 0.453, 0.66, op(4, "sjq", "S000", "ok", 3, 0.453)),
+    (16, EXEC, "op", 0.66, 0.66, op(5, "difference", "", "ok", 1, 0.66)),
+    (18, 17, "sendset", 0.66, 0.66, {"source": "S001", "size": 1}),
+    (19, 17, "attempt", 0.66, 0.861, attempt(1, "S001", "ok", 11.0)),
+    (17, EXEC, "op", 0.66, 0.861, op(6, "sjq", "S001", "ok", 0, 0.66)),
+    (20, EXEC, "op", 0.861, 0.861, op(7, "union", "", "ok", 3, 0.861)),
+    (21, EXEC, "op", 0.861, 0.861, op(8, "intersect", "", "ok", 3, 0.861)),
+]
+
+SCENARIOS = [
+    (resilience_service, RESILIENCE_FOREST),
+    (verify_service, VERIFY_FOREST),
+    (semijoin_service, SEMIJOIN_FOREST),
+]
+
+
+class TestGoldenForests:
+    def test_served_forests_match_the_pinned_tuples(self):
+        for scenario, golden in SCENARIOS:
+            service, ticket = serve_one(scenario)
+            spans = service.spans.for_trace(ticket.trace_id)
+            assert engine_forest(spans) == golden, scenario.__name__
+            assert all(
+                s.category == "execute"
+                for s in spans
+                if s.span_id >= FIRST_ENGINE_SPAN_ID
+            )
+
+    def test_goldens_cover_every_marker_kind(self):
+        names = {row[2] for __, golden in SCENARIOS for row in golden}
+        assert names == {
+            "op", "attempt", "sendset", "backoff", "hedge",
+            "breaker", "verify", "quarantine",
+        }
+
+
+class TestRecoverableFromAPersistedLog:
+    def test_fold_of_reloaded_jsonl_equals_fold_of_live_events(self):
+        for scenario, golden in SCENARIOS:
+            service, ticket = serve_one(scenario)
+            log = service.recorder.events
+            # The whole single-query stream is a superset of the run's
+            # slice: spanless events are skipped, not counted.
+            live = engine_spans(
+                ticket.trace_id, log.events, ticket.dispatched_s
+            )
+            reloaded = engine_spans(
+                ticket.trace_id,
+                EventLog.from_jsonl(log.to_jsonl()).events,
+                ticket.dispatched_s,
+            )
+            assert reloaded == live
+            assert engine_forest(reloaded) == golden
+
+    def test_a_span_exists_iff_an_event_exists(self):
+        for scenario, __ in SCENARIOS:
+            service, ticket = serve_one(scenario)
+            spanned = service.recorder.events.of_type(
+                "sendset", "attempt", "retry", "hedge", "breaker",
+                "quality", "quarantine", "op",
+            )
+            spans = engine_spans(
+                ticket.trace_id, service.recorder.events, ticket.dispatched_s
+            )
+            assert len(spans) == len(spanned)
+
+
+def _event(ts, event_type, **fields) -> Event:
+    return Event(ts=ts, type=event_type, fields=fields)
+
+
+def _op_event(ts, round_no, step) -> Event:
+    return _event(
+        ts, "op", round=round_no, step=step, op="sq", target="X",
+        source="R1", remote=True, condition="", queued=0.0, started=0.0,
+        finished=1.0, status="ok", output=0,
+    )
+
+
+class TestFoldRules:
+    def test_rounds_restart_step_numbering_without_sharing_op_ids(self):
+        events = [
+            _op_event(1.0, 0, 1),
+            _event(1.0, "run_end", round=0),
+            _op_event(2.0, 1, 1),
+            # A quality event carries no round: it inherits round 1.
+            _event(
+                2.0, "quality", step=1, source="R1", delivered=3, kept=1,
+                corrupt=2, duplicates=0, conflicts=0, score=0.5,
+            ),
+        ]
+        first, second, verify = engine_spans("t", events, 10.0)
+        assert (first.span_id, second.span_id) == (8, 9)
+        assert verify.parent_id == second.span_id
+        assert verify.attributes["dropped"] == 2
+        # Engine-local fields are offset; ``ts`` already was.
+        assert (first.start_s, first.end_s) == (10.0, 11.0)
+        assert verify.start_s == 2.0
+
+    def test_health_markers_parent_under_execute(self):
+        events = [
+            _event(0.5, "breaker", source="R1", **{"from": "closed", "to": "open"}),
+            _event(0.5, "serve", phase="dispatched"),
+        ]
+        (marker,) = engine_spans("t", events, 0.0)
+        assert marker.parent_id == EXECUTE_SPAN_ID
+        assert marker.span_id == FIRST_ENGINE_SPAN_ID
+        assert dict(marker.attributes) == {
+            "source": "R1", "from": "closed", "to": "open",
+        }
+
+    def test_ops_left_open_by_a_raising_run_are_closed_as_aborted(self):
+        attempt_fields = dict(
+            round=0, step=4, op="sq", planned="R1", source="R1",
+            condition="", attempt=1, start=0.0, end=0.2, fate="transient",
+            hedge=False, cost=1.0, items_sent=0, items_received=0,
+            rows_loaded=0, messages=1,
+        )
+        events = [
+            _event(5.2, "attempt", **attempt_fields),
+            _event(5.2, "retry", round=0, step=4, source="R1", retries=1, at=0.5),
+            # ... and the engine raised: no ``op`` event for step 4.
+        ]
+        spans = engine_spans("t", events, 5.0)
+        assert [s.name for s in spans] == ["attempt", "backoff", "op"]
+        closing = spans[-1]
+        assert closing.span_id == spans[0].parent_id == spans[1].parent_id
+        assert closing.parent_id == EXECUTE_SPAN_ID
+        assert (closing.start_s, closing.end_s) == (5.0, 5.5)
+        assert dict(closing.attributes) == {"step": 4, "status": "aborted"}

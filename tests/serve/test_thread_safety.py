@@ -239,31 +239,60 @@ class TestSpanLogHammer:
         assert validate_chrome_trace(log.to_chrome_trace()) == len(log)
 
     def test_concurrent_service_recorders_share_one_log(self):
-        # Thread mode gives each worker its own Recorder over one
-        # shared SpanLog; hammer that exact shape.
-        from repro.obs.recorder import Recorder
-        from repro.obs.spans import SpanLog, derive_trace_id
+        # Thread mode has every worker append to the service's one
+        # SpanLog in whole batches — a trace's folded engine subtree,
+        # then its serve skeleton; hammer that exact shape.
+        from itertools import groupby
+
+        from repro.obs.events import Event
+        from repro.obs.spans import (
+            SpanLog,
+            derive_trace_id,
+            engine_spans,
+            serve_spans,
+            validate_chrome_trace,
+        )
 
         log = SpanLog()
-        recorders = [Recorder(spans=log) for __ in range(THREADS)]
+        rounds = ROUNDS // 4
+        events = []
+        for step in (1, 2, 3):
+            events.append(
+                Event(0.7, "attempt", {
+                    "round": 0, "step": step, "attempt": 1, "source": "R1",
+                    "fate": "ok", "hedge": False, "cost": 1.0,
+                    "start": 0.0, "end": 0.5,
+                })
+            )
+            events.append(
+                Event(0.7, "op", {
+                    "round": 0, "step": step, "op": "sq", "source": "R1",
+                    "remote": True, "status": "ok", "output": 1,
+                    "queued": 0.0, "started": 0.0, "finished": 0.5,
+                })
+            )
 
         def worker(index):
-            recorder = recorders[index]
-            for round_no in range(ROUNDS):
+            for round_no in range(rounds):
                 trace = derive_trace_id(index, round_no)
-                recorder.query_trace(
-                    trace_id=trace,
-                    query=round_no,
-                    tenant="hammer",
-                    status="done",
-                    submitted_s=0.0,
-                    planned_s=0.1,
-                    plan_elapsed_s=0.0,
-                    dispatched_s=0.2,
-                    finished_s=0.9,
-                    completed_s=1.0,
+                log.extend(engine_spans(trace, events, 0.2))
+                log.extend(
+                    serve_spans(
+                        trace, round_no, "hammer", "done",
+                        submitted_s=0.0, planned_s=0.1, plan_elapsed_s=0.0,
+                        dispatched_s=0.2, completed_s=1.0,
+                    )
                 )
+                assert len(log.for_trace(trace)) == 13
 
         hammer(worker)
-        assert len(log) == THREADS * ROUNDS * 7
-        assert len(log.trace_ids()) == THREADS * ROUNDS
+        assert len(log) == THREADS * rounds * 13
+        assert len(log.trace_ids()) == THREADS * rounds
+        # A batch lands whole: no other thread's spans ever split the
+        # six engine spans or the seven skeleton spans of a trace.
+        runs = [
+            len(list(group))
+            for __, group in groupby(log.spans, key=lambda s: s.trace_id)
+        ]
+        assert set(runs) <= {6, 7, 13}
+        assert validate_chrome_trace(log.to_chrome_trace()) == len(log)

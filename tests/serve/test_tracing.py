@@ -15,6 +15,7 @@ from repro.obs.spans import (
     derive_trace_id,
     validate_chrome_trace,
 )
+from repro.runtime.faults import FaultProfile
 from repro.serve import (
     MediatorService,
     WorkloadSpec,
@@ -186,6 +187,50 @@ class TestThreadModeTracing:
             assert sum(ticket.phases.values()) == pytest.approx(
                 ticket.latency_s, abs=1e-9
             )
+
+    def test_breaker_transitions_land_on_the_service_stream(self, federation):
+        # The shared registry reports to the service's recorder, not to
+        # whichever worker happened to build its engine first.
+        service = MediatorService(
+            federation,
+            mode="threads",
+            workers=3,
+            seed=9,
+            breaker=True,
+            faults=FaultProfile.flaky(0.6),
+            queue_limit=64,
+        )
+        try:
+            spec = WorkloadSpec(
+                queries=(DMV_SQL,), count=30, rate_qps=200.0, seed=9
+            )
+            report = run_workload(service, generate_arrivals(spec))
+        finally:
+            service.close()
+        assert report.completed + report.failed == 30
+        transitions = service.recorder.events.of_type("breaker")
+        assert transitions
+        counted = sum(
+            entry["value"]
+            for name, entry in service.metrics.to_json().items()
+            if name.startswith("repro_breaker_transitions_total")
+        )
+        assert len(transitions) == counted
+        # Stamped on the service clock like every other serve event.
+        assert all(0.0 <= e.ts <= service.elapsed_s for e in transitions)
+        # Thread-mode traces carry no breaker markers (the transitions
+        # are not in any worker's slice), and stay valid trees.
+        assert not [s for s in service.spans if s.name == "breaker"]
+        assert validate_chrome_trace(
+            service.spans.to_chrome_trace()
+        ) == len(service.spans)
+        ids = [(s.trace_id, s.span_id) for s in service.spans]
+        assert len(ids) == len(set(ids))
+        for ticket in service.tickets:
+            if ticket.completed_s is not None:
+                assert sum(ticket.phases.values()) == pytest.approx(
+                    ticket.latency_s, abs=1e-9
+                )
 
 
 class TestFailureTraces:
