@@ -25,11 +25,14 @@ statistics, correlated conditions) it recovers most of the gap — see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any
 
 from repro.costs.estimates import SizeEstimator
 from repro.costs.model import CostModel
-from repro.errors import ExecutionError, OptimizationError, SourceUnavailableError
+from repro.errors import ExecutionError, SourceUnavailableError
+from repro.optimize.search import StageOutcome
+from repro.optimize.sja import SJAStagedProblem
+from repro.plans.builder import StagedChoice
 from repro.query.fusion import FusionQuery
 from repro.relational.conditions import Condition
 from repro.sources.registry import Federation
@@ -109,76 +112,52 @@ class AdaptiveExecutor:
     def execute(self, query: FusionQuery) -> AdaptiveResult:
         """Run ``query`` adaptively and return the fused answer."""
         query.validate_against_schema(self.federation.schema)
-        remaining = list(query.conditions)
+        # Fig. 4's stage rule, asked one stage at a time with *actual*
+        # binding-set sizes in place of the estimated prefix.
+        rule = SJAStagedProblem(
+            query.conditions,
+            self.federation.source_names,
+            self.cost_model,
+            self.estimator,
+        )
+        remaining = list(range(query.arity))
         result = AdaptiveResult(items=frozenset())
-
-        first = self._pick_first(remaining)
-        remaining.remove(first)
-        current, stage = self._run_selection_stage(first)
-        result.stages.append(stage)
+        current: frozenset[Any] | None = None  # no binding set before stage 1
 
         while remaining:
-            if not current:
+            if current is None:
+                # Cheapest selection stage, tie-broken by smaller result.
+                outcomes = {
+                    index: rule.first_stage(index) for index in remaining
+                }
+                index = min(
+                    remaining,
+                    key=lambda index: (
+                        outcomes[index].cost,
+                        self.estimator.global_selectivity(
+                            query.conditions[index]
+                        ),
+                    ),
+                )
+            elif not current:
                 result.terminated_early = True
                 result.stages_skipped = len(remaining)
                 break
-            condition, choices, estimated = self._pick_next(
-                remaining, len(current)
-            )
-            remaining.remove(condition)
-            current, stage = self._run_adaptive_stage(
-                condition, choices, estimated, current
+            else:
+                # Cheapest next stage given the actual current set size.
+                size = float(len(current))
+                outcomes = {
+                    index: rule.later_stage(index, size) for index in remaining
+                }
+                index = min(remaining, key=lambda index: outcomes[index].cost)
+            remaining.remove(index)
+            current, stage = self._run_stage(
+                query.conditions[index], outcomes[index], current
             )
             result.stages.append(stage)
 
         result.items = current
         return result
-
-    # ------------------------------------------------------------------
-    # Planning pieces
-
-    def _pick_first(self, conditions: Sequence[Condition]) -> Condition:
-        """Cheapest selection stage, tie-broken by smaller result."""
-        def key(condition: Condition) -> tuple[float, float]:
-            cost = sum(
-                self.cost_model.sq_cost(condition, source)
-                for source in self.federation.source_names
-            )
-            return (cost, self.estimator.global_selectivity(condition))
-
-        return min(conditions, key=key)
-
-    def _stage_options(
-        self, condition: Condition, input_size: int
-    ) -> tuple[dict[str, str], float]:
-        """Per-source SJA choice with the *actual* binding-set size."""
-        choices: dict[str, str] = {}
-        total = 0.0
-        for source in self.federation.source_names:
-            selection = self.cost_model.sq_cost(condition, source)
-            semijoin = self.cost_model.sjq_cost(
-                condition, source, float(input_size)
-            )
-            if selection < semijoin:
-                choices[source] = "sq"
-                total += selection
-            else:
-                choices[source] = "sjq"
-                total += semijoin
-        return choices, total
-
-    def _pick_next(
-        self, conditions: Sequence[Condition], input_size: int
-    ) -> tuple[Condition, dict[str, str], float]:
-        """Cheapest next stage given the actual current set size."""
-        best: tuple[Condition, dict[str, str], float] | None = None
-        for condition in conditions:
-            choices, cost = self._stage_options(condition, input_size)
-            if best is None or cost < best[2]:
-                best = (condition, choices, cost)
-        if best is None:  # pragma: no cover - guarded by caller
-            raise OptimizationError("no conditions left to schedule")
-        return best
 
     # ------------------------------------------------------------------
     # Execution pieces
@@ -195,48 +174,26 @@ class AdaptiveExecutor:
                         f"source failed after {self.max_retries} retries: {exc}"
                     ) from exc
 
-    def _run_selection_stage(
-        self, condition: Condition
-    ) -> tuple[frozenset[Any], AdaptiveStage]:
-        cost_before = self.federation.total_traffic_cost()
-        estimated = sum(
-            self.cost_model.sq_cost(condition, source)
-            for source in self.federation.source_names
-        )
-        combined: set[Any] = set()
-        choices = {}
-        for source in self.federation:
-            answer, __ = self._with_retries(
-                lambda source=source: source.selection(condition)
-            )
-            combined.update(answer)
-            choices[source.name] = "sq"
-        items = frozenset(combined)
-        stage = AdaptiveStage(
-            condition=condition,
-            choices=choices,
-            estimated_cost=estimated,
-            actual_cost=self.federation.total_traffic_cost() - cost_before,
-            input_size=0,
-            output_size=len(items),
-        )
-        return items, stage
-
-    def _run_adaptive_stage(
+    def _run_stage(
         self,
         condition: Condition,
-        choices: dict[str, str],
-        estimated: float,
-        current: frozenset[Any],
+        chosen: StageOutcome,
+        current: frozenset[Any] | None,
     ) -> tuple[frozenset[Any], AdaptiveStage]:
+        """Evaluate one stage as the rule chose; ``current`` is None
+        for the opening stage, which has no binding set to intersect."""
         cost_before = self.federation.total_traffic_cost()
         confirmed: set[Any] = set()
-        for source in self.federation:
-            if choices[source.name] == "sq":
+        choices: dict[str, str] = {}
+        for source, choice in zip(self.federation, chosen.payload):
+            choices[source.name] = choice.value
+            if choice is StagedChoice.SELECTION:
                 answer, __ = self._with_retries(
                     lambda source=source: source.selection(condition)
                 )
-                confirmed.update(answer & current)
+                confirmed.update(
+                    answer if current is None else answer & current
+                )
             else:
                 # Difference pruning for free: never re-send items that
                 # an earlier source in this stage already confirmed.
@@ -251,9 +208,9 @@ class AdaptiveExecutor:
         stage = AdaptiveStage(
             condition=condition,
             choices=choices,
-            estimated_cost=estimated,
+            estimated_cost=chosen.cost,
             actual_cost=self.federation.total_traffic_cost() - cost_before,
-            input_size=len(current),
+            input_size=0 if current is None else len(current),
             output_size=len(items),
         )
         return items, stage

@@ -428,7 +428,10 @@ class Mediator:
         result = self.optimizer.optimize(
             query, sources, self.cost_model, self.estimator
         )
-        if self.plan_cache is not None:
+        # A plan cut short by the planning budget answers this query
+        # only: caching it would serve the plan chosen at the worst
+        # moment of a burst to every later, unhurried, identical query.
+        if self.plan_cache is not None and not result.budget_exhausted:
             self.plan_cache.put(query, sources, self.statistics, result)
         return result
 

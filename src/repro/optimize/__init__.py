@@ -16,10 +16,19 @@ baselines used in evaluation:
 * :class:`JoinOverUnionOptimizer` — the Sec. 5 "distribute the join over
   the union" strategy of resolution-based mediators (n^m SPJ subplans).
 
-The staged optimizers share the plan-search strategies of
-:mod:`repro.optimize.search` (``search="auto"|"exhaustive"|"dp"|"bnb"|
-"beam"``): the faithful factorial sweep at small m, the exact subset DP
-and branch-and-bound beyond it, beam search past the 2^m budget.
+The staged family is *stage rule × ordering × plan builder*, with one
+``optimize()`` (:class:`~repro.optimize.search.StagedOptimizer`): the
+stage rule is Fig. 3's uniform choice
+(:class:`~repro.optimize.sj.SJStagedProblem`) or Fig. 4's per-source
+choice (:class:`~repro.optimize.sja.SJAStagedProblem`); the ordering
+comes from a search (``search="auto"|"exhaustive"|"dp"|"bnb"|"beam"|
+"anytime"`` in :mod:`repro.optimize.search` — the faithful factorial
+sweep at small m, the exact subset DP and branch-and-bound beyond it,
+beam search past the 2^m budget), is fixed (most selective first, priced
+by :func:`cost_along`) or is a greedy cheapest-next-stage chain; and
+:func:`~repro.plans.builder.build_staged_plan` renders the winner.
+:func:`repro.plans.space.staged_plan_cost` is the independent oracle the
+tests (and the brute-force optimizers) hold all of them to.
 """
 
 from repro.optimize.base import OptimizationResult, Optimizer
@@ -29,6 +38,7 @@ from repro.optimize.search import (
     MemoizedCostModel,
     SearchOutcome,
     beam_search,
+    cost_along,
     resolve_strategy,
     search_ordering,
 )
@@ -78,6 +88,7 @@ __all__ = [
     "MemoizedCostModel",
     "SearchOutcome",
     "beam_search",
+    "cost_along",
     "resolve_strategy",
     "search_ordering",
 ]

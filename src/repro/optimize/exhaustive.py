@@ -12,15 +12,20 @@ against accidental blow-ups.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from abc import abstractmethod
+from typing import Iterator, Sequence
 
 from repro.costs.estimates import SizeEstimator
 from repro.costs.model import CostModel
 from repro.errors import OptimizationError
 from repro.optimize.base import OptimizationResult, Optimizer, _Stopwatch
-from repro.plans.builder import IntersectPolicy, build_staged_plan
+from repro.plans.builder import (
+    IntersectPolicy,
+    StagedChoice,
+    build_staged_plan,
+    uniform_choices,
+)
 from repro.plans.space import (
-    choices_from_stages,
     enumerate_adaptive_specs,
     enumerate_semijoin_specs,
     raw_adaptive_space_size,
@@ -29,14 +34,22 @@ from repro.plans.space import (
 )
 from repro.query.fusion import FusionQuery
 
+Specs = Iterator[tuple[Sequence[int], Sequence[Sequence[StagedChoice]]]]
 
-class ExhaustiveSemijoinOptimizer(Optimizer):
-    """Enumerate all semijoin-plan specs; must agree with SJ's optimum."""
 
-    name = "SJ-exhaustive"
+class _SpecEnumerationOptimizer(Optimizer):
+    """Cost every (ordering, choice matrix) spec of a space; keep the best."""
+
+    space: str
+    intersect_policy: IntersectPolicy
+    description: str
 
     def __init__(self, max_specs: int = 2_000_000):
         self.max_specs = max_specs
+
+    @abstractmethod
+    def _specs(self, m: int, n: int) -> tuple[int, Specs]:
+        """The space's size and a lazy sweep of its (ordering, choices)."""
 
     def optimize(
         self,
@@ -48,78 +61,17 @@ class ExhaustiveSemijoinOptimizer(Optimizer):
         self._check_inputs(query, source_names)
         m = query.arity
         n = len(source_names)
-        space = raw_semijoin_space_size(m)
-        if space > self.max_specs:
+        size, specs = self._specs(m, n)
+        if size > self.max_specs:
             raise OptimizationError(
-                f"semijoin space has {space} specs, over the "
+                f"{self.space} space has {size} specs, over the "
                 f"{self.max_specs} guard"
             )
         best_cost = math.inf
         best_spec = None
         considered = 0
         with _Stopwatch() as watch:
-            for ordering, stages in enumerate_semijoin_specs(m):
-                considered += 1
-                cost = staged_plan_cost(
-                    query,
-                    ordering,
-                    choices_from_stages(stages, n),
-                    source_names,
-                    cost_model,
-                    estimator,
-                )
-                if best_spec is None or cost < best_cost:
-                    best_cost = cost
-                    best_spec = (ordering, stages)
-            assert best_spec is not None
-            ordering, stages = best_spec
-            plan = build_staged_plan(
-                query,
-                ordering,
-                choices_from_stages(stages, n),
-                source_names,
-                intersect_policy=IntersectPolicy.AUTO,
-                description="exhaustively optimal semijoin plan",
-            )
-        return OptimizationResult(
-            plan=plan,
-            estimated_cost=self._finite_or_raise(best_cost, "the best plan"),
-            optimizer=self.name,
-            orderings_considered=math.factorial(m),
-            plans_considered=considered,
-            elapsed_s=watch.elapsed,
-        )
-
-
-class ExhaustiveAdaptiveOptimizer(Optimizer):
-    """Enumerate all semijoin-adaptive specs; must agree with SJA."""
-
-    name = "SJA-exhaustive"
-
-    def __init__(self, max_specs: int = 2_000_000):
-        self.max_specs = max_specs
-
-    def optimize(
-        self,
-        query: FusionQuery,
-        source_names: Sequence[str],
-        cost_model: CostModel,
-        estimator: SizeEstimator,
-    ) -> OptimizationResult:
-        self._check_inputs(query, source_names)
-        m = query.arity
-        n = len(source_names)
-        space = raw_adaptive_space_size(m, n)
-        if space > self.max_specs:
-            raise OptimizationError(
-                f"adaptive space has {space} specs, over the "
-                f"{self.max_specs} guard"
-            )
-        best_cost = math.inf
-        best_spec = None
-        considered = 0
-        with _Stopwatch() as watch:
-            for ordering, choices in enumerate_adaptive_specs(m, n):
+            for ordering, choices in specs:
                 considered += 1
                 cost = staged_plan_cost(
                     query, ordering, choices, source_names, cost_model,
@@ -135,8 +87,8 @@ class ExhaustiveAdaptiveOptimizer(Optimizer):
                 ordering,
                 choices,
                 source_names,
-                intersect_policy=IntersectPolicy.ALWAYS,
-                description="exhaustively optimal semijoin-adaptive plan",
+                intersect_policy=self.intersect_policy,
+                description=self.description,
             )
         return OptimizationResult(
             plan=plan,
@@ -146,3 +98,30 @@ class ExhaustiveAdaptiveOptimizer(Optimizer):
             plans_considered=considered,
             elapsed_s=watch.elapsed,
         )
+
+
+class ExhaustiveSemijoinOptimizer(_SpecEnumerationOptimizer):
+    """Enumerate all semijoin-plan specs; must agree with SJ's optimum."""
+
+    name = "SJ-exhaustive"
+    space = "semijoin"
+    intersect_policy = IntersectPolicy.AUTO
+    description = "exhaustively optimal semijoin plan"
+
+    def _specs(self, m: int, n: int) -> tuple[int, Specs]:
+        return raw_semijoin_space_size(m), (
+            (ordering, uniform_choices(m, n, stages))
+            for ordering, stages in enumerate_semijoin_specs(m)
+        )
+
+
+class ExhaustiveAdaptiveOptimizer(_SpecEnumerationOptimizer):
+    """Enumerate all semijoin-adaptive specs; must agree with SJA."""
+
+    name = "SJA-exhaustive"
+    space = "adaptive"
+    intersect_policy = IntersectPolicy.ALWAYS
+    description = "exhaustively optimal semijoin-adaptive plan"
+
+    def _specs(self, m: int, n: int) -> tuple[int, Specs]:
+        return raw_adaptive_space_size(m, n), enumerate_adaptive_specs(m, n)

@@ -20,87 +20,42 @@ against SJA in the C4 benchmark:
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
-from repro.costs.estimates import SizeEstimator
-from repro.costs.model import CostModel
-from repro.optimize.base import OptimizationResult, Optimizer, _Stopwatch
-from repro.optimize.sja import SJAOptimizer
-from repro.plans.builder import (
-    IntersectPolicy,
-    StagedChoice,
-    build_staged_plan,
+from repro.optimize.search import (
+    SearchOutcome,
+    StagedEstimatorProblem,
+    StagedOptimizer,
+    cost_along,
 )
-from repro.query.fusion import FusionQuery
+from repro.optimize.sj import SJStagedProblem
+from repro.optimize.sja import SJAStagedProblem
+from repro.plans.builder import IntersectPolicy
 
 
-def _stage_best(
-    condition,
-    source_names: Sequence[str],
-    cost_model: CostModel,
-    prefix_size: float,
-    is_first: bool,
-) -> tuple[float, tuple[StagedChoice, ...]]:
-    """Best per-source choices and total cost for one candidate stage."""
-    if is_first:
-        cost = sum(cost_model.sq_cost(condition, s) for s in source_names)
-        return cost, tuple([StagedChoice.SELECTION] * len(source_names))
-    total = 0.0
-    choices = []
-    for source in source_names:
-        selection = cost_model.sq_cost(condition, source)
-        semijoin = cost_model.sjq_cost(condition, source, prefix_size)
-        if selection < semijoin:
-            total += selection
-            choices.append(StagedChoice.SELECTION)
-        else:
-            total += semijoin
-            choices.append(StagedChoice.SEMIJOIN)
-    return total, tuple(choices)
+class _MostSelectiveFirst(StagedOptimizer):
+    """A fixed ordering — ascending global selectivity — costed once."""
+
+    def _ordering(
+        self, problem: StagedEstimatorProblem, m: int
+    ) -> SearchOutcome:
+        ordering = sorted(
+            range(m),
+            key=lambda index: problem.estimator.global_selectivity(
+                problem.conditions[index]
+            ),
+        )
+        return cost_along(problem, ordering)
 
 
-class SelectivityOrderOptimizer(Optimizer):
+class SelectivityOrderOptimizer(_MostSelectiveFirst):
     """One SJA pass over the most-selective-first condition ordering."""
 
     name = "SJA-G1"
-
-    def optimize(
-        self,
-        query: FusionQuery,
-        source_names: Sequence[str],
-        cost_model: CostModel,
-        estimator: SizeEstimator,
-    ) -> OptimizationResult:
-        self._check_inputs(query, source_names)
-        with _Stopwatch() as watch:
-            ordering = sorted(
-                range(query.arity),
-                key=lambda index: estimator.global_selectivity(
-                    query.conditions[index]
-                ),
-            )
-            cost, choices = SJAOptimizer._cost_ordering(
-                query, ordering, source_names, cost_model, estimator
-            )
-            plan = build_staged_plan(
-                query,
-                ordering,
-                choices,
-                source_names,
-                intersect_policy=IntersectPolicy.ALWAYS,
-                description="greedy (selectivity-ordered) semijoin-adaptive plan",
-            )
-        return OptimizationResult(
-            plan=plan,
-            estimated_cost=self._finite_or_raise(cost, "the greedy plan"),
-            optimizer=self.name,
-            orderings_considered=1,
-            plans_considered=1,
-            elapsed_s=watch.elapsed,
-        )
+    stage_rule = SJAStagedProblem
+    description = "greedy (selectivity-ordered) semijoin-adaptive plan"
 
 
-class GreedySJOptimizer(Optimizer):
+class GreedySJOptimizer(_MostSelectiveFirst):
     """Greedy ordering with per-stage *uniform* choices (the SJ analogue).
 
     The extended version [24] describes greedy variants of both SJ and
@@ -111,115 +66,68 @@ class GreedySJOptimizer(Optimizer):
     """
 
     name = "SJ-G"
-
-    def optimize(
-        self,
-        query: FusionQuery,
-        source_names: Sequence[str],
-        cost_model: CostModel,
-        estimator: SizeEstimator,
-    ) -> OptimizationResult:
-        self._check_inputs(query, source_names)
-        from repro.optimize.sj import SJOptimizer
-        from repro.plans.builder import uniform_choices
-
-        with _Stopwatch() as watch:
-            ordering = sorted(
-                range(query.arity),
-                key=lambda index: estimator.global_selectivity(
-                    query.conditions[index]
-                ),
-            )
-            cost, stages = SJOptimizer._cost_ordering(
-                query, ordering, source_names, cost_model, estimator
-            )
-            plan = build_staged_plan(
-                query,
-                ordering,
-                uniform_choices(query.arity, len(source_names), stages),
-                source_names,
-                intersect_policy=IntersectPolicy.AUTO,
-                description="greedy (selectivity-ordered) semijoin plan",
-            )
-        return OptimizationResult(
-            plan=plan,
-            estimated_cost=self._finite_or_raise(cost, "the greedy SJ plan"),
-            optimizer=self.name,
-            orderings_considered=1,
-            plans_considered=1,
-            elapsed_s=watch.elapsed,
-        )
+    stage_rule = SJStagedProblem
+    intersect_policy = IntersectPolicy.AUTO
+    description = "greedy (selectivity-ordered) semijoin plan"
 
 
-class GreedySJAOptimizer(Optimizer):
+class GreedySJAOptimizer(StagedOptimizer):
     """Stage-by-stage greedy ordering with per-source choices."""
 
     name = "SJA-G2"
+    stage_rule = SJAStagedProblem
+    description = "greedy (stage-by-stage) semijoin-adaptive plan"
 
-    def optimize(
-        self,
-        query: FusionQuery,
-        source_names: Sequence[str],
-        cost_model: CostModel,
-        estimator: SizeEstimator,
-    ) -> OptimizationResult:
-        self._check_inputs(query, source_names)
-        m = query.arity
-        with _Stopwatch() as watch:
-            remaining = list(range(m))
-            ordering: list[int] = []
-            choices: list[tuple[StagedChoice, ...]] = []
-            total = 0.0
-            prefix_size = 0.0
-            while remaining:
-                is_first = not ordering
-                best_index = None
-                best_cost = math.inf
-                best_choice: tuple[StagedChoice, ...] | None = None
-                best_selectivity = math.inf
-                for index in remaining:
-                    condition = query.conditions[index]
-                    cost, choice = _stage_best(
-                        condition, source_names, cost_model, prefix_size,
-                        is_first,
-                    )
-                    selectivity = estimator.global_selectivity(condition)
-                    better = (
-                        best_index is None
-                        or cost < best_cost - 1e-12
-                        or (
-                            abs(cost - best_cost) <= 1e-12
-                            and selectivity < best_selectivity
-                        )
-                    )
-                    if better:
-                        best_index = index
-                        best_cost = cost
-                        best_choice = choice
-                        best_selectivity = selectivity
-                assert best_index is not None and best_choice is not None
-                condition = query.conditions[best_index]
-                ordering.append(best_index)
-                choices.append(best_choice)
-                total += best_cost
-                if is_first:
-                    prefix_size = estimator.union_selection_size(condition)
+    def _ordering(
+        self, problem: StagedEstimatorProblem, m: int
+    ) -> SearchOutcome:
+        remaining = list(range(m))
+        ordering: list[int] = []
+        payloads = []
+        total = 0.0
+        prefix_size = 0.0
+        while remaining:
+            best_index = None
+            best_stage = None
+            best_selectivity = math.inf
+            for index in remaining:
+                if ordering:
+                    stage = problem.later_stage(index, prefix_size)
                 else:
-                    prefix_size *= estimator.global_selectivity(condition)
-                remaining.remove(best_index)
-            plan = build_staged_plan(
-                query,
-                ordering,
-                choices,
-                source_names,
-                intersect_policy=IntersectPolicy.ALWAYS,
-                description="greedy (stage-by-stage) semijoin-adaptive plan",
-            )
-        return OptimizationResult(
-            plan=plan,
-            estimated_cost=self._finite_or_raise(total, "the greedy plan"),
-            optimizer=self.name,
+                    stage = problem.first_stage(index)
+                selectivity = problem.estimator.global_selectivity(
+                    problem.conditions[index]
+                )
+                better = (
+                    best_stage is None
+                    or stage.cost < best_stage.cost - 1e-12
+                    or (
+                        abs(stage.cost - best_stage.cost) <= 1e-12
+                        and selectivity < best_selectivity
+                    )
+                )
+                if better:
+                    best_index = index
+                    best_stage = stage
+                    best_selectivity = selectivity
+            assert best_index is not None and best_stage is not None
+            if ordering:
+                prefix_size = problem.shrink(prefix_size, best_index)
+            else:
+                prefix_size = problem.first_prefix(best_index)
+            ordering.append(best_index)
+            payloads.append(best_stage.payload)
+            total += best_stage.cost
+            remaining.remove(best_index)
+        return SearchOutcome(
+            ordering=tuple(ordering),
+            payloads=tuple(payloads),
+            cost=total,
+            strategy="exhaustive",
             orderings_considered=m,
-            plans_considered=m * (m + 1) // 2,
-            elapsed_s=watch.elapsed,
         )
+
+    def _plans_considered(self, outcome: SearchOutcome) -> int:
+        # Step k costs every one of the m-k+1 remaining conditions.
+        m = len(outcome.ordering)
+        return m * (m + 1) // 2

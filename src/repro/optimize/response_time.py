@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from itertools import permutations
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.costs.estimates import SizeEstimator
 from repro.costs.model import CostModel
@@ -49,6 +49,7 @@ from repro.optimize.search import (
     StagedEstimatorProblem,
     StageOutcome,
     beam_search,
+    cost_along,
     resolve_strategy,
     search_ordering,
 )
@@ -58,6 +59,7 @@ from repro.plans.builder import (
     build_staged_plan,
 )
 from repro.query.fusion import FusionQuery
+from repro.relational.conditions import Condition
 from repro.sources.capabilities import SemijoinSupport
 from repro.sources.registry import Federation
 
@@ -65,25 +67,26 @@ from repro.sources.registry import Federation
 class ResponseTimeStagedProblem(StagedEstimatorProblem):
     """Additive surrogate for makespan: per-stage parallel frontier.
 
-    Each stage costs ``max`` over sources of the time-greedy option's
-    estimated duration — the wall-clock the stage adds if nothing
+    Each (condition, source) pair takes the option with the smaller
+    estimated duration (time-greedy); a stage costs ``max`` over sources
+    of that duration — the wall-clock the stage adds if nothing
     pipelines across its boundary.  Additive by construction, so the
     subset strategies apply; the true schedule re-scores survivors.
+    Link timings live on the federation, so the rule is built over one.
     """
 
-    def __init__(self, conditions, source_names, cost_model, estimator, optimizer):
+    def __init__(
+        self, conditions, source_names, cost_model, estimator, federation
+    ):
         super().__init__(conditions, source_names, cost_model, estimator)
-        self.optimizer = optimizer
+        self.federation = federation
 
     def first_stage(self, index: int) -> StageOutcome:
         condition = self.conditions[index]
         frontier = 0.0
         for source_name in self.source_names:
             frontier = max(
-                frontier,
-                self.optimizer._selection_time(
-                    condition, source_name, self.estimator
-                ),
+                frontier, self._selection_time(condition, source_name)
             )
         payload = tuple([StagedChoice.SELECTION] * len(self.source_names))
         return StageOutcome(frontier, payload)
@@ -93,16 +96,45 @@ class ResponseTimeStagedProblem(StagedEstimatorProblem):
         frontier = 0.0
         stage_choices = []
         for source_name in self.source_names:
-            choice, duration = self.optimizer._stage_source_timing(
-                condition,
-                source_name,
-                prefix_size,
-                self.cost_model,
-                self.estimator,
+            choice, duration = self._source_timing(
+                condition, source_name, prefix_size
             )
             stage_choices.append(choice)
             frontier = max(frontier, duration)
         return StageOutcome(frontier, tuple(stage_choices))
+
+    def _selection_time(self, condition: Condition, source_name: str) -> float:
+        source = self.federation.source(source_name)
+        return source.link.request_time_s(
+            0,
+            math.ceil(self.estimator.sq_output_size(condition, source_name)),
+        )
+
+    def _source_timing(
+        self, condition: Condition, source_name: str, prefix_size: float
+    ) -> tuple[StagedChoice, float]:
+        """Time-greedy option for one (condition, source) and its duration."""
+        source = self.federation.source(source_name)
+        selection_time = self._selection_time(condition, source_name)
+        if source.capabilities.semijoin is SemijoinSupport.UNSUPPORTED:
+            return StagedChoice.SELECTION, selection_time
+        if not math.isfinite(
+            self.cost_model.sjq_cost(condition, source_name, prefix_size)
+        ):
+            return StagedChoice.SELECTION, selection_time
+        bindings = math.ceil(prefix_size)
+        received = math.ceil(
+            self.estimator.sjq_output_size(condition, source_name, prefix_size)
+        )
+        if source.capabilities.semijoin is SemijoinSupport.EMULATED:
+            semijoin_time = bindings * source.link.request_time_s(1, 1)
+        else:
+            requests = source.capabilities.semijoin_requests(max(bindings, 1))
+            semijoin_time = source.link.request_time_s(bindings, received)
+            semijoin_time += (requests - 1) * 2 * source.link.latency_s
+        if selection_time <= semijoin_time:
+            return StagedChoice.SELECTION, selection_time
+        return StagedChoice.SEMIJOIN, semijoin_time
 
 
 class ResponseTimeSJAOptimizer(Optimizer):
@@ -156,58 +188,46 @@ class ResponseTimeSJAOptimizer(Optimizer):
         orderings = 0
         subsets = 0
         with _Stopwatch() as watch:
+            problem = ResponseTimeStagedProblem(
+                query.conditions,
+                source_names,
+                MemoizedCostModel(cost_model),
+                estimator,
+                self.federation,
+            )
+            # Every candidate is re-scored by the true schedule, which
+            # pipelines across stages: all m! orderings under
+            # ``exhaustive``; under the subset strategies the winner of
+            # the additive surrogate (the survivors, for beam).
+            candidates: Iterable[SearchOutcome]
             if resolved == "exhaustive":
-                for ordering in permutations(range(m)):
-                    orderings += 1
-                    plan = self._build_time_greedy_plan(
-                        query, ordering, source_names, cost_model, estimator
-                    )
-                    schedule = estimated_response_time(
-                        plan, self.federation, estimator
-                    )
-                    if (
-                        best_schedule is None
-                        or schedule.makespan_s < best_schedule.makespan_s
-                    ):
-                        best_schedule = schedule
-                        best_plan = plan
-            else:
-                # Subset search over the additive surrogate; candidates
-                # (one for dp/bnb, the survivors for beam) are re-scored
-                # by the true schedule, which pipelines across stages.
-                problem = ResponseTimeStagedProblem(
-                    query.conditions,
-                    source_names,
-                    MemoizedCostModel(cost_model),
-                    estimator,
-                    self,
+                candidates = (
+                    cost_along(problem, ordering)
+                    for ordering in permutations(range(m))
                 )
-                if resolved == "beam":
-                    candidates: tuple[SearchOutcome, ...] = beam_search(
-                        problem, m, self.beam_width
-                    )
-                else:
-                    candidates = (
-                        search_ordering(problem, m, resolved),
-                    )
-                for outcome in candidates:
-                    subsets = max(subsets, outcome.subsets_considered)
-                    plan = build_staged_plan(
-                        query,
-                        outcome.ordering,
-                        outcome.payloads,
-                        source_names,
-                        intersect_policy=IntersectPolicy.ALWAYS,
-                    )
-                    schedule = estimated_response_time(
-                        plan, self.federation, estimator
-                    )
-                    if (
-                        best_schedule is None
-                        or schedule.makespan_s < best_schedule.makespan_s
-                    ):
-                        best_schedule = schedule
-                        best_plan = plan
+            elif resolved == "beam":
+                candidates = beam_search(problem, m, self.beam_width)
+            else:
+                candidates = (search_ordering(problem, m, resolved),)
+            for outcome in candidates:
+                orderings += outcome.orderings_considered
+                subsets = max(subsets, outcome.subsets_considered)
+                plan = build_staged_plan(
+                    query,
+                    outcome.ordering,
+                    outcome.payloads,
+                    source_names,
+                    intersect_policy=IntersectPolicy.ALWAYS,
+                )
+                schedule = estimated_response_time(
+                    plan, self.federation, estimator
+                )
+                if (
+                    best_schedule is None
+                    or schedule.makespan_s < best_schedule.makespan_s
+                ):
+                    best_schedule = schedule
+                    best_plan = plan
             assert best_plan is not None and best_schedule is not None
         self.last_schedule = best_schedule
         return OptimizationResult(
@@ -222,104 +242,3 @@ class ResponseTimeSJAOptimizer(Optimizer):
             search_strategy=resolved,
             subsets_considered=subsets,
         )
-
-    # ------------------------------------------------------------------
-
-    def _build_time_greedy_plan(
-        self,
-        query: FusionQuery,
-        ordering: Sequence[int],
-        source_names: Sequence[str],
-        cost_model: CostModel,
-        estimator: SizeEstimator,
-    ):
-        conditions = [query.conditions[index] for index in ordering]
-        choices: list[list[StagedChoice]] = [
-            [StagedChoice.SELECTION] * len(source_names)
-        ]
-        prefix_size = estimator.union_selection_size(conditions[0])
-        for condition in conditions[1:]:
-            stage: list[StagedChoice] = []
-            for source_name in source_names:
-                stage.append(
-                    self._time_greedy_choice(
-                        condition,
-                        source_name,
-                        prefix_size,
-                        cost_model,
-                        estimator,
-                    )
-                )
-            choices.append(stage)
-            prefix_size *= estimator.global_selectivity(condition)
-        return build_staged_plan(
-            query,
-            ordering,
-            choices,
-            source_names,
-            intersect_policy=IntersectPolicy.ALWAYS,
-        )
-
-    def _time_greedy_choice(
-        self,
-        condition,
-        source_name: str,
-        prefix_size: float,
-        cost_model: CostModel,
-        estimator: SizeEstimator,
-    ) -> StagedChoice:
-        choice, __ = self._stage_source_timing(
-            condition, source_name, prefix_size, cost_model, estimator
-        )
-        return choice
-
-    def _selection_time(
-        self, condition, source_name: str, estimator: SizeEstimator
-    ) -> float:
-        source = self.federation.source(source_name)
-        return source.link.request_time_s(
-            0, math.ceil(estimator.sq_output_size(condition, source_name))
-        )
-
-    def _stage_source_timing(
-        self,
-        condition,
-        source_name: str,
-        prefix_size: float,
-        cost_model: CostModel,
-        estimator: SizeEstimator,
-    ) -> tuple[StagedChoice, float]:
-        """Time-greedy option for one (condition, source) and its duration."""
-        source = self.federation.source(source_name)
-        selection_time = self._selection_time(condition, source_name, estimator)
-        if source.capabilities.semijoin is SemijoinSupport.UNSUPPORTED:
-            return StagedChoice.SELECTION, selection_time
-        if not math.isfinite(
-            cost_model.sjq_cost(condition, source_name, prefix_size)
-        ):
-            return StagedChoice.SELECTION, selection_time
-        bindings = math.ceil(prefix_size)
-        received = math.ceil(
-            estimator.sjq_output_size(condition, source_name, prefix_size)
-        )
-        if source.capabilities.semijoin is SemijoinSupport.EMULATED:
-            semijoin_time = bindings * source.link.request_time_s(1, 1)
-        else:
-            requests = source.capabilities.semijoin_requests(max(bindings, 1))
-            semijoin_time = source.link.request_time_s(bindings, received)
-            semijoin_time += (requests - 1) * 2 * source.link.latency_s
-        if selection_time <= semijoin_time:
-            return StagedChoice.SELECTION, selection_time
-        return StagedChoice.SEMIJOIN, semijoin_time
-
-
-def compare_work_vs_response(
-    plans: dict[str, "object"],
-    federation: Federation,
-    estimator: SizeEstimator,
-) -> dict[str, Schedule]:
-    """Schedule several plans for side-by-side work/response reporting."""
-    return {
-        label: estimated_response_time(plan, federation, estimator)
-        for label, plan in plans.items()
-    }

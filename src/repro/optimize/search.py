@@ -40,6 +40,10 @@ It also provides :class:`MemoizedCostModel`, a per-optimize-call memo of
 ``sq_cost``/``sjq_cost`` lookups — the factorial sweep re-evaluates each
 ``(condition, source)`` pair once per permutation, an ``m!``-fold
 redundancy that memoization removes without changing any chosen plan.
+
+Finally, :func:`cost_along` costs one *given* ordering under a stage
+rule, and :class:`StagedOptimizer` is the one ``optimize()`` every
+staged optimizer shares: stage rule × ordering × plan builder.
 """
 
 from __future__ import annotations
@@ -54,13 +58,16 @@ from typing import Any, Sequence
 from repro.costs.estimates import SizeEstimator
 from repro.costs.model import CostModel
 from repro.errors import OptimizationError
+from repro.optimize.base import OptimizationResult, Optimizer, _Stopwatch
+from repro.plans.builder import IntersectPolicy, build_staged_plan
+from repro.query.fusion import FusionQuery
 from repro.relational.conditions import Condition
 
 #: The strategies accepted by ``search=`` everywhere.
 STRATEGIES = ("auto", "exhaustive", "dp", "bnb", "beam", "anytime")
 
 #: ``auto`` keeps the paper-faithful factorial sweep up to this arity
-#: (8! = 40320 orderings is still instant; existing ``m!`` counter
+#: (6! = 720 orderings is still instant; existing ``m!`` counter
 #: assertions and byte-identical traces stay valid).
 AUTO_EXHAUSTIVE_MAX_M = 6
 
@@ -611,6 +618,39 @@ def search_ordering(
     return _branch_and_bound(context, m)
 
 
+def cost_along(
+    problem: StagedCostFunction, ordering: Sequence[int]
+) -> SearchOutcome:
+    """Cost one *given* condition ordering under ``problem`` (loop B).
+
+    The binding-set estimate is threaded in chain order —
+    ``first_prefix`` of the opening condition, then ``shrink`` per stage
+    — which is how Figs. 3/4 write the recurrence, so the result agrees
+    with :func:`repro.plans.space.staged_plan_cost` on the returned
+    choices.  (The subset strategies build prefixes
+    lowest-condition-first instead; the two agree up to float
+    reassociation.)  Reported as an exhaustive sweep of a one-ordering
+    space.
+    """
+    first, *later = ordering
+    opening = problem.first_stage(first)
+    cost = opening.cost
+    payloads = [opening.payload]
+    prefix_size = problem.first_prefix(first)
+    for index in later:
+        stage = problem.later_stage(index, prefix_size)
+        cost += stage.cost
+        payloads.append(stage.payload)
+        prefix_size = problem.shrink(prefix_size, index)
+    return SearchOutcome(
+        ordering=tuple(ordering),
+        payloads=tuple(payloads),
+        cost=cost,
+        strategy="exhaustive",
+        orderings_considered=1,
+    )
+
+
 # ----------------------------------------------------------------------
 # Memoized costing
 
@@ -670,3 +710,76 @@ class MemoizedCostModel(CostModel):
         value = self.inner.lq_cost(source_name)
         self._lq[source_name] = value
         return value
+
+
+# ----------------------------------------------------------------------
+# The staged optimizers' shared skeleton
+
+
+class StagedOptimizer(Optimizer):
+    """The staged family's one ``optimize()``.
+
+    A staged optimizer is *stage rule × ordering × plan builder*:
+
+    * ``stage_rule`` — a :class:`StagedEstimatorProblem` subclass whose
+      stage payloads are per-source
+      :class:`~repro.plans.builder.StagedChoice` tuples (Fig. 3's
+      uniform rule, Fig. 4's per-source rule, or your own);
+    * :meth:`_ordering` — how the condition ordering is found: a
+      :func:`search_ordering` call, a fixed ordering priced by
+      :func:`cost_along`, or a greedy chain;
+    * ``intersect_policy`` / ``description`` — how
+      :func:`~repro.plans.builder.build_staged_plan` renders the winner.
+    """
+
+    stage_rule: type[StagedEstimatorProblem]
+    intersect_policy: IntersectPolicy = IntersectPolicy.ALWAYS
+    description: str = ""
+
+    @abstractmethod
+    def _ordering(
+        self, problem: StagedEstimatorProblem, m: int
+    ) -> SearchOutcome:
+        """Choose the stage order (and with it the per-stage payloads)."""
+
+    def _plans_considered(self, outcome: SearchOutcome) -> int:
+        """Complete plans costed by enumeration: one per ordering."""
+        return outcome.orderings_considered
+
+    def optimize(
+        self,
+        query: FusionQuery,
+        source_names: Sequence[str],
+        cost_model: CostModel,
+        estimator: SizeEstimator,
+    ) -> OptimizationResult:
+        self._check_inputs(query, source_names)
+        with _Stopwatch() as watch:
+            problem = self.stage_rule(
+                query.conditions,
+                source_names,
+                MemoizedCostModel(cost_model),
+                estimator,
+            )
+            outcome = self._ordering(problem, query.arity)
+            plan = build_staged_plan(
+                query,
+                outcome.ordering,
+                outcome.payloads,
+                source_names,
+                intersect_policy=self.intersect_policy,
+                description=self.description,
+            )
+        return OptimizationResult(
+            plan=plan,
+            estimated_cost=self._finite_or_raise(
+                outcome.cost, f"the {self.name} plan"
+            ),
+            optimizer=self.name,
+            orderings_considered=outcome.orderings_considered,
+            plans_considered=self._plans_considered(outcome),
+            elapsed_s=watch.elapsed,
+            search_strategy=outcome.strategy,
+            subsets_considered=outcome.subsets_considered,
+            budget_exhausted=outcome.budget_exhausted,
+        )

@@ -15,33 +15,28 @@ switches to the exact subset DP beyond it.
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from repro.costs.estimates import SizeEstimator
-from repro.costs.model import CostModel
-from repro.optimize.base import OptimizationResult, Optimizer, _Stopwatch
 from repro.optimize.search import (
     DEFAULT_BEAM_WIDTH,
-    MemoizedCostModel,
+    SearchOutcome,
     StagedEstimatorProblem,
+    StagedOptimizer,
     StageOutcome,
     search_ordering,
 )
-from repro.plans.builder import (
-    IntersectPolicy,
-    build_staged_plan,
-    uniform_choices,
-)
-from repro.query.fusion import FusionQuery
+from repro.plans.builder import IntersectPolicy, StagedChoice
 
 
 class SJStagedProblem(StagedEstimatorProblem):
     """Fig. 3 stage costing: uniform selection-vs-semijoin per stage.
 
-    The payload of each stage is a bool — True when the stage probes
-    every source by semijoin — matching the ``semijoin_stages`` argument
-    of :func:`~repro.plans.builder.uniform_choices`.
+    The payload of each stage is the tuple of per-source
+    :class:`~repro.plans.builder.StagedChoice` decisions — the same
+    choice at every source — ready for
+    :func:`~repro.plans.builder.build_staged_plan`.
     """
+
+    def _uniform(self, cost: float, choice: StagedChoice) -> StageOutcome:
+        return StageOutcome(cost, (choice,) * len(self.source_names))
 
     def first_stage(self, index: int) -> StageOutcome:
         condition = self.conditions[index]
@@ -49,7 +44,7 @@ class SJStagedProblem(StagedEstimatorProblem):
             self.cost_model.sq_cost(condition, source)
             for source in self.source_names
         )
-        return StageOutcome(cost, False)
+        return self._uniform(cost, StagedChoice.SELECTION)
 
     def later_stage(self, index: int, prefix_size: float) -> StageOutcome:
         condition = self.conditions[index]
@@ -62,16 +57,17 @@ class SJStagedProblem(StagedEstimatorProblem):
             for source in self.source_names
         )
         if selection_cost < semijoin_cost:
-            return StageOutcome(selection_cost, False)
-        return StageOutcome(semijoin_cost, True)
+            return self._uniform(selection_cost, StagedChoice.SELECTION)
+        return self._uniform(semijoin_cost, StagedChoice.SEMIJOIN)
 
 
-class SJOptimizer(Optimizer):
+class SJOptimizer(StagedOptimizer):
     """Compute the optimal semijoin plan (Fig. 3).
 
     Example:
         >>> from repro.sources.generators import dmv_fig1
         >>> from repro.sources.statistics import ExactStatistics
+        >>> from repro.costs.estimates import SizeEstimator
         >>> from repro.costs.charge import ChargeCostModel
         >>> federation, query = dmv_fig1()
         >>> estimator = SizeEstimator(ExactStatistics(federation),
@@ -84,6 +80,9 @@ class SJOptimizer(Optimizer):
     """
 
     name = "SJ"
+    stage_rule = SJStagedProblem
+    intersect_policy = IntersectPolicy.AUTO
+    description = "SJ optimal semijoin plan"
 
     def __init__(
         self, search: str = "auto", beam_width: int = DEFAULT_BEAM_WIDTH
@@ -91,80 +90,7 @@ class SJOptimizer(Optimizer):
         self.search = search
         self.beam_width = beam_width
 
-    def optimize(
-        self,
-        query: FusionQuery,
-        source_names: Sequence[str],
-        cost_model: CostModel,
-        estimator: SizeEstimator,
-    ) -> OptimizationResult:
-        self._check_inputs(query, source_names)
-        m = query.arity
-        n = len(source_names)
-        with _Stopwatch() as watch:
-            problem = SJStagedProblem(
-                query.conditions,
-                source_names,
-                MemoizedCostModel(cost_model),
-                estimator,
-            )
-            outcome = search_ordering(problem, m, self.search, self.beam_width)
-            plan = build_staged_plan(
-                query,
-                outcome.ordering,
-                uniform_choices(m, n, outcome.payloads),
-                source_names,
-                intersect_policy=IntersectPolicy.AUTO,
-                description="SJ optimal semijoin plan",
-            )
-        return OptimizationResult(
-            plan=plan,
-            estimated_cost=self._finite_or_raise(
-                outcome.cost, "the best semijoin plan"
-            ),
-            optimizer=self.name,
-            orderings_considered=outcome.orderings_considered,
-            plans_considered=outcome.orderings_considered,
-            elapsed_s=watch.elapsed,
-            search_strategy=outcome.strategy,
-            subsets_considered=outcome.subsets_considered,
-        )
-
-    @staticmethod
-    def _cost_ordering(
-        query: FusionQuery,
-        ordering: Sequence[int],
-        source_names: Sequence[str],
-        cost_model: CostModel,
-        estimator: SizeEstimator,
-    ) -> tuple[float, tuple[bool, ...]]:
-        """Cost the best uniform-choice plan for one ordering (loop B).
-
-        Kept as the reference recurrence (the greedy optimizer reuses
-        it); :class:`SJStagedProblem` is the same arithmetic factored
-        per stage for the subset search.
-        """
-        conditions = [query.conditions[index] for index in ordering]
-        first = conditions[0]
-        plan_cost = sum(
-            cost_model.sq_cost(first, source) for source in source_names
-        )
-        prefix_size = estimator.union_selection_size(first)
-        stages = [False]
-        for condition in conditions[1:]:  # loop B
-            selection_cost = sum(
-                cost_model.sq_cost(condition, source)
-                for source in source_names
-            )
-            semijoin_cost = sum(
-                cost_model.sjq_cost(condition, source, prefix_size)
-                for source in source_names
-            )
-            if selection_cost < semijoin_cost:
-                stages.append(False)
-                plan_cost += selection_cost
-            else:
-                stages.append(True)
-                plan_cost += semijoin_cost
-            prefix_size *= estimator.global_selectivity(condition)
-        return plan_cost, tuple(stages)
+    def _ordering(
+        self, problem: StagedEstimatorProblem, m: int
+    ) -> SearchOutcome:
+        return search_ordering(problem, m, self.search, self.beam_width)

@@ -17,25 +17,16 @@ it (same plan cost, exponentially fewer states).
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from repro.costs.estimates import SizeEstimator
-from repro.costs.model import CostModel
-from repro.optimize.base import OptimizationResult, Optimizer, _Stopwatch
 from repro.optimize.search import (
     DEFAULT_BEAM_WIDTH,
-    MemoizedCostModel,
     PlanningBudget,
+    SearchOutcome,
     StagedEstimatorProblem,
+    StagedOptimizer,
     StageOutcome,
     search_ordering,
 )
-from repro.plans.builder import (
-    IntersectPolicy,
-    StagedChoice,
-    build_staged_plan,
-)
-from repro.query.fusion import FusionQuery
+from repro.plans.builder import IntersectPolicy, StagedChoice
 
 
 class SJAStagedProblem(StagedEstimatorProblem):
@@ -73,12 +64,13 @@ class SJAStagedProblem(StagedEstimatorProblem):
         return StageOutcome(cost, tuple(stage_choices))
 
 
-class SJAOptimizer(Optimizer):
+class SJAOptimizer(StagedOptimizer):
     """Compute the optimal semijoin-adaptive plan (Fig. 4).
 
     Example:
         >>> from repro.sources.generators import dmv_fig1
         >>> from repro.sources.statistics import ExactStatistics
+        >>> from repro.costs.estimates import SizeEstimator
         >>> from repro.costs.charge import ChargeCostModel
         >>> federation, query = dmv_fig1()
         >>> estimator = SizeEstimator(ExactStatistics(federation),
@@ -91,6 +83,8 @@ class SJAOptimizer(Optimizer):
     """
 
     name = "SJA"
+    stage_rule = SJAStagedProblem
+    description = "SJA optimal semijoin-adaptive plan"
 
     def __init__(
         self,
@@ -109,86 +103,13 @@ class SJAOptimizer(Optimizer):
         # re-arms it before each plan() under search="anytime".
         self.planning_budget = planning_budget
 
-    def optimize(
-        self,
-        query: FusionQuery,
-        source_names: Sequence[str],
-        cost_model: CostModel,
-        estimator: SizeEstimator,
-    ) -> OptimizationResult:
-        self._check_inputs(query, source_names)
-        with _Stopwatch() as watch:
-            problem = SJAStagedProblem(
-                query.conditions,
-                source_names,
-                MemoizedCostModel(cost_model),
-                estimator,
-            )
-            outcome = search_ordering(
-                problem,
-                query.arity,
-                self.search,
-                self.beam_width,
-                budget=self.planning_budget,
-            )
-            plan = build_staged_plan(
-                query,
-                outcome.ordering,
-                outcome.payloads,
-                source_names,
-                intersect_policy=self.intersect_policy,
-                description="SJA optimal semijoin-adaptive plan",
-            )
-        return OptimizationResult(
-            plan=plan,
-            estimated_cost=self._finite_or_raise(
-                outcome.cost, "the best semijoin-adaptive plan"
-            ),
-            optimizer=self.name,
-            orderings_considered=outcome.orderings_considered,
-            plans_considered=outcome.orderings_considered,
-            elapsed_s=watch.elapsed,
-            search_strategy=outcome.strategy,
-            subsets_considered=outcome.subsets_considered,
-            budget_exhausted=outcome.budget_exhausted,
+    def _ordering(
+        self, problem: StagedEstimatorProblem, m: int
+    ) -> SearchOutcome:
+        return search_ordering(
+            problem,
+            m,
+            self.search,
+            self.beam_width,
+            budget=self.planning_budget,
         )
-
-    @staticmethod
-    def _cost_ordering(
-        query: FusionQuery,
-        ordering: Sequence[int],
-        source_names: Sequence[str],
-        cost_model: CostModel,
-        estimator: SizeEstimator,
-    ) -> tuple[float, tuple[tuple[StagedChoice, ...], ...]]:
-        """Cost the best per-source-choice plan for one ordering.
-
-        Kept as the reference recurrence (the greedy optimizer reuses it
-        to cost its single ordering); :class:`SJAStagedProblem` is the
-        same arithmetic factored per stage for the subset search.
-        """
-        conditions = [query.conditions[index] for index in ordering]
-        first = conditions[0]
-        plan_cost = sum(
-            cost_model.sq_cost(first, source) for source in source_names
-        )
-        prefix_size = estimator.union_selection_size(first)
-        choices: list[tuple[StagedChoice, ...]] = [
-            tuple([StagedChoice.SELECTION] * len(source_names))
-        ]
-        for condition in conditions[1:]:  # loop B
-            stage_choices = []
-            for source in source_names:  # source loop
-                selection_cost = cost_model.sq_cost(condition, source)
-                semijoin_cost = cost_model.sjq_cost(
-                    condition, source, prefix_size
-                )
-                if selection_cost < semijoin_cost:
-                    stage_choices.append(StagedChoice.SELECTION)
-                    plan_cost += selection_cost
-                else:
-                    stage_choices.append(StagedChoice.SEMIJOIN)
-                    plan_cost += semijoin_cost
-            choices.append(tuple(stage_choices))
-            prefix_size *= estimator.global_selectivity(condition)
-        return plan_cost, tuple(choices)

@@ -37,7 +37,6 @@ from repro.plans.operations import (
 )
 from repro.plans.plan import Plan, StageInfo
 from repro.query.fusion import FusionQuery
-from repro.relational.conditions import Condition
 
 # ----------------------------------------------------------------------
 # Space sizes
@@ -93,35 +92,8 @@ def enumerate_adaptive_specs(
             yield ordering, (first_stage, *later)
 
 
-def choices_from_stages(
-    semijoin_stages: Sequence[bool], n: int
-) -> tuple[tuple[StagedChoice, ...], ...]:
-    """Expand per-stage uniform booleans to a per-source choice matrix."""
-    return tuple(
-        tuple(
-            StagedChoice.SEMIJOIN if use_semijoin else StagedChoice.SELECTION
-            for __ in range(n)
-        )
-        for use_semijoin in semijoin_stages
-    )
-
-
 # ----------------------------------------------------------------------
 # Shared staged-cost accounting (the Figs. 3/4 arithmetic)
-
-
-def stage_option_costs(
-    condition: Condition,
-    source_names: Sequence[str],
-    cost_model: CostModel,
-    input_size: float,
-) -> tuple[list[float], list[float]]:
-    """Per-source (selection cost, semijoin cost) options for one stage."""
-    sq_costs = [cost_model.sq_cost(condition, s) for s in source_names]
-    sjq_costs = [
-        cost_model.sjq_cost(condition, s, input_size) for s in source_names
-    ]
-    return sq_costs, sjq_costs
 
 
 def staged_plan_cost(

@@ -23,16 +23,14 @@ Design rules (see DESIGN.md):
   the mediator merge operators are hash-based with smallest-first
   ordering and early exit.
 
-One feature flag (environment, read at import; override per-process
-with :func:`set_numpy_enabled`): ``REPRO_COLUMNAR_NUMPY=off|on|auto``
-controls the numpy fast path (``auto``, the default, uses numpy when
-importable).
+The numpy fast path runs whenever numpy imports — there is no option to
+set.  :func:`set_numpy_enabled` exists so the parity tests can run the
+python kernels as their reference in a process that has numpy.
 """
 
 from __future__ import annotations
 
 import operator
-import os
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.errors import ConditionError
@@ -71,16 +69,7 @@ _COMPARE: dict[str, Callable[[Any, Any], bool]] = {
 }
 
 
-def _env_numpy_default() -> bool | None:
-    value = os.environ.get("REPRO_COLUMNAR_NUMPY", "auto").strip().lower()
-    if value in ("off", "0", "false", "no"):
-        return False
-    if value in ("on", "1", "true", "yes"):
-        return True
-    return None  # auto
-
-
-_numpy_override: bool | None = _env_numpy_default()
+_numpy_override: bool | None = None
 
 
 def numpy_available() -> bool:
@@ -98,7 +87,8 @@ def numpy_enabled() -> bool:
 
 
 def set_numpy_enabled(enabled: bool | None) -> bool | None:
-    """Force the numpy path on/off; ``None`` restores the env default.
+    """Force the numpy path on/off; ``None`` restores the default
+    (numpy whenever it imported).
 
     Returns the previous override so callers can restore it.  Forcing
     ``True`` without numpy installed is a silent no-op (the python
@@ -106,7 +96,7 @@ def set_numpy_enabled(enabled: bool | None) -> bool | None:
     """
     global _numpy_override
     previous = _numpy_override
-    _numpy_override = _env_numpy_default() if enabled is None else bool(enabled)
+    _numpy_override = None if enabled is None else bool(enabled)
     return previous
 
 

@@ -20,11 +20,17 @@ from repro.mediator.plan_cache import (
 )
 from repro.mediator.session import Mediator
 from repro.obs.recorder import Recorder
+from repro.optimize.search import PlanningBudget
 from repro.optimize.sja import SJAOptimizer
 from repro.plans.builder import build_filter_plan
 from repro.query.fusion import FusionQuery
 from repro.relational.conditions import Comparison
-from repro.sources.generators import dmv_fig1
+from repro.sources.generators import (
+    SyntheticConfig,
+    build_synthetic,
+    dmv_fig1,
+    synthetic_query,
+)
 from repro.sources.observed import ObservedStatistics
 from repro.sources.statistics import ExactStatistics
 
@@ -203,6 +209,32 @@ def test_mediator_coerces_plan_cache_argument():
     assert enabled.plan_cache.capacity == DEFAULT_CAPACITY
     sized = Mediator(federation, plan_cache=4)
     assert sized.plan_cache.capacity == 4
+
+
+def test_budget_cut_plan_is_not_cached():
+    # A plan cut short by the planning budget answers that query only:
+    # once the pressure is gone the same query is planned exactly, and
+    # it is the exact result the cache keeps.
+    config = SyntheticConfig(n_sources=4, n_entities=90, seed=5)
+    federation = build_synthetic(config)
+    query = synthetic_query(config, m=5, seed=6)
+    budget = PlanningBudget(max_subsets=1)
+    mediator = Mediator(
+        federation,
+        search="anytime",
+        planning_budget=budget,
+        plan_cache=True,
+    )
+    cut = mediator.plan(query)
+    assert cut.budget_exhausted
+    assert len(mediator.plan_cache) == 0
+    budget.arm()  # no limit: anytime is exact branch-and-bound
+    exact = mediator.plan(query)
+    assert not exact.budget_exhausted
+    reference = Mediator(federation, search="bnb").plan(query)
+    assert exact.estimated_cost == reference.estimated_cost
+    assert mediator.plan(query) is exact
+    assert mediator.plan_cache.hits == 1
 
 
 def test_summary_reports_usage():

@@ -10,13 +10,16 @@ allowed to lose, and must say so via ``exact=False``.
 from __future__ import annotations
 
 import math
+import pathlib
 
 import pytest
 
+import repro
 from repro.costs.charge import ChargeCostModel
 from repro.costs.estimates import SizeEstimator
 from repro.costs.model import UniformCostModel
 from repro.errors import OptimizationError
+from repro.optimize.exhaustive import ExhaustiveAdaptiveOptimizer
 from repro.optimize.search import (
     AUTO_DP_MAX_M,
     AUTO_EXHAUSTIVE_MAX_M,
@@ -183,26 +186,24 @@ def test_memoized_model_returns_identical_values():
 
 
 def test_memoization_never_changes_the_chosen_plan():
-    # The optimizer memoizes internally; a manual factorial sweep over
-    # the raw (unmemoized) model must land on the same cost and an
-    # equally-cheap ordering.
-    import itertools
-
-    __, query, federation, cost_model, estimator = synthetic_problem(m=4)
+    # The optimizer memoizes internally; the brute-force sweep of the
+    # adaptive spec space over the raw (unmemoized) model must land on
+    # the same cost.
+    __, query, federation, cost_model, estimator = synthetic_problem(
+        m=4, n_sources=2
+    )
     names = federation.source_names
     result = SJAOptimizer(search="exhaustive").optimize(
         query, names, cost_model, estimator
     )
-    raw_best = min(
-        SJAOptimizer._cost_ordering(
-            query, ordering, names, cost_model, estimator
-        )[0]
-        for ordering in itertools.permutations(range(query.arity))
+    raw_best = ExhaustiveAdaptiveOptimizer().optimize(
+        query, names, cost_model, estimator
     )
-    # The reference recurrence prices prefixes in chain order, the
-    # subset search lowest-condition-first; identical up to float
-    # reassociation.
-    assert result.estimated_cost == pytest.approx(raw_best, rel=1e-9)
+    # The oracle prices prefixes in chain order, the subset search
+    # lowest-condition-first; identical up to float reassociation.
+    assert result.estimated_cost == pytest.approx(
+        raw_best.estimated_cost, rel=1e-9
+    )
 
 
 # --- optimizer integration ------------------------------------------------
@@ -238,3 +239,28 @@ def test_result_summary_names_the_strategy():
     )
     assert "subsets considered (dp)" in dp.summary()
     assert "plans considered" not in dp.summary()
+
+
+# --- structure ------------------------------------------------------------
+
+
+def test_the_stage_rule_is_written_in_one_place():
+    # Pricing a semijoin against a binding set *is* the Fig. 3/4 stage
+    # rule.  Only the cost models, the memo, the three stage rules, the
+    # generic plan coster and the tests' oracle may do it; anything else
+    # that calls ``.sjq_cost(`` has grown a private copy of the rule.
+    root = pathlib.Path(repro.__file__).parent
+    callers = {
+        path.relative_to(root).as_posix()
+        for path in root.rglob("*.py")
+        if ".sjq_cost(" in path.read_text()
+    }
+    allowed = {
+        "optimize/search.py",
+        "optimize/sj.py",
+        "optimize/sja.py",
+        "optimize/response_time.py",
+        "plans/cost.py",
+        "plans/space.py",
+    }
+    assert {c for c in callers if not c.startswith("costs/")} <= allowed

@@ -9,9 +9,9 @@ import pytest
 
 from repro.costs.charge import ChargeCostModel
 from repro.costs.estimates import SizeEstimator
+from repro.plans.builder import uniform_choices
 from repro.plans.space import (
     canonical_semijoin_key,
-    choices_from_stages,
     count_distinct_semijoin_plans,
     enumerate_adaptive_specs,
     enumerate_semijoin_specs,
@@ -92,7 +92,7 @@ class TestStagedCost:
         cost = staged_plan_cost(
             query,
             (0, 1),
-            choices_from_stages((False, False), 3),
+            uniform_choices(2, 3, (False, False)),
             federation.source_names,
             model,
             estimator,
@@ -106,7 +106,7 @@ class TestStagedCost:
 
     def test_ordering_invariance_of_all_selection_specs(self, kit):
         federation, query, model, estimator = kit
-        choices = choices_from_stages((False, False), 3)
+        choices = uniform_choices(2, 3, (False, False))
         a = staged_plan_cost(
             query, (0, 1), choices, federation.source_names, model, estimator
         )
@@ -120,7 +120,7 @@ class TestStagedCost:
         cost = staged_plan_cost(
             query,
             (0, 1),
-            choices_from_stages((False, True), 3),
+            uniform_choices(2, 3, (False, True)),
             federation.source_names,
             model,
             estimator,

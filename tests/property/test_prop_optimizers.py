@@ -9,9 +9,15 @@ These are the library's central invariants:
 * **Dominance** — estimated costs satisfy SJA <= SJ <= FILTER (SJ can
   always mimic the filter plan; SJA refines SJ per source), and the
   greedy variants are sandwiched between SJA and FILTER.
+* **One ruler** — the stage rules the staged optimizers share agree,
+  along every ordering, with the independent staged accounting of
+  :func:`repro.plans.space.staged_plan_cost`, and the optimum they find
+  is the brute-force optimum of their spec space.
 """
 
 from __future__ import annotations
+
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -21,11 +27,17 @@ from repro.costs.charge import ChargeCostModel
 from repro.costs.estimates import SizeEstimator
 from repro.mediator.executor import Executor
 from repro.mediator.reference import reference_answer
+from repro.optimize.exhaustive import (
+    ExhaustiveAdaptiveOptimizer,
+    ExhaustiveSemijoinOptimizer,
+)
 from repro.optimize.filter import FilterOptimizer
 from repro.optimize.greedy import GreedySJAOptimizer, SelectivityOrderOptimizer
-from repro.optimize.sj import SJOptimizer
-from repro.optimize.sja import SJAOptimizer
+from repro.optimize.search import cost_along
+from repro.optimize.sj import SJOptimizer, SJStagedProblem
+from repro.optimize.sja import SJAOptimizer, SJAStagedProblem
 from repro.optimize.sja_plus import SJAPlusOptimizer
+from repro.plans.space import staged_plan_cost
 from repro.sources.generators import synthetic_query
 from repro.sources.statistics import ExactStatistics
 
@@ -95,6 +107,43 @@ def test_greedy_sandwiched_between_sja_and_filter(kit, query_seed):
         assert sja_cost - 1e-6 <= greedy_cost <= filter_cost + 1e-6
 
 
+@pytest.mark.parametrize(
+    "stage_rule, optimizer_class, brute_force_class",
+    [
+        (SJStagedProblem, SJOptimizer, ExhaustiveSemijoinOptimizer),
+        (SJAStagedProblem, SJAOptimizer, ExhaustiveAdaptiveOptimizer),
+    ],
+)
+@given(
+    kit=synthetic_kits(max_sources=3, max_m=4),
+    query_seed=st.integers(0, 1000),
+)
+@settings(max_examples=12, deadline=None)
+def test_stage_rules_agree_with_the_oracle_along_every_ordering(
+    stage_rule, optimizer_class, brute_force_class, kit, query_seed
+):
+    federation, config, m = kit
+    query, cost_model, estimator = planning_kit(
+        federation, config, m, query_seed
+    )
+    names = federation.source_names
+    problem = stage_rule(query.conditions, names, cost_model, estimator)
+    for ordering in permutations(range(m)):
+        outcome = cost_along(problem, ordering)
+        assert outcome.ordering == ordering
+        assert outcome.cost == pytest.approx(
+            staged_plan_cost(
+                query, ordering, outcome.payloads, names, cost_model,
+                estimator,
+            ),
+            rel=1e-9,
+        )
+    args = (query, names, cost_model, estimator)
+    assert optimizer_class().optimize(*args).estimated_cost == pytest.approx(
+        brute_force_class().optimize(*args).estimated_cost, rel=1e-9
+    )
+
+
 @given(kit=synthetic_kits(), query_seed=st.integers(0, 1000))
 @settings(max_examples=20, deadline=None)
 def test_sja_internal_cost_matches_independent_recosting(kit, query_seed):
@@ -103,7 +152,6 @@ def test_sja_internal_cost_matches_independent_recosting(kit, query_seed):
     from the plan it actually built."""
     from repro.plans.builder import StagedChoice
     from repro.plans.operations import SelectionOp
-    from repro.plans.space import staged_plan_cost
 
     federation, config, m = kit
     query, cost_model, estimator = planning_kit(
