@@ -1,11 +1,13 @@
 """A cost model with parameters learned by query sampling (ref. [25]).
 
-Identical in shape to :class:`~repro.costs.charge.ChargeCostModel`, but
-the per-source (overhead, per-item-send, per-item-receive) parameters
-come from :func:`repro.sources.sampling.calibrate_federation` — i.e. the
-mediator *measured* them with probe queries rather than reading them
-from configuration.  This is the honest Internet setting: autonomous
-sources do not publish their cost structure.
+Identical in shape to :class:`~repro.costs.charge.ChargeCostModel` — the
+semijoin formula is the same code,
+:func:`~repro.costs.charge.charge_sjq_pricer` — but the per-source
+(overhead, send, receive) charges come from
+:func:`repro.sources.sampling.calibrate_federation` — i.e. the mediator
+*measured* them with probe queries rather than reading them from
+configuration.  This is the honest Internet setting: autonomous sources
+do not publish their cost structure.
 
 Loads are not probed (fetching whole sources as calibration would defeat
 the purpose), so ``lq_cost`` extrapolates: rows are charged like
@@ -14,12 +16,13 @@ received items scaled by ``load_factor``.
 
 from __future__ import annotations
 
-import math
+from typing import Callable
 
+from repro.costs.charge import charge_sjq_pricer
 from repro.costs.estimates import SizeEstimator
 from repro.costs.model import INFINITE_COST, CostModel
 from repro.relational.conditions import Condition
-from repro.sources.capabilities import SemijoinSupport, SourceCapabilities
+from repro.sources.capabilities import SourceCapabilities
 from repro.sources.registry import Federation
 from repro.sources.sampling import FittedLinkParameters, calibrate_federation
 
@@ -73,30 +76,17 @@ class CalibratedCostModel(CostModel):
     def sjq_cost(
         self, condition: Condition, source_name: str, input_size: float
     ) -> float:
-        self._require_size(input_size)
-        capabilities = self.capabilities[source_name]
-        if capabilities.semijoin is SemijoinSupport.UNSUPPORTED:
-            return INFINITE_COST
-        if input_size == 0:
-            return 0.0
-        parameters = self.fitted[source_name]
-        received = self.estimator.sjq_output_size(
-            condition, source_name, input_size
-        )
-        if capabilities.semijoin is SemijoinSupport.EMULATED:
-            return (
-                input_size
-                * (parameters.request_overhead + parameters.per_item_send)
-                + received * parameters.per_item_receive
-            )
-        batch = capabilities.max_semijoin_batch
-        requests = (
-            1 if batch is None else math.ceil(math.ceil(input_size) / batch)
-        )
-        return (
-            requests * parameters.request_overhead
-            + input_size * parameters.per_item_send
-            + received * parameters.per_item_receive
+        return self.sjq_pricer(condition, source_name)(input_size)
+
+    def sjq_pricer(
+        self, condition: Condition, source_name: str
+    ) -> Callable[[float], float]:
+        return charge_sjq_pricer(
+            self.fitted[source_name],
+            self.capabilities[source_name],
+            self.estimator,
+            condition,
+            source_name,
         )
 
     def lq_cost(self, source_name: str) -> float:

@@ -17,6 +17,10 @@ counts from a :class:`~repro.costs.estimates.SizeEstimator`:
 
 * ``lq_cost``: one overhead plus rows times the per-row load charge.
 
+The semijoin formula is written once, in :func:`charge_sjq_pricer`;
+``sjq_cost`` is that pricer applied, here and in
+:class:`~repro.costs.calibrated.CalibratedCostModel`.
+
 Because estimation uses the very same formulas as execution accounting,
 any estimated-vs-actual gap observed in the E1 benchmark is attributable
 purely to *size* estimation error, not cost-shape mismatch.
@@ -25,6 +29,7 @@ purely to *size* estimation error, not cost-shape mismatch.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING, Callable
 
 from repro.costs.estimates import SizeEstimator
 from repro.costs.model import INFINITE_COST, CostModel
@@ -32,6 +37,66 @@ from repro.relational.conditions import Condition
 from repro.sources.capabilities import SemijoinSupport, SourceCapabilities
 from repro.sources.network import LinkProfile
 from repro.sources.registry import Federation
+
+if TYPE_CHECKING:
+    from repro.sources.sampling import FittedLinkParameters
+
+
+def charge_sjq_pricer(
+    charges: "LinkProfile | FittedLinkParameters",
+    capabilities: SourceCapabilities,
+    estimator: SizeEstimator,
+    condition: Condition,
+    source_name: str,
+) -> Callable[[float], float]:
+    """The charge-shaped semijoin price as a function of ``|X|`` alone.
+
+    Tier, charges (declared or fitted: the three attributes are named
+    alike), batch and match fraction are resolved here; every returned
+    function checks the size first, then answers ``inf`` for an
+    unsupported source and ``0.0`` for an empty binding set.
+    """
+    require_size = CostModel._require_size
+    if capabilities.semijoin is SemijoinSupport.UNSUPPORTED:
+
+        def unsupported(input_size: float) -> float:
+            require_size(input_size)
+            return INFINITE_COST
+
+        return unsupported
+
+    overhead = charges.request_overhead
+    send = charges.per_item_send
+    receive = charges.per_item_receive
+    fraction = estimator.match_fraction(condition, source_name)
+    if capabilities.semijoin is SemijoinSupport.EMULATED:
+        # One probe request per binding: overhead + one item sent each.
+        per_binding = overhead + send
+
+        def emulated(input_size: float) -> float:
+            require_size(input_size)
+            if input_size == 0:
+                return 0.0
+            return input_size * per_binding + (input_size * fraction) * receive
+
+        return emulated
+
+    batch = capabilities.max_semijoin_batch
+
+    def native(input_size: float) -> float:
+        require_size(input_size)
+        if input_size == 0:
+            return 0.0
+        requests = (
+            1 if batch is None else math.ceil(math.ceil(input_size) / batch)
+        )
+        return (
+            requests * overhead
+            + input_size * send
+            + (input_size * fraction) * receive
+        )
+
+    return native
 
 
 class ChargeCostModel(CostModel):
@@ -91,30 +156,17 @@ class ChargeCostModel(CostModel):
     def sjq_cost(
         self, condition: Condition, source_name: str, input_size: float
     ) -> float:
-        self._require_size(input_size)
-        capabilities = self.capabilities[source_name]
-        if capabilities.semijoin is SemijoinSupport.UNSUPPORTED:
-            return INFINITE_COST
-        if input_size == 0:
-            return 0.0
-        profile = self.profiles[source_name]
-        received = self.estimator.sjq_output_size(
-            condition, source_name, input_size
-        )
-        if capabilities.semijoin is SemijoinSupport.EMULATED:
-            # One probe request per binding: overhead + one item sent each.
-            return (
-                input_size * (profile.request_overhead + profile.per_item_send)
-                + received * profile.per_item_receive
-            )
-        batch = capabilities.max_semijoin_batch
-        requests = (
-            1 if batch is None else math.ceil(math.ceil(input_size) / batch)
-        )
-        return (
-            requests * profile.request_overhead
-            + input_size * profile.per_item_send
-            + received * profile.per_item_receive
+        return self.sjq_pricer(condition, source_name)(input_size)
+
+    def sjq_pricer(
+        self, condition: Condition, source_name: str
+    ) -> Callable[[float], float]:
+        return charge_sjq_pricer(
+            self.profiles[source_name],
+            self.capabilities[source_name],
+            self.estimator,
+            condition,
+            source_name,
         )
 
     def lq_cost(self, source_name: str) -> float:

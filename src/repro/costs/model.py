@@ -10,6 +10,10 @@ A cost model answers three questions for the optimizer:
   (Sec. 2.3);
 * ``lq_cost(R_j)`` — cost of loading the whole source (Sec. 4's ``lq``).
 
+A model may also answer ``sjq_pricer(c, R_j)`` — ``sjq_cost`` with the
+pair resolved once, a function of ``|X|`` alone; the default is
+``sjq_cost`` partially applied.
+
 Axioms (Sec. 2.4), checkable via :func:`check_cost_axioms`:
 
 1. non-negativity of all operation costs;
@@ -25,7 +29,8 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import partial
+from typing import Callable, Iterable, Sequence
 
 from repro.errors import CostModelError
 from repro.relational.conditions import Condition
@@ -58,12 +63,27 @@ class CostModel(ABC):
     def lq_cost(self, source_name: str) -> float:
         """Estimated cost of loading the entire source (``lq(R_source)``)."""
 
+    def sjq_pricer(
+        self, condition: Condition, source_name: str
+    ) -> Callable[[float], float]:
+        """``sjq_cost`` with ``(condition, source)`` already resolved.
+
+        Override it to do the per-pair work (capability tier, charges,
+        match fraction) once instead of once per ``|X|``.  Contract:
+        ``sjq_pricer(c, s)(x)`` is bit-equal to ``sjq_cost(c, s, x)`` —
+        same value, same :class:`CostModelError` on a bad size — for the
+        life of one ``optimize()`` call, which is how long it is held.
+        """
+        return partial(self.sjq_cost, condition, source_name)
+
     def supports_semijoin(self, source_name: str, condition: Condition) -> bool:
         """True if any finite-cost semijoin is possible at the source."""
         return math.isfinite(self.sjq_cost(condition, source_name, 1))
 
-    def _require_size(self, input_size: float) -> float:
-        if input_size < 0 or math.isnan(input_size):
+    @staticmethod
+    def _require_size(input_size: float) -> float:
+        # Written so that NaN, which fails every comparison, is rejected.
+        if not 0 <= input_size < INFINITE_COST:
             raise CostModelError(f"invalid semijoin input size: {input_size}")
         return input_size
 

@@ -33,7 +33,7 @@ from typing import Sequence
 
 from repro.costs.estimates import SizeEstimator
 from repro.costs.model import CostModel
-from repro.plans.cost import estimate_plan_cost
+from repro.plans.cost import PlanCostBreakdown, estimate_plan_cost
 from repro.plans.operations import (
     DifferenceOp,
     IntersectOp,
@@ -111,6 +111,7 @@ def apply_source_loading(
     cost_model: CostModel,
     estimator: SizeEstimator,
     only_sources: Sequence[str] | None = None,
+    breakdown: PlanCostBreakdown | None = None,
 ) -> Plan:
     """Replace a source's queries with one ``lq`` when that is cheaper.
 
@@ -119,8 +120,14 @@ def apply_source_loading(
     remote selections become local selections over the loaded relation;
     remote semijoins become a local selection intersected with the
     original binding register.
+
+    A caller that has already priced ``plan`` under the same model and
+    estimator passes that ``breakdown`` in; the *same* plan object comes
+    back when nothing was worth loading, so the breakdown still prices
+    the result.
     """
-    breakdown = estimate_plan_cost(plan, cost_model, estimator)
+    if breakdown is None:
+        breakdown = estimate_plan_cost(plan, cost_model, estimator)
     per_source: dict[str, float] = {}
     for step in breakdown.steps:
         if isinstance(step.operation, (SelectionOp, SemijoinOp)):

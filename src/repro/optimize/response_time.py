@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from itertools import permutations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.costs.estimates import SizeEstimator
 from repro.costs.model import CostModel
@@ -95,9 +95,11 @@ class ResponseTimeStagedProblem(StagedEstimatorProblem):
         condition = self.conditions[index]
         frontier = 0.0
         stage_choices = []
-        for source_name in self.source_names:
+        for source_name, (__, semijoin) in zip(
+            self.source_names, self.terms(index)
+        ):
             choice, duration = self._source_timing(
-                condition, source_name, prefix_size
+                condition, source_name, prefix_size, semijoin
             )
             stage_choices.append(choice)
             frontier = max(frontier, duration)
@@ -111,16 +113,18 @@ class ResponseTimeStagedProblem(StagedEstimatorProblem):
         )
 
     def _source_timing(
-        self, condition: Condition, source_name: str, prefix_size: float
+        self,
+        condition: Condition,
+        source_name: str,
+        prefix_size: float,
+        semijoin_cost: Callable[[float], float],
     ) -> tuple[StagedChoice, float]:
         """Time-greedy option for one (condition, source) and its duration."""
         source = self.federation.source(source_name)
         selection_time = self._selection_time(condition, source_name)
         if source.capabilities.semijoin is SemijoinSupport.UNSUPPORTED:
             return StagedChoice.SELECTION, selection_time
-        if not math.isfinite(
-            self.cost_model.sjq_cost(condition, source_name, prefix_size)
-        ):
+        if not math.isfinite(semijoin_cost(prefix_size)):
             return StagedChoice.SELECTION, selection_time
         bindings = math.ceil(prefix_size)
         received = math.ceil(

@@ -36,10 +36,16 @@ ResponseTimeSJAOptimizer`):
   (keeping the paper-faithful traces and ``orderings_considered``
   counters), ``dp`` up to :data:`AUTO_DP_MAX_M`, ``beam`` beyond.
 
-It also provides :class:`MemoizedCostModel`, a per-optimize-call memo of
-``sq_cost``/``sjq_cost`` lookups — the factorial sweep re-evaluates each
-``(condition, source)`` pair once per permutation, an ``m!``-fold
-redundancy that memoization removes without changing any chosen plan.
+Two things are memoized within one ``optimize()`` call.  The subset
+context keeps whole stages by ``(condition, preceding set)``, and
+:class:`StagedEstimatorProblem` asks the cost model once per
+``(condition, source)`` — the selection cost and a
+:meth:`~repro.costs.model.CostModel.sjq_pricer`, the semijoin cost as a
+function of ``|X|`` alone — for the stage rules to walk.  Semijoin
+prices are *not* memoized by ``(condition, source, |X|)``: every
+preceding set has its own ``|X|`` and the stage memo has absorbed the
+repeats, so such a key never hit.  :class:`MemoizedCostModel` memoizes
+only ``sq_cost`` / ``lq_cost``, for a query naming a condition twice.
 
 Finally, :func:`cost_along` costs one *given* ordering under a stage
 rule, and :class:`StagedOptimizer` is the one ``optimize()`` every
@@ -53,7 +59,7 @@ import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
 from itertools import permutations
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.costs.estimates import SizeEstimator
 from repro.costs.model import CostModel
@@ -213,6 +219,11 @@ class StagedCostFunction(ABC):
         """Binding-set estimate after one more condition is processed."""
 
 
+#: One source's prices for one condition: the selection cost and the
+#: semijoin cost as a function of the binding-set size.
+CostTerm = tuple[float, Callable[[float], float]]
+
+
 class StagedEstimatorProblem(StagedCostFunction):
     """Shared prefix recurrence: ``U·g(c)`` then ``·g(c)`` per stage.
 
@@ -220,6 +231,10 @@ class StagedEstimatorProblem(StagedCostFunction):
     identical across SJ, SJA, and the response-time surrogate because
     all three inherit the paper's independence model via the
     :class:`~repro.costs.estimates.SizeEstimator`.
+
+    Nothing a stage prices depends on the ordering except ``|X|``, so
+    the cost model is asked once per ``(condition, source)``
+    (:meth:`terms`) and the stage rules do the rest by arithmetic.
     """
 
     def __init__(
@@ -233,6 +248,24 @@ class StagedEstimatorProblem(StagedCostFunction):
         self.source_names = tuple(source_names)
         self.cost_model = cost_model
         self.estimator = estimator
+        self._terms: dict[int, tuple[CostTerm, ...]] = {}
+
+    def terms(self, index: int) -> tuple[CostTerm, ...]:
+        """Per source, in ``source_names`` order: ``sq_cost(c, R_j)`` and
+        the ``|X| -> sjq_cost(c, R_j, |X|)`` pricer of condition
+        ``index``, resolved on first use and held while the problem
+        lives (one ``optimize()`` call)."""
+        resolved = self._terms.get(index)
+        if resolved is None:
+            condition = self.conditions[index]
+            resolved = self._terms[index] = tuple(
+                (
+                    self.cost_model.sq_cost(condition, source),
+                    self.cost_model.sjq_pricer(condition, source),
+                )
+                for source in self.source_names
+            )
+        return resolved
 
     def first_prefix(self, index: int) -> float:
         return self.estimator.union_selection_size(self.conditions[index])
@@ -659,11 +692,10 @@ class MemoizedCostModel(CostModel):
     """A per-optimize-call memo over any :class:`CostModel`.
 
     Cost models are pure functions of their arguments (the interface
-    contract), so caching is sound: the factorial sweep asks for the
-    same ``sq_cost(c, R_j)`` once per permutation and the same
-    ``sjq_cost(c, R_j, |X|)`` once per permutation sharing a prefix set
-    — an ``m!``-fold redundancy this wrapper collapses to one evaluation
-    without changing any chosen plan (tested).
+    contract), so caching is sound.  ``sq_cost`` and ``lq_cost`` are
+    memoized; semijoin prices pass straight through (a ``(condition,
+    source, |X|)`` key stored 7 056 entries per m = 7, n = 16 query and
+    hit none: the stage rules hold one pricer per pair).
 
     The wrapper is built fresh inside each ``optimize()`` call, so
     nothing outlives the statistics snapshot it was computed from.
@@ -672,7 +704,6 @@ class MemoizedCostModel(CostModel):
     def __init__(self, inner: CostModel):
         self.inner = inner
         self._sq: dict[tuple[Condition, str], float] = {}
-        self._sjq: dict[tuple[Condition, str, float], float] = {}
         self._lq: dict[str, float] = {}
         self.hits = 0
         self.misses = 0
@@ -691,15 +722,12 @@ class MemoizedCostModel(CostModel):
     def sjq_cost(
         self, condition: Condition, source_name: str, input_size: float
     ) -> float:
-        key = (condition, source_name, input_size)
-        cached = self._sjq.get(key)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        self.misses += 1
-        value = self.inner.sjq_cost(condition, source_name, input_size)
-        self._sjq[key] = value
-        return value
+        return self.inner.sjq_cost(condition, source_name, input_size)
+
+    def sjq_pricer(
+        self, condition: Condition, source_name: str
+    ) -> Callable[[float], float]:
+        return self.inner.sjq_pricer(condition, source_name)
 
     def lq_cost(self, source_name: str) -> float:
         cached = self._lq.get(source_name)

@@ -39,23 +39,13 @@ class SJStagedProblem(StagedEstimatorProblem):
         return StageOutcome(cost, (choice,) * len(self.source_names))
 
     def first_stage(self, index: int) -> StageOutcome:
-        condition = self.conditions[index]
-        cost = sum(
-            self.cost_model.sq_cost(condition, source)
-            for source in self.source_names
-        )
+        cost = sum(selection for selection, __ in self.terms(index))
         return self._uniform(cost, StagedChoice.SELECTION)
 
     def later_stage(self, index: int, prefix_size: float) -> StageOutcome:
-        condition = self.conditions[index]
-        selection_cost = sum(
-            self.cost_model.sq_cost(condition, source)
-            for source in self.source_names
-        )
-        semijoin_cost = sum(
-            self.cost_model.sjq_cost(condition, source, prefix_size)
-            for source in self.source_names
-        )
+        terms = self.terms(index)
+        selection_cost = sum(selection for selection, __ in terms)
+        semijoin_cost = sum(semijoin(prefix_size) for __, semijoin in terms)
         if selection_cost < semijoin_cost:
             return self._uniform(selection_cost, StagedChoice.SELECTION)
         return self._uniform(semijoin_cost, StagedChoice.SEMIJOIN)

@@ -29,6 +29,12 @@ from repro.optimize.search import (
 from repro.plans.builder import IntersectPolicy, StagedChoice
 
 
+# The source loop runs m·2^(m-1)·n times per subset search; reading an
+# enum member off its class goes through the metaclass every time.
+_SELECTION = StagedChoice.SELECTION
+_SEMIJOIN = StagedChoice.SEMIJOIN
+
+
 class SJAStagedProblem(StagedEstimatorProblem):
     """Fig. 4 stage costing: per-source selection-vs-semijoin choice.
 
@@ -38,28 +44,19 @@ class SJAStagedProblem(StagedEstimatorProblem):
     """
 
     def first_stage(self, index: int) -> StageOutcome:
-        condition = self.conditions[index]
-        cost = sum(
-            self.cost_model.sq_cost(condition, source)
-            for source in self.source_names
-        )
-        payload = tuple([StagedChoice.SELECTION] * len(self.source_names))
-        return StageOutcome(cost, payload)
+        cost = sum(selection for selection, __ in self.terms(index))
+        return StageOutcome(cost, (_SELECTION,) * len(self.source_names))
 
     def later_stage(self, index: int, prefix_size: float) -> StageOutcome:
-        condition = self.conditions[index]
         cost = 0.0
         stage_choices = []
-        for source in self.source_names:  # source loop
-            selection_cost = self.cost_model.sq_cost(condition, source)
-            semijoin_cost = self.cost_model.sjq_cost(
-                condition, source, prefix_size
-            )
+        for selection_cost, semijoin in self.terms(index):  # source loop
+            semijoin_cost = semijoin(prefix_size)
             if selection_cost < semijoin_cost:
-                stage_choices.append(StagedChoice.SELECTION)
+                stage_choices.append(_SELECTION)
                 cost += selection_cost
             else:
-                stage_choices.append(StagedChoice.SEMIJOIN)
+                stage_choices.append(_SEMIJOIN)
                 cost += semijoin_cost
         return StageOutcome(cost, tuple(stage_choices))
 

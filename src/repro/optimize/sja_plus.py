@@ -105,9 +105,15 @@ class SJAPlusOptimizer(Optimizer):
             plan = base_result.plan
             if self.prune_difference:
                 plan = apply_difference_pruning(plan)
+            breakdown = estimate_plan_cost(plan, cost_model, estimator)
             if self.load_sources:
-                plan = apply_source_loading(plan, cost_model, estimator)
-            estimated = estimate_plan_cost(plan, cost_model, estimator).total
+                loaded = apply_source_loading(
+                    plan, cost_model, estimator, breakdown=breakdown
+                )
+                if loaded is not plan:  # rewritten: price what was built
+                    plan = loaded
+                    breakdown = estimate_plan_cost(plan, cost_model, estimator)
+            estimated = breakdown.total
         return OptimizationResult(
             plan=plan.with_description(
                 plan.description.replace(

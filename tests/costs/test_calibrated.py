@@ -9,6 +9,7 @@ import pytest
 from repro.costs.calibrated import CalibratedCostModel
 from repro.costs.charge import ChargeCostModel
 from repro.costs.estimates import SizeEstimator
+from repro.errors import CostModelError
 from repro.sources.generators import (
     SyntheticConfig,
     build_synthetic,
@@ -64,6 +65,13 @@ class TestStructure:
         assert calibrated.sjq_cost(
             conditions[0], federation.source_names[0], 0
         ) == 0.0
+
+    @pytest.mark.parametrize("size", [-1, math.nan, math.inf])
+    def test_only_a_finite_input_size_is_priced(self, setup, size):
+        federation, calibrated, __, conditions = setup
+        for name in federation.source_names:
+            with pytest.raises(CostModelError, match="input size"):
+                calibrated.sjq_cost(conditions[0], name, size)
 
     def test_lq_extrapolation_positive_and_finite(self, setup):
         federation, calibrated, __, __ = setup

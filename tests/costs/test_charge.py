@@ -9,6 +9,7 @@ import pytest
 from repro.costs.charge import ChargeCostModel
 from repro.costs.estimates import SizeEstimator
 from repro.costs.model import check_cost_axioms
+from repro.errors import CostModelError
 from repro.relational.parser import parse_condition
 from repro.relational.relation import Relation
 from repro.relational.schema import dmv_schema
@@ -90,6 +91,51 @@ class TestSemijoinCost:
         model = ChargeCostModel.for_federation(federation, estimator)
         assert math.isinf(model.sjq_cost(DUI, "R1", 5))
         assert not model.supports_semijoin("R1", DUI)
+
+
+class TestNonFiniteInputSize:
+    """``|X| = inf`` used to escape as ``OverflowError`` (batched native:
+    ``math.ceil(inf)``) or come back as ``nan`` (``inf * 0.0`` received
+    items), which every ``<`` in the stage rules reads as "not cheaper"."""
+
+    def test_batched_native_raises_the_typed_error(self):
+        federation, __ = dmv_fig1(
+            capabilities=SourceCapabilities(max_semijoin_batch=10)
+        )
+        estimator = SizeEstimator(
+            ExactStatistics(federation), federation.source_names
+        )
+        model = ChargeCostModel.for_federation(federation, estimator)
+        with pytest.raises(CostModelError, match="input size"):
+            model.sjq_cost(DUI, "R1", math.inf)
+
+    @pytest.mark.parametrize(
+        "capabilities",
+        [SourceCapabilities.full(), SourceCapabilities.selection_only()],
+        ids=["unbatched", "emulated"],
+    )
+    def test_zero_match_fraction_is_not_priced_at_nan(self, capabilities):
+        federation, __ = dmv_fig1(capabilities=capabilities)
+        estimator = SizeEstimator(
+            ExactStatistics(federation), federation.source_names
+        )
+        model = ChargeCostModel.for_federation(federation, estimator)
+        nosuch = parse_condition("V = 'nosuch'")
+        assert estimator.match_fraction(nosuch, "R1") == 0.0
+        with pytest.raises(CostModelError, match="input size"):
+            model.sjq_cost(nosuch, "R1", math.inf)
+        with pytest.raises(CostModelError, match="input size"):
+            model.sjq_pricer(nosuch, "R1")(math.inf)
+
+    def test_unsupported_checks_the_size_before_answering_inf(self):
+        federation, __ = dmv_fig1(capabilities=SourceCapabilities.minimal())
+        estimator = SizeEstimator(
+            ExactStatistics(federation), federation.source_names
+        )
+        model = ChargeCostModel.for_federation(federation, estimator)
+        for size in (-1, math.nan, math.inf):
+            with pytest.raises(CostModelError, match="input size"):
+                model.sjq_cost(DUI, "R1", size)
 
 
 class TestLoadCost:

@@ -35,6 +35,16 @@ class TestUniformCostModel:
         with pytest.raises(CostModelError):
             UniformCostModel().sjq_cost(CONDITION, "R1", -1)
 
+    @pytest.mark.parametrize("size", [-1, math.nan, math.inf])
+    def test_only_a_finite_input_size_is_priced(self, size):
+        # |X| is a set size: inf is as meaningless as NaN, and used to
+        # come back as an infinite "price" the stage rules then compared.
+        for model in (UniformCostModel(), TableCostModel()):
+            with pytest.raises(CostModelError, match="input size"):
+                model.sjq_cost(CONDITION, "R1", size)
+            with pytest.raises(CostModelError, match="input size"):
+                model.sjq_pricer(CONDITION, "R1")(size)
+
     def test_satisfies_axioms(self):
         violations = check_cost_axioms(
             UniformCostModel(), [CONDITION, OTHER], ["R1", "R2"]

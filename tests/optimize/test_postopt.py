@@ -176,6 +176,25 @@ class TestSourceLoading:
             is mixed_stage_plan
         )
 
+    def test_accepts_the_breakdown_the_caller_already_has(
+        self, dmv_estimator, mixed_stage_plan
+    ):
+        for lq_table in ({"R1": 5.0, "R3": 5.0}, {}):
+            model = TableCostModel(
+                default_sq=100.0, default_sjq=(50.0, 1.0), lq_table=lq_table
+            )
+            breakdown = estimate_plan_cost(
+                mixed_stage_plan, model, dmv_estimator
+            )
+            handed = apply_source_loading(
+                mixed_stage_plan, model, dmv_estimator, breakdown=breakdown
+            )
+            computed = apply_source_loading(
+                mixed_stage_plan, model, dmv_estimator
+            )
+            assert handed.operations == computed.operations
+            assert (handed is mixed_stage_plan) == (not lq_table)
+
     def test_preserves_answer(self, dmv_federation, dmv_query, dmv_estimator):
         plan = build_staged_plan(
             dmv_query,

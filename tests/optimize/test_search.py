@@ -9,12 +9,16 @@ allowed to lose, and must say so via ``exact=False``.
 
 from __future__ import annotations
 
+import ast
+import inspect
 import math
 import pathlib
+import textwrap
 
 import pytest
 
 import repro
+from repro.costs.calibrated import CalibratedCostModel
 from repro.costs.charge import ChargeCostModel
 from repro.costs.estimates import SizeEstimator
 from repro.costs.model import UniformCostModel
@@ -182,6 +186,10 @@ def test_memoized_model_returns_identical_values():
     sj_first = memo.sjq_cost(condition, source, 10.0)
     assert memo.sjq_cost(condition, source, 10.0) == sj_first
     assert sj_first == cost_model.sjq_cost(condition, source, 10.0)
+    assert memo.sjq_pricer(condition, source)(10.0) == sj_first
+    # Semijoin prices pass straight through: nothing keyed by a size is
+    # ever asked for twice, so only sq/lq lookups are counted.
+    assert (memo.hits, memo.misses) == (1, 1)
     assert memo.lq_cost(source) == cost_model.lq_cost(source)
 
 
@@ -246,21 +254,44 @@ def test_result_summary_names_the_strategy():
 
 def test_the_stage_rule_is_written_in_one_place():
     # Pricing a semijoin against a binding set *is* the Fig. 3/4 stage
-    # rule.  Only the cost models, the memo, the three stage rules, the
-    # generic plan coster and the tests' oracle may do it; anything else
-    # that calls ``.sjq_cost(`` has grown a private copy of the rule.
+    # rule.  The stage rules do it through the terms
+    # ``StagedEstimatorProblem`` resolves once per condition, so outside
+    # the cost models only that resolver (with the memo beside it), the
+    # generic plan coster and the tests' oracle may ask a model for a
+    # semijoin price; anything else that calls ``.sjq_cost(`` or
+    # ``.sjq_pricer(`` has grown a private copy of the rule.
     root = pathlib.Path(repro.__file__).parent
-    callers = {
-        path.relative_to(root).as_posix()
+    sources = {
+        path.relative_to(root).as_posix(): path.read_text()
         for path in root.rglob("*.py")
-        if ".sjq_cost(" in path.read_text()
+    }
+    callers = {
+        name
+        for name, text in sources.items()
+        if ".sjq_cost(" in text or ".sjq_pricer(" in text
     }
     allowed = {
         "optimize/search.py",
-        "optimize/sj.py",
-        "optimize/sja.py",
-        "optimize/response_time.py",
         "plans/cost.py",
         "plans/space.py",
     }
     assert {c for c in callers if not c.startswith("costs/")} <= allowed
+    for rule in ("optimize/sj.py", "optimize/sja.py", "optimize/response_time.py"):
+        assert ".sq_cost(" not in sources[rule], rule
+
+
+def test_the_charge_formula_is_written_in_one_place():
+    # ChargeCostModel and CalibratedCostModel differ in where the three
+    # charges come from, not in what is done with them: the semijoin
+    # formula is ``costs.charge.charge_sjq_pricer`` and each model's
+    # ``sjq_cost`` is that pricer applied — no arithmetic of its own.
+    root = pathlib.Path(repro.__file__).parent
+    assert "per_item_send" not in (root / "costs/calibrated.py").read_text()
+    for model in (ChargeCostModel, CalibratedCostModel):
+        applied = inspect.getsource(model.sjq_cost)
+        assert "self.sjq_pricer(" in applied, model.__name__
+        assert not any(
+            isinstance(node, ast.BinOp)
+            for node in ast.walk(ast.parse(textwrap.dedent(applied)))
+        ), model.__name__
+        assert "charge_sjq_pricer(" in inspect.getsource(model.sjq_pricer)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pytest
 
 from repro.mediator.executor import Executor
 from repro.mediator.reference import reference_answer
@@ -107,6 +108,43 @@ class TestSJAPlus:
         assert plus.orderings_considered == sja.orderings_considered
         assert plus.plans_considered == sja.plans_considered + 1
         assert plus.optimizer == "SJA+"
+
+    @pytest.mark.parametrize("loading_rewrites", [False, True])
+    def test_finished_plan_is_priced_once(self, monkeypatch, loading_rewrites):
+        # The loading pass needs the candidate's breakdown and the
+        # result needs its total: one pricing serves both unless loading
+        # built a different plan, which is then priced afresh.
+        if loading_rewrites:
+            federation, query = dmv_fig1()  # default link: loads are cheap
+            estimator = SizeEstimator(
+                ExactStatistics(federation), federation.source_names
+            )
+            model = ChargeCostModel.for_federation(federation, estimator)
+        else:
+            federation, query, model, estimator = semijoin_heavy_kit()
+        priced = []
+
+        def counting(plan, cost_model, size_estimator):
+            priced.append(plan)
+            return estimate_plan_cost(plan, cost_model, size_estimator)
+
+        monkeypatch.setattr(
+            "repro.optimize.sja_plus.estimate_plan_cost", counting
+        )
+        monkeypatch.setattr(
+            "repro.optimize.postopt.estimate_plan_cost", counting
+        )
+        result = SJAPlusOptimizer().optimize(
+            query, federation.source_names, model, estimator
+        )
+        loads = result.plan.count_by_kind().get(OpKind.LOAD, 0)
+        assert (loads > 0) == loading_rewrites
+        assert len(priced) == (2 if loading_rewrites else 1)
+        assert priced[-1].operations == result.plan.operations
+        assert (
+            result.estimated_cost.hex()
+            == estimate_plan_cost(result.plan, model, estimator).total.hex()
+        )
 
     def test_actual_cost_improves_on_dmv(self, dmv):
         """End to end on Fig. 1: SJA+'s executed cost <= SJA's."""

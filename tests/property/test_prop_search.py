@@ -103,10 +103,14 @@ def test_memoized_costs_are_transparent(kit, query_seed):
             assert memo.sq_cost(condition, source) == cost_model.sq_cost(
                 condition, source
             )
+            pricer = memo.sjq_pricer(condition, source)
             for size in (1.0, 17.0):
                 assert memo.sjq_cost(
                     condition, source, size
                 ) == cost_model.sjq_cost(condition, source, size)
+                assert pricer(size) == cost_model.sjq_cost(
+                    condition, source, size
+                )
     names = federation.source_names
     direct = SJAOptimizer(search="dp").optimize(
         query, names, cost_model, estimator
