@@ -29,6 +29,7 @@ from repro.plans.operations import (
     SelectionOp,
     SemijoinOp,
     UnionOp,
+    condition_sql,
 )
 from repro.plans.plan import Plan
 from repro.relational.algebra import (
@@ -194,7 +195,14 @@ class Executor:
         result = ExecutionResult(items=frozenset())
         self._clock = 0.0
         if self.recorder is not None:
-            self.recorder.run_started(0.0, "sequential", plan, plan.result)
+            self.recorder.emit(
+                0.0,
+                "run_start",
+                backend="sequential",
+                plan_ops=len(plan.operations),
+                remote_ops=plan.remote_op_count,
+                result=plan.result,
+            )
 
         for index, op in enumerate(plan.operations, start=1):
             if op.remote:
@@ -202,15 +210,16 @@ class Executor:
             else:
                 trace = self._execute_local(index, op, items, relations)
                 if self.recorder is not None:
-                    self._record_local(op, trace)
+                    self._record_step(op, trace, [], items)
             result.steps.append(trace)
 
         result.items = items[plan.result]
         if self.recorder is not None:
-            self.recorder.run_finished(
+            self.recorder.emit(
                 self._clock,
-                "sequential",
-                self._clock,
+                "run_end",
+                backend="sequential",
+                makespan=self._clock,
                 retries=sum(step.retries for step in result.steps),
                 degraded=0,
                 recovered=0,
@@ -267,83 +276,70 @@ class Executor:
             retries=retries,
         )
         if self.recorder is not None:
-            self._record_remote(op, trace, new_records, items)
+            self._record_step(op, trace, new_records, items)
         return trace
 
     # ------------------------------------------------------------------
     # Telemetry (no-ops unless a recorder is attached)
 
-    def _record_remote(
+    def _record_step(
         self,
         op: Operation,
         trace: StepTrace,
         records: list,
         items: dict[str, frozenset[Any]],
     ) -> None:
-        from repro.runtime.faults import AttemptFate
-        from repro.runtime.trace import AttemptSpan, OpSpan, OpStatus
-
+        """One step's events on the step clock: a remote step is one
+        successful attempt (after its send-set), a local one is free."""
         assert self.recorder is not None
         start = self._clock
         end = start + trace.elapsed_s
-        condition = getattr(op, "condition", None)
-        condition_sql = "" if condition is None else condition.to_sql()
+        condition = condition_sql(op)
         if isinstance(op, SemijoinOp):
-            self.recorder.sendset_shipped(
+            self.recorder.emit(
                 start,
-                trace.step,
-                op.source,
-                condition_sql,
-                len(items[op.input_register]),
-            )
-        span = AttemptSpan(
-            attempt=trace.retries + 1,
-            start_s=start,
-            end_s=end,
-            fate=AttemptFate.OK,
-            cost=trace.actual_cost,
-            items_sent=sum(r.items_sent for r in records),
-            items_received=sum(r.items_received for r in records),
-            rows_loaded=sum(r.rows_loaded for r in records),
-            messages=trace.messages,
-            source=op.source,  # type: ignore[attr-defined]
-        )
-        self.recorder.attempt_finished(
-            end, trace.step, op.kind.value, op.source, condition_sql, span
-        )
-        self.recorder.op_finished(
-            end,
-            OpSpan(
+                "sendset",
                 step=trace.step,
-                operation=op,
-                queued_s=start,
-                started_s=start,
-                finished_s=end,
-                attempts=(span,),
-                status=OpStatus.OK,
-                output_size=trace.output_size,
-            ),
+                source=op.source,
+                condition=condition,
+                size=len(items[op.input_register]),
+            )
+        if op.remote:
+            self.recorder.emit(
+                end,
+                "attempt",
+                step=trace.step,
+                op=op.kind.value,
+                planned=op.source,  # type: ignore[attr-defined]
+                source=op.source,  # type: ignore[attr-defined]
+                condition=condition,
+                attempt=trace.retries + 1,
+                start=start,
+                end=end,
+                fate="ok",
+                hedge=False,
+                cost=trace.actual_cost,
+                items_sent=sum(r.items_sent for r in records),
+                items_received=sum(r.items_received for r in records),
+                rows_loaded=sum(r.rows_loaded for r in records),
+                messages=trace.messages,
+            )
+        self.recorder.emit(
+            end,
+            "op",
+            step=trace.step,
+            op=op.kind.value,
+            target=op.target,
+            source=getattr(op, "source", ""),
+            remote=op.remote,
+            condition=condition,
+            queued=start,
+            started=start,
+            finished=end,
+            status="ok",
+            output=trace.output_size,
         )
         self._clock = end
-
-    def _record_local(self, op: Operation, trace: StepTrace) -> None:
-        from repro.runtime.trace import OpSpan, OpStatus
-
-        assert self.recorder is not None
-        now = self._clock
-        self.recorder.op_finished(
-            now,
-            OpSpan(
-                step=trace.step,
-                operation=op,
-                queued_s=now,
-                started_s=now,
-                finished_s=now,
-                attempts=(),
-                status=OpStatus.OK,
-                output_size=trace.output_size,
-            ),
-        )
 
     @staticmethod
     def _execute_local(

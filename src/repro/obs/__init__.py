@@ -10,15 +10,23 @@ The source is :mod:`~repro.obs.events` — a structured event log: every
 wrapper query, semijoin send-set, retry, hedge, breaker transition,
 re-plan round and serve-lifecycle step as a JSONL record with a stable,
 validated schema (:data:`~repro.obs.events.EVENT_SCHEMA`).  The
-:class:`~repro.obs.recorder.Recorder` is the hub the engine, executor,
-health registry, re-planner and serving tier report into; it writes
-events (always) and metrics (optionally) and nothing else.  With no
+:class:`~repro.obs.recorder.Recorder` is the sink the engine, executor,
+health registry, re-planner and serving tier ``emit`` into: it puts
+each event on its clock, stamps the re-plan ``round`` on the event
+types that declare one, and validates it as it lands.  With no
 recorder attached (the default) nothing is collected and traces stay
 byte-identical to the uninstrumented runtime.
 
 Everything else is a pure function of the event stream, so it can be
 rebuilt from a persisted JSONL file as well as from a live log:
 
+* :mod:`~repro.obs.fold` — the metric catalogue: one small fold per
+  event type into the counters, gauges and fixed-bucket histograms of
+  :mod:`~repro.obs.metrics` (JSON and Prometheus exporters, scored by
+  the SLOs of :mod:`~repro.obs.slo`).  A recorder with a registry
+  attached applies it as each event lands;
+  :func:`~repro.obs.fold.metrics_from_events` applies it to a log,
+  and both export the same bytes;
 * :mod:`~repro.obs.spans` — causal span trees:
   :func:`~repro.obs.spans.engine_spans` folds a query's events into the
   op / attempt / backoff / hedge / marker subtree of its trace
@@ -34,14 +42,6 @@ rebuilt from a persisted JSONL file as well as from a live log:
   :func:`~repro.obs.replay.trace_from_events` rebuilds a
   :class:`~repro.runtime.trace.RuntimeTrace` byte for byte.
 
-:mod:`~repro.obs.metrics` (counters, gauges, fixed-bucket histograms,
-JSON and Prometheus exporters, scored by the SLOs of
-:mod:`~repro.obs.slo`) is the one eager exception: the recorder updates
-it alongside each event rather than folding it afterwards, because
-three updates have no event to fold from — clean-answer verification
-counts (only *tainted* answers emit ``quality``), the deadline
-met/missed tally, and the sources' traffic observer.
-
 Closing the loop, :class:`repro.sources.observed.ObservedStatistics`
 is one more fold: it mines these event logs for cardinalities and
 per-condition selectivities, letting a mediator plan from what it has
@@ -54,6 +54,7 @@ from repro.obs.events import (
     EventLog,
     validate_record,
 )
+from repro.obs.fold import fold_event, metrics_from_events
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -93,6 +94,8 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "fold_event",
+    "metrics_from_events",
     "traffic_metrics_observer",
     "QueryProfile",
     "Recorder",

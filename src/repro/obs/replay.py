@@ -14,6 +14,7 @@ from it), so replay needs no access to the original plan.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -75,15 +76,22 @@ def trace_from_events(
         )
 
     attempts_by_step: dict[int, list[AttemptSpan]] = {}
+    # When each step's first answer arrived.  The schema carries no
+    # ``confirm`` flag, but an answered step sends nothing further on
+    # its primary path, so a non-hedge attempt that starts once the
+    # answer is in hand can only be a ``vote`` confirmation fetch.
+    answered_s: dict[int, float] = {}
     for event in all_events:
         if event.type != "attempt" or event["round"] != round_no:
             continue
-        attempts_by_step.setdefault(event["step"], []).append(
+        step = event["step"]
+        fate = AttemptFate(event["fate"])
+        attempts_by_step.setdefault(step, []).append(
             AttemptSpan(
                 attempt=event["attempt"],
                 start_s=event["start"],
                 end_s=event["end"],
-                fate=AttemptFate(event["fate"]),
+                fate=fate,
                 cost=event["cost"],
                 items_sent=event["items_sent"],
                 items_received=event["items_received"],
@@ -91,8 +99,12 @@ def trace_from_events(
                 messages=event["messages"],
                 source=event["source"],
                 hedge=event["hedge"],
+                confirm=not event["hedge"]
+                and event["start"] >= answered_s.get(step, math.inf),
             )
         )
+        if fate is AttemptFate.OK:
+            answered_s.setdefault(step, event["end"])
 
     spans = []
     for event in sorted(op_events, key=lambda e: e["step"]):

@@ -35,7 +35,6 @@ from repro.optimize.base import OptimizationResult, Optimizer
 from repro.optimize.search import (
     DEFAULT_BEAM_WIDTH,
     STRATEGIES,
-    MemoizedCostModel,
     SearchOutcome,
     beam_search,
     cost_along,
@@ -85,7 +84,6 @@ __all__ = [
     "CandidateScore",
     "STRATEGIES",
     "DEFAULT_BEAM_WIDTH",
-    "MemoizedCostModel",
     "SearchOutcome",
     "beam_search",
     "cost_along",

@@ -44,7 +44,6 @@ from repro.mediator.schedule import Schedule, estimated_response_time
 from repro.optimize.base import OptimizationResult, Optimizer, _Stopwatch
 from repro.optimize.search import (
     DEFAULT_BEAM_WIDTH,
-    MemoizedCostModel,
     SearchOutcome,
     StagedEstimatorProblem,
     StageOutcome,
@@ -195,7 +194,7 @@ class ResponseTimeSJAOptimizer(Optimizer):
             problem = ResponseTimeStagedProblem(
                 query.conditions,
                 source_names,
-                MemoizedCostModel(cost_model),
+                cost_model,
                 estimator,
                 self.federation,
             )

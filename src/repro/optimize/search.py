@@ -44,8 +44,7 @@ context keeps whole stages by ``(condition, preceding set)``, and
 function of ``|X|`` alone — for the stage rules to walk.  Semijoin
 prices are *not* memoized by ``(condition, source, |X|)``: every
 preceding set has its own ``|X|`` and the stage memo has absorbed the
-repeats, so such a key never hit.  :class:`MemoizedCostModel` memoizes
-only ``sq_cost`` / ``lq_cost``, for a query naming a condition twice.
+repeats, so such a key never hit.
 
 Finally, :func:`cost_along` costs one *given* ordering under a stage
 rule, and :class:`StagedOptimizer` is the one ``optimize()`` every
@@ -685,62 +684,6 @@ def cost_along(
 
 
 # ----------------------------------------------------------------------
-# Memoized costing
-
-
-class MemoizedCostModel(CostModel):
-    """A per-optimize-call memo over any :class:`CostModel`.
-
-    Cost models are pure functions of their arguments (the interface
-    contract), so caching is sound.  ``sq_cost`` and ``lq_cost`` are
-    memoized; semijoin prices pass straight through (a ``(condition,
-    source, |X|)`` key stored 7 056 entries per m = 7, n = 16 query and
-    hit none: the stage rules hold one pricer per pair).
-
-    The wrapper is built fresh inside each ``optimize()`` call, so
-    nothing outlives the statistics snapshot it was computed from.
-    """
-
-    def __init__(self, inner: CostModel):
-        self.inner = inner
-        self._sq: dict[tuple[Condition, str], float] = {}
-        self._lq: dict[str, float] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def sq_cost(self, condition: Condition, source_name: str) -> float:
-        key = (condition, source_name)
-        cached = self._sq.get(key)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        self.misses += 1
-        value = self.inner.sq_cost(condition, source_name)
-        self._sq[key] = value
-        return value
-
-    def sjq_cost(
-        self, condition: Condition, source_name: str, input_size: float
-    ) -> float:
-        return self.inner.sjq_cost(condition, source_name, input_size)
-
-    def sjq_pricer(
-        self, condition: Condition, source_name: str
-    ) -> Callable[[float], float]:
-        return self.inner.sjq_pricer(condition, source_name)
-
-    def lq_cost(self, source_name: str) -> float:
-        cached = self._lq.get(source_name)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        self.misses += 1
-        value = self.inner.lq_cost(source_name)
-        self._lq[source_name] = value
-        return value
-
-
-# ----------------------------------------------------------------------
 # The staged optimizers' shared skeleton
 
 
@@ -784,10 +727,7 @@ class StagedOptimizer(Optimizer):
         self._check_inputs(query, source_names)
         with _Stopwatch() as watch:
             problem = self.stage_rule(
-                query.conditions,
-                source_names,
-                MemoizedCostModel(cost_model),
-                estimator,
+                query.conditions, source_names, cost_model, estimator
             )
             outcome = self._ordering(problem, query.arity)
             plan = build_staged_plan(

@@ -78,6 +78,12 @@ class Operation:
         return condition.to_sql()
 
 
+def condition_sql(operation: Operation) -> str:
+    """The operation's condition as SQL (``""`` when it has none)."""
+    condition = getattr(operation, "condition", None)
+    return "" if condition is None else condition.to_sql()
+
+
 @dataclass(frozen=True)
 class SelectionOp(Operation):
     """``target := sq(condition, R_source)`` — a remote selection query."""

@@ -83,6 +83,7 @@ from repro.plans.operations import (
     SelectionOp,
     SemijoinOp,
     UnionOp,
+    condition_sql,
 )
 from repro.plans.plan import Plan
 from repro.relational.algebra import (
@@ -219,9 +220,6 @@ class RuntimeEngine:
         health: An existing :class:`HealthRegistry` to share — re-plan
             rounds pass the same registry so breaker state survives
             across plans.  Overrides ``breaker``.
-        min_containment: Row-containment threshold for derived
-            substitutes (1.0 = only lossless substitution; declared
-            replica groups always qualify).
         load_balance: Spread healthy traffic round-robin across a
             replica group's members instead of serializing everything
             on the planned source (off by default — the zero-config
@@ -252,7 +250,6 @@ class RuntimeEngine:
         hedge_delay_s: float | None = None,
         breaker: BreakerConfig | None = None,
         health: HealthRegistry | None = None,
-        min_containment: float = 1.0,
         load_balance: bool = False,
         verify: str = "off",
         quarantine: QuarantineConfig | None = None,
@@ -275,7 +272,6 @@ class RuntimeEngine:
             if health is not None
             else HealthRegistry(breaker, quarantine)
         )
-        self.min_containment = min_containment
         self.load_balance = load_balance
         self.verify = verify
         self.verifier = (
@@ -296,9 +292,9 @@ class RuntimeEngine:
     def substitutes_for(self, source_name: str) -> tuple[str, ...]:
         """Substitutable sources for ``source_name``, best first (cached)."""
         if self._substitutes is None:
-            self._substitutes = self.federation.substitutability(
-                min_containment=self.min_containment
-            )
+            # Default containment 1.0, lossless substitutes only: the
+            # "never a spurious tuple" contract assumes nothing less.
+            self._substitutes = self.federation.substitutability()
         return self._substitutes.get(source_name, ())
 
     def run(
@@ -479,8 +475,13 @@ class _Execution:
 
     def run(self) -> RuntimeResult:
         if self.recorder is not None:
-            self.recorder.run_started(
-                0.0, "runtime", self.plan, self.plan.result
+            self.recorder.emit(
+                0.0,
+                "run_start",
+                backend="runtime",
+                plan_ops=len(self.plan.operations),
+                remote_ops=self.plan.remote_op_count,
+                result=self.plan.result,
             )
         if self.budget_s is not None and self.budget_s <= 0:
             # Budget already spent: degrade everything without ever
@@ -522,10 +523,11 @@ class _Execution:
         )
         if self.recorder is not None:
             trace = result.trace
-            self.recorder.run_finished(
+            self.recorder.emit(
                 self.makespan_s,
-                "runtime",
-                self.makespan_s,
+                "run_end",
+                backend="runtime",
+                makespan=self.makespan_s,
                 retries=trace.total_retries,
                 degraded=len(trace.degraded_steps)
                 + len(trace.deadline_steps),
@@ -728,12 +730,13 @@ class _Execution:
             bindings = self.tasks[
                 task.input_writer[task.op.input_register]
             ].value
-            self.recorder.sendset_shipped(
+            self.recorder.emit(
                 now,
-                task.step,
-                serving,
-                task.op.condition.to_sql(),
-                len(bindings),
+                "sendset",
+                step=task.step,
+                source=serving,
+                condition=task.op.condition.to_sql(),
+                size=len(bindings),
             )
         mark = len(source.traffic.records)
         try:
@@ -834,30 +837,33 @@ class _Execution:
             or attempt not in task.inflight
         ):
             return
+        self._hedge(task, attempt.source_name, now, "timer")
+
+    def _maybe_hedge_on_failure(self, task: _Task, now: float) -> None:
+        """First-failure trigger: hedge immediately instead of waiting."""
+        if self.engine.hedge_delay_s is None or task.hedged:
+            return
+        self._hedge(task, task.slot_source, now, "failure")
+
+    def _hedge(
+        self, task: _Task, primary: str, now: float, trigger: str
+    ) -> None:
+        """Duplicate ``task`` on an idle healthy substitute, if any."""
         if self.budget_s is not None and now >= self.budget_s:
             return  # no budget left for speculation
         target = self._substitute_target(task, now)
         if target is None:
             return  # no idle healthy replica; the primary races alone
         if self.recorder is not None:
-            self.recorder.hedge_launched(
-                now, task.step, attempt.source_name, target, "timer"
+            self.recorder.emit(
+                now,
+                "hedge",
+                step=task.step,
+                primary=primary,
+                target=target,
+                trigger=trigger,
             )
         self._launch(task, target, now, hedge=True)
-
-    def _maybe_hedge_on_failure(self, task: _Task, now: float) -> None:
-        """First-failure trigger: hedge immediately instead of waiting."""
-        if self.engine.hedge_delay_s is None or task.hedged:
-            return
-        if self.budget_s is not None and now >= self.budget_s:
-            return  # no budget left for speculation
-        target = self._substitute_target(task, now)
-        if target is not None:
-            if self.recorder is not None:
-                self.recorder.hedge_launched(
-                    now, task.step, task.slot_source, target, "failure"
-                )
-            self._launch(task, target, now, hedge=True)
 
     def _cancel(self, attempt: _Attempt, now: float) -> None:
         """Cancel a raced-out attempt: record span, free its connection.
@@ -896,14 +902,14 @@ class _Execution:
         )
         task.attempts.append(span)
         if self.recorder is not None:
-            condition = getattr(task.op, "condition", None)
-            self.recorder.attempt_finished(
+            self.recorder.emit(
                 now,
-                task.step,
-                task.op.kind.value,
-                task.planned_source,
-                "" if condition is None else condition.to_sql(),
-                span,
+                "attempt",
+                step=task.step,
+                op=task.op.kind.value,
+                planned=task.planned_source,
+                condition=condition_sql(task.op),
+                **span.event_fields(),
             )
 
     def _handle_complete(self, now: float, attempt: _Attempt) -> None:
@@ -1114,12 +1120,20 @@ class _Execution:
             delivered=report.delivered,
             kept=report.kept,
         )
-        if self.recorder is not None:
-            self.recorder.answer_verified(
+        if self.recorder is not None and not report.clean:
+            # Only answers with detectable issues leave an event, so
+            # clean runs do not bloat the log.
+            self.recorder.emit(
                 now,
-                task.step,
-                report,
-                self.health.quality_score(source),
+                "quality",
+                step=task.step,
+                source=report.source,
+                delivered=report.delivered,
+                kept=report.kept,
+                corrupt=report.corrupt,
+                duplicates=report.duplicates,
+                conflicts=report.conflicts,
+                score=self.health.quality_score(source),
             )
 
     def _handle_failure(
@@ -1154,12 +1168,13 @@ class _Execution:
         if self.policy.may_retry(retries_used, task.first_start_s, retry_at):
             task.retry_pending = True
             if self.recorder is not None:
-                self.recorder.retry_scheduled(
+                self.recorder.emit(
                     now,
-                    task.step,
-                    attempt.source_name,
-                    retries_used + 1,
-                    retry_at,
+                    "retry",
+                    step=task.step,
+                    source=attempt.source_name,
+                    retries=retries_used + 1,
+                    at=retry_at,
                 )
             self._push(retry_at, "retry", (task,))  # connection stays held
             return
@@ -1170,8 +1185,10 @@ class _Execution:
 
     def _handle_retry(self, now: float, task: _Task) -> None:
         task.retry_pending = False
-        if task.done:
-            return  # a hedge won during the backoff
+        if task.done or task.answers:
+            # A hedge won during the backoff — under ``vote`` the task
+            # may still be waiting for its confirmation, answer in hand.
+            return
         self._start_attempt(task, now)
 
     def _give_up_deadline(self, task: _Task, now: float) -> None:
@@ -1239,26 +1256,12 @@ class _Execution:
         self, task: _Task, now: float, value: Any, status: OpStatus
     ) -> None:
         source_name = task.slot_source
-        task.value = value
-        task.done = True
         if task in self.blocked:
             self.blocked.remove(task)
         if task in self.confirm_waiting:
             self.confirm_waiting.remove(task)
         assert task.first_start_s is not None
-        self.spans[task.index] = OpSpan(
-            step=task.step,
-            operation=task.op,
-            queued_s=task.queued_s,
-            started_s=task.first_start_s,
-            finished_s=now,
-            attempts=tuple(task.attempts),
-            status=status,
-            output_size=len(value),
-        )
-        if self.recorder is not None:
-            self.recorder.op_finished(now, self.spans[task.index])
-        self.makespan_s = max(self.makespan_s, now)
+        self._close(task, now, value, status, task.first_start_s)
         if task.slot_released:
             # The slot went back to the group when the task parked for
             # confirmation; it may be serving someone else by now.
@@ -1267,6 +1270,31 @@ class _Execution:
         self.busy[source_name] = False
         self._propagate(task, now)
         self._dispatch_group(source_name, now)
+
+    def _close(
+        self,
+        task: _Task,
+        now: float,
+        value: Any,
+        status: OpStatus,
+        started_s: float,
+    ) -> None:
+        """Publish a finished task: its value, its span, its ``op`` event."""
+        task.value = value
+        task.done = True
+        span = self.spans[task.index] = OpSpan(
+            step=task.step,
+            operation=task.op,
+            queued_s=task.queued_s,
+            started_s=started_s,
+            finished_s=now,
+            attempts=tuple(task.attempts),
+            status=status,
+            output_size=len(value),
+        )
+        if self.recorder is not None:
+            self.recorder.emit(now, "op", **span.event_fields())
+        self.makespan_s = max(self.makespan_s, now)
 
     def _propagate(self, task: _Task, now: float) -> None:
         for index in task.dependents:
@@ -1294,19 +1322,5 @@ class _Execution:
             value = local_selection(fetch(op.input_register), op.condition)
         else:  # pragma: no cover
             raise ExecutionError(f"unknown local operation {op!r}")
-        task.value = value
-        task.done = True
-        self.spans[task.index] = OpSpan(
-            step=task.step,
-            operation=op,
-            queued_s=now,
-            started_s=now,
-            finished_s=now,
-            attempts=(),
-            status=OpStatus.OK,
-            output_size=len(value),
-        )
-        if self.recorder is not None:
-            self.recorder.op_finished(now, self.spans[task.index])
-        self.makespan_s = max(self.makespan_s, now)
+        self._close(task, now, value, OpStatus.OK, started_s=now)
         self._propagate(task, now)

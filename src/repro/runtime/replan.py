@@ -141,7 +141,6 @@ class ResilientExecutor:
             engines over the same federation (overrides ``breaker``).
         max_replans: How many re-planning rounds may follow the initial
             run (0 = plain execution, no re-planning).
-        min_containment: Row-containment threshold for substitutes.
         load_balance: Spread healthy traffic across replica-group
             members (see :class:`RuntimeEngine`).
         recorder: Optional :class:`repro.obs.Recorder` shared by every
@@ -161,7 +160,6 @@ class ResilientExecutor:
         breaker: BreakerConfig | None = None,
         health: HealthRegistry | None = None,
         max_replans: int = 2,
-        min_containment: float = 1.0,
         load_balance: bool = False,
         verify: str = "off",
         quarantine: QuarantineConfig | None = None,
@@ -181,7 +179,6 @@ class ResilientExecutor:
             federation, self.estimator
         )
         self.max_replans = max_replans
-        self.min_containment = min_containment
         self.recorder = recorder
         # One engine for every round: breaker/health state must survive
         # re-planning so a replan does not re-burn budget on known-dead
@@ -193,7 +190,6 @@ class ResilientExecutor:
             hedge_delay_s=hedge_delay_s,
             breaker=breaker,
             health=health,
-            min_containment=min_containment,
             load_balance=load_balance,
             verify=verify,
             quarantine=quarantine,
@@ -233,13 +229,13 @@ class ResilientExecutor:
             )
             if self.recorder is not None:
                 self.recorder.round = round_no
-                self.recorder.round_planned(
+                self.recorder.emit(
                     0.0,
-                    round_no,
-                    optimization.optimizer,
-                    sorted(active),
-                    sorted(masked),
-                    optimization.estimated_cost,
+                    "replan",
+                    optimizer=optimization.optimizer,
+                    sources=sorted(active),
+                    masked=sorted(masked),
+                    estimated_cost=optimization.estimated_cost,
                 )
             result = self.engine.run(optimization.plan, budget_s=remaining_s)
             if self.recorder is not None:
@@ -296,9 +292,7 @@ class ResilientExecutor:
     ) -> str | None:
         """Best substitute for ``dead`` not already planned, dead, or
         quarantined."""
-        for name in self.federation.substitutes_for(
-            dead, min_containment=self.min_containment
-        ):
+        for name in self.federation.substitutes_for(dead):
             if name not in active and name not in masked:
                 if (
                     self.engine.health.state_of(name)

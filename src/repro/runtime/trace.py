@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Any
 
-from repro.plans.operations import Operation
+from repro.plans.operations import Operation, condition_sql
 from repro.runtime.faults import AttemptFate
 
 
@@ -62,6 +63,23 @@ class AttemptSpan:
     @property
     def duration_s(self) -> float:
         return self.end_s - self.start_s
+
+    def event_fields(self) -> dict[str, Any]:
+        """This attempt's share of an ``attempt`` event — the inverse
+        of :func:`repro.obs.replay.trace_from_events`."""
+        return {
+            "attempt": self.attempt,
+            "source": self.source,
+            "start": self.start_s,
+            "end": self.end_s,
+            "fate": self.fate.value,
+            "hedge": self.hedge,
+            "cost": self.cost,
+            "items_sent": self.items_sent,
+            "items_received": self.items_received,
+            "rows_loaded": self.rows_loaded,
+            "messages": self.messages,
+        }
 
 
 @dataclass(frozen=True)
@@ -131,6 +149,23 @@ class OpSpan:
     def hedged(self) -> bool:
         """True when a speculative duplicate attempt was launched."""
         return any(span.hedge for span in self.attempts)
+
+    def event_fields(self) -> dict[str, Any]:
+        """The ``op`` event of this span (all fields but ``round``)."""
+        op = self.operation
+        return {
+            "step": self.step,
+            "op": op.kind.value,
+            "target": op.target,
+            "source": self.source,
+            "remote": op.remote,
+            "condition": condition_sql(op),
+            "queued": self.queued_s,
+            "started": self.started_s,
+            "finished": self.finished_s,
+            "status": self.status.value,
+            "output": self.output_size,
+        }
 
     def render(self, labels=None) -> str:
         flags = ""

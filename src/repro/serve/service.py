@@ -505,24 +505,41 @@ class MediatorService:
     def _text_of(query: FusionQuery | str) -> str:
         return query if isinstance(query, str) else query.describe()
 
-    def _record_shed(
+    def _serve_event(
         self,
         now_s: float,
+        phase: str,
         seq: int,
         tenant: str,
-        exc: AdmissionError,
-        deadline_s: float | None,
+        detail: str = "",
+        latency_s: float = 0.0,
     ) -> None:
-        """Emit the richer ``shed`` event for deadline refusals."""
-        if not isinstance(exc, DeadlineInfeasibleError):
-            return
-        self.recorder.query_shed(
+        """One lifecycle transition of query ``seq``, with the queue
+        depth and in-flight count *after* it."""
+        self.recorder.emit(
             now_s,
-            seq,
-            tenant,
-            reason="invalid" if exc.predicted_s is None else "infeasible",
-            predicted_s=exc.predicted_s or 0.0,
-            deadline_s=deadline_s if deadline_s is not None else 0.0,
+            "serve",
+            phase=phase,
+            query=seq,
+            tenant=tenant,
+            queue_depth=self.queue_depth,
+            in_flight=self.in_flight,
+            detail=detail,
+            latency=latency_s,
+        )
+
+    def _serve_done(self, ticket: QueryTicket, now_s: float) -> None:
+        """The ``completed`` / ``failed`` transition of a finished
+        ticket.  ``detail`` carries the error text of a failure and
+        ``"partial"`` for an answer known to be incomplete, so a
+        persisted log tells a partial answer from a full one."""
+        self._serve_event(
+            now_s,
+            "failed" if ticket.error else "completed",
+            ticket.seq,
+            ticket.tenant,
+            detail=ticket.error or ("partial" if ticket.partial else ""),
+            latency_s=ticket.latency_s,
         )
 
     def _admit(
@@ -550,11 +567,20 @@ class MediatorService:
                 tenant, deadline_s=deadline_s, predicted_s=predicted
             )
         except AdmissionError as exc:
-            self.recorder.query_rejected(
-                now_s, seq, tenant, exc.reason,
-                self.queue_depth, self.in_flight,
-            )
-            self._record_shed(now_s, seq, tenant, exc, deadline_s)
+            self._serve_event(now_s, "rejected", seq, tenant, exc.reason)
+            if isinstance(exc, DeadlineInfeasibleError):
+                # Deadline refusals also get the richer ``shed`` event.
+                self.recorder.emit(
+                    now_s,
+                    "shed",
+                    query=seq,
+                    tenant=tenant,
+                    reason=(
+                        "invalid" if exc.predicted_s is None else "infeasible"
+                    ),
+                    predicted=exc.predicted_s or 0.0,
+                    deadline=deadline_s if deadline_s is not None else 0.0,
+                )
             raise
         ticket = QueryTicket(
             seq=seq,
@@ -572,9 +598,7 @@ class MediatorService:
         self.tickets.append(ticket)
         self._by_seq[seq] = ticket
         self.scheduler.push(tenant, ticket)
-        self.recorder.query_admitted(
-            now_s, seq, tenant, self.queue_depth, self.in_flight
-        )
+        self._serve_event(now_s, "admitted", seq, tenant)
         return ticket
 
     def _expired_in_queue(self, ticket: QueryTicket, now_s: float) -> bool:
@@ -599,21 +623,9 @@ class MediatorService:
         ticket.items = frozenset()
         ticket.partial = True
         self.completed_count += 1
-        self.recorder.deadline_expired(
-            now_s,
-            ticket.seq,
-            ticket.tenant,
-            stage="queue",
-            budget_s=ticket.deadline_s,
-            overrun_s=now_s - deadline.expires_at_s,
-        )
-        self.recorder.query_completed(
-            now_s, ticket.seq, ticket.tenant,
-            self.queue_depth, self.in_flight,
-            ticket.latency_s, error="",
-            partial=True,
-        )
-        self._note_deadline_outcome(ticket, now_s)
+        self._note_deadline_cut(ticket, now_s, "queue")
+        self._serve_done(ticket, now_s)
+        self._note_deadline_outcome(ticket)
         self._finalize_trace(ticket)
         return True
 
@@ -628,25 +640,17 @@ class MediatorService:
         ticket.status = "failed"
         ticket.error = f"{type(exc).__name__}: {exc}"
         self.failed_count += 1
-        self.recorder.query_completed(
-            now_s, ticket.seq, ticket.tenant,
-            self.queue_depth, self.in_flight,
-            ticket.latency_s, error=ticket.error,
-        )
+        self._serve_done(ticket, now_s)
         self._finalize_trace(ticket)
 
-    def _note_deadline_outcome(
-        self, ticket: QueryTicket, now_s: float
-    ) -> None:
+    def _note_deadline_outcome(self, ticket: QueryTicket) -> None:
         """Met/missed accounting for one completed deadlined query."""
         if ticket.deadline_s is None:
             return
-        missed = ticket.deadline_missed
-        if missed:
+        if ticket.deadline_missed:
             self.deadline_miss_count += 1
         else:
             self.deadline_met_count += 1
-        self.recorder.deadline_outcome(now_s, ticket.tenant, missed)
 
     def _note_planned(
         self,
@@ -672,15 +676,16 @@ class MediatorService:
         cache = "off"
         if cache_hit is not None:
             cache = "hit" if cache_hit else "miss"
-        self.recorder.query_planned(
+        self.recorder.emit(
             now_s,
-            ticket.seq,
-            ticket.tenant,
-            ticket.trace_id,
+            "plan",
+            query=ticket.seq,
+            tenant=ticket.tenant,
+            trace=ticket.trace_id,
             cache=cache,
             strategy=optimization.search_strategy,
             subsets=optimization.subsets_considered,
-            elapsed_s=elapsed_s,
+            elapsed=elapsed_s,
             exhausted=optimization.budget_exhausted,
         )
 
@@ -727,14 +732,22 @@ class MediatorService:
         path = analyze_trace(self.spans.for_trace(ticket.trace_id))
         if path is None:
             return
-        ticket.phases = path.by_phase()
-        self.recorder.query_phases(
+        phases = ticket.phases = path.by_phase()
+        self.recorder.emit(
             completed,
-            ticket.seq,
-            ticket.tenant,
-            ticket.trace_id,
-            ticket.phases,
-            path.total_s,
+            "phases",
+            query=ticket.seq,
+            tenant=ticket.tenant,
+            trace=ticket.trace_id,
+            # Admission is instantaneous; the schema folds it into queue.
+            queue=phases["admission"] + phases["queue"],
+            plan=phases["plan"],
+            pool=phases["pool"],
+            exec_wait=phases["exec.wait"],
+            exec_wire=phases["exec.wire"],
+            exec_backoff=phases["exec.backoff"],
+            merge=phases["merge"],
+            total=path.total_s,
         )
 
     def _execute(self, mediator: Mediator, ticket: QueryTicket, plan) -> bool:
@@ -790,16 +803,21 @@ class MediatorService:
                 observe(events)
         return deadline_cut
 
-    def _note_deadline_cut(self, ticket: QueryTicket, now_s: float) -> None:
-        """The ``deadline`` event of a run the engine cut short."""
+    def _note_deadline_cut(
+        self, ticket: QueryTicket, now_s: float, stage: str = "execution"
+    ) -> None:
+        """The ``deadline`` event of a query whose budget ran out in
+        the queue or of a run the engine cut short."""
         assert ticket.deadline_s is not None
-        self.recorder.deadline_expired(
+        overrun_s = now_s - (ticket.submitted_s + ticket.deadline_s)
+        self.recorder.emit(
             now_s,
-            ticket.seq,
-            ticket.tenant,
-            stage="execution",
-            budget_s=ticket.deadline_s,
-            overrun_s=now_s - (ticket.submitted_s + ticket.deadline_s),
+            "deadline",
+            query=ticket.seq,
+            tenant=ticket.tenant,
+            stage=stage,
+            budget=ticket.deadline_s,
+            overrun=max(0.0, overrun_s),
         )
 
     def _complete(
@@ -818,13 +836,8 @@ class MediatorService:
             ticket.status = "done"
             self.completed_count += 1
         self.wait_estimator.observe(ticket.tenant, ticket.makespan_s)
-        self.recorder.query_completed(
-            now_s, ticket.seq, ticket.tenant,
-            self.queue_depth, self.in_flight,
-            ticket.latency_s, error=ticket.error,
-            partial=ticket.partial,
-        )
-        self._note_deadline_outcome(ticket, now_s)
+        self._serve_done(ticket, now_s)
+        self._note_deadline_outcome(ticket)
         self._finalize_trace(ticket)
 
     @property
@@ -1008,10 +1021,7 @@ class MediatorService:
         ticket.dispatched_s = dispatch_at
         ticket.status = "running"
         self.max_in_flight = max(self.max_in_flight, self.in_flight)
-        self.recorder.query_dispatched(
-            dispatch_at, ticket.seq, ticket.tenant,
-            self.queue_depth, self.in_flight,
-        )
+        self._serve_event(dispatch_at, "dispatched", ticket.seq, ticket.tenant)
         deadline_cut = self._execute(mediator, ticket, optimization.plan)
         done_at = dispatch_at + ticket.makespan_s
         if deadline_cut:
@@ -1109,9 +1119,8 @@ class MediatorService:
                 ticket.dispatched_s = self.elapsed_s
                 ticket.status = "running"
                 self.max_in_flight = max(self.max_in_flight, self.in_flight)
-                self.recorder.query_dispatched(
-                    ticket.dispatched_s, ticket.seq, ticket.tenant,
-                    self.queue_depth, self.in_flight,
+                self._serve_event(
+                    ticket.dispatched_s, "dispatched", ticket.seq, ticket.tenant
                 )
             deadline_cut = self._execute(mediator, ticket, optimization.plan)
             with self._cond:

@@ -1,8 +1,8 @@
 """The semijoin pricer: ``sjq_cost`` with ``(condition, source)`` resolved.
 
 Two contracts.  Model side: ``sjq_pricer(c, s)(x)`` is *bit-equal* to
-``sjq_cost(c, s, x)`` for every shipped model, for the memo over each
-and for a subclass that never heard of pricers — and the one
+``sjq_cost(c, s, x)`` for every shipped model and for a subclass that
+never heard of pricers — and the one
 charge-shaped formula still computes what the two pre-pricer
 ``sjq_cost`` bodies computed (kept below as the oracle).  Optimizer
 side: the stage rules, which now read resolved terms, price every stage
@@ -28,7 +28,6 @@ from repro.costs.model import CostModel, TableCostModel, UniformCostModel
 from repro.errors import CostModelError
 from repro.optimize.response_time import ResponseTimeStagedProblem
 from repro.optimize.search import (
-    MemoizedCostModel,
     StagedEstimatorProblem,
     StageOutcome,
     _SubsetContext,
@@ -149,7 +148,6 @@ def test_pricer_is_bit_equal_to_sjq_cost(
         ]
         models = [
             *plain,
-            *(MemoizedCostModel(model) for model in plain),
             *(_ThreeMethodsOnly(model) for model in plain),
         ]
         for model in models:

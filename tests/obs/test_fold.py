@@ -1,0 +1,407 @@
+"""Metrics are a fold of the event stream.
+
+*The log is sufficient*: over every scenario family the runtime and the
+serving tier know, the registry rebuilt from the persisted JSONL exports
+the same JSON and Prometheus text as the one the recorder folded live.
+*Written in one place*: event fields are declared by ``EVENT_SCHEMA``
+and spelled at the emitting call site, metric names live in
+``obs/fold.py``, and ``Recorder`` is nothing but ``emit``.
+"""
+
+from __future__ import annotations
+
+import ast
+import pathlib
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro
+from repro.mediator.session import Mediator
+from repro.obs import (
+    EVENT_SCHEMA,
+    EventLog,
+    Recorder,
+    metrics_from_events,
+)
+from repro.obs.fold import EVENT_FOLDS
+from repro.obs.recorder import ROUND_STAMPED
+from repro.optimize import FilterOptimizer, SJAOptimizer
+from repro.plans.operations import UnionOp
+from repro.runtime.engine import RuntimeEngine
+from repro.runtime.faults import (
+    AttemptFate,
+    DataFaultProfile,
+    FaultInjector,
+    FaultProfile,
+)
+from repro.runtime.health import BreakerConfig, QuarantineConfig
+from repro.runtime.trace import AttemptSpan, OpSpan, OpStatus
+from repro.serve import (
+    ChurnWave,
+    MediatorService,
+    TenantSpec,
+    WorkloadSpec,
+    generate_arrivals,
+    run_workload,
+)
+from repro.sources.generators import (
+    SyntheticConfig,
+    build_synthetic,
+    dmv_fig1,
+    replicate_federation,
+    synthetic_query,
+)
+from tests.property.strategies import synthetic_kits
+
+DMV_SQL = (
+    "SELECT u1.L FROM U u1, U u2 "
+    "WHERE u1.L = u2.L AND u1.V = 'dui' AND u2.V = 'sp'"
+)
+TENANTS = (TenantSpec("bronze", weight=1.0), TenantSpec("gold", weight=3.0))
+SYNTHETIC = SyntheticConfig(
+    n_sources=4, n_entities=120, coverage=(0.3, 0.7), seed=42
+)
+DIRTY = DataFaultProfile(stale_rate=0.6, corrupt_rate=0.4, duplicate_rate=0.3)
+
+
+# ----------------------------------------------------------------------
+# Scenarios: each returns the recorder a run reported into.
+
+
+def _answer(federation, queries, **options) -> Recorder:
+    recorder = Recorder()
+    mediator = Mediator(federation, recorder=recorder, **options)
+    for query in queries:
+        mediator.answer(query)
+    return recorder
+
+
+def sequential_fig1() -> Recorder:
+    federation, query = dmv_fig1()
+    return _answer(federation, [query])
+
+
+def _semijoin_plan(backend: str) -> Recorder:
+    return _answer(
+        build_synthetic(SYNTHETIC),
+        [synthetic_query(SYNTHETIC, m=3, seed=7)],
+        optimizer=SJAOptimizer(),
+        backend=backend,
+    )
+
+
+def semijoins_sequential() -> Recorder:
+    return _semijoin_plan("sequential")
+
+
+def semijoins_runtime() -> Recorder:
+    return _semijoin_plan("runtime")
+
+
+def resilient() -> Recorder:
+    return _answer(
+        replicate_federation(dmv_fig1()[0], 2),
+        [dmv_fig1()[1]],
+        backend="runtime",
+        faults=FaultInjector(default=FaultProfile.flaky(0.4), seed=7),
+        hedge_delay_s=2.0,
+        breaker=BreakerConfig.aggressive(),
+        replan=2,
+    )
+
+
+def _untrusted(mode: str) -> Recorder:
+    federation = replicate_federation(dmv_fig1()[0], 3)
+    dirty = {
+        name: FaultProfile(data=DIRTY)
+        for name in federation.source_names
+        if name.endswith("~1")
+    }
+    return _answer(
+        federation,
+        [dmv_fig1()[1]] * 8,
+        backend="runtime",
+        faults=FaultInjector(dirty, seed=5),
+        verify=mode,
+        quarantine=QuarantineConfig.default() if mode == "vote" else None,
+        load_balance=True,
+        optimizer=FilterOptimizer(),
+    )
+
+
+def sanitize() -> Recorder:
+    return _untrusted("sanitize")
+
+
+def vote_quarantine() -> Recorder:
+    return _untrusted("vote")
+
+
+def _budget(fraction: float) -> Recorder:
+    """One engine run cut at ``fraction`` of its unconstrained makespan."""
+    federation = build_synthetic(SYNTHETIC)
+    recorder = Recorder()
+    mediator = Mediator(
+        federation, backend="runtime", recorder=recorder,
+        optimizer=SJAOptimizer(),
+    )
+    plan = mediator.plan(synthetic_query(SYNTHETIC, m=3, seed=7)).plan
+    makespan_s = RuntimeEngine(federation).run(plan).makespan_s
+    mediator.runtime.run(plan, budget_s=fraction * makespan_s)
+    return recorder
+
+
+def budget_spent() -> Recorder:
+    return _budget(0.0)
+
+
+def budget_mid_run() -> Recorder:
+    return _budget(0.5)
+
+
+def budget_ample() -> Recorder:
+    return _budget(100.0)
+
+
+def _serve(
+    federation=None, count=16, rate_qps=4.0, deadline_s=None, seed=16,
+    queries=(DMV_SQL,), **options,
+) -> Recorder:
+    service = MediatorService(
+        federation or dmv_fig1()[0], tenants=TENANTS, seed=seed, **options
+    )
+    spec = WorkloadSpec(
+        queries=queries, tenants=TENANTS, count=count, rate_qps=rate_qps,
+        seed=seed, deadline_s=deadline_s,
+    )
+    run_workload(service, generate_arrivals(spec))
+    assert service.recorder.metrics is service.metrics
+    return service.recorder
+
+
+def serve_calm() -> Recorder:
+    return _serve(rate_qps=0.5)
+
+
+def serve_churn() -> Recorder:
+    return _serve(
+        replicate_federation(dmv_fig1()[0], 2),
+        count=24, rate_qps=2.0, deadline_s=1.0,
+        churn=ChurnWave(2.0, 8.0, ("R1", "R1~1", "R2", "R2~1"), rate=0.8),
+        breaker=True, shed_policy="none", queue_limit=64,
+        mediator_options={"hedge_delay_s": 2.0},
+    )
+
+
+def serve_starved() -> Recorder:
+    return _serve(
+        count=20, rate_qps=20.0, deadline_s=1.0,
+        pool_slots=1, queue_limit=4, shed_policy="none",
+    )
+
+
+def _serve_overloaded(shed_policy: str) -> Recorder:
+    return _serve(
+        count=20, rate_qps=50.0, deadline_s=1.0, seed=2100,
+        pool_slots=1, queue_limit=64, shed_policy=shed_policy,
+    )
+
+
+def serve_deadline_shed() -> Recorder:
+    return _serve_overloaded("deadline")
+
+
+def serve_deadline_noshed() -> Recorder:
+    return _serve_overloaded("none")
+
+
+def serve_anytime() -> Recorder:
+    config = SyntheticConfig(n_sources=5, n_entities=120, seed=9)
+    return _serve(
+        build_synthetic(config),
+        queries=tuple(
+            synthetic_query(config, m=4, seed=s).to_sql() for s in (1, 2, 3)
+        ),
+        count=8, rate_qps=5.0, seed=4,
+        planning_budget=8, plan_cache=False, queue_limit=64,
+    )
+
+
+SCENARIOS = [
+    sequential_fig1,
+    semijoins_sequential,
+    semijoins_runtime,
+    resilient,
+    sanitize,
+    vote_quarantine,
+    budget_spent,
+    budget_mid_run,
+    budget_ample,
+    serve_calm,
+    serve_churn,
+    serve_starved,
+    serve_deadline_shed,
+    serve_deadline_noshed,
+    serve_anytime,
+]
+
+
+@pytest.fixture(scope="module")
+def recorders() -> dict[str, Recorder]:
+    return {scenario.__name__: scenario() for scenario in SCENARIOS}
+
+
+def assert_log_rebuilds_registry(recorder: Recorder) -> None:
+    persisted = EventLog.from_jsonl(recorder.events.to_jsonl())
+    rebuilt = metrics_from_events(persisted)
+    assert rebuilt.to_json_text() == recorder.metrics.to_json_text()
+    assert rebuilt.to_prometheus() == recorder.metrics.to_prometheus()
+
+
+class TestTheLogIsSufficient:
+    @pytest.mark.parametrize("name", [s.__name__ for s in SCENARIOS])
+    def test_persisted_log_rebuilds_the_live_registry(self, recorders, name):
+        recorder = recorders[name]
+        assert len(recorder.events) > 0 and len(recorder.metrics) > 0
+        assert_log_rebuilds_registry(recorder)
+
+    def test_scenarios_emit_every_event_type(self, recorders):
+        seen = {
+            event.type
+            for recorder in recorders.values()
+            for event in recorder.events
+        }
+        assert seen == set(EVENT_SCHEMA)
+
+    @given(
+        kit=synthetic_kits(),
+        query_seed=st.integers(0, 1000),
+        fault_rate=st.sampled_from([0.0, 0.2, 0.5]),
+        fault_seed=st.integers(0, 100),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_engine_runs_rebuild_from_their_log(
+        self, kit, query_seed, fault_rate, fault_seed
+    ):
+        federation, config, m = kit
+        recorder = _answer(
+            federation,
+            [synthetic_query(config, m=m, seed=query_seed)],
+            backend="runtime",
+            faults=FaultInjector(
+                default=FaultProfile.flaky(fault_rate), seed=fault_seed
+            ),
+        )
+        assert_log_rebuilds_registry(recorder)
+
+
+# ----------------------------------------------------------------------
+# Written in one place
+
+ROOT = pathlib.Path(repro.__file__).parent
+
+
+def _sources(*packages: str) -> dict[str, str]:
+    return {
+        path.relative_to(ROOT).as_posix(): path.read_text()
+        for package in packages
+        for path in sorted((ROOT / package).rglob("*.py"))
+    }
+
+
+def _span_projections() -> dict[str, set[str]]:
+    """What a span's own ``**event_fields()`` contributes per event type."""
+    attempt = AttemptSpan(1, 0.0, 1.0, AttemptFate.OK, 0.0, 0, 0, 0, 1, "R1")
+    op = OpSpan(1, UnionOp("X", ("A", "B")), 0.0, 0.0, 0.0, (), OpStatus.OK, 0)
+    return {
+        "attempt": set(attempt.event_fields()),
+        "op": set(op.event_fields()),
+    }
+
+
+def _emit_calls():
+    """Every ``<something>.emit(...)`` call outside ``obs/``."""
+    for name, text in _sources("").items():
+        if name.startswith("obs/"):
+            continue
+        for node in ast.walk(ast.parse(text)):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "emit"
+            ):
+                yield f"{name}:{node.lineno}", node
+
+
+class TestWrittenInOnePlace:
+    def test_call_sites_emit_exactly_the_schema_fields_by_name(self):
+        projections = _span_projections()
+        checked = set()
+        for where, call in _emit_calls():
+            assert len(call.args) == 2, where  # (now_s, event_type)
+            event_type = call.args[1]
+            assert isinstance(event_type, ast.Constant), where
+            assert event_type.value in EVENT_SCHEMA, where
+            named = set()
+            for keyword in call.keywords:
+                if keyword.arg is not None:
+                    named.add(keyword.arg)
+                    continue
+                # ``**``: only a span's own projection may stand in for
+                # spelled-out fields.
+                value = keyword.value
+                assert (
+                    isinstance(value, ast.Call)
+                    and isinstance(value.func, ast.Attribute)
+                    and value.func.attr == "event_fields"
+                    and event_type.value in projections
+                ), where
+                assert not named & projections[event_type.value], where
+                named |= projections[event_type.value]
+            expected = set(EVENT_SCHEMA[event_type.value])
+            if event_type.value in ROUND_STAMPED:
+                expected.discard("round")  # the recorder stamps it
+            assert named == expected, (where, named ^ expected)
+            checked.add(event_type.value)
+        # breaker / quarantine arrive through the HealthRegistry
+        # observers, the two adaptors on Recorder itself.
+        assert checked == set(EVENT_SCHEMA) - {"breaker", "quarantine"}
+
+    def test_metric_names_live_in_the_fold_module_only(self):
+        sources = _sources("runtime", "mediator", "serve")
+        sources["obs/recorder.py"] = (ROOT / "obs/recorder.py").read_text()
+        offenders = []
+        for name, text in sources.items():
+            offenders += [
+                f"{name}:{node.lineno}"
+                for node in ast.walk(ast.parse(text))
+                if isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and node.value.startswith("repro_")
+            ]
+        assert offenders == []
+
+    def test_every_event_type_has_a_fold(self):
+        assert set(EVENT_FOLDS) == set(EVENT_SCHEMA)
+
+    def test_recorder_is_emit_plus_the_two_observer_adaptors(self):
+        public = {
+            name
+            for name, value in vars(Recorder).items()
+            if callable(value) and not name.startswith("_")
+        }
+        assert public == {"emit", "breaker_transition", "quarantine_changed"}
+
+    def test_sequential_executor_builds_no_spans(self):
+        text = (ROOT / "mediator/executor.py").read_text()
+        assert "AttemptSpan" not in text and "OpSpan" not in text
+
+    def test_round_is_stamped_from_the_recorder(self):
+        recorder = Recorder()
+        recorder.round = 3
+        recorder.emit(
+            1.0, "retry", step=1, source="R1", retries=1, at=2.0
+        )
+        assert recorder.events.events[-1]["round"] == 3

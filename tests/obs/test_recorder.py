@@ -14,7 +14,7 @@ from repro.plans.builder import build_filter_plan
 from repro.runtime.engine import RuntimeEngine
 from repro.runtime.faults import FaultInjector, FaultProfile
 from repro.runtime.trace import RuntimeTrace
-from repro.sources.generators import dmv_fig1
+from repro.sources.generators import dmv_fig1, replicate_federation
 
 
 def flaky_mediator(recorder=None, **kwargs):
@@ -85,6 +85,23 @@ class TestInstrumentedRuns:
         assert shared.metrics is registry and shared.events is log
 
 
+    def test_a_bad_field_raises_at_the_call_not_at_export(self):
+        recorder = Recorder()
+        good = dict(step=1, source="R1", retries=1, at=2.0)
+        for event_type, fields in (
+            ("retry", {**good, "sorce": good["source"]}),  # misspelt
+            ("retry", {k: v for k, v in good.items() if k != "at"}),
+            ("retry", {**good, "retries": "1"}),  # wrongly typed
+            ("retried", good),  # unknown type
+        ):
+            with pytest.raises(ObservabilityError):
+                recorder.emit(0.5, event_type, **fields)
+        # Nothing half-recorded: neither the event nor its metrics.
+        assert len(recorder.events) == 0 and len(recorder.metrics) == 0
+        recorder.emit(0.5, "retry", **good)
+        assert len(recorder.events) == 1 and len(recorder.metrics) == 1
+
+
 class TestDisabledRecorderIdentity:
     def test_uninstrumented_run_is_byte_identical(self):
         # recorder=None (the default) must not perturb execution at all:
@@ -145,6 +162,40 @@ class TestReplay:
         result, recorder = self.run_with_recorder()
         replayed = RuntimeTrace.from_events(recorder.events)
         assert replayed.timeline() == result.trace.timeline()
+
+    @pytest.mark.parametrize("fault_rate", [0.0, 0.4])
+    @pytest.mark.parametrize("hedge_delay_s", [None, 0.05])
+    def test_vote_confirmations_replay_as_confirmations(
+        self, hedge_delay_s, fault_rate
+    ):
+        # The ``attempt`` event carries no ``confirm`` flag; the replay
+        # derives it (a non-hedge attempt that starts once the step has
+        # an answer), or every confirmation fetch would read as a retry.
+        recorder = Recorder()
+        mediator = Mediator(
+            replicate_federation(dmv_fig1()[0], 3),
+            backend="runtime",
+            verify="vote",
+            hedge_delay_s=hedge_delay_s,
+            faults=FaultInjector(
+                default=FaultProfile.flaky(fault_rate), seed=2
+            ),
+            recorder=recorder,
+        )
+        result = mediator.runtime.run(mediator.plan(dmv_fig1()[1]).plan)
+        live = result.trace
+        assert any(a.confirm for span in live.spans for a in span.attempts)
+        replayed = trace_from_events(
+            EventLog.from_jsonl(recorder.events.to_jsonl())
+        )
+        assert replayed.summary() == live.summary()
+        assert replayed.timeline() == live.timeline()
+        assert [span.retries for span in replayed.spans] == [
+            span.retries for span in live.spans
+        ]
+        assert [
+            [a.confirm for a in span.attempts] for span in replayed.spans
+        ] == [[a.confirm for a in span.attempts] for span in live.spans]
 
     def test_replay_needs_op_events(self):
         with pytest.raises(ObservabilityError, match="no 'op' events"):

@@ -5,12 +5,20 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ObservabilityError
+from repro.obs import EventLog, metrics_from_events
 from repro.obs.metrics import DURATION_BUCKETS_S, MetricsRegistry
 from repro.obs.slo import (
     SLOMonitor,
     SLOSpec,
     SLOStatus,
     parse_slo_spec,
+)
+from repro.runtime.faults import FaultProfile
+from repro.serve import (
+    MediatorService,
+    WorkloadSpec,
+    generate_arrivals,
+    run_workload,
 )
 
 
@@ -131,3 +139,49 @@ class TestSLOMonitor:
         text = SLOMonitor.render(monitor.evaluate(registry))
         assert text.startswith("SLO report:")
         assert "1/1 objectives met" in text
+
+
+class TestVerdictFromAPersistedLog:
+    def test_partial_answers_are_visible_in_the_jsonl(self, dmv_federation):
+        # A deadlined, faulty workload: some answers are cut in queue,
+        # some mid-run, some degrade — all partial, none an error.  The
+        # serve record says which, so the completeness verdict can be
+        # recomputed from the log alone.
+        sql = (
+            "SELECT u1.L FROM U u1, U u2 "
+            "WHERE u1.L = u2.L AND u1.V = 'dui' AND u2.V = 'sp'"
+        )
+        service = MediatorService(
+            dmv_federation,
+            pool_slots=1,
+            queue_limit=64,
+            seed=8,
+            faults=FaultProfile.flaky(0.4),
+            shed_policy="none",
+        )
+        spec = WorkloadSpec(
+            queries=(sql,), count=24, rate_qps=8.0, seed=8, deadline_s=1.0
+        )
+        report = run_workload(service, generate_arrivals(spec))
+        assert 0 < report.partial_answers < report.completed
+
+        persisted = EventLog.from_jsonl(service.recorder.events.to_jsonl())
+        done = [
+            event
+            for event in persisted.of_type("serve")
+            if event["phase"] == "completed"
+        ]
+        assert len(done) == report.completed
+        assert {event["detail"] for event in done} == {"", "partial"}
+        assert (
+            sum(event["detail"] == "partial" for event in done)
+            == report.partial_answers
+        )
+
+        monitor = SLOMonitor(parse_slo_spec("latency:0.5:0.75,completeness:0.9"))
+        live = SLOMonitor.render(monitor.evaluate(service.metrics))
+        replayed = SLOMonitor.render(
+            monitor.evaluate(metrics_from_events(persisted))
+        )
+        assert "[VIOLATED]" in live
+        assert replayed == live

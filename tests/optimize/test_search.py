@@ -29,7 +29,6 @@ from repro.optimize.search import (
     AUTO_EXHAUSTIVE_MAX_M,
     DEFAULT_BEAM_WIDTH,
     STRATEGIES,
-    MemoizedCostModel,
     beam_search,
     resolve_strategy,
     search_ordering,
@@ -170,33 +169,13 @@ def test_default_beam_width_exported():
     assert DEFAULT_BEAM_WIDTH >= 1
 
 
-# --- memoized costing -----------------------------------------------------
+# --- the subset search against the brute-force oracle ----------------------
 
 
-def test_memoized_model_returns_identical_values():
-    __, query, federation, cost_model, _ = synthetic_problem(m=3)
-    memo = MemoizedCostModel(cost_model)
-    condition = query.conditions[0]
-    source = federation.source_names[0]
-    first = memo.sq_cost(condition, source)
-    assert memo.misses == 1 and memo.hits == 0
-    assert memo.sq_cost(condition, source) == first
-    assert memo.hits == 1
-    assert first == cost_model.sq_cost(condition, source)
-    sj_first = memo.sjq_cost(condition, source, 10.0)
-    assert memo.sjq_cost(condition, source, 10.0) == sj_first
-    assert sj_first == cost_model.sjq_cost(condition, source, 10.0)
-    assert memo.sjq_pricer(condition, source)(10.0) == sj_first
-    # Semijoin prices pass straight through: nothing keyed by a size is
-    # ever asked for twice, so only sq/lq lookups are counted.
-    assert (memo.hits, memo.misses) == (1, 1)
-    assert memo.lq_cost(source) == cost_model.lq_cost(source)
-
-
-def test_memoization_never_changes_the_chosen_plan():
-    # The optimizer memoizes internally; the brute-force sweep of the
-    # adaptive spec space over the raw (unmemoized) model must land on
-    # the same cost.
+def test_sja_sweep_matches_the_brute_force_spec_enumeration():
+    # The optimizer memoizes stages and resolved cost terms internally;
+    # the brute-force sweep of the adaptive spec space, which asks the
+    # model afresh for every plan, must land on the same cost.
     __, query, federation, cost_model, estimator = synthetic_problem(
         m=4, n_sources=2
     )
@@ -256,10 +235,10 @@ def test_the_stage_rule_is_written_in_one_place():
     # Pricing a semijoin against a binding set *is* the Fig. 3/4 stage
     # rule.  The stage rules do it through the terms
     # ``StagedEstimatorProblem`` resolves once per condition, so outside
-    # the cost models only that resolver (with the memo beside it), the
-    # generic plan coster and the tests' oracle may ask a model for a
-    # semijoin price; anything else that calls ``.sjq_cost(`` or
-    # ``.sjq_pricer(`` has grown a private copy of the rule.
+    # the cost models only that resolver, the generic plan coster and
+    # the tests' oracle may ask a model for a semijoin price; anything
+    # else that calls ``.sjq_cost(`` or ``.sjq_pricer(`` has grown a
+    # private copy of the rule.
     root = pathlib.Path(repro.__file__).parent
     sources = {
         path.relative_to(root).as_posix(): path.read_text()

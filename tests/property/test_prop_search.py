@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from repro.costs.charge import ChargeCostModel
 from repro.costs.estimates import SizeEstimator
-from repro.optimize.search import MemoizedCostModel
 from repro.optimize.sj import SJOptimizer
 from repro.optimize.sja import SJAOptimizer
 from repro.sources.generators import synthetic_query
@@ -86,36 +85,3 @@ def test_beam_never_beats_the_sweep(kit, query_seed):
     )
     assert beam.estimated_cost >= sweep.estimated_cost
     assert beam.search_strategy == "beam"
-
-
-@given(kit=synthetic_kits(max_m=4), query_seed=st.integers(0, 1000))
-@settings(max_examples=15, deadline=None)
-def test_memoized_costs_are_transparent(kit, query_seed):
-    # Wrapping the cost model in the memo (even twice) never changes a
-    # value the optimizer reads, hence never the chosen plan.
-    federation, config, m = kit
-    query, cost_model, estimator = planning_kit(
-        federation, config, m, query_seed
-    )
-    memo = MemoizedCostModel(MemoizedCostModel(cost_model))
-    for condition in query.conditions:
-        for source in federation.source_names:
-            assert memo.sq_cost(condition, source) == cost_model.sq_cost(
-                condition, source
-            )
-            pricer = memo.sjq_pricer(condition, source)
-            for size in (1.0, 17.0):
-                assert memo.sjq_cost(
-                    condition, source, size
-                ) == cost_model.sjq_cost(condition, source, size)
-                assert pricer(size) == cost_model.sjq_cost(
-                    condition, source, size
-                )
-    names = federation.source_names
-    direct = SJAOptimizer(search="dp").optimize(
-        query, names, cost_model, estimator
-    )
-    wrapped = SJAOptimizer(search="dp").optimize(
-        query, names, memo, estimator
-    )
-    assert wrapped.estimated_cost == direct.estimated_cost

@@ -9,9 +9,12 @@ would keep every mirror idle).
 
 from __future__ import annotations
 
+from repro.mediator.session import Mediator
+from repro.obs import Recorder
 from repro.plans.builder import build_filter_plan
 from repro.runtime.engine import RuntimeEngine
 from repro.runtime.faults import (
+    AttemptFate,
     DataFaultProfile,
     FaultInjector,
     FaultProfile,
@@ -191,3 +194,34 @@ class TestThreeWayMajority:
         # Honest members stay clean.
         for name in ("R1", "R2", "R3"):
             assert engine.health.quality_score(name) == 1.0
+
+
+class TestVoteWithHedging:
+    def test_no_retry_fires_once_an_answer_is_in_hand(self):
+        # Fig. 1 on 3-way replicas, 40 % transient faults, a hedge after
+        # 50 ms.  When a hedge wins while the failed primary sits in its
+        # backoff, the task holds an answer but is not done — it still
+        # awaits its cross-replica confirmation.  The backoff timer must
+        # not put another primary attempt on the wire.
+        recorder = Recorder()
+        mediator = Mediator(
+            replicate_federation(dmv_fig1()[0], 3),
+            backend="runtime",
+            verify="vote",
+            hedge_delay_s=0.05,
+            faults=FaultInjector(default=FaultProfile.flaky(0.4), seed=2),
+            recorder=recorder,
+        )
+        plan = mediator.plan(dmv_fig1()[1]).plan
+        result = mediator.runtime.run(plan)
+        assert frozenset(result.items) == DMV_FIG1_ANSWER
+        attempts = recorder.events.of_type("attempt")
+        assert len(attempts) == 10
+        assert sum(event["cost"] for event in attempts) == 160.0
+        assert result.trace.total_retries == 0
+        for span in result.trace.remote_spans:
+            answered_s = min(
+                a.end_s for a in span.attempts if a.fate is AttemptFate.OK
+            )
+            late = [a for a in span.attempts if a.start_s >= answered_s]
+            assert late and all(a.hedge or a.confirm for a in late)

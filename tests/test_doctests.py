@@ -22,6 +22,7 @@ MODULE_NAMES = [
     "repro.mediator.reference",
     "repro.mediator.schedule",
     "repro.mediator.session",
+    "repro.obs.fold",
     "repro.optimize.filter",
     "repro.optimize.response_time",
     "repro.optimize.sj",
