@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.plans.builder import build_filter_plan
-from repro.runtime.engine import RuntimeEngine
+from repro.runtime.engine import Resilience, RuntimeEngine
 from repro.runtime.faults import FaultInjector, FaultProfile
 from repro.runtime.policy import RetryPolicy, completeness_report
 
@@ -19,7 +19,9 @@ def test_engine_under_faults(benchmark, medium_kit):
         engine = RuntimeEngine(
             kit.federation,
             faults=FaultInjector(FaultProfile.flaky(0.3), seed=7),
-            policy=RetryPolicy(max_retries=3, backoff_base_s=0.1),
+            resilience=Resilience(
+                policy=RetryPolicy(max_retries=3, backoff_base_s=0.1),
+            ),
         )
         return engine.run(plan)
 
@@ -36,7 +38,7 @@ def test_degradation_never_invents_answers(benchmark, medium_kit):
     engine = RuntimeEngine(
         kit.federation,
         faults=FaultInjector(FaultProfile.flaky(0.5), seed=11),
-        policy=RetryPolicy.no_retry(),
+        resilience=Resilience(policy=RetryPolicy.no_retry()),
     )
 
     def run():

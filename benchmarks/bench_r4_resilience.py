@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from repro.bench.extensions import run_resilience
+from repro.bench.extensions import resilient_executor, run_resilience
 from repro.plans.builder import build_filter_plan
-from repro.runtime.engine import RuntimeEngine
+from repro.runtime.engine import Resilience, RuntimeEngine
 from repro.runtime.faults import FaultInjector, FaultProfile
 from repro.runtime.health import BreakerConfig
 from repro.runtime.policy import RetryPolicy, completeness_report
-from repro.runtime.replan import ResilientExecutor
 from repro.sources.generators import replicate_federation
 
 
@@ -26,9 +25,11 @@ def test_hedged_engine_under_faults(benchmark, medium_kit):
         engine = RuntimeEngine(
             federation,
             faults=FaultInjector(FaultProfile.flaky(0.3), seed=7),
-            policy=RetryPolicy.no_retry(),
-            hedge_delay_s=2.0,
-            breaker=BreakerConfig.aggressive(),
+            resilience=Resilience(
+                policy=RetryPolicy.no_retry(),
+                hedge_delay_s=2.0,
+                breaker=BreakerConfig.aggressive(),
+            ),
         )
         return engine.run(plan)
 
@@ -38,17 +39,22 @@ def test_hedged_engine_under_faults(benchmark, medium_kit):
     assert result.makespan_s == reference.makespan_s
 
 
+NO_RETRY = RetryPolicy.no_retry()
+SKIP_ONLY = Resilience(policy=NO_RETRY)
+RESILIENT = Resilience(
+    policy=NO_RETRY, hedge_delay_s=2.0, breaker=BreakerConfig.aggressive()
+)
+
+
 def test_replanning_recovers_without_spurious(benchmark, medium_kit):
     federation, query = replicated_kit(medium_kit)
 
     def run():
         federation.reset_traffic()
-        executor = ResilientExecutor(
+        executor = resilient_executor(
             federation,
-            faults=FaultInjector(FaultProfile.flaky(0.4), seed=11),
-            policy=RetryPolicy.no_retry(),
-            hedge_delay_s=2.0,
-            breaker=BreakerConfig.aggressive(),
+            FaultInjector(FaultProfile.flaky(0.4), seed=11),
+            RESILIENT,
             max_replans=2,
         )
         return executor.run(query)
@@ -64,23 +70,21 @@ def test_replication_buys_completeness(medium_kit):
     # mirrors available the resilient stack strictly beats skip-only.
     federation, query = replicated_kit(medium_kit)
 
-    def completeness(**knobs):
+    def completeness(resilience, max_replans):
         federation.reset_traffic()
-        executor = ResilientExecutor(
+        executor = resilient_executor(
             federation,
-            faults=FaultInjector(FaultProfile.flaky(0.3), seed=23),
-            policy=RetryPolicy.no_retry(),
-            **knobs,
+            FaultInjector(FaultProfile.flaky(0.3), seed=23),
+            resilience,
+            max_replans,
         )
         result = executor.run(query)
         report = completeness_report(federation, query, result.items)
         assert not report.spurious
         return report.completeness
 
-    skip_only = completeness(max_replans=0)
-    resilient = completeness(
-        hedge_delay_s=2.0, breaker=BreakerConfig.aggressive(), max_replans=2
-    )
+    skip_only = completeness(SKIP_ONLY, max_replans=0)
+    resilient = completeness(RESILIENT, max_replans=2)
     assert resilient > skip_only
 
 

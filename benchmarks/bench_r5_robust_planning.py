@@ -11,7 +11,7 @@ from repro.runtime.availability import (
     AvailabilityModel,
     expected_completeness,
 )
-from repro.runtime.engine import RuntimeEngine
+from repro.runtime.engine import Resilience, RuntimeEngine
 from repro.runtime.faults import FaultInjector, FaultProfile
 from repro.runtime.policy import RetryPolicy, completeness_report
 from repro.sources.generators import replicate_federation
@@ -72,7 +72,7 @@ def test_robust_beats_cost_only_on_skip_engine(medium_kit):
         engine = RuntimeEngine(
             federation,
             faults=FaultInjector(FaultProfile.flaky(0.3), seed=seed),
-            policy=RetryPolicy.no_retry(),
+            resilience=Resilience(policy=RetryPolicy.no_retry()),
         )
         result = engine.run(plan)
         report = completeness_report(

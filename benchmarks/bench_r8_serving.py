@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.serving import DMV_SQL, run_serving
+from repro.runtime import BreakerConfig, Resilience
 from repro.serve import (
     ChurnWave,
     FairScheduler,
@@ -39,7 +40,9 @@ def serve_deterministic(federation, arrivals, churn=None):
         queue_limit=32,
         seed=77,
         churn=churn,
-        breaker=churn is not None,
+        resilience=Resilience(
+            breaker=BreakerConfig.default() if churn is not None else None
+        ),
     )
     return run_workload(service, arrivals)
 

@@ -27,6 +27,7 @@ from repro.mediator.schedule import response_time
 from repro.runtime import (
     FaultInjector,
     FaultProfile,
+    Resilience,
     RetryPolicy,
     RuntimeEngine,
     completeness_report,
@@ -81,7 +82,7 @@ def main() -> None:
         engine = RuntimeEngine(
             federation,
             faults=FaultInjector(FaultProfile.flaky(rate), seed=13),
-            policy=policy,
+            resilience=Resilience(policy=policy),
         )
         result = engine.run(plan)
         report = completeness_report(federation, query, result.items)
@@ -108,7 +109,9 @@ def main() -> None:
             {stall_victim: FaultProfile(stall_rate=0.5, stall_s=60.0)},
             seed=3,
         ),
-        policy=RetryPolicy(max_retries=2, backoff_base_s=0.1, timeout_s=2.0),
+        resilience=Resilience(
+            policy=RetryPolicy(max_retries=2, backoff_base_s=0.1, timeout_s=2.0),
+        ),
     )
     result = engine.run(plan)
     print(result.trace.timeline())

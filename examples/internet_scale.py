@@ -56,7 +56,12 @@ def main() -> None:
           f"{'actual cost':>12} {'answer':>7}")
     for optimizer in optimizers:
         mediator = repro.Mediator(
-            federation, optimizer=optimizer, verify=True, max_retries=8
+            federation,
+            optimizer=optimizer,
+            verify=True,
+            resilience=repro.Resilience(
+                policy=repro.RetryPolicy(max_retries=8)
+            ),
         )
         start = time.perf_counter()
         plan_result = mediator.plan(query)

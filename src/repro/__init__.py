@@ -92,6 +92,7 @@ from repro.runtime import (
     FaultProfile,
     HealthRegistry,
     OnExhaust,
+    Resilience,
     ResilientExecutor,
     ResilientResult,
     RetryPolicy,
@@ -175,6 +176,7 @@ __all__ = [
     "RuntimeTrace",
     "FaultInjector",
     "FaultProfile",
+    "Resilience",
     "RetryPolicy",
     "OnExhaust",
     "CompletenessReport",

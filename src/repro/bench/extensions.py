@@ -43,7 +43,7 @@ from repro.runtime.availability import (
     AvailabilityModel,
     expected_completeness,
 )
-from repro.runtime.engine import RuntimeEngine
+from repro.runtime.engine import Resilience, RuntimeEngine
 from repro.runtime.faults import FaultInjector, FaultProfile
 from repro.runtime.health import BreakerConfig
 from repro.runtime.policy import RetryPolicy, completeness_report
@@ -571,8 +571,8 @@ def run_fault_sweep(
             federation.reset_traffic()
             engine = RuntimeEngine(
                 federation,
+                Resilience(policy=policy),
                 faults=FaultInjector(FaultProfile.flaky(rate), seed=29),
-                policy=policy,
             )
             result = engine.run(plan)
             report = completeness_report(federation, query, result.items)
@@ -597,6 +597,16 @@ def run_fault_sweep(
         "=== R3: fault sweep — graceful degradation and retries ===",
         table.render(),
     )
+
+
+def resilient_executor(
+    federation, faults, resilience, max_replans: int
+) -> ResilientExecutor:
+    """The re-planning loop over a fresh mediator's own engine and planner."""
+    mediator = Mediator(
+        federation, backend="runtime", faults=faults, resilience=resilience
+    )
+    return ResilientExecutor(mediator.runtime, mediator._optimize, max_replans)
 
 
 def run_resilience(
@@ -643,29 +653,30 @@ def run_resilience(
             "wire cost",
         ],
     )
+    no_retry = RetryPolicy.no_retry()
     modes = [
-        ("skip-only", dict(max_replans=0)),
+        ("skip-only", Resilience(policy=no_retry), 0),
         (
             "resilient",
-            dict(
+            Resilience(
+                policy=no_retry,
                 hedge_delay_s=2.0,
                 breaker=BreakerConfig.aggressive(),
-                max_replans=2,
             ),
+            2,
         ),
     ]
     for rate in fault_rates:
         for copies in replication_factors:
             federation = replicate_federation(base_federation, copies)
-            for label, knobs in modes:
+            for label, resilience, max_replans in modes:
                 federation.reset_traffic()
-                executor = ResilientExecutor(
+                result = resilient_executor(
                     federation,
-                    faults=FaultInjector(FaultProfile.flaky(rate), seed=29),
-                    policy=RetryPolicy.no_retry(),
-                    **knobs,
-                )
-                result = executor.run(query)
+                    FaultInjector(FaultProfile.flaky(rate), seed=29),
+                    resilience,
+                    max_replans,
+                ).run(query)
                 report = completeness_report(federation, query, result.items)
                 skipped = sum(
                     len(r.result.degraded_steps) for r in result.rounds
@@ -753,8 +764,8 @@ def run_robust_planning(
         federation.reset_traffic()
         engine = RuntimeEngine(
             federation,
+            Resilience(policy=policy),
             faults=FaultInjector(FaultProfile.flaky(rate), seed=seed),
-            policy=policy,
         )
         return engine.run(plan)
 

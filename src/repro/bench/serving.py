@@ -21,6 +21,7 @@ import os
 
 from repro.bench.report import Table, join_sections
 from repro.optimize.sja_plus import SJAPlusOptimizer
+from repro.runtime import BreakerConfig, Resilience
 from repro.serve import (
     ChurnWave,
     MediatorService,
@@ -65,7 +66,9 @@ def _service(
         queue_limit=queue_limit,
         seed=seed,
         churn=churn,
-        breaker=churn is not None,
+        resilience=Resilience(
+            breaker=BreakerConfig.default() if churn is not None else None
+        ),
     )
 
 
@@ -274,7 +277,7 @@ def run_serving(
         pool_slots=pool_slots,
         queue_limit=queue_limit,
         seed=seed,
-        mediator_options={"optimizer": _CountingOptimizer()},
+        optimizer=_CountingOptimizer(),
     )
     repeat_report = run_workload(service, arrivals)
     cache = service.plan_cache

@@ -32,7 +32,13 @@ from repro.bench.serving import DMV_SQL
 from repro.mediator import Mediator
 from repro.obs import EventLog, Recorder
 from repro.optimize import FilterOptimizer
-from repro.runtime import DataFaultProfile, FaultInjector, FaultProfile
+from repro.runtime import (
+    DataFaultProfile,
+    FaultInjector,
+    FaultProfile,
+    QuarantineConfig,
+    Resilience,
+)
 from repro.sources.generators import dmv_fig1, replicate_federation
 
 #: The lying mirror: usually a divergent stale snapshot, and when not
@@ -57,10 +63,12 @@ def _mediator(
         federation,
         backend="runtime",
         optimizer=FilterOptimizer(),
-        load_balance=True,
         faults=FaultInjector(_mirror_profiles(), seed=seed),
-        verify=verify if verify != "off" else False,
-        quarantine=verify != "off",
+        resilience=Resilience(
+            quarantine=QuarantineConfig.default() if verify != "off" else None,
+            load_balance=True,
+            verify=verify,
+        ),
         replan=2,
         recorder=recorder,
     )

@@ -607,45 +607,40 @@ def _run_aggregate(
 
 
 def _run_runtime(federation, args, recorder, statistics) -> int:
-    from dataclasses import replace as dc_replace
-
     from repro.runtime import (
         BreakerConfig,
         FaultInjector,
         FaultProfile,
+        QuarantineConfig,
+        Resilience,
         RetryPolicy,
         completeness_report,
     )
+    from repro.runtime.faults import with_data_faults
 
-    breaker_config = {
-        "off": None,
-        "default": BreakerConfig.default(),
-        "aggressive": BreakerConfig.aggressive(),
-    }[args.breaker]
-    base_profile = FaultProfile.flaky(args.fault_rate)
-    profiles: dict | FaultProfile = base_profile
-    if args.data_faults is not None:
-        parsed = _parse_data_faults(args.data_faults)
-        if isinstance(parsed, dict):
-            profiles = {
-                name: dc_replace(base_profile, data=data)
-                for name, data in parsed.items()
-            }
-        else:
-            profiles = dc_replace(base_profile, data=parsed)
+    profiles, default = with_data_faults(
+        {},
+        FaultProfile.flaky(args.fault_rate),
+        _parse_data_faults(args.data_faults),
+    )
+    resilience = Resilience(
+        policy=RetryPolicy(max_retries=args.retries),
+        hedge_delay_s=args.hedge_delay,
+        breaker={
+            "off": None,
+            "default": BreakerConfig.default(),
+            "aggressive": BreakerConfig.aggressive(),
+        }[args.breaker],
+        quarantine=QuarantineConfig.default() if args.quarantine else None,
+        load_balance=args.load_balance,
+        verify=args.verify,
+    )
     mediator = Mediator(
         federation,
         backend="runtime",
-        faults=FaultInjector(
-            profiles, seed=args.fault_seed, default=base_profile
-        ),
-        verify=args.verify if args.verify != "off" else False,
-        quarantine=args.quarantine or None,
-        retry_policy=RetryPolicy(max_retries=args.retries),
-        hedge_delay_s=args.hedge_delay,
-        breaker=breaker_config,
+        faults=FaultInjector(profiles, seed=args.fault_seed, default=default),
+        resilience=resilience,
         replan=args.replan,
-        load_balance=args.load_balance,
         **_planning_options(args, recorder, statistics),
     )
     if is_aggregate_query(args.sql):
@@ -673,7 +668,7 @@ def _run_runtime(federation, args, recorder, statistics) -> int:
         print()
     if answer.resilient is not None and answer.resilient.replans:
         print(f"replanning: {answer.resilient.summary()}")
-    if breaker_config is not None:
+    if resilience.breaker is not None:
         print(mediator.runtime.health.report())
         print()
     print("answer:", ", ".join(sorted(map(str, answer.items))) or "(empty)")
@@ -760,10 +755,14 @@ _DATA_FAULT_KEYS = {
 }
 
 
-def _parse_data_faults(text: str):
-    """``[SRC:]KIND=RATE,...`` -> DataFaultProfile or {source: profile}."""
+def _parse_data_faults(text: str | None):
+    """``[SRC:]KIND=RATE,...`` -> DataFaultProfile or {source: profile}
+    (None for an absent flag)."""
     from repro.errors import CostModelError
     from repro.runtime.faults import DataFaultProfile
+
+    if text is None:
+        return None
 
     def bad(entry: str) -> CostModelError:
         return CostModelError(
@@ -850,7 +849,12 @@ def _parse_churn(text: str):
 
 
 def _command_workload(args) -> int:
-    from repro.runtime.faults import FaultProfile
+    from repro.runtime import (
+        BreakerConfig,
+        FaultProfile,
+        QuarantineConfig,
+        Resilience,
+    )
     from repro.serve import (
         MediatorService,
         WorkloadSpec,
@@ -865,11 +869,6 @@ def _command_workload(args) -> int:
     faults = (
         FaultProfile.flaky(args.fault_rate) if args.fault_rate > 0 else None
     )
-    data_faults = (
-        _parse_data_faults(args.data_faults)
-        if args.data_faults is not None
-        else None
-    )
     service = MediatorService(
         federation,
         mode=args.mode,
@@ -880,10 +879,12 @@ def _command_workload(args) -> int:
         seed=args.seed,
         faults=faults,
         churn=churn,
-        data_faults=data_faults,
-        breaker=args.breaker,
-        verify=args.verify,
-        quarantine=args.quarantine,
+        data_faults=_parse_data_faults(args.data_faults),
+        resilience=Resilience(
+            breaker=BreakerConfig.default() if args.breaker else None,
+            quarantine=QuarantineConfig.default() if args.quarantine else None,
+            verify=args.verify,
+        ),
         shed_policy=args.shed_policy,
         planning_budget=args.planning_budget,
     )

@@ -89,6 +89,19 @@ class PlanCache:
         self.hits = 0
         self.misses = 0
 
+    @staticmethod
+    def of(value: "PlanCache | int | bool | None") -> "PlanCache | None":
+        """The ``plan_cache=`` sugar of ``Mediator`` and the service:
+        an instance as is, ``True`` the default capacity, an int that
+        capacity, ``False`` / ``None`` no cache."""
+        if value is True:
+            return PlanCache()
+        if value is False:
+            return None
+        if isinstance(value, int):
+            return PlanCache(capacity=value)
+        return value
+
     def _key(
         self,
         query: FusionQuery,

@@ -49,15 +49,9 @@ from repro.relational.aggregates import (
 )
 from repro.relational.relation import Relation
 from repro.runtime.availability import AvailabilityModel, ObservedAvailability
-from repro.runtime.engine import RuntimeEngine, RuntimeResult
+from repro.runtime.engine import Resilience, RuntimeEngine, RuntimeResult
 from repro.runtime.faults import FaultInjector
-from repro.runtime.health import (
-    BreakerConfig,
-    HealthRegistry,
-    QuarantineConfig,
-)
-from repro.runtime.policy import RetryPolicy
-from repro.runtime.verify import validate_mode
+from repro.runtime.health import HealthRegistry
 from repro.runtime.replan import ResilientExecutor, ResilientResult
 from repro.sources.registry import Federation
 from repro.sources.statistics import ExactStatistics, StatisticsProvider
@@ -167,23 +161,9 @@ class Mediator:
         verify: When True, every answer is checked against the
             materialized-U oracle and a mismatch raises
             :class:`~repro.errors.ExecutionError` — invaluable in tests,
-            off by default because a real mediator has no oracle.
-            Alternatively one of the oracle-free *answer verification*
-            modes of :mod:`repro.runtime.verify` — ``"sanitize"``
-            (schema-validate and dedup every delivered answer) or
-            ``"vote"`` (sanitize plus cross-replica majority voting) —
-            applied by the runtime backend's engine as answers arrive;
-            ``"off"`` is equivalent to False.
-        quarantine: Data-quality quarantine for the runtime backend:
-            ``True`` means
-            :meth:`~repro.runtime.health.QuarantineConfig.default`, a
-            :class:`~repro.runtime.health.QuarantineConfig` instance
-            for custom thresholds, ``None`` / ``False`` disables.
-            Sources whose verified answers keep failing checks are
-            refused service until the cooldown (if any) elapses;
-            ignored when an external ``health`` registry is supplied
-            (its own config wins).
-        max_retries: Per-operation retry budget for transient failures.
+            off by default because a real mediator has no oracle.  (The
+            oracle-free answer-verification mode is
+            ``resilience.verify``.)
         plan_cache: Reuse optimization results for repeated identical
             queries (``clear_plan_cache()`` resets it): a
             :class:`~repro.mediator.plan_cache.PlanCache` instance, a
@@ -203,15 +183,10 @@ class Mediator:
             :mod:`repro.runtime`, observing response time, faults, and
             retries.
         faults: Fault injector for the runtime backend (default: none).
-        retry_policy: Retry/backoff/deadline policy for the runtime
-            backend (default: :meth:`RetryPolicy.default`).
-        hedge_delay_s: Hedged-dispatch delay for the runtime backend —
-            a still-running attempt is speculatively duplicated on a
-            substitutable source after this much virtual time, and
-            immediately on failure (``None`` disables hedging).
-        breaker: Circuit-breaker configuration for the runtime backend;
-            ``True`` means :meth:`BreakerConfig.default`, ``None`` /
-            ``False`` disables breakers.
+        resilience: How the runtime backend responds to failing or lying
+            sources: one :class:`~repro.runtime.engine.Resilience` value
+            (each knob is documented there).  The sequential backend
+            reads only its ``policy.max_retries``.
         replan: Re-planning rounds allowed after a degraded run (dead
             sources masked, substitutes swapped in, answers merged by
             union).  ``True`` means 2 rounds; 0 / ``False`` disables.
@@ -219,9 +194,6 @@ class Mediator:
             much extra wire cost buying back one unit of expected
             completeness is worth (only used with
             ``optimizer="robust"``).
-        load_balance: Spread healthy runtime traffic round-robin across
-            replica-group members instead of serializing it on each
-            group's representative.
         recorder: Optional :class:`repro.obs.Recorder`.  When attached,
             both backends emit structured events and metrics, breaker
             transitions are observed, every answer's
@@ -234,9 +206,8 @@ class Mediator:
             the mediator uses it instead of creating its own — a
             :class:`~repro.serve.MediatorService` shares one registry
             across all workers so breaker state learned by one query
-            reroutes the next.  The ``breaker`` argument is ignored for
-            registry construction in that case (the shared registry's
-            own config wins).
+            reroutes the next.  The registry's own breaker / quarantine
+            configuration then wins over ``resilience``'s.
         planning_budget: A mutable
             :class:`~repro.optimize.search.PlanningBudget` handed to the
             default optimizer stack (ignored when an ``optimizer``
@@ -252,42 +223,28 @@ class Mediator:
         statistics: StatisticsProvider | None = None,
         cost_model: CostModel | None = None,
         optimizer: Optimizer | str | None = None,
-        verify: bool | str = False,
-        max_retries: int = 3,
+        verify: bool = False,
         backend: str = "sequential",
         faults: FaultInjector | None = None,
-        retry_policy: RetryPolicy | None = None,
-        hedge_delay_s: float | None = None,
-        breaker: BreakerConfig | bool | None = None,
+        resilience: Resilience | None = None,
         replan: int | bool = 0,
         robustness: float = 1.0,
-        load_balance: bool = False,
         recorder=None,
         plan_cache: PlanCache | int | bool | None = None,
         search: str = "auto",
         beam_width: int = DEFAULT_BEAM_WIDTH,
         health: HealthRegistry | None = None,
         planning_budget: "PlanningBudget | None" = None,
-        quarantine: QuarantineConfig | bool | None = None,
     ):
         if backend not in BACKENDS:
             raise ValueError(
                 f"unknown backend {backend!r}; choose from {BACKENDS}"
             )
-        if breaker is True:
-            breaker = BreakerConfig.default()
-        elif breaker is False:
-            breaker = None
-        if quarantine is True:
-            quarantine = QuarantineConfig.default()
-        elif quarantine is False:
-            quarantine = None
-        if isinstance(verify, str):
-            # An answer-verification mode, not the oracle check.
-            self.verify_mode = validate_mode(verify)
-            verify = False
-        else:
-            self.verify_mode = "off"
+        if not isinstance(verify, bool):
+            raise CostModelError(
+                f"verify (the oracle check) must be a bool, got {verify!r}; "
+                "a verification mode goes in Resilience(verify=...)"
+            )
         self.max_replans = 2 if replan is True else int(replan)
         if self.max_replans < 0:
             raise CostModelError(
@@ -301,54 +258,35 @@ class Mediator:
         )
         self.verify = verify
         self.recorder = recorder
-        self.executor = Executor(
-            federation, max_retries=max_retries, recorder=recorder
-        )
         self.backend = backend
-        # One health registry for the whole mediator: the plain engine
-        # and the re-planner's engine see the same breaker state, and
-        # ``mediator.runtime.health`` is always the live view.  A
-        # serving tier passes its own registry here so breaker state
-        # learned by one query's mediator reroutes every other worker.
-        health = (
-            health
-            if health is not None
-            else HealthRegistry(breaker, quarantine)
+        # The mediator's one engine: plain runs and every re-planning
+        # round execute on it, so ``mediator.runtime.health`` is always
+        # the live view.  A serving tier passes its own registry so
+        # breaker state learned by one worker reroutes every other.
+        self.runtime = runtime = RuntimeEngine(
+            federation, resilience, faults=faults, health=health, recorder=recorder
         )
-        self.runtime = RuntimeEngine(
-            federation,
-            faults=faults,
-            policy=retry_policy,
-            hedge_delay_s=hedge_delay_s,
-            health=health,
-            load_balance=load_balance,
-            verify=self.verify_mode,
-            recorder=recorder,
+        self.executor = Executor(
+            federation, max_retries=runtime.policy.max_retries, recorder=recorder
         )
         if optimizer == "robust":
             # Prior from the injected-fault statistics, sharpened live
-            # by the shared health registry as attempts accumulate.
+            # by the engine's health registry as attempts accumulate.
             prior = (
                 AvailabilityModel.from_faults(
-                    faults,
-                    retry_policy or RetryPolicy.default(),
-                    federation.source_names,
+                    runtime.faults, runtime.policy, federation.source_names
                 )
                 if faults is not None
                 else AvailabilityModel.perfect()
             )
             optimizer = RobustOptimizer(
                 federation,
-                availability=ObservedAvailability(health, prior=prior),
+                availability=ObservedAvailability(runtime.health, prior=prior),
                 robustness=robustness,
                 # With hedging, breakers, or re-planning the executor
                 # reaches declared mirrors on its own; the planner then
                 # credits that redundancy instead of duplicating work.
-                failover=(
-                    hedge_delay_s is not None
-                    or breaker is not None
-                    or self.max_replans > 0
-                ),
+                failover=runtime.resilient or self.max_replans > 0,
                 search=search,
                 beam_width=beam_width,
                 planning_budget=planning_budget,
@@ -361,31 +299,12 @@ class Mediator:
         self.optimizer: Optimizer = optimizer or SJAPlusOptimizer(
             search=search, beam_width=beam_width, planning_budget=planning_budget
         )
+        self.plan_cache: PlanCache | None = PlanCache.of(plan_cache)
         self.replanner = (
-            ResilientExecutor(
-                federation,
-                optimizer=self.optimizer,
-                statistics=self.statistics,
-                cost_model=self.cost_model,
-                faults=faults,
-                policy=retry_policy,
-                hedge_delay_s=hedge_delay_s,
-                health=health,
-                max_replans=self.max_replans,
-                load_balance=load_balance,
-                verify=self.verify_mode,
-                recorder=recorder,
-            )
+            ResilientExecutor(runtime, self._optimize, self.max_replans)
             if self.max_replans > 0
             else None
         )
-        if plan_cache is True:
-            plan_cache = PlanCache()
-        elif plan_cache is False:
-            plan_cache = None
-        elif isinstance(plan_cache, int):
-            plan_cache = PlanCache(capacity=plan_cache)
-        self.plan_cache: PlanCache | None = plan_cache
 
     # ------------------------------------------------------------------
 
@@ -416,11 +335,15 @@ class Mediator:
         """Lifetime cache hits (0 when no plan cache is configured)."""
         return self.plan_cache.hits if self.plan_cache is not None else 0
 
-    def _optimize(self, query: FusionQuery) -> OptimizationResult:
-        # Plan over one representative per replica group: declared
-        # mirrors hold identical rows, so querying them is pure
+    def _optimize(
+        self, query: FusionQuery, sources: tuple[str, ...] | None = None
+    ) -> OptimizationResult:
+        # By default plan over one representative per replica group:
+        # declared mirrors hold identical rows, so querying them is pure
         # duplicated work — they serve as failover capacity instead.
-        sources = self.federation.representative_names
+        # A re-planning round names the sources still standing.
+        if sources is None:
+            sources = self.federation.representative_names
         if self.plan_cache is not None:
             cached = self.plan_cache.get(query, sources, self.statistics)
             if cached is not None:
@@ -609,7 +532,7 @@ class Mediator:
         query = self._coerce_aggregate(query)
         fusion_answer = self.answer(query.fusion, budget_s=budget_s)
         items = fusion_answer.items
-        allow_pushdown = bool(pushdown) and self.verify_mode == "off"
+        allow_pushdown = bool(pushdown) and self.runtime.verify == "off"
         aggregate_plan = plan_aggregate(
             query,
             self.federation,

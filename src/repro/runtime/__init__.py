@@ -13,7 +13,7 @@ timeline.  Everything is seeded and replayable.
 
 On top of the engine sit the replica-aware resilience layers: per-source
 health tracking and circuit breakers (:mod:`~repro.runtime.health`),
-hedged dispatch onto substitutable sources (engine options), and
+hedged dispatch onto substitutable sources (:class:`Resilience`), and
 in-flight re-planning around dead sources
 (:mod:`~repro.runtime.replan`).
 
@@ -33,7 +33,7 @@ from repro.runtime.availability import (
     ObservedAvailability,
     expected_completeness,
 )
-from repro.runtime.engine import RuntimeEngine, RuntimeResult
+from repro.runtime.engine import Resilience, RuntimeEngine, RuntimeResult
 from repro.runtime.faults import (
     AttemptFate,
     AttemptOutcome,
@@ -73,6 +73,7 @@ from repro.runtime.verify import (
 )
 
 __all__ = [
+    "Resilience",
     "RuntimeEngine",
     "RuntimeResult",
     "FaultInjector",

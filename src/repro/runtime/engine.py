@@ -20,8 +20,8 @@ per-operation spans (:mod:`repro.runtime.trace`).  Failed attempts are
 charged in full on the simulated wire — retries buy resilience with
 real traffic, which is exactly the trade-off the R3 benchmark measures.
 
-Replica-aware resilience (all opt-in; the zero-config engine behaves
-exactly as before):
+Replica-aware resilience (opt-in fields of :class:`Resilience`; the
+zero-config engine behaves exactly as before):
 
 * **Hedged dispatch** (``hedge_delay_s``) — once an attempt has been
   running for the hedge delay, or immediately when it fails, the same
@@ -204,38 +204,75 @@ class RuntimeResult:
         )
 
 
+@dataclass(frozen=True)
+class Resilience:
+    """How a mediator responds to sources that fail, stall, or lie.
+
+    One frozen value, validated at construction and taken unchanged by
+    :class:`RuntimeEngine`, :class:`~repro.mediator.session.Mediator`
+    and :class:`~repro.serve.MediatorService`.  What the *world* does (a
+    :class:`FaultInjector`) and what engines *share* (a
+    :class:`HealthRegistry`, a recorder) are collaborators, not
+    settings, and stay constructor arguments.
+
+    Attributes:
+        policy: Retry/backoff/deadline policy (default:
+            :meth:`RetryPolicy.default`).
+        hedge_delay_s: Hedged-dispatch delay in virtual seconds, see
+            the module docstring (``None``: no hedging).
+        breaker: Circuit-breaker configuration; ``None`` disables
+            breakers (health is still tracked).
+        quarantine: Data-quality quarantine: sources whose verified
+            answers keep failing checks are refused like an open
+            breaker, on *quality* rather than errors (``None``: off).
+        load_balance: Replica load balancing (off by default — the
+            zero-config engine matches the static scheduler exactly).
+        verify: Answer-verification mode of :mod:`repro.runtime.verify`:
+            ``"off"`` (trust every payload), ``"sanitize"``
+            (schema-validate and dedup each answer) or ``"vote"``
+            (sanitize plus cross-replica majority confirmation).
+
+    ``breaker`` / ``quarantine`` configure the registry an engine builds
+    for itself; a shared ``health`` registry keeps its own.
+    """
+
+    policy: RetryPolicy = RetryPolicy()
+    hedge_delay_s: float | None = None
+    breaker: BreakerConfig | None = None
+    quarantine: QuarantineConfig | None = None
+    load_balance: bool = False
+    verify: str = "off"
+
+    def __post_init__(self) -> None:
+        if self.hedge_delay_s is not None and not (
+            math.isfinite(self.hedge_delay_s) and self.hedge_delay_s >= 0
+        ):
+            raise CostModelError(
+                f"hedge_delay_s must be finite and non-negative, "
+                f"got {self.hedge_delay_s}"
+            )
+        validate_mode(self.verify)
+        for name, kind, wanted in (
+            ("policy", RetryPolicy, "a RetryPolicy"),
+            ("breaker", BreakerConfig | None, "a BreakerConfig or None"),
+            ("quarantine", QuarantineConfig | None, "a QuarantineConfig or None"),
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise CostModelError(f"{name} must be {wanted}, got {value!r}")
+
+
 class RuntimeEngine:
     """Configured concurrent executor over one federation.
 
     Args:
         federation: The sources to execute against.
+        resilience: How to respond to failing or lying sources (default:
+            ``Resilience()`` — three retries, nothing else).
         faults: Fault injector (default: no injected faults).
-        policy: Retry/backoff/deadline policy (default:
-            :meth:`RetryPolicy.default`).
-        hedge_delay_s: Virtual-time delay after which a still-running
-            attempt is speculatively duplicated on a substitutable
-            source (``None`` disables hedging).
-        breaker: Circuit-breaker configuration; ``None`` disables
-            breakers (health is still tracked).
-        health: An existing :class:`HealthRegistry` to share — re-plan
-            rounds pass the same registry so breaker state survives
-            across plans.  Overrides ``breaker``.
-        load_balance: Spread healthy traffic round-robin across a
-            replica group's members instead of serializing everything
-            on the planned source (off by default — the zero-config
-            engine matches the static scheduler exactly).
-        verify: Answer-verification mode — ``"off"`` (trust every
-            payload; byte-identical to the pre-verification engine),
-            ``"sanitize"`` (schema-validate and dedup every delivered
-            answer), or ``"vote"`` (sanitize plus cross-replica
-            majority confirmation within replica groups).  See
-            :mod:`repro.runtime.verify`.
-        quarantine: Optional :class:`QuarantineConfig`; when set (and a
-            fresh registry is built here) sources whose data-quality
-            score drops below the threshold are quarantined — refused
-            like an open breaker, but on *quality* rather than errors.
-            Ignored when ``health`` passes in a shared registry, whose
-            own quarantine config wins.
+        health: An existing :class:`HealthRegistry` to share (a serving
+            tier hands one to every worker's engine); its own breaker /
+            quarantine configuration wins over ``resilience``'s.
         recorder: Optional :class:`repro.obs.Recorder`; when attached,
             every attempt, send-set, retry, hedge, breaker transition,
             and operation is reported as structured telemetry.  ``None``
@@ -245,35 +282,23 @@ class RuntimeEngine:
     def __init__(
         self,
         federation: Federation,
+        resilience: Resilience | None = None,
         faults: FaultInjector | None = None,
-        policy: RetryPolicy | None = None,
-        hedge_delay_s: float | None = None,
-        breaker: BreakerConfig | None = None,
         health: HealthRegistry | None = None,
-        load_balance: bool = False,
-        verify: str = "off",
-        quarantine: QuarantineConfig | None = None,
         recorder: "Recorder | None" = None,
     ):
-        if hedge_delay_s is not None and not (
-            math.isfinite(hedge_delay_s) and hedge_delay_s >= 0
-        ):
-            raise CostModelError(
-                f"hedge_delay_s must be finite and non-negative, "
-                f"got {hedge_delay_s}"
-            )
-        validate_mode(verify)
         self.federation = federation
+        self.resilience = resilience = resilience or Resilience()
         self.faults = faults or FaultInjector.none()
-        self.policy = policy or RetryPolicy.default()
-        self.hedge_delay_s = hedge_delay_s
+        self.policy = resilience.policy
+        self.hedge_delay_s = resilience.hedge_delay_s
         self.health = (
             health
             if health is not None
-            else HealthRegistry(breaker, quarantine)
+            else HealthRegistry(resilience.breaker, resilience.quarantine)
         )
-        self.load_balance = load_balance
-        self.verify = verify
+        self.load_balance = resilience.load_balance
+        self.verify = verify = resilience.verify
         self.verifier = (
             AnswerVerifier(federation, verify) if verify != "off" else None
         )
@@ -298,7 +323,10 @@ class RuntimeEngine:
         return self._substitutes.get(source_name, ())
 
     def run(
-        self, plan: Plan, budget_s: float | None = None
+        self,
+        plan: Plan,
+        budget_s: float | None = None,
+        faults: FaultInjector | None = None,
     ) -> RuntimeResult:
         """Execute ``plan`` concurrently and return answer + trace.
 
@@ -311,13 +339,15 @@ class RuntimeEngine:
         because fusion plans only union and intersect item sets.  Retry
         backoff and hedge timers are clamped so neither can be scheduled
         past the budget.  A budget that is already spent (``<= 0``)
-        degrades everything without touching the wire.
+        degrades everything without touching the wire.  ``faults``
+        replaces the engine's injector for this run only (a serving
+        tier judges each query with its own seeded stream).
         """
         if budget_s is not None and not math.isfinite(budget_s):
             raise CostModelError(
                 f"budget_s must be finite or None, got {budget_s}"
             )
-        return _Execution(self, plan, budget_s).run()
+        return _Execution(self, plan, budget_s, faults).run()
 
 
 class _Task:
@@ -408,10 +438,11 @@ class _Execution:
         engine: RuntimeEngine,
         plan: Plan,
         budget_s: float | None = None,
+        faults: FaultInjector | None = None,
     ):
         self.engine = engine
         self.federation = engine.federation
-        self.faults = engine.faults
+        self.faults = faults if faults is not None else engine.faults
         self.policy = engine.policy
         self.health = engine.health
         self.recorder = engine.recorder

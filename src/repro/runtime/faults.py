@@ -38,7 +38,7 @@ from __future__ import annotations
 import enum
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.errors import CostModelError
 from repro.relational.relation import Relation
@@ -282,6 +282,28 @@ class FaultProfile:
     def degraded(rate: float, factor: float = 4.0) -> "FaultProfile":
         """Slowdowns only: correct answers, ``factor`` times slower."""
         return FaultProfile(slowdown_rate=rate, slowdown_factor=factor)
+
+
+def with_data_faults(
+    profiles: dict[str, FaultProfile],
+    default: FaultProfile | None,
+    data_faults: "DataFaultProfile | dict[str, DataFaultProfile] | None",
+) -> tuple[dict[str, FaultProfile], FaultProfile | None]:
+    """Lay payload tampering over wire profiles: one
+    :class:`DataFaultProfile` for every source (profiles that already
+    tamper keep their own) or a ``{source: profile}`` mapping.  Returns
+    the ``(profiles, default)`` to build a :class:`FaultInjector` from."""
+    profiles = dict(profiles)
+    if isinstance(data_faults, dict):
+        for name, data in data_faults.items():
+            base = profiles.get(name) or default or FaultProfile.none()
+            profiles[name] = replace(base, data=data)
+    elif data_faults is not None:
+        default = replace(default or FaultProfile.none(), data=data_faults)
+        for name, profile in profiles.items():
+            if profile.data is None:
+                profiles[name] = replace(profile, data=data_faults)
+    return profiles, default
 
 
 class FaultInjector:

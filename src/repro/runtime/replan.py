@@ -3,7 +3,7 @@
 Hedging and breakers (:mod:`repro.runtime.engine`) recover an operation
 *while it runs*; this module handles the case they cannot: an operation
 exhausted its retry budget and no substitute could serve it, so the run
-degraded.  The :class:`ResilientExecutor` then re-invokes the optimizer
+degraded.  The :class:`ResilientExecutor` then re-invokes the planner
 on the residual problem — the same fusion query over the surviving
 sources, with every dead source masked out and an unused substitute
 swapped in where one exists — and executes the new plan on the *same*
@@ -20,37 +20,25 @@ already-confirmed item sets are preserved verbatim.
 
 Example:
     >>> from repro.sources.generators import dmv_fig1, replicate_federation
-    >>> from repro.runtime.replan import ResilientExecutor
+    >>> from repro.mediator.session import Mediator
     >>> federation, query = dmv_fig1()
-    >>> executor = ResilientExecutor(replicate_federation(federation, 2))
-    >>> sorted(executor.run(query).items)
+    >>> federation = replicate_federation(federation, 2)
+    >>> mediator = Mediator(federation, backend="runtime", replan=2)
+    >>> sorted(mediator.replanner.run(query).items)
     ['J55', 'T21']
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
-from repro.costs.charge import ChargeCostModel
-from repro.costs.estimates import SizeEstimator
-from repro.costs.model import CostModel
 from repro.errors import CostModelError
-from repro.optimize.base import OptimizationResult, Optimizer
-from repro.optimize.sja_plus import SJAPlusOptimizer
+from repro.optimize.base import OptimizationResult
 from repro.query.fusion import FusionQuery
 from repro.runtime.engine import RuntimeEngine, RuntimeResult
-from repro.runtime.faults import FaultInjector
-from repro.runtime.health import (
-    BreakerConfig,
-    BreakerState,
-    HealthRegistry,
-    QuarantineConfig,
-)
-from repro.runtime.policy import RetryPolicy
+from repro.runtime.health import BreakerState
 from repro.runtime.trace import OpStatus
-from repro.sources.registry import Federation
-from repro.sources.statistics import ExactStatistics, StatisticsProvider
 
 
 @dataclass(frozen=True)
@@ -127,74 +115,35 @@ class ResilientExecutor:
     """Optimize → execute → re-plan around dead sources, bounded.
 
     Args:
-        federation: Sources to run against (replicas included; by
-            default planning covers one representative per replica
-            group, leaving mirrors as failover capacity).
-        optimizer: Planning algorithm (default SJA+, as the mediator).
-        statistics: Statistics provider for the optimizer's estimates.
-        cost_model: Cost model for the optimizer.
-        faults: Fault injector shared by every round.
-        policy: Retry policy for the engine.
-        hedge_delay_s: Hedged-dispatch delay (``None`` disables).
-        breaker: Circuit-breaker configuration (``None`` disables).
-        health: An existing :class:`HealthRegistry` to share with other
-            engines over the same federation (overrides ``breaker``).
+        engine: The engine every round runs on.  Its health registry
+            carries breaker and quarantine state from round to round;
+            its recorder, if any, receives the ``replan`` events, and
+            the executor advances that recorder's round counter and
+            clock offset so event time stays monotone across re-plans.
+        plan: The owner's planner, ``plan(query, sources) ->
+            OptimizationResult``, asked once per round for a plan over
+            the sources still standing (a
+            :class:`~repro.mediator.session.Mediator` passes its own
+            cached one).
         max_replans: How many re-planning rounds may follow the initial
             run (0 = plain execution, no re-planning).
-        load_balance: Spread healthy traffic across replica-group
-            members (see :class:`RuntimeEngine`).
-        recorder: Optional :class:`repro.obs.Recorder` shared by every
-            round; the executor advances its round counter and clock
-            offset so event time stays monotone across re-plans.
     """
 
     def __init__(
         self,
-        federation: Federation,
-        optimizer: Optimizer | None = None,
-        statistics: StatisticsProvider | None = None,
-        cost_model: CostModel | None = None,
-        faults: FaultInjector | None = None,
-        policy: RetryPolicy | None = None,
-        hedge_delay_s: float | None = None,
-        breaker: BreakerConfig | None = None,
-        health: HealthRegistry | None = None,
+        engine: RuntimeEngine,
+        plan: Callable[[FusionQuery, tuple[str, ...]], OptimizationResult],
         max_replans: int = 2,
-        load_balance: bool = False,
-        verify: str = "off",
-        quarantine: QuarantineConfig | None = None,
-        recorder=None,
     ):
         if max_replans < 0:
             raise CostModelError(
                 f"max_replans must be >= 0, got {max_replans}"
             )
-        self.federation = federation
-        self.optimizer = optimizer or SJAPlusOptimizer()
-        self.statistics = statistics or ExactStatistics(federation)
-        self.estimator = SizeEstimator(
-            self.statistics, federation.source_names
-        )
-        self.cost_model = cost_model or ChargeCostModel.for_federation(
-            federation, self.estimator
-        )
+        self.engine = engine
+        self.federation = engine.federation
+        self.recorder = engine.recorder
+        self.plan = plan
         self.max_replans = max_replans
-        self.recorder = recorder
-        # One engine for every round: breaker/health state must survive
-        # re-planning so a replan does not re-burn budget on known-dead
-        # sources.
-        self.engine = RuntimeEngine(
-            federation,
-            faults=faults,
-            policy=policy,
-            hedge_delay_s=hedge_delay_s,
-            breaker=breaker,
-            health=health,
-            load_balance=load_balance,
-            verify=verify,
-            quarantine=quarantine,
-            recorder=recorder,
-        )
 
     def run(
         self,
@@ -224,9 +173,7 @@ class ResilientExecutor:
             if name in active:
                 self._mask_source(name, active, masked)
         for round_no in range(self.max_replans + 1):
-            optimization = self.optimizer.optimize(
-                query, tuple(active), self.cost_model, self.estimator
-            )
+            optimization = self.plan(query, tuple(active))
             if self.recorder is not None:
                 self.recorder.round = round_no
                 self.recorder.emit(

@@ -41,7 +41,6 @@ import heapq
 import threading
 import time
 from dataclasses import dataclass, field
-from dataclasses import replace as dc_replace
 from typing import Any, Sequence
 
 from repro.errors import (
@@ -62,20 +61,18 @@ from repro.obs.spans import (
     engine_spans,
     serve_spans,
 )
+from repro.optimize.base import OptimizationResult, Optimizer
 from repro.optimize.search import PlanningBudget
 from repro.query.fusion import FusionQuery
 from repro.relational.columnar import substrate_summary
+from repro.runtime.engine import Resilience
 from repro.runtime.faults import (
     DataFaultProfile,
     FaultInjector,
     FaultProfile,
+    with_data_faults,
 )
-from repro.runtime.health import (
-    BreakerConfig,
-    HealthRegistry,
-    QuarantineConfig,
-)
-from repro.runtime.verify import validate_mode
+from repro.runtime.health import HealthRegistry
 from repro.serve.admission import AdmissionController
 from repro.serve.deadline import (
     SHED_POLICIES,
@@ -184,16 +181,16 @@ class MediatorService:
             sources, or a ``{source: profile}`` mapping.  Like wire
             faults, the tamper streams derive from the workload seed
             and the submission number, so runs replay byte-identically.
-        breaker: Circuit-breaker config for the *shared* health
-            registry (``True`` = defaults, ``None``/``False`` = off).
-        verify: Answer-verification mode forwarded to every mediator —
-            ``"off"`` (default), ``"sanitize"``, or ``"vote"``; see
-            :mod:`repro.runtime.verify`.
-        quarantine: Data-quality quarantine config for the shared
-            health registry (``True`` = defaults, ``None``/``False`` =
-            off).  Because the registry is shared, one query's vote
-            evidence quarantines the lying source for *every* tenant's
-            subsequent queries.
+        resilience: One :class:`~repro.runtime.engine.Resilience`
+            value, handed unchanged to every worker's mediator.  Its
+            ``breaker`` / ``quarantine`` configure the *shared* health
+            registry, so one query's failures or vote evidence reroute
+            *every* tenant's subsequent queries.  The service recovers
+            inside a run and never re-plans: pool slots are held for
+            the sources of the plan made at dispatch.
+        optimizer: Planning algorithm for every mediator — an
+            :class:`~repro.optimize.base.Optimizer` instance or
+            ``"robust"`` (default: SJA+).
         statistics: Shared statistics provider (default: one
             :class:`~repro.sources.statistics.ExactStatistics`); pass
             an :class:`~repro.sources.observed.ObservedStatistics` plus
@@ -203,9 +200,6 @@ class MediatorService:
         mine_statistics: Feed each completed query's events back into
             ``statistics.observe`` so later queries plan on what
             earlier ones measured.
-        mediator_options: Extra keyword arguments forwarded to every
-            :class:`~repro.mediator.session.Mediator` (e.g.
-            ``optimizer="robust"``, ``retry_policy=...``).
         shed_policy: ``"deadline"`` (default) sheds deadlined queries at
             admission when their predicted completion — queue-wait from
             the :class:`~repro.serve.deadline.QueueWaitEstimator` plus
@@ -226,8 +220,7 @@ class MediatorService:
             calls), so real planning time — not just node counts — is
             bounded; deterministic mode never arms wall clocks, which
             would make replay machine-dependent.  Enables
-            ``search="anytime"`` on every mediator unless
-            ``mediator_options`` picks a search explicitly.
+            ``search="anytime"`` on every mediator.
             ``None`` (default) leaves planning unbounded.
         tracing: Build a causal span tree for every query (default
             on): a deterministic per-query ``trace_id``
@@ -252,13 +245,11 @@ class MediatorService:
         faults: FaultProfile | dict[str, FaultProfile] | None = None,
         churn: ChurnWave | None = None,
         data_faults: DataFaultProfile | dict[str, DataFaultProfile] | None = None,
-        breaker: BreakerConfig | bool | None = None,
-        verify: str = "off",
-        quarantine: QuarantineConfig | bool | None = None,
+        resilience: Resilience | None = None,
+        optimizer: Optimizer | str | None = None,
         statistics: StatisticsProvider | None = None,
         plan_cache: PlanCache | int | bool | None = True,
         mine_statistics: bool = False,
-        mediator_options: dict[str, Any] | None = None,
         shed_policy: str = "deadline",
         planning_budget: int | None = None,
         tracing: bool = True,
@@ -284,9 +275,9 @@ class MediatorService:
         self.faults = faults
         self.churn = churn
         self.data_faults = data_faults
-        self.verify = validate_mode(verify)
+        self.resilience = resilience = resilience or Resilience()
+        self.optimizer = optimizer
         self.mine_statistics = mine_statistics
-        self._mediator_options = dict(mediator_options or {})
         roster = list(tenants) if tenants else [DEFAULT_TENANT]
         self.tenants = {spec.name: spec for spec in roster}
         self.scheduler = FairScheduler(roster)
@@ -301,23 +292,9 @@ class MediatorService:
         self.wait_estimator = QueueWaitEstimator(width=width)
         self.deadline_met_count = 0
         self.deadline_miss_count = 0
-        if breaker is True:
-            breaker = BreakerConfig.default()
-        elif breaker is False:
-            breaker = None
-        if quarantine is True:
-            quarantine = QuarantineConfig.default()
-        elif quarantine is False:
-            quarantine = None
-        self.health = HealthRegistry(breaker, quarantine)
+        self.health = HealthRegistry(resilience.breaker, resilience.quarantine)
         self.statistics = statistics or ExactStatistics(federation)
-        if plan_cache is True:
-            plan_cache = PlanCache()
-        elif plan_cache is False:
-            plan_cache = None
-        elif isinstance(plan_cache, int):
-            plan_cache = PlanCache(capacity=plan_cache)
-        self.plan_cache: PlanCache | None = plan_cache
+        self.plan_cache: PlanCache | None = PlanCache.of(plan_cache)
         self.metrics = MetricsRegistry()
         #: One span log for the whole service, or None with tracing
         #: off.  Only the service appends (see DESIGN.md): each trace's
@@ -376,25 +353,20 @@ class MediatorService:
     # Shared helpers
 
     def _make_mediator(self, recorder: Recorder) -> Mediator:
-        options = dict(self._mediator_options)
-        options.setdefault("backend", "runtime")
-        if self.verify != "off":
-            options.setdefault("verify", self.verify)
-        if self.planning_budget is not None:
-            options.setdefault("search", "anytime")
-            # Every mediator owns a private (mutable) budget — thread
-            # workers re-arm theirs without racing each other.
-            options.setdefault(
-                "planning_budget",
-                PlanningBudget(max_subsets=self.planning_budget),
-            )
+        budget = self.planning_budget
         return Mediator(
             self.federation,
             statistics=self.statistics,
-            plan_cache=self.plan_cache,
-            health=self.health,
+            optimizer=self.optimizer,
+            backend="runtime",
+            resilience=self.resilience,
             recorder=recorder,
-            **options,
+            plan_cache=self.plan_cache,
+            search="auto" if budget is None else "anytime",
+            health=self.health,
+            # Every mediator owns a private (mutable) budget — thread
+            # workers re-arm theirs without racing each other.
+            planning_budget=budget and PlanningBudget(max_subsets=budget),
         )
 
     def _arm_planning(
@@ -485,16 +457,9 @@ class MediatorService:
             wave = self.churn.profile()
             for name in self.churn.sources:
                 profiles[name] = wave
-        if isinstance(self.data_faults, dict):
-            for name, data in self.data_faults.items():
-                base = profiles.get(name) or default or FaultProfile.none()
-                profiles[name] = dc_replace(base, data=data)
-        elif self.data_faults is not None:
-            data = self.data_faults
-            default = dc_replace(default or FaultProfile.none(), data=data)
-            for name, profile in profiles.items():
-                if profile.data is None:
-                    profiles[name] = dc_replace(profile, data=data)
+        profiles, default = with_data_faults(
+            profiles, default, self.data_faults
+        )
         return FaultInjector(
             profiles or None,
             seed=derive_seed(self.seed, ticket.seq),
@@ -652,6 +617,35 @@ class MediatorService:
         else:
             self.deadline_met_count += 1
 
+    def _plan(
+        self, mediator: Mediator, ticket: QueryTicket, now_s: float
+    ) -> tuple[OptimizationResult, bool | None]:
+        """Plan one popped query under a freshly armed budget; returns
+        the result and whether the shared cache served it (None without
+        a cache).  Failing an unplannable ticket (``FusionError``), on
+        its own clock, is the calling driver's job."""
+        self._arm_planning(mediator, ticket, now_s)
+        cache = self.plan_cache
+        hits_before = cache.hits if cache is not None else 0
+        optimization = mediator.plan(ticket.query)
+        ticket.planning_budget_exhausted = optimization.budget_exhausted
+        # Best-effort under threads: the shared counter can also move
+        # for a sibling worker between our read and the lookup.
+        cache_hit = cache.hits > hits_before if cache is not None else None
+        return optimization, cache_hit
+
+    def _mark_dispatched(
+        self, ticket: QueryTicket, sources: list[str], now_s: float
+    ) -> None:
+        """Dispatch bookkeeping of one planned query whose pool slots
+        are free; thread mode calls it under ``_cond``."""
+        self.pools.acquire(sources)
+        self.admission.on_dispatch(ticket.tenant)
+        ticket.dispatched_s = now_s
+        ticket.status = "running"
+        self.max_in_flight = max(self.max_in_flight, self.in_flight)
+        self._serve_event(now_s, "dispatched", ticket.seq, ticket.tenant)
+
     def _note_planned(
         self,
         ticket: QueryTicket,
@@ -762,7 +756,6 @@ class MediatorService:
         whether the run returned or raised, and into mined statistics.
         """
         recorder = mediator.recorder
-        engine = mediator.runtime
         dispatched_s = ticket.dispatched_s
         assert recorder is not None and dispatched_s is not None
         events_before = len(recorder.events)
@@ -771,8 +764,7 @@ class MediatorService:
             budget_s = max(
                 0.0, ticket.submitted_s + ticket.deadline_s - dispatched_s
             )
-        saved_faults = engine.faults
-        engine.faults = self._injector_for(ticket)
+        faults = self._injector_for(ticket)
         # The engine's clock restarts at zero each run; offsetting its
         # event timestamps by the dispatch time interleaves them onto
         # the service timeline (under threads: virtual engine seconds
@@ -780,7 +772,9 @@ class MediatorService:
         recorder.clock_offset_s = dispatched_s
         deadline_cut = False
         try:
-            result = engine.run(plan, budget_s=budget_s)
+            result = mediator.runtime.run(
+                plan, budget_s=budget_s, faults=faults
+            )
             execution = result.to_execution_result()
             ticket.items = execution.items
             ticket.partial = execution.partial
@@ -791,7 +785,6 @@ class MediatorService:
             ticket.error = f"{type(exc).__name__}: {exc}"
         finally:
             recorder.clock_offset_s = 0.0
-            engine.faults = saved_faults
         events = recorder.events.events[events_before:]
         if self.spans is not None:
             self.spans.extend(
@@ -978,27 +971,16 @@ class MediatorService:
             if self._expired_in_queue(ticket, self.now_s):
                 continue
             assert self._det_mediator is not None
-            self._arm_planning(self._det_mediator, ticket, self.now_s)
-            hits_before = (
-                self.plan_cache.hits if self.plan_cache is not None else 0
-            )
             try:
-                optimization = self._det_mediator.plan(ticket.query)
+                optimization, cache_hit = self._plan(
+                    self._det_mediator, ticket, self.now_s
+                )
             except FusionError as exc:
                 self._fail_unplannable(ticket, exc, self.now_s)
                 continue
             self._note_planned(
-                ticket,
-                optimization,
-                self.now_s,
-                cache_hit=(
-                    self.plan_cache.hits > hits_before
-                    if self.plan_cache is not None
-                    else None
-                ),
-                elapsed_s=0.0,
+                ticket, optimization, self.now_s, cache_hit, elapsed_s=0.0
             )
-            ticket.planning_budget_exhausted = optimization.budget_exhausted
             sources = sorted(optimization.plan.sources_used())
             if not self.pools.can_acquire(sources):
                 if self.in_flight == 0:
@@ -1016,12 +998,7 @@ class MediatorService:
         mediator = self._det_mediator
         assert mediator is not None
         dispatch_at = self.now_s
-        self.pools.acquire(sources)
-        self.admission.on_dispatch(ticket.tenant)
-        ticket.dispatched_s = dispatch_at
-        ticket.status = "running"
-        self.max_in_flight = max(self.max_in_flight, self.in_flight)
-        self._serve_event(dispatch_at, "dispatched", ticket.seq, ticket.tenant)
+        self._mark_dispatched(ticket, sources, dispatch_at)
         deadline_cut = self._execute(mediator, ticket, optimization.plan)
         done_at = dispatch_at + ticket.makespan_s
         if deadline_cut:
@@ -1073,13 +1050,11 @@ class MediatorService:
                     continue
             # Plan outside the lock: the shared cache locks internally,
             # and optimization is the expensive part worth overlapping.
-            self._arm_planning(mediator, ticket, self.elapsed_s)
             plan_t0 = time.monotonic()
-            hits_before = (
-                self.plan_cache.hits if self.plan_cache is not None else 0
-            )
             try:
-                optimization = mediator.plan(ticket.query)
+                optimization, cache_hit = self._plan(
+                    mediator, ticket, self.elapsed_s
+                )
                 sources = sorted(optimization.plan.sources_used())
             except FusionError as exc:
                 with self._cond:
@@ -1094,34 +1069,15 @@ class MediatorService:
             planned_at = max(
                 ticket.submitted_s, self.elapsed_s - plan_elapsed
             )
-            ticket.planning_budget_exhausted = optimization.budget_exhausted
             with self._cond:
-                # Cache-hit attribution is best-effort under threads:
-                # the shared counter can also move for a sibling worker
-                # between our read and the lookup.
                 self._note_planned(
-                    ticket,
-                    optimization,
-                    planned_at,
-                    cache_hit=(
-                        self.plan_cache.hits > hits_before
-                        if self.plan_cache is not None
-                        else None
-                    ),
-                    elapsed_s=plan_elapsed,
+                    ticket, optimization, planned_at, cache_hit, plan_elapsed
                 )
                 while not (self.pools.can_acquire(sources) or self._stop):
                     self._cond.wait(0.1)
                 if self._stop and not self.pools.can_acquire(sources):
                     return
-                self.pools.acquire(sources)
-                self.admission.on_dispatch(ticket.tenant)
-                ticket.dispatched_s = self.elapsed_s
-                ticket.status = "running"
-                self.max_in_flight = max(self.max_in_flight, self.in_flight)
-                self._serve_event(
-                    ticket.dispatched_s, "dispatched", ticket.seq, ticket.tenant
-                )
+                self._mark_dispatched(ticket, sources, self.elapsed_s)
             deadline_cut = self._execute(mediator, ticket, optimization.plan)
             with self._cond:
                 now = self.elapsed_s

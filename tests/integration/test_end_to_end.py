@@ -11,6 +11,8 @@ from repro.mediator.session import Mediator
 from repro.optimize.greedy import SelectivityOrderOptimizer
 from repro.optimize.sja import SJAOptimizer
 from repro.optimize.sja_plus import SJAPlusOptimizer
+from repro.runtime.engine import Resilience
+from repro.runtime.policy import RetryPolicy
 from repro.sources.generators import (
     SyntheticConfig,
     bibliographic_federation,
@@ -181,7 +183,11 @@ class TestFaultTolerance:
             source.failure = FailureInjector(
                 failure_rate=0.3, seed=index, max_failures=5
             )
-        mediator = Mediator(federation, verify=True, max_retries=10)
+        mediator = Mediator(
+            federation,
+            verify=True,
+            resilience=Resilience(policy=RetryPolicy(max_retries=10)),
+        )
         query = synthetic_query(config, m=2, seed=73)
         answer = mediator.answer(query)
         assert answer.verified is True

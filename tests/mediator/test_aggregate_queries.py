@@ -16,6 +16,7 @@ from repro.mediator.reference import reference_aggregate
 from repro.mediator.session import AggregateAnswer, Mediator
 from repro.query.aggregate import AggregateQuery
 from repro.query.sqlparse import is_aggregate_query, parse_query
+from repro.runtime.engine import Resilience
 from repro.sources.capabilities import SourceCapabilities
 from repro.sources.generators import dmv_fig1
 
@@ -138,7 +139,10 @@ class TestPushdownPath:
         assert answer.aggregate_plan.estimated_cost > 0
 
     def test_vote_mode_forces_fetch(self, analytic_federation):
-        mediator = Mediator(analytic_federation, verify="vote")
+        mediator = Mediator(
+            analytic_federation,
+            resilience=Resilience(verify="vote"),
+        )
         answer = mediator.answer_aggregate(AGG_SQL, pushdown="force")
         assert answer.aggregate_plan.pushdown_sources == ()
         assert dict(answer.result.groups) == EXPECTED_GROUPS

@@ -237,6 +237,24 @@ def test_budget_cut_plan_is_not_cached():
     assert mediator.plan_cache.hits == 1
 
 
+def test_budget_cut_replanning_round_is_not_cached():
+    # The re-planner plans through the mediator's cached planner, so the
+    # rule above covers its rounds too.
+    config = SyntheticConfig(n_sources=4, n_entities=90, seed=5)
+    budget = PlanningBudget(max_subsets=1)
+    mediator = Mediator(
+        build_synthetic(config),
+        backend="runtime",
+        replan=2,
+        search="anytime",
+        planning_budget=budget,
+        plan_cache=True,
+    )
+    answer = mediator.answer(synthetic_query(config, m=5, seed=6))
+    assert answer.optimization.budget_exhausted
+    assert (mediator.plan_cache.misses, len(mediator.plan_cache)) == (1, 0)
+
+
 def test_summary_reports_usage():
     federation, query = dmv_fig1()
     mediator = Mediator(federation, plan_cache=PlanCache(capacity=8))

@@ -4,11 +4,18 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import NotAFusionQueryError
+from repro.errors import CostModelError, NotAFusionQueryError
 from repro.mediator.session import Mediator
 from repro.optimize.filter import FilterOptimizer
 from repro.optimize.sja import SJAOptimizer
-from repro.sources.generators import DMV_FIG1_ANSWER, dmv_fig1
+from repro.runtime.engine import Resilience
+from repro.runtime.health import BreakerConfig
+from repro.runtime.policy import RetryPolicy
+from repro.sources.generators import (
+    DMV_FIG1_ANSWER,
+    dmv_fig1,
+    replicate_federation,
+)
 from repro.sources.statistics import SampledStatistics
 
 
@@ -63,6 +70,13 @@ class TestConfiguration:
         )
         answer = mediator.answer(dmv_query)
         assert answer.items == DMV_FIG1_ANSWER
+
+    @pytest.mark.parametrize("verify", ["vote", "off", 1, None])
+    def test_verify_is_only_the_oracle_check(self, dmv_federation, verify):
+        # A verification *mode* belongs in Resilience(verify=...); read
+        # as a truthy oracle check it would raise on every honest answer.
+        with pytest.raises(CostModelError, match="must be a bool"):
+            Mediator(dmv_federation, verify=verify)
 
     def test_plan_without_execution(self, dmv_mediator, dmv_query):
         result = dmv_mediator.plan(dmv_query)
@@ -152,14 +166,14 @@ class TestRuntimeBackend:
     def test_degraded_run_does_not_fail_verification(
         self, dmv_federation, dmv_query
     ):
-        from repro.runtime import FaultInjector, FaultProfile, RetryPolicy
+        from repro.runtime import FaultInjector, FaultProfile
 
         mediator = Mediator(
             dmv_federation,
             backend="runtime",
             verify=True,
             faults=FaultInjector({"R1": FaultProfile.flaky(1.0)}, seed=0),
-            retry_policy=RetryPolicy.no_retry(),
+            resilience=Resilience(policy=RetryPolicy.no_retry()),
         )
         answer = mediator.answer(dmv_query)  # must not raise
         assert answer.verified is False
@@ -174,11 +188,12 @@ class TestRuntimeBackend:
         assert result.complete
 
 
+NO_RETRY = RetryPolicy.no_retry()
+
+
 class TestResilientBackend:
-    def make_mediator(self, **kwargs):
+    def make_mediator(self, resilience=Resilience(policy=NO_RETRY), **kwargs):
         from repro.runtime.faults import FaultInjector, FaultProfile
-        from repro.runtime.policy import RetryPolicy
-        from repro.sources.generators import replicate_federation
 
         federation, __ = dmv_fig1()
         federation = replicate_federation(federation, 2)
@@ -186,7 +201,7 @@ class TestResilientBackend:
             federation,
             backend="runtime",
             faults=FaultInjector({"R1": FaultProfile.flaky(1.0)}, seed=7),
-            retry_policy=RetryPolicy.no_retry(),
+            resilience=resilience,
             **kwargs,
         )
 
@@ -199,31 +214,61 @@ class TestResilientBackend:
         assert "replan round" in answer.summary()
 
     def test_hedging_recovers_in_flight(self, dmv_query):
-        mediator = self.make_mediator(hedge_delay_s=2.0)
+        mediator = self.make_mediator(
+            Resilience(policy=NO_RETRY, hedge_delay_s=2.0)
+        )
         answer = mediator.answer(dmv_query)
         assert answer.items == DMV_FIG1_ANSWER
         assert answer.resilient is None  # no replanning configured
         assert answer.runtime.recovered_steps
         assert "recovered" in answer.summary()
 
-    def test_breaker_true_means_default_config(self, dmv_query):
-        mediator = self.make_mediator(breaker=True)
+    def test_breaker_config_enables_breakers(self, dmv_query):
+        mediator = self.make_mediator(
+            Resilience(policy=NO_RETRY, breaker=BreakerConfig.default())
+        )
         assert mediator.runtime.health.enabled
-        mediator = self.make_mediator(breaker=False)
+        mediator = self.make_mediator()
         assert not mediator.runtime.health.enabled
 
     def test_health_registry_shared_with_replanner(self, dmv_query):
-        mediator = self.make_mediator(replan=2, breaker=True)
+        mediator = self.make_mediator(
+            Resilience(policy=NO_RETRY, breaker=BreakerConfig.default()),
+            replan=2,
+        )
         answer = mediator.answer(dmv_query)
         assert answer.items == DMV_FIG1_ANSWER
-        # The replanner's engine and the mediator's plain engine share
-        # one registry, so the mediator-level view saw the failures.
-        assert mediator.replanner.engine.health is mediator.runtime.health
+        # Re-planning rounds run on the mediator's own engine, so the
+        # mediator-level view saw the failures.
+        assert mediator.replanner.engine is mediator.runtime
         assert mediator.runtime.health.health_of("R1").failures > 0
 
-    def test_negative_replan_rejected(self):
-        from repro.errors import CostModelError
+    @pytest.mark.parametrize("replan", [0, 2])
+    def test_replanning_goes_through_the_plan_cache(self, dmv_query, replan):
+        # The replanner plans with the mediator's own cached planner:
+        # three identical answers read 2 hits / 1 miss either way.
+        federation = replicate_federation(dmv_fig1()[0], 2)
+        mediator = Mediator(
+            federation, backend="runtime", replan=replan, plan_cache=True
+        )
+        for __ in range(3):
+            assert mediator.answer(dmv_query).items == DMV_FIG1_ANSWER
+        cache = mediator.plan_cache
+        assert (cache.hits, cache.misses, len(cache)) == (2, 1, 1)
 
+    def test_later_rounds_cache_under_the_masked_source_tuple(self, dmv_query):
+        mediator = self.make_mediator(replan=2, plan_cache=True)
+        first = mediator.answer(dmv_query)
+        assert first.resilient.replans == 1
+        # Round 0 planned over the representatives, round 1 over the
+        # tuple with the dead R1 masked and its mirror swapped in.
+        planned = [round_.sources for round_ in first.resilient.rounds]
+        assert planned == [("R1", "R2", "R3"), ("R2", "R3", "R1~1")]
+        assert (mediator.plan_cache.misses, len(mediator.plan_cache)) == (2, 2)
+        mediator.answer(dmv_query)
+        assert (mediator.plan_cache.hits, mediator.plan_cache.misses) == (2, 2)
+
+    def test_negative_replan_rejected(self):
         federation, __ = dmv_fig1()
         with pytest.raises(CostModelError):
             Mediator(federation, backend="runtime", replan=-1)
@@ -233,8 +278,6 @@ class TestResilientBackend:
         # whole group and completes, but ``masked`` explains the losses
         # so verify=True must not raise.
         from repro.runtime.faults import FaultInjector, FaultProfile
-        from repro.runtime.policy import RetryPolicy
-        from repro.sources.generators import replicate_federation
 
         federation, __ = dmv_fig1()
         federation = replicate_federation(federation, 2)
@@ -249,7 +292,7 @@ class TestResilientBackend:
                 },
                 seed=7,
             ),
-            retry_policy=RetryPolicy.no_retry(),
+            resilience=Resilience(policy=NO_RETRY),
             replan=2,
         )
         answer = mediator.answer(dmv_query)

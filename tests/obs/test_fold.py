@@ -29,7 +29,7 @@ from repro.obs.fold import EVENT_FOLDS
 from repro.obs.recorder import ROUND_STAMPED
 from repro.optimize import FilterOptimizer, SJAOptimizer
 from repro.plans.operations import UnionOp
-from repro.runtime.engine import RuntimeEngine
+from repro.runtime.engine import Resilience, RuntimeEngine
 from repro.runtime.faults import (
     AttemptFate,
     DataFaultProfile,
@@ -106,8 +106,9 @@ def resilient() -> Recorder:
         [dmv_fig1()[1]],
         backend="runtime",
         faults=FaultInjector(default=FaultProfile.flaky(0.4), seed=7),
-        hedge_delay_s=2.0,
-        breaker=BreakerConfig.aggressive(),
+        resilience=Resilience(
+            hedge_delay_s=2.0, breaker=BreakerConfig.aggressive()
+        ),
         replan=2,
     )
 
@@ -124,9 +125,11 @@ def _untrusted(mode: str) -> Recorder:
         [dmv_fig1()[1]] * 8,
         backend="runtime",
         faults=FaultInjector(dirty, seed=5),
-        verify=mode,
-        quarantine=QuarantineConfig.default() if mode == "vote" else None,
-        load_balance=True,
+        resilience=Resilience(
+            quarantine=QuarantineConfig.default() if mode == "vote" else None,
+            load_balance=True,
+            verify=mode,
+        ),
         optimizer=FilterOptimizer(),
     )
 
@@ -190,8 +193,10 @@ def serve_churn() -> Recorder:
         replicate_federation(dmv_fig1()[0], 2),
         count=24, rate_qps=2.0, deadline_s=1.0,
         churn=ChurnWave(2.0, 8.0, ("R1", "R1~1", "R2", "R2~1"), rate=0.8),
-        breaker=True, shed_policy="none", queue_limit=64,
-        mediator_options={"hedge_delay_s": 2.0},
+        shed_policy="none", queue_limit=64,
+        resilience=Resilience(
+            hedge_delay_s=2.0, breaker=BreakerConfig.default()
+        ),
     )
 
 

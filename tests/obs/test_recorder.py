@@ -11,8 +11,9 @@ from repro.obs import EventLog, MetricsRegistry, Recorder
 from repro.obs.replay import trace_from_events
 from repro.optimize.sja_plus import SJAPlusOptimizer
 from repro.plans.builder import build_filter_plan
-from repro.runtime.engine import RuntimeEngine
+from repro.runtime.engine import Resilience, RuntimeEngine
 from repro.runtime.faults import FaultInjector, FaultProfile
+from repro.runtime.health import BreakerConfig
 from repro.runtime.trace import RuntimeTrace
 from repro.sources.generators import dmv_fig1, replicate_federation
 
@@ -175,8 +176,7 @@ class TestReplay:
         mediator = Mediator(
             replicate_federation(dmv_fig1()[0], 3),
             backend="runtime",
-            verify="vote",
-            hedge_delay_s=hedge_delay_s,
+            resilience=Resilience(hedge_delay_s=hedge_delay_s, verify="vote"),
             faults=FaultInjector(
                 default=FaultProfile.flaky(fault_rate), seed=2
             ),
@@ -234,7 +234,9 @@ class TestReplanRounds:
     def test_timestamps_monotone_across_rounds(self):
         recorder = Recorder()
         mediator, query = flaky_mediator(
-            recorder, breaker=True, replan=2
+            recorder,
+            resilience=Resilience(breaker=BreakerConfig.default()),
+            replan=2,
         )
         mediator.answer(query)
         stamps = [event.ts for event in recorder.events]

@@ -7,6 +7,7 @@ from __future__ import annotations
 from repro.obs.events import Event, EventLog
 from repro.obs.spans import EXECUTE_SPAN_ID, FIRST_ENGINE_SPAN_ID, engine_spans
 from repro.query.fusion import FusionQuery
+from repro.runtime.engine import Resilience
 from repro.runtime.faults import DataFaultProfile, FaultProfile
 from repro.runtime.health import BreakerConfig, QuarantineConfig
 from repro.serve import MediatorService
@@ -31,8 +32,9 @@ def resilience_service() -> tuple[MediatorService, object, float]:
         replicate_federation(dmv_fig1()[0], 2),
         seed=45,
         faults=FaultProfile.flaky(0.6),
-        breaker=BreakerConfig.aggressive(),
-        mediator_options={"hedge_delay_s": 2.0},
+        resilience=Resilience(
+            hedge_delay_s=2.0, breaker=BreakerConfig.aggressive()
+        ),
     )
     return service, one_condition_query(), 1.5
 
@@ -42,10 +44,12 @@ def verify_service() -> tuple[MediatorService, object, float]:
         dmv_fig1()[0],
         seed=2,
         data_faults={"R2": DataFaultProfile(corrupt_rate=1.0)},
-        verify="sanitize",
-        # One tainted answer is evidence enough: the quarantine fires
-        # inside the very query that delivered it.
-        quarantine=QuarantineConfig(min_volume=1, prior_weight=0.0),
+        resilience=Resilience(
+            # One tainted answer is evidence enough: the quarantine fires
+            # inside the very query that delivered it.
+            quarantine=QuarantineConfig(min_volume=1, prior_weight=0.0),
+            verify="sanitize",
+        ),
     )
     return service, one_condition_query(), 0.5
 

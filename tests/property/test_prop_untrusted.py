@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.obs import EventLog, Recorder
 from repro.plans.builder import build_filter_plan
-from repro.runtime.engine import RuntimeEngine
+from repro.runtime.engine import Resilience, RuntimeEngine
 from repro.runtime.faults import (
     DataFaultProfile,
     FaultInjector,
@@ -94,8 +94,7 @@ def verified_event_stream(seed: int) -> str:
     engine = RuntimeEngine(
         federation,
         faults=FaultInjector(profiles, seed=seed),
-        load_balance=True,
-        verify="vote",
+        resilience=Resilience(load_balance=True, verify="vote"),
         recorder=recorder,
     )
     plan = build_filter_plan(query, federation.representative_names)

@@ -13,7 +13,7 @@ import pytest
 
 from repro.errors import CostModelError
 from repro.plans.builder import build_filter_plan
-from repro.runtime.engine import RuntimeEngine
+from repro.runtime.engine import Resilience, RuntimeEngine
 from repro.runtime.faults import FaultInjector, FaultProfile
 from repro.runtime.policy import OnExhaust, RetryPolicy
 from repro.runtime.trace import OpStatus
@@ -110,10 +110,12 @@ class TestBackoffClamp:
         engine = RuntimeEngine(
             federation,
             faults=FaultInjector(FaultProfile.flaky(0.8), seed=11),
-            policy=RetryPolicy(
-                max_retries=8,
-                backoff_base_s=4.0,
-                on_exhaust=OnExhaust.SKIP,
+            resilience=Resilience(
+                policy=RetryPolicy(
+                    max_retries=8,
+                    backoff_base_s=4.0,
+                    on_exhaust=OnExhaust.SKIP,
+                ),
             ),
         )
         result = engine.run(plan, budget_s=budget)
@@ -134,13 +136,13 @@ class TestHedgeClamp:
         full = RuntimeEngine(
             federation,
             faults=FaultInjector(profile, seed=3),
-            hedge_delay_s=0.5,
+            resilience=Resilience(hedge_delay_s=0.5),
         ).run(plan)
         budget = full.makespan_s / 2
         engine = RuntimeEngine(
             federation,
             faults=FaultInjector(profile, seed=3),
-            hedge_delay_s=0.5,
+            resilience=Resilience(hedge_delay_s=0.5),
         )
         result = engine.run(plan, budget_s=budget)
         assert result.deadline_expired

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import ast
+import dataclasses
+import pathlib
+
 import pytest
 
+import repro
 from repro.costs.charge import ChargeCostModel
 from repro.costs.estimates import SizeEstimator
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, FusionError
 from repro.mediator.executor import Executor
+from repro.mediator.plan_cache import PlanCache
 from repro.mediator.reference import reference_answer
 from repro.mediator.schedule import response_time
 from repro.optimize.sj import SJOptimizer
@@ -21,8 +27,9 @@ from repro.plans.operations import (
     UnionOp,
 )
 from repro.plans.plan import Plan
-from repro.runtime.engine import RuntimeEngine
+from repro.runtime.engine import Resilience, RuntimeEngine
 from repro.runtime.faults import AttemptFate, FaultInjector, FaultProfile
+from repro.runtime.health import BreakerConfig, HealthRegistry, QuarantineConfig
 from repro.runtime.policy import OnExhaust, RetryPolicy
 from repro.runtime.trace import OpStatus
 from repro.sources.generators import (
@@ -131,7 +138,9 @@ class TestRetries:
         engine = RuntimeEngine(
             federation,
             faults=FaultInjector(FaultProfile.flaky(0.5), seed=5),
-            policy=RetryPolicy(max_retries=8, backoff_base_s=0.05),
+            resilience=Resilience(
+                policy=RetryPolicy(max_retries=8, backoff_base_s=0.05),
+            ),
         )
         result = engine.run(plan)
         assert result.items == DMV_FIG1_ANSWER
@@ -145,7 +154,7 @@ class TestRetries:
         engine = RuntimeEngine(
             federation,
             faults=FaultInjector(FaultProfile.flaky(0.5), seed=5),
-            policy=policy,
+            resilience=Resilience(policy=policy),
         )
         result = engine.run(plan)
         retried = [s for s in result.trace.remote_spans if s.retries]
@@ -164,7 +173,9 @@ class TestRetries:
         engine = RuntimeEngine(
             federation,
             faults=FaultInjector(FaultProfile.flaky(0.5), seed=5),
-            policy=RetryPolicy(max_retries=8, backoff_base_s=0.05),
+            resilience=Resilience(
+                policy=RetryPolicy(max_retries=8, backoff_base_s=0.05),
+            ),
         )
         faulty = engine.run(plan)
         assert faulty.trace.total_retries > 0
@@ -198,7 +209,7 @@ class TestDegradationAndFailure:
             faults=FaultInjector(
                 {"R1": FaultProfile.flaky(1.0)}, seed=0
             ),
-            policy=RetryPolicy.no_retry(),
+            resilience=Resilience(policy=RetryPolicy.no_retry()),
         )
         result = engine.run(plan)
         assert not result.complete
@@ -212,7 +223,9 @@ class TestDegradationAndFailure:
         engine = RuntimeEngine(
             federation,
             faults=FaultInjector(FaultProfile.flaky(1.0), seed=0),
-            policy=RetryPolicy.no_retry(on_exhaust=OnExhaust.FAIL),
+            resilience=Resilience(
+                policy=RetryPolicy.no_retry(on_exhaust=OnExhaust.FAIL),
+            ),
         )
         with pytest.raises(ExecutionError, match="failed after 0 retries"):
             engine.run(plan)
@@ -225,8 +238,10 @@ class TestDegradationAndFailure:
             faults=FaultInjector(
                 FaultProfile(stall_rate=1.0, stall_s=60.0), seed=0
             ),
-            policy=RetryPolicy(
-                max_retries=0, timeout_s=2.0, on_exhaust=OnExhaust.SKIP
+            resilience=Resilience(
+                policy=RetryPolicy(
+                    max_retries=0, timeout_s=2.0, on_exhaust=OnExhaust.SKIP
+                ),
             ),
         )
         result = engine.run(plan)
@@ -245,7 +260,9 @@ class TestDegradationAndFailure:
             faults=FaultInjector(
                 {"R1": FaultProfile(outages=((0.0, 5.0),))}, seed=0
             ),
-            policy=RetryPolicy(max_retries=10, backoff_base_s=2.0),
+            resilience=Resilience(
+                policy=RetryPolicy(max_retries=10, backoff_base_s=2.0),
+            ),
         )
         result = engine.run(plan)
         assert result.items == DMV_FIG1_ANSWER
@@ -275,7 +292,7 @@ class TestDegradationAndFailure:
         engine = RuntimeEngine(
             federation,
             faults=FaultInjector({"R1": FaultProfile.flaky(1.0)}, seed=0),
-            policy=RetryPolicy.no_retry(),
+            resilience=Resilience(policy=RetryPolicy.no_retry()),
         )
         result = engine.run(plan)
         load_span = result.trace.spans[0]
@@ -295,7 +312,9 @@ class TestDeterminismAndProjection:
             engine = RuntimeEngine(
                 federation,
                 faults=FaultInjector(FaultProfile.flaky(0.3), seed=99),
-                policy=RetryPolicy(max_retries=3, backoff_base_s=0.1),
+                resilience=Resilience(
+                    policy=RetryPolicy(max_retries=3, backoff_base_s=0.1),
+                ),
             )
             return engine.run(plan)
 
@@ -320,3 +339,172 @@ class TestDeterminismAndProjection:
         result = RuntimeEngine(federation).run(plan)
         assert "2 items" in repr(result)
         assert "makespan" in result.summary()
+
+
+class TestResilienceValue:
+    """The six response knobs are one frozen value, validated once."""
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"hedge_delay_s": -1},
+            {"hedge_delay_s": float("nan")},
+            {"verify": "maybe"},
+            {"breaker": True},
+            {"quarantine": True},
+            {"policy": None},
+        ],
+        ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()),
+    )
+    def test_bad_field_raises_a_library_error_at_construction(self, bad):
+        with pytest.raises(FusionError):
+            Resilience(**bad)
+
+    def test_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            Resilience().hedge_delay_s = 1.0
+
+    def test_engine_reads_every_field_of_the_value(self, dmv_kit):
+        federation, __, __ = dmv_kit
+        value = Resilience(
+            policy=RetryPolicy.no_retry(),
+            hedge_delay_s=2.0,
+            breaker=BreakerConfig.aggressive(),
+            quarantine=QuarantineConfig.default(),
+            load_balance=True,
+            verify="sanitize",
+        )
+        engine = RuntimeEngine(federation, value)
+        assert engine.resilience is value
+        for field in dataclasses.fields(Resilience):
+            if field.name not in ("breaker", "quarantine"):
+                assert getattr(engine, field.name) is getattr(value, field.name)
+        assert engine.health.config is value.breaker
+        assert engine.health.quarantine is value.quarantine
+        assert engine.verifier is not None
+
+    def test_shared_registry_keeps_its_own_configuration(self, dmv_kit):
+        federation, __, __ = dmv_kit
+        shared = HealthRegistry()
+        engine = RuntimeEngine(
+            federation,
+            Resilience(breaker=BreakerConfig.default()),
+            health=shared,
+        )
+        assert engine.health is shared and not engine.resilient
+
+    def test_per_run_injector_does_not_touch_the_engine(self, dmv_kit):
+        federation, query, __ = dmv_kit
+        plan = build_filter_plan(query, federation.source_names)
+        engine = RuntimeEngine(
+            federation, Resilience(policy=RetryPolicy.no_retry())
+        )
+        own = engine.faults
+        dead = FaultInjector({"R1": FaultProfile.flaky(1.0)}, seed=0)
+        assert engine.run(plan, faults=dead).degraded_steps
+        assert dead.attempts > 0 and own.attempts == 0
+        assert engine.faults is own
+        assert engine.run(plan).items == DMV_FIG1_ANSWER
+
+
+#: Classes that consume a knob rather than re-declare it.
+CONSUMERS = {"HealthRegistry"}
+#: The sequential executors' own retry budget predates the policy.
+RETRY_COUNTERS = {"RetryPolicy", "Executor", "AdaptiveExecutor"}
+
+
+def _declarations():
+    """``(owner, name)`` for every function parameter and annotated
+    class field under ``src/repro``; the owner is the enclosing class,
+    or ``module:function`` for free functions."""
+    root = pathlib.Path(repro.__file__).parent
+    for path in sorted(root.rglob("*.py")):
+        module = path.relative_to(root).as_posix()
+
+        def visit(node, owner):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.ClassDef):
+                    for stmt in child.body:
+                        if isinstance(stmt, ast.AnnAssign) and isinstance(
+                            stmt.target, ast.Name
+                        ):
+                            yield child.name, stmt.target.id
+                    yield from visit(child, child.name)
+                    continue
+                if isinstance(
+                    child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+                ):
+                    scope = owner or f"{module}:{getattr(child, 'name', 'lambda')}"
+                    args = child.args
+                    for arg in args.posonlyargs + args.args + args.kwonlyargs:
+                        yield scope, arg.arg
+                    yield from visit(child, scope)
+                    continue
+                yield from visit(child, owner)
+
+        yield from visit(ast.parse(path.read_text()), None)
+
+
+def _trees(*relative):
+    root = pathlib.Path(repro.__file__).parent
+    for name in relative:
+        target = root / name
+        paths = [target] if target.is_file() else sorted(target.rglob("*.py"))
+        for path in paths:
+            yield path.relative_to(root).as_posix(), ast.parse(path.read_text())
+
+
+def _owners() -> dict[str, set[str]]:
+    owners: dict[str, set[str]] = {}
+    for owner, name in _declarations():
+        owners.setdefault(name, set()).add(owner)
+    return owners
+
+
+class TestResilienceDeclaredOnce:
+    def test_each_knob_is_declared_by_resilience_alone(self):
+        owners = _owners()
+        for knob in ("hedge_delay_s", "load_balance", "quarantine", "breaker"):
+            assert owners[knob] - CONSUMERS == {"Resilience"}, knob
+        assert {f.name for f in dataclasses.fields(Resilience)} == {
+            "policy", "hedge_delay_s", "breaker", "quarantine",
+            "load_balance", "verify",
+        }
+
+    def test_removed_keywords_stay_removed(self):
+        owners = _owners()
+        assert "retry_policy" not in owners
+        assert "mediator_options" not in owners
+        assert owners["max_retries"] <= RETRY_COUNTERS
+
+    def test_no_bool_sugar_is_coerced_outside_plan_cache_of(self):
+        sugared = {"breaker", "quarantine", "plan_cache"}
+        found = []
+        for name, tree in _trees(""):
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Compare):
+                    continue
+                operands = [node.left, *node.comparators]
+                names = {
+                    getattr(o, "id", getattr(o, "attr", None)) for o in operands
+                }
+                bools = [
+                    o for o in operands
+                    if isinstance(o, ast.Constant) and isinstance(o.value, bool)
+                ]
+                if bools and names & sugared:
+                    found.append(f"{name}:{node.lineno}")
+        assert found == []
+        assert PlanCache.of(True).capacity == PlanCache().capacity
+        assert PlanCache.of(7).capacity == 7
+        assert PlanCache.of(False) is None and PlanCache.of(None) is None
+
+    def test_a_mediator_builds_exactly_one_engine(self):
+        calls = [
+            f"{name}:{node.lineno}"
+            for name, tree in _trees("mediator", "runtime/replan.py")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "RuntimeEngine"
+        ]
+        assert len(calls) == 1 and calls[0].startswith("mediator/session.py")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.mediator.session import Mediator
 from repro.obs import Recorder
 from repro.plans.builder import build_filter_plan
-from repro.runtime.engine import RuntimeEngine
+from repro.runtime.engine import Resilience, RuntimeEngine
 from repro.runtime.faults import (
     AttemptFate,
     DataFaultProfile,
@@ -46,9 +46,11 @@ def make_engine(
     engine = RuntimeEngine(
         federation,
         faults=FaultInjector(profiles, seed=seed),
-        load_balance=True,
-        verify=verify,
-        quarantine=quarantine,
+        resilience=Resilience(
+            quarantine=quarantine,
+            load_balance=True,
+            verify=verify,
+        ),
     )
     plan = build_filter_plan(query, federation.representative_names)
     return engine, plan
@@ -207,8 +209,7 @@ class TestVoteWithHedging:
         mediator = Mediator(
             replicate_federation(dmv_fig1()[0], 3),
             backend="runtime",
-            verify="vote",
-            hedge_delay_s=0.05,
+            resilience=Resilience(hedge_delay_s=0.05, verify="vote"),
             faults=FaultInjector(default=FaultProfile.flaky(0.4), seed=2),
             recorder=recorder,
         )

@@ -7,6 +7,7 @@ import pytest
 from repro.errors import CostModelError
 from repro.relational.relation import Relation
 from repro.relational.schema import dmv_schema
+from repro.runtime.engine import Resilience
 from repro.runtime.faults import (
     AttemptFate,
     DataFate,
@@ -304,21 +305,21 @@ class TestDataTamper:
 class TestOutageOverlaps:
     """Outage windows interacting with retry backoffs and hedge delays."""
 
-    def run_engine(self, outage, **engine_kwargs):
+    def run_engine(self, outage, resilience, replicate=False):
         from repro.plans.builder import build_filter_plan
         from repro.runtime.engine import RuntimeEngine
         from repro.sources.generators import dmv_fig1, replicate_federation
 
         federation, query = dmv_fig1()
-        if engine_kwargs.pop("replicate", False):
+        if replicate:
             federation = replicate_federation(federation, 2)
         plan = build_filter_plan(query, federation.representative_names)
         engine = RuntimeEngine(
             federation,
+            resilience,
             faults=FaultInjector(
                 {"R1": FaultProfile(outages=(outage,))}, seed=0
             ),
-            **engine_kwargs,
         )
         return engine.run(plan)
 
@@ -336,7 +337,7 @@ class TestOutageOverlaps:
         outage = (0.0, 4.0)
         result = self.run_engine(
             outage,
-            policy=RetryPolicy(max_retries=10, backoff_base_s=1.0),
+            Resilience(policy=RetryPolicy(max_retries=10, backoff_base_s=1.0)),
         )
         attempts = self.r1_attempts(result)
         # Every attempt that started inside the window failed with
@@ -355,7 +356,7 @@ class TestOutageOverlaps:
 
         result = self.run_engine(
             (0.0, 0.5),
-            policy=RetryPolicy(max_retries=2, backoff_base_s=5.0),
+            Resilience(policy=RetryPolicy(max_retries=2, backoff_base_s=5.0)),
         )
         attempts = self.r1_attempts(result)
         fates = [a.fate for a in attempts]
@@ -375,7 +376,7 @@ class TestOutageOverlaps:
 
         result = self.run_engine(
             (0.0, 1e6),
-            policy=RetryPolicy(max_retries=2, backoff_base_s=0.5),
+            Resilience(policy=RetryPolicy(max_retries=2, backoff_base_s=0.5)),
         )
         assert not result.complete
         assert result.items <= DMV_FIG1_ANSWER
@@ -390,9 +391,8 @@ class TestOutageOverlaps:
         outage_end = 1e6
         result = self.run_engine(
             (0.0, outage_end),
+            Resilience(policy=RetryPolicy.no_retry(), hedge_delay_s=2.0),
             replicate=True,
-            policy=RetryPolicy.no_retry(),
-            hedge_delay_s=2.0,
         )
         assert result.items == DMV_FIG1_ANSWER
         assert result.complete
@@ -405,8 +405,10 @@ class TestOutageOverlaps:
         runs = [
             self.run_engine(
                 (0.0, 3.0),
-                policy=RetryPolicy(
-                    max_retries=8, backoff_base_s=0.7, backoff_jitter=0.5
+                Resilience(
+                    policy=RetryPolicy(
+                        max_retries=8, backoff_base_s=0.7, backoff_jitter=0.5
+                    )
                 ),
             )
             for __ in range(2)

@@ -8,7 +8,7 @@ from repro.errors import CostModelError
 from repro.mediator.executor import Executor
 from repro.mediator.schedule import response_time
 from repro.plans.builder import build_filter_plan
-from repro.runtime.engine import RuntimeEngine
+from repro.runtime.engine import Resilience, RuntimeEngine
 from repro.runtime.faults import AttemptFate, FaultInjector, FaultProfile
 from repro.runtime.health import BreakerConfig, BreakerState
 from repro.runtime.policy import RetryPolicy
@@ -37,8 +37,10 @@ class TestHedgeOnFailure:
         engine = RuntimeEngine(
             federation,
             faults=FaultInjector({"R1": FaultProfile.flaky(1.0)}, seed=0),
-            policy=RetryPolicy.no_retry(),
-            hedge_delay_s=5.0,
+            resilience=Resilience(
+                policy=RetryPolicy.no_retry(),
+                hedge_delay_s=5.0,
+            ),
         )
         result = engine.run(plan)
         assert result.items == DMV_FIG1_ANSWER
@@ -58,8 +60,10 @@ class TestHedgeOnFailure:
         engine = RuntimeEngine(
             federation,
             faults=FaultInjector({"R1": FaultProfile.flaky(1.0)}, seed=0),
-            policy=RetryPolicy.no_retry(),
-            hedge_delay_s=5.0,
+            resilience=Resilience(
+                policy=RetryPolicy.no_retry(),
+                hedge_delay_s=5.0,
+            ),
         )
         result = engine.run(plan)
         for span in result.trace.spans:
@@ -73,8 +77,10 @@ class TestHedgeOnFailure:
         engine = RuntimeEngine(
             federation,
             faults=FaultInjector({"R1": FaultProfile.flaky(1.0)}, seed=0),
-            policy=RetryPolicy.no_retry(),
-            hedge_delay_s=1.0,
+            resilience=Resilience(
+                policy=RetryPolicy.no_retry(),
+                hedge_delay_s=1.0,
+            ),
         )
         result = engine.run(plan)
         assert not result.complete
@@ -90,8 +96,10 @@ class TestHedgeOnDelay:
         engine = RuntimeEngine(
             federation,
             faults=FaultInjector({"R1": stall}, seed=0),
-            policy=RetryPolicy.no_retry(),
-            hedge_delay_s=1.0,
+            resilience=Resilience(
+                policy=RetryPolicy.no_retry(),
+                hedge_delay_s=1.0,
+            ),
         )
         result = engine.run(plan)
         assert result.items == DMV_FIG1_ANSWER
@@ -115,8 +123,10 @@ class TestHedgeOnDelay:
             faults=FaultInjector(
                 {"R1": FaultProfile(stall_rate=1.0, stall_s=60.0)}, seed=0
             ),
-            policy=RetryPolicy.no_retry(),
-            hedge_delay_s=1.0,
+            resilience=Resilience(
+                policy=RetryPolicy.no_retry(),
+                hedge_delay_s=1.0,
+            ),
         )
         hedged = engine.run(plan)
         assert hedged.trace.hedge_attempts > 0
@@ -127,7 +137,10 @@ class TestHedgeOnDelay:
         federation, query = replicated
         plan = representative_plan(federation, query)
         baseline = RuntimeEngine(federation).run(plan)
-        hedging = RuntimeEngine(federation, hedge_delay_s=1e6).run(plan)
+        hedging = RuntimeEngine(
+            federation,
+            resilience=Resilience(hedge_delay_s=1e6),
+        ).run(plan)
         assert hedging.trace.hedge_attempts == 0
         assert hedging.makespan_s == pytest.approx(baseline.makespan_s)
         assert hedging.items == baseline.items
@@ -142,7 +155,11 @@ class TestHedgeOnDelay:
         predicted = response_time(plan, Executor(federation).execute(plan))
         federation.reset_traffic()
         engine = RuntimeEngine(
-            federation, hedge_delay_s=1e6, breaker=BreakerConfig.default()
+            federation,
+            resilience=Resilience(
+                hedge_delay_s=1e6,
+                breaker=BreakerConfig.default(),
+            ),
         )
         simulated = engine.run(plan)
         assert simulated.makespan_s == pytest.approx(
@@ -158,8 +175,10 @@ class TestBreakerRerouting:
         engine = RuntimeEngine(
             federation,
             faults=FaultInjector({"R1": FaultProfile.flaky(1.0)}, seed=0),
-            policy=RetryPolicy.no_retry(),
-            breaker=BreakerConfig(failure_threshold=1, cooldown_s=1e6),
+            resilience=Resilience(
+                policy=RetryPolicy.no_retry(),
+                breaker=BreakerConfig(failure_threshold=1, cooldown_s=1e6),
+            ),
         )
         first = engine.run(plan)
         assert engine.health.state_of("R1") is BreakerState.OPEN
@@ -180,8 +199,10 @@ class TestBreakerRerouting:
         engine = RuntimeEngine(
             federation,
             faults=FaultInjector({"R1": FaultProfile.flaky(1.0)}, seed=0),
-            policy=RetryPolicy.no_retry(),
-            breaker=BreakerConfig(failure_threshold=1, cooldown_s=1e6),
+            resilience=Resilience(
+                policy=RetryPolicy.no_retry(),
+                breaker=BreakerConfig(failure_threshold=1, cooldown_s=1e6),
+            ),
         )
         engine.run(plan)
         assert engine.health.breaker_of("R1").times_opened >= 1
@@ -210,9 +231,11 @@ class TestLoserAccounting:
         engine = RuntimeEngine(
             federation,
             faults=FaultInjector(self.AUDIT_PROFILE, seed=seed),
-            policy=RetryPolicy(**self.AUDIT_POLICY),
-            hedge_delay_s=1.0,
-            breaker=BreakerConfig.aggressive(),
+            resilience=Resilience(
+                policy=RetryPolicy(**self.AUDIT_POLICY),
+                hedge_delay_s=1.0,
+                breaker=BreakerConfig.aggressive(),
+            ),
         )
         return federation, engine, engine.run(plan)
 
@@ -261,8 +284,10 @@ class TestLoserAccounting:
             faults=FaultInjector(
                 {"R1": FaultProfile(stall_rate=1.0, stall_s=60.0)}, seed=0
             ),
-            policy=RetryPolicy.no_retry(),
-            hedge_delay_s=1.0,
+            resilience=Resilience(
+                policy=RetryPolicy.no_retry(),
+                hedge_delay_s=1.0,
+            ),
         )
         result = engine.run(plan)
         cancelled = [
@@ -282,9 +307,11 @@ class TestDeterminism:
         return RuntimeEngine(
             federation,
             faults=FaultInjector(FaultProfile.flaky(0.4), seed=7),
-            policy=RetryPolicy(max_retries=2, backoff_jitter=0.5),
-            hedge_delay_s=2.0,
-            breaker=BreakerConfig.aggressive(),
+            resilience=Resilience(
+                policy=RetryPolicy(max_retries=2, backoff_jitter=0.5),
+                hedge_delay_s=2.0,
+                breaker=BreakerConfig.aggressive(),
+            ),
         )
 
     def test_same_seed_same_trace(self):
@@ -306,8 +333,10 @@ class TestDeterminism:
         engine = RuntimeEngine(
             federation,
             faults=FaultInjector(FaultProfile.flaky(0.4), seed=8),
-            policy=RetryPolicy(max_retries=2),
-            hedge_delay_s=2.0,
+            resilience=Resilience(
+                policy=RetryPolicy(max_retries=2),
+                hedge_delay_s=2.0,
+            ),
         )
         result = engine.run(plan)
         assert result.items <= DMV_FIG1_ANSWER  # never spurious
@@ -318,4 +347,4 @@ class TestValidation:
     def test_bad_hedge_delay_rejected(self, bad):
         federation, __ = dmv_fig1()
         with pytest.raises(CostModelError):
-            RuntimeEngine(federation, hedge_delay_s=bad)
+            RuntimeEngine(federation, resilience=Resilience(hedge_delay_s=bad))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.plans.builder import build_filter_plan
-from repro.runtime.engine import RuntimeEngine
+from repro.runtime.engine import Resilience, RuntimeEngine
 from repro.runtime.faults import FaultInjector, FaultProfile
 from repro.runtime.health import BreakerConfig
 from repro.runtime.policy import RetryPolicy
@@ -30,7 +30,10 @@ class TestBalancedDispatch:
     def test_healthy_traffic_spreads_across_the_group(self):
         federation, query = replicated()
         plan = representative_plan(federation, query)
-        result = RuntimeEngine(federation, load_balance=True).run(plan)
+        result = RuntimeEngine(
+            federation,
+            resilience=Resilience(load_balance=True),
+        ).run(plan)
         assert result.items == DMV_FIG1_ANSWER
         assert result.complete
         served = {
@@ -50,7 +53,10 @@ class TestBalancedDispatch:
         plan = representative_plan(federation, query)
         baseline = RuntimeEngine(federation).run(plan)
         federation2, __ = replicated()
-        balanced = RuntimeEngine(federation2, load_balance=True).run(plan)
+        balanced = RuntimeEngine(
+            federation2,
+            resilience=Resilience(load_balance=True),
+        ).run(plan)
         assert balanced.items == baseline.items
         assert balanced.makespan_s <= baseline.makespan_s
 
@@ -70,7 +76,10 @@ class TestBalancedDispatch:
         plan = build_filter_plan(query, federation.source_names)
         plain = RuntimeEngine(federation).run(plan)
         federation2, __ = dmv_fig1()
-        balanced = RuntimeEngine(federation2, load_balance=True).run(plan)
+        balanced = RuntimeEngine(
+            federation2,
+            resilience=Resilience(load_balance=True),
+        ).run(plan)
         assert balanced.trace == plain.trace
         assert balanced.items == plain.items
 
@@ -80,10 +89,12 @@ class TestBalancedResilience:
         return RuntimeEngine(
             federation,
             faults=FaultInjector(FaultProfile.flaky(0.4), seed=seed),
-            policy=RetryPolicy(max_retries=2, backoff_base_s=0.1),
-            hedge_delay_s=2.0,
-            breaker=BreakerConfig.aggressive(),
-            load_balance=True,
+            resilience=Resilience(
+                policy=RetryPolicy(max_retries=2, backoff_base_s=0.1),
+                hedge_delay_s=2.0,
+                breaker=BreakerConfig.aggressive(),
+                load_balance=True,
+            ),
         )
 
     @pytest.mark.parametrize("seed", [3, 7, 21])

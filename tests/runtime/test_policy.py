@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import CostModelError
+from repro.runtime.engine import Resilience
 from repro.runtime.policy import (
     CompletenessReport,
     OnExhaust,
@@ -180,7 +181,7 @@ class TestCompletenessAccounting:
                 faults=FaultInjector(
                     {"R1": FaultProfile.flaky(1.0)}, seed=0
                 ),
-                policy=RetryPolicy.no_retry(),
+                resilience=Resilience(policy=RetryPolicy.no_retry()),
             )
         )
         assert report.skipped_ops > 0
@@ -195,8 +196,9 @@ class TestCompletenessAccounting:
                 faults=FaultInjector(
                     {"R1": FaultProfile.flaky(1.0)}, seed=0
                 ),
-                policy=RetryPolicy.no_retry(),
-                hedge_delay_s=5.0,
+                resilience=Resilience(
+                    policy=RetryPolicy.no_retry(), hedge_delay_s=5.0
+                ),
             )
         )
         assert report.exact

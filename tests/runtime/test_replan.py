@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import CostModelError
+from repro.mediator.session import Mediator
+from repro.runtime.engine import Resilience
 from repro.runtime.faults import FaultInjector, FaultProfile
 from repro.runtime.policy import RetryPolicy
 from repro.runtime.replan import ResilientExecutor
@@ -21,6 +23,19 @@ def dead(*names: str) -> FaultInjector:
     )
 
 
+NO_RETRY = Resilience(policy=RetryPolicy.no_retry())
+
+
+def resilient_executor(
+    federation, faults=None, resilience=None, max_replans=2
+) -> ResilientExecutor:
+    """The re-planning loop over a mediator's own engine and planner."""
+    mediator = Mediator(
+        federation, backend="runtime", faults=faults, resilience=resilience
+    )
+    return ResilientExecutor(mediator.runtime, mediator._optimize, max_replans)
+
+
 @pytest.fixture
 def replicated():
     federation, query = dmv_fig1()
@@ -30,7 +45,7 @@ def replicated():
 class TestHappyPath:
     def test_zero_faults_single_round(self, replicated):
         federation, query = replicated
-        executor = ResilientExecutor(federation)
+        executor = resilient_executor(federation)
         result = executor.run(query)
         assert result.items == DMV_FIG1_ANSWER
         assert result.replans == 0
@@ -40,7 +55,7 @@ class TestHappyPath:
 
     def test_plans_over_representatives_by_default(self, replicated):
         federation, query = replicated
-        result = ResilientExecutor(federation).run(query)
+        result = resilient_executor(federation).run(query)
         planned = {
             s.source for s in result.rounds[0].result.trace.remote_spans
         }
@@ -50,10 +65,10 @@ class TestHappyPath:
 class TestReplanRounds:
     def test_dead_source_masked_and_mirror_swapped_in(self, replicated):
         federation, query = replicated
-        executor = ResilientExecutor(
+        executor = resilient_executor(
             federation,
             faults=dead("R1"),
-            policy=RetryPolicy.no_retry(),
+            resilience=NO_RETRY,
         )
         result = executor.run(query)
         assert result.items == DMV_FIG1_ANSWER
@@ -66,20 +81,20 @@ class TestReplanRounds:
 
     def test_round_zero_answer_is_preserved(self, replicated):
         federation, query = replicated
-        executor = ResilientExecutor(
+        executor = resilient_executor(
             federation,
             faults=dead("R1"),
-            policy=RetryPolicy.no_retry(),
+            resilience=NO_RETRY,
         )
         result = executor.run(query)
         assert result.rounds[0].result.items <= result.items
 
     def test_both_mirrors_dead_stays_degraded_but_sound(self, replicated):
         federation, query = replicated
-        executor = ResilientExecutor(
+        executor = resilient_executor(
             federation,
             faults=dead("R1", "R1~1"),
-            policy=RetryPolicy.no_retry(),
+            resilience=NO_RETRY,
         )
         result = executor.run(query)
         # The final round plans around the whole R1 family and finishes
@@ -91,10 +106,10 @@ class TestReplanRounds:
 
     def test_max_replans_bounds_rounds(self, replicated):
         federation, query = replicated
-        executor = ResilientExecutor(
+        executor = resilient_executor(
             federation,
             faults=dead("R1", "R1~1", "R2", "R2~1", "R3", "R3~1"),
-            policy=RetryPolicy.no_retry(),
+            resilience=NO_RETRY,
             max_replans=1,
         )
         result = executor.run(query)
@@ -103,10 +118,10 @@ class TestReplanRounds:
 
     def test_max_replans_zero_is_plain_execution(self, replicated):
         federation, query = replicated
-        executor = ResilientExecutor(
+        executor = resilient_executor(
             federation,
             faults=dead("R1"),
-            policy=RetryPolicy.no_retry(),
+            resilience=NO_RETRY,
             max_replans=0,
         )
         result = executor.run(query)
@@ -116,10 +131,10 @@ class TestReplanRounds:
 
     def test_dead_sources_lists_planned_names(self, replicated):
         federation, query = replicated
-        executor = ResilientExecutor(
+        executor = resilient_executor(
             federation,
             faults=dead("R2"),
-            policy=RetryPolicy.no_retry(),
+            resilience=NO_RETRY,
             max_replans=0,
         )
         result = executor.run(query)
@@ -129,10 +144,10 @@ class TestReplanRounds:
 class TestAccounting:
     def test_makespan_and_cost_sum_over_rounds(self, replicated):
         federation, query = replicated
-        executor = ResilientExecutor(
+        executor = resilient_executor(
             federation,
             faults=dead("R1"),
-            policy=RetryPolicy.no_retry(),
+            resilience=NO_RETRY,
         )
         result = executor.run(query)
         assert result.makespan_s == pytest.approx(
@@ -147,11 +162,13 @@ class TestAccounting:
         federation, query = replicated
         from repro.runtime.health import BreakerConfig, BreakerState
 
-        executor = ResilientExecutor(
+        executor = resilient_executor(
             federation,
             faults=dead("R1"),
-            policy=RetryPolicy.no_retry(),
-            breaker=BreakerConfig(failure_threshold=1, cooldown_s=1e6),
+            resilience=Resilience(
+                policy=RetryPolicy.no_retry(),
+                breaker=BreakerConfig(failure_threshold=1, cooldown_s=1e6),
+            ),
         )
         result = executor.run(query)
         assert result.items == DMV_FIG1_ANSWER
@@ -162,11 +179,11 @@ class TestValidation:
     def test_negative_max_replans_rejected(self, replicated):
         federation, __ = replicated
         with pytest.raises(CostModelError):
-            ResilientExecutor(federation, max_replans=-1)
+            resilient_executor(federation, max_replans=-1)
 
     def test_explicit_source_subset_honoured(self, replicated):
         federation, query = replicated
-        result = ResilientExecutor(federation).run(
+        result = resilient_executor(federation).run(
             query, source_names=("R1~1", "R2~1", "R3~1")
         )
         assert result.items == DMV_FIG1_ANSWER

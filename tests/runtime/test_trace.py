@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.plans.builder import build_filter_plan
-from repro.runtime.engine import RuntimeEngine
+from repro.runtime.engine import Resilience, RuntimeEngine
 from repro.runtime.faults import AttemptFate, FaultInjector, FaultProfile
 from repro.runtime.policy import RetryPolicy
 from repro.runtime.trace import AttemptSpan, OpStatus
@@ -26,7 +26,9 @@ def faulty_run():
     engine = RuntimeEngine(
         federation,
         faults=FaultInjector(FaultProfile.flaky(0.6), seed=5),
-        policy=RetryPolicy(max_retries=5, backoff_base_s=0.05),
+        resilience=Resilience(
+            policy=RetryPolicy(max_retries=5, backoff_base_s=0.05),
+        ),
     )
     return engine.run(plan)
 

@@ -13,7 +13,9 @@ from repro.errors import (
 )
 from repro.obs.events import EventLog
 from repro.optimize.sja_plus import SJAPlusOptimizer
+from repro.runtime.engine import Resilience
 from repro.runtime.faults import FaultProfile
+from repro.runtime.health import BreakerConfig, QuarantineConfig
 from repro.serve import (
     ChurnWave,
     MediatorService,
@@ -66,7 +68,7 @@ class TestDeterministicMode:
         service = MediatorService(
             dmv_federation,
             mode="deterministic",
-            mediator_options={"optimizer": optimizer},
+            optimizer=optimizer,
         )
         for i in range(5):
             service.submit(DMV_SQL, at_s=float(i))
@@ -75,6 +77,32 @@ class TestDeterministicMode:
         assert service.plan_cache.hits == 4
         assert service.plan_cache.misses == 1
 
+    def test_robust_planner_credits_the_shared_registrys_breakers(self):
+        # Breakers live in the service's registry, not in a keyword of
+        # the worker's mediator: the robust planner must read failover
+        # capacity off the engine, as a directly built mediator does.
+        from repro.mediator.session import Mediator
+        from repro.optimize.robust import RobustOptimizer
+        from repro.sources.generators import replicate_federation
+
+        federation = replicate_federation(dmv_fig1()[0], 2)
+        resilience = Resilience(breaker=BreakerConfig.default())
+        service = MediatorService(
+            federation, resilience=resilience, optimizer="robust"
+        )
+        direct = Mediator(
+            federation,
+            backend="runtime",
+            resilience=resilience,
+            optimizer="robust",
+        )
+        for mediator in (service._det_mediator, direct):
+            assert isinstance(mediator.optimizer, RobustOptimizer)
+            assert mediator.runtime.resilient
+            assert mediator.optimizer.failover is True
+        plain = MediatorService(federation, optimizer="robust")
+        assert plain._det_mediator.optimizer.failover is False
+
     def test_shared_health_registry_accumulates_across_queries(
         self, dmv_federation
     ):
@@ -82,7 +110,7 @@ class TestDeterministicMode:
             dmv_federation,
             mode="deterministic",
             faults={"R2": FaultProfile.flaky(1.0)},
-            breaker=True,
+            resilience=Resilience(breaker=BreakerConfig.default()),
             seed=3,
         )
         assert service._det_mediator.runtime.health is service.health
@@ -204,7 +232,7 @@ def _run_replay(federation, seed):
         tenants=[TenantSpec("a", weight=1.0), TenantSpec("b", weight=3.0)],
         faults=FaultProfile.flaky(0.2),
         churn=ChurnWave(0.5, 2.0, sources=("R2",), rate=0.6),
-        breaker=True,
+        resilience=Resilience(breaker=BreakerConfig.default()),
     )
     import random
 
@@ -294,6 +322,31 @@ class TestThreadMode:
         assert saw_rejection
         assert service.failed_count == 0
 
+    def test_every_worker_shares_the_one_resilience_value(self, dmv_federation):
+        class Spy(MediatorService):
+            def _make_mediator(self, recorder):
+                mediator = super()._make_mediator(recorder)
+                made.append(mediator)
+                return mediator
+
+        made: list = []
+        resilience = Resilience(
+            hedge_delay_s=2.0, breaker=BreakerConfig.default()
+        )
+        service = Spy(
+            dmv_federation, mode="threads", workers=3, resilience=resilience
+        )
+        try:
+            tickets = [service.submit(DMV_SQL) for __ in range(6)]
+            service.drain(timeout_s=60.0)
+        finally:
+            service.close()
+        assert all(t.items == DMV_FIG1_ANSWER for t in tickets)
+        assert service.resilience is resilience and len(made) == 3
+        for mediator in made:
+            assert mediator.runtime.resilience is resilience
+            assert mediator.runtime.health is service.health
+
     def test_drain_is_thread_mode_only(self, dmv_federation):
         service = MediatorService(dmv_federation, mode="deterministic")
         with pytest.raises(ServiceError):
@@ -315,7 +368,7 @@ class TestThreadMode:
 class TestUntrustedServing:
     """Data faults + verification + quarantine through the service."""
 
-    def make_service(self, **kwargs):
+    def make_service(self, resilience=Resilience(load_balance=True), **kwargs):
         from repro.optimize import FilterOptimizer
         from repro.runtime.faults import DataFaultProfile
         from repro.sources.generators import replicate_federation
@@ -327,17 +380,20 @@ class TestUntrustedServing:
             federation,
             mode="deterministic",
             data_faults={f"R{i}~1": liar for i in (1, 2, 3)},
-            mediator_options={
-                "optimizer": FilterOptimizer(),
-                "load_balance": True,
-                "replan": 2,
-            },
+            optimizer=FilterOptimizer(),
+            resilience=resilience,
             **kwargs,
         )
         return service
 
     def test_verified_service_quarantines_liars_for_all_queries(self):
-        service = self.make_service(verify="vote", quarantine=True)
+        service = self.make_service(
+            Resilience(
+                quarantine=QuarantineConfig.default(),
+                load_balance=True,
+                verify="vote",
+            )
+        )
         tickets = []
         for step in range(8):
             tickets.append(service.submit(DMV_SQL, at_s=float(step)))

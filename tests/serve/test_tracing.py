@@ -15,7 +15,9 @@ from repro.obs.spans import (
     derive_trace_id,
     validate_chrome_trace,
 )
+from repro.runtime.engine import Resilience
 from repro.runtime.faults import FaultProfile
+from repro.runtime.health import BreakerConfig
 from repro.serve import (
     MediatorService,
     WorkloadSpec,
@@ -196,7 +198,7 @@ class TestThreadModeTracing:
             mode="threads",
             workers=3,
             seed=9,
-            breaker=True,
+            resilience=Resilience(breaker=BreakerConfig.default()),
             faults=FaultProfile.flaky(0.6),
             queue_limit=64,
         )
