@@ -145,13 +145,10 @@ def _run_one_phase(mediator: Mediator, query: FusionQuery) -> tuple[
             satisfied.update(row[merge_position] for row in rows)
         per_condition_items.append(frozenset(satisfied))
     items = intersect_many(per_condition_items)
-    fused = Relation.union_all("one_phase_rows", all_rows)
-    # Deduplicate rows (several conditions may return the same tuple)
-    # and keep only matching entities.
-    unique_rows = list(dict.fromkeys(fused.rows))
-    records = Relation(
-        "matched_records", federation.schema, unique_rows
-    ).restrict_to_items(items, name="matched_records")
+    # Keep only matching entities, once each (several conditions may
+    # return the same tuple).
+    matched = Relation.union_all("one_phase_rows", all_rows).restrict_to_items(items)
+    records = matched.derive(dict.fromkeys(matched.rows), name="matched_records")
     return items, records, federation.total_traffic_cost() - before
 
 

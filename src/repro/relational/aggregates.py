@@ -8,13 +8,17 @@ compute a partial state over its own rows and the mediator combines
 partials — which is what makes partial-aggregate pushdown sound
 (Dong et al.'s conflict-aware fusion aggregates the same way).
 
-Determinism contract: float accumulation is *sequential python
-addition in row order*, and the mediator always merges per-source
-partials in sorted source order — so the pushdown path and the
-mediator-side path over raw tuples produce bit-identical floats.  The
-numpy fast path is never used for accumulation (pairwise summation
-would change the rounding), only the columnar layout is reused to
-avoid per-row dict materialization.
+Determinism contract: a SUM/AVG total is the *left fold* ``((0 + v1) +
+v2) + …`` over a group's non-null values in row order — what
+``merge_partial`` continues across sources — and the mediator always
+merges per-source partials in sorted source order, so the pushdown path
+and the mediator-side path over raw tuples produce bit-identical
+floats.  The fold is ``functools.reduce(operator.add, …)``: builtin
+``sum`` is compensated for floats from python 3.12 on, ``math.fsum`` and
+numpy's pairwise ``sum`` round differently again, so none of them may
+stand in for it.  MIN/MAX keep the first extremal value they meet
+(``min`` / ``max`` do), so a ``1`` / ``1.0`` tie returns the same object
+on every path.
 
 Partial states (one per :class:`AggregateSpec`):
 
@@ -28,8 +32,12 @@ MIN/MAX  the extreme non-null value, or ``None``
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from functools import reduce
+from itertools import compress
+from operator import add
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.errors import ConditionError
 from repro.relational.relation import Relation
@@ -138,28 +146,27 @@ class GroupedAggregates:
 # Partial-state kernels
 
 
-def _initial(spec: AggregateSpec) -> PartialState:
-    if spec.func == "count":
-        return 0
-    if spec.func in ("sum", "avg"):
-        return (0, 0)
-    return None
+def _total(values: Sequence[Any]) -> PartialState:
+    return (reduce(add, values, 0), len(values))
 
 
-def _accumulate(spec: AggregateSpec, state: PartialState, value: Any) -> PartialState:
-    func = spec.func
-    if func == "count":
-        if spec.attribute is None or value is not None:
-            return state + 1
-        return state
-    if value is None:
-        return state
-    if func in ("sum", "avg"):
-        total, count = state
-        return (total + value, count + 1)
-    if func == "min":
-        return value if state is None or value < state else state
-    return value if state is None or value > state else state
+def _least(values: Sequence[Any]) -> PartialState:
+    return min(values, default=None)
+
+
+def _greatest(values: Sequence[Any]) -> PartialState:
+    return max(values, default=None)
+
+
+#: The partial state of one group, from its non-null values in row
+#: order.  SUM and AVG share a state, so they share a fold.
+_FOLDS: dict[str, Callable[[Sequence[Any]], PartialState]] = {
+    "count": len,
+    "sum": _total,
+    "avg": _total,
+    "min": _least,
+    "max": _greatest,
+}
 
 
 def merge_partial(spec: AggregateSpec, left: PartialState, right: PartialState) -> PartialState:
@@ -197,7 +204,7 @@ def finalize_partial(spec: AggregateSpec, state: PartialState) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# Relation-level aggregation (columnar layout, sequential accumulation)
+# Relation-level aggregation (a columnar group-by)
 
 
 def _column_values(relation: Relation, name: str) -> list[Any]:
@@ -223,6 +230,24 @@ def _column_values(relation: Relation, name: str) -> list[Any]:
     ]
 
 
+def _bucket(keys: list[Any] | None, values: Sequence[Any]) -> dict[Any, Sequence[Any]]:
+    """``values`` split by group, row order kept inside each group.
+
+    ``keys`` is the group key of every row, or ``None`` when there is no
+    GROUP BY: then every row — if there is one — is in the global group.
+    """
+    if keys is None:
+        return {GLOBAL_GROUP: values} if values else {}
+    buckets: dict[Any, list[Any]] = defaultdict(list)
+    for key, value in zip(keys, values):
+        buckets[key].append(value)
+    return buckets
+
+
+def _without_nulls(values: Sequence[Any]) -> Sequence[Any]:
+    return [v for v in values if v is not None] if None in values else values
+
+
 def partial_aggregate_rows(
     relation: Relation,
     specs: Iterable[AggregateSpec],
@@ -234,38 +259,51 @@ def partial_aggregate_rows(
     ``items`` (when given) restricts input rows to those whose merge
     attribute is in the set — this is exactly what a source computes
     during partial-aggregate pushdown, with ``items`` the fusion
-    answer.  Accumulation is sequential in row order.
+    answer.
+
+    A group-by over whole columns: the group key column is built once,
+    every *distinct* aggregated attribute is bucketed by it once (the
+    only per-row python work — ``COUNT``/``SUM``/``AVG``/``MIN``/``MAX``
+    of one attribute share the pass), and each group is finished by
+    C-level folds over its bucket, in row order.
     """
     specs = tuple(specs)
-    group_by = tuple(group_by)
     n = len(relation.rows)
-    key_columns = [_column_values(relation, name) for name in group_by]
-    value_columns = [
-        _column_values(relation, spec.attribute)
-        if spec.attribute is not None
-        else None
-        for spec in specs
-    ]
     member: list[bool] | None = None
     if items is not None:
-        merge_column = _column_values(
-            relation, relation.schema.merge_attribute
-        )
+        merge_column = _column_values(relation, relation.schema.merge_attribute)
         member = [v in items for v in merge_column]
-    partials: Partials = {}
-    for i in range(n):
-        if member is not None and not member[i]:
-            continue
-        key = tuple(column[i] for column in key_columns)
-        states = partials.get(key)
-        if states is None:
-            states = [_initial(spec) for spec in specs]
-            partials[key] = states
-        for j, spec in enumerate(specs):
-            column = value_columns[j]
-            value = column[i] if column is not None else None
-            states[j] = _accumulate(spec, states[j], value)
-    return partials
+        n = member.count(True)
+
+    def column(name: str) -> list[Any]:
+        values = _column_values(relation, name)
+        return values if member is None else list(compress(values, member))
+
+    # One GROUP BY attribute is the common case: its raw values hash
+    # faster than 1-tuples of them, so keys become tuples at the end.
+    key_columns = [column(name) for name in group_by]
+    if not key_columns:
+        keys, as_key = None, tuple
+    elif len(key_columns) == 1:
+        keys, as_key = key_columns[0], lambda value: (value,)
+    else:
+        keys, as_key = list(zip(*key_columns)), tuple
+
+    attributes = dict.fromkeys(spec.attribute for spec in specs if spec.attribute is not None)
+    buckets = {name: _bucket(keys, column(name)) for name in attributes}
+    # COUNT(*) asks for the group sizes: every bucketed column knows them.
+    rows_of = next(iter(buckets.values())) if buckets else _bucket(keys, range(n))
+    sizes = {key: len(rows) for key, rows in rows_of.items()}
+    nonnull = {
+        name: {key: _without_nulls(values) for key, values in groups.items()}
+        for name, groups in buckets.items()
+    }
+    slots = [(_FOLDS[spec.func], spec.attribute) for spec in specs]
+    states: dict[Any, dict[Any, PartialState]] = {(len, None): sizes}
+    for fold, name in slots:
+        if (fold, name) not in states:
+            states[fold, name] = {key: fold(values) for key, values in nonnull[name].items()}
+    return {as_key(key): [states[slot][key] for slot in slots] for key in sizes}
 
 
 def merge_partials(

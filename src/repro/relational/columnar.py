@@ -13,7 +13,9 @@ Design rules (see DESIGN.md):
 * A :class:`ColumnarTable` is a derived, immutable view of a
   :class:`~repro.relational.relation.Relation`, cached on the relation.
   Rows stay the canonical storage — the row API is a thin view over the
-  same tuples, so every existing call site keeps working.
+  same tuples, so every existing call site keeps working.  A relation
+  derived by a row mask derives its table the same way: the parent's
+  cached columns sliced by that mask, not the kept rows transposed again.
 * The pure-python kernels are the reference semantics; the numpy path
   must be *bit-identical* and silently falls back per-leaf whenever
   exactness cannot be guaranteed (mixed-type columns, integers beyond
@@ -31,7 +33,8 @@ python kernels as their reference in a process that has numpy.
 from __future__ import annotations
 
 import operator
-from typing import Any, Callable, Iterable, Iterator
+from itertools import compress
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import ConditionError
 from repro.relational.conditions import (
@@ -116,7 +119,7 @@ class ColumnarTable:
     path, which reproduces the historical per-row semantics exactly.
     """
 
-    __slots__ = ("schema", "length", "well_formed", "_columns", "_np_cache")
+    __slots__ = ("schema", "length", "well_formed", "_columns", "_np_cache", "_slice_of")
 
     def __init__(self, schema: Schema, rows: tuple[tuple[Any, ...], ...]):
         self.schema = schema
@@ -134,14 +137,38 @@ class ColumnarTable:
                 for name in names:
                     self._columns[name] = []
         self._np_cache: dict[str, tuple[str, Any, Any] | None] = {}
+        self._slice_of: tuple[ColumnarTable, Sequence[Any]] | None = None
+
+    def where(self, mask: Sequence[Any], length: int) -> "ColumnarTable":
+        """The table of the ``length`` rows at the true positions of ``mask``.
+
+        Nothing is copied here: each column is sliced out of this
+        table's the first time it is asked for, so a query that reads
+        two attributes of a fetched relation slices two columns.  The
+        slice of a ragged table is ragged too (it has no columns).
+        """
+        table = object.__new__(ColumnarTable)
+        table.schema = self.schema
+        table.length = length
+        table.well_formed = self.well_formed
+        table._columns = {}
+        table._np_cache = {}
+        table._slice_of = (self, mask)
+        return table
 
     def column(self, name: str) -> list[Any] | None:
         """The raw python column, or None when the schema lacks it."""
-        return self._columns.get(name)
+        column = self._columns.get(name)
+        if column is None and self._slice_of is not None:
+            parent, mask = self._slice_of
+            whole = parent.column(name)
+            if whole is not None:
+                column = self._columns[name] = list(compress(whole, mask))
+        return column
 
     @property
     def merge_column(self) -> list[Any]:
-        return self._columns[self.schema.merge_attribute]
+        return self.column(self.schema.merge_attribute)
 
     # -- numpy mirrors ---------------------------------------------------
 
@@ -164,7 +191,7 @@ class ColumnarTable:
     def _build_np(self, name: str) -> tuple[str, Any, Any] | None:
         if _np is None:
             return None
-        values = self._columns.get(name)
+        values = self.column(name)
         if values is None:
             return None
         kind: str | None = None
@@ -469,8 +496,6 @@ def _selected(values: Iterable[Any], mask: Mask) -> Iterator[Any]:
     if _np is not None and isinstance(mask, _np.ndarray):
         mask = mask.tolist()
     # itertools.compress is the C-speed gather over a python mask.
-    from itertools import compress
-
     return compress(values, mask)
 
 

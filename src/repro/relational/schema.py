@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from types import NoneType
 from typing import Any, Iterator
 
 from repro.errors import SchemaError
@@ -62,13 +63,26 @@ class Attribute:
     name: str
     data_type: DataType = DataType.STRING
     nullable: bool = False
+    #: The *exact* types a legal value may have, resolved once: a value
+    #: whose ``type()`` is in here needs no further check (``type(True)``
+    #: is ``bool``, so the bool-is-not-int rule holds); anything else —
+    #: subclasses included — takes the full check below.
+    _exact_types: frozenset[type] = field(
+        default=frozenset(), init=False, repr=False, compare=False, hash=False
+    )
 
     def __post_init__(self) -> None:
         if not self.name or not self.name.replace("_", "a").isalnum():
             raise SchemaError(f"invalid attribute name: {self.name!r}")
+        exact = set(_PYTHON_TYPES[self.data_type])
+        if self.nullable:
+            exact.add(NoneType)
+        object.__setattr__(self, "_exact_types", frozenset(exact))
 
     def validate_value(self, value: Any) -> None:
         """Raise :class:`SchemaError` if ``value`` is illegal for this column."""
+        if type(value) in self._exact_types:
+            return
         if value is None:
             if not self.nullable:
                 raise SchemaError(f"attribute {self.name!r} is not nullable")
@@ -107,6 +121,9 @@ class Schema:
     _positions: dict[str, int] = field(
         default_factory=dict, init=False, repr=False, compare=False, hash=False
     )
+    _exact_types: tuple[frozenset[type], ...] = field(
+        default=(), init=False, repr=False, compare=False, hash=False
+    )
 
     def __post_init__(self) -> None:
         if not self.attributes:
@@ -121,6 +138,9 @@ class Schema:
             )
         if self.attribute(self.merge_attribute).nullable:
             raise SchemaError("the merge attribute must not be nullable")
+        object.__setattr__(
+            self, "_exact_types", tuple(attr._exact_types for attr in self.attributes)
+        )
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -167,6 +187,11 @@ class Schema:
                 f"row has {len(row)} values, schema has {len(self.attributes)} "
                 f"attributes: {row!r}"
             )
+        for exact, value in zip(self._exact_types, row):
+            if type(value) not in exact:
+                break
+        else:
+            return
         for attr, value in zip(self.attributes, row):
             attr.validate_value(value)
 

@@ -542,10 +542,7 @@ class FaultInjector:
                 return relation, _CLEAN
             doomed = set(stream.sample(range(n), drop))
             kept = [row for i, row in enumerate(rows) if i not in doomed]
-            return (
-                Relation(relation.name, schema, kept),
-                DataTamper(fate, dropped=drop),
-            )
+            return relation.derive(kept), DataTamper(fate, dropped=drop)
         if fate is DataFate.STALE:
             # A stale snapshot: pairs of rows have swapped their
             # non-merge values, so downstream selections admit rows
@@ -594,10 +591,7 @@ class FaultInjector:
         if not dup:
             return relation, _CLEAN
         extras = stream.sample(rows, dup)
-        return (
-            Relation(relation.name, schema, tuple(rows) + tuple(extras)),
-            DataTamper(fate, duplicated=dup),
-        )
+        return relation.derive(rows + tuple(extras)), DataTamper(fate, duplicated=dup)
 
     def summary(self) -> str:
         """One-line account of what was injected."""

@@ -207,10 +207,11 @@ class AnswerVerifier:
                 corrupt += 1
                 continue
             kept.append(row)
+        # The survivors passed the scan above: no second validation.
         cleaned = (
             relation
             if not corrupt
-            else Relation(relation.name, relation.schema, kept)
+            else Relation._derived(relation.name, relation.schema, kept, validated=True)
         )
         report = AnswerReport(
             source=source_name,

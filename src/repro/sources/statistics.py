@@ -172,8 +172,8 @@ class SampledStatistics(_BaseStatistics):
                 sample_rows = list(relation.rows)
             else:
                 sample_rows = rng.sample(list(relation.rows), target)
-            self._samples[source.name] = Relation(
-                f"{source.name}_sample", relation.schema, sample_rows
+            self._samples[source.name] = relation.derive(
+                sample_rows, name=f"{source.name}_sample"
             )
         self._cache: dict[tuple[str, Condition], float] = {}
 

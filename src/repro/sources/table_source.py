@@ -92,7 +92,7 @@ class TableSource:
         self.counters.selections += 1
         self.counters.rows_scanned += len(self.relation)
         keep = select_rows(self.relation, condition)
-        return Relation(f"{self.name}_rows", self.schema, keep)
+        return self.relation.derive(keep, name=f"{self.name}_rows")
 
     def binding_selection(self, condition: Condition, item: Any) -> bool:
         """``sq(c AND M = m, R_j)``: the passed-binding probe of Sec. 2.3.

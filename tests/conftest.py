@@ -7,6 +7,7 @@ import pytest
 from repro.costs.charge import ChargeCostModel
 from repro.costs.estimates import SizeEstimator
 from repro.mediator.session import Mediator
+from repro.relational.schema import Schema
 from repro.sources.generators import (
     SyntheticConfig,
     build_synthetic,
@@ -14,6 +15,22 @@ from repro.sources.generators import (
     synthetic_query,
 )
 from repro.sources.statistics import ExactStatistics
+
+
+@pytest.fixture
+def validated_rows(monkeypatch):
+    """Every row ``Schema.validate_row`` is asked about from here on, in
+    order — request it *after* the fixtures that build the data, or
+    ``del validated_rows[:]`` once the set-up is done."""
+    seen = []
+    original = Schema.validate_row
+
+    def counting(schema, row):
+        seen.append(row)
+        return original(schema, row)
+
+    monkeypatch.setattr(Schema, "validate_row", counting)
+    return seen
 
 
 @pytest.fixture

@@ -9,6 +9,8 @@ agree bit-for-bit, including float averages.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import ExecutionError
@@ -16,9 +18,17 @@ from repro.mediator.reference import reference_aggregate
 from repro.mediator.session import AggregateAnswer, Mediator
 from repro.query.aggregate import AggregateQuery
 from repro.query.sqlparse import is_aggregate_query, parse_query
+from repro.relational import columnar
+from repro.relational.aggregates import AggregateSpec, merge_partials, partial_aggregate_rows
+from repro.relational.relation import Relation
+from repro.relational.schema import Attribute, DataType, Schema
 from repro.runtime.engine import Resilience
 from repro.sources.capabilities import SourceCapabilities
 from repro.sources.generators import dmv_fig1
+from repro.sources.network import LinkProfile
+from repro.sources.registry import Federation
+from repro.sources.remote import RemoteSource
+from repro.sources.table_source import TableSource
 
 AGG_SQL = (
     "SELECT u1.V, COUNT(*), AVG(u1.D) FROM U u1, U u2 "
@@ -180,3 +190,127 @@ class TestVerification:
             mediator.answer_aggregate(
                 "SELECT u1.L FROM U u1 WHERE u1.V = 'dui'"
             )
+
+
+class TestFloatFoldOrder:
+    """SUM/AVG are a left fold in row order per source, merged in sorted
+    source order — on every path and every interpreter.  The data makes
+    the order visible: ``1e16 + 1.0`` absorbs the ``1.0``, so the left
+    fold of g1 reads 1.0 where a compensated ``sum`` (python 3.12), an
+    exact ``math.fsum`` or a pairwise numpy sum would not."""
+
+    SQL = (
+        "SELECT u1.G, COUNT(*), SUM(u1.X), AVG(u1.X), MIN(u1.X), MAX(u1.X) "
+        "FROM U u1, U u2 WHERE u1.K = u2.K AND u1.F = 1 AND u2.F >= 1 GROUP BY u1.G"
+    )
+    #: (K, G, X, F) per source; both groups interleave inside every source.
+    ROWS = {
+        "A": [
+            ("k1", "g1", 1e16, 1),
+            ("k2", "g2", 0.1, 1),
+            ("k3", "g1", 1.0, 1),
+            ("k4", "g2", 0.2, 1),
+        ],
+        "B": [("k1", "g2", 0.3, 1), ("k5", "g1", -1e16, 1), ("k2", "g2", 1e16, 1)],
+        "C": [
+            ("k3", "g1", 1.0, 1),
+            ("k4", "g2", -1e16, 1),
+            ("k5", "g2", 0.1, 1),
+            ("k1", "g2", 1, 1),
+        ],
+    }
+
+    @pytest.fixture
+    def federation(self):
+        schema = Schema(
+            (
+                Attribute("K"),
+                Attribute("G"),
+                Attribute("X", DataType.FLOAT),
+                Attribute("F", DataType.INT),
+            ),
+            merge_attribute="K",
+        )
+        return Federation(
+            [
+                RemoteSource(
+                    TableSource(Relation(name, schema, rows)),
+                    SourceCapabilities.analytic(),
+                    LinkProfile(),
+                )
+                for name, rows in self.ROWS.items()
+            ],
+            name="U",
+        )
+
+    @classmethod
+    def by_hand(cls):
+        """Sequential ``total = total + value``, nothing cleverer."""
+        groups: dict = {}
+        for source in sorted(cls.ROWS):
+            totals: dict = {}
+            for __, group, value, __ in cls.ROWS[source]:
+                total, count = totals.get(group, (0, 0))
+                totals[group] = (total + value, count + 1)
+            for group, (total, count) in totals.items():
+                merged_total, merged_count = groups.get(group, (0, 0))
+                groups[group] = (merged_total + total, merged_count + count)
+        return groups
+
+    @staticmethod
+    def bits(result):
+        """Every value of every group, floats to the bit."""
+        return [
+            (key, [v.hex() if isinstance(v, float) else repr(v) for v in values])
+            for key, values in result.groups
+        ]
+
+    def test_the_data_tells_the_orders_apart(self):
+        g1 = [x for rows in self.ROWS.values() for __, g, x, __ in rows if g == "g1"]
+        assert g1 == [1e16, 1.0, -1e16, 1.0]
+        assert self.by_hand()["g1"] == (1.0, 4)
+        assert math.fsum(g1) == 2.0
+
+    def test_every_path_is_the_left_fold(self, federation):
+        query = parse_query(self.SQL)
+        hand = self.by_hand()
+        expected = {
+            (group,): (count, total.hex(), (total / count).hex())
+            for group, (total, count) in hand.items()
+        }
+        results = [reference_aggregate(federation, query)]
+        modes = [False, True] if columnar.numpy_available() else [False]
+        for use_numpy in modes:
+            previous = columnar.set_numpy_enabled(use_numpy)
+            try:
+                for pushdown in (False, "force", True):
+                    mediator = Mediator(federation, verify=False)
+                    answer = mediator.answer_aggregate(query, pushdown=pushdown)
+                    if pushdown == "force":
+                        assert len(answer.aggregate_plan.pushdown_sources) == 3
+                    if pushdown is False:
+                        assert len(answer.aggregate_plan.fetch_sources) == 3
+                    results.append(answer.result)
+            finally:
+                columnar.set_numpy_enabled(previous)
+        for result in results:
+            got = {
+                key: (count, total.hex(), mean.hex())
+                for key, (count, total, mean, __, __) in result.groups
+            }
+            assert got == expected
+            assert self.bits(result) == self.bits(results[0])
+
+    def test_min_max_ties_keep_the_first_value_met(self, federation):
+        # 1 == 1.0: which object comes back shows which one was kept,
+        # inside one source and across two.
+        schema = federation.schema
+        specs = (AggregateSpec("min", "X"), AggregateSpec("max", "X"))
+        first = Relation("A", schema, [("k1", "g", 1, 1), ("k2", "g", 1.0, 1)])
+        second = Relation("B", schema, [("k1", "g", 1.0, 1), ("k2", "g", 1, 1)])
+        left = partial_aggregate_rows(first, specs, ("G",))
+        right = partial_aggregate_rows(second, specs, ("G",))
+        assert [type(v) for v in left[("g",)]] == [int, int]
+        assert [type(v) for v in right[("g",)]] == [float, float]
+        merged = merge_partials(merge_partials({}, left, specs), right, specs)
+        assert [type(v) for v in merged[("g",)]] == [int, int]

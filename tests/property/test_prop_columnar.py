@@ -307,3 +307,88 @@ def test_partial_merge_equals_whole(relation, split):
     assert finalize_partials(merged, ALL_SPECS, group_by) == finalize_partials(
         whole, ALL_SPECS, group_by
     )
+
+
+# --- validated once, sliced not transposed: one answer by every route -----
+
+_group_bys = st.sampled_from([(), ("V",), ("V", "D")])
+
+
+def _routes(relation, group_by, items, warm):
+    """The same rows reached three ways: a restriction of ``relation``
+    (a column slice when the parent's view is cached — ``warm``), the
+    pushdown mask (``items=``), and a relation built from scratch."""
+    if warm:
+        relation.columnar()
+    merge_pos = relation.schema.merge_position
+    kept = [row for row in relation.rows if row[merge_pos] in items]
+    return (
+        partial_aggregate_rows(relation.restrict_to_items(items), ALL_SPECS, group_by),
+        partial_aggregate_rows(relation, ALL_SPECS, group_by, items=items),
+        partial_aggregate_rows(
+            Relation(relation.name, relation.schema, kept), ALL_SPECS, group_by
+        ),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    nullable_relations(),
+    _group_bys,
+    st.lists(licenses, max_size=5).map(frozenset),
+    st.booleans(),
+)
+def test_restricted_masked_and_rebuilt_rows_aggregate_alike(
+    relation, group_by, items, warm
+):
+    expected = _oracle_aggregate(relation, group_by, items)
+    for use_numpy in _numpy_modes():
+        with _numpy(use_numpy):
+            restricted, masked, rebuilt = _routes(relation, group_by, items, warm)
+            assert restricted == masked == rebuilt
+            # Groups appear in first-row order on every route.
+            assert list(restricted) == list(masked) == list(rebuilt)
+            grouped = finalize_partials(restricted, ALL_SPECS, group_by)
+            assert dict(grouped.groups) == expected
+
+
+def test_empty_and_all_null_inputs_by_every_route():
+    """``TestNullSemantics``' answers, whichever way the rows arrive."""
+    everyone = frozenset({"a", "b"})
+    all_null = Relation("N", NULLABLE_SCHEMA, [("a", "dui", None), ("b", "dui", None)])
+    empty = Relation("E", NULLABLE_SCHEMA, [])
+    for use_numpy in _numpy_modes():
+        with _numpy(use_numpy):
+            for warm in (False, True):
+                for partials in _routes(all_null, (), everyone, warm):
+                    assert partials == {(): [2, 0, (0, 0), (0, 0), None, None]}
+                for partials in _routes(all_null, ("V",), everyone, warm):
+                    grouped = finalize_partials(partials, ALL_SPECS, ("V",))
+                    assert grouped.groups == ((("dui",), (2, 0, None, None, None, None)),)
+                for group_by in ((), ("V",)):
+                    for relation, items in ((empty, everyone), (all_null, frozenset())):
+                        assert _routes(relation, group_by, items, warm) == ({}, {}, {})
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(ragged_rows, max_size=12),
+    _group_bys,
+    st.one_of(st.none(), st.lists(licenses, max_size=5).map(frozenset)),
+)
+def test_ragged_relation_aggregates_over_null_padded_columns(rows, group_by, items):
+    """A short row reads NULL where it has no value; a stray extra value
+    is never looked at.  Nothing is validated, nothing raises."""
+    relation = Relation.unchecked("bad", NULLABLE_SCHEMA, rows)
+    padded = Relation(
+        "padded", NULLABLE_SCHEMA, [(row + (None, None))[:3] for row in rows]
+    )
+    expected = _oracle_aggregate(padded, group_by, items)
+    for use_numpy in _numpy_modes():
+        with _numpy(use_numpy):
+            grouped = finalize_partials(
+                partial_aggregate_rows(relation, ALL_SPECS, group_by, items=items),
+                ALL_SPECS,
+                group_by,
+            )
+            assert dict(grouped.groups) == expected

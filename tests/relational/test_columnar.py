@@ -73,6 +73,49 @@ class TestColumnarTable:
         assert select_items(table, parse_condition("V = 'dui'")) == frozenset()
 
 
+class TestSlicedNotTransposed:
+    """A relation derived by a row mask slices the parent's cached
+    columns with that mask; it never transposes the kept rows again."""
+
+    @pytest.fixture
+    def no_transposing(self, relation, monkeypatch):
+        relation.columnar()
+
+        def refuse(self, schema, rows):
+            raise AssertionError("a derived relation's rows were transposed again")
+
+        monkeypatch.setattr(ColumnarTable, "__init__", refuse)
+
+    def test_restriction_slices_the_parent_columns(self, relation, no_transposing, numpy_mode):
+        kept = relation.restrict_to_items({"J55", "S07", "nobody"})
+        table = kept.columnar()
+        assert table is kept.columnar() is table_for(kept)
+        assert (table.length, table.well_formed, table.schema) == (2, True, relation.schema)
+        assert table.column("V") == ["dui", "park"]
+        assert table.merge_column == ["J55", "S07"]
+        assert table.column("nope") is None
+        assert kept.rows == (ROWS[0], ROWS[3])
+        assert select_items(table, parse_condition("D >= 1991")) == frozenset({"J55"})
+
+    def test_filter_slices_and_slices_compose(self, relation, no_transposing, numpy_mode):
+        duis = relation.filter(lambda row: row["V"] == "dui")
+        late = duis.restrict_to_items({"T80"})
+        assert duis.columnar().column("L") == ["J55", "T80"]
+        assert late.columnar().column("D") == [1993]
+        assert count_matching(late.columnar(), parse_condition("V = 'dui'")) == 1
+        assert relation.restrict_to_items(set()).columnar().column("L") == []
+
+    def test_without_a_cached_parent_view_the_rows_are_transposed(self, relation):
+        kept = relation.restrict_to_items({"T21"})
+        assert kept.columnar().column("D") == [1994]
+
+    def test_unchecked_parent_is_not_sliced(self):
+        ragged = Relation.unchecked("bad", dmv_schema(), [ROWS[0], ("T21",)])
+        assert not ragged.columnar().well_formed
+        kept = ragged.restrict_to_items({"J55"})
+        assert kept.columnar().well_formed and kept.columnar().column("V") == ["dui"]
+
+
 class TestTableFor:
     def test_returns_view_when_enabled(self, relation):
         assert isinstance(table_for(relation), ColumnarTable)
