@@ -2,8 +2,9 @@
 
 PR 10 moved the mediator's data plane onto a columnar batch
 representation (:mod:`repro.relational.columnar`): predicates become
-boolean selection masks, semijoins hash-probe the merge column, and the
-mediator merge runs hash set operators.  This experiment quantifies the
+boolean selection masks, semijoins probe the merge column (through its
+dictionary when numpy runs), and the mediator merge runs hash set
+operators.  This experiment quantifies the
 move with a three-way sweep — the seed's row-at-a-time path (a dict per
 row), the pure-python columnar kernels, and the numpy fast path — over
 the five kernels the serving stack actually exercises:
@@ -379,6 +380,12 @@ def run_columnar(
         "every timing counted only after the three paths returned "
         "identical results; numpy column omitted when unavailable"
     )
+    if any(n >= 1_000_000 for n in sizes):
+        table.add_note(
+            "rows of 1e6 and more are one cold repetition: building every "
+            "cached view (transposed columns, numpy mirrors, the merge "
+            "column's dictionary) is inside the timing"
+        )
     table.add_note(columnar.substrate_summary())
 
     if bench_json:

@@ -40,6 +40,7 @@ from operator import add
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.errors import ConditionError
+from repro.relational import columnar
 from repro.relational.relation import Relation
 from repro.relational.schema import DataType, Schema
 
@@ -271,8 +272,13 @@ def partial_aggregate_rows(
     n = len(relation.rows)
     member: list[bool] | None = None
     if items is not None:
-        merge_column = _column_values(relation, relation.schema.merge_attribute)
-        member = [v in items for v in merge_column]
+        table = columnar.table_for(relation)
+        if table is not None:
+            member = columnar.mask_as_list(columnar.member_mask(table, items))
+        else:
+            # Ragged rows: the null-padded merge values, probed one by one.
+            merge_values = _column_values(relation, relation.schema.merge_attribute)
+            member = list(map(items.__contains__, merge_values))
         n = member.count(True)
 
     def column(name: str) -> list[Any]:

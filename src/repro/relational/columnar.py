@@ -20,21 +20,26 @@ Design rules (see DESIGN.md):
   must be *bit-identical* and silently falls back per-leaf whenever
   exactness cannot be guaranteed (mixed-type columns, integers beyond
   2**53, exotic literals).  Property tests enforce parity.
+* String columns are *dictionary encoded* (:meth:`ColumnarTable.encoded`):
+  a string predicate is the python reference kernel run once per
+  distinct value and gathered through the row codes, a semijoin probes
+  the binding set against the dictionary, and no python loop touches a
+  row.
 * Boolean structure (AND/OR/NOT) is computed as mask algebra, never by
-  re-walking rows; semijoins probe a hash set against the merge column;
-  the mediator merge operators are hash-based with smallest-first
-  ordering and early exit.
+  re-walking rows; the mediator merge operators are the C set methods
+  with largest-first / smallest-first ordering.
 
-The numpy fast path runs whenever numpy imports — there is no option to
-set.  :func:`set_numpy_enabled` exists so the parity tests can run the
-python kernels as their reference in a process that has numpy.
+The numpy kernels run whenever numpy imports and the table is long
+enough to pay for them (``_NUMPY_MIN_ROWS``) — there is no option to
+set.  :func:`set_numpy_enabled` exists so the parity tests can run
+either set of kernels at every size in a process that has numpy.
 """
 
 from __future__ import annotations
 
 import operator
 from itertools import compress
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.errors import ConditionError
 from repro.relational.conditions import (
@@ -74,6 +79,15 @@ _COMPARE: dict[str, Callable[[Any, Any], bool]] = {
 
 _numpy_override: bool | None = None
 
+#: Every numpy call costs about a microsecond, so on a table this short
+#: (Fig. 1's sources hold five rows) the python kernels are the faster
+#: ones.  Measured crossover 16–64 rows; see DESIGN "Columnar substrate".
+_NUMPY_MIN_ROWS = 64
+
+#: Looking a binding up in a dictionary and scattering its code costs
+#: about this many times what one ``in`` probe of a distinct value does.
+_PROBE_COST_RATIO = 4
+
 
 def numpy_available() -> bool:
     """True when numpy imported successfully in this process."""
@@ -81,7 +95,8 @@ def numpy_available() -> bool:
 
 
 def numpy_enabled() -> bool:
-    """True when the numpy fast path is active for mask kernels."""
+    """True when numpy kernels may run (which tables they serve is
+    :func:`_numpy_kernels`' business)."""
     if _np is None:
         return False
     if _numpy_override is None:
@@ -90,8 +105,9 @@ def numpy_enabled() -> bool:
 
 
 def set_numpy_enabled(enabled: bool | None) -> bool | None:
-    """Force the numpy path on/off; ``None`` restores the default
-    (numpy whenever it imported).
+    """Force the numpy kernels on/off *at every table length*; ``None``
+    restores the default (numpy whenever it imported, on tables long
+    enough to pay for it).
 
     Returns the previous override so callers can restore it.  Forcing
     ``True`` without numpy installed is a silent no-op (the python
@@ -103,6 +119,16 @@ def set_numpy_enabled(enabled: bool | None) -> bool | None:
     return previous
 
 
+def _numpy_kernels(table: "ColumnarTable") -> bool:
+    """Which kernels serve ``table``: numpy when it is long enough to pay
+    for them, unless a parity test forced one kind for every size."""
+    if _np is None:
+        return False
+    if _numpy_override is None:
+        return table.length >= _NUMPY_MIN_ROWS
+    return _numpy_override
+
+
 # ---------------------------------------------------------------------------
 # The columnar batch
 
@@ -110,16 +136,27 @@ def set_numpy_enabled(enabled: bool | None) -> bool | None:
 class ColumnarTable:
     """An immutable per-attribute view of a relation's rows.
 
-    Columns are plain Python lists (shared structure with the row
-    tuples' values); numpy mirrors of eligible columns are built lazily
-    on first use and cached.  A table built from *ragged* rows (arity
+    Rows own the data; everything here is a cache of them, built lazily
+    on first use: the columns (plain Python lists sharing the row
+    tuples' values), the numpy mirrors of numeric and boolean columns,
+    the dictionary encodings of string columns and the object-array
+    mirror of the merge column.  A table built from *ragged* rows (arity
     mismatches injected by the fault simulator via
     ``Relation.unchecked``) reports ``well_formed = False`` and must not
     be used for vectorized evaluation — callers fall back to the row
     path, which reproduces the historical per-row semantics exactly.
     """
 
-    __slots__ = ("schema", "length", "well_formed", "_columns", "_np_cache", "_slice_of")
+    __slots__ = (
+        "schema",
+        "length",
+        "well_formed",
+        "_columns",
+        "_np_cache",
+        "_encoded",
+        "_merge_objects",
+        "_slice_of",
+    )
 
     def __init__(self, schema: Schema, rows: tuple[tuple[Any, ...], ...]):
         self.schema = schema
@@ -136,8 +173,13 @@ class ColumnarTable:
             else:
                 for name in names:
                     self._columns[name] = []
-        self._np_cache: dict[str, tuple[str, Any, Any] | None] = {}
         self._slice_of: tuple[ColumnarTable, Sequence[Any]] | None = None
+        self._reset_caches()
+
+    def _reset_caches(self) -> None:
+        self._np_cache: dict[str, tuple[str, Any, Any] | None] = {}
+        self._encoded: dict[str, tuple[dict[Any, int], Any] | None] = {}
+        self._merge_objects: Any = None
 
     def where(self, mask: Sequence[Any], length: int) -> "ColumnarTable":
         """The table of the ``length`` rows at the true positions of ``mask``.
@@ -152,8 +194,8 @@ class ColumnarTable:
         table.length = length
         table.well_formed = self.well_formed
         table._columns = {}
-        table._np_cache = {}
         table._slice_of = (self, mask)
+        table._reset_caches()
         return table
 
     def column(self, name: str) -> list[Any] | None:
@@ -175,12 +217,14 @@ class ColumnarTable:
     def np_column(self, name: str) -> tuple[str, Any, Any] | None:
         """``(kind, data, null_mask)`` for the numpy path, or None.
 
-        ``kind`` is ``"num"`` (float64, ints within ±2**53), ``"str"``
-        (unicode array), or ``"bool"``; ``null_mask`` is a boolean array
-        marking positions that held ``None`` (or ``None`` itself when
-        the column has no nulls).  Columns mixing domains, containing
-        huge integers, or holding foreign objects are ineligible and
-        cached as ``None`` — their predicates run on the python kernels.
+        ``kind`` is ``"num"`` (float64, ints within ±2**53), ``"bool"``
+        or ``"null"`` (nothing but ``None``); ``null_mask`` is a boolean
+        array marking positions that held ``None`` (or ``None`` itself
+        when the column has no nulls).  String columns have no mirror —
+        they are served by :meth:`encoded`.  Columns mixing domains,
+        containing huge integers, or holding foreign objects are
+        ineligible and cached as ``None`` — their predicates run on the
+        python kernels.
         """
         if name in self._np_cache:
             return self._np_cache[name]
@@ -209,8 +253,6 @@ class ColumnarTable:
                     return None
             elif isinstance(value, float):
                 value_kind = "num"
-            elif isinstance(value, str):
-                value_kind = "str"
             else:
                 return None
             if kind is None:
@@ -233,17 +275,54 @@ class ColumnarTable:
                 dtype=_np.float64,
                 count=len(values),
             )
-        elif kind == "bool":
+        else:
             data = _np.fromiter(
                 (False if v is None else v for v in values),
                 dtype=bool,
                 count=len(values),
             )
-        else:
-            data = _np.array(
-                ["" if v is None else v for v in values], dtype=str
-            )
         return (kind, data, null)
+
+    def encoded(self, name: str) -> tuple[dict[Any, int], Any] | None:
+        """The dictionary encoding ``(index, codes)`` of a string column.
+
+        ``index`` maps each distinct value to its code — its keys *are*
+        the distinct values, in first-appearance order, ``None`` one of
+        them when the column has nulls — and ``codes`` holds one code
+        per row in the narrowest unsigned dtype that fits.  ``None``
+        (cached) without numpy, when the schema lacks the column, and
+        when a non-null value is not a ``str``: equal values of
+        different domains (``1``, ``1.0``, ``True``) would share a code
+        and the kernels tell them apart.
+        """
+        if name in self._encoded:
+            return self._encoded[name]
+        built = self._encoded[name] = self._build_encoded(name)
+        return built
+
+    def _build_encoded(self, name: str) -> tuple[dict[Any, int], Any] | None:
+        values = self.column(name)
+        if _np is None or values is None:
+            return None
+        index: dict[Any, int] = {}
+        try:
+            codes = [index.setdefault(value, len(index)) for value in values]
+        except TypeError:  # an unhashable value from a lying source
+            return None
+        if not all(isinstance(value, str) or value is None for value in index):
+            return None
+        dtype = _np.min_scalar_type(max(len(index) - 1, 0))
+        return index, _np.array(codes, dtype=dtype)
+
+    def merge_objects(self):
+        """The merge column as a numpy object array (cached): the very
+        objects of the rows, so a boolean gather hands items out in row
+        order exactly as ``compress`` over the python column does."""
+        if self._merge_objects is None:
+            self._merge_objects = _np.fromiter(
+                self.merge_column, dtype=object, count=self.length
+            )
+        return self._merge_objects
 
 
 def table_for(relation) -> ColumnarTable | None:
@@ -317,16 +396,9 @@ def _between_python(column: list[Any], low: Any, high: Any) -> Mask:
     return _false_mask(len(column))
 
 
-def _leaf_mask_python(condition: Condition, table: ColumnarTable) -> Mask:
-    n = table.length
-    if isinstance(condition, TrueCondition):
-        return [True] * n
-    if isinstance(condition, FalseCondition):
-        return _false_mask(n)
-    attribute = condition.attribute  # type: ignore[attr-defined]
-    column = table.column(attribute)
-    if column is None:
-        column = _missing_column(condition, table)
+def _leaf_values_python(condition: Condition, column: list[Any]) -> Mask:
+    """One attribute leaf over a list of values — the reference kernel,
+    run over a column's rows or over its distinct values alike."""
     if isinstance(condition, Comparison):
         return _compare_python(column, condition.op, condition.value)
     if isinstance(condition, Between):
@@ -344,6 +416,18 @@ def _leaf_mask_python(condition: Condition, table: ColumnarTable) -> Mask:
             return [v is not None for v in column]
         return [v is None for v in column]
     raise ConditionError(f"unknown condition node {condition!r}")
+
+
+def _leaf_mask_python(condition: Condition, table: ColumnarTable) -> Mask:
+    n = table.length
+    if isinstance(condition, TrueCondition):
+        return [True] * n
+    if isinstance(condition, FalseCondition):
+        return _false_mask(n)
+    column = table.column(condition.attribute)  # type: ignore[attr-defined]
+    if column is None:
+        column = _missing_column(condition, table)
+    return _leaf_values_python(condition, column)
 
 
 def _mask_python(condition: Condition, table: ColumnarTable) -> Mask:
@@ -384,14 +468,18 @@ def _leaf_mask_np(condition: Condition, table: ColumnarTable):
         return None
     built = table.np_column(attribute)
     if built is None:
-        return None
+        encoded = table.encoded(attribute)
+        if encoded is None:
+            return None
+        # A string column: the reference kernel once per distinct value,
+        # gathered through the row codes — every leaf kind, one semantics.
+        index, codes = encoded
+        verdicts = _leaf_values_python(condition, list(index))
+        return _np.fromiter(verdicts, dtype=bool, count=len(index)).take(codes)
     kind, data, null = built
-    result = None
     if isinstance(condition, Comparison):
         value = condition.value
-        if value is None:
-            result = _np.zeros(n, dtype=bool)
-        elif isinstance(value, bool):
+        if isinstance(value, bool):
             if kind != "bool":
                 result = _np.zeros(n, dtype=bool)
             else:
@@ -405,12 +493,8 @@ def _leaf_mask_np(condition: Condition, table: ColumnarTable):
                 return None  # float64 would round the literal
             else:
                 result = _COMPARE[condition.op](data, float(value))
-        elif isinstance(value, str):
-            if kind != "str":
-                result = _np.zeros(n, dtype=bool)
-            else:
-                result = _COMPARE[condition.op](data, value)
         else:
+            # NULL, a string (these columns hold none) or a foreign literal.
             result = _np.zeros(n, dtype=bool)
     elif isinstance(condition, Between):
         low, high = condition.low, condition.high
@@ -429,11 +513,6 @@ def _leaf_mask_np(condition: Condition, table: ColumnarTable):
                 return None
             else:
                 result = (data >= float(low)) & (data <= float(high))
-        elif isinstance(low, str) and isinstance(high, str):
-            if kind != "str":
-                result = _np.zeros(n, dtype=bool)
-            else:
-                result = (data >= low) & (data <= high)
         else:
             result = _np.zeros(n, dtype=bool)
     elif isinstance(condition, IsNull):
@@ -485,107 +564,143 @@ def predicate_mask(table: ColumnarTable, condition: Condition) -> Mask:
     """Evaluate ``condition`` over every row at once.
 
     Returns a boolean selection mask (a python list, or a numpy bool
-    array when the fast path is active) aligned with the table's rows.
+    array when the numpy kernels serve this table) aligned with the
+    table's rows.
     """
-    if numpy_enabled():
+    if _numpy_kernels(table):
         return _mask_np(condition, table)
     return _mask_python(condition, table)
 
 
-def _selected(values: Iterable[Any], mask: Mask) -> Iterator[Any]:
-    if _np is not None and isinstance(mask, _np.ndarray):
-        mask = mask.tolist()
+def member_mask(table: ColumnarTable, wanted: frozenset[Any] | set[Any]) -> Mask:
+    """Which rows' merge value is in ``wanted`` — a mask like
+    :func:`predicate_mask`'s.
+
+    With a dictionary over the merge column nothing here touches a row:
+    the binding set is probed against the dictionary (or, when it is not
+    much smaller, the distinct values against the binding set) and the
+    per-value verdicts are gathered through the row codes.
+    """
+    use_numpy = _numpy_kernels(table)
+    encoded = table.encoded(table.schema.merge_attribute) if use_numpy else None
+    if encoded is None:
+        member = [v in wanted for v in table.merge_column]
+        return _np.array(member, dtype=bool) if use_numpy else member
+    index, codes = encoded
+    if _PROBE_COST_RATIO * len(wanted) < len(index):
+        verdicts = _np.zeros(len(index), dtype=bool)
+        verdicts[[index[v] for v in wanted if v in index]] = True
+    else:
+        verdicts = _np.fromiter(
+            map(wanted.__contains__, index), dtype=bool, count=len(index)
+        )
+    return verdicts.take(codes)
+
+
+def _is_array(mask: Mask) -> bool:
+    return _np is not None and isinstance(mask, _np.ndarray)
+
+
+def mask_as_list(mask: Mask) -> list[bool]:
+    """``mask`` as the python list ``itertools.compress`` gathers fastest."""
+    return mask.tolist() if _is_array(mask) else mask
+
+
+def _selected_items(table: ColumnarTable, mask: Mask) -> frozenset[Any]:
+    """The distinct merge values at the true positions of ``mask``: the
+    same objects inserted in the same (row) order under either kernel, so
+    the representative of equal keys and the set's layout do not depend
+    on which one ran."""
+    if _is_array(mask):
+        return frozenset(table.merge_objects()[mask].tolist())
     # itertools.compress is the C-speed gather over a python mask.
-    return compress(values, mask)
+    return frozenset(compress(table.merge_column, mask))
 
 
 def select_items(table: ColumnarTable, condition: Condition) -> frozenset[Any]:
     """``sq(c, R)`` on the columnar batch: distinct qualifying items."""
-    mask = predicate_mask(table, condition)
-    return frozenset(_selected(table.merge_column, mask))
+    return _selected_items(table, predicate_mask(table, condition))
 
 
 def select_row_tuples(
     table: ColumnarTable, rows: tuple[tuple[Any, ...], ...], condition: Condition
 ) -> list[tuple[Any, ...]]:
     """The qualifying row tuples (the thin row view over the mask)."""
-    mask = predicate_mask(table, condition)
-    return list(_selected(rows, mask))
+    return list(compress(rows, mask_as_list(predicate_mask(table, condition))))
 
 
 def semijoin_items(
     table: ColumnarTable, condition: Condition, wanted: frozenset[Any]
 ) -> frozenset[Any]:
-    """``sjq(c, R, Y)``: hash-probe the merge column, then mask.
+    """``sjq(c, R, Y)``: probe the merge column, then mask.
 
-    Membership is tested first — rows outside the binding set never see
-    the predicate — and the predicate mask is combined by mask algebra.
+    Membership is tested first — when no row is bound the predicate is
+    never evaluated.  The numpy kernels AND two whole-table masks (both
+    are gathers through codes); the python kernels evaluate the
+    predicate on the bound rows only.
     """
     if not wanted:
         return frozenset()
-    member = [v in wanted for v in table.merge_column]
-    if not any(member):
+    member = member_mask(table, wanted)
+    if _is_array(member):
+        if not member.any():
+            return frozenset()
+        return _selected_items(table, member & _mask_np(condition, table))
+    count = member.count(True)
+    if not count:
         return frozenset()
-    mask = predicate_mask(table, condition)
-    if _np is not None and isinstance(mask, _np.ndarray):
-        mask = mask.tolist()
-    combined = [a and b for a, b in zip(member, mask)]
-    return frozenset(_selected(table.merge_column, combined))
+    bound = table.where(member, count)
+    return _selected_items(bound, _mask_python(condition, bound))
 
 
 def count_matching(table: ColumnarTable, condition: Condition) -> int:
     """How many rows satisfy ``condition`` (no materialization)."""
     mask = predicate_mask(table, condition)
-    if _np is not None and isinstance(mask, _np.ndarray):
-        return int(mask.sum())
-    return sum(mask)
+    return int(mask.sum()) if _is_array(mask) else sum(mask)
 
 
 # ---------------------------------------------------------------------------
 # Hash-based set operators for the mediator merge
 
 
+def _as_sets(sets: Iterable[Iterable[Any]]) -> list[frozenset[Any] | set[Any]]:
+    return [s if isinstance(s, (set, frozenset)) else frozenset(s) for s in sets]
+
+
 def union_items(sets: Iterable[Iterable[Any]]) -> frozenset[Any]:
     """``X_1 ∪ ... ∪ X_k`` — hash union, largest input first.
 
     Starting from the largest operand means the accumulator never
-    rehashes below its final size; the empty union is the empty set.
+    rehashes below its final size (and an element present in several
+    operands is represented by the largest's); the empty union is the
+    empty set.
     """
-    materialized = [s if isinstance(s, (set, frozenset)) else set(s) for s in sets]
-    if not materialized:
+    operands = _as_sets(sets)
+    if not operands:
         return frozenset()
-    materialized.sort(key=len, reverse=True)
-    result = set(materialized[0])
-    for s in materialized[1:]:
-        result.update(s)
-    return frozenset(result)
+    operands.sort(key=len, reverse=True)
+    return frozenset(operands[0].union(*operands[1:]))
 
 
 def intersect_items(sets: Iterable[Iterable[Any]]) -> frozenset[Any]:
     """``X_1 ∩ ... ∩ X_k`` — hash intersect, smallest input first.
 
     Probing the smallest operand against the rest bounds work by the
-    smallest set; an empty intermediate short-circuits.  Raises on an
-    empty operand list (the identity would be the universe).
+    smallest set.  Raises on an empty operand list (the identity would
+    be the universe).
     """
-    materialized = [s if isinstance(s, (set, frozenset)) else set(s) for s in sets]
-    if not materialized:
+    operands = _as_sets(sets)
+    if not operands:
         raise ValueError("intersection of zero sets is undefined")
-    materialized.sort(key=len)
-    result = set(materialized[0])
-    for s in materialized[1:]:
-        if not result:
-            break
-        result.intersection_update(s)
-    return frozenset(result)
+    operands.sort(key=len)
+    return frozenset(operands[0].intersection(*operands[1:]))
 
 
 def difference_items(left: Iterable[Any], right: Iterable[Any]) -> frozenset[Any]:
     """``Y − Z`` via hash anti-probe of the right side."""
-    anti = right if isinstance(right, (set, frozenset)) else set(right)
-    if not anti:
-        return frozenset(left)
-    return frozenset(v for v in left if v not in anti)
+    if not isinstance(left, (set, frozenset)):
+        left = frozenset(left)
+    return frozenset(left.difference(right))
 
 
 # ---------------------------------------------------------------------------

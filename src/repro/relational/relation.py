@@ -19,6 +19,7 @@ from itertools import compress
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import SchemaError
+from repro.relational.columnar import ColumnarTable, mask_as_list, member_mask
 from repro.relational.schema import Schema
 
 Row = tuple[Any, ...]
@@ -135,8 +136,6 @@ class Relation:
         :mod:`repro.relational.columnar`).
         """
         if self._columnar is None:
-            from repro.relational.columnar import ColumnarTable
-
             self._columnar = ColumnarTable(self.schema, self._rows)
         return self._columnar
 
@@ -178,9 +177,13 @@ class Relation:
         self, items: frozenset[Any] | set[Any], name: str | None = None
     ) -> "Relation":
         """Rows whose merge attribute is in ``items`` (a semijoin on data)."""
-        pos = self.schema.merge_position
-        mask = [row[pos] in items for row in self._rows]
-        return self._where(mask, name or f"{self.name}_semijoined")
+        name = name or f"{self.name}_semijoined"
+        table = self.columnar()
+        if not table.well_formed:
+            # Ragged rows (only ``unchecked`` holds them) have no columns.
+            pos = self.schema.merge_position
+            return self.derive((row for row in self._rows if row[pos] in items), name)
+        return self._where(mask_as_list(member_mask(table, items)), name)
 
     @staticmethod
     def union_all(name: str, relations: Iterable["Relation"]) -> "Relation":

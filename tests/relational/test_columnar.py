@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import pathlib
+import re
+
 import pytest
 
+import repro
 from repro.errors import ConditionError
 from repro.relational import columnar
 from repro.relational.columnar import (
@@ -11,15 +15,18 @@ from repro.relational.columnar import (
     count_matching,
     difference_items,
     intersect_items,
+    member_mask,
     numpy_available,
     predicate_mask,
     select_items,
+    select_row_tuples,
     semijoin_items,
     set_numpy_enabled,
     substrate_summary,
     table_for,
     union_items,
 )
+from repro.relational.conditions import Between, Comparison, InSet, IsNull, Like
 from repro.relational.parser import parse_condition
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, DataType, Schema, dmv_schema
@@ -175,6 +182,20 @@ class TestPredicateMask:
             predicate_mask(table, parse_condition("D IS NULL"))
         ) == [False, True, False]
 
+    def test_trailing_nul_is_part_of_the_string(self, numpy_mode):
+        # A numpy unicode array strips trailing NULs, so a ``<U`` mirror
+        # answered ``V = 'a'`` with the row holding ``'a\x00'`` too: a
+        # spurious tuple, which the paper's contract never allows.
+        schema = Schema((Attribute("M"), Attribute("V")), "M")
+        relation = Relation("R", schema, [("x", "a\x00"), ("y", "a")])
+        table = relation.columnar()
+        assert select_items(table, Comparison("V", "=", "a")) == {"y"}
+        assert select_items(table, Comparison("V", "!=", "a")) == {"x"}
+        assert select_items(table, Comparison("V", ">", "a")) == {"x"}
+        assert select_items(table, Between("V", "a", "a")) == {"y"}
+        assert select_items(table, InSet("V", ["a"])) == {"y"}
+        assert semijoin_items(table, Comparison("V", "=", "a"), frozenset("xy")) == {"y"}
+
     def test_huge_int_literal_matches_python(self, numpy_mode):
         # Beyond 2**53 float64 rounds; the numpy path must not be used
         # (or must agree exactly) for such literals.
@@ -232,6 +253,38 @@ class TestSetOps:
         )
 
 
+    def test_operands_that_are_sets_are_not_copied_in_and_out(self):
+        big, small = frozenset(range(100)), frozenset(range(5))
+        assert type(union_items([small, big])) is frozenset
+        assert type(intersect_items([{1, 2}, {2, 3}])) is frozenset
+        assert type(difference_items({1, 2}, [2])) is frozenset
+        assert union_items(iter([[1, 2], (2, 3)])) == {1, 2, 3}
+        assert intersect_items(iter([[1, 2], (2, 3)])) == {2}
+        assert difference_items([1, 2, 3], iter([2])) == {1, 3}
+
+    def test_surviving_representative_of_equal_keys(self):
+        # 1 == 1.0 == True hash alike; which object a merge keeps is
+        # observable.  These are the answers of the copy-in / copy-out
+        # operators this module had before.
+        def kept(result):
+            return sorted((type(v).__name__, v) for v in result)
+
+        # Union: the largest operand's; among equals, the first's.
+        assert kept(union_items([{1.0}, {1, 2}])) == [("int", 1), ("int", 2)]
+        assert kept(union_items([{True}, {1.0}, {1}])) == [("bool", True)]
+        # Intersection: the smallest operand's; among equals, the last's.
+        assert kept(intersect_items([{1, 2, 3}, {1.0}])) == [("float", 1.0)]
+        assert kept(intersect_items([{1.0}, {1, 2}, {True, 5, 6}])) == [("float", 1.0)]
+        assert kept(intersect_items([{1}, {1.0}])) == [("float", 1.0)]
+        assert kept(intersect_items([{1}, {1.0}, {True}])) == [("bool", True)]
+        # Difference: always the left's.
+        assert kept(difference_items({1.0, 2}, {2.0})) == [("float", 1.0)]
+        assert kept(difference_items({1, 2, 3, 4, 5, 6, 7, 8.0}, {3.0})) == [
+            ("float", 8.0),
+            *(("int", v) for v in (1, 2, 4, 5, 6, 7)),
+        ]
+
+
 class TestSubstrateSummary:
     def test_mentions_state(self):
         assert "columnar substrate" in substrate_summary()
@@ -264,3 +317,262 @@ class TestParityWithRowPath:
             if condition.evaluate(schema.row_to_dict(row))
         )
         assert columnar_result == row_result
+
+
+# ---------------------------------------------------------------------------
+# The dictionary encoding, the object gather and the size rule
+
+STRING_SCHEMA = Schema(
+    (
+        Attribute("L", DataType.STRING),
+        Attribute("V", DataType.STRING, nullable=True),
+        Attribute("D", DataType.INT, nullable=True),
+    ),
+    merge_attribute="L",
+)
+
+OVERRIDES = [None, False] + ([True] if numpy_available() else [])
+
+
+def _string_relation(n: int) -> Relation:
+    """``n`` rows over ``n // 3 + 1`` licenses.  Every license string is
+    its own object, so which row's object represents an item shows."""
+    values = ["dui", "sp", None, "park", "dui\x00"]
+    rows = [
+        ("".join(["L", str(i % (n // 3 + 1))]), values[i % 5], 1990 + i % 7 if i % 4 else None)
+        for i in range(n)
+    ]
+    return Relation("S", STRING_SCHEMA, rows)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ConditionError as exc:
+        return str(exc)
+
+
+def _identities(result):
+    if isinstance(result, (frozenset, list)):
+        return [id(value) for value in result]
+    return result
+
+
+def _leaves(attribute: str):
+    return [
+        Comparison(attribute, "=", "dui"),
+        Comparison(attribute, "!=", "dui"),
+        Comparison(attribute, "<", "park"),
+        Comparison(attribute, ">=", "dui"),
+        Comparison(attribute, "=", 7),
+        Between(attribute, "dui", "park"),
+        InSet(attribute, ["sp", "park", 3]),
+        Like(attribute, "d%"),
+        Like(attribute, "%"),
+        IsNull(attribute),
+        IsNull(attribute, negated=True),
+    ]
+
+
+class TestKernelChoiceBySize:
+    """Short tables run the python kernels, long ones numpy's; a forced
+    override runs one kind at every size.  Nothing observable — answers,
+    the object standing for an item, the order a set iterates in —
+    depends on which ran."""
+
+    SIZES = [0, 1, 5] + [columnar._NUMPY_MIN_ROWS + d for d in (-1, 0, 1)] + [200]
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("attribute", ["V", "ZZ"])
+    def test_every_leaf_kind_agrees_across_overrides(self, n, attribute):
+        relation = _string_relation(n)
+        table = relation.columnar()
+        wanted = frozenset(f"L{i}" for i in range(0, n, 2))
+        for leaf in _leaves(attribute):
+            condition = leaf & Comparison("D", ">=", 1991) if n % 2 else leaf
+            calls = [
+                lambda: select_items(table, condition),
+                lambda: semijoin_items(table, condition, wanted),
+                lambda: select_row_tuples(table, relation.rows, condition),
+                lambda: count_matching(table, condition),
+            ]
+            seen = []
+            for override in OVERRIDES:
+                prev = set_numpy_enabled(override)
+                try:
+                    outcomes = [_outcome(call) for call in calls]
+                finally:
+                    set_numpy_enabled(prev)
+                seen.append((outcomes, [_identities(o) for o in outcomes]))
+            assert all(other == seen[0] for other in seen[1:]), (n, str(condition))
+            items, bound, rows, count = seen[0][0]
+            if isinstance(leaf, Comparison) and attribute == "ZZ":
+                # A binding set nothing matches never reaches the predicate.
+                assert items == rows == count == "row lacks attribute 'ZZ'"
+                assert bound == (items if n else frozenset())
+            else:
+                assert count == len(rows) and items == {row[0] for row in rows}
+                assert bound == items & wanted
+
+    @pytest.mark.skipif(not numpy_available(), reason="numpy not available")
+    def test_the_default_picks_the_kernels_by_table_length(self):
+        import numpy
+
+        condition = Comparison("V", "=", "dui")
+        limit = columnar._NUMPY_MIN_ROWS
+        for n, expected in [(limit - 1, list), (limit, numpy.ndarray)]:
+            table = _string_relation(n).columnar()
+            assert type(predicate_mask(table, condition)) is expected
+            assert type(member_mask(table, frozenset({"L1"}))) is expected
+            for override, forced in ((True, numpy.ndarray), (False, list)):
+                prev = set_numpy_enabled(override)
+                try:
+                    assert type(predicate_mask(table, condition)) is forced
+                    assert type(member_mask(table, frozenset({"L1"}))) is forced
+                finally:
+                    set_numpy_enabled(prev)
+
+    def test_the_size_constant_is_private_and_defined_once(self):
+        source = "".join(
+            path.read_text() for path in pathlib.Path(repro.__file__).parent.rglob("*.py")
+        )
+        assert len(re.findall(r"^_NUMPY_MIN_ROWS = ", source, flags=re.M)) == 1
+        assert not any("MIN_ROWS" in name for name in repro.relational.__all__)
+
+
+@pytest.mark.skipif(not numpy_available(), reason="numpy not available")
+class TestEncoding:
+    @pytest.fixture(autouse=True)
+    def numpy_everywhere(self):
+        prev = set_numpy_enabled(True)
+        yield
+        set_numpy_enabled(prev)
+
+    def test_distinct_values_in_first_appearance_order(self):
+        table = _string_relation(12).columnar()
+        index, codes = table.encoded("V")
+        assert list(index) == ["dui", "sp", None, "park", "dui\x00"]
+        assert list(index.values()) == [0, 1, 2, 3, 4]
+        assert codes.tolist() == [i % 5 for i in range(12)]
+        assert codes.dtype.itemsize == 1
+
+    def test_codes_use_the_narrowest_dtype_that_fits(self):
+        rows = [(f"L{i}", None, None) for i in range(300)]
+        _, codes = Relation("W", STRING_SCHEMA, rows).columnar().encoded("L")
+        assert codes.dtype.itemsize == 2 and codes.tolist() == list(range(300))
+
+    def test_built_once_and_reused(self, monkeypatch):
+        table = _string_relation(90).columnar()
+        built = []
+        build = ColumnarTable._build_encoded
+        monkeypatch.setattr(
+            ColumnarTable,
+            "_build_encoded",
+            lambda self, name: built.append(name) or build(self, name),
+        )
+        condition = Comparison("V", "=", "dui")
+        for i in range(100):
+            semijoin_items(table, condition, frozenset({f"L{i % 31}", "nobody"}))
+        assert sorted(built) == ["L", "V"]
+        assert table.encoded("L") is table.encoded("L")
+        assert table.merge_objects() is table.merge_objects()
+
+    def test_a_sliced_table_encodes_its_own_slice(self):
+        relation = _string_relation(20)
+        relation.columnar().encoded("V")
+        kept = relation.restrict_to_items({"L1", "L3"})
+        index, codes = kept.columnar().encoded("V")
+        assert list(index) == list(dict.fromkeys(row[1] for row in kept.rows))
+        assert index is not relation.columnar().encoded("V")[0]
+        assert [list(index)[code] for code in codes.tolist()] == [row[1] for row in kept.rows]
+
+    def test_only_string_columns_are_encoded(self):
+        schema = Schema((Attribute("L"), Attribute("X"), Attribute("U")), "L")
+        mixed = Relation.unchecked("M", schema, [("a", "x", []), ("b", 1, "u"), ("c", "x", "u")])
+        table = mixed.columnar()
+        assert table.encoded("X") is None and table.np_column("X") is None
+        assert table.encoded("U") is None  # unhashable: not our problem to raise
+        assert table.encoded("nope") is None
+        assert _string_relation(5).columnar().encoded("D") is None
+        # ... and such a column's leaves still run, per row, on the python kernel.
+        assert select_items(table, Comparison("X", "=", "x")) == {"a", "c"}
+        assert select_items(table, Comparison("X", "=", 1)) == {"b"}
+        assert select_items(table, InSet("X", ["x", 1])) == {"a", "b", "c"}
+
+    def test_string_columns_have_no_numpy_mirror(self):
+        table = _string_relation(12).columnar()
+        assert table.np_column("V") is None and table.np_column("L") is None
+        assert table.np_column("D")[0] == "num"
+        source = pathlib.Path(columnar.__file__).read_text()
+        assert "dtype=str" not in source and '"str"' not in source
+
+
+class TestRepresentatives:
+    """A merge column holding ``1``, ``1.0`` and ``True`` in different
+    rows: the first qualifying row's object stands for the item."""
+
+    SCHEMA = Schema((Attribute("M", DataType.FLOAT), Attribute("V")), "M")
+    ROWS = [(1.0, "a"), (1, "b"), (True, "a"), (2, "a"), (2.0, "b"), (1, "a")]
+
+    @pytest.mark.parametrize("override", OVERRIDES)
+    @pytest.mark.parametrize("pad", [0, 100])
+    def test_first_qualifying_row_represents_the_item(self, override, pad):
+        rows = self.ROWS + [(float(10 + i), "z") for i in range(pad)]
+        table = Relation.unchecked("R", self.SCHEMA, rows).columnar()
+
+        def kept(result):
+            return sorted((v, type(v).__name__) for v in result)
+
+        prev = set_numpy_enabled(override)
+        try:
+            a, b = Comparison("V", "=", "a"), Comparison("V", "=", "b")
+            assert kept(select_items(table, a)) == [(1.0, "float"), (2, "int")]
+            assert kept(select_items(table, b)) == [(1, "int"), (2.0, "float")]
+            assert kept(semijoin_items(table, a, frozenset({True}))) == [(1.0, "float")]
+            both = frozenset({1.0, 2})
+            assert kept(semijoin_items(table, b, both)) == [(1, "int"), (2.0, "float")]
+            assert kept(semijoin_items(table, b, frozenset({3}))) == []
+        finally:
+            set_numpy_enabled(prev)
+
+
+class TestMemberMask:
+    def test_the_membership_probe_is_written_once(self):
+        root = pathlib.Path(repro.__file__).parent
+        probes = {
+            str(path.relative_to(root)): len(
+                re.findall(r"in (?:wanted|items) for", path.read_text())
+            )
+            for path in root.rglob("*.py")
+        }
+        assert {name: n for name, n in probes.items() if n} == {"relational/columnar.py": 1}
+
+    @pytest.mark.parametrize("override", OVERRIDES)
+    @pytest.mark.parametrize("n", [5, 200])
+    def test_both_probe_directions_and_the_callers(self, override, n):
+        relation = _string_relation(n)
+        everyone = sorted(relation.items())
+        prev = set_numpy_enabled(override)
+        try:
+            for wanted in (frozenset(), frozenset(everyone[:2]), frozenset(everyone) | {"nobody"}):
+                expected = [row[0] in wanted for row in relation.rows]
+                assert list(member_mask(relation.columnar(), wanted)) == expected
+                kept = relation.restrict_to_items(wanted)
+                survivors = [row for row, keep in zip(relation.rows, expected) if keep]
+                assert len(kept.rows) == len(survivors)
+                assert all(a is b for a, b in zip(kept.rows, survivors))
+        finally:
+            set_numpy_enabled(prev)
+
+    @pytest.mark.parametrize("override", OVERRIDES)
+    def test_a_merge_column_without_a_dictionary_is_probed_row_by_row(self, override):
+        schema = Schema((Attribute("M", DataType.INT), Attribute("V")), "M")
+        relation = Relation("I", schema, [(i % 40, "a") for i in range(100)])
+        prev = set_numpy_enabled(override)
+        try:
+            assert relation.columnar().encoded("M") is None
+            assert semijoin_items(
+                relation.columnar(), Comparison("V", "=", "a"), frozenset({3, 39.0, 77})
+            ) == {3, 39}
+        finally:
+            set_numpy_enabled(prev)
