@@ -2,9 +2,9 @@
 
 PR 10 moved the mediator's data plane onto a columnar batch
 representation (:mod:`repro.relational.columnar`): predicates become
-boolean selection masks, semijoins probe the merge column (through its
-dictionary when numpy runs), and the mediator merge runs hash set
-operators.  This experiment quantifies the
+boolean selection masks, item sets leave a table as bitmaps over one
+item dictionary, semijoins test those bitmaps through per-row item ids,
+and the mediator merge is integer OR / AND.  This experiment quantifies the
 move with a three-way sweep — the seed's row-at-a-time path (a dict per
 row), the pure-python columnar kernels, and the numpy fast path — over
 the five kernels the serving stack actually exercises:
@@ -34,6 +34,7 @@ from repro.bench.report import Table, join_sections
 from repro.relational import columnar
 from repro.relational.aggregates import AggregateSpec, aggregate_rows
 from repro.relational.conditions import Condition
+from repro.relational.items import as_frozenset
 from repro.relational.parser import parse_condition
 from repro.relational.relation import Relation
 from repro.relational.schema import dmv_schema
@@ -177,7 +178,8 @@ def _col_merge(
         )
         for condition in conditions
     ]
-    return columnar.intersect_items(per_condition)
+    # Timed through to the decoded answer, as ``Executor.execute`` is.
+    return as_frozenset(columnar.intersect_items(per_condition))
 
 
 def _col_aggregate(
@@ -384,7 +386,7 @@ def run_columnar(
         table.add_note(
             "rows of 1e6 and more are one cold repetition: building every "
             "cached view (transposed columns, numpy mirrors, the merge "
-            "column's dictionary) is inside the timing"
+            "column's dictionary, interning its items) is inside the timing"
         )
     table.add_note(columnar.substrate_summary())
 

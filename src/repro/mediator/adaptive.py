@@ -35,6 +35,7 @@ from repro.optimize.sja import SJAStagedProblem
 from repro.plans.builder import StagedChoice
 from repro.query.fusion import FusionQuery
 from repro.relational.conditions import Condition
+from repro.relational.items import EMPTY_ITEMS, as_frozenset
 from repro.sources.registry import Federation
 
 
@@ -122,7 +123,7 @@ class AdaptiveExecutor:
         )
         remaining = list(range(query.arity))
         result = AdaptiveResult(items=frozenset())
-        current: frozenset[Any] | None = None  # no binding set before stage 1
+        current: Any = None  # no binding set before stage 1
 
         while remaining:
             if current is None:
@@ -156,7 +157,7 @@ class AdaptiveExecutor:
             )
             result.stages.append(stage)
 
-        result.items = current
+        result.items = as_frozenset(current)
         return result
 
     # ------------------------------------------------------------------
@@ -178,12 +179,14 @@ class AdaptiveExecutor:
         self,
         condition: Condition,
         chosen: StageOutcome,
-        current: frozenset[Any] | None,
-    ) -> tuple[frozenset[Any], AdaptiveStage]:
+        current: Any,
+    ) -> tuple[Any, AdaptiveStage]:
         """Evaluate one stage as the rule chose; ``current`` is None
-        for the opening stage, which has no binding set to intersect."""
+        for the opening stage, which has no binding set to intersect.
+        Item sets stay as the sources return them (bitmaps, usually):
+        the stage accumulates with ``|`` / ``&`` / ``-``."""
         cost_before = self.federation.total_traffic_cost()
-        confirmed: set[Any] = set()
+        confirmed: Any = EMPTY_ITEMS
         choices: dict[str, str] = {}
         for source, choice in zip(self.federation, chosen.payload):
             choices[source.name] = choice.value
@@ -191,26 +194,23 @@ class AdaptiveExecutor:
                 answer, __ = self._with_retries(
                     lambda source=source: source.selection(condition)
                 )
-                confirmed.update(
-                    answer if current is None else answer & current
-                )
+                confirmed |= answer if current is None else answer & current
             else:
                 # Difference pruning for free: never re-send items that
                 # an earlier source in this stage already confirmed.
-                to_send = frozenset(current - confirmed)
+                to_send = current - confirmed
                 answer, __ = self._with_retries(
                     lambda source=source, to_send=to_send: source.semijoin(
                         condition, to_send
                     )
                 )
-                confirmed.update(answer)
-        items = frozenset(confirmed)
+                confirmed |= answer
         stage = AdaptiveStage(
             condition=condition,
             choices=choices,
             estimated_cost=chosen.cost,
             actual_cost=self.federation.total_traffic_cost() - cost_before,
             input_size=0 if current is None else len(current),
-            output_size=len(items),
+            output_size=len(confirmed),
         )
-        return items, stage
+        return confirmed, stage

@@ -38,6 +38,7 @@ from repro.relational.algebra import (
     local_selection,
     union_many,
 )
+from repro.relational.items import as_frozenset
 from repro.relational.relation import Relation
 from repro.sources.registry import Federation
 
@@ -213,7 +214,8 @@ class Executor:
                     self._record_step(op, trace, [], items)
             result.steps.append(trace)
 
-        result.items = items[plan.result]
+        # The one decode of the run: registers hold bitmaps, answers are sets.
+        result.items = as_frozenset(items[plan.result])
         if self.recorder is not None:
             self.recorder.emit(
                 self._clock,

@@ -25,6 +25,7 @@ from repro.relational.aggregates import (
     partial_aggregate_rows,
 )
 from repro.relational.algebra import intersect_many, select_items
+from repro.relational.items import as_frozenset
 from repro.relational.relation import Relation
 from repro.sources.registry import Federation
 
@@ -51,7 +52,7 @@ def reference_answer(
     """
     query.validate_against_schema(federation.schema)
     union_view = federation.union_view()
-    return intersect_many(items_satisfying_anywhere(union_view, query))
+    return as_frozenset(intersect_many(items_satisfying_anywhere(union_view, query)))
 
 
 def reference_aggregate(

@@ -30,6 +30,7 @@ from repro.relational.columnar import (
     numpy_enabled,
     set_numpy_enabled,
 )
+from repro.relational.items import ItemSet
 from repro.relational.aggregates import (
     AggregateSpec,
     GroupedAggregates,
@@ -70,6 +71,7 @@ __all__ = [
     "numpy_available",
     "numpy_enabled",
     "set_numpy_enabled",
+    "ItemSet",
     "AggregateSpec",
     "GroupedAggregates",
     "aggregate_rows",

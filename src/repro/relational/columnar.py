@@ -22,12 +22,16 @@ Design rules (see DESIGN.md):
   2**53, exotic literals).  Property tests enforce parity.
 * String columns are *dictionary encoded* (:meth:`ColumnarTable.encoded`):
   a string predicate is the python reference kernel run once per
-  distinct value and gathered through the row codes, a semijoin probes
-  the binding set against the dictionary, and no python loop touches a
-  row.
+  distinct value and gathered through the row codes, and no python loop
+  touches a row.
+* Items leave a table as an :class:`~repro.relational.items.ItemSet` —
+  a bitmap over the process-wide item dictionary, built from one id per
+  row (:meth:`ColumnarTable.item_ids`) — and a semijoin tests that
+  bitmap through the same ids.  The mediator merge operators are then
+  integer ``|`` / ``&`` / ``& ~``; a merge column holding anything but
+  ``str`` / ``int`` keeps ``frozenset`` answers and the C set methods.
 * Boolean structure (AND/OR/NOT) is computed as mask algebra, never by
-  re-walking rows; the mediator merge operators are the C set methods
-  with largest-first / smallest-first ordering.
+  re-walking rows.
 
 The numpy kernels run whenever numpy imports and the table is long
 enough to pay for them (``_NUMPY_MIN_ROWS``) — there is no option to
@@ -56,6 +60,7 @@ from repro.relational.conditions import (
     TrueCondition,
     _like_regex,
 )
+from repro.relational.items import EMPTY_ITEMS, INDEX, ItemSet, intersection_of, union_of
 from repro.relational.schema import Schema
 
 try:  # pragma: no cover - exercised via the no-numpy CI leg
@@ -87,6 +92,9 @@ _NUMPY_MIN_ROWS = 64
 #: Looking a binding up in a dictionary and scattering its code costs
 #: about this many times what one ``in`` probe of a distinct value does.
 _PROBE_COST_RATIO = 4
+
+#: Marks a cached view that has not been built yet (``None`` is a value).
+_UNBUILT: Any = object()
 
 
 def numpy_available() -> bool:
@@ -139,8 +147,9 @@ class ColumnarTable:
     Rows own the data; everything here is a cache of them, built lazily
     on first use: the columns (plain Python lists sharing the row
     tuples' values), the numpy mirrors of numeric and boolean columns,
-    the dictionary encodings of string columns and the object-array
-    mirror of the merge column.  A table built from *ragged* rows (arity
+    the dictionary encodings of string columns and the item ids of the
+    merge column (plus, for merge values that cannot be interned, its
+    object-array mirror).  A table built from *ragged* rows (arity
     mismatches injected by the fault simulator via
     ``Relation.unchecked``) reports ``well_formed = False`` and must not
     be used for vectorized evaluation — callers fall back to the row
@@ -155,6 +164,8 @@ class ColumnarTable:
         "_np_cache",
         "_encoded",
         "_merge_objects",
+        "_item_ids",
+        "_np_item_ids",
         "_slice_of",
     )
 
@@ -180,6 +191,8 @@ class ColumnarTable:
         self._np_cache: dict[str, tuple[str, Any, Any] | None] = {}
         self._encoded: dict[str, tuple[dict[Any, int], Any] | None] = {}
         self._merge_objects: Any = None
+        self._item_ids: tuple[list[int], int] | None = _UNBUILT
+        self._np_item_ids: tuple[Any, int] | None = _UNBUILT
 
     def where(self, mask: Sequence[Any], length: int) -> "ColumnarTable":
         """The table of the ``length`` rows at the true positions of ``mask``.
@@ -323,6 +336,48 @@ class ColumnarTable:
                 self.merge_column, dtype=object, count=self.length
             )
         return self._merge_objects
+
+    def item_ids(self) -> tuple[list[int], int] | None:
+        """``(ids, bound)``: each row's merge value as its id in the
+        process-wide :data:`~repro.relational.items.INDEX`, and an
+        exclusive upper bound on those ids.
+
+        ``None`` (cached) when a merge value is not internable — then
+        the table's item sets stay ``frozenset`` objects.  A slice takes
+        its parent's ids under the same mask.
+        """
+        if self._item_ids is _UNBUILT:
+            if self._slice_of is not None:
+                parent, mask = self._slice_of
+                built = parent.item_ids()
+                if built is not None:
+                    built = list(compress(built[0], mask)), built[1]
+            else:
+                ids = INDEX.ids(self.merge_column)
+                built = None if ids is None else (ids, max(ids, default=-1) + 1)
+            self._item_ids = built
+        return self._item_ids
+
+    def np_item_ids(self) -> tuple[Any, int] | None:
+        """:meth:`item_ids` as an ``intp`` array for the numpy kernels,
+        gathered from the merge column's dictionary codes when it has
+        one (a string merge column): one interning per distinct value."""
+        if self._np_item_ids is _UNBUILT:
+            encoded = self.encoded(self.schema.merge_attribute)
+            if encoded is None:
+                built = self.item_ids()
+                if built is not None:
+                    built = _np.array(built[0], dtype=_np.intp), built[1]
+            else:
+                index, codes = encoded
+                ids = INDEX.ids(list(index))  # None when the column holds a null
+                if ids is not None:
+                    bound = max(ids, default=-1) + 1
+                    built = _np.array(ids, dtype=_np.intp).take(codes), bound
+                else:
+                    built = None
+            self._np_item_ids = built
+        return self._np_item_ids
 
 
 def table_for(relation) -> ColumnarTable | None:
@@ -572,16 +627,27 @@ def predicate_mask(table: ColumnarTable, condition: Condition) -> Mask:
     return _mask_python(condition, table)
 
 
-def member_mask(table: ColumnarTable, wanted: frozenset[Any] | set[Any]) -> Mask:
+def member_mask(table: ColumnarTable, wanted: ItemSet | frozenset[Any] | set[Any]) -> Mask:
     """Which rows' merge value is in ``wanted`` — a mask like
     :func:`predicate_mask`'s.
 
-    With a dictionary over the merge column nothing here touches a row:
-    the binding set is probed against the dictionary (or, when it is not
-    much smaller, the distinct values against the binding set) and the
-    per-value verdicts are gathered through the row codes.
+    An :class:`ItemSet` is unpacked once into one flag per item id and
+    the flags are gathered through the rows' ids.  Any other set is
+    probed against the merge column's dictionary (or, when it is not
+    much smaller, the distinct values against the set) and the per-value
+    verdicts are gathered through the row codes; only a column with
+    neither ids nor a dictionary is probed row by row.
     """
     use_numpy = _numpy_kernels(table)
+    if type(wanted) is ItemSet:
+        built = table.np_item_ids() if use_numpy else table.item_ids()
+        if built is not None:
+            ids, bound = built
+            flags = wanted.flags(bound)
+            if use_numpy:
+                return _np.frombuffer(flags, dtype=bool).take(ids)
+            return list(map(flags.__getitem__, ids))
+        wanted = wanted.decoded()
     encoded = table.encoded(table.schema.merge_attribute) if use_numpy else None
     if encoded is None:
         member = [v in wanted for v in table.merge_column]
@@ -606,18 +672,33 @@ def mask_as_list(mask: Mask) -> list[bool]:
     return mask.tolist() if _is_array(mask) else mask
 
 
-def _selected_items(table: ColumnarTable, mask: Mask) -> frozenset[Any]:
-    """The distinct merge values at the true positions of ``mask``: the
-    same objects inserted in the same (row) order under either kernel, so
-    the representative of equal keys and the set's layout do not depend
-    on which one ran."""
+def _selected_items(table: ColumnarTable, mask: Mask) -> ItemSet | frozenset[Any]:
+    """The distinct merge values at the true positions of ``mask``.
+
+    With item ids, the bitmap of the selected rows' ids: one flag byte
+    per id below the table's bound, set by a gather and a scatter, and
+    packed into the integer once.  Without, the ``frozenset`` of the
+    merge values — the same objects inserted in the same (row) order
+    under either kernel, so the representative of equal keys does not
+    depend on which one ran.
+    """
     if _is_array(mask):
-        return frozenset(table.merge_objects()[mask].tolist())
-    # itertools.compress is the C-speed gather over a python mask.
-    return frozenset(compress(table.merge_column, mask))
+        built = table.np_item_ids()
+        if built is None:
+            return frozenset(table.merge_objects()[mask].tolist())
+        ids, bound = built
+        flags = _np.zeros(bound, dtype=_np.uint8)
+        flags[ids[mask]] = 1
+        return ItemSet(int.from_bytes(_np.packbits(flags, bitorder="little").tobytes(), "little"))
+    built = table.item_ids()
+    if built is None:
+        # itertools.compress is the C-speed gather over a python mask.
+        return frozenset(compress(table.merge_column, mask))
+    ids, bound = built
+    return ItemSet.from_ids(compress(ids, mask), bound)
 
 
-def select_items(table: ColumnarTable, condition: Condition) -> frozenset[Any]:
+def select_items(table: ColumnarTable, condition: Condition) -> ItemSet | frozenset[Any]:
     """``sq(c, R)`` on the columnar batch: distinct qualifying items."""
     return _selected_items(table, predicate_mask(table, condition))
 
@@ -630,25 +711,25 @@ def select_row_tuples(
 
 
 def semijoin_items(
-    table: ColumnarTable, condition: Condition, wanted: frozenset[Any]
-) -> frozenset[Any]:
+    table: ColumnarTable, condition: Condition, wanted: ItemSet | frozenset[Any]
+) -> ItemSet | frozenset[Any]:
     """``sjq(c, R, Y)``: probe the merge column, then mask.
 
     Membership is tested first — when no row is bound the predicate is
     never evaluated.  The numpy kernels AND two whole-table masks (both
-    are gathers through codes); the python kernels evaluate the
-    predicate on the bound rows only.
+    are gathers); the python kernels evaluate the predicate on the bound
+    rows only.
     """
     if not wanted:
-        return frozenset()
+        return EMPTY_ITEMS
     member = member_mask(table, wanted)
     if _is_array(member):
         if not member.any():
-            return frozenset()
+            return EMPTY_ITEMS
         return _selected_items(table, member & _mask_np(condition, table))
     count = member.count(True)
     if not count:
-        return frozenset()
+        return EMPTY_ITEMS
     bound = table.where(member, count)
     return _selected_items(bound, _mask_python(condition, bound))
 
@@ -660,47 +741,59 @@ def count_matching(table: ColumnarTable, condition: Condition) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Hash-based set operators for the mediator merge
+# Set operators for the mediator merge
+#
+# One rule: when every operand is an ItemSet the operator is an integer
+# one; otherwise every ItemSet operand is decoded and the C set methods
+# run exactly as they did over frozensets (a merge value that is not a
+# ``str`` / ``int``, a ragged relation's answer, a tampered payload).
 
 
-def _as_sets(sets: Iterable[Iterable[Any]]) -> list[frozenset[Any] | set[Any]]:
-    return [s if isinstance(s, (set, frozenset)) else frozenset(s) for s in sets]
+def _as_set(items: Iterable[Any]) -> frozenset[Any] | set[Any]:
+    if type(items) is ItemSet:
+        return items.decoded()
+    return items if isinstance(items, (set, frozenset)) else frozenset(items)
 
 
-def union_items(sets: Iterable[Iterable[Any]]) -> frozenset[Any]:
-    """``X_1 ∪ ... ∪ X_k`` — hash union, largest input first.
+def union_items(sets: Iterable[Iterable[Any]]) -> ItemSet | frozenset[Any]:
+    """``X_1 ∪ ... ∪ X_k`` — bitwise OR; the empty union is the empty set.
 
-    Starting from the largest operand means the accumulator never
-    rehashes below its final size (and an element present in several
-    operands is represented by the largest's); the empty union is the
-    empty set.
+    The ``frozenset`` fallback starts from the largest operand, so the
+    accumulator never rehashes below its final size (and an element
+    present in several operands is represented by the largest's).
     """
-    operands = _as_sets(sets)
-    if not operands:
-        return frozenset()
+    operands = list(sets)
+    merged = union_of(operands)
+    if merged is not None:
+        return merged
+    operands = [_as_set(s) for s in operands]
     operands.sort(key=len, reverse=True)
     return frozenset(operands[0].union(*operands[1:]))
 
 
-def intersect_items(sets: Iterable[Iterable[Any]]) -> frozenset[Any]:
-    """``X_1 ∩ ... ∩ X_k`` — hash intersect, smallest input first.
+def intersect_items(sets: Iterable[Iterable[Any]]) -> ItemSet | frozenset[Any]:
+    """``X_1 ∩ ... ∩ X_k`` — bitwise AND.
 
-    Probing the smallest operand against the rest bounds work by the
-    smallest set.  Raises on an empty operand list (the identity would
-    be the universe).
+    The ``frozenset`` fallback probes the smallest operand against the
+    rest, bounding work by the smallest set.  Raises on an empty operand
+    list (the identity would be the universe).
     """
-    operands = _as_sets(sets)
+    operands = list(sets)
     if not operands:
         raise ValueError("intersection of zero sets is undefined")
+    common = intersection_of(operands)
+    if common is not None:
+        return common
+    operands = [_as_set(s) for s in operands]
     operands.sort(key=len)
     return frozenset(operands[0].intersection(*operands[1:]))
 
 
-def difference_items(left: Iterable[Any], right: Iterable[Any]) -> frozenset[Any]:
-    """``Y − Z`` via hash anti-probe of the right side."""
-    if not isinstance(left, (set, frozenset)):
-        left = frozenset(left)
-    return frozenset(left.difference(right))
+def difference_items(left: Iterable[Any], right: Iterable[Any]) -> ItemSet | frozenset[Any]:
+    """``Y − Z`` — bitwise AND-NOT, or a hash anti-probe of the right side."""
+    if type(left) is ItemSet and type(right) is ItemSet:
+        return left - right
+    return frozenset(_as_set(left).difference(_as_set(right)))
 
 
 # ---------------------------------------------------------------------------

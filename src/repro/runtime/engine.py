@@ -92,6 +92,7 @@ from repro.relational.algebra import (
     local_selection,
     union_many,
 )
+from repro.relational.items import EMPTY_ITEMS, as_frozenset
 from repro.relational.relation import Relation
 from repro.runtime.faults import AttemptFate, AttemptOutcome, FaultInjector
 from repro.runtime.health import (
@@ -549,7 +550,8 @@ class _Execution:
         ordered = tuple(self.spans[i] for i in range(len(self.tasks)))
         answer = self.tasks[self.result_writer].value
         result = RuntimeResult(
-            items=frozenset() if answer is None else answer,
+            # The one decode of the run: registers hold bitmaps, answers are sets.
+            items=frozenset() if answer is None else as_frozenset(answer),
             trace=RuntimeTrace(spans=ordered, makespan_s=self.makespan_s),
         )
         if self.recorder is not None:
@@ -832,27 +834,26 @@ class _Execution:
             return source.load()
         raise ExecutionError(f"unknown remote operation {op!r}")  # pragma: no cover
 
-    def _stale_pool(self, task: _Task, source) -> frozenset:
+    def _stale_pool(self, task: _Task, source) -> Any:
         """Candidate spurious items for a stale item-set answer.
 
         A stale selection may claim any item the source holds; a stale
-        semijoin may (wrongly) confirm any item it was asked about.
-        Loads mutate rows inside the injector instead, so they need no
-        pool.
+        semijoin may (wrongly) confirm any item it was asked about — the
+        bindings, passed as they are.  Loads mutate rows inside the
+        injector instead, so they need no pool.
         """
         profile = self.faults.profile_for(source.name).data
         if profile is None or profile.stale_rate == 0.0:
-            return frozenset()
+            return EMPTY_ITEMS
         op = task.op
         if isinstance(op, SemijoinOp):
-            bindings = self.tasks[task.input_writer[op.input_register]].value
-            return frozenset(bindings)
+            return self.tasks[task.input_writer[op.input_register]].value
         if isinstance(op, SelectionOp):
             table = getattr(source, "table", None)
             if table is None:
-                return frozenset()
+                return EMPTY_ITEMS
             return table.relation.items()
-        return frozenset()
+        return EMPTY_ITEMS
 
     # ------------------------------------------------------------------
     # Hedging
@@ -1281,7 +1282,7 @@ class _Execution:
         if isinstance(task.op, LoadOp):
             source = self.federation.source(task.op.source)
             return Relation(task.op.target, source.schema, [])
-        return frozenset()
+        return EMPTY_ITEMS
 
     def _finish_remote(
         self, task: _Task, now: float, value: Any, status: OpStatus

@@ -25,7 +25,9 @@ from typing import Any
 
 from repro.errors import CapabilityError, SourceUnavailableError
 from repro.relational.aggregates import AggregateSpec, Partials
+from repro.relational.algebra import union_many
 from repro.relational.conditions import Condition
+from repro.relational.items import EMPTY_ITEMS, ItemSet, items_of
 from repro.relational.relation import Relation
 from repro.sources.capabilities import SemijoinSupport, SourceCapabilities
 from repro.sources.network import LinkProfile, TrafficLog
@@ -77,7 +79,7 @@ class RemoteSource:
         ...     [("J55", "dui", 1993)]))
         >>> src = RemoteSource(table)
         >>> src.selection(parse_condition("V = 'dui'"))
-        frozenset({'J55'})
+        ItemSet({'J55'})
         >>> src.traffic.message_count
         1
     """
@@ -121,7 +123,7 @@ class RemoteSource:
     # ------------------------------------------------------------------
     # Wrapper operations
 
-    def selection(self, condition: Condition) -> frozenset[Any]:
+    def selection(self, condition: Condition) -> ItemSet | frozenset[Any]:
         """``sq(c, R_j)`` over the simulated link."""
         self._before_request()
         answer = self.table.selection(condition)
@@ -131,12 +133,13 @@ class RemoteSource:
         return answer
 
     def semijoin(
-        self, condition: Condition, items: frozenset[Any]
-    ) -> frozenset[Any]:
+        self, condition: Condition, items: ItemSet | frozenset[Any]
+    ) -> ItemSet | frozenset[Any]:
         """``sjq(c, R_j, Y)``, dispatching on the wrapper's capability tier.
 
-        * NATIVE: the binding set is shipped in one request (or several,
-          if the wrapper caps batch sizes), each answering with its
+        * NATIVE: the binding set is shipped as it is in one request (or,
+          if the wrapper caps batch sizes below ``|Y|``, in batches of
+          its items in ``repr`` order), each answering with its
           qualifying subset.
         * EMULATED: one ``c AND M = m`` probe request per binding — the
           mediator-side emulation of Sec. 2.3.
@@ -150,35 +153,41 @@ class RemoteSource:
                 "passed bindings"
             )
         if not items:
-            return frozenset()
+            return EMPTY_ITEMS
         if support is SemijoinSupport.NATIVE:
             return self._native_semijoin(condition, items)
         return self._emulated_semijoin(condition, items)
 
     def _native_semijoin(
-        self, condition: Condition, items: frozenset[Any]
-    ) -> frozenset[Any]:
-        batch_size = self.capabilities.max_semijoin_batch or len(items)
+        self, condition: Condition, items: ItemSet | frozenset[Any]
+    ) -> ItemSet | frozenset[Any]:
+        batch_size = self.capabilities.max_semijoin_batch
+        if batch_size is None or batch_size >= len(items):
+            return self._semijoin_request(condition, items)
         ordered = sorted(items, key=repr)  # deterministic batching
-        answer: set[Any] = set()
-        for start in range(0, len(ordered), batch_size):
-            batch = frozenset(ordered[start : start + batch_size])
-            self._before_request()
-            matched = self.table.semijoin(condition, batch)
-            self.traffic.charge(
-                self.link,
-                self.name,
-                "sjq",
-                items_sent=len(batch),
-                items_received=len(matched),
-            )
-            answer.update(matched)
-        return frozenset(answer)
+        return union_many(
+            self._semijoin_request(condition, frozenset(ordered[start : start + batch_size]))
+            for start in range(0, len(ordered), batch_size)
+        )
+
+    def _semijoin_request(
+        self, condition: Condition, batch: ItemSet | frozenset[Any]
+    ) -> ItemSet | frozenset[Any]:
+        self._before_request()
+        matched = self.table.semijoin(condition, batch)
+        self.traffic.charge(
+            self.link,
+            self.name,
+            "sjq",
+            items_sent=len(batch),
+            items_received=len(matched),
+        )
+        return matched
 
     def _emulated_semijoin(
-        self, condition: Condition, items: frozenset[Any]
-    ) -> frozenset[Any]:
-        answer: set[Any] = set()
+        self, condition: Condition, items: ItemSet | frozenset[Any]
+    ) -> ItemSet | frozenset[Any]:
+        answer: list[Any] = []
         for item in sorted(items, key=repr):
             self._before_request()
             matched = self.table.binding_selection(condition, item)
@@ -190,8 +199,8 @@ class RemoteSource:
                 items_received=1 if matched else 0,
             )
             if matched:
-                answer.add(item)
-        return frozenset(answer)
+                answer.append(item)
+        return items_of(answer)
 
     def selection_rows(self, condition: Condition) -> Relation:
         """Row-returning selection (one-phase strategy, Sec. 6).

@@ -16,6 +16,7 @@ from typing import Any
 from repro.relational.aggregates import AggregateSpec, Partials, partial_aggregate_rows
 from repro.relational.algebra import select_items, select_rows, semijoin_items
 from repro.relational.conditions import And, Comparison, Condition
+from repro.relational.items import ItemSet
 from repro.relational.relation import Relation
 
 
@@ -48,8 +49,8 @@ class TableSource:
         >>> from repro.relational.parser import parse_condition
         >>> src = TableSource(Relation("R1", dmv_schema(),
         ...     [("J55", "dui", 1993), ("T21", "sp", 1994)]))
-        >>> sorted(src.selection(parse_condition("V = 'dui'")))
-        ['J55']
+        >>> src.selection(parse_condition("V = 'dui'"))
+        ItemSet({'J55'})
     """
 
     relation: Relation
@@ -69,15 +70,17 @@ class TableSource:
     # ------------------------------------------------------------------
     # The operations of Sec. 2.1 / Sec. 4, evaluated on data.
 
-    def selection(self, condition: Condition) -> frozenset[Any]:
-        """``sq(c, R_j)``: items of tuples satisfying ``condition``."""
+    def selection(self, condition: Condition) -> ItemSet | frozenset[Any]:
+        """``sq(c, R_j)``: items of tuples satisfying ``condition`` — an
+        :class:`~repro.relational.items.ItemSet` unless a merge value is
+        neither a ``str`` nor an ``int``."""
         self.counters.selections += 1
         self.counters.rows_scanned += len(self.relation)
         return select_items(self.relation, condition)
 
     def semijoin(
-        self, condition: Condition, items: frozenset[Any]
-    ) -> frozenset[Any]:
+        self, condition: Condition, items: ItemSet | frozenset[Any]
+    ) -> ItemSet | frozenset[Any]:
         """``sjq(c, R_j, Y)``: subset of ``items`` satisfying ``condition``."""
         self.counters.semijoins += 1
         self.counters.rows_scanned += len(self.relation)

@@ -27,6 +27,7 @@ from repro.relational.columnar import (
     union_items,
 )
 from repro.relational.conditions import Between, Comparison, InSet, IsNull, Like
+from repro.relational.items import ItemSet
 from repro.relational.parser import parse_condition
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, DataType, Schema, dmv_schema
@@ -353,7 +354,7 @@ def _outcome(call):
 
 
 def _identities(result):
-    if isinstance(result, (frozenset, list)):
+    if isinstance(result, (frozenset, list, ItemSet)):
         return [id(value) for value in result]
     return result
 

@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import hashlib
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import CapabilityError, SourceUnavailableError
+from repro.mediator.session import Mediator
+from repro.obs import Recorder
+from repro.relational.items import ItemSet, items_of
 from repro.relational.parser import parse_condition
 from repro.relational.relation import Relation
 from repro.relational.schema import dmv_schema
 from repro.sources.capabilities import SourceCapabilities
+from repro.sources.generators import SyntheticConfig, build_synthetic, synthetic_query
 from repro.sources.network import LinkProfile
 from repro.sources.remote import FailureInjector, RemoteSource
 from repro.sources.table_source import TableSource
@@ -78,6 +85,55 @@ class TestNativeSemijoin:
             capabilities=SourceCapabilities(max_semijoin_batch=1)
         ).semijoin(condition, items)
         assert unbatched == batched
+
+
+class TestBindingSetsAsTheyAre:
+    """An uncapped native semijoin ships the binding set itself — no sort,
+    no copy — and a capped one keeps its ``repr``-ordered batches; either
+    way the wire sees exactly the requests it always did."""
+
+    def test_one_request_with_the_bindings_themselves(self, monkeypatch):
+        source = make_source()
+        sent = []
+        semijoin = TableSource.semijoin
+        monkeypatch.setattr(
+            TableSource,
+            "semijoin",
+            lambda self, condition, items: sent.append(items) or semijoin(self, condition, items),
+        )
+        bindings = items_of(["J55", "T21", "T80", "XX"])
+        answer = source.semijoin(parse_condition("V = 'dui'"), bindings)
+        assert sent == [bindings] and sent[0] is bindings
+        assert type(answer) is ItemSet and answer == {"J55", "T80"}
+        capped = make_source(capabilities=SourceCapabilities(max_semijoin_batch=3))
+        sent.clear()
+        assert capped.semijoin(parse_condition("V = 'dui'"), bindings) == answer
+        assert [sorted(batch) for batch in sent] == [["J55", "T21", "T80"], ["XX"]]
+
+    # sha256 prefixes of the traffic records + JSONL events of three SJA+
+    # queries, as produced before binding sets were shipped as they are.
+    GOLDEN = {
+        (None, "sequential"): "5e5519c0790159e6",
+        (None, "runtime"): "9110ba1f674075c7",
+        (7, "sequential"): "8638c794c0e18281",
+        (7, "runtime"): "456a3c3f257326a7",
+    }
+
+    @pytest.mark.parametrize("batch, backend", sorted(GOLDEN, key=repr))
+    def test_traffic_and_events_are_unchanged(self, batch, backend):
+        config = SyntheticConfig(n_sources=4, n_entities=300, seed=2511)
+        federation = build_synthetic(config)
+        if batch is not None:
+            for source in federation:
+                source.capabilities = replace(source.capabilities, max_semijoin_batch=batch)
+        recorder = Recorder()
+        mediator = Mediator(federation, backend=backend, recorder=recorder)
+        for seed in (1, 2, 3):
+            mediator.answer(synthetic_query(config, m=3, seed=seed))
+        records = [record for source in federation for record in source.traffic]
+        assert {record.operation for record in records} == {"sq", "sjq"}
+        text = repr(records) + recorder.events.to_jsonl()
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == self.GOLDEN[batch, backend]
 
 
 class TestEmulatedSemijoin:
