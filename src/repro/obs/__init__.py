@@ -14,8 +14,8 @@ validated schema (:data:`~repro.obs.events.EVENT_SCHEMA`).  The
 health registry, re-planner and serving tier ``emit`` into: it puts
 each event on its clock, stamps the re-plan ``round`` on the event
 types that declare one, and validates it as it lands.  With no
-recorder attached (the default) nothing is collected and traces stay
-byte-identical to the uninstrumented runtime.
+recorder attached (the default) nothing is exported; the engine still
+folds its trace from the same records it would have emitted.
 
 Everything else is a pure function of the event stream, so it can be
 rebuilt from a persisted JSONL file as well as from a live log:
@@ -38,9 +38,10 @@ rebuilt from a persisted JSONL file as well as from a live log:
   query profiles (traffic moved, items confirmed, wall-clock vs wire
   time, predicted vs observed cost),
   :meth:`~repro.obs.profile.QueryProfile.from_events`;
-* :mod:`~repro.obs.replay` — the ASCII timeline as a *renderer*:
-  :func:`~repro.obs.replay.trace_from_events` rebuilds a
-  :class:`~repro.runtime.trace.RuntimeTrace` byte for byte.
+* the runtime's own trace — :meth:`RuntimeTrace.from_events
+  <repro.runtime.trace.RuntimeTrace.from_events>` is the one fold of a
+  run's ``op`` / ``attempt`` events, live or read back from JSONL, so a
+  persisted log renders the ASCII timeline byte for byte.
 
 Closing the loop, :class:`repro.sources.observed.ObservedStatistics`
 is one more fold: it mines these event logs for cardinalities and
@@ -64,7 +65,6 @@ from repro.obs.metrics import (
 )
 from repro.obs.profile import QueryProfile
 from repro.obs.recorder import Recorder
-from repro.obs.replay import trace_from_events
 from repro.obs.slo import (
     SLOMonitor,
     SLOSpec,
@@ -99,7 +99,6 @@ __all__ = [
     "traffic_metrics_observer",
     "QueryProfile",
     "Recorder",
-    "trace_from_events",
     "SLOMonitor",
     "SLOSpec",
     "SLOStatus",

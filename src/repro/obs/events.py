@@ -6,9 +6,10 @@ launched, a circuit breaker changing state, a re-plan round — is one
 :class:`Event`: a virtual-clock timestamp, a type, and typed fields.
 The schema (:data:`EVENT_SCHEMA`) is part of the public contract:
 emission validates against it, CI validates persisted logs line by
-line, and downstream consumers (the ASCII timeline renderer in
-:mod:`repro.obs.replay`, the log-mined statistics in
-:mod:`repro.sources.observed`) rely on exactly these fields.
+line, and downstream consumers (the trace fold
+:meth:`repro.runtime.trace.RuntimeTrace.from_events`, the log-mined
+statistics in :mod:`repro.sources.observed`) rely on exactly these
+fields.
 
 Records serialize to JSONL with a fixed key order (``ts``, ``type``,
 then field names sorted), so two runs with the same seed produce

@@ -10,7 +10,7 @@ recorded: metrics, spans, profiles and timelines are folds of the event
 stream (:func:`repro.obs.fold.fold_event`,
 :func:`repro.obs.spans.engine_spans`,
 :class:`repro.obs.profile.QueryProfile`,
-:func:`repro.obs.replay.trace_from_events`); with a registry attached
+:meth:`repro.runtime.trace.RuntimeTrace.from_events`); with a registry attached
 the metric fold simply runs as each event lands instead of afterwards.
 
 A recorder is shared across re-plan rounds: the resilient executor bumps
@@ -22,9 +22,10 @@ type whose schema declares it — callers never pass it.
 With ``Recorder()`` both a metrics registry and an event log are
 created; pass ``metrics=None`` to keep events only (the event log is
 always on — everything else is derived from it).  The execution layers
-accept ``recorder=None`` (their default) and skip all instrumentation,
-which keeps the zero-config runtime byte-identical to the
-uninstrumented one.
+accept ``recorder=None`` (their default) and then export nothing.  The
+runtime engine keeps its ``attempt`` / ``op`` records either way, since
+its trace is their fold; a recorder is handed those same records, so
+attaching one changes no answer and no trace.
 """
 
 from __future__ import annotations

@@ -16,7 +16,8 @@ Both obey the same parallel execution model:
 On top of that model the engine layers what static analysis cannot see:
 per-attempt fault injection (:mod:`repro.runtime.faults`), retries with
 exponential backoff and deadlines (:mod:`repro.runtime.policy`), and
-per-operation spans (:mod:`repro.runtime.trace`).  Failed attempts are
+one ``attempt`` / ``op`` record per wire attempt and operation, whose
+fold (:mod:`repro.runtime.trace`) is the trace.  Failed attempts are
 charged in full on the simulated wire — retries buy resilience with
 real traffic, which is exactly the trade-off the R3 benchmark measures.
 
@@ -70,7 +71,7 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from repro.errors import CostModelError, ExecutionError, SourceUnavailableError
 from repro.mediator.executor import ExecutionResult, StepTrace
@@ -102,7 +103,7 @@ from repro.runtime.health import (
     QuarantineConfig,
 )
 from repro.runtime.policy import OnExhaust, RetryPolicy
-from repro.runtime.trace import AttemptSpan, OpSpan, OpStatus, RuntimeTrace
+from repro.runtime.trace import OpStatus, RuntimeTrace
 from repro.runtime.verify import AnswerReport, AnswerVerifier, validate_mode
 from repro.sources.registry import Federation
 
@@ -277,7 +278,7 @@ class RuntimeEngine:
         recorder: Optional :class:`repro.obs.Recorder`; when attached,
             every attempt, send-set, retry, hedge, breaker transition,
             and operation is reported as structured telemetry.  ``None``
-            (the default) collects nothing and changes nothing.
+            (the default) exports nothing and changes nothing.
     """
 
     def __init__(
@@ -356,8 +357,8 @@ class _Task:
 
     __slots__ = (
         "index", "op", "input_writer", "remaining", "dependents",
-        "value", "queued_s", "first_start_s", "attempts", "done",
-        "inflight", "hedged", "primary_attempts", "retry_pending",
+        "value", "queued_s", "first_start_s", "attempt_count", "last_fate",
+        "done", "inflight", "hedged", "primary_attempts", "retry_pending",
         "exhausted", "slot_source", "answers", "confirm_tried",
         "final_status", "slot_released",
     )
@@ -375,7 +376,9 @@ class _Task:
         self.value: Any = None
         self.queued_s = 0.0
         self.first_start_s: float | None = None
-        self.attempts: list[AttemptSpan] = []
+        # Attempts recorded so far, and the latest one's fate.
+        self.attempt_count = 0
+        self.last_fate = "?"
         self.done = False
         self.inflight: list[_Attempt] = []
         self.hedged = False
@@ -431,6 +434,13 @@ class _Attempt:
         self.cancelled = False
 
 
+class _Record(NamedTuple):
+    """One ``attempt`` / ``op`` event of a run, as the trace fold reads it."""
+
+    type: str
+    fields: dict[str, Any]
+
+
 class _Execution:
     """One plan run: the event heap, queues, and handlers."""
 
@@ -471,8 +481,8 @@ class _Execution:
         self.confirm_waiting: list[_Task] = []
         self.heap: list[tuple[float, int, str, tuple]] = []
         self.seq = itertools.count()
-        self.spans: dict[int, OpSpan] = {}
-        self.makespan_s = 0.0
+        # The run's ``attempt`` / ``op`` records, in event order.
+        self.records: list[_Record] = []
 
     # ------------------------------------------------------------------
     # Static structure
@@ -547,20 +557,21 @@ class _Execution:
             raise ExecutionError(
                 f"runtime deadlock: steps {unfinished} never completed"
             )
-        ordered = tuple(self.spans[i] for i in range(len(self.tasks)))
         answer = self.tasks[self.result_writer].value
+        trace = RuntimeTrace.from_events(
+            self.records, operations=self.plan.operations
+        )
         result = RuntimeResult(
             # The one decode of the run: registers hold bitmaps, answers are sets.
             items=frozenset() if answer is None else as_frozenset(answer),
-            trace=RuntimeTrace(spans=ordered, makespan_s=self.makespan_s),
+            trace=trace,
         )
         if self.recorder is not None:
-            trace = result.trace
             self.recorder.emit(
-                self.makespan_s,
+                trace.makespan_s,
                 "run_end",
                 backend="runtime",
-                makespan=self.makespan_s,
+                makespan=trace.makespan_s,
                 retries=trace.total_retries,
                 degraded=len(trace.degraded_steps)
                 + len(trace.deadline_steps),
@@ -573,6 +584,13 @@ class _Execution:
 
     def _push(self, time_s: float, kind: str, payload: tuple) -> None:
         heapq.heappush(self.heap, (time_s, next(self.seq), kind, payload))
+
+    def _record(self, now: float, event_type: str, **fields: Any) -> None:
+        """Keep one ``attempt`` / ``op`` record; an attached recorder
+        receives the same fields."""
+        self.records.append(_Record(event_type, fields))
+        if self.recorder is not None:
+            self.recorder.emit(now, event_type, **fields)
 
     # ------------------------------------------------------------------
     # Readiness and dispatch
@@ -702,17 +720,20 @@ class _Execution:
         if task.done or task not in self.blocked:
             return
         self.blocked.remove(task)
-        self._start_attempt(task, now)
+        if not task.answers:
+            self._start_attempt(task, now)
 
     def _drain_blocked(self, now: float) -> None:
         for task in list(self.blocked):
             if task not in self.blocked:  # re-entrant removal
                 continue
             self.blocked.remove(task)
-            if task.done:
+            if task.done or task.answers:
                 # A hedge won while this task's retry sat blocked on an
                 # open breaker; re-launching would double-finish it and
-                # charge phantom failures to the hedge's source.
+                # charge phantom failures to the hedge's source.  Under
+                # ``vote`` the task may still await its confirmation,
+                # answer in hand, so it is not done yet.
                 continue
             self._start_attempt(task, now)
 
@@ -898,13 +919,13 @@ class _Execution:
         self._launch(task, target, now, hedge=True)
 
     def _cancel(self, attempt: _Attempt, now: float) -> None:
-        """Cancel a raced-out attempt: record span, free its connection.
+        """Cancel a raced-out attempt: record it, free its connection.
 
         The attempt's traffic was charged when it went on the wire and
         stays charged — cancellation only stops the wait.
         """
         attempt.cancelled = True
-        self._record_span(attempt, now, AttemptFate.CANCELLED)
+        self._record_attempt(attempt, now, AttemptFate.CANCELLED)
         self.health.abandon(attempt.source_name)
         if attempt.source_name != attempt.task.slot_source:
             self.busy[attempt.source_name] = False
@@ -913,43 +934,39 @@ class _Execution:
     # ------------------------------------------------------------------
     # Completion, retries, degradation
 
-    def _record_span(
+    def _record_attempt(
         self, attempt: _Attempt, now: float, fate: AttemptFate
     ) -> None:
         task = attempt.task
         records = attempt.records
-        span = AttemptSpan(
-            attempt=len(task.attempts) + 1,
-            start_s=attempt.start_s,
-            end_s=now,
-            fate=fate,
+        task.attempt_count += 1
+        task.last_fate = fate.value
+        self._record(
+            now,
+            "attempt",
+            step=task.step,
+            op=task.op.kind.value,
+            planned=task.planned_source,
+            condition=condition_sql(task.op),
+            attempt=task.attempt_count,
+            source=attempt.source_name,
+            start=attempt.start_s,
+            end=now,
+            fate=fate.value,
+            hedge=attempt.hedge,
             cost=sum(r.cost for r in records),
             items_sent=sum(r.items_sent for r in records),
             items_received=sum(r.items_received for r in records),
             rows_loaded=sum(r.rows_loaded for r in records),
             messages=len(records),
-            source=attempt.source_name,
-            hedge=attempt.hedge,
-            confirm=attempt.confirm,
         )
-        task.attempts.append(span)
-        if self.recorder is not None:
-            self.recorder.emit(
-                now,
-                "attempt",
-                step=task.step,
-                op=task.op.kind.value,
-                planned=task.planned_source,
-                condition=condition_sql(task.op),
-                **span.event_fields(),
-            )
 
     def _handle_complete(self, now: float, attempt: _Attempt) -> None:
         if attempt.cancelled:
-            return  # the race's loser; span recorded at cancellation
+            return  # the race's loser; recorded at cancellation
         task = attempt.task
         task.inflight.remove(attempt)
-        self._record_span(attempt, now, attempt.outcome.fate)
+        self._record_attempt(attempt, now, attempt.outcome.fate)
         ok = not attempt.outcome.fate.failed
         self.health.record(
             attempt.source_name, now, ok, attempt.outcome.duration_s
@@ -1268,11 +1285,10 @@ class _Execution:
 
     def _give_up(self, task: _Task, now: float) -> None:
         if self.policy.on_exhaust is OnExhaust.FAIL:
-            last = task.attempts[-1].fate.value if task.attempts else "?"
             raise ExecutionError(
                 f"step {task.step} ({task.op.render()}) failed after "
                 f"{task.primary_attempts - 1} retries "
-                f"(last attempt: {last})"
+                f"(last attempt: {task.last_fate})"
             )
         self._finish_remote(
             task, now, self._degraded_value(task), OpStatus.DEGRADED
@@ -1311,22 +1327,25 @@ class _Execution:
         status: OpStatus,
         started_s: float,
     ) -> None:
-        """Publish a finished task: its value, its span, its ``op`` event."""
+        """Publish a finished task: its value and its ``op`` record."""
         task.value = value
         task.done = True
-        span = self.spans[task.index] = OpSpan(
+        op = task.op
+        self._record(
+            now,
+            "op",
             step=task.step,
-            operation=task.op,
-            queued_s=task.queued_s,
-            started_s=started_s,
-            finished_s=now,
-            attempts=tuple(task.attempts),
-            status=status,
-            output_size=len(value),
+            op=op.kind.value,
+            target=op.target,
+            source=getattr(op, "source", ""),
+            remote=op.remote,
+            condition=condition_sql(op),
+            queued=task.queued_s,
+            started=started_s,
+            finished=now,
+            status=status.value,
+            output=len(value),
         )
-        if self.recorder is not None:
-            self.recorder.emit(now, "op", **span.event_fields())
-        self.makespan_s = max(self.makespan_s, now)
 
     def _propagate(self, task: _Task, now: float) -> None:
         for index in task.dependents:

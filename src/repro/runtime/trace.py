@@ -1,9 +1,12 @@
-"""Execution tracing for the concurrent runtime.
+"""Execution traces of the concurrent runtime, folded from its events.
 
-Every remote operation the engine runs leaves an :class:`OpSpan` —
-queued/started/finished timestamps on the virtual clock plus one
-:class:`AttemptSpan` per wire attempt (so retries and their backoff gaps
-are visible).  A :class:`RuntimeTrace` aggregates the spans into
+An engine run's record is one ``attempt`` event per wire attempt and
+one ``op`` event per operation (:data:`repro.obs.events.EVENT_SCHEMA`).
+:meth:`RuntimeTrace.from_events` is their one fold, live or from a
+persisted JSONL log alike: an :class:`OpSpan` per operation — queued/
+started/finished timestamps on the virtual clock plus one
+:class:`AttemptSpan` per wire attempt (so retries and their backoff
+gaps are visible).  A :class:`RuntimeTrace` aggregates the spans into
 per-source utilization and renders a fixed-width ASCII timeline in the
 same spirit as :func:`repro.plans.viz.schedule_gantt` and the
 :mod:`repro.bench.report` tables: plain text that diffs cleanly and
@@ -22,10 +25,12 @@ accounted per serving source, not per planned source.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterable, Sequence
 
-from repro.plans.operations import Operation, condition_sql
+from repro.errors import ObservabilityError
+from repro.plans.operations import Operation
 from repro.runtime.faults import AttemptFate
 
 
@@ -63,23 +68,6 @@ class AttemptSpan:
     @property
     def duration_s(self) -> float:
         return self.end_s - self.start_s
-
-    def event_fields(self) -> dict[str, Any]:
-        """This attempt's share of an ``attempt`` event — the inverse
-        of :func:`repro.obs.replay.trace_from_events`."""
-        return {
-            "attempt": self.attempt,
-            "source": self.source,
-            "start": self.start_s,
-            "end": self.end_s,
-            "fate": self.fate.value,
-            "hedge": self.hedge,
-            "cost": self.cost,
-            "items_sent": self.items_sent,
-            "items_received": self.items_received,
-            "rows_loaded": self.rows_loaded,
-            "messages": self.messages,
-        }
 
 
 @dataclass(frozen=True)
@@ -150,23 +138,6 @@ class OpSpan:
         """True when a speculative duplicate attempt was launched."""
         return any(span.hedge for span in self.attempts)
 
-    def event_fields(self) -> dict[str, Any]:
-        """The ``op`` event of this span (all fields but ``round``)."""
-        op = self.operation
-        return {
-            "step": self.step,
-            "op": op.kind.value,
-            "target": op.target,
-            "source": self.source,
-            "remote": op.remote,
-            "condition": condition_sql(op),
-            "queued": self.queued_s,
-            "started": self.started_s,
-            "finished": self.finished_s,
-            "status": self.status.value,
-            "output": self.output_size,
-        }
-
     def render(self, labels=None) -> str:
         flags = ""
         if self.retries:
@@ -186,28 +157,103 @@ class OpSpan:
 
 @dataclass(frozen=True)
 class RuntimeTrace:
-    """The observable record of one concurrent plan execution.
-
-    Traces come from two places: the live engine builds one as it runs,
-    and :meth:`from_events` rebuilds one from a recorded
-    :mod:`repro.obs` event stream — the ASCII renderers below are pure
-    functions of the span data, so both sources print identically.
-    """
+    """The observable record of one concurrent plan execution, built by
+    :meth:`from_events` from a live run's records or a persisted log."""
 
     spans: tuple[OpSpan, ...]
     makespan_s: float
 
     @staticmethod
-    def from_events(events, round_no: int | None = None) -> "RuntimeTrace":
-        """Rebuild a trace from recorded ``op``/``attempt`` events.
+    def from_events(
+        events: Iterable[Any],
+        round_no: int | None = None,
+        operations: Sequence[Operation] | None = None,
+    ) -> "RuntimeTrace":
+        """Fold one round's ``op`` / ``attempt`` records into a trace.
 
-        Delegates to :func:`repro.obs.replay.trace_from_events`
-        (imported lazily — the runtime package does not depend on
-        :mod:`repro.obs`).
+        ``events`` are records with a ``type`` and a ``fields`` mapping:
+        an :class:`~repro.obs.events.EventLog`, or an engine run's own
+        records (which carry no ``round``: they are round 0).
+        ``round_no`` ``None`` folds the highest round present, the one
+        whose plan completed.  With the plan's ``operations`` each span
+        carries its real :class:`Operation`; without them (a log read
+        back from disk) a stand-in built from the ``op`` record.  The
+        makespan is the last ``finished``, which ``run_end`` repeats.
+
+        Raises:
+            ObservabilityError: no ``op`` record for the selected round.
         """
-        from repro.obs.replay import trace_from_events
-
-        return trace_from_events(events, round_no=round_no)
+        events = list(events)
+        if round_no is None:
+            round_no = max(
+                (e.fields.get("round", 0) for e in events if e.type == "op"),
+                default=0,
+            )
+        op_records = []
+        attempts_by_step: dict[int, list[AttemptSpan]] = {}
+        # When each step's first answer arrived.  The schema carries no
+        # ``confirm`` flag, but an answered step sends nothing further on
+        # its primary path, so a non-hedge attempt that starts once the
+        # answer is in hand can only be a ``vote`` confirmation fetch.
+        answered_s: dict[int, float] = {}
+        for event in events:
+            record = event.fields
+            if record.get("round", 0) != round_no:
+                continue
+            if event.type == "op":
+                op_records.append(record)
+            if event.type != "attempt":
+                continue
+            step = record["step"]
+            fate = _FATES[record["fate"]]
+            attempts_by_step.setdefault(step, []).append(
+                AttemptSpan(
+                    attempt=record["attempt"],
+                    start_s=record["start"],
+                    end_s=record["end"],
+                    fate=fate,
+                    cost=record["cost"],
+                    items_sent=record["items_sent"],
+                    items_received=record["items_received"],
+                    rows_loaded=record["rows_loaded"],
+                    messages=record["messages"],
+                    source=record["source"],
+                    hedge=record["hedge"],
+                    confirm=not record["hedge"]
+                    and record["start"] >= answered_s.get(step, math.inf),
+                )
+            )
+            if fate is AttemptFate.OK:
+                answered_s.setdefault(step, record["end"])
+        if not op_records:
+            raise ObservabilityError(
+                f"no 'op' events for round {round_no} — was the run recorded?"
+            )
+        spans = tuple(
+            OpSpan(
+                step=record["step"],
+                operation=(
+                    operations[record["step"] - 1]
+                    if operations is not None
+                    else _ReplayOperation(
+                        _ReplayKind(record["op"]),
+                        record["target"],
+                        record["source"],
+                        record["remote"],
+                        record["condition"],
+                    )
+                ),
+                queued_s=record["queued"],
+                started_s=record["started"],
+                finished_s=record["finished"],
+                attempts=tuple(attempts_by_step.get(record["step"], ())),
+                status=_STATUSES[record["status"]],
+                output_size=record["output"],
+            )
+            for record in sorted(op_records, key=lambda r: r["step"])
+        )
+        makespan = max(r["finished"] for r in op_records)
+        return RuntimeTrace(spans=spans, makespan_s=makespan)
 
     @property
     def remote_spans(self) -> tuple[OpSpan, ...]:
@@ -380,3 +426,31 @@ class RuntimeTrace:
     def _label(span: OpSpan) -> str:
         op = span.operation
         return f"{span.step:>3}) {span.source:<6} {op.kind.value}->{op.target}"
+
+
+_FATES = {fate.value: fate for fate in AttemptFate}
+_STATUSES = {status.value: status for status in OpStatus}
+
+
+@dataclass(frozen=True)
+class _ReplayKind:
+    value: str
+
+
+@dataclass(frozen=True)
+class _ReplayOperation:
+    """Just enough of a plan operation for trace rendering."""
+
+    kind: _ReplayKind
+    target: str
+    source: str
+    remote: bool
+    condition_sql: str
+
+    def render(self, labels=None) -> str:
+        text = f"{self.kind.value} -> {self.target}"
+        if self.source:
+            text += f" @ {self.source}"
+        if self.condition_sql:
+            text += f" [{self.condition_sql}]"
+        return text

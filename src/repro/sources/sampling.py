@@ -19,10 +19,10 @@ an optimizer using *learned* costs instead of oracle ones.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
-
-import numpy as np
+from fractions import Fraction
 
 from repro.errors import StatisticsError
 from repro.relational.conditions import Condition
@@ -127,21 +127,53 @@ def fit_parameters(observations: list[ProbeObservation]) -> FittedLinkParameters
         raise StatisticsError(
             f"need at least 3 probe observations to fit, got {len(observations)}"
         )
-    design = np.array(
-        [[1.0, obs.items_sent, obs.items_received] for obs in observations]
-    )
-    target = np.array([obs.cost for obs in observations])
-    solution, *_ = np.linalg.lstsq(design, target, rcond=None)
-    clamped = np.clip(solution, 0.0, None)
-    predicted = design @ clamped
-    residual = float(np.sqrt(np.mean((predicted - target) ** 2)))
+    design = [
+        (1.0, float(obs.items_sent), float(obs.items_received))
+        for obs in observations
+    ]
+    target = [float(obs.cost) for obs in observations]
+    clamped = [max(0.0, x) for x in _least_squares(design, target)]
+    squared = [
+        (sum(a * x for a, x in zip(row, clamped)) - cost) ** 2
+        for row, cost in zip(design, target)
+    ]
     return FittedLinkParameters(
-        request_overhead=float(clamped[0]),
-        per_item_send=float(clamped[1]),
-        per_item_receive=float(clamped[2]),
-        residual=residual,
+        request_overhead=clamped[0],
+        per_item_send=clamped[1],
+        per_item_receive=clamped[2],
+        residual=math.sqrt(sum(squared) / len(squared)),
         probes=len(observations),
     )
+
+
+def _least_squares(design: list[tuple[float, ...]], target: list[float]) -> list[float]:
+    """``x`` minimising ``|design·x − target|²``, by the normal equations.
+
+    Solved exactly over fractions (every float is one), so the only
+    rounding is the final conversion.  A column that is zero in every row
+    gets coefficient 0, as the minimum-norm solution gives it (a source
+    without semijoins never sends items).
+
+    Raises:
+        StatisticsError: when the other columns are linearly dependent.
+    """
+    live = [j for j in range(len(design[0])) if any(row[j] for row in design)]
+    rows = [[Fraction(row[j]) for j in live] + [Fraction(t)] for row, t in zip(design, target)]
+    # [DᵀD | Dᵀt]: positive definite when the columns are independent, so
+    # Gauss-Jordan needs no row swaps and meets a zero pivot otherwise.
+    n = len(live)
+    system = [[sum(r[i] * r[j] for r in rows) for j in range(n + 1)] for i in range(n)]
+    for col, pivot in enumerate(system):
+        if pivot[col] == 0:
+            raise StatisticsError("probe observations are linearly dependent")
+        for other in system:
+            if other is not pivot:
+                factor = other[col] / pivot[col]
+                other[:] = [a - factor * b for a, b in zip(other, pivot)]
+    solution = [0.0] * len(design[0])
+    for col, (j, row) in enumerate(zip(live, system)):
+        solution[j] = float(row[n] / row[col])
+    return solution
 
 
 def calibrate_federation(

@@ -3,12 +3,13 @@ replay byte-equality, and the profile the mediator attaches."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ObservabilityError
 from repro.mediator.session import Mediator
 from repro.obs import EventLog, MetricsRegistry, Recorder
-from repro.obs.replay import trace_from_events
 from repro.optimize.sja_plus import SJAPlusOptimizer
 from repro.plans.builder import build_filter_plan
 from repro.runtime.engine import Resilience, RuntimeEngine
@@ -151,7 +152,7 @@ class TestReplay:
 
     def test_timeline_reproduced_from_events(self):
         result, recorder = self.run_with_recorder()
-        replayed = trace_from_events(recorder.events)
+        replayed = RuntimeTrace.from_events(recorder.events)
         assert replayed.timeline() == result.trace.timeline()
         assert (
             replayed.utilization_report()
@@ -160,9 +161,23 @@ class TestReplay:
         assert replayed.summary() == result.trace.summary()
 
     def test_trace_from_events_classmethod_delegates(self):
+        # Read back from JSONL, without the plan at hand, the fold gives
+        # each span a stand-in operation and is otherwise the live trace.
         result, recorder = self.run_with_recorder()
-        replayed = RuntimeTrace.from_events(recorder.events)
-        assert replayed.timeline() == result.trace.timeline()
+        replayed = RuntimeTrace.from_events(
+            EventLog.from_jsonl(recorder.events.to_jsonl())
+        )
+        live = result.trace
+        assert replayed.makespan_s == live.makespan_s
+        for mine, theirs in zip(replayed.spans, live.spans, strict=True):
+            assert replace(mine, operation=None) == replace(
+                theirs, operation=None
+            )
+            for name in ("target", "source", "remote"):
+                assert getattr(mine.operation, name) == getattr(
+                    theirs.operation, name, ""
+                )
+            assert mine.operation.kind.value == theirs.operation.kind.value
 
     @pytest.mark.parametrize("fault_rate", [0.0, 0.4])
     @pytest.mark.parametrize("hedge_delay_s", [None, 0.05])
@@ -185,7 +200,7 @@ class TestReplay:
         result = mediator.runtime.run(mediator.plan(dmv_fig1()[1]).plan)
         live = result.trace
         assert any(a.confirm for span in live.spans for a in span.attempts)
-        replayed = trace_from_events(
+        replayed = RuntimeTrace.from_events(
             EventLog.from_jsonl(recorder.events.to_jsonl())
         )
         assert replayed.summary() == live.summary()
@@ -199,7 +214,7 @@ class TestReplay:
 
     def test_replay_needs_op_events(self):
         with pytest.raises(ObservabilityError, match="no 'op' events"):
-            trace_from_events(EventLog())
+            RuntimeTrace.from_events(EventLog())
 
 
 class TestProfiles:

@@ -226,3 +226,37 @@ class TestVoteWithHedging:
             )
             late = [a for a in span.attempts if a.start_s >= answered_s]
             assert late and all(a.hedge or a.confirm for a in late)
+
+    def test_no_blocked_dispatch_relaunches_once_an_answer_is_in_hand(self):
+        # The same rule for a retry parked on an open breaker: when the
+        # breaker lets it go, a task whose hedge already answered must
+        # not start another primary attempt.  It used to, and the stray
+        # attempt finished the task a second time, so a local operation
+        # downstream ran before its other input existed (a TypeError).
+        from repro.runtime.health import BreakerConfig
+
+        federation, query = dmv_fig1()
+        federation = replicate_federation(federation, 3)
+        recorder = Recorder()
+        engine = RuntimeEngine(
+            federation,
+            resilience=Resilience(
+                hedge_delay_s=0.05,
+                breaker=BreakerConfig.aggressive(),
+                verify="vote",
+            ),
+            faults=FaultInjector(FaultProfile.flaky(0.4), seed=1),
+            recorder=recorder,
+        )
+        plan = build_filter_plan(query, federation.source_names)
+        result = engine.run(plan, budget_s=2.0)
+        assert frozenset(result.items) == DMV_FIG1_ANSWER
+        steps = [event["step"] for event in recorder.events.of_type("op")]
+        assert sorted(steps) == list(range(1, len(plan.operations) + 1))
+        for span in result.trace.remote_spans:
+            answered_s = min(
+                (a.end_s for a in span.attempts if a.fate is AttemptFate.OK),
+                default=span.finished_s,
+            )
+            late = [a for a in span.attempts if a.start_s >= answered_s]
+            assert all(a.hedge or a.confirm for a in late)

@@ -242,3 +242,54 @@ class TestEdgeCases:
             "source"
         )
         assert trace.per_source_utilization() == {}
+
+
+class TestWrittenInOnePlace:
+    """A run's events are its record; the trace is their one fold."""
+
+    def test_engine_builds_no_spans(self):
+        import ast
+        import pathlib
+
+        import repro.runtime.engine as engine_module
+
+        tree = ast.parse(pathlib.Path(engine_module.__file__).read_text())
+        imported = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        assert not imported & {"AttemptSpan", "OpSpan"}
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("load_balance", [False, True])
+    def test_live_trace_is_the_fold_of_the_recorded_events(
+        self, seed, load_balance
+    ):
+        # vote + hedge + breaker + deadline at 40 % faults: confirmations,
+        # hedges, reroutes and deadline cuts all leave attempts to fold.
+        from repro.obs import Recorder
+        from repro.runtime.health import BreakerConfig
+        from repro.runtime.trace import RuntimeTrace
+        from repro.sources.generators import replicate_federation
+
+        federation, query = dmv_fig1()
+        federation = replicate_federation(federation, 3)
+        plan = build_filter_plan(query, federation.source_names)
+        recorder = Recorder(metrics=None)
+        engine = RuntimeEngine(
+            federation,
+            resilience=Resilience(
+                hedge_delay_s=0.05,
+                breaker=BreakerConfig.aggressive(),
+                load_balance=load_balance,
+                verify="vote",
+            ),
+            faults=FaultInjector(FaultProfile.flaky(0.4), seed=seed),
+            recorder=recorder,
+        )
+        result = engine.run(plan, budget_s=2.0)
+        assert result.trace == RuntimeTrace.from_events(
+            recorder.events, operations=plan.operations
+        )

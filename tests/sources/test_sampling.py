@@ -116,3 +116,92 @@ class TestCalibration:
         federation, conditions = setup
         calibrate_federation(federation, conditions, seed=0)
         assert federation.total_messages() == 0
+
+
+def _observation_sets():
+    """Every probe set the calibration fixtures of the suite fit."""
+    from repro.sources.capabilities import SourceCapabilities
+    from repro.sources.generators import dmv_fig1
+
+    sets = {
+        "exact": [
+            ProbeObservation("sq", s, r, 7.0 + 1.5 * s + 0.5 * r)
+            for s, r in [(0, 5), (0, 9), (3, 2), (10, 1), (20, 8)]
+        ],
+        "constant": [
+            ProbeObservation("sq", s, r, 1.0)
+            for s, r in [(0, 5), (1, 1), (2, 8), (4, 0)]
+        ],
+    }
+    configs = {
+        # tests/sources/test_sampling.py and tests/costs/test_calibrated.py
+        "sampling": (SyntheticConfig(
+            n_sources=3, n_entities=300, overhead_range=(5.0, 30.0),
+            send_range=(0.5, 2.0), receive_range=(0.5, 2.0), seed=4,
+        ), 8),
+        "calibrated": (SyntheticConfig(
+            n_sources=4, n_entities=300, overhead_range=(5.0, 40.0),
+            send_range=(0.5, 2.0), receive_range=(0.5, 2.0), seed=17,
+        ), 23),
+    }
+    for name, (config, seed) in configs.items():
+        federation = build_synthetic(config)
+        conditions = synthetic_conditions(config, 4, seed=seed)
+        for index, source in enumerate(federation):
+            sets[f"{name}:{source.name}"] = probe_source(
+                source, conditions, federation.all_items(), seed=index
+            )
+    federation, query = dmv_fig1(
+        capabilities=SourceCapabilities.selection_only()
+    )
+    for index, source in enumerate(federation):
+        sets[f"fig1-selection-only:{source.name}"] = probe_source(
+            source, list(query.conditions), federation.all_items(), seed=index
+        )
+    return sets
+
+
+_OBSERVATION_SETS = _observation_sets()
+
+
+class TestPurePythonFit:
+    @pytest.mark.parametrize(
+        "observations",
+        list(_OBSERVATION_SETS.values()),
+        ids=list(_OBSERVATION_SETS),
+    )
+    def test_agrees_with_numpy_lstsq(self, observations):
+        np = pytest.importorskip("numpy")
+        design = np.array(
+            [[1.0, o.items_sent, o.items_received] for o in observations]
+        )
+        target = np.array([o.cost for o in observations])
+        solution, *_ = np.linalg.lstsq(design, target, rcond=None)
+        clamped = np.clip(solution, 0.0, None)
+        residual = float(np.sqrt(np.mean((design @ clamped - target) ** 2)))
+        fitted = fit_parameters(observations)
+        got = (
+            fitted.request_overhead,
+            fitted.per_item_send,
+            fitted.per_item_receive,
+        )
+        scale = float(np.abs(target).max())
+        for mine, theirs in zip(got, clamped):
+            assert mine == pytest.approx(float(theirs), rel=1e-9, abs=1e-9 * scale)
+        assert fitted.residual == pytest.approx(residual, rel=1e-9, abs=1e-9 * scale)
+
+    def test_a_column_that_is_always_zero_gets_coefficient_zero(self):
+        observations = [
+            ProbeObservation("sq", 0, r, 4.0 + 2.0 * r) for r in (1, 3, 7)
+        ]
+        fitted = fit_parameters(observations)
+        assert fitted.per_item_send == 0.0
+        assert fitted.request_overhead == pytest.approx(4.0)
+        assert fitted.per_item_receive == pytest.approx(2.0)
+
+    def test_dependent_columns_raise(self):
+        observations = [
+            ProbeObservation("sjq", s, s, 1.0 + s) for s in (1, 2, 3)
+        ]
+        with pytest.raises(StatisticsError, match="linearly dependent"):
+            fit_parameters(observations)
