@@ -20,26 +20,9 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import ExecutionError, SourceUnavailableError
-from repro.plans.operations import (
-    DifferenceOp,
-    IntersectOp,
-    LoadOp,
-    LocalSelectionOp,
-    Operation,
-    SelectionOp,
-    SemijoinOp,
-    UnionOp,
-    condition_sql,
-)
+from repro.plans.operations import Fetch, Operation, SemijoinOp, condition_sql
 from repro.plans.plan import Plan
-from repro.relational.algebra import (
-    difference,
-    intersect_many,
-    local_selection,
-    union_many,
-)
 from repro.relational.items import as_frozenset
-from repro.relational.relation import Relation
 from repro.sources.registry import Federation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -191,8 +174,8 @@ class Executor:
 
     def execute(self, plan: Plan) -> ExecutionResult:
         """Run ``plan`` and return its answer with per-step traces."""
-        items: dict[str, frozenset[Any]] = {}
-        relations: dict[str, Relation] = {}
+        # One register file: item sets, and relations written by loads.
+        registers: dict[str, Any] = {}
         result = ExecutionResult(items=frozenset())
         self._clock = 0.0
         if self.recorder is not None:
@@ -205,17 +188,26 @@ class Executor:
                 result=plan.result,
             )
 
+        fetch = registers.__getitem__
         for index, op in enumerate(plan.operations, start=1):
             if op.remote:
-                trace = self._execute_remote(index, op, items, relations)
+                trace = self._execute_remote(index, op, registers, fetch)
             else:
-                trace = self._execute_local(index, op, items, relations)
+                answer = registers[op.target] = op.evaluate(fetch)
+                trace = StepTrace(
+                    step=index,
+                    operation=op,
+                    output_size=len(answer),
+                    actual_cost=0.0,
+                    elapsed_s=0.0,
+                    messages=0,
+                )
                 if self.recorder is not None:
-                    self._record_step(op, trace, [], items)
+                    self._record_step(op, trace, [], registers)
             result.steps.append(trace)
 
         # The one decode of the run: registers hold bitmaps, answers are sets.
-        result.items = as_frozenset(items[plan.result])
+        result.items = as_frozenset(registers[plan.result])
         if self.recorder is not None:
             self.recorder.emit(
                 self._clock,
@@ -237,28 +229,15 @@ class Executor:
         self,
         index: int,
         op: Operation,
-        items: dict[str, frozenset[Any]],
-        relations: dict[str, Relation],
+        registers: dict[str, Any],
+        fetch: Fetch,
     ) -> StepTrace:
         source = self.federation.source(op.source)  # type: ignore[attr-defined]
         mark = len(source.traffic.records)
         retries = 0
         while True:
             try:
-                if isinstance(op, SelectionOp):
-                    answer = source.selection(op.condition)
-                    items[op.target] = answer
-                    size = len(answer)
-                elif isinstance(op, SemijoinOp):
-                    answer = source.semijoin(op.condition, items[op.input_register])
-                    items[op.target] = answer
-                    size = len(answer)
-                elif isinstance(op, LoadOp):
-                    relation = source.load()
-                    relations[op.target] = relation
-                    size = len(relation)
-                else:  # pragma: no cover
-                    raise ExecutionError(f"unknown remote operation {op!r}")
+                answer = registers[op.target] = op.call(source, fetch)
                 break
             except SourceUnavailableError as exc:
                 retries += 1
@@ -271,14 +250,14 @@ class Executor:
         trace = StepTrace(
             step=index,
             operation=op,
-            output_size=size,
+            output_size=len(answer),
             actual_cost=sum(record.cost for record in new_records),
             elapsed_s=sum(record.elapsed_s for record in new_records),
             messages=len(new_records),
             retries=retries,
         )
         if self.recorder is not None:
-            self._record_step(op, trace, new_records, items)
+            self._record_step(op, trace, new_records, registers)
         return trace
 
     # ------------------------------------------------------------------
@@ -289,7 +268,7 @@ class Executor:
         op: Operation,
         trace: StepTrace,
         records: list,
-        items: dict[str, frozenset[Any]],
+        registers: dict[str, Any],
     ) -> None:
         """One step's events on the step clock: a remote step is one
         successful attempt (after its send-set), a local one is free."""
@@ -304,7 +283,7 @@ class Executor:
                 step=trace.step,
                 source=op.source,
                 condition=condition,
-                size=len(items[op.input_register]),
+                size=len(registers[op.input_register]),
             )
         if op.remote:
             self.recorder.emit(
@@ -342,30 +321,3 @@ class Executor:
             output=trace.output_size,
         )
         self._clock = end
-
-    @staticmethod
-    def _execute_local(
-        index: int,
-        op: Operation,
-        items: dict[str, frozenset[Any]],
-        relations: dict[str, Relation],
-    ) -> StepTrace:
-        if isinstance(op, UnionOp):
-            answer = union_many(items[register] for register in op.inputs)
-        elif isinstance(op, IntersectOp):
-            answer = intersect_many(items[register] for register in op.inputs)
-        elif isinstance(op, DifferenceOp):
-            answer = difference(items[op.left], items[op.right])
-        elif isinstance(op, LocalSelectionOp):
-            answer = local_selection(relations[op.input_register], op.condition)
-        else:  # pragma: no cover
-            raise ExecutionError(f"unknown local operation {op!r}")
-        items[op.target] = answer
-        return StepTrace(
-            step=index,
-            operation=op,
-            output_size=len(answer),
-            actual_cost=0.0,
-            elapsed_s=0.0,
-            messages=0,
-        )

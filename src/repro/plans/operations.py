@@ -5,6 +5,13 @@ more registers.  Registers hold either *item sets* (the normal case) or
 *relations* (targets of ``lq`` loads).  Operations are immutable values;
 plans are sequences of them.
 
+Each operation also says what it computes, once, for every executor:
+a remote operation's :meth:`~Operation.call` asks a source's wrapper
+for its answer, a local operation's :meth:`~Operation.evaluate` combines
+registers at the mediator.  Both read their inputs through ``fetch``, a
+``register -> value`` callable, so the sequential executor (one register
+dict) and the runtime engine (values on tasks) share the semantics.
+
 Remote operations (cost-bearing, Sec. 2.3/2.4):
 
 * :class:`SelectionOp` — ``X := sq(c, R_j)``
@@ -22,8 +29,18 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Any, Callable
 
+from repro.relational.algebra import (
+    difference,
+    intersect_many,
+    local_selection,
+    union_many,
+)
 from repro.relational.conditions import Condition
+
+#: Reads one input register's value: ``fetch(register) -> value``.
+Fetch = Callable[[str], Any]
 
 
 class RegisterType(enum.Enum):
@@ -70,6 +87,18 @@ class Operation:
         """Paper-style rendering; ``labels`` maps conditions to c_i names."""
         raise NotImplementedError
 
+    def call(self, source: Any, fetch: Fetch) -> Any:
+        """A remote operation's answer from ``source``'s wrapper.
+
+        Raises :class:`~repro.errors.SourceUnavailableError` when the
+        wrapper's failure injector fires; retrying is the caller's job.
+        """
+        raise NotImplementedError
+
+    def evaluate(self, fetch: Fetch) -> Any:
+        """A local operation's value, computed at the mediator."""
+        raise NotImplementedError
+
     def _label(
         self, condition: Condition, labels: dict[Condition, str] | None
     ) -> str:
@@ -108,6 +137,9 @@ class SelectionOp(Operation):
             f"sq({self._label(self.condition, labels)}, {self.source})"
         )
 
+    def call(self, source: Any, fetch: Fetch) -> Any:
+        return source.selection(self.condition)
+
 
 @dataclass(frozen=True)
 class SemijoinOp(Operation):
@@ -135,6 +167,9 @@ class SemijoinOp(Operation):
             f"{self.input_register})"
         )
 
+    def call(self, source: Any, fetch: Fetch) -> Any:
+        return source.semijoin(self.condition, fetch(self.input_register))
+
 
 @dataclass(frozen=True)
 class LoadOp(Operation):
@@ -159,6 +194,9 @@ class LoadOp(Operation):
 
     def render(self, labels: dict[Condition, str] | None = None) -> str:
         return f"{self.target_register} := lq({self.source})"
+
+    def call(self, source: Any, fetch: Fetch) -> Any:
+        return source.load()
 
 
 @dataclass(frozen=True)
@@ -190,6 +228,9 @@ class LocalSelectionOp(Operation):
             f"sq({self._label(self.condition, labels)}, {self.input_register})"
         )
 
+    def evaluate(self, fetch: Fetch) -> Any:
+        return local_selection(fetch(self.input_register), self.condition)
+
 
 @dataclass(frozen=True)
 class UnionOp(Operation):
@@ -214,6 +255,9 @@ class UnionOp(Operation):
 
     def render(self, labels: dict[Condition, str] | None = None) -> str:
         return f"{self.target_register} := " + " ∪ ".join(self.inputs)
+
+    def evaluate(self, fetch: Fetch) -> Any:
+        return union_many(map(fetch, self.inputs))
 
 
 @dataclass(frozen=True)
@@ -240,6 +284,9 @@ class IntersectOp(Operation):
     def render(self, labels: dict[Condition, str] | None = None) -> str:
         return f"{self.target_register} := " + " ∩ ".join(self.inputs)
 
+    def evaluate(self, fetch: Fetch) -> Any:
+        return intersect_many(map(fetch, self.inputs))
+
 
 @dataclass(frozen=True)
 class DifferenceOp(Operation):
@@ -261,6 +308,9 @@ class DifferenceOp(Operation):
 
     def render(self, labels: dict[Condition, str] | None = None) -> str:
         return f"{self.target_register} := {self.left} − {self.right}"
+
+    def evaluate(self, fetch: Fetch) -> Any:
+        return difference(fetch(self.left), fetch(self.right))
 
 
 #: Operations allowed in *simple* plans (Sec. 2.3).

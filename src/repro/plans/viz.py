@@ -13,11 +13,6 @@ Two renderers, both dependency-free:
 from __future__ import annotations
 
 from repro.mediator.schedule import Schedule
-from repro.plans.operations import (
-    LoadOp,
-    SelectionOp,
-    SemijoinOp,
-)
 from repro.plans.plan import Plan
 
 
@@ -102,12 +97,4 @@ def schedule_gantt(schedule: Schedule, width: int = 60) -> str:
 def _op_label(scheduled) -> str:
     op = scheduled.operation
     source = getattr(op, "source", "")
-    if isinstance(op, SelectionOp):
-        kind = "sq"
-    elif isinstance(op, SemijoinOp):
-        kind = "sjq"
-    elif isinstance(op, LoadOp):
-        kind = "lq"
-    else:  # pragma: no cover - only remote kinds reach here
-        kind = op.kind.value
-    return f"{scheduled.step:>3}) {source:<6} {kind}->{op.target}"
+    return f"{scheduled.step:>3}) {source:<6} {op.kind.value}->{op.target}"

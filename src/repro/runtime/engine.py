@@ -33,10 +33,16 @@ zero-config engine behaves exactly as before):
   operation, and hedges never consume the retry budget.
 * **Circuit breakers** (``breaker``) — a :class:`HealthRegistry` tracks
   per-source rolling failure stats; an open breaker makes dispatch
-  reroute to a healthy substitute, or wait for the cooldown when none
-  can serve.  Fusion plans only union per-source contributions, so a
+  reroute to a healthy substitute, or park the task when none can
+  serve.  Fusion plans only union per-source contributions, so a
   substitute whose rows contain the original's can never introduce
   spurious answers — substitution trades nothing for completeness.
+  **One wait rule** covers every refusal (open or half-open breaker,
+  quarantine): a parked task wakes when its breaker reopens or its
+  quarantine lifts, if that time is finite, or at the next completion
+  in its own run.  Once the event heap runs dry with tasks still
+  parked, each is given up exactly as if its retry budget were spent,
+  so a run never hangs on a refusal.
 * **Replica load balancing** (``load_balance``) — plans typically put
   every operation of a replica group on its representative, leaving the
   mirrors idle.  With balancing on, a queued operation may claim the
@@ -76,23 +82,14 @@ from typing import TYPE_CHECKING, Any, NamedTuple
 from repro.errors import CostModelError, ExecutionError, SourceUnavailableError
 from repro.mediator.executor import ExecutionResult, StepTrace
 from repro.plans.operations import (
-    DifferenceOp,
-    IntersectOp,
+    Fetch,
     LoadOp,
-    LocalSelectionOp,
     Operation,
     SelectionOp,
     SemijoinOp,
-    UnionOp,
     condition_sql,
 )
 from repro.plans.plan import Plan
-from repro.relational.algebra import (
-    difference,
-    intersect_many,
-    local_selection,
-    union_many,
-)
 from repro.relational.items import EMPTY_ITEMS, as_frozenset
 from repro.relational.relation import Relation
 from repro.runtime.faults import AttemptFate, AttemptOutcome, FaultInjector
@@ -540,7 +537,14 @@ class _Execution:
             for task in self.tasks:
                 if task.remaining == 0:
                     self._mark_ready(task, 0.0)
-        while self.heap:
+        now = 0.0
+        while self.heap or self.blocked:
+            if not self.heap:
+                # Nothing left in this run can wake a parked task: give
+                # the oldest up as if its retries were spent, and let
+                # whatever that frees carry on.
+                self._give_up(self.blocked[0], now, OpStatus.DEGRADED)
+                continue
             now, __, kind, payload = heapq.heappop(self.heap)
             if kind == "complete":
                 self._handle_complete(now, payload[0])
@@ -550,8 +554,8 @@ class _Execution:
                 self._handle_hedge(now, *payload)
             elif kind == "deadline":
                 self._handle_deadline(now)
-            else:  # "dispatch": an open breaker's cooldown elapsed
-                self._handle_dispatch_wake(now, payload[0])
+            else:  # "dispatch": a parked task's refusal ended
+                self._wake(now, payload[0])
         unfinished = [t.step for t in self.tasks if not t.done]
         if unfinished:  # pragma: no cover - would be an engine bug
             raise ExecutionError(
@@ -602,32 +606,28 @@ class _Execution:
         else:
             self._run_local(task, now)
 
+    def _members(self, source_name: str) -> tuple[str, ...]:
+        """The connection slots ``source_name``'s queue may claim.
+
+        With load balancing on, any member of its replica group, so
+        several queued ops of one source run concurrently across the
+        group; otherwise only its own.
+        """
+        if self.engine.load_balance:
+            return self.federation.group_of(source_name)
+        return (source_name,)
+
     def _dispatch_group(self, source_name: str, now: float) -> None:
         """Dispatch from every queue a freed slot could now serve."""
-        if not self.engine.load_balance:
-            self._try_dispatch(source_name, now)
-        else:
-            for member in self.federation.group_of(source_name):
-                self._try_dispatch(member, now)
+        for member in self._members(source_name):
+            self._try_dispatch(member, now)
         if self.confirm_waiting:
             self._drain_confirms(now)
 
     def _try_dispatch(self, source_name: str, now: float) -> None:
+        """Start ready queue heads while :meth:`_pick_slot` finds a slot."""
         if self.expired:
             return  # past the deadline; nothing new goes on the wire
-        if not self.engine.load_balance:
-            if self.busy.get(source_name, False):
-                return
-            queue = self.queues.get(source_name)
-            if not queue or queue[0].remaining > 0:
-                return
-            task = queue.popleft()
-            self.busy[source_name] = True
-            self._start_attempt(task, now)
-            return
-        # Balanced mode: the queue head may claim any idle member of
-        # its planned source's replica group, so several queued ops of
-        # one source can run concurrently across the group.
         queue = self.queues.get(source_name)
         while queue and queue[0].remaining == 0:
             slot = self._pick_slot(queue[0])
@@ -645,7 +645,7 @@ class _Execution:
         ``health.allow`` consumes half-open probe slots, so it must only
         run for the member actually chosen.
         """
-        members = self.federation.group_of(task.planned_source)
+        members = self._members(task.planned_source)
         if len(members) == 1:
             member = members[0]
             return None if self.busy.get(member, False) else member
@@ -683,58 +683,37 @@ class _Execution:
         self._launch(task, serving, now, hedge=False)
 
     def _block(self, task: _Task, now: float) -> None:
-        """Park a dispatch refused by a breaker with no substitute free.
+        """Park a dispatch refused with no substitute free: the one wait rule.
 
-        An OPEN breaker has a known re-probe time: schedule a wake
-        there.  A HALF_OPEN breaker at its probe limit has an attempt in
-        flight whose completion drains the blocked list.  A QUARANTINED
-        slot wakes at its cooldown expiry; with a sticky quarantine and
-        every alternative idle-but-refused there is nothing left to
-        wait for, so the task degrades rather than deadlocks (the
-        re-planning layer can still reroute it).
+        The slot's refusal may next change when its open breaker
+        reopens, if that is still ahead, and otherwise when its
+        quarantine lifts; when that time is finite a wake goes on the
+        heap there.  Any completion in the run also wakes every parked
+        task (a half-open breaker's probe may have finished, a
+        substitute may be free).  A task nothing can wake — a sticky
+        quarantine, or a probe held by another run sharing the registry
+        — is given up by :meth:`run` once the heap is empty.
         """
         self.blocked.append(task)
-        reopens = self.health.reopens_at(task.slot_source)
-        if reopens is not None:
-            self._push(max(reopens, now), "dispatch", (task,))
-            return
-        if (
-            self.health.state_of(task.slot_source)
-            is not BreakerState.QUARANTINED
-        ):
-            return
-        lifts = self.health.quarantine_lifts_at(task.slot_source)
-        if lifts is not None:
-            self._push(max(lifts, now), "dispatch", (task,))
-        elif not self._server_may_free(task):
-            self.blocked.remove(task)
-            self._give_up(task, now)
+        wake_at = self.health.reopens_at(task.slot_source)
+        if wake_at is None or wake_at <= now:
+            # No breaker reopening ahead: only a quarantine can refuse.
+            wake_at = self.health.quarantine_lifts_at(task.slot_source)
+        if wake_at is not None and math.isfinite(wake_at):
+            self._push(max(wake_at, now), "dispatch", (task,))
 
-    def _server_may_free(self, task: _Task) -> bool:
-        """Whether a currently-busy source might later serve ``task``."""
-        candidates = [task.planned_source, task.slot_source]
-        candidates.extend(self.engine.substitutes_for(task.planned_source))
-        return any(self.busy.get(name, False) for name in candidates)
+    def _wake(self, now: float, task: _Task) -> None:
+        """Unpark ``task`` and retry its dispatch, unless it no longer needs one.
 
-    def _handle_dispatch_wake(self, now: float, task: _Task) -> None:
-        if task.done or task not in self.blocked:
-            return
+        A hedge may have won while the task was parked: re-launching it
+        would double-finish it and charge phantom failures to the
+        hedge's source.  Under ``vote`` the task may still await its
+        confirmation, answer in hand, so it is not done yet.
+        """
+        if task not in self.blocked:
+            return  # already woken, or finished
         self.blocked.remove(task)
-        if not task.answers:
-            self._start_attempt(task, now)
-
-    def _drain_blocked(self, now: float) -> None:
-        for task in list(self.blocked):
-            if task not in self.blocked:  # re-entrant removal
-                continue
-            self.blocked.remove(task)
-            if task.done or task.answers:
-                # A hedge won while this task's retry sat blocked on an
-                # open breaker; re-launching would double-finish it and
-                # charge phantom failures to the hedge's source.  Under
-                # ``vote`` the task may still await its confirmation,
-                # answer in hand, so it is not done yet.
-                continue
+        if not (task.done or task.answers):
             self._start_attempt(task, now)
 
     def _substitute_target(self, task: _Task, now: float) -> str | None:
@@ -794,7 +773,7 @@ class _Execution:
             )
         mark = len(source.traffic.records)
         try:
-            value = self._call_wrapper(task, source)
+            value = task.op.call(source, self._fetch_for(task))
             call_failed = False
         except SourceUnavailableError:
             value = None
@@ -844,16 +823,13 @@ class _Execution:
         ):
             self._push(hedge_at, "hedge", (task, attempt))
 
-    def _call_wrapper(self, task: _Task, source) -> Any:
-        op = task.op
-        if isinstance(op, SelectionOp):
-            return source.selection(op.condition)
-        if isinstance(op, SemijoinOp):
-            bindings = self.tasks[task.input_writer[op.input_register]].value
-            return source.semijoin(op.condition, bindings)
-        if isinstance(op, LoadOp):
-            return source.load()
-        raise ExecutionError(f"unknown remote operation {op!r}")  # pragma: no cover
+    def _fetch_for(self, task: _Task) -> Fetch:
+        """``task``'s register reader: the value its input's writer holds."""
+
+        def fetch(register: str) -> Any:
+            return self.tasks[task.input_writer[register]].value
+
+        return fetch
 
     def _stale_pool(self, task: _Task, source) -> Any:
         """Candidate spurious items for a stale item-set answer.
@@ -991,8 +967,8 @@ class _Execution:
             self._handle_failure(task, attempt, now)
         if released:
             self._dispatch_group(attempt.source_name, now)
-        if self.blocked:
-            self._drain_blocked(now)
+        for parked in list(self.blocked):
+            self._wake(now, parked)
 
     def _accept_answer(
         self, task: _Task, attempt: _Attempt, now: float
@@ -1193,7 +1169,7 @@ class _Execution:
             # already out of budget and nothing else is pending, the
             # hedge was the last hope — degrade now.
             if task.exhausted and not task.inflight and not task.retry_pending:
-                self._give_up(task, now)
+                self._give_up(task, now, OpStatus.DEGRADED)
             return
         self._maybe_hedge_on_failure(task, now)
         retries_used = task.primary_attempts - 1
@@ -1210,7 +1186,7 @@ class _Execution:
             if task.inflight:
                 task.exhausted = True
                 return
-            self._give_up_deadline(task, now)
+            self._give_up(task, now, OpStatus.DEADLINE)
             return
         retry_at = now + wait
         assert task.first_start_s is not None
@@ -1230,7 +1206,7 @@ class _Execution:
         if task.inflight:
             task.exhausted = True  # a hedge is still racing; wait for it
             return
-        self._give_up(task, now)
+        self._give_up(task, now, OpStatus.DEGRADED)
 
     def _handle_retry(self, now: float, task: _Task) -> None:
         task.retry_pending = False
@@ -1239,17 +1215,6 @@ class _Execution:
             # may still be waiting for its confirmation, answer in hand.
             return
         self._start_attempt(task, now)
-
-    def _give_up_deadline(self, task: _Task, now: float) -> None:
-        """Degrade an operation the *query* deadline stopped.
-
-        Unlike :meth:`_give_up` this never raises, whatever the policy's
-        ``on_exhaust`` says: a deadline asks for the best partial answer
-        available on time, not for an error.
-        """
-        self._finish_remote(
-            task, now, self._degraded_value(task), OpStatus.DEADLINE
-        )
 
     def _handle_deadline(self, now: float) -> None:
         """The query budget expired: cancel, degrade, answer partially.
@@ -1281,18 +1246,30 @@ class _Execution:
                 # the best verified value rather than nothing.
                 self._finish_verified(task, now)
             else:
-                self._give_up_deadline(task, now)
+                self._give_up(task, now, OpStatus.DEADLINE)
 
-    def _give_up(self, task: _Task, now: float) -> None:
-        if self.policy.on_exhaust is OnExhaust.FAIL:
-            raise ExecutionError(
-                f"step {task.step} ({task.op.render()}) failed after "
-                f"{task.primary_attempts - 1} retries "
-                f"(last attempt: {task.last_fate})"
-            )
-        self._finish_remote(
-            task, now, self._degraded_value(task), OpStatus.DEGRADED
-        )
+    def _give_up(self, task: _Task, now: float, status: OpStatus) -> None:
+        """Finish ``task`` with an empty value and ``status``.
+
+        ``DEGRADED`` (retries spent, or parked with nothing left to wake
+        it) raises instead under :attr:`OnExhaust.FAIL`.  ``DEADLINE``
+        never raises: a deadline asks for the best partial answer
+        available on time, not for an error.
+        """
+        if status is OpStatus.DEGRADED and self.policy.on_exhaust is OnExhaust.FAIL:
+            if task in self.blocked:
+                state = self.health.state_of(task.slot_source).value
+                reason = (
+                    f"was refused by {task.slot_source} ({state}) "
+                    "with no substitute free"
+                )
+            else:
+                reason = (
+                    f"failed after {task.primary_attempts - 1} retries "
+                    f"(last attempt: {task.last_fate})"
+                )
+            raise ExecutionError(f"step {task.step} ({task.op.render()}) {reason}")
+        self._finish_remote(task, now, self._degraded_value(task), status)
 
     def _degraded_value(self, task: _Task) -> Any:
         if isinstance(task.op, LoadOp):
@@ -1358,20 +1335,6 @@ class _Execution:
     # Local operations (instantaneous, free)
 
     def _run_local(self, task: _Task, now: float) -> None:
-        op = task.op
-
-        def fetch(register: str) -> Any:
-            return self.tasks[task.input_writer[register]].value
-
-        if isinstance(op, UnionOp):
-            value = union_many(fetch(register) for register in op.inputs)
-        elif isinstance(op, IntersectOp):
-            value = intersect_many(fetch(register) for register in op.inputs)
-        elif isinstance(op, DifferenceOp):
-            value = difference(fetch(op.left), fetch(op.right))
-        elif isinstance(op, LocalSelectionOp):
-            value = local_selection(fetch(op.input_register), op.condition)
-        else:  # pragma: no cover
-            raise ExecutionError(f"unknown local operation {op!r}")
+        value = task.op.evaluate(self._fetch_for(task))
         self._close(task, now, value, OpStatus.OK, started_s=now)
         self._propagate(task, now)

@@ -190,13 +190,6 @@ class DataFaultProfile:
         return DataFaultProfile()
 
     @staticmethod
-    def stale_replica(
-        rate: float, fraction: float = 0.5
-    ) -> "DataFaultProfile":
-        """A replica serving a divergent stale snapshot at ``rate``."""
-        return DataFaultProfile(stale_rate=rate, stale_fraction=fraction)
-
-    @staticmethod
     def corrupting(rate: float, fraction: float = 0.5) -> "DataFaultProfile":
         """A source emitting type-violating values at ``rate``."""
         return DataFaultProfile(corrupt_rate=rate, corrupt_fraction=fraction)

@@ -193,13 +193,6 @@ class DataQuality:
         clean = self.clean - self.clean_mark
         return (prior_weight + clean) / (prior_weight + self.volume)
 
-    @property
-    def delivery_fraction(self) -> float:
-        """Lifetime fraction of delivered tuples that survived checks."""
-        if self.items_delivered == 0:
-            return 1.0
-        return self.items_kept / self.items_delivered
-
 
 class SourceHealth:
     """Rolling failure/latency statistics of one source.
@@ -389,10 +382,6 @@ class HealthRegistry:
     def enabled(self) -> bool:
         return self.config is not None
 
-    @property
-    def quarantine_enabled(self) -> bool:
-        return self.quarantine is not None
-
     def health_of(self, source_name: str) -> SourceHealth:
         with self._lock:
             health = self._health.get(source_name)
@@ -510,7 +499,8 @@ class HealthRegistry:
             return tuple(sorted(self._quarantined))
 
     def quarantine_lifts_at(self, source_name: str) -> float | None:
-        """When the quarantine ends (None if not quarantined or sticky)."""
+        """When the quarantine ends: ``None`` if not quarantined,
+        ``math.inf`` for a sticky quarantine (``cooldown_s=None``)."""
         with self._lock:
             since = self._quarantined.get(source_name)
             if since is None or self.quarantine is None:

@@ -122,10 +122,6 @@ class OpSpan:
         return sum(span.items_received for span in self.attempts)
 
     @property
-    def queue_wait_s(self) -> float:
-        return self.started_s - self.queued_s
-
-    @property
     def served_by(self) -> str:
         """The source whose attempt produced the value (last attempt)."""
         for span in reversed(self.attempts):

@@ -20,7 +20,6 @@ identical federations.
 from __future__ import annotations
 
 import random
-import string
 from dataclasses import dataclass
 
 from repro.errors import QueryError
@@ -432,8 +431,3 @@ def random_item_set(
     return frozenset(
         _entity_id(i) for i in rng.sample(range(universe_size), count)
     )
-
-
-def random_string(rng: random.Random, length: int = 8) -> str:
-    """A random lowercase identifier (used by fuzz tests)."""
-    return "".join(rng.choice(string.ascii_lowercase) for __ in range(length))

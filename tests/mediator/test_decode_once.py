@@ -12,14 +12,13 @@ import pytest
 
 from repro.costs.charge import ChargeCostModel
 from repro.costs.estimates import SizeEstimator
-from repro.mediator import executor as sequential
 from repro.mediator.adaptive import AdaptiveExecutor
 from repro.mediator.session import Mediator
 from repro.optimize import SJAOptimizer, SJOptimizer
 from repro.optimize.sja_plus import SJAPlusOptimizer
+from repro.plans import operations
 from repro.relational.columnar import numpy_available, set_numpy_enabled
 from repro.relational.items import ItemSet
-from repro.runtime import engine
 from repro.sources.generators import SyntheticConfig, build_synthetic, dmv_fig1, synthetic_query
 from repro.sources.remote import RemoteSource
 from repro.sources.statistics import ExactStatistics
@@ -70,9 +69,9 @@ def bitmaps_only(monkeypatch):
 
     for name in ("selection", "semijoin"):
         monkeypatch.setattr(RemoteSource, name, checked(getattr(RemoteSource, name)))
-    for module in (sequential, engine):
-        for name in ("union_many", "intersect_many", "difference"):
-            monkeypatch.setattr(module, name, checked(getattr(module, name)))
+    # Both executors evaluate local operations through ``plans.operations``.
+    for name in ("union_many", "intersect_many", "difference"):
+        monkeypatch.setattr(operations, name, checked(getattr(operations, name)))
     run_stage = AdaptiveExecutor._run_stage
 
     def stage(self, *args):

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import math
 import pathlib
+import threading
 
 import pytest
 
@@ -27,8 +29,13 @@ from repro.plans.operations import (
     UnionOp,
 )
 from repro.plans.plan import Plan
-from repro.runtime.engine import Resilience, RuntimeEngine
-from repro.runtime.faults import AttemptFate, FaultInjector, FaultProfile
+from repro.runtime.engine import Resilience, RuntimeEngine, _Execution
+from repro.runtime.faults import (
+    AttemptFate,
+    DataFaultProfile,
+    FaultInjector,
+    FaultProfile,
+)
 from repro.runtime.health import BreakerConfig, HealthRegistry, QuarantineConfig
 from repro.runtime.policy import OnExhaust, RetryPolicy
 from repro.runtime.trace import OpStatus
@@ -508,3 +515,155 @@ class TestResilienceDeclaredOnce:
             and getattr(node.func, "id", None) == "RuntimeEngine"
         ]
         assert len(calls) == 1 and calls[0].startswith("mediator/session.py")
+
+
+def _within(seconds, function):
+    """``function()``, run in a daemon thread so a hang fails the test
+    instead of the suite."""
+    box = {}
+
+    def target():
+        try:
+            box["value"] = function()
+        except Exception as exc:  # re-raised in the test's thread
+            box["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"still running after {seconds} s"
+    if "error" in box:
+        raise box["error"]
+    return box["value"]
+
+
+def _refused_steps(result, source):
+    degraded = {
+        span.step: span.source
+        for span in result.trace.spans
+        if span.status is OpStatus.DEGRADED
+    }
+    assert degraded and set(degraded.values()) == {source}
+    return sorted(degraded)
+
+
+class TestParkedTasksGiveUp:
+    """A dispatch refused with nothing in its run left to wake it
+    degrades as if its retries were spent — it never hangs the run and
+    never ends it with ``runtime deadlock``."""
+
+    def _lying_r1(self, federation, **resilience):
+        return RuntimeEngine(
+            federation,
+            Resilience(verify="sanitize", quarantine=QuarantineConfig(), **resilience),
+            faults=FaultInjector(
+                {"R1": FaultProfile(data=DataFaultProfile.corrupting(1.0))}, seed=0
+            ),
+        )
+
+    def test_sticky_quarantine_degrades_instead_of_hanging(self, dmv_kit):
+        federation, query, __ = dmv_kit
+        plan = build_filter_plan(query, federation.source_names)
+        engine = self._lying_r1(federation)
+        assert sorted(engine.run(plan).items) == ["T21"]
+        # R1's third tainted answer quarantines it for good mid-run; its
+        # next step is refused and used to wait for a lift at t = inf.
+        second = _within(10, lambda: engine.run(plan))
+        assert engine.health.quarantined_names() == ("R1",)
+        assert _refused_steps(second, "R1") == [5]
+        assert second.items <= reference_answer(federation, query)
+        third = _within(10, lambda: engine.run(plan))
+        assert _refused_steps(third, "R1") == [1, 5]
+        assert all(
+            not span.attempts for span in third.trace.spans if span.source == "R1"
+        )
+
+    def test_fail_policy_names_the_refusal(self, dmv_kit):
+        federation, query, __ = dmv_kit
+        plan = build_filter_plan(query, federation.source_names)
+        engine = self._lying_r1(
+            federation, policy=RetryPolicy(on_exhaust=OnExhaust.FAIL)
+        )
+        engine.run(plan)
+        with pytest.raises(ExecutionError, match=r"refused by R1 \(quarantined\)"):
+            _within(10, lambda: engine.run(plan))
+
+    def test_probe_held_by_another_run_degrades_instead_of_deadlocking(self, dmv_kit):
+        federation, query, __ = dmv_kit
+        plan = build_filter_plan(query, federation.source_names)
+        shared = HealthRegistry(BreakerConfig.aggressive())
+        shared.record("R1", 0.0, False, 0.1)
+        shared.record("R1", 0.0, False, 0.1)
+        # Another worker's engine takes R1's one half-open probe; its
+        # completion would never reach this run's event heap.
+        assert shared.allow("R1", 5.0)
+        result = _within(10, lambda: RuntimeEngine(federation, health=shared).run(plan))
+        assert _refused_steps(result, "R1") == [1, 5]
+        assert result.items <= reference_answer(federation, query)
+
+
+class _Refusals(HealthRegistry):
+    """A registry reporting fixed refusal end times for every source."""
+
+    def __init__(self, reopens, lifts):
+        super().__init__()
+        self._times = (reopens, lifts)
+
+    def reopens_at(self, source_name):
+        return self._times[0]
+
+    def quarantine_lifts_at(self, source_name):
+        return self._times[1]
+
+
+class TestWaitWrittenInOnePlace:
+    """Parking, waking, giving up and dispatching each have one path."""
+
+    def test_the_folded_helpers_are_gone(self):
+        for name in (
+            "_server_may_free", "_give_up_deadline",
+            "_handle_dispatch_wake", "_drain_blocked", "_call_wrapper",
+        ):
+            assert not hasattr(_Execution, name), name
+
+    def test_load_balance_is_read_in_one_method(self):
+        (tree,) = [tree for __, tree in _trees("runtime/engine.py")]
+        (execution,) = [
+            node for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name == "_Execution"
+        ]
+        readers = [
+            method.name
+            for method in execution.body
+            if isinstance(method, ast.FunctionDef)
+            and any(
+                isinstance(node, ast.Attribute) and node.attr == "load_balance"
+                for node in ast.walk(method)
+            )
+        ]
+        assert readers == ["_members"]
+
+    @pytest.mark.parametrize(
+        "reopens, lifts, wake",
+        [
+            (None, math.inf, None),
+            (0.5, math.inf, None),
+            (None, None, None),
+            (0.5, None, None),
+            (3.0, None, 3.0),
+            (3.0, math.inf, 3.0),
+            (3.0, 4.0, 3.0),
+            (None, 4.0, 4.0),
+            (0.5, 4.0, 4.0),
+        ],
+    )
+    def test_block_wakes_only_at_a_finite_time(self, dmv_kit, reopens, lifts, wake):
+        federation, query, __ = dmv_kit
+        plan = build_filter_plan(query, federation.source_names)
+        engine = RuntimeEngine(federation, health=_Refusals(reopens, lifts))
+        execution = _Execution(engine, plan)
+        task = execution.tasks[0]
+        execution._block(task, 1.0)
+        assert execution.blocked == [task]
+        wakes = [(t, payload) for t, __, kind, payload in execution.heap if kind == "dispatch"]
+        assert wakes == ([] if wake is None else [(wake, (task,))])
