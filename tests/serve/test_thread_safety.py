@@ -10,11 +10,14 @@ invariants a single-threaded run would produce.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 from repro.mediator.plan_cache import PlanCache
 from repro.obs.events import EventLog
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.fold import metrics_from_events
+from repro.obs.metrics import Histogram, MetricsRegistry, _label_text
+from repro.obs.recorder import Recorder
 from repro.runtime.health import (
     BreakerConfig,
     BreakerState,
@@ -25,6 +28,8 @@ from repro.sources.statistics import ExactStatistics
 
 THREADS = 8
 ROUNDS = 200
+#: Seconds a hammer may take before its threads count as hung.
+JOIN_TIMEOUT_S = 60.0
 
 
 def hammer(worker):
@@ -44,7 +49,8 @@ def hammer(worker):
     for thread in threads:
         thread.start()
     for thread in threads:
-        thread.join()
+        thread.join(timeout=JOIN_TIMEOUT_S)
+        assert not thread.is_alive(), f"{thread.name} still running"
     if errors:
         raise errors[0]
 
@@ -125,6 +131,84 @@ class TestMetricsRegistryHammer:
         histogram = registry.histogram("hammer_s")
         assert histogram.count == THREADS * ROUNDS
         assert sum(histogram.counts) == histogram.count
+
+
+class TestSharedRegistryFoldHammer:
+    """Thread mode: every worker's recorder queues events on the one
+    service registry while a reader folds and exports it."""
+
+    def test_no_event_is_lost_or_folded_twice(self):
+        shared = MetricsRegistry()
+        recorders = [Recorder(metrics=shared) for __ in range(THREADS)]
+        done = threading.Event()
+        reader_errors = []
+
+        def read():
+            try:
+                while not done.is_set():
+                    shared.to_json()
+            except BaseException as exc:  # noqa: BLE001 - surfaced below
+                reader_errors.append(exc)
+
+        def worker(index):
+            recorder = recorders[index]
+            source = f"R{index % 3 + 1}"
+            for round_no in range(ROUNDS):
+                ts = float(round_no)
+                recorder.emit(
+                    ts, "attempt", step=round_no, op="sq", planned=source,
+                    source=source, condition="", attempt=1, start=0.0,
+                    end=0.5, fate="ok" if round_no % 4 else "failed",
+                    hedge=False, cost=1.5, items_sent=1, items_received=2,
+                    rows_loaded=round_no % 2, messages=1,
+                )
+                recorder.emit(
+                    ts, "op", step=round_no, op="sq", target="X",
+                    source=source, remote=True, condition="", queued=0.0,
+                    started=0.25, finished=0.5, status="ok", output=2,
+                )
+                recorder.emit(
+                    ts, "serve", phase="completed", query=round_no,
+                    tenant=f"t{index}", queue_depth=0, in_flight=1,
+                    detail="", latency=0.75,
+                )
+
+        reader = threading.Thread(target=read)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            reader.start()
+            try:
+                hammer(worker)
+            finally:
+                done.set()
+                reader.join(timeout=JOIN_TIMEOUT_S)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not reader.is_alive()
+        if reader_errors:
+            raise reader_errors[0]
+
+        live = shared.to_json()
+        rebuilt = metrics_from_events(
+            event for recorder in recorders for event in recorder.events
+        )
+        compared = 0
+        for metric in rebuilt._sorted():
+            if metric.kind == "gauge":
+                continue  # last writer wins: depends on the interleaving
+            entry = live[metric.name + _label_text(metric.labels)]
+            if isinstance(metric, Histogram):
+                assert entry["counts"] == metric.counts
+                assert (entry["count"], entry["sum"]) == (metric.count, metric.sum)
+            else:
+                assert entry["value"] == metric.value
+            compared += 1
+        assert compared > 0
+        assert len(live) == len(rebuilt)
+        assert shared.counter(
+            "repro_attempts_total", source="R1", fate="ok"
+        ).value == 3 * ROUNDS * 3 / 4
 
 
 class TestHealthRegistryHammer:
