@@ -239,7 +239,7 @@ class ResilientExecutor:
     ) -> str | None:
         """Best substitute for ``dead`` not already planned, dead, or
         quarantined."""
-        for name in self.federation.substitutes_for(dead):
+        for name in self.engine.substitutes_for(dead):
             if name not in active and name not in masked:
                 if (
                     self.engine.health.state_of(name)

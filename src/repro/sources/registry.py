@@ -223,12 +223,6 @@ class Federation:
             )
         return result
 
-    def substitutes_for(
-        self, name: str, min_containment: float = 1.0
-    ) -> tuple[str, ...]:
-        """Sources that can stand in for ``name`` (declared + derived)."""
-        return self.substitutability(min_containment)[name]
-
     # ------------------------------------------------------------------
     # Oracle / accounting helpers
 

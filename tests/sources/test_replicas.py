@@ -108,8 +108,8 @@ class TestSubstitutability:
             link=r1.link,
         )
         federation = Federation([r1, superset], name="U")
-        assert federation.substitutes_for("R1") == ("BIG",)
-        assert federation.substitutes_for("BIG") == ()
+        assert federation.substitutability()["R1"] == ("BIG",)
+        assert federation.substitutability()["BIG"] == ()
 
     def test_min_containment_relaxes_the_bar(self, dmv):
         # PARTIAL shares one of R1's three rows — containment 1/3.
@@ -126,16 +126,16 @@ class TestSubstitutability:
             link=r1.link,
         )
         federation = Federation([r1, partial], name="U")
-        assert federation.substitutes_for("R1") == ()  # strict containment
-        assert federation.substitutes_for("R1", min_containment=0.3) == (
+        assert federation.substitutability()["R1"] == ()  # strict containment
+        assert federation.substitutability(min_containment=0.3)["R1"] == (
             "PARTIAL",
         )
 
     def test_min_containment_must_be_in_unit_interval(self, dmv):
         with pytest.raises(SchemaError):
-            dmv.substitutes_for("R1", min_containment=0.0)
+            dmv.substitutability(min_containment=0.0)
         with pytest.raises(SchemaError):
-            dmv.substitutes_for("R1", min_containment=1.5)
+            dmv.substitutability(min_containment=1.5)
 
 
 class TestReplicateFederation:
