@@ -18,6 +18,7 @@ from repro.mediator.executor import Executor
 from repro.mediator.plan_cache import PlanCache
 from repro.mediator.reference import reference_answer
 from repro.mediator.schedule import response_time
+from repro.mediator.session import Mediator
 from repro.optimize.sj import SJOptimizer
 from repro.optimize.sja import SJAOptimizer
 from repro.plans.builder import build_filter_plan
@@ -44,8 +45,10 @@ from repro.sources.generators import (
     SyntheticConfig,
     build_synthetic,
     dmv_fig1,
+    replicate_federation,
     synthetic_query,
 )
+from repro.sources.registry import Federation
 from repro.sources.remote import FailureInjector
 from repro.sources.statistics import ExactStatistics
 
@@ -667,3 +670,68 @@ class TestWaitWrittenInOnePlace:
         assert execution.blocked == [task]
         wakes = [(t, payload) for t, __, kind, payload in execution.heap if kind == "dispatch"]
         assert wakes == ([] if wake is None else [(wake, (task,))])
+
+
+def _engine_methods_where(predicate):
+    """``Class.method`` of every engine method with a node matching
+    ``predicate``, in source order."""
+    (tree,) = [tree for __, tree in _trees("runtime/engine.py")]
+    return [
+        f"{cls.name}.{method.name}"
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for method in cls.body
+        if isinstance(method, ast.FunctionDef)
+        and any(predicate(node) for node in ast.walk(method))
+    ]
+
+
+def _calls(attr):
+    return lambda node: (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == attr
+    )
+
+
+class TestReplicaChoiceWrittenInOnePlace:
+    """A replica is chosen, a confirmation continued and a connection
+    owned in one place each."""
+
+    def test_the_merged_helpers_are_gone(self):
+        for name in (
+            "_confirm_pending", "_start_confirmation", "_confirm_failed",
+            "_confirm_target", "_maybe_hedge_on_failure",
+        ):
+            assert not hasattr(_Execution, name), name
+        assert not hasattr(Federation, "substitutes_for")
+
+    def test_health_allow_is_asked_by_dispatch_and_the_chooser(self):
+        assert _engine_methods_where(_calls("allow")) == [
+            "_Execution._start_attempt", "_Execution._free_replica",
+        ]
+
+    def test_one_predicate_says_whose_connection_it_is(self):
+        assert _engine_methods_where(_calls("holds")) == [
+            "_Execution._free_replica", "_Execution._launch",
+            "_Execution._cancel", "_Execution._handle_complete",
+        ]
+        reads = _engine_methods_where(
+            lambda node: isinstance(node, ast.Attribute)
+            and node.attr == "slot_released"
+            and isinstance(node.ctx, ast.Load)
+        )
+        assert reads == [
+            "_Task.holds", "_Execution._release_slot", "_Execution._finish_remote",
+        ]
+
+    def test_replanning_reads_the_engines_substitutability_map(self, monkeypatch):
+        federation = replicate_federation(dmv_fig1()[0], 2)
+        executor = Mediator(federation, backend="runtime", replan=2).replanner
+        assert executor.engine.substitutes_for("R1") == ("R1~1",)  # built once
+
+        def rebuilt(*args, **kwargs):
+            raise AssertionError("the substitutability map was rebuilt")
+
+        monkeypatch.setattr(Federation, "substitutability", rebuilt)
+        assert executor._replacement("R1", ["R2", "R3"], ["R1"]) == "R1~1"

@@ -9,6 +9,8 @@ would keep every mirror idle).
 
 from __future__ import annotations
 
+import pytest
+
 from repro.mediator.session import Mediator
 from repro.obs import Recorder
 from repro.plans.builder import build_filter_plan
@@ -19,7 +21,7 @@ from repro.runtime.faults import (
     FaultInjector,
     FaultProfile,
 )
-from repro.runtime.health import BreakerState, QuarantineConfig
+from repro.runtime.health import BreakerConfig, BreakerState, QuarantineConfig
 from repro.sources.generators import (
     DMV_FIG1_ANSWER,
     dmv_fig1,
@@ -233,8 +235,6 @@ class TestVoteWithHedging:
         # not start another primary attempt.  It used to, and the stray
         # attempt finished the task a second time, so a local operation
         # downstream ran before its other input existed (a TypeError).
-        from repro.runtime.health import BreakerConfig
-
         federation, query = dmv_fig1()
         federation = replicate_federation(federation, 3)
         recorder = Recorder()
@@ -260,3 +260,77 @@ class TestVoteWithHedging:
             )
             late = [a for a in span.attempts if a.start_s >= answered_s]
             assert all(a.hedge or a.confirm for a in late)
+
+
+def overlapping_attempts(trace):
+    """Pairs of live (not cancelled) attempts that shared a connection:
+    same source, intervals overlapping in virtual time."""
+    live = sorted(
+        (attempt.source, attempt.start_s, attempt.end_s, span.step)
+        for span in trace.remote_spans
+        for attempt in span.attempts
+        if attempt.fate is not AttemptFate.CANCELLED
+    )
+    return [
+        (earlier, later)
+        for earlier, later in zip(live, live[1:])
+        if earlier[0] == later[0] and later[1] < earlier[2]
+    ]
+
+
+def mirrored_engine(data, seed, **resilience):
+    """2-way replicated Fig. 1, FILTER over all six sources, 40 % wire
+    faults everywhere and ``data`` tampering on the ``~1`` mirrors."""
+    federation, query = dmv_fig1()
+    federation = replicate_federation(federation, 2)
+    mirrors = {
+        name: FaultProfile(transient_rate=0.4, data=data)
+        for name in federation.source_names
+        if name.endswith("~1")
+    }
+    engine = RuntimeEngine(
+        federation,
+        Resilience(verify="vote", quarantine=QuarantineConfig(cooldown_s=0.5), **resilience),
+        faults=FaultInjector(mirrors, seed=seed, default=FaultProfile.flaky(0.4)),
+    )
+    return engine, build_filter_plan(query, federation.source_names)
+
+
+class TestOneAttemptPerConnection:
+    """A source's one wrapper connection serves one attempt at a time.
+
+    A task that parks for a confirmation gives its slot back; the slot
+    is no longer its own, so a later confirmation there must wait for
+    it like any other busy member (and mark it busy when it runs).
+    """
+
+    def test_a_released_slot_is_not_reused_while_another_task_holds_it(self):
+        engine, plan = mirrored_engine(DataFaultProfile.corrupting(1.0), seed=0)
+        engine.run(plan)
+        second = engine.run(plan)
+        # Step 2 used to confirm on R1~1 over [1.702, 1.902] s while
+        # step 9's attempt held it over [1.706, 1.907] s.
+        assert overlapping_attempts(second.trace) == []
+        confirms = {
+            span.step: (attempt.start_s, attempt.end_s)
+            for span in second.trace.remote_spans
+            for attempt in span.attempts
+            if attempt.source == "R1~1" and attempt.confirm
+        }
+        assert confirms[2][0] >= confirms[9][1]  # step 2 now waits its turn
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize(
+        "data",
+        [DataFaultProfile(stale_rate=0.7), DataFaultProfile.corrupting(1.0)],
+        ids=["stale", "corrupting"],
+    )
+    @pytest.mark.parametrize("breaker", [None, BreakerConfig.aggressive()], ids=["no-breaker", "breaker"])
+    @pytest.mark.parametrize("hedge", [None, 0.05], ids=["no-hedge", "hedge"])
+    @pytest.mark.parametrize("load_balance", [False, True], ids=["planned", "balanced"])
+    def test_no_two_live_attempts_share_a_connection(self, load_balance, hedge, breaker, data, seed):
+        engine, plan = mirrored_engine(
+            data, seed, load_balance=load_balance, hedge_delay_s=hedge, breaker=breaker
+        )
+        for __ in range(3):
+            assert overlapping_attempts(engine.run(plan).trace) == []
