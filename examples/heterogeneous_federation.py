@@ -77,7 +77,6 @@ def main() -> None:
         federation,
         statistics=statistics,
         cost_model=calibrated_model,
-        optimizer=repro.SJAPlusOptimizer(),
         verify=True,
     )
     answer = mediator.answer(query)

@@ -57,7 +57,7 @@ def main() -> None:
     for optimizer in optimizers:
         mediator = repro.Mediator(
             federation,
-            optimizer=optimizer,
+            planning=repro.Planning(optimizer=optimizer),
             verify=True,
             resilience=repro.Resilience(
                 policy=repro.RetryPolicy(max_retries=8)

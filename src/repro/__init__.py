@@ -70,6 +70,7 @@ from repro.optimize import (
     FilterOptimizer,
     GreedySJAOptimizer,
     JoinOverUnionOptimizer,
+    Planning,
     SJAOptimizer,
     SJAPlusOptimizer,
     SJOptimizer,
@@ -159,6 +160,7 @@ __all__ = [
     "SelectivityOrderOptimizer",
     "JoinOverUnionOptimizer",
     "search_ordering",
+    "Planning",
     "Executor",
     "Mediator",
     "PlanCache",

@@ -26,7 +26,7 @@ import os
 from repro.bench.report import Table, join_sections
 from repro.bench.serving import DMV_SQL
 from repro.mediator import Mediator
-from repro.optimize.search import PlanningBudget
+from repro.optimize import Planning, SJAPlusOptimizer
 from repro.serve import (
     MediatorService,
     TenantSpec,
@@ -331,7 +331,7 @@ def run_deadlines(
         "anytime planning under a node-count budget (DMV query)",
         ["budget", "strategy", "cost", "subsets", "exhausted"],
     )
-    reference = Mediator(federation, search="dp").plan(DMV_SQL)
+    reference = Mediator(federation, planning=Planning(search="dp")).plan(DMV_SQL)
     budget_table.add_row(
         [
             "-",
@@ -342,10 +342,13 @@ def run_deadlines(
         ]
     )
     for max_subsets in (None, 16, 1):
-        budget = PlanningBudget(max_subsets=max_subsets)
-        result = Mediator(
-            federation, search="anytime", planning_budget=budget
-        ).plan(DMV_SQL)
+        # Only an instance asks for an unbudgeted anytime search.
+        planning = (
+            Planning(optimizer=SJAPlusOptimizer(search="anytime"))
+            if max_subsets is None
+            else Planning(budget=max_subsets)
+        )
+        result = Mediator(federation, planning=planning).plan(DMV_SQL)
         budget_table.add_row(
             [
                 "unbounded" if max_subsets is None else max_subsets,

@@ -29,6 +29,7 @@ from repro.mediator.schedule import response_time
 from repro.mediator.session import Mediator
 from repro.obs.recorder import Recorder
 from repro.optimize.filter import FilterOptimizer
+from repro.optimize.planning import Planning
 from repro.optimize.response_time import ResponseTimeSJAOptimizer
 from repro.optimize.robust import RobustOptimizer
 from repro.optimize.sj import SJOptimizer
@@ -1126,7 +1127,7 @@ def run_search_scaling(
 
     mediator = Mediator(
         kit.federation,
-        optimizer=_CountingOptimizer(search="dp"),
+        planning=Planning(optimizer=_CountingOptimizer(search="dp")),
         plan_cache=PlanCache(),
     )
     queries = [

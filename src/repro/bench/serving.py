@@ -20,6 +20,7 @@ import json
 import os
 
 from repro.bench.report import Table, join_sections
+from repro.optimize.planning import Planning
 from repro.optimize.sja_plus import SJAPlusOptimizer
 from repro.runtime import BreakerConfig, Resilience
 from repro.serve import (
@@ -277,7 +278,7 @@ def run_serving(
         pool_slots=pool_slots,
         queue_limit=queue_limit,
         seed=seed,
-        optimizer=_CountingOptimizer(),
+        planning=Planning(optimizer=_CountingOptimizer()),
     )
     repeat_report = run_workload(service, arrivals)
     cache = service.plan_cache

@@ -31,7 +31,7 @@ from repro.bench.report import Table, join_sections
 from repro.bench.serving import DMV_SQL
 from repro.mediator import Mediator
 from repro.obs import EventLog, Recorder
-from repro.optimize import FilterOptimizer
+from repro.optimize import Planning
 from repro.runtime import (
     DataFaultProfile,
     FaultInjector,
@@ -62,7 +62,7 @@ def _mediator(
     return Mediator(
         federation,
         backend="runtime",
-        optimizer=FilterOptimizer(),
+        planning=Planning(optimizer="filter"),
         faults=FaultInjector(_mirror_profiles(), seed=seed),
         resilience=Resilience(
             quarantine=QuarantineConfig.default() if verify != "off" else None,

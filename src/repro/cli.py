@@ -9,8 +9,8 @@ Subcommands:
   ``--fault-rate``/``--retries``/``--timeline`` to inject failures and
   watch the retry behaviour, ``--hedge-delay``/``--breaker``/
   ``--replan`` to recover via replicas when the spec declares them,
-  ``--robust``/``--robustness-lambda`` to plan for the faulty setting
-  by expected completeness, and ``--load-balance`` to spread healthy
+  ``--optimizer robust``/``--robustness-lambda`` to plan for the faulty
+  setting by expected completeness, and ``--load-balance`` to spread healthy
   traffic across replica groups; ``--data-faults`` tampers with
   delivered payloads (truncated/stale/duplicate/corrupt), ``--verify``
   sanitizes or cross-replica-votes every answer, and ``--quarantine``
@@ -41,30 +41,17 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
 from repro.errors import FusionError, NotAFusionQueryError
 from repro.io import load_federation, save_federation
 from repro.mediator.session import Mediator
-from repro.optimize import (
-    FilterOptimizer,
-    GreedySJAOptimizer,
-    SJAOptimizer,
-    SJAPlusOptimizer,
-    SJOptimizer,
-)
-from repro.optimize.search import DEFAULT_BEAM_WIDTH, STRATEGIES
+from repro.optimize.planning import OPTIMIZERS, SEARCHES, Planning
+from repro.optimize.search import DEFAULT_BEAM_WIDTH
 from repro.query.sqlparse import is_aggregate_query, parse_fusion_query
 from repro.sources.generators import dmv_fig1
-
-_OPTIMIZERS = {
-    "filter": FilterOptimizer,
-    "sj": SJOptimizer,
-    "sja": SJAOptimizer,
-    "sja+": SJAPlusOptimizer,
-    "greedy": GreedySJAOptimizer,
-}
 
 #: Where ``--emit-events`` lands when no path is given: under
 #: ``results/``, next to the benchmark reports, never the repo root.
@@ -73,18 +60,12 @@ DEFAULT_EVENTS_PATH = os.path.join("results", "events.jsonl")
 #: Where ``--trace-export`` lands when no path is given.
 DEFAULT_TRACE_PATH = os.path.join("results", "trace.json")
 
-#: Optimizers whose constructors accept search=/beam_width=.
-_SEARCHABLE = {"sj", "sja", "sja+"}
 
-
-def _make_optimizer(
-    name: str, search: str = "auto", beam_width: int = DEFAULT_BEAM_WIDTH
-):
-    """Instantiate a named optimizer, passing search knobs where they apply."""
-    factory = _OPTIMIZERS[name]
-    if name in _SEARCHABLE:
-        return factory(search=search, beam_width=beam_width)
-    return factory()
+def _planning(args) -> Planning:
+    """The Planning fields this subcommand has flags for, as one value
+    (each planner flag's ``dest`` is its field's name)."""
+    given = vars(args).keys() & {f.name for f in dataclasses.fields(Planning)}
+    return Planning(**{name: getattr(args, name) for name in given})
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -107,13 +88,16 @@ def _build_parser() -> argparse.ArgumentParser:
         if name != "check":
             sub.add_argument(
                 "--optimizer",
-                choices=sorted(_OPTIMIZERS),
+                choices=OPTIMIZERS,
                 default="sja+",
-                help="planning algorithm (default: sja+)",
+                help="planning algorithm; 'robust' ranks candidate plans "
+                "by cost + λ·(1−expected completeness)·penalty instead "
+                "of cost alone, using the fault regime and live source "
+                "health (default: sja+)",
             )
             sub.add_argument(
                 "--search",
-                choices=STRATEGIES,
+                choices=SEARCHES,
                 default="auto",
                 help="plan-search strategy: exhaustive is the faithful "
                 "m! sweep, dp/bnb the exact subset search, beam an "
@@ -228,20 +212,13 @@ def _build_parser() -> argparse.ArgumentParser:
                 "answers (runtime backend; default: 0)",
             )
             sub.add_argument(
-                "--robust",
-                action="store_true",
-                help="rank candidate plans by cost + λ·(1−expected "
-                "completeness)·penalty instead of cost alone, using "
-                "the fault regime and live source health (overrides "
-                "--optimizer)",
-            )
-            sub.add_argument(
                 "--robustness-lambda",
+                dest="robustness",
                 type=float,
                 default=1.0,
                 metavar="L",
-                help="the λ exchange rate of --robust: how much extra "
-                "wire cost one unit of expected completeness is worth "
+                help="the λ exchange rate of --optimizer robust: how much "
+                "extra wire cost one unit of expected completeness is worth "
                 "(default: 1.0)",
             )
             sub.add_argument(
@@ -433,6 +410,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     workload.add_argument(
         "--planning-budget",
+        dest="budget",
         type=int,
         default=None,
         metavar="N",
@@ -507,23 +485,14 @@ def _load_observed_statistics(path: str | None):
     return statistics
 
 
-def _write_events(events, path: str) -> None:
-    """Persist an event log, creating the target directory if needed."""
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    events.write(path)
-    print()
-    print(f"wrote {len(events)} events to {path}")
-
-
-def _emit_telemetry(answer, recorder, args) -> None:
-    """Print/persist whatever telemetry the flags asked for."""
+def _emit_telemetry(args, recorder, profile=None) -> None:
+    """Print ``profile``, then the ``--metrics`` snapshot, then write the
+    ``--emit-events`` log (creating its directory if needed)."""
     if recorder is None:
         return
-    if args.profile and answer.execution.profile is not None:
+    if profile is not None:
         print()
-        print(answer.execution.profile.render())
+        print(profile.render())
     if args.metrics is not None and recorder.metrics is not None:
         print()
         if args.metrics == "prom":
@@ -531,24 +500,12 @@ def _emit_telemetry(answer, recorder, args) -> None:
         else:
             print(recorder.metrics.to_json_text())
     if args.emit_events is not None:
-        _write_events(recorder.events, args.emit_events)
-
-
-def _planning_options(args, recorder, statistics) -> dict:
-    """The Mediator keywords both query backends share."""
-    return dict(
-        statistics=statistics,
-        optimizer=(
-            "robust"
-            if args.robust
-            else _make_optimizer(args.optimizer, args.search, args.beam_width)
-        ),
-        robustness=args.robustness_lambda,
-        recorder=recorder,
-        plan_cache=args.plan_cache,
-        search=args.search,
-        beam_width=args.beam_width,
-    )
+        directory = os.path.dirname(args.emit_events)
+        if directory:
+            os.makedirs(directory, exist_ok=True)
+        recorder.events.write(args.emit_events)
+        print()
+        print(f"wrote {len(recorder.events)} events to {args.emit_events}")
 
 
 def _command_query(args) -> int:
@@ -567,7 +524,11 @@ def _command_query(args) -> int:
     if args.runtime:
         return _run_runtime(federation, args, recorder, statistics)
     mediator = Mediator(
-        federation, **_planning_options(args, recorder, statistics)
+        federation,
+        statistics=statistics,
+        planning=_planning(args),
+        recorder=recorder,
+        plan_cache=args.plan_cache,
     )
     if is_aggregate_query(args.sql):
         return _run_aggregate(mediator, args.sql, args.pushdown)
@@ -582,7 +543,9 @@ def _command_query(args) -> int:
     print(answer.summary())
     if mediator.plan_cache is not None:
         print(mediator.plan_cache.summary())
-    _emit_telemetry(answer, recorder, args)
+    _emit_telemetry(
+        args, recorder, answer.execution.profile if args.profile else None
+    )
     return 0
 
 
@@ -641,7 +604,10 @@ def _run_runtime(federation, args, recorder, statistics) -> int:
         faults=FaultInjector(profiles, seed=args.fault_seed, default=default),
         resilience=resilience,
         replan=args.replan,
-        **_planning_options(args, recorder, statistics),
+        statistics=statistics,
+        planning=_planning(args),
+        recorder=recorder,
+        plan_cache=args.plan_cache,
     )
     if is_aggregate_query(args.sql):
         return _run_aggregate(
@@ -651,10 +617,10 @@ def _run_runtime(federation, args, recorder, statistics) -> int:
     assert answer.runtime is not None
     print(answer.plan.pretty())
     print()
-    if args.robust:
+    if mediator.planning.optimizer == "robust":
         opt = answer.optimization
         print(
-            f"robust ranking (λ={args.robustness_lambda:g}): "
+            f"robust ranking (λ={mediator.planning.robustness:g}): "
             f"E[completeness] {opt.expected_completeness:.3f}, "
             f"utility {opt.utility:.1f}"
         )
@@ -691,7 +657,9 @@ def _run_runtime(federation, args, recorder, statistics) -> int:
             trace=answer.runtime.trace,
         )
         print(f"completeness: {report.summary()}")
-    _emit_telemetry(answer, recorder, args)
+    _emit_telemetry(
+        args, recorder, answer.execution.profile if args.profile else None
+    )
     return 0
 
 
@@ -717,19 +685,9 @@ def _run_adaptive(mediator: Mediator, sql: str) -> int:
     return 0
 
 
-def _command_explain(
-    spec: str,
-    sql: str,
-    optimizer_name: str,
-    search: str = "auto",
-    beam_width: int = DEFAULT_BEAM_WIDTH,
-) -> int:
-    federation = load_federation(spec)
-    mediator = Mediator(
-        federation,
-        optimizer=_make_optimizer(optimizer_name, search, beam_width),
-    )
-    print(mediator.explain(sql))
+def _command_explain(args) -> int:
+    mediator = Mediator(load_federation(args.spec), planning=_planning(args))
+    print(mediator.explain(args.sql))
     return 0
 
 
@@ -886,7 +844,7 @@ def _command_workload(args) -> int:
             verify=args.verify,
         ),
         shed_policy=args.shed_policy,
-        planning_budget=args.planning_budget,
+        planning=_planning(args),
     )
     spec = WorkloadSpec(
         queries=tuple(args.sql),
@@ -934,14 +892,7 @@ def _command_workload(args) -> int:
         quarantined = sorted(service.health.quarantined_names())
         if quarantined:
             print("  quarantined:", ", ".join(quarantined))
-    if args.metrics is not None:
-        print()
-        if args.metrics == "prom":
-            print(service.metrics.to_prometheus())
-        else:
-            print(service.metrics.to_json_text())
-    if args.emit_events is not None:
-        _write_events(service.recorder.events, args.emit_events)
+    _emit_telemetry(args, service.recorder)
     if args.trace_export is not None:
         if service.spans is None:
             print("trace export: tracing is off, nothing to write")
@@ -969,13 +920,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "query":
             return _command_query(args)
         if args.command == "explain":
-            return _command_explain(
-                args.spec,
-                args.sql,
-                args.optimizer,
-                search=args.search,
-                beam_width=args.beam_width,
-            )
+            return _command_explain(args)
         if args.command == "check":
             return _command_check(args.spec, args.sql)
         if args.command == "workload":

@@ -32,9 +32,8 @@ from repro.mediator.executor import ExecutionResult, Executor
 from repro.mediator.plan_cache import PlanCache
 from repro.mediator.reference import reference_aggregate, reference_answer
 from repro.optimize.base import OptimizationResult, Optimizer
-from repro.optimize.robust import RobustOptimizer
-from repro.optimize.search import DEFAULT_BEAM_WIDTH, PlanningBudget
-from repro.optimize.sja_plus import SJAPlusOptimizer
+from repro.optimize.planning import Planning
+from repro.optimize.search import PlanningBudget
 from repro.plans.aggregate import AggregatePlan, plan_aggregate
 from repro.plans.cost import estimate_plan_cost
 from repro.plans.plan import Plan
@@ -48,7 +47,6 @@ from repro.relational.aggregates import (
     partial_aggregate_rows,
 )
 from repro.relational.relation import Relation
-from repro.runtime.availability import AvailabilityModel, ObservedAvailability
 from repro.runtime.engine import Resilience, RuntimeEngine, RuntimeResult
 from repro.runtime.faults import FaultInjector
 from repro.runtime.health import HealthRegistry
@@ -153,11 +151,11 @@ class Mediator:
         cost_model: Cost model (defaults to
             :class:`~repro.costs.charge.ChargeCostModel` over the
             federation's declared link profiles).
-        optimizer: Planning algorithm (defaults to
-            :class:`~repro.optimize.sja_plus.SJAPlusOptimizer`), or the
-            string ``"robust"`` to build a completeness-aware
-            :class:`~repro.optimize.robust.RobustOptimizer` wired to
-            this mediator's fault injector and live health registry.
+        planning: How plans are found: one
+            :class:`~repro.optimize.planning.Planning` value (default:
+            ``Planning()`` — SJA+ with ``search="auto"``; each field is
+            documented there).  The mediator builds its own optimizer
+            from it, ``mediator.optimizer``.
         verify: When True, every answer is checked against the
             materialized-U oracle and a mismatch raises
             :class:`~repro.errors.ExecutionError` — invaluable in tests,
@@ -172,11 +170,6 @@ class Mediator:
             fingerprint plus the statistics provider's fingerprint, so
             an :class:`~repro.sources.observed.ObservedStatistics`
             refresh invalidates stale plans automatically.
-        search: Plan-search strategy (``"auto"``, ``"exhaustive"``,
-            ``"dp"``, ``"bnb"``, ``"beam"``) handed to the default
-            optimizer stack; ignored when an ``optimizer`` instance is
-            supplied (configure that instance directly).
-        beam_width: Beam width for ``search="beam"``.
         backend: ``"sequential"`` executes plans one operation at a time
             (the paper's total-work setting); ``"runtime"`` executes
             them concurrently on the discrete-event engine of
@@ -190,10 +183,6 @@ class Mediator:
         replan: Re-planning rounds allowed after a degraded run (dead
             sources masked, substitutes swapped in, answers merged by
             union).  ``True`` means 2 rounds; 0 / ``False`` disables.
-        robustness: The λ exchange rate of the robust optimizer — how
-            much extra wire cost buying back one unit of expected
-            completeness is worth (only used with
-            ``optimizer="robust"``).
         recorder: Optional :class:`repro.obs.Recorder`.  When attached,
             both backends emit structured events and metrics, breaker
             transitions are observed, every answer's
@@ -208,13 +197,6 @@ class Mediator:
             across all workers so breaker state learned by one query
             reroutes the next.  The registry's own breaker / quarantine
             configuration then wins over ``resilience``'s.
-        planning_budget: A mutable
-            :class:`~repro.optimize.search.PlanningBudget` handed to the
-            default optimizer stack (ignored when an ``optimizer``
-            instance is supplied).  Pair it with ``search="anytime"``
-            and re-arm it before each ``plan()`` to bound optimization
-            effort per query — the serving tier does exactly this under
-            queue pressure.
     """
 
     def __init__(
@@ -222,19 +204,15 @@ class Mediator:
         federation: Federation,
         statistics: StatisticsProvider | None = None,
         cost_model: CostModel | None = None,
-        optimizer: Optimizer | str | None = None,
+        planning: Planning | None = None,
         verify: bool = False,
         backend: str = "sequential",
         faults: FaultInjector | None = None,
         resilience: Resilience | None = None,
         replan: int | bool = 0,
-        robustness: float = 1.0,
         recorder=None,
         plan_cache: PlanCache | int | bool | None = None,
-        search: str = "auto",
-        beam_width: int = DEFAULT_BEAM_WIDTH,
         health: HealthRegistry | None = None,
-        planning_budget: "PlanningBudget | None" = None,
     ):
         if backend not in BACKENDS:
             raise ValueError(
@@ -269,35 +247,9 @@ class Mediator:
         self.executor = Executor(
             federation, max_retries=runtime.policy.max_retries, recorder=recorder
         )
-        if optimizer == "robust":
-            # Prior from the injected-fault statistics, sharpened live
-            # by the engine's health registry as attempts accumulate.
-            prior = (
-                AvailabilityModel.from_faults(
-                    runtime.faults, runtime.policy, federation.source_names
-                )
-                if faults is not None
-                else AvailabilityModel.perfect()
-            )
-            optimizer = RobustOptimizer(
-                federation,
-                availability=ObservedAvailability(runtime.health, prior=prior),
-                robustness=robustness,
-                # With hedging, breakers, or re-planning the executor
-                # reaches declared mirrors on its own; the planner then
-                # credits that redundancy instead of duplicating work.
-                failover=runtime.resilient or self.max_replans > 0,
-                search=search,
-                beam_width=beam_width,
-                planning_budget=planning_budget,
-            )
-        elif isinstance(optimizer, str):
-            raise ValueError(
-                f"unknown optimizer {optimizer!r}; pass an Optimizer "
-                "instance or the string 'robust'"
-            )
-        self.optimizer: Optimizer = optimizer or SJAPlusOptimizer(
-            search=search, beam_width=beam_width, planning_budget=planning_budget
+        self.planning = planning = planning or Planning()
+        self.optimizer: Optimizer = planning.optimizer_for(
+            runtime, faults, self.max_replans
         )
         self.plan_cache: PlanCache | None = PlanCache.of(plan_cache)
         self.replanner = (

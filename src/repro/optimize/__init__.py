@@ -62,6 +62,7 @@ from repro.optimize.robust import (
     RobustOptimizationResult,
     RobustOptimizer,
 )
+from repro.optimize.planning import Planning
 
 __all__ = [
     "Optimizer",
@@ -82,6 +83,7 @@ __all__ = [
     "RobustOptimizer",
     "RobustOptimizationResult",
     "CandidateScore",
+    "Planning",
     "STRATEGIES",
     "DEFAULT_BEAM_WIDTH",
     "SearchOutcome",

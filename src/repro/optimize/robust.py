@@ -33,8 +33,8 @@ re-searching plan space:
 
 Re-planning integration: a :class:`RobustOptimizer` handed to
 :class:`~repro.runtime.replan.ResilientExecutor` (or to
-``Mediator(optimizer="robust", replan=...)``) re-ranks every replan
-round with the same utility, and an
+``Mediator(planning=Planning(optimizer="robust"), replan=...)``)
+re-ranks every replan round with the same utility, and an
 :class:`~repro.runtime.availability.ObservedAvailability` model reads
 the shared health registry live — sources that died in earlier rounds
 are down-weighted automatically.

@@ -751,3 +751,26 @@ class StagedOptimizer(Optimizer):
             subsets_considered=outcome.subsets_considered,
             budget_exhausted=outcome.budget_exhausted,
         )
+
+
+class SearchedOptimizer(StagedOptimizer):
+    """A staged optimizer whose ordering is a :func:`search_ordering`
+    call (Figs. 3 and 4).  ``planning_budget`` is mutable and consulted
+    per ``optimize()``: a serving tier re-arms it before each plan."""
+
+    def __init__(
+        self,
+        search: str = "auto",
+        beam_width: int = DEFAULT_BEAM_WIDTH,
+        planning_budget: PlanningBudget | None = None,
+    ):
+        self.search = search
+        self.beam_width = beam_width
+        self.planning_budget = planning_budget
+
+    def _ordering(
+        self, problem: StagedEstimatorProblem, m: int
+    ) -> SearchOutcome:
+        return search_ordering(
+            problem, m, self.search, self.beam_width, self.planning_budget
+        )

@@ -16,12 +16,9 @@ switches to the exact subset DP beyond it.
 from __future__ import annotations
 
 from repro.optimize.search import (
-    DEFAULT_BEAM_WIDTH,
-    SearchOutcome,
+    SearchedOptimizer,
     StagedEstimatorProblem,
-    StagedOptimizer,
     StageOutcome,
-    search_ordering,
 )
 from repro.plans.builder import IntersectPolicy, StagedChoice
 
@@ -51,7 +48,7 @@ class SJStagedProblem(StagedEstimatorProblem):
         return self._uniform(semijoin_cost, StagedChoice.SEMIJOIN)
 
 
-class SJOptimizer(StagedOptimizer):
+class SJOptimizer(SearchedOptimizer):
     """Compute the optimal semijoin plan (Fig. 3).
 
     Example:
@@ -73,14 +70,3 @@ class SJOptimizer(StagedOptimizer):
     stage_rule = SJStagedProblem
     intersect_policy = IntersectPolicy.AUTO
     description = "SJ optimal semijoin plan"
-
-    def __init__(
-        self, search: str = "auto", beam_width: int = DEFAULT_BEAM_WIDTH
-    ):
-        self.search = search
-        self.beam_width = beam_width
-
-    def _ordering(
-        self, problem: StagedEstimatorProblem, m: int
-    ) -> SearchOutcome:
-        return search_ordering(problem, m, self.search, self.beam_width)

@@ -20,11 +20,9 @@ from __future__ import annotations
 from repro.optimize.search import (
     DEFAULT_BEAM_WIDTH,
     PlanningBudget,
-    SearchOutcome,
+    SearchedOptimizer,
     StagedEstimatorProblem,
-    StagedOptimizer,
     StageOutcome,
-    search_ordering,
 )
 from repro.plans.builder import IntersectPolicy, StagedChoice
 
@@ -61,7 +59,7 @@ class SJAStagedProblem(StagedEstimatorProblem):
         return StageOutcome(cost, tuple(stage_choices))
 
 
-class SJAOptimizer(StagedOptimizer):
+class SJAOptimizer(SearchedOptimizer):
     """Compute the optimal semijoin-adaptive plan (Fig. 4).
 
     Example:
@@ -90,23 +88,8 @@ class SJAOptimizer(StagedOptimizer):
         beam_width: int = DEFAULT_BEAM_WIDTH,
         planning_budget: PlanningBudget | None = None,
     ):
+        super().__init__(search, beam_width, planning_budget)
         # Fig. 4 appends the stage-end intersection unconditionally; the
         # policy is configurable because the intersection is free and
         # some tests compare plan shapes against Fig. 2(c).
         self.intersect_policy = intersect_policy
-        self.search = search
-        self.beam_width = beam_width
-        # Mutable, consulted per optimize() call: the serving tier
-        # re-arms it before each plan() under search="anytime".
-        self.planning_budget = planning_budget
-
-    def _ordering(
-        self, problem: StagedEstimatorProblem, m: int
-    ) -> SearchOutcome:
-        return search_ordering(
-            problem,
-            m,
-            self.search,
-            self.beam_width,
-            budget=self.planning_budget,
-        )

@@ -61,8 +61,8 @@ from repro.obs.spans import (
     engine_spans,
     serve_spans,
 )
-from repro.optimize.base import OptimizationResult, Optimizer
-from repro.optimize.search import PlanningBudget
+from repro.optimize.base import OptimizationResult
+from repro.optimize.planning import Planning
 from repro.query.fusion import FusionQuery
 from repro.relational.columnar import substrate_summary
 from repro.runtime.engine import Resilience
@@ -188,9 +188,14 @@ class MediatorService:
             *every* tenant's subsequent queries.  The service recovers
             inside a run and never re-plans: pool slots are held for
             the sources of the plan made at dispatch.
-        optimizer: Planning algorithm for every mediator — an
-            :class:`~repro.optimize.base.Optimizer` instance or
-            ``"robust"`` (default: SJA+).
+        planning: One :class:`~repro.optimize.planning.Planning` value,
+            handed unchanged to every worker's mediator (each builds its
+            own optimizer, with a private budget).  Its ``budget`` is
+            the subset-expansion budget of one query on an idle
+            service; :meth:`_arm_planning` shrinks it under queue
+            pressure and near deadlines, and the ticket's
+            ``planning_budget_exhausted`` flag records a cut-short
+            search.
         statistics: Shared statistics provider (default: one
             :class:`~repro.sources.statistics.ExactStatistics`); pass
             an :class:`~repro.sources.observed.ObservedStatistics` plus
@@ -207,21 +212,6 @@ class MediatorService:
             ``"none"`` only validates deadlines and lets everything
             queue.  Queries without a deadline are never shed by either
             policy.
-        planning_budget: Per-query anytime-planning budget: the base
-            number of branch-and-bound subset expansions the optimizer
-            may spend on one query when the service is otherwise idle.
-            Under queue pressure (and with little deadline remaining)
-            the armed budget shrinks, so planning gets out of the way
-            exactly when latency matters; the ticket's
-            ``planning_budget_exhausted`` flag records a cut-short
-            search.  In thread mode the armed budget additionally
-            carries a wall-clock limit sized from the measured
-            optimizer latency (an EWMA over completed ``plan()``
-            calls), so real planning time — not just node counts — is
-            bounded; deterministic mode never arms wall clocks, which
-            would make replay machine-dependent.  Enables
-            ``search="anytime"`` on every mediator.
-            ``None`` (default) leaves planning unbounded.
         tracing: Build a causal span tree for every query (default
             on): a deterministic per-query ``trace_id``
             (:func:`~repro.obs.spans.derive_trace_id` over the workload
@@ -246,12 +236,11 @@ class MediatorService:
         churn: ChurnWave | None = None,
         data_faults: DataFaultProfile | dict[str, DataFaultProfile] | None = None,
         resilience: Resilience | None = None,
-        optimizer: Optimizer | str | None = None,
+        planning: Planning | None = None,
         statistics: StatisticsProvider | None = None,
         plan_cache: PlanCache | int | bool | None = True,
         mine_statistics: bool = False,
         shed_policy: str = "deadline",
-        planning_budget: int | None = None,
         tracing: bool = True,
     ):
         if mode not in MODES:
@@ -265,10 +254,6 @@ class MediatorService:
                 f"unknown shed_policy {shed_policy!r}; "
                 f"choose from {SHED_POLICIES}"
             )
-        if planning_budget is not None and planning_budget < 1:
-            raise ServiceError(
-                f"planning_budget must be >= 1, got {planning_budget}"
-            )
         self.federation = federation
         self.mode = mode
         self.seed = seed
@@ -276,7 +261,7 @@ class MediatorService:
         self.churn = churn
         self.data_faults = data_faults
         self.resilience = resilience = resilience or Resilience()
-        self.optimizer = optimizer
+        self.planning = planning or Planning()
         self.mine_statistics = mine_statistics
         roster = list(tenants) if tenants else [DEFAULT_TENANT]
         self.tenants = {spec.name: spec for spec in roster}
@@ -284,7 +269,6 @@ class MediatorService:
         self.admission = AdmissionController(roster, queue_limit)
         self.pools = SourcePools(pool_slots)
         self.shed_policy = shed_policy
-        self.planning_budget = planning_budget
         # Effective parallelism for the queue-wait prediction: worker
         # count under threads; under the virtual clock overlap is
         # bounded by per-source pool slots instead.
@@ -353,20 +337,15 @@ class MediatorService:
     # Shared helpers
 
     def _make_mediator(self, recorder: Recorder) -> Mediator:
-        budget = self.planning_budget
         return Mediator(
             self.federation,
             statistics=self.statistics,
-            optimizer=self.optimizer,
+            planning=self.planning,
             backend="runtime",
             resilience=self.resilience,
             recorder=recorder,
             plan_cache=self.plan_cache,
-            search="auto" if budget is None else "anytime",
             health=self.health,
-            # Every mediator owns a private (mutable) budget — thread
-            # workers re-arm theirs without racing each other.
-            planning_budget=budget and PlanningBudget(max_subsets=budget),
         )
 
     def _arm_planning(
@@ -389,9 +368,10 @@ class MediatorService:
         traces) machine-dependent.
         """
         budget = mediator.planning_budget
-        if budget is None or self.planning_budget is None:
+        base = self.planning.budget
+        if budget is None or base is None:
             return
-        subsets = max(1, self.planning_budget // (1 + self.queue_depth))
+        subsets = max(1, base // (1 + self.queue_depth))
         if ticket.deadline_s is not None:
             remaining = ticket.submitted_s + ticket.deadline_s - now_s
             if remaining < 0.5 * ticket.deadline_s:
@@ -401,7 +381,7 @@ class MediatorService:
             with self._cond:
                 ewma = self._plan_latency_ewma
             if ewma is not None:
-                pressure = subsets / self.planning_budget
+                pressure = subsets / base
                 wall_clock_s = max(0.01, 2.0 * ewma * pressure)
         budget.arm(max_subsets=subsets, wall_clock_s=wall_clock_s)
 

@@ -27,6 +27,7 @@ from repro.sources.statistics import (
     HistogramStatistics,
     SampledStatistics,
 )
+from repro.optimize.planning import Planning
 
 
 class TestBibliographicScenario:
@@ -61,7 +62,7 @@ class TestBibliographicScenario:
         federation = bibliographic_federation(
             n_libraries=4, n_documents=150, seed=4
         )
-        mediator = Mediator(federation, optimizer=SJAOptimizer(), verify=True)
+        mediator = Mediator(federation, planning=Planning(optimizer=SJAOptimizer()), verify=True)
         query = bibliographic_query(("internet", "wrapper"))
         answer = mediator.answer(query)
         assert answer.verified is True
@@ -134,7 +135,7 @@ class TestCalibratedPlanning:
             federation,
             statistics=statistics,
             cost_model=calibrated,
-            optimizer=SJAPlusOptimizer(),
+            planning=Planning(optimizer=SJAPlusOptimizer()),
             verify=True,
         )
         query = synthetic_query(config, m=3, seed=47)
@@ -159,7 +160,7 @@ class TestCalibratedPlanning:
             federation,
             statistics=statistics,
             cost_model=ChargeCostModel.for_federation(federation, estimator),
-            optimizer=SJAOptimizer(),
+            planning=Planning(optimizer=SJAOptimizer()),
         )
         oracle_cost = oracle.answer(query).execution.total_cost
         federation.reset_traffic()
@@ -169,7 +170,7 @@ class TestCalibratedPlanning:
             cost_model=CalibratedCostModel.calibrate(
                 federation, estimator, probes, seed=0
             ),
-            optimizer=SJAOptimizer(),
+            planning=Planning(optimizer=SJAOptimizer()),
         )
         calibrated_cost = calibrated.answer(query).execution.total_cost
         assert calibrated_cost == pytest.approx(oracle_cost, rel=0.25)
@@ -209,7 +210,7 @@ class TestInternetScale:
         federation = build_synthetic(config)
         query = synthetic_query(config, m=3, seed=89)
         mediator = Mediator(
-            federation, optimizer=SelectivityOrderOptimizer(), verify=True
+            federation, planning=Planning(optimizer=SelectivityOrderOptimizer()), verify=True
         )
         answer = mediator.answer(query)
         assert answer.verified is True

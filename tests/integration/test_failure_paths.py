@@ -28,6 +28,7 @@ from repro.plans.plan import Plan
 from repro.query.fusion import FusionQuery
 from repro.sources.capabilities import SourceCapabilities
 from repro.sources.generators import dmv_fig1
+from repro.optimize.planning import Planning
 
 
 class TestExecutorFailures:
@@ -100,7 +101,7 @@ class TestMediatorFailures:
                 )
 
         mediator = Mediator(
-            dmv_federation, optimizer=BrokenOptimizer(), verify=True
+            dmv_federation, planning=Planning(optimizer=BrokenOptimizer()), verify=True
         )
         with pytest.raises(ExecutionError, match="differs"):
             mediator.answer(dmv_query)

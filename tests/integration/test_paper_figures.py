@@ -31,6 +31,7 @@ from repro.query.fusion import FusionQuery
 from repro.sources.generators import DMV_FIG1_ANSWER, dmv_fig1
 from repro.sources.network import LinkProfile
 from repro.sources.statistics import ExactStatistics
+from repro.optimize.planning import Planning
 
 
 class TestFig1DMVExample:
@@ -67,7 +68,7 @@ class TestFig1DMVExample:
             SJAOptimizer(),
             SJAPlusOptimizer(),
         ):
-            mediator = Mediator(federation, optimizer=optimizer, verify=True)
+            mediator = Mediator(federation, planning=Planning(optimizer=optimizer), verify=True)
             assert mediator.answer(query).items == DMV_FIG1_ANSWER
 
 
@@ -196,7 +197,7 @@ class TestFig5Postoptimization:
     def test_sja_plus_loads_tiny_sources(self):
         federation, query = dmv_fig1()
         mediator = Mediator(
-            federation, optimizer=SJAPlusOptimizer(), verify=True
+            federation, planning=Planning(optimizer=SJAPlusOptimizer()), verify=True
         )
         answer = mediator.answer(query)
         assert answer.items == DMV_FIG1_ANSWER

@@ -22,6 +22,7 @@ from repro.relational.items import ItemSet
 from repro.sources.generators import SyntheticConfig, build_synthetic, dmv_fig1, synthetic_query
 from repro.sources.remote import RemoteSource
 from repro.sources.statistics import ExactStatistics
+from repro.optimize.planning import Planning
 
 CONFIG = SyntheticConfig(n_sources=4, n_entities=400, seed=25)
 
@@ -91,7 +92,7 @@ OPTIMIZERS = [SJAPlusOptimizer, SJAOptimizer, SJOptimizer]
 @pytest.mark.parametrize("optimizer", OPTIMIZERS, ids=lambda o: o.__name__)
 def test_one_decode_per_answer(backend, optimizer, override, decodes, bitmaps_only):
     for name, federation, queries in _federations():
-        mediator = Mediator(federation, backend=backend, optimizer=optimizer())
+        mediator = Mediator(federation, backend=backend, planning=Planning(optimizer=optimizer()))
         for query in queries:
             before = decodes[0]
             answer = mediator.answer(query)

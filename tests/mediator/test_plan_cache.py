@@ -20,7 +20,6 @@ from repro.mediator.plan_cache import (
 )
 from repro.mediator.session import Mediator
 from repro.obs.recorder import Recorder
-from repro.optimize.search import PlanningBudget
 from repro.optimize.sja import SJAOptimizer
 from repro.plans.builder import build_filter_plan
 from repro.query.fusion import FusionQuery
@@ -33,6 +32,7 @@ from repro.sources.generators import (
 )
 from repro.sources.observed import ObservedStatistics
 from repro.sources.statistics import ExactStatistics
+from repro.optimize.planning import Planning
 
 
 class CountingSJA(SJAOptimizer):
@@ -61,7 +61,7 @@ def warmup_events(federation, query):
 def test_repeated_query_skips_the_optimizer():
     federation, query = dmv_fig1()
     optimizer = CountingSJA()
-    mediator = Mediator(federation, optimizer=optimizer, plan_cache=True)
+    mediator = Mediator(federation, planning=Planning(optimizer=optimizer), plan_cache=True)
     first = mediator.answer(query)
     second = mediator.answer(query)
     assert optimizer.calls == 1
@@ -78,7 +78,7 @@ def test_condition_order_shares_an_entry():
     )
     assert query_fingerprint(query) == query_fingerprint(permuted)
     optimizer = CountingSJA()
-    mediator = Mediator(federation, optimizer=optimizer, plan_cache=True)
+    mediator = Mediator(federation, planning=Planning(optimizer=optimizer), plan_cache=True)
     mediator.plan(query)
     mediator.plan(permuted)
     assert optimizer.calls == 1
@@ -93,7 +93,7 @@ def test_changed_constant_misses():
     )
     assert query_fingerprint(query) != query_fingerprint(other)
     optimizer = CountingSJA()
-    mediator = Mediator(federation, optimizer=optimizer, plan_cache=True)
+    mediator = Mediator(federation, planning=Planning(optimizer=optimizer), plan_cache=True)
     mediator.plan(query)
     mediator.plan(other)
     assert optimizer.calls == 2
@@ -109,7 +109,7 @@ def test_observed_statistics_refresh_invalidates():
     mediator = Mediator(
         federation,
         statistics=statistics,
-        optimizer=optimizer,
+        planning=Planning(optimizer=optimizer),
         plan_cache=True,
     )
     mediator.plan(query)
@@ -218,20 +218,16 @@ def test_budget_cut_plan_is_not_cached():
     config = SyntheticConfig(n_sources=4, n_entities=90, seed=5)
     federation = build_synthetic(config)
     query = synthetic_query(config, m=5, seed=6)
-    budget = PlanningBudget(max_subsets=1)
     mediator = Mediator(
-        federation,
-        search="anytime",
-        planning_budget=budget,
-        plan_cache=True,
+        federation, planning=Planning(budget=1), plan_cache=True
     )
     cut = mediator.plan(query)
     assert cut.budget_exhausted
     assert len(mediator.plan_cache) == 0
-    budget.arm()  # no limit: anytime is exact branch-and-bound
+    mediator.planning_budget.arm()  # no limit: exact branch-and-bound
     exact = mediator.plan(query)
     assert not exact.budget_exhausted
-    reference = Mediator(federation, search="bnb").plan(query)
+    reference = Mediator(federation, planning=Planning(search="bnb")).plan(query)
     assert exact.estimated_cost == reference.estimated_cost
     assert mediator.plan(query) is exact
     assert mediator.plan_cache.hits == 1
@@ -241,13 +237,11 @@ def test_budget_cut_replanning_round_is_not_cached():
     # The re-planner plans through the mediator's cached planner, so the
     # rule above covers its rounds too.
     config = SyntheticConfig(n_sources=4, n_entities=90, seed=5)
-    budget = PlanningBudget(max_subsets=1)
     mediator = Mediator(
         build_synthetic(config),
         backend="runtime",
         replan=2,
-        search="anytime",
-        planning_budget=budget,
+        planning=Planning(budget=1),
         plan_cache=True,
     )
     answer = mediator.answer(synthetic_query(config, m=5, seed=6))

@@ -17,6 +17,7 @@ from repro.sources.generators import (
     replicate_federation,
 )
 from repro.sources.statistics import SampledStatistics
+from repro.optimize.planning import Planning
 
 
 class TestAnswer:
@@ -54,7 +55,7 @@ class TestAnswer:
 class TestConfiguration:
     def test_custom_optimizer(self, dmv_federation, dmv_query):
         mediator = Mediator(
-            dmv_federation, optimizer=FilterOptimizer(), verify=True
+            dmv_federation, planning=Planning(optimizer=FilterOptimizer()), verify=True
         )
         answer = mediator.answer(dmv_query)
         assert answer.optimization.optimizer == "FILTER"
@@ -65,7 +66,7 @@ class TestConfiguration:
         mediator = Mediator(
             federation,
             statistics=SampledStatistics(federation, fraction=0.5, seed=0),
-            optimizer=SJAOptimizer(),
+            planning=Planning(optimizer=SJAOptimizer()),
             verify=True,
         )
         answer = mediator.answer(dmv_query)

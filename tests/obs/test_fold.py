@@ -54,6 +54,7 @@ from repro.sources.generators import (
     replicate_federation,
     synthetic_query,
 )
+from repro.optimize.planning import Planning
 from tests.property.strategies import synthetic_kits
 
 DMV_SQL = (
@@ -88,7 +89,7 @@ def _semijoin_plan(backend: str) -> Recorder:
     return _answer(
         build_synthetic(SYNTHETIC),
         [synthetic_query(SYNTHETIC, m=3, seed=7)],
-        optimizer=SJAOptimizer(),
+        planning=Planning(optimizer=SJAOptimizer()),
         backend=backend,
     )
 
@@ -131,7 +132,7 @@ def _untrusted(mode: str) -> Recorder:
             load_balance=True,
             verify=mode,
         ),
-        optimizer=FilterOptimizer(),
+        planning=Planning(optimizer=FilterOptimizer()),
     )
 
 
@@ -149,7 +150,7 @@ def _budget(fraction: float) -> Recorder:
     recorder = Recorder()
     mediator = Mediator(
         federation, backend="runtime", recorder=recorder,
-        optimizer=SJAOptimizer(),
+        planning=Planning(optimizer=SJAOptimizer()),
     )
     plan = mediator.plan(synthetic_query(SYNTHETIC, m=3, seed=7)).plan
     makespan_s = RuntimeEngine(federation).run(plan).makespan_s
@@ -231,7 +232,7 @@ def serve_anytime() -> Recorder:
             synthetic_query(config, m=4, seed=s).to_sql() for s in (1, 2, 3)
         ),
         count=8, rate_qps=5.0, seed=4,
-        planning_budget=8, plan_cache=False, queue_limit=64,
+        planning=Planning(budget=8), plan_cache=False, queue_limit=64,
     )
 
 

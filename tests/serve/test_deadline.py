@@ -22,6 +22,7 @@ from repro.serve import (
     valid_deadline,
 )
 from repro.sources.generators import DMV_FIG1_ANSWER, dmv_fig1
+from repro.optimize.planning import Planning
 
 DMV_SQL = (
     "SELECT u1.L FROM U u1, U u2 "
@@ -216,7 +217,7 @@ class TestAnytimePlanning:
         service = MediatorService(
             dmv_federation,
             mode="deterministic",
-            planning_budget=1,
+            planning=Planning(budget=1),
             plan_cache=False,
         )
         ticket = service.submit(DMV_SQL)
@@ -229,7 +230,7 @@ class TestAnytimePlanning:
         service = MediatorService(
             dmv_federation,
             mode="deterministic",
-            planning_budget=10_000,
+            planning=Planning(budget=10_000),
             plan_cache=False,
         )
         ticket = service.submit(DMV_SQL)

@@ -24,6 +24,7 @@ from repro.serve import (
 )
 from repro.sources.generators import DMV_FIG1_ANSWER, dmv_fig1
 from repro.sources.observed import ObservedStatistics
+from repro.optimize.planning import Planning
 
 DMV_SQL = (
     "SELECT u1.L FROM U u1, U u2 "
@@ -68,7 +69,7 @@ class TestDeterministicMode:
         service = MediatorService(
             dmv_federation,
             mode="deterministic",
-            optimizer=optimizer,
+            planning=Planning(optimizer=optimizer),
         )
         for i in range(5):
             service.submit(DMV_SQL, at_s=float(i))
@@ -88,19 +89,19 @@ class TestDeterministicMode:
         federation = replicate_federation(dmv_fig1()[0], 2)
         resilience = Resilience(breaker=BreakerConfig.default())
         service = MediatorService(
-            federation, resilience=resilience, optimizer="robust"
+            federation, resilience=resilience, planning=Planning(optimizer="robust")
         )
         direct = Mediator(
             federation,
             backend="runtime",
             resilience=resilience,
-            optimizer="robust",
+            planning=Planning(optimizer="robust"),
         )
         for mediator in (service._det_mediator, direct):
             assert isinstance(mediator.optimizer, RobustOptimizer)
             assert mediator.runtime.resilient
             assert mediator.optimizer.failover is True
-        plain = MediatorService(federation, optimizer="robust")
+        plain = MediatorService(federation, planning=Planning(optimizer="robust"))
         assert plain._det_mediator.optimizer.failover is False
 
     def test_shared_health_registry_accumulates_across_queries(
@@ -323,6 +324,8 @@ class TestThreadMode:
         assert service.failed_count == 0
 
     def test_every_worker_shares_the_one_resilience_value(self, dmv_federation):
+        # ... and the one Planning value, from which each worker's
+        # mediator builds its own optimizer with a private budget.
         class Spy(MediatorService):
             def _make_mediator(self, recorder):
                 mediator = super()._make_mediator(recorder)
@@ -333,8 +336,10 @@ class TestThreadMode:
         resilience = Resilience(
             hedge_delay_s=2.0, breaker=BreakerConfig.default()
         )
+        planning = Planning(budget=64)
         service = Spy(
-            dmv_federation, mode="threads", workers=3, resilience=resilience
+            dmv_federation, mode="threads", workers=3, resilience=resilience,
+            planning=planning,
         )
         try:
             tickets = [service.submit(DMV_SQL) for __ in range(6)]
@@ -343,9 +348,14 @@ class TestThreadMode:
             service.close()
         assert all(t.items == DMV_FIG1_ANSWER for t in tickets)
         assert service.resilience is resilience and len(made) == 3
+        assert service.planning is planning
         for mediator in made:
             assert mediator.runtime.resilience is resilience
             assert mediator.runtime.health is service.health
+            assert mediator.planning is planning
+            assert mediator.planning_budget is not None
+        assert len({id(m.optimizer) for m in made}) == 3
+        assert len({id(m.planning_budget) for m in made}) == 3
 
     def test_drain_is_thread_mode_only(self, dmv_federation):
         service = MediatorService(dmv_federation, mode="deterministic")
@@ -380,7 +390,7 @@ class TestUntrustedServing:
             federation,
             mode="deterministic",
             data_faults={f"R{i}~1": liar for i in (1, 2, 3)},
-            optimizer=FilterOptimizer(),
+            planning=Planning(optimizer=FilterOptimizer()),
             resilience=resilience,
             **kwargs,
         )
@@ -444,7 +454,7 @@ class TestPlanningWallClock:
 
     def test_thread_mode_arms_wall_clock_from_ewma(self, dmv_federation):
         service = MediatorService(
-            dmv_federation, mode="threads", planning_budget=64
+            dmv_federation, mode="threads", planning=Planning(budget=64)
         )
         try:
             service._observe_plan_latency(0.05)
@@ -457,7 +467,7 @@ class TestPlanningWallClock:
 
     def test_wall_clock_floor_survives_cache_hits(self, dmv_federation):
         service = MediatorService(
-            dmv_federation, mode="threads", planning_budget=64
+            dmv_federation, mode="threads", planning=Planning(budget=64)
         )
         try:
             for __ in range(20):
@@ -469,7 +479,7 @@ class TestPlanningWallClock:
 
     def test_unmeasured_thread_mode_arms_subsets_only(self, dmv_federation):
         service = MediatorService(
-            dmv_federation, mode="threads", planning_budget=64
+            dmv_federation, mode="threads", planning=Planning(budget=64)
         )
         try:
             budget = self.arm(service)
@@ -480,7 +490,7 @@ class TestPlanningWallClock:
 
     def test_deterministic_mode_never_arms_wall_clock(self, dmv_federation):
         service = MediatorService(
-            dmv_federation, mode="deterministic", planning_budget=64
+            dmv_federation, mode="deterministic", planning=Planning(budget=64)
         )
         service._observe_plan_latency(0.05)
         budget = self.arm(service)
@@ -489,7 +499,7 @@ class TestPlanningWallClock:
 
     def test_ewma_tracks_observed_latencies(self, dmv_federation):
         service = MediatorService(
-            dmv_federation, mode="threads", planning_budget=64
+            dmv_federation, mode="threads", planning=Planning(budget=64)
         )
         try:
             service._observe_plan_latency(0.10)
@@ -501,7 +511,7 @@ class TestPlanningWallClock:
 
     def test_thread_mode_measures_latency_end_to_end(self, dmv_federation):
         service = MediatorService(
-            dmv_federation, mode="threads", planning_budget=64, workers=2
+            dmv_federation, mode="threads", planning=Planning(budget=64), workers=2
         )
         try:
             ticket = service.submit(DMV_SQL)
