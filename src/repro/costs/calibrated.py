@@ -2,7 +2,8 @@
 
 Identical in shape to :class:`~repro.costs.charge.ChargeCostModel` — the
 semijoin formula is the same code,
-:func:`~repro.costs.charge.charge_sjq_pricer` — but the per-source
+:func:`~repro.costs.charge.charge_sjq_pricer` and its batched
+:func:`~repro.costs.charge.charge_sjq_price_table` — but the per-source
 (overhead, send, receive) charges come from
 :func:`repro.sources.sampling.calibrate_federation` — i.e. the mediator
 *measured* them with probe queries rather than reading them from
@@ -16,9 +17,9 @@ received items scaled by ``load_factor``.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
-from repro.costs.charge import charge_sjq_pricer
+from repro.costs.charge import charge_sjq_price_table, charge_sjq_pricer
 from repro.costs.estimates import SizeEstimator
 from repro.costs.model import INFINITE_COST, CostModel
 from repro.relational.conditions import Condition
@@ -87,6 +88,21 @@ class CalibratedCostModel(CostModel):
             self.estimator,
             condition,
             source_name,
+        )
+
+    def sjq_price_table(
+        self,
+        condition: Condition,
+        source_names: Sequence[str],
+        sizes: Sequence[float],
+    ) -> Sequence[Sequence[float]]:
+        return charge_sjq_price_table(
+            [self.fitted[source] for source in source_names],
+            [self.capabilities[source] for source in source_names],
+            self.estimator,
+            condition,
+            source_names,
+            sizes,
         )
 
     def lq_cost(self, source_name: str) -> float:

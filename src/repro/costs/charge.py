@@ -17,7 +17,10 @@ counts from a :class:`~repro.costs.estimates.SizeEstimator`:
 
 * ``lq_cost``: one overhead plus rows times the per-row load charge.
 
-The semijoin formula is written once, in :func:`charge_sjq_pricer`;
+The semijoin formula is written once, in :func:`_semijoin_charge`: the
+scalar :func:`charge_sjq_pricer` and the batched
+:func:`charge_sjq_price_table` both evaluate it (the table on numpy
+arrays when the table is big enough to pay for numpy), and
 ``sjq_cost`` is that pricer applied, here and in
 :class:`~repro.costs.calibrated.CalibratedCostModel`.
 
@@ -29,10 +32,12 @@ purely to *size* estimation error, not cost-shape mismatch.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable
+from itertools import repeat
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.costs.estimates import SizeEstimator
 from repro.costs.model import INFINITE_COST, CostModel
+from repro.relational.columnar import numpy_serves
 from repro.relational.conditions import Condition
 from repro.sources.capabilities import SemijoinSupport, SourceCapabilities
 from repro.sources.network import LinkProfile
@@ -42,8 +47,44 @@ if TYPE_CHECKING:
     from repro.sources.sampling import FittedLinkParameters
 
 
+#: A price table built by numpy costs ≈ 20–30 µs more per call than one
+#: built by walking the pricers and ≈ 0.25 µs less per cell, so a table
+#: smaller than this is lists.  Measured crossover 64–128 cells; Fig. 1's
+#: tables hold 3, R7's m = 4 ones 28, ``plan_fresh``'s 1 008.
+_NUMPY_MIN_CELLS = 128
+
+
+def _resolve_semijoin(
+    charges: LinkProfile | FittedLinkParameters, capabilities: SourceCapabilities
+) -> tuple[float, float, int | None] | None:
+    """``(overhead per request, charge per binding, batch)`` of a
+    source's semijoin, or ``None`` when it is unsupported.  An emulated
+    semijoin is a native one whose request term is zero: each binding is
+    its own probe, paying one overhead and one item sent."""
+    if capabilities.semijoin is SemijoinSupport.UNSUPPORTED:
+        return None
+    if capabilities.semijoin is SemijoinSupport.EMULATED:
+        return 0.0, charges.request_overhead + charges.per_item_send, None
+    return (
+        charges.request_overhead,
+        charges.per_item_send,
+        capabilities.max_semijoin_batch,
+    )
+
+
+def _semijoin_charge(requests, overhead, per_binding, fraction, receive, input_size):
+    """The charge-shaped semijoin price of a non-empty binding set — on
+    floats, or on numpy arrays broadcast against each other (the same
+    IEEE operations in the same order, so the same bits)."""
+    return (
+        requests * overhead
+        + input_size * per_binding
+        + (input_size * fraction) * receive
+    )
+
+
 def charge_sjq_pricer(
-    charges: "LinkProfile | FittedLinkParameters",
+    charges: LinkProfile | FittedLinkParameters,
     capabilities: SourceCapabilities,
     estimator: SizeEstimator,
     condition: Condition,
@@ -57,7 +98,8 @@ def charge_sjq_pricer(
     unsupported source and ``0.0`` for an empty binding set.
     """
     require_size = CostModel._require_size
-    if capabilities.semijoin is SemijoinSupport.UNSUPPORTED:
+    resolved = _resolve_semijoin(charges, capabilities)
+    if resolved is None:
 
         def unsupported(input_size: float) -> float:
             require_size(input_size)
@@ -65,38 +107,76 @@ def charge_sjq_pricer(
 
         return unsupported
 
-    overhead = charges.request_overhead
-    send = charges.per_item_send
+    overhead, per_binding, batch = resolved
     receive = charges.per_item_receive
     fraction = estimator.match_fraction(condition, source_name)
-    if capabilities.semijoin is SemijoinSupport.EMULATED:
-        # One probe request per binding: overhead + one item sent each.
-        per_binding = overhead + send
 
-        def emulated(input_size: float) -> float:
-            require_size(input_size)
-            if input_size == 0:
-                return 0.0
-            return input_size * per_binding + (input_size * fraction) * receive
-
-        return emulated
-
-    batch = capabilities.max_semijoin_batch
-
-    def native(input_size: float) -> float:
+    def price(input_size: float) -> float:
         require_size(input_size)
         if input_size == 0:
             return 0.0
-        requests = (
-            1 if batch is None else math.ceil(math.ceil(input_size) / batch)
-        )
-        return (
-            requests * overhead
-            + input_size * send
-            + (input_size * fraction) * receive
+        requests = 1 if batch is None else math.ceil(math.ceil(input_size) / batch)
+        return _semijoin_charge(
+            requests, overhead, per_binding, fraction, receive, input_size
         )
 
-    return native
+    return price
+
+
+def charge_sjq_price_table(
+    charges: Sequence[LinkProfile | FittedLinkParameters],
+    capabilities: Sequence[SourceCapabilities],
+    estimator: SizeEstimator,
+    condition: Condition,
+    source_names: Sequence[str],
+    sizes: Sequence[float],
+) -> Sequence[Sequence[float]]:
+    """:meth:`CostModel.sjq_price_table` for the charge-shaped models:
+    the :func:`charge_sjq_pricer` of every source (``charges[j]`` and
+    ``capabilities[j]`` are ``source_names[j]``'s) at every size, cell
+    for cell the same bits.  The sizes are checked once.  A table of
+    :data:`_NUMPY_MIN_CELLS` cells or more is one numpy broadcast of the
+    formula (a 2-D array); a smaller one walks the pricers."""
+    CostModel._require_sizes(sizes)
+    if not numpy_serves(len(source_names) * len(sizes), _NUMPY_MIN_CELLS):
+        pricers = map(
+            charge_sjq_pricer,
+            charges,
+            capabilities,
+            repeat(estimator),
+            repeat(condition),
+            source_names,
+        )
+        return [list(map(price, sizes)) for price in pricers]
+    import numpy as np
+
+    # One row of parameters per source, read below as (n, 1) columns; an
+    # unsupported source is priced as zeros and then replaced by inf.
+    parameters = []
+    for declared, capable, source in zip(charges, capabilities, source_names):
+        resolved = _resolve_semijoin(declared, capable)
+        if resolved is None:
+            parameters.append((0.0, 0.0, 1.0, False, 0.0, 0.0, False))
+            continue
+        overhead, per_binding, batch = resolved
+        parameters.append(
+            (
+                overhead,
+                per_binding,
+                batch or 1.0,
+                batch is not None,
+                estimator.match_fraction(condition, source),
+                declared.per_item_receive,
+                True,
+            )
+        )
+    overhead, per_binding, batch, batched, fraction, receive, supported = (
+        np.array(parameters, dtype=float).reshape(len(parameters), 7).T[..., None]
+    )
+    x = np.asarray(sizes, dtype=float)
+    requests = np.where(batched, np.ceil(np.ceil(x) / batch), 1.0)
+    table = _semijoin_charge(requests, overhead, per_binding, fraction, receive, x)
+    return np.where(supported, np.where(x == 0, 0.0, table), INFINITE_COST)
 
 
 class ChargeCostModel(CostModel):
@@ -167,6 +247,21 @@ class ChargeCostModel(CostModel):
             self.estimator,
             condition,
             source_name,
+        )
+
+    def sjq_price_table(
+        self,
+        condition: Condition,
+        source_names: Sequence[str],
+        sizes: Sequence[float],
+    ) -> Sequence[Sequence[float]]:
+        return charge_sjq_price_table(
+            [self.profiles[source] for source in source_names],
+            [self.capabilities[source] for source in source_names],
+            self.estimator,
+            condition,
+            source_names,
+            sizes,
         )
 
     def lq_cost(self, source_name: str) -> float:

@@ -12,7 +12,12 @@ A cost model answers three questions for the optimizer:
 
 A model may also answer ``sjq_pricer(c, R_j)`` — ``sjq_cost`` with the
 pair resolved once, a function of ``|X|`` alone; the default is
-``sjq_cost`` partially applied.
+``sjq_cost`` partially applied — and ``sjq_price_table(c, sources,
+sizes)`` — one condition's semijoin prices at many sources and many
+``|X|`` in one call, a sources × sizes table whose every cell is
+bit-equal to the pricer's answer.  Its default walks the pricers; the
+charge-shaped models answer a big table with one numpy broadcast.  The
+subset DP prices each condition's later stages with one table.
 
 Axioms (Sec. 2.4), checkable via :func:`check_cost_axioms`:
 
@@ -76,6 +81,30 @@ class CostModel(ABC):
         """
         return partial(self.sjq_cost, condition, source_name)
 
+    def sjq_price_table(
+        self,
+        condition: Condition,
+        source_names: Sequence[str],
+        sizes: Sequence[float],
+    ) -> Sequence[Sequence[float]]:
+        """``sjq_pricer(condition, s)(x)`` for every source ``s`` (rows, in
+        ``source_names`` order) and every size ``x`` (columns, in
+        ``sizes`` order).
+
+        Override it to price a whole row at once.  The table is a list of
+        per-source lists, or one 2-D float64 numpy array (the
+        charge-shaped models, for a table big enough to pay for numpy).
+        Contract: every cell bit-equal to the pricer's answer, and a size
+        outside ``0 <= |X| < inf`` raises the pricer's
+        :class:`CostModelError`.
+        """
+        return [
+            [pricer(size) for size in sizes]
+            for pricer in (
+                self.sjq_pricer(condition, source) for source in source_names
+            )
+        ]
+
     def supports_semijoin(self, source_name: str, condition: Condition) -> bool:
         """True if any finite-cost semijoin is possible at the source."""
         return math.isfinite(self.sjq_cost(condition, source_name, 1))
@@ -86,6 +115,14 @@ class CostModel(ABC):
         if not 0 <= input_size < INFINITE_COST:
             raise CostModelError(f"invalid semijoin input size: {input_size}")
         return input_size
+
+    @staticmethod
+    def _require_sizes(sizes: Sequence[float]) -> None:
+        """:meth:`_require_size` over a row of sizes in one pass; the
+        first bad size raises the same error."""
+        if not all(0 <= size < INFINITE_COST for size in sizes):
+            for size in sizes:
+                CostModel._require_size(size)
 
 
 @dataclass(frozen=True)

@@ -116,13 +116,15 @@ class RobustOptimizer(Optimizer):
             redundancy already exists at execution time.
         dual_path: Allow candidates that plan replica-group mirrors as
             real work (only relevant without failover).
-        search: Plan-search strategy for the internal SJA sweeps and the
-            default base optimizer (ignored when ``base`` is supplied).
-        beam_width: Beam width for ``search="beam"``.
-        planning_budget: Anytime-search budget shared by the internal
-            SJA sweeps and the default base optimizer (ignored when
-            ``base`` is supplied); exposed as ``self.planning_budget``
-            so the serving tier can re-arm it per query.
+        search: Plan-search strategy for the internal SJA sweeps and,
+            when ``base`` is not supplied, the default base optimizer.
+        beam_width: Beam width for ``search="beam"`` (ditto).
+        planning_budget: Anytime-search budget handed to the default
+            base optimizer.  The internal SJA sweeps share the base's
+            budget, exposed as ``self.planning_budget`` so the serving
+            tier can re-arm it per query; a supplied ``base`` carries
+            its own, so passing this with it raises
+            :class:`~repro.errors.CostModelError`.
     """
 
     name = "robust"
@@ -142,6 +144,11 @@ class RobustOptimizer(Optimizer):
         if not (math.isfinite(robustness) and robustness >= 0):
             raise CostModelError(
                 f"robustness must be finite and >= 0, got {robustness}"
+            )
+        if base is not None and planning_budget is not None:
+            raise CostModelError(
+                "planning_budget cannot configure a supplied base "
+                "optimizer; configure the base itself"
             )
         self.federation = federation
         self.availability = availability or AvailabilityModel.perfect()

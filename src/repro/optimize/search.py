@@ -36,15 +36,23 @@ ResponseTimeSJAOptimizer`):
   (keeping the paper-faithful traces and ``orderings_considered``
   counters), ``dp`` up to :data:`AUTO_DP_MAX_M`, ``beam`` beyond.
 
-Two things are memoized within one ``optimize()`` call.  The subset
-context keeps whole stages by ``(condition, preceding set)``, and
-:class:`StagedEstimatorProblem` asks the cost model once per
-``(condition, source)`` — the selection cost and a
+Stages are priced two ways, to the same bits.  The subset DP visits
+every ``(condition, preceding set)`` stage, so it prices each
+condition's later stages as one *row*
+(:meth:`StagedCostFunction.later_stage_costs`): the prefix size of
+every preceding set, one
+:meth:`~repro.costs.model.CostModel.sjq_price_table` call for the
+sources × sizes semijoin prices, and the stage rule's per-source
+comparison and in-order sum over whole rows.  It searches on those
+costs alone, then prices the winner's stages one at a time for their
+per-source choices.  Every other strategy visits a subset of the
+stages and prices each one as it goes (:meth:`~StagedCostFunction.
+later_stage`), memoized by ``(condition, preceding set)`` in the
+subset context; there :class:`StagedEstimatorProblem` asks the cost
+model once per ``(condition, source)`` — the selection cost and a
 :meth:`~repro.costs.model.CostModel.sjq_pricer`, the semijoin cost as a
-function of ``|X|`` alone — for the stage rules to walk.  Semijoin
-prices are *not* memoized by ``(condition, source, |X|)``: every
-preceding set has its own ``|X|`` and the stage memo has absorbed the
-repeats, so such a key never hit.
+function of ``|X|`` alone — for the stage rules to walk.  (The
+factorial sweep keeps the memo: rows made its Fig. 1 plan slower.)
 
 Finally, :func:`cost_along` costs one *given* ordering under a stage
 rule, and :class:`StagedOptimizer` is the one ``optimize()`` every
@@ -209,6 +217,14 @@ class StagedCostFunction(ABC):
     def later_stage(self, index: int, prefix_size: float) -> StageOutcome:
         """Cost the condition as a later stage against ``prefix_size``."""
 
+    def later_stage_costs(
+        self, index: int, prefix_sizes: Sequence[float]
+    ) -> list[float]:
+        """``later_stage(index, x).cost`` for every ``x`` in
+        ``prefix_sizes``, bit for bit: the row the subset DP reads.
+        Override it to price the row at once, without payloads."""
+        return [self.later_stage(index, size).cost for size in prefix_sizes]
+
     @abstractmethod
     def first_prefix(self, index: int) -> float:
         """Binding-set estimate after the condition opens the plan."""
@@ -232,8 +248,10 @@ class StagedEstimatorProblem(StagedCostFunction):
     :class:`~repro.costs.estimates.SizeEstimator`.
 
     Nothing a stage prices depends on the ordering except ``|X|``, so
-    the cost model is asked once per ``(condition, source)``
-    (:meth:`terms`) and the stage rules do the rest by arithmetic.
+    the cost model is asked once per ``(condition, source)`` for the
+    selection cost (:meth:`selection_costs`) and, for the stages priced
+    one at a time, a semijoin pricer (:meth:`terms`); the stage rules do
+    the rest by arithmetic.
     """
 
     def __init__(
@@ -247,24 +265,47 @@ class StagedEstimatorProblem(StagedCostFunction):
         self.source_names = tuple(source_names)
         self.cost_model = cost_model
         self.estimator = estimator
+        self._selections: dict[int, tuple[float, ...]] = {}
         self._terms: dict[int, tuple[CostTerm, ...]] = {}
+
+    def selection_costs(self, index: int) -> tuple[float, ...]:
+        """``sq_cost(c, R_j)`` of condition ``index`` per source, in
+        ``source_names`` order, resolved on first use and held while the
+        problem lives (one ``optimize()`` call)."""
+        resolved = self._selections.get(index)
+        if resolved is None:
+            condition = self.conditions[index]
+            resolved = self._selections[index] = tuple(
+                self.cost_model.sq_cost(condition, source)
+                for source in self.source_names
+            )
+        return resolved
 
     def terms(self, index: int) -> tuple[CostTerm, ...]:
         """Per source, in ``source_names`` order: ``sq_cost(c, R_j)`` and
         the ``|X| -> sjq_cost(c, R_j, |X|)`` pricer of condition
-        ``index``, resolved on first use and held while the problem
-        lives (one ``optimize()`` call)."""
+        ``index``, resolved on first use and held like
+        :meth:`selection_costs`.  Only stages priced one at a time read
+        the pricers; a row reads :meth:`semijoin_table` instead."""
         resolved = self._terms.get(index)
         if resolved is None:
             condition = self.conditions[index]
             resolved = self._terms[index] = tuple(
-                (
-                    self.cost_model.sq_cost(condition, source),
-                    self.cost_model.sjq_pricer(condition, source),
+                (selection, self.cost_model.sjq_pricer(condition, source))
+                for selection, source in zip(
+                    self.selection_costs(index), self.source_names
                 )
-                for source in self.source_names
             )
         return resolved
+
+    def semijoin_table(
+        self, index: int, prefix_sizes: Sequence[float]
+    ) -> Sequence[Sequence[float]]:
+        """Condition ``index``'s semijoin prices, sources × sizes, in one
+        :meth:`~repro.costs.model.CostModel.sjq_price_table` call."""
+        return self.cost_model.sjq_price_table(
+            self.conditions[index], self.source_names, prefix_sizes
+        )
 
     def first_prefix(self, index: int) -> float:
         return self.estimator.union_selection_size(self.conditions[index])
@@ -404,8 +445,30 @@ def _backtrack(
     return tuple(ordering)
 
 
+def _stage_costs(context: _SubsetContext, m: int) -> list[list[float]]:
+    """``costs[index][premask]`` for every stage the subset DP visits:
+    one :meth:`~StagedCostFunction.later_stage_costs` row per condition
+    (entries whose premask holds ``index`` stay ``inf``, never read)."""
+    full = (1 << m) - 1
+    costs = []
+    for index in range(m):
+        bit = 1 << index
+        premasks = [premask for premask in range(1, full + 1) if not premask & bit]
+        row = [math.inf] * (full + 1)
+        row[0] = context.stage(index, 0).cost
+        priced = context.problem.later_stage_costs(
+            index, [context.prefix_of(premask) for premask in premasks]
+        )
+        for premask, cost in zip(premasks, priced):
+            row[premask] = cost
+        costs.append(row)
+    return costs
+
+
 def _dp(context: _SubsetContext, m: int) -> SearchOutcome:
-    """Held-Karp subset DP: exact, O(2^m · m) stage evaluations."""
+    """Held-Karp subset DP: exact, O(2^m · m) stage costs, priced a row
+    per condition; only the winner's stages are priced with payloads."""
+    costs = _stage_costs(context, m)
     full = (1 << m) - 1
     best = [math.inf] * (full + 1)
     choice = [-1] * (full + 1)
@@ -417,7 +480,7 @@ def _dp(context: _SubsetContext, m: int) -> SearchOutcome:
             index = bit.bit_length() - 1
             remaining ^= bit
             premask = mask ^ bit
-            total = best[premask] + context.stage(index, premask).cost
+            total = best[premask] + costs[index][premask]
             if choice[mask] == -1 or total < best[mask]:
                 best[mask] = total
                 choice[mask] = index

@@ -15,6 +15,8 @@ switches to the exact subset DP beyond it.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.optimize.search import (
     SearchedOptimizer,
     StagedEstimatorProblem,
@@ -36,16 +38,28 @@ class SJStagedProblem(StagedEstimatorProblem):
         return StageOutcome(cost, (choice,) * len(self.source_names))
 
     def first_stage(self, index: int) -> StageOutcome:
-        cost = sum(selection for selection, __ in self.terms(index))
+        cost = sum(self.selection_costs(index))
         return self._uniform(cost, StagedChoice.SELECTION)
 
     def later_stage(self, index: int, prefix_size: float) -> StageOutcome:
-        terms = self.terms(index)
-        selection_cost = sum(selection for selection, __ in terms)
-        semijoin_cost = sum(semijoin(prefix_size) for __, semijoin in terms)
+        selection_cost = sum(self.selection_costs(index))
+        semijoin_cost = sum(semijoin(prefix_size) for __, semijoin in self.terms(index))
         if selection_cost < semijoin_cost:
             return self._uniform(selection_cost, StagedChoice.SELECTION)
         return self._uniform(semijoin_cost, StagedChoice.SEMIJOIN)
+
+    def later_stage_costs(
+        self, index: int, prefix_sizes: Sequence[float]
+    ) -> list[float]:
+        # Each column summed by the builtin ``sum`` over python floats,
+        # exactly as ``later_stage`` sums its semijoins.
+        selection_cost = sum(self.selection_costs(index))
+        table = self.semijoin_table(index, prefix_sizes)
+        rows = table if isinstance(table, list) else table.tolist()
+        return [
+            selection_cost if selection_cost < semijoin_cost else semijoin_cost
+            for semijoin_cost in map(sum, zip(*rows))
+        ]
 
 
 class SJOptimizer(SearchedOptimizer):

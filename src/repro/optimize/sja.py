@@ -17,6 +17,8 @@ it (same plan cost, exponentially fewer states).
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.optimize.search import (
     DEFAULT_BEAM_WIDTH,
     PlanningBudget,
@@ -42,7 +44,7 @@ class SJAStagedProblem(StagedEstimatorProblem):
     """
 
     def first_stage(self, index: int) -> StageOutcome:
-        cost = sum(selection for selection, __ in self.terms(index))
+        cost = sum(self.selection_costs(index))
         return StageOutcome(cost, (_SELECTION,) * len(self.source_names))
 
     def later_stage(self, index: int, prefix_size: float) -> StageOutcome:
@@ -57,6 +59,31 @@ class SJAStagedProblem(StagedEstimatorProblem):
                 stage_choices.append(_SEMIJOIN)
                 cost += semijoin_cost
         return StageOutcome(cost, tuple(stage_choices))
+
+    def later_stage_costs(
+        self, index: int, prefix_sizes: Sequence[float]
+    ) -> list[float]:
+        # The source loop over whole rows: per source the cheaper of
+        # selection and semijoin (the same comparison), summed source by
+        # source from 0.0 (the same order), so every cost has the bits
+        # ``later_stage`` gives it.
+        selections = self.selection_costs(index)
+        table = self.semijoin_table(index, prefix_sizes)
+        if isinstance(table, list):
+            totals = [0.0] * len(prefix_sizes)
+            for selection, row in zip(selections, table):
+                totals = [
+                    total + (selection if selection < semijoin else semijoin)
+                    for total, semijoin in zip(totals, row)
+                ]
+            return totals
+        import numpy as np  # a big table came back as one 2-D array
+
+        column = np.array(selections, dtype=float)[:, None]
+        totals = np.zeros(len(prefix_sizes))
+        for chosen in np.where(column < table, column, table):
+            totals += chosen
+        return totals.tolist()
 
 
 class SJAOptimizer(SearchedOptimizer):

@@ -24,6 +24,7 @@ from typing import Sequence
 
 from repro.costs.estimates import SizeEstimator
 from repro.costs.model import CostModel
+from repro.errors import CostModelError
 from repro.optimize.base import OptimizationResult, Optimizer, _Stopwatch
 from repro.optimize.postopt import (
     apply_difference_pruning,
@@ -45,12 +46,13 @@ class SJAPlusOptimizer(Optimizer):
         prune_difference: Apply the difference-pruning pass.
         load_sources: Apply the source-loading pass.
         search: Plan-search strategy handed to the default base
-            optimizer (ignored when ``base`` is supplied).
-        beam_width: Beam width for ``search="beam"`` (ditto).
+            optimizer.  A supplied ``base`` is configured itself, so
+            passing this (or the next two) with it raises
+            :class:`~repro.errors.CostModelError`.
+        beam_width: Beam width for ``search="beam"``.
         planning_budget: Anytime-search budget handed to the default
-            base optimizer (ditto); also exposed as
-            ``self.planning_budget`` so the serving tier can re-arm it
-            per query.
+            base optimizer; also exposed as ``self.planning_budget`` so
+            the serving tier can re-arm it per query.
 
     Example:
         >>> from repro.sources.generators import dmv_fig1
@@ -77,6 +79,17 @@ class SJAPlusOptimizer(Optimizer):
         beam_width: int = DEFAULT_BEAM_WIDTH,
         planning_budget: "PlanningBudget | None" = None,
     ):
+        if base is not None:
+            for setting, value, default in (
+                ("search", search, "auto"),
+                ("beam_width", beam_width, DEFAULT_BEAM_WIDTH),
+                ("planning_budget", planning_budget, None),
+            ):
+                if value != default:
+                    raise CostModelError(
+                        f"{setting} cannot configure a supplied base "
+                        "optimizer; configure the base itself"
+                    )
         self.base = base or SJAOptimizer(
             search=search,
             beam_width=beam_width,

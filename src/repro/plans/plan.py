@@ -14,6 +14,7 @@ locate each stage's source operations without re-deriving structure.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -197,11 +198,9 @@ class Plan:
         return "\n".join(lines)
 
     def with_description(self, description: str) -> "Plan":
-        """A copy of this plan with a different description."""
-        return Plan(
-            self.operations,
-            self.result,
-            query=self.query,
-            description=description,
-            stages=self.stages,
-        )
+        """A copy of this plan with a different description.  The
+        operations are the ones already validated, so they are not
+        validated again."""
+        renamed = copy.copy(self)
+        renamed.description = description
+        return renamed

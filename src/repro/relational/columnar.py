@@ -103,8 +103,8 @@ def numpy_available() -> bool:
 
 
 def numpy_enabled() -> bool:
-    """True when numpy kernels may run (which tables they serve is
-    :func:`_numpy_kernels`' business)."""
+    """True when numpy kernels may run (which batches they serve is
+    :func:`numpy_serves`' business)."""
     if _np is None:
         return False
     if _numpy_override is None:
@@ -127,13 +127,15 @@ def set_numpy_enabled(enabled: bool | None) -> bool | None:
     return previous
 
 
-def _numpy_kernels(table: "ColumnarTable") -> bool:
-    """Which kernels serve ``table``: numpy when it is long enough to pay
-    for them, unless a parity test forced one kind for every size."""
+def numpy_serves(length: int, min_length: int = _NUMPY_MIN_ROWS) -> bool:
+    """Which kernels serve a batch of ``length`` values: numpy when the
+    batch is at least ``min_length`` long (the size that pays for
+    numpy's per-call cost; a table's rows by default), unless a parity
+    test forced one kind for every size."""
     if _np is None:
         return False
     if _numpy_override is None:
-        return table.length >= _NUMPY_MIN_ROWS
+        return length >= min_length
     return _numpy_override
 
 
@@ -622,7 +624,7 @@ def predicate_mask(table: ColumnarTable, condition: Condition) -> Mask:
     array when the numpy kernels serve this table) aligned with the
     table's rows.
     """
-    if _numpy_kernels(table):
+    if numpy_serves(table.length):
         return _mask_np(condition, table)
     return _mask_python(condition, table)
 
@@ -638,7 +640,7 @@ def member_mask(table: ColumnarTable, wanted: ItemSet | frozenset[Any] | set[Any
     verdicts are gathered through the row codes; only a column with
     neither ids nor a dictionary is probed row by row.
     """
-    use_numpy = _numpy_kernels(table)
+    use_numpy = numpy_serves(table.length)
     if type(wanted) is ItemSet:
         built = table.np_item_ids() if use_numpy else table.item_ids()
         if built is not None:

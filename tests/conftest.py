@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench.harness import make_kit
 from repro.costs.charge import ChargeCostModel
 from repro.costs.estimates import SizeEstimator
 from repro.mediator.session import Mediator
@@ -31,6 +32,22 @@ def validated_rows(monkeypatch):
 
     monkeypatch.setattr(Schema, "validate_row", counting)
     return seen
+
+
+@pytest.fixture
+def plan_fresh_kit():
+    """A :class:`~repro.bench.harness.PlanningKit` shaped like the
+    ``plan_fresh`` benchmark: sixteen sources (half native, a quarter
+    emulated, a quarter unsupported) and a seven-condition query."""
+    config = SyntheticConfig(
+        n_sources=16,
+        n_entities=300,
+        coverage=(0.2, 0.6),
+        native_fraction=0.5,
+        emulated_fraction=0.25,
+        seed=1616,
+    )
+    return make_kit(config, m=7)
 
 
 @pytest.fixture

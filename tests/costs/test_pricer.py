@@ -1,13 +1,15 @@
 """The semijoin pricer: ``sjq_cost`` with ``(condition, source)`` resolved.
 
-Two contracts.  Model side: ``sjq_pricer(c, s)(x)`` is *bit-equal* to
+Three contracts.  Model side: ``sjq_pricer(c, s)(x)`` is *bit-equal* to
 ``sjq_cost(c, s, x)`` for every shipped model and for a subclass that
 never heard of pricers — and the one
 charge-shaped formula still computes what the two pre-pricer
 ``sjq_cost`` bodies computed (kept below as the oracle).  Optimizer
 side: the stage rules, which now read resolved terms, price every stage
 the searches can visit exactly as the per-source-per-stage model calls
-they replaced (also kept below).
+they replaced (also kept below).  Price table: every cell of
+``sjq_price_table(c, sources, sizes)`` is the pricer's answer, bit for
+bit, with numpy and without it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.costs.calibrated import CalibratedCostModel
-from repro.costs.charge import ChargeCostModel
+from repro.costs.charge import _NUMPY_MIN_CELLS, ChargeCostModel
 from repro.costs.estimates import SizeEstimator
 from repro.costs.model import CostModel, TableCostModel, UniformCostModel
 from repro.errors import CostModelError
@@ -37,6 +39,7 @@ from repro.optimize.sj import SJStagedProblem
 from repro.optimize.sja import SJAStagedProblem
 from repro.bench.harness import make_kit
 from repro.plans.builder import StagedChoice
+from repro.relational.columnar import numpy_available, set_numpy_enabled
 from repro.relational.parser import parse_condition
 from repro.sources.capabilities import SemijoinSupport, SourceCapabilities
 from repro.sources.generators import SyntheticConfig
@@ -366,3 +369,139 @@ def test_seeded_kits_cover_what_they_claim():
     assert batches == {None, 3}
     assert arities == set(range(2, 8))
     assert min(widths) == 2 and max(widths) == 16
+
+
+# ----------------------------------------------------------------------
+# (c) the price table: every cell is the pricer's answer, to the bit
+
+TABLE_SOURCES = ("N", "B1", "B7", "E", "U")
+TABLE_CAPABILITIES = {
+    "N": SourceCapabilities(semijoin=SemijoinSupport.NATIVE),
+    "B1": SourceCapabilities(max_semijoin_batch=1),
+    "B7": SourceCapabilities(max_semijoin_batch=7),
+    "E": SourceCapabilities(semijoin=SemijoinSupport.EMULATED),
+    "U": SourceCapabilities(semijoin=SemijoinSupport.UNSUPPORTED),
+}
+
+
+class _PerSourceStatistics(_FixedStatistics):
+    """Every source holds ``distinct`` of 1000 items."""
+
+    def cardinality(self, source_name):
+        return self.distinct
+
+
+def _table_models(overhead, send, receive, distinct, selectivity):
+    """Every shipped model over the five tiers, and each wrapped in a
+    subclass that never heard of tables (nor of pricers)."""
+    estimator = SizeEstimator(
+        _PerSourceStatistics(distinct, selectivity), list(TABLE_SOURCES)
+    )
+    link = LinkProfile(overhead, send, receive)
+    fitted = FittedLinkParameters(overhead, send, receive, residual=0.0, probes=9)
+    cardinalities = {source: distinct for source in TABLE_SOURCES}
+    shipped = [
+        UniformCostModel(sq=overhead, sjq_fixed=send, sjq_per_item=receive),
+        TableCostModel(sjq_table={(CONDITION, "B7"): (send, receive)}),
+        ChargeCostModel(
+            {source: link for source in TABLE_SOURCES},
+            TABLE_CAPABILITIES,
+            estimator,
+            cardinalities,
+        ),
+        CalibratedCostModel(
+            {source: fitted for source in TABLE_SOURCES},
+            TABLE_CAPABILITIES,
+            estimator,
+            cardinalities,
+        ),
+    ]
+    return [*shipped, *(_ThreeMethodsOnly(model) for model in shipped)]
+
+
+@pytest.fixture(params=[True, False], ids=["numpy", "lists"])
+def numpy_mode(request):
+    previous = set_numpy_enabled(request.param)
+    yield request.param
+    set_numpy_enabled(previous)
+
+
+@given(
+    overhead=charge,
+    send=charge,
+    receive=charge,
+    distinct=st.integers(0, 1000),
+    selectivity=st.floats(min_value=0.0, max_value=1.0),
+)
+@settings(max_examples=30, deadline=None)
+def test_table_cells_are_the_pricer_to_the_bit(
+    overhead, send, receive, distinct, selectivity
+):
+    for numpy_on in (True, False):
+        previous = set_numpy_enabled(numpy_on)
+        try:
+            for model in _table_models(overhead, send, receive, distinct, selectivity):
+                table = model.sjq_price_table(CONDITION, TABLE_SOURCES, SIZES)
+                assert len(table) == len(TABLE_SOURCES)
+                for source, row in zip(TABLE_SOURCES, table):
+                    pricer = model.sjq_pricer(CONDITION, source)
+                    assert [float(cell).hex() for cell in row] == [
+                        pricer(size).hex() for size in SIZES
+                    ], (type(model).__name__, numpy_on, source)
+        finally:
+            set_numpy_enabled(previous)
+
+
+def test_charge_tables_cover_every_tier(numpy_mode):
+    # Empty binding sets are free wherever a semijoin exists; an
+    # unsupported source is infinite at every size; a batch of 7
+    # charges ceil(ceil(|X|) / 7) requests, so 7 -> 7.001 adds one.
+    model = _table_models(10.0, 1.0, 2.0, 400, 0.25)[2]
+    table = model.sjq_price_table(CONDITION, TABLE_SOURCES, SIZES)
+    rows = dict(zip(TABLE_SOURCES, (list(map(float, row)) for row in table)))
+    for source in ("N", "B1", "B7", "E"):
+        assert rows[source][0] == 0.0
+    assert rows["U"] == [math.inf] * len(SIZES)
+    at = {size: position for position, size in enumerate(SIZES)}
+    assert rows["B7"][at[7.001]] - rows["B7"][at[7]] > 10.0
+    assert rows["N"][at[7.001]] - rows["N"][at[7]] < 1.0
+    assert rows["E"][at[1]] == 10.0 + 1.0 + 0.4 * 0.25 * 2.0
+    assert type(table).__module__.startswith("numpy") == numpy_mode
+
+
+@pytest.mark.parametrize("bad", BAD_SIZES)
+def test_table_refuses_a_bad_size_like_the_pricer(numpy_mode, bad):
+    for model in _table_models(10.0, 1.0, 2.0, 400, 0.25):
+        with pytest.raises(CostModelError) as expected:
+            model.sjq_pricer(CONDITION, "N")(bad)
+        with pytest.raises(CostModelError) as raised:
+            model.sjq_price_table(CONDITION, TABLE_SOURCES, (1.0, bad, 2.0))
+        assert str(raised.value) == str(expected.value), type(model).__name__
+
+
+def test_an_empty_row_prices_nothing(numpy_mode):
+    for model in _table_models(10.0, 1.0, 2.0, 400, 0.25):
+        table = model.sjq_price_table(CONDITION, TABLE_SOURCES, ())
+        assert [len(row) for row in table] == [0] * len(TABLE_SOURCES)
+
+
+@pytest.mark.skipif(not numpy_available(), reason="numpy not available")
+def test_a_charge_table_picks_numpy_by_its_size():
+    # Unforced, numpy builds a table of _NUMPY_MIN_CELLS cells or more,
+    # the list path a smaller one (Fig. 1's 3-cell tables); the cells
+    # are the same bits either way.
+    limit, width = _NUMPY_MIN_CELLS, len(TABLE_SOURCES)
+    for model in _table_models(10.0, 1.0, 2.0, 400, 0.25)[2:4]:
+        for columns, numpy_built in (((limit - 1) // width, False), (-(-limit // width), True)):
+            sizes = [0.5 * column for column in range(columns)]
+            table = model.sjq_price_table(CONDITION, TABLE_SOURCES, sizes)
+            assert isinstance(table, list) != numpy_built, columns
+            previous = set_numpy_enabled(not numpy_built)
+            try:
+                forced = model.sjq_price_table(CONDITION, TABLE_SOURCES, sizes)
+            finally:
+                set_numpy_enabled(previous)
+            assert isinstance(forced, list) == numpy_built
+            assert [[float(cell).hex() for cell in row] for row in table] == [
+                [float(cell).hex() for cell in row] for row in forced
+            ]

@@ -8,6 +8,8 @@ from repro.costs.estimates import SizeEstimator
 from repro.costs.model import UniformCostModel
 from repro.errors import CostModelError
 from repro.optimize import RobustOptimizer, SJAPlusOptimizer
+from repro.optimize import robust as robust_module
+from repro.optimize.search import PlanningBudget
 from repro.runtime.availability import AvailabilityModel
 from repro.runtime.faults import FaultInjector, FaultProfile
 from repro.runtime.policy import RetryPolicy
@@ -127,3 +129,50 @@ class TestValidation:
         federation, __, __, __ = setting
         with pytest.raises(CostModelError):
             RobustOptimizer(federation, robustness=bad)
+
+    def test_a_supplied_base_takes_no_planning_budget(self, setting):
+        # A supplied base carries its own budget, which the internal
+        # sweeps share; a second one would be dropped without a word.
+        federation, __, __, __ = setting
+        budget = PlanningBudget(max_subsets=1)
+        with pytest.raises(
+            CostModelError, match="^planning_budget .*configure the base itself"
+        ):
+            RobustOptimizer(
+                federation, base=SJAPlusOptimizer(), planning_budget=budget
+            )
+        for optimizer in (
+            RobustOptimizer(federation, planning_budget=budget),
+            RobustOptimizer(
+                federation, base=SJAPlusOptimizer(planning_budget=budget)
+            ),
+        ):
+            assert optimizer.planning_budget is budget
+
+    def test_a_supplied_base_still_takes_the_sweeps_search(
+        self, setting, monkeypatch
+    ):
+        # search and beam_width configure the internal SJA sweeps too,
+        # so beside a supplied base they are taken, not dropped.
+        federation, query, cost_model, estimator = setting
+        built = []
+
+        class Recording(robust_module.SJAOptimizer):
+            def __init__(self, **settings):
+                built.append(settings)
+                super().__init__(**settings)
+
+        monkeypatch.setattr(robust_module, "SJAOptimizer", Recording)
+        RobustOptimizer(
+            federation,
+            flaky_model(federation),
+            base=SJAPlusOptimizer(),
+            search="beam",
+            beam_width=3,
+        ).optimize(
+            query, federation.representative_names, cost_model, estimator
+        )
+        assert built and all(
+            settings["search"] == "beam" and settings["beam_width"] == 3
+            for settings in built
+        )

@@ -19,7 +19,11 @@ import pytest
 
 import repro
 from repro.costs.calibrated import CalibratedCostModel
-from repro.costs.charge import ChargeCostModel
+from repro.costs.charge import (
+    ChargeCostModel,
+    charge_sjq_price_table,
+    charge_sjq_pricer,
+)
 from repro.costs.estimates import SizeEstimator
 from repro.costs.model import UniformCostModel
 from repro.errors import OptimizationError
@@ -234,11 +238,12 @@ def test_result_summary_names_the_strategy():
 def test_the_stage_rule_is_written_in_one_place():
     # Pricing a semijoin against a binding set *is* the Fig. 3/4 stage
     # rule.  The stage rules do it through the terms
-    # ``StagedEstimatorProblem`` resolves once per condition, so outside
-    # the cost models only that resolver, the generic plan coster and
-    # the tests' oracle may ask a model for a semijoin price; anything
-    # else that calls ``.sjq_cost(`` or ``.sjq_pricer(`` has grown a
-    # private copy of the rule.
+    # ``StagedEstimatorProblem`` resolves once per condition, or the
+    # price table it asks for per row, so outside the cost models only
+    # that resolver, the generic plan coster and the tests' oracle may
+    # ask a model for a semijoin price; anything else that calls
+    # ``.sjq_cost(``, ``.sjq_pricer(`` or ``.sjq_price_table(`` has
+    # grown a private copy of the rule.
     root = pathlib.Path(repro.__file__).parent
     sources = {
         path.relative_to(root).as_posix(): path.read_text()
@@ -247,7 +252,10 @@ def test_the_stage_rule_is_written_in_one_place():
     callers = {
         name
         for name, text in sources.items()
-        if ".sjq_cost(" in text or ".sjq_pricer(" in text
+        if any(
+            call in text
+            for call in (".sjq_cost(", ".sjq_pricer(", ".sjq_price_table(")
+        )
     }
     allowed = {
         "optimize/search.py",
@@ -262,8 +270,9 @@ def test_the_stage_rule_is_written_in_one_place():
 def test_the_charge_formula_is_written_in_one_place():
     # ChargeCostModel and CalibratedCostModel differ in where the three
     # charges come from, not in what is done with them: the semijoin
-    # formula is ``costs.charge.charge_sjq_pricer`` and each model's
-    # ``sjq_cost`` is that pricer applied — no arithmetic of its own.
+    # formula is ``costs.charge.charge_sjq_pricer`` (batched:
+    # ``charge_sjq_price_table``) and each model's ``sjq_cost`` is that
+    # pricer applied — no arithmetic of its own.
     root = pathlib.Path(repro.__file__).parent
     assert "per_item_send" not in (root / "costs/calibrated.py").read_text()
     for model in (ChargeCostModel, CalibratedCostModel):
@@ -274,3 +283,9 @@ def test_the_charge_formula_is_written_in_one_place():
             for node in ast.walk(ast.parse(textwrap.dedent(applied)))
         ), model.__name__
         assert "charge_sjq_pricer(" in inspect.getsource(model.sjq_pricer)
+        assert "charge_sjq_price_table(" in inspect.getsource(
+            model.sjq_price_table
+        )
+    # The scalar pricer and the batched table evaluate one formula.
+    for priced in (charge_sjq_pricer, charge_sjq_price_table):
+        assert "_semijoin_charge(" in inspect.getsource(priced), priced.__name__

@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import pytest
 
+from repro.errors import CostModelError
 from repro.mediator.executor import Executor
 from repro.mediator.reference import reference_answer
+from repro.optimize.postopt import apply_difference_pruning, apply_source_loading
+from repro.optimize.search import PlanningBudget
 from repro.optimize.sja import SJAOptimizer
 from repro.optimize.sja_plus import SJAPlusOptimizer
 from repro.plans.classify import PlanClass, classify
 from repro.plans.cost import estimate_plan_cost
 from repro.plans.operations import OpKind
+from repro.plans.plan import Plan
 from repro.sources.generators import dmv_fig1
 from repro.sources.network import LinkProfile
 from repro.costs.charge import ChargeCostModel
@@ -163,3 +167,47 @@ class TestSJAPlus:
         sja_cost = executor.execute(sja_plan).total_cost
         plus_cost = executor.execute(plus_plan).total_cost
         assert plus_cost <= sja_cost + 1e-9
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        {"search": "dp"},
+        {"beam_width": 3},
+        {"planning_budget": PlanningBudget(max_subsets=1)},
+    ],
+    ids=lambda setting: next(iter(setting)),
+)
+def test_a_supplied_base_takes_no_search_setting(setting):
+    # The settings configure the default base; a supplied base is
+    # configured itself, so passing both would silently drop one.
+    from repro.optimize.greedy import SelectivityOrderOptimizer
+
+    with pytest.raises(CostModelError, match="configure the base itself"):
+        SJAPlusOptimizer(base=SelectivityOrderOptimizer(), **setting)
+    SJAPlusOptimizer(**setting)  # the default base takes each of them
+
+
+def test_a_fresh_query_validates_each_operation_list_once(monkeypatch, plan_fresh_kit):
+    # The staged builder and each postoptimization pass that rewrites
+    # the plan build one new operation list apiece, validated when it is
+    # built; renaming the finished plan copies it unvalidated.
+    kit = plan_fresh_kit
+    names = kit.source_names
+    base = SJAOptimizer().optimize(
+        kit.query, names, kit.cost_model, kit.estimator
+    ).plan
+    pruned = apply_difference_pruning(base)
+    loaded = apply_source_loading(pruned, kit.cost_model, kit.estimator)
+    built = 1 + (pruned is not base) + (loaded is not pruned)
+    validated = []
+    check = Plan._validate
+    monkeypatch.setattr(
+        Plan, "_validate", lambda plan: validated.append(plan) or check(plan)
+    )
+    result = SJAPlusOptimizer().optimize(
+        kit.query, names, kit.cost_model, kit.estimator
+    )
+    assert len(validated) == built >= 2
+    assert result.plan.operations == loaded.operations
+    assert result.plan.description != validated[-1].description
