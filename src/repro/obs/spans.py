@@ -28,6 +28,7 @@ end-to-end latency into :class:`PhaseSlice` segments whose durations sum
 
 from __future__ import annotations
 
+import bisect
 import json
 import os
 import threading
@@ -503,6 +504,13 @@ def _chain_ops(op_spans: list[Span]) -> list[Span]:
     the instant its last input finished, so the predecessor of a chain
     op is exactly the op whose ``finished`` equals its ``queued``; ties
     resolve deterministically by (end, step).
+
+    Each predecessor is found by bisecting the (end, step)-sorted spans
+    not yet on the chain for those ending within a slack of twice
+    ``_EPS`` of the current start, then taking the last of them that
+    passes the exact test — the op a scan of every span would pick.  A
+    span joins the chain at most once: it leaves the sorted lists when
+    it does, so zero-duration ops sharing an instant cannot loop.
     """
     if not op_spans:
         return []
@@ -510,24 +518,21 @@ def _chain_ops(op_spans: list[Span]) -> list[Span]:
         op_spans,
         key=lambda s: (s.end_s, s.attributes.get("step", 0)),
     )
-    chain = [ordered[-1]]
-    # Zero-duration ops sharing an instant would chain to each other
-    # forever; a visited set makes the walk terminate unconditionally.
-    seen = {id(ordered[-1])}
+    ends = [span.end_s for span in ordered]
+    chain = [ordered.pop()]
+    ends.pop()
     while True:
-        current = chain[-1]
-        candidates = [
-            span
-            for span in ordered
-            if id(span) not in seen
-            and abs(span.end_s - current.start_s) <= _EPS
-            and span.start_s <= current.start_s + _EPS
-        ]
-        if not candidates:
-            break
-        chain.append(candidates[-1])
-        seen.add(id(candidates[-1]))
-    return chain
+        start = chain[-1].start_s
+        low = bisect.bisect_left(ends, start - 2 * _EPS)
+        high = bisect.bisect_right(ends, start + 2 * _EPS)
+        for position in range(high - 1, low - 1, -1):
+            span = ordered[position]
+            if abs(span.end_s - start) <= _EPS and span.start_s <= start + _EPS:
+                chain.append(span)
+                del ordered[position], ends[position]
+                break
+        else:
+            return chain
 
 
 def _merge_intervals(

@@ -30,7 +30,7 @@ from repro.plans.operations import (
     UnionOp,
 )
 from repro.plans.aggregate import AggregatePlan, AggregateTask, plan_aggregate
-from repro.plans.plan import Plan, StageInfo
+from repro.plans.plan import Plan, PlanStep, StageInfo
 from repro.plans.builder import (
     StagedChoice,
     build_filter_plan,
@@ -56,6 +56,7 @@ __all__ = [
     "IntersectOp",
     "DifferenceOp",
     "Plan",
+    "PlanStep",
     "StageInfo",
     "AggregatePlan",
     "AggregateTask",

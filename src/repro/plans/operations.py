@@ -110,7 +110,7 @@ class Operation:
 def condition_sql(operation: Operation) -> str:
     """The operation's condition as SQL (``""`` when it has none)."""
     condition = getattr(operation, "condition", None)
-    return "" if condition is None else condition.to_sql()
+    return "" if condition is None else condition.sql
 
 
 @dataclass(frozen=True)

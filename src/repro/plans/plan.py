@@ -15,14 +15,16 @@ locate each stage's source operations without re-deriving structure.
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from repro.errors import PlanValidationError
 from repro.plans.operations import (
     Operation,
     OpKind,
     RegisterType,
+    condition_sql,
 )
 from repro.query.fusion import FusionQuery
 from repro.relational.conditions import Condition
@@ -45,6 +47,33 @@ class StageInfo:
     input_register: str
     source_registers: tuple[str, ...]
     stage_register: str
+
+
+class PlanStep(NamedTuple):
+    """One operation's place in its plan (see :attr:`Plan.steps`).
+
+    ``index`` is its 0-based position, ``step`` the 1-based one.
+    ``inputs`` maps each register the operation reads to the index of
+    the operation that last wrote it, and ``in_degree`` counts those
+    operations once each; ``dependents`` are the indices of the
+    operations that read this one's value, in plan order, each once.
+    ``kind``, ``target``, ``source``, ``remote`` and ``condition`` are
+    how execution records name the operation: its :class:`OpKind`
+    value, its register, its source (``""`` when local), whether it
+    contacts a source and :func:`condition_sql`.
+    """
+
+    index: int
+    step: int
+    operation: Operation
+    kind: str
+    target: str
+    source: str
+    remote: bool
+    condition: str
+    inputs: dict[str, int]
+    in_degree: int
+    dependents: tuple[int, ...]
 
 
 class Plan:
@@ -152,6 +181,55 @@ class Plan:
     @property
     def remote_op_count(self) -> int:
         return len(self.remote_operations)
+
+    @functools.cached_property
+    def steps(self) -> tuple[PlanStep, ...]:
+        """Every operation's :class:`PlanStep`, derived once per plan.
+
+        The plan never changes, so its first executor derives the
+        dataflow and every later run of the same plan object (a plan
+        cache hit) reads it again.
+        """
+        writer_of: dict[str, int] = {}
+        rows = []
+        dependents: list[list[int]] = [[] for __ in self.operations]
+        for index, op in enumerate(self.operations):
+            # Def-before-use was validated at construction.
+            reads = op.reads()
+            inputs = dict(zip(reads, map(writer_of.__getitem__, reads)))
+            producers = set(inputs.values())
+            for producer in producers:
+                dependents[producer].append(index)
+            target = op.target
+            rows.append(
+                (
+                    index,
+                    index + 1,
+                    op,
+                    op.kind.value,
+                    target,
+                    getattr(op, "source", ""),
+                    op.remote,
+                    condition_sql(op),
+                    inputs,
+                    len(producers),
+                )
+            )
+            writer_of[target] = index
+        return tuple(
+            PlanStep(*row, tuple(readers))
+            for row, readers in zip(rows, dependents)
+        )
+
+    @functools.cached_property
+    def result_writer(self) -> int:
+        """Index of the operation whose value is the answer: the last
+        writer of the result register."""
+        return max(
+            index
+            for index, op in enumerate(self.operations)
+            if op.target == self.result
+        )
 
     def count_by_kind(self) -> dict[OpKind, int]:
         """Operation histogram, e.g. for plan-shape assertions in tests."""

@@ -13,6 +13,7 @@ structurally, so they can key selectivity tables and cost caches.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
@@ -83,6 +84,13 @@ class Condition:
     def to_sql(self, qualifier: str = "") -> str:
         """Render as SQL; ``qualifier`` prefixes attribute references."""
         raise NotImplementedError
+
+    @functools.cached_property
+    def sql(self) -> str:
+        """:meth:`to_sql` unqualified, rendered on first use and kept:
+        a condition is an immutable value, and every plan built for its
+        query names it in its execution records."""
+        return self.to_sql()
 
     # -- combinators ----------------------------------------------------
 

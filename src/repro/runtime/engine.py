@@ -96,9 +96,8 @@ from repro.plans.operations import (
     Operation,
     SelectionOp,
     SemijoinOp,
-    condition_sql,
 )
-from repro.plans.plan import Plan
+from repro.plans.plan import Plan, PlanStep
 from repro.relational.items import EMPTY_ITEMS, as_frozenset
 from repro.relational.relation import Relation
 from repro.runtime.faults import AttemptFate, AttemptOutcome, FaultInjector
@@ -153,42 +152,51 @@ class RuntimeResult:
         """True when no operation degraded (answer is exact)."""
         return not (self.degraded_steps or self.deadline_steps)
 
+    @property
+    def incomplete_conditions(self) -> tuple[str, ...]:
+        """What a partial answer is missing: one mark per condition (or
+        load) whose operation was lost — to a spent retry budget or to
+        the query deadline — in plan order; empty when complete."""
+        if self.complete:
+            return ()
+        incomplete: list[str] = []
+        for span in self.trace.spans:
+            if span.status is not OpStatus.DEGRADED and (
+                span.status is not OpStatus.DEADLINE
+            ):
+                continue
+            condition = getattr(span.operation, "condition", None)
+            mark = (
+                f"load {span.source}"
+                if condition is None
+                else condition.sql
+            )
+            if mark not in incomplete:
+                incomplete.append(mark)
+        return tuple(incomplete)
+
     def to_execution_result(self) -> ExecutionResult:
         """Project onto the sequential executor's result type.
 
         Lets every consumer of :class:`ExecutionResult` (summaries,
         cost accounting, schedule cross-validation) read a concurrent
         run unchanged.  ``elapsed_s`` counts connection-busy time only
-        (attempt durations, not backoff waits).  Operations lost — to a
-        spent retry budget or to the query deadline — surface as
-        ``incomplete_conditions``, one mark per affected condition, so a
-        partial answer carries a machine-readable account of what it is
-        missing.
+        (attempt durations, not backoff waits).  A step that made no
+        attempt costs ``0.0`` and took ``0.0`` s, as a local step does in
+        the sequential executor.
         """
         steps = [
             StepTrace(
                 step=span.step,
                 operation=span.operation,
                 output_size=span.output_size,
-                actual_cost=span.cost,
-                elapsed_s=span.busy_s,
+                actual_cost=span.cost if span.attempts else 0.0,
+                elapsed_s=span.busy_s if span.attempts else 0.0,
                 messages=span.messages,
                 retries=span.retries,
             )
             for span in self.trace.spans
         ]
-        incomplete: list[str] = []
-        for span in self.trace.spans:
-            if span.status not in (OpStatus.DEGRADED, OpStatus.DEADLINE):
-                continue
-            condition = getattr(span.operation, "condition", None)
-            mark = (
-                f"load {span.source}"
-                if condition is None
-                else condition.to_sql()
-            )
-            if mark not in incomplete:
-                incomplete.append(mark)
         return ExecutionResult(
             items=self.items,
             steps=steps,
@@ -197,7 +205,7 @@ class RuntimeResult:
             degraded=len(self.trace.degraded_steps)
             + len(self.trace.deadline_steps),
             deadline_expired=self.deadline_expired,
-            incomplete_conditions=tuple(incomplete),
+            incomplete_conditions=self.incomplete_conditions,
         )
 
     def summary(self) -> str:
@@ -359,33 +367,36 @@ class RuntimeEngine:
 
 
 class _Task:
-    """Per-operation mutable execution state."""
+    """One operation's mutable state in one run.  What the plan alone
+    fixes — inputs, dependents, how records name the operation — is its
+    :class:`PlanStep` (``spec``), derived once per plan; the wire state
+    exists only on remote operations."""
 
     __slots__ = (
-        "index", "op", "input_writer", "remaining", "dependents",
-        "value", "queued_s", "first_start_s", "attempt_count", "last_fate",
-        "done", "inflight", "hedged", "primary_attempts", "retry_pending",
-        "exhausted", "slot_source", "answers", "confirm_tried",
-        "final_status", "slot_released",
+        "spec", "op", "remaining", "queued_s",
+        "first_start_s", "attempt_count", "last_fate", "done", "inflight",
+        "hedged", "primary_attempts", "retry_pending", "exhausted",
+        "slot_source", "answers", "confirm_tried", "final_status",
+        "slot_released",
     )
 
-    def __init__(self, index: int, op: Operation):
-        self.index = index
-        self.op = op
+    def __init__(self, spec: PlanStep):
+        self.spec = spec
+        self.op = spec.operation
+        # Inputs not yet finished; the task is ready at zero.
+        self.remaining = spec.in_degree
+        self.queued_s = 0.0
+        self.done = False
+        if not spec.remote:
+            return  # a local operation never goes on the wire
         # The source whose connection slot this task occupies once
         # dispatched; equals the planned source unless load balancing
         # moved the task onto another member of the same replica group.
-        self.slot_source: str = op.source if op.remote else ""
-        self.input_writer: dict[str, int] = {}
-        self.remaining = 0
-        self.dependents: list[int] = []
-        self.value: Any = None
-        self.queued_s = 0.0
+        self.slot_source = spec.source
         self.first_start_s: float | None = None
         # Attempts recorded so far, and the latest one's fate.
         self.attempt_count = 0
         self.last_fate = "?"
-        self.done = False
         self.inflight: list[_Attempt] = []
         self.hedged = False
         self.primary_attempts = 0
@@ -403,7 +414,7 @@ class _Task:
 
     @property
     def step(self) -> int:
-        return self.index + 1
+        return self.spec.step
 
     def holds(self, name: str) -> bool:
         """Whether ``name`` is the connection this task owns: its slot,
@@ -412,14 +423,14 @@ class _Task:
 
     @property
     def planned_source(self) -> str:
-        return self.op.source  # type: ignore[attr-defined]
+        return self.spec.source
 
 
 class _Attempt:
     """One in-flight wire attempt (primary-path or hedge)."""
 
     __slots__ = (
-        "task", "source_name", "start_s", "outcome", "value", "records",
+        "task", "source_name", "start_s", "outcome", "value", "traffic",
         "hedge", "confirm", "cancelled",
     )
 
@@ -430,7 +441,7 @@ class _Attempt:
         start_s: float,
         outcome: AttemptOutcome,
         value: Any,
-        records: list,
+        traffic: tuple,
         hedge: bool,
         confirm: bool = False,
     ):
@@ -439,10 +450,25 @@ class _Attempt:
         self.start_s = start_s
         self.outcome = outcome
         self.value = value
-        self.records = records
+        self.traffic = traffic
         self.hedge = hedge
         self.confirm = confirm
         self.cancelled = False
+
+
+def _traffic_of(records: list) -> tuple[Any, tuple]:
+    """One pass over an attempt's messages: its elapsed seconds, and the
+    cost, items sent, items received, rows loaded and message count its
+    ``attempt`` record carries.  Each total starts from ``0`` and adds in
+    message order, as ``sum`` does."""
+    cost = sent = received = loaded = elapsed = 0
+    for record in records:
+        cost += record.cost
+        sent += record.items_sent
+        received += record.items_received
+        loaded += record.rows_loaded
+        elapsed += record.elapsed_s
+    return elapsed, (cost, sent, received, loaded, len(records))
 
 
 class _Record(NamedTuple):
@@ -471,16 +497,17 @@ class _Execution:
         self.plan = plan
         self.budget_s = budget_s
         self.expired = False
-        self.tasks = self._build_tasks(plan)
-        self.result_writer = self._final_writer(plan)
+        self.tasks = [_Task(spec) for spec in plan.steps]
+        # Each operation's value once it finished (``None`` before).
+        self.values: list[Any] = [None] * len(self.tasks)
         # Per-source FIFO of task indices in plan order; the head may
         # start once its inputs are ready and the connection is free.
         self.queues: dict[str, deque[_Task]] = {}
         self.busy: dict[str, bool] = {}
         for task in self.tasks:
-            if task.op.remote:
-                self.queues.setdefault(task.planned_source, deque()).append(task)
-                self.busy.setdefault(task.planned_source, False)
+            if task.spec.remote:
+                self.queues.setdefault(task.slot_source, deque()).append(task)
+                self.busy[task.slot_source] = False
         # Round-robin rotation state per replica group, only consulted
         # when the engine balances load across group members.
         self.rotation: dict[tuple[str, ...], int] = {}
@@ -494,34 +521,6 @@ class _Execution:
         self.seq = itertools.count()
         # The run's ``attempt`` / ``op`` records, in event order.
         self.records: list[_Record] = []
-
-    # ------------------------------------------------------------------
-    # Static structure
-
-    @staticmethod
-    def _build_tasks(plan: Plan) -> list[_Task]:
-        tasks = [_Task(i, op) for i, op in enumerate(plan.operations)]
-        writer_of: dict[str, int] = {}
-        for task in tasks:
-            deps = set()
-            for register in task.op.reads():
-                producer = writer_of[register]  # def-before-use validated
-                task.input_writer[register] = producer
-                deps.add(producer)
-            task.remaining = len(deps)
-            for producer in deps:
-                tasks[producer].dependents.append(task.index)
-            writer_of[task.op.target] = task.index
-        return tasks
-
-    @staticmethod
-    def _final_writer(plan: Plan) -> int:
-        writer = None
-        for index, op in enumerate(plan.operations):
-            if op.target == plan.result:
-                writer = index
-        assert writer is not None  # plan validation guarantees this
-        return writer
 
     # ------------------------------------------------------------------
     # Event loop
@@ -575,7 +574,7 @@ class _Execution:
             raise ExecutionError(
                 f"runtime deadlock: steps {unfinished} never completed"
             )
-        answer = self.tasks[self.result_writer].value
+        answer = self.values[self.plan.result_writer]
         trace = RuntimeTrace.from_events(
             self.records, operations=self.plan.operations
         )
@@ -603,7 +602,9 @@ class _Execution:
     def _push(self, time_s: float, kind: str, payload: tuple) -> None:
         heapq.heappush(self.heap, (time_s, next(self.seq), kind, payload))
 
-    def _record(self, now: float, event_type: str, **fields: Any) -> None:
+    def _record(
+        self, now: float, event_type: str, fields: dict[str, Any]
+    ) -> None:
         """Keep one ``attempt`` / ``op`` record; an attached recorder
         receives the same fields."""
         self.records.append(_Record(event_type, fields))
@@ -614,11 +615,15 @@ class _Execution:
     # Readiness and dispatch
 
     def _mark_ready(self, task: _Task, now: float) -> None:
+        """Queue a remote task for its connection, or evaluate a local
+        one on the spot: local operations are instantaneous and free."""
         task.queued_s = now
-        if task.op.remote:
-            self._try_dispatch(task.planned_source, now)
-        else:
-            self._run_local(task, now)
+        if task.spec.remote:
+            self._try_dispatch(task.slot_source, now)
+            return
+        value = task.op.evaluate(self._fetch_for(task))
+        self._close(task, now, value, OpStatus.OK, now)
+        self._propagate(task, now)
 
     def _members(self, source_name: str) -> tuple[str, ...]:
         """The connection slots ``source_name``'s queue may claim.
@@ -796,15 +801,13 @@ class _Execution:
             # a substitute's connection is held only for the attempt.
             self.busy[serving] = True
         if self.recorder is not None and isinstance(task.op, SemijoinOp):
-            bindings = self.tasks[
-                task.input_writer[task.op.input_register]
-            ].value
+            bindings = self.values[task.spec.inputs[task.op.input_register]]
             self.recorder.emit(
                 now,
                 "sendset",
                 step=task.step,
                 source=serving,
-                condition=task.op.condition.to_sql(),
+                condition=task.spec.condition,
                 size=len(bindings),
             )
         mark = len(source.traffic.records)
@@ -814,7 +817,7 @@ class _Execution:
         except SourceUnavailableError:
             value = None
             call_failed = True
-        records = source.traffic.records[mark:]
+        base, traffic = _traffic_of(source.traffic.records[mark:])
         if call_failed:
             # The legacy per-source FailureInjector fired before any
             # traffic was charged: fail after one empty round trip.
@@ -822,7 +825,6 @@ class _Execution:
                 AttemptFate.TRANSIENT, source.link.request_time_s(0, 0)
             )
         else:
-            base = sum(record.elapsed_s for record in records)
             outcome = self.faults.judge(source.name, now, base, source.link)
         timeout = self.policy.timeout_s
         if timeout is not None and outcome.duration_s > timeout:
@@ -838,7 +840,7 @@ class _Execution:
                 serving, value, pool=self._stale_pool(task, source)
             )
         attempt = _Attempt(
-            task, serving, now, outcome, value, records, hedge, confirm
+            task, serving, now, outcome, value, traffic, hedge, confirm
         )
         task.inflight.append(attempt)
         if hedge:
@@ -861,9 +863,10 @@ class _Execution:
 
     def _fetch_for(self, task: _Task) -> Fetch:
         """``task``'s register reader: the value its input's writer holds."""
+        values, inputs = self.values, task.spec.inputs
 
         def fetch(register: str) -> Any:
-            return self.tasks[task.input_writer[register]].value
+            return values[inputs[register]]
 
         return fetch
 
@@ -880,7 +883,7 @@ class _Execution:
             return EMPTY_ITEMS
         op = task.op
         if isinstance(op, SemijoinOp):
-            return self.tasks[task.input_writer[op.input_register]].value
+            return self.values[task.spec.inputs[op.input_register]]
         if isinstance(op, SelectionOp):
             table = getattr(source, "table", None)
             if table is None:
@@ -939,27 +942,32 @@ class _Execution:
         self, attempt: _Attempt, now: float, fate: AttemptFate
     ) -> None:
         task = attempt.task
-        records = attempt.records
+        spec = task.spec
+        cost, sent, received, loaded, messages = attempt.traffic
         task.attempt_count += 1
-        task.last_fate = fate.value
+        # ``_value_`` is the value an enum member stores; ``.value``
+        # reads it through a Python-level descriptor, once per record.
+        task.last_fate = fate_text = fate._value_
         self._record(
             now,
             "attempt",
-            step=task.step,
-            op=task.op.kind.value,
-            planned=task.planned_source,
-            condition=condition_sql(task.op),
-            attempt=task.attempt_count,
-            source=attempt.source_name,
-            start=attempt.start_s,
-            end=now,
-            fate=fate.value,
-            hedge=attempt.hedge,
-            cost=sum(r.cost for r in records),
-            items_sent=sum(r.items_sent for r in records),
-            items_received=sum(r.items_received for r in records),
-            rows_loaded=sum(r.rows_loaded for r in records),
-            messages=len(records),
+            {
+                "step": spec.step,
+                "op": spec.kind,
+                "planned": spec.source,
+                "condition": spec.condition,
+                "attempt": task.attempt_count,
+                "source": attempt.source_name,
+                "start": attempt.start_s,
+                "end": now,
+                "fate": fate_text,
+                "hedge": attempt.hedge,
+                "cost": cost,
+                "items_sent": sent,
+                "items_received": received,
+                "rows_loaded": loaded,
+                "messages": messages,
+            },
         )
 
     def _handle_complete(self, now: float, attempt: _Attempt) -> None:
@@ -1211,13 +1219,11 @@ class _Execution:
         self.heap.clear()  # pending retries/hedges/wakes are moot
         self.blocked.clear()
         for task in self.tasks:
-            if task.done:
-                continue
+            if task.done or not task.spec.remote:
+                continue  # locals evaluate via propagation below
             for attempt in list(task.inflight):
                 self._cancel(attempt, now)
             task.inflight.clear()
-            if not task.op.remote:
-                continue  # locals evaluate via propagation below
             if task.first_start_s is None:
                 task.first_start_s = now  # never reached the wire
             if task.answers:
@@ -1285,36 +1291,31 @@ class _Execution:
         started_s: float,
     ) -> None:
         """Publish a finished task: its value and its ``op`` record."""
-        task.value = value
+        spec = task.spec
+        self.values[spec.index] = value
         task.done = True
-        op = task.op
         self._record(
             now,
             "op",
-            step=task.step,
-            op=op.kind.value,
-            target=op.target,
-            source=getattr(op, "source", ""),
-            remote=op.remote,
-            condition=condition_sql(op),
-            queued=task.queued_s,
-            started=started_s,
-            finished=now,
-            status=status.value,
-            output=len(value),
+            {
+                "step": spec.step,
+                "op": spec.kind,
+                "target": spec.target,
+                "source": spec.source,
+                "remote": spec.remote,
+                "condition": spec.condition,
+                "queued": task.queued_s,
+                "started": started_s,
+                "finished": now,
+                "status": status._value_,
+                "output": len(value),
+            },
         )
 
     def _propagate(self, task: _Task, now: float) -> None:
-        for index in task.dependents:
-            dependent = self.tasks[index]
+        tasks = self.tasks
+        for index in task.spec.dependents:
+            dependent = tasks[index]
             dependent.remaining -= 1
             if dependent.remaining == 0:
                 self._mark_ready(dependent, now)
-
-    # ------------------------------------------------------------------
-    # Local operations (instantaneous, free)
-
-    def _run_local(self, task: _Task, now: float) -> None:
-        value = task.op.evaluate(self._fetch_for(task))
-        self._close(task, now, value, OpStatus.OK, started_s=now)
-        self._propagate(task, now)

@@ -25,9 +25,11 @@ accounted per serving source, not per planned source.
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 from repro.errors import ObservabilityError
 from repro.plans.operations import Operation
@@ -43,8 +45,7 @@ class OpStatus(enum.Enum):
     DEADLINE = "deadline"  # query budget expired; empty result substituted
 
 
-@dataclass(frozen=True)
-class AttemptSpan:
+class AttemptSpan(NamedTuple):
     """One wire attempt of a remote operation."""
 
     attempt: int  # 1-based
@@ -70,8 +71,7 @@ class AttemptSpan:
         return self.end_s - self.start_s
 
 
-@dataclass(frozen=True)
-class OpSpan:
+class OpSpan(NamedTuple):
     """One operation's full history on the virtual clock."""
 
     step: int  # 1-based plan position
@@ -179,56 +179,64 @@ class RuntimeTrace:
         Raises:
             ObservabilityError: no ``op`` record for the selected round.
         """
-        events = list(events)
-        if round_no is None:
-            round_no = max(
-                (e.fields.get("round", 0) for e in events if e.type == "op"),
-                default=0,
-            )
-        op_records = []
-        attempts_by_step: dict[int, list[AttemptSpan]] = {}
-        # When each step's first answer arrived.  The schema carries no
-        # ``confirm`` flag, but an answered step sends nothing further on
-        # its primary path, so a non-hedge attempt that starts once the
-        # answer is in hand can only be a ``vote`` confirmation fetch.
-        answered_s: dict[int, float] = {}
+        # One pass: each round's ``op`` records, and attempt spans by
+        # (round, step).  When each step's first answer arrived is kept
+        # too: the schema carries no ``confirm`` flag, but an answered
+        # step sends nothing further on its primary path, so a non-hedge
+        # attempt that starts once the answer is in hand can only be a
+        # ``vote`` confirmation fetch.
+        ops_of: dict[int, list[dict[str, Any]]] = {}
+        attempts: dict[tuple[int, int], list[AttemptSpan]] = {}
+        answered_s: dict[tuple[int, int], float] = {}
         for event in events:
-            record = event.fields
-            if record.get("round", 0) != round_no:
-                continue
-            if event.type == "op":
-                op_records.append(record)
-            if event.type != "attempt":
-                continue
-            step = record["step"]
-            fate = _FATES[record["fate"]]
-            attempts_by_step.setdefault(step, []).append(
-                AttemptSpan(
-                    attempt=record["attempt"],
-                    start_s=record["start"],
-                    end_s=record["end"],
-                    fate=fate,
-                    cost=record["cost"],
-                    items_sent=record["items_sent"],
-                    items_received=record["items_received"],
-                    rows_loaded=record["rows_loaded"],
-                    messages=record["messages"],
-                    source=record["source"],
-                    hedge=record["hedge"],
-                    confirm=not record["hedge"]
-                    and record["start"] >= answered_s.get(step, math.inf),
+            kind = event.type
+            if kind == "op":
+                record = event.fields
+                ops_of.setdefault(record.get("round", 0), []).append(record)
+            elif kind == "attempt":
+                record = event.fields
+                key = (record.get("round", 0), record["step"])
+                fate = _FATES[record["fate"]]
+                start = record["start"]
+                hedge = record["hedge"]
+                span = _span(
+                    AttemptSpan,
+                    (
+                        record["attempt"],
+                        start,
+                        record["end"],
+                        fate,
+                        record["cost"],
+                        record["items_sent"],
+                        record["items_received"],
+                        record["rows_loaded"],
+                        record["messages"],
+                        record["source"],
+                        hedge,
+                        not hedge and start >= answered_s.get(key, math.inf),
+                    ),
                 )
-            )
-            if fate is AttemptFate.OK:
-                answered_s.setdefault(step, record["end"])
+                attempts.setdefault(key, []).append(span)
+                if fate is AttemptFate.OK:
+                    answered_s.setdefault(key, record["end"])
+        if round_no is None:
+            round_no = max(ops_of, default=0)
+        op_records = ops_of.get(round_no)
         if not op_records:
             raise ObservabilityError(
                 f"no 'op' events for round {round_no} — was the run recorded?"
             )
-        spans = tuple(
-            OpSpan(
-                step=record["step"],
-                operation=(
+        op_records.sort(key=_STEP)
+        by_step = {
+            step: tuple(spans)
+            for (number, step), spans in attempts.items()
+            if number == round_no
+        }
+        spans = [
+            _span(
+                OpSpan,
+                (
+                    record["step"],
                     operations[record["step"] - 1]
                     if operations is not None
                     else _ReplayOperation(
@@ -237,58 +245,81 @@ class RuntimeTrace:
                         record["source"],
                         record["remote"],
                         record["condition"],
-                    )
+                    ),
+                    record["queued"],
+                    record["started"],
+                    record["finished"],
+                    by_step.get(record["step"], ()),
+                    _STATUSES[record["status"]],
+                    record["output"],
                 ),
-                queued_s=record["queued"],
-                started_s=record["started"],
-                finished_s=record["finished"],
-                attempts=tuple(attempts_by_step.get(record["step"], ())),
-                status=_STATUSES[record["status"]],
-                output_size=record["output"],
             )
-            for record in sorted(op_records, key=lambda r: r["step"])
-        )
-        makespan = max(r["finished"] for r in op_records)
-        return RuntimeTrace(spans=spans, makespan_s=makespan)
+            for record in op_records
+        ]
+        makespan = max(map(_FINISHED, op_records))
+        return RuntimeTrace(spans=tuple(spans), makespan_s=makespan)
 
     @property
     def remote_spans(self) -> tuple[OpSpan, ...]:
         return tuple(s for s in self.spans if s.operation.remote)
 
+    @functools.cached_property
+    def _tally(self) -> _Tally:
+        """The run's step lists and totals, in one pass over the spans
+        (a trace never changes).  A span without attempts adds nothing:
+        its retries and cost are ``0``."""
+        degraded: list[int] = []
+        deadline: list[int] = []
+        recovered: list[int] = []
+        retries = hedges = 0
+        cost = 0
+        for span in self.spans:
+            status = span.status
+            if status is OpStatus.DEGRADED:
+                degraded.append(span.step)
+            elif status is OpStatus.DEADLINE:
+                deadline.append(span.step)
+            elif status is OpStatus.RECOVERED:
+                recovered.append(span.step)
+            if span.attempts:
+                retries += span.retries
+                cost += span.cost
+                hedges += sum(1 for a in span.attempts if a.hedge)
+        return _Tally(
+            tuple(degraded),
+            tuple(deadline),
+            tuple(recovered),
+            retries,
+            hedges,
+            cost,
+        )
+
     @property
     def degraded_steps(self) -> tuple[int, ...]:
-        return tuple(
-            s.step for s in self.spans if s.status is OpStatus.DEGRADED
-        )
+        return self._tally.degraded
 
     @property
     def deadline_steps(self) -> tuple[int, ...]:
         """Steps cut short because the query's deadline budget expired."""
-        return tuple(
-            s.step for s in self.spans if s.status is OpStatus.DEADLINE
-        )
+        return self._tally.deadline
 
     @property
     def recovered_steps(self) -> tuple[int, ...]:
         """Steps whose planned source failed but a replica served them."""
-        return tuple(
-            s.step for s in self.spans if s.status is OpStatus.RECOVERED
-        )
+        return self._tally.recovered
 
     @property
     def hedge_attempts(self) -> int:
         """Speculative duplicate attempts launched across all steps."""
-        return sum(
-            1 for s in self.spans for a in s.attempts if a.hedge
-        )
+        return self._tally.hedges
 
     @property
     def total_retries(self) -> int:
-        return sum(s.retries for s in self.spans)
+        return self._tally.retries
 
     @property
     def total_cost(self) -> float:
-        return sum(s.cost for s in self.spans)
+        return self._tally.cost
 
     @property
     def total_messages(self) -> int:
@@ -424,8 +455,24 @@ class RuntimeTrace:
         return f"{span.step:>3}) {span.source:<6} {op.kind.value}->{op.target}"
 
 
+class _Tally(NamedTuple):
+    """What :attr:`RuntimeTrace._tally` counts."""
+
+    degraded: tuple[int, ...]
+    deadline: tuple[int, ...]
+    recovered: tuple[int, ...]
+    retries: int
+    hedges: int
+    cost: float
+
+
 _FATES = {fate.value: fate for fate in AttemptFate}
 _STATUSES = {status.value: status for status in OpStatus}
+_STEP = operator.itemgetter("step")
+_FINISHED = operator.itemgetter("finished")
+#: Builds a span from its fields in declaration order, without the
+#: Python-level ``__new__`` a ``NamedTuple`` class generates.
+_span = tuple.__new__
 
 
 @dataclass(frozen=True)

@@ -755,10 +755,9 @@ class MediatorService:
             result = mediator.runtime.run(
                 plan, budget_s=budget_s, faults=faults
             )
-            execution = result.to_execution_result()
-            ticket.items = execution.items
-            ticket.partial = execution.partial
-            ticket.incomplete_conditions = execution.incomplete_conditions
+            ticket.items = result.items
+            ticket.partial = not result.complete
+            ticket.incomplete_conditions = result.incomplete_conditions
             ticket.makespan_s = result.makespan_s
             deadline_cut = result.deadline_expired
         except FusionError as exc:

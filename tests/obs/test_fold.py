@@ -349,7 +349,8 @@ class TestWrittenInOnePlace:
     def test_call_sites_emit_exactly_the_schema_fields_by_name(self):
         checked = set()
         for where, call in _emit_calls():
-            assert len(call.args) == 2, where  # (now_s, event_type)
+            # (now_s, event_type), plus the fields of an engine record
+            assert len(call.args) == 2 + (call.func.attr == "_record"), where
             event_type = call.args[1]
             assert isinstance(event_type, ast.Constant), where
             assert event_type.value in EVENT_SCHEMA, where
@@ -357,6 +358,14 @@ class TestWrittenInOnePlace:
             for keyword in call.keywords:
                 assert keyword.arg is not None, where  # no ``**``
                 named.add(keyword.arg)
+            if call.func.attr == "_record":
+                # The engine spells its records as one dict display.
+                assert not call.keywords and len(call.args) == 3, where
+                fields = call.args[2]
+                assert isinstance(fields, ast.Dict), where
+                for key in fields.keys:
+                    assert isinstance(key, ast.Constant), where  # no ``**``
+                    named.add(key.value)
             expected = set(EVENT_SCHEMA[event_type.value])
             if event_type.value in ROUND_STAMPED:
                 expected.discard("round")  # the recorder stamps it

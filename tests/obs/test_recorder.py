@@ -3,8 +3,6 @@ replay byte-equality, and the profile the mediator attaches."""
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 from repro.errors import ObservabilityError
@@ -170,8 +168,8 @@ class TestReplay:
         live = result.trace
         assert replayed.makespan_s == live.makespan_s
         for mine, theirs in zip(replayed.spans, live.spans, strict=True):
-            assert replace(mine, operation=None) == replace(
-                theirs, operation=None
+            assert mine._replace(operation=None) == theirs._replace(
+                operation=None
             )
             for name in ("target", "source", "remote"):
                 assert getattr(mine.operation, name) == getattr(
