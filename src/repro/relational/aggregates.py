@@ -16,9 +16,11 @@ and the mediator-side path over raw tuples produce bit-identical
 floats.  The fold is ``functools.reduce(operator.add, …)``: builtin
 ``sum`` is compensated for floats from python 3.12 on, ``math.fsum`` and
 numpy's pairwise ``sum`` round differently again, so none of them may
-stand in for it.  MIN/MAX keep the first extremal value they meet
-(``min`` / ``max`` do), so a ``1`` / ``1.0`` tie returns the same object
-on every path.
+stand in for it.  Only where no addition can round — exactly-``int``
+values whose sums stay within 2**53 — do numpy reductions compute the
+same states (:func:`_numpy_partials`).  MIN/MAX keep the first extremal
+value they meet (``min`` / ``max`` do), so a ``1`` / ``1.0`` tie
+returns the same object on every path.
 
 Partial states (one per :class:`AggregateSpec`):
 
@@ -35,7 +37,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import compress
+from itertools import compress, repeat
 from operator import add
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -208,27 +210,15 @@ def finalize_partial(spec: AggregateSpec, state: PartialState) -> Any:
 # Relation-level aggregation (a columnar group-by)
 
 
-def _column_values(relation: Relation, name: str) -> list[Any]:
-    """One column of the relation, null-padded for ragged rows.
-
-    Well-formed relations reuse the cached columnar view; ragged
-    fault-injected payloads fall back to positional extraction with a
+def _padded_column(relation: Relation, name: str) -> list[Any]:
+    """One column of a ragged relation: positional extraction with a
     bounds check (missing positions read as NULL, mirroring ``row.get``
-    in the dict path).
-    """
-    table = relation.columnar()
-    if table.well_formed:
-        column = table.column(name)
-        if column is not None:
-            return column
-        return [None] * len(relation.rows)
+    in the dict path)."""
     try:
         pos = relation.schema.position(name)
     except Exception:
         return [None] * len(relation.rows)
-    return [
-        row[pos] if pos < len(row) else None for row in relation.rows
-    ]
+    return [row[pos] if pos < len(row) else None for row in relation.rows]
 
 
 def _bucket(keys: list[Any] | None, values: Sequence[Any]) -> dict[Any, Sequence[Any]]:
@@ -260,31 +250,57 @@ def partial_aggregate_rows(
     ``items`` (when given) restricts input rows to those whose merge
     attribute is in the set — this is exactly what a source computes
     during partial-aggregate pushdown, with ``items`` the fusion
-    answer.
+    answer.  The restriction is a slice of the relation's columnar
+    view, as a ``fetch_rows`` answer is.
 
-    A group-by over whole columns: the group key column is built once,
-    every *distinct* aggregated attribute is bucketed by it once (the
-    only per-row python work — ``COUNT``/``SUM``/``AVG``/``MIN``/``MAX``
-    of one attribute share the pass), and each group is finished by
-    C-level folds over its bucket, in row order.
+    Two folds give the same states to the bit.  When numpy serves the
+    rows, every GROUP BY key is dictionary encoded and every aggregated
+    attribute is exactly ``int`` with no sum able to pass 2**53,
+    :func:`_numpy_partials` reduces whole columns by group code.
+    Otherwise the python fold buckets each distinct attribute by the
+    group keys once and finishes every group with C-level folds over
+    its bucket, in row order.
     """
     specs = tuple(specs)
-    n = len(relation.rows)
-    member: list[bool] | None = None
-    if items is not None:
-        table = columnar.table_for(relation)
-        if table is not None:
-            member = columnar.mask_as_list(columnar.member_mask(table, items))
-        else:
-            # Ragged rows: the null-padded merge values, probed one by one.
-            merge_values = _column_values(relation, relation.schema.merge_attribute)
+    group_by = tuple(group_by)
+    table = columnar.table_for(relation)
+    if table is None:
+        # Ragged rows: the null-padded merge values, probed one by one.
+        member = None
+        if items is not None:
+            merge_values = _padded_column(relation, relation.schema.merge_attribute)
             member = list(map(items.__contains__, merge_values))
-        n = member.count(True)
+
+        def column(name: str) -> list[Any]:
+            values = _padded_column(relation, name)
+            return values if member is None else list(compress(values, member))
+
+        n = len(relation.rows) if member is None else member.count(True)
+        return _python_partials(column, n, specs, group_by)
+    if items is not None:
+        table = table.where(columnar.member_mask(table, items))
+    # Measured crossover 32–48 rows (12 groups; COUNT/SUM/AVG/MIN/MAX of
+    # an INT column; see DESIGN "Columnar substrate"), below the
+    # predicate kernels' 64, so their size rule serves.
+    if columnar.numpy_serves(table.length):
+        partials = _numpy_partials(table, specs, group_by)
+        if partials is not None:
+            return partials
 
     def column(name: str) -> list[Any]:
-        values = _column_values(relation, name)
-        return values if member is None else list(compress(values, member))
+        values = table.column(name)
+        return [None] * table.length if values is None else values
 
+    return _python_partials(column, table.length, specs, group_by)
+
+
+def _python_partials(
+    column: Callable[[str], list[Any]],
+    n: int,
+    specs: tuple[AggregateSpec, ...],
+    group_by: tuple[str, ...],
+) -> Partials:
+    """The python fold over ``n`` rows whose columns ``column`` returns."""
     # One GROUP BY attribute is the common case: its raw values hash
     # faster than 1-tuples of them, so keys become tuples at the end.
     key_columns = [column(name) for name in group_by]
@@ -310,6 +326,90 @@ def partial_aggregate_rows(
         if (fold, name) not in states:
             states[fold, name] = {key: fold(values) for key, values in nonnull[name].items()}
     return {as_key(key): [states[slot][key] for slot in slots] for key in sizes}
+
+
+def _numpy_partials(
+    table: columnar.ColumnarTable,
+    specs: tuple[AggregateSpec, ...],
+    group_by: tuple[str, ...],
+) -> Partials | None:
+    """The python fold's states by numpy reductions over group codes, or
+    ``None`` when they could differ from it by a bit.
+
+    Each state equals its python counterpart exactly: group sizes and
+    non-null counts are ``bincount`` counts; a SUM is a ``bincount``
+    of float64 weights that are exact integers, whose every partial sum
+    stays within ±2**53 (checked: max |v| × rows), so no addition
+    rounds; MIN/MAX are ``minimum.at`` / ``maximum.at`` over exact
+    values, and an ``int`` has no distinct equal twin a first-met rule
+    could pick.  ``tolist`` hands python ``int`` values back; an all-null
+    group's extreme is ``None`` and its total ``0``.  Groups keep
+    first-row order and the key objects of the source table's index.
+    """
+    import numpy as np
+
+    n = table.length
+    mirrors = {}
+    for spec in specs:
+        name = spec.attribute
+        if name is not None and name not in mirrors:
+            mirror = table.int_mirror(name)
+            # In python ints: a float product could round down onto 2**53.
+            if mirror is None or (n and int(np.abs(mirror[0]).max()) * n > columnar.SAFE_INT):
+                return None
+            mirrors[name] = mirror
+    encodings = [table.encoded(name) for name in group_by]
+    if None in encodings:
+        return None
+    if not encodings:
+        if not n:
+            return {}
+        keys, codes = [GLOBAL_GROUP], np.zeros(n, dtype=np.uint8)
+    else:
+        index, codes = encodings[0]
+        keys = [(value,) for value in index]
+        for index, more in encodings[1:]:
+            # Multiply the codes out, then renumber in first-row order.
+            values, width = list(index), len(index)
+            order, codes = columnar.first_appearance(
+                codes.astype(np.int64) * width + more, len(keys) * width
+            )
+            keys = [keys[code // width] + (values[code % width],) for code in order.tolist()]
+    groups = len(keys)
+    sizes = np.bincount(codes, minlength=groups)
+    # Per attribute: each non-null value's group, the value, and how many
+    # non-null values every group has.
+    present = {}
+    for name, (data, null) in mirrors.items():
+        if null is None:
+            present[name] = codes, data, sizes
+        else:
+            at = codes[~null]
+            present[name] = at, data[~null], np.bincount(at, minlength=groups)
+    # SUM and AVG share a state, as in the python fold.
+    slots = [("sum" if spec.func == "avg" else spec.func, spec.attribute) for spec in specs]
+    states: dict[tuple[str, str | None], list[Any]] = {("count", None): sizes.tolist()}
+    for func, name in slots:
+        if (func, name) in states:
+            continue
+        at, values, counts = present[name]
+        if func == "count":
+            states[func, name] = counts.tolist()
+        elif func == "sum":
+            totals = np.bincount(at, weights=values, minlength=groups)
+            states[func, name] = list(zip(totals.astype(np.int64).tolist(), counts.tolist()))
+        else:
+            ufunc, start = (np.minimum, np.inf) if func == "min" else (np.maximum, -np.inf)
+            extremes = np.full(groups, start)
+            ufunc.at(extremes, at, values)
+            empty = counts == 0
+            extremes[empty] = 0
+            states[func, name] = [
+                None if missing else value
+                for value, missing in zip(extremes.astype(np.int64).tolist(), empty.tolist())
+            ]
+    rows = zip(*(states[slot] for slot in slots)) if slots else repeat(())
+    return {key: list(row) for key, row in zip(keys, rows)}
 
 
 def merge_partials(

@@ -158,9 +158,10 @@ class Relation:
         return Relation._derived(name or self.name, self.schema, rows, self._validated)
 
     def _where(self, mask: Sequence[Any], name: str) -> "Relation":
-        """The rows at the true positions of ``mask``; the columnar view,
-        when this relation has one cached, is sliced by the same mask."""
-        rows = tuple(compress(self._rows, mask))
+        """The rows at the true positions of ``mask`` (a python list or a
+        numpy bool array); the columnar view, when this relation has one
+        cached, is sliced by the same mask."""
+        rows = tuple(compress(self._rows, mask_as_list(mask)))
         table = self._columnar if self._validated else None
         columnar = table.where(mask, len(rows)) if table is not None else None
         return Relation._derived(name, self.schema, rows, self._validated, columnar)
@@ -183,7 +184,7 @@ class Relation:
             # Ragged rows (only ``unchecked`` holds them) have no columns.
             pos = self.schema.merge_position
             return self.derive((row for row in self._rows if row[pos] in items), name)
-        return self._where(mask_as_list(member_mask(table, items)), name)
+        return self._where(member_mask(table, items), name)
 
     @staticmethod
     def union_all(name: str, relations: Iterable["Relation"]) -> "Relation":

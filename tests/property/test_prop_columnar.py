@@ -11,6 +11,7 @@ arrival order), not calls back into the code under test.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from enum import IntEnum
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -407,3 +408,209 @@ def test_ragged_relation_aggregates_over_null_padded_columns(rows, group_by, ite
                 group_by,
             )
             assert dict(grouped.groups) == expected
+
+
+# --- the numpy group-by: the python fold's states to the bit -------------
+#
+# Every call below runs with numpy forced off (the python fold), forced
+# on and at the default size rule; the partials must agree in ``repr``,
+# in the type of every key and state, and in key order.  The data holds
+# what the numpy fold decides on: negative ints, values at and past
+# ±2**53 and sums past it (those fall back), an ``IntEnum`` in an INT
+# column, a FLOAT column, all-null groups and a two-key GROUP BY.
+
+
+class Grade(IntEnum):
+    LOW = -3
+    HIGH = 7
+
+
+WIDE_SCHEMA = Schema(
+    (
+        Attribute("L", DataType.STRING),
+        Attribute("K", DataType.STRING, nullable=True),
+        Attribute("G", DataType.INT, nullable=True),
+        Attribute("N", DataType.INT, nullable=True),
+        Attribute("F", DataType.FLOAT, nullable=True),
+    ),
+    merge_attribute="L",
+)
+
+_EDGES = [2**53, -(2**53), 2**53 - 1, 2**53 + 1, -(2**53) - 1, 2**60, 2**52]
+_ints = st.one_of(
+    st.integers(min_value=-40, max_value=40),
+    st.integers(min_value=-(2**31), max_value=2**31),
+    st.sampled_from(_EDGES),
+)
+#: The INT column's flavours: exact ints, ints with an ``IntEnum`` among
+#: them, or nothing but nulls.  The FLOAT column holds the fold-order
+#: witnesses, or only ints (which a FLOAT column accepts).
+_flavours = {
+    "int": _ints,
+    "enum": st.one_of(st.integers(min_value=-5, max_value=9), st.sampled_from(list(Grade))),
+    "null": st.none(),
+}
+_floats = st.sampled_from([1e16, 1.0, -1e16, 1.0, 0.5, 3])
+
+
+@st.composite
+def wide_relations(draw):
+    flavour = draw(st.sampled_from(sorted(_flavours)))
+    values = st.one_of(_flavours[flavour], st.none())
+    floats = st.one_of(draw(st.sampled_from([_floats, _ints])), st.none())
+    groups = st.one_of(st.integers(min_value=-2, max_value=2), st.none())
+    if flavour == "enum":
+        groups = st.one_of(groups, st.just(Grade.LOW))
+    rows = draw(
+        st.lists(
+            st.tuples(
+                licenses,
+                st.one_of(st.sampled_from(["a", "b", "c"]), st.none()),
+                groups,
+                values,
+                floats,
+            ),
+            max_size=90,
+        )
+    )
+    return Relation("W", WIDE_SCHEMA, rows)
+
+
+WIDE_SPECS = tuple(
+    AggregateSpec(func, name)
+    for name in ("N", "F")
+    for func in ("count", "sum", "avg", "min", "max")
+)
+_wide_spec_sets = st.sampled_from(
+    [
+        (AggregateSpec("count"),) + WIDE_SPECS[:5],  # the INT column alone
+        WIDE_SPECS[5:],  # the FLOAT column alone
+        (AggregateSpec("count"),) + WIDE_SPECS,  # both: one fold for all
+        (AggregateSpec("count"),),
+        (),
+    ]
+)
+_wide_group_bys = st.sampled_from([(), ("K",), ("G",), ("G", "K"), ("K", "G"), ("N",)])
+
+
+def _signature(partials):
+    """What must not change: order, ``repr`` and every type."""
+
+    def types(value):
+        if isinstance(value, (tuple, list)):
+            return (type(value).__name__, tuple(map(types, value)))
+        return type(value).__name__
+
+    return [(repr(key), types(key), repr(states), types(states)) for key, states in partials.items()]
+
+
+def _folded_by_hand(relation, specs, group_by, items=None):
+    """The python fold's contract, one row at a time: groups in
+    first-row order, a left fold from ``0`` in row order, the first
+    extremal value met."""
+    schema = relation.schema
+    positions = [schema.position(name) for name in group_by]
+    merge = schema.merge_position
+    grouped = {}
+    for row in relation.rows:
+        if items is not None and row[merge] not in items:
+            continue
+        grouped.setdefault(tuple(row[p] for p in positions), []).append(row)
+    out = {}
+    for key, rows in grouped.items():
+        states = []
+        for spec in specs:
+            if spec.attribute is None:
+                states.append(len(rows))
+                continue
+            present = [v for v in (r[schema.position(spec.attribute)] for r in rows) if v is not None]
+            if spec.func == "count":
+                states.append(len(present))
+            elif spec.func in ("sum", "avg"):
+                total = 0
+                for value in present:
+                    total = total + value
+                states.append((total, len(present)))
+            else:
+                pick = min if spec.func == "min" else max
+                states.append(pick(present) if present else None)
+        out[key] = states
+    return out
+
+
+def _every_mode(call):
+    """``call()``'s signature under each kernel choice — all equal."""
+    seen = []
+    for use_numpy in _numpy_modes():
+        with _numpy(use_numpy):
+            seen.append(_signature(call()))
+    assert all(s == seen[0] for s in seen), seen
+    return seen[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    wide_relations(),
+    _wide_spec_sets,
+    _wide_group_bys,
+    st.sampled_from(["none", "empty", "partial", "all"]),
+)
+@example(  # float64 would round (2**53 - 1) + 1 + 1 to 2**53
+    Relation("W", WIDE_SCHEMA, [("J55", "a", 1, 2**53 - 1, None), ("J55", "a", 1, 1, None), ("T21", "a", 1, 1, None)]),
+    (AggregateSpec("sum", "N"),),
+    ("G",),
+    "all",
+)
+@example(  # the kept rows meet "a" first, the whole table "b"
+    Relation("W", WIDE_SCHEMA, [("J55", "b", 1, 1, None), ("T21", "a", 2, 2, None), ("A01", "b", 1, 3, None)]),
+    (AggregateSpec("count"),),
+    ("K",),
+    "partial",
+)
+def test_numpy_group_by_keeps_the_python_bits(relation, specs, group_by, chosen):
+    everyone = relation.items()
+    items = {
+        "none": None,
+        "empty": frozenset(),
+        "partial": frozenset(sorted(everyone)[::2]),
+        "all": everyone,
+    }[chosen]
+    expected = _signature(_folded_by_hand(relation, specs, group_by, items))
+    assert _every_mode(lambda: partial_aggregate_rows(relation, specs, group_by, items=items)) == expected
+    if items is None:
+        return
+    # The same rows as a fetched slice, and as a slice of a slice.
+    relation.columnar()
+    assert _every_mode(
+        lambda: partial_aggregate_rows(relation.restrict_to_items(items), specs, group_by)
+    ) == expected
+    kept = relation.filter(lambda row: row["L"] != "T21")
+    assert _every_mode(
+        lambda: partial_aggregate_rows(kept.restrict_to_items(items), specs, group_by)
+    ) == _signature(_folded_by_hand(kept, specs, group_by, items))
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_relations(), _wide_spec_sets, _wide_group_bys, st.booleans())
+def test_numpy_group_by_over_unchecked_relations(relation, specs, group_by, ragged):
+    """``Relation.unchecked`` rows, well-formed or cut short: a ragged
+    table never reaches the numpy fold, a well-formed one may."""
+    rows = [row[: 1 + i % 5] for i, row in enumerate(relation.rows)] if ragged else relation.rows
+    unchecked = Relation.unchecked("U", WIDE_SCHEMA, rows)
+    padded = Relation("P", WIDE_SCHEMA, [(row + (None,) * 4)[:5] for row in rows])
+    for items in (None, frozenset(sorted(relation.items())[1:])):
+        assert _every_mode(
+            lambda: partial_aggregate_rows(unchecked, specs, group_by, items=items)
+        ) == _signature(_folded_by_hand(padded, specs, group_by, items))
+
+
+def test_float_fold_order_is_kept_beside_an_int_column():
+    """``TestFloatFoldOrder``'s values: the left fold reads 1.0 where
+    any reordered or compensated sum would not."""
+    rows = [(f"L{i}", "a", 1, 5, value) for i, value in enumerate([1e16, 1.0, -1e16, 1.0] * 20)]
+    relation = Relation("W", WIDE_SCHEMA, rows)
+    for specs in (WIDE_SPECS[5:], WIDE_SPECS):
+        got = _every_mode(lambda: partial_aggregate_rows(relation, specs, ("K",)))
+        assert got == _signature(_folded_by_hand(relation, specs, ("K",)))
+    (states,) = partial_aggregate_rows(relation, WIDE_SPECS[5:], ("K",)).values()
+    assert states[1] == (1.0, 80)

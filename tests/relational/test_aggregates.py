@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
+from repro.relational import aggregates, columnar
 from repro.relational.aggregates import (
     AggregateSpec,
     aggregate_rows,
@@ -12,8 +15,10 @@ from repro.relational.aggregates import (
     partial_aggregate_rows,
     partials_to_wire,
 )
+from repro.relational.columnar import ColumnarTable
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, DataType, Schema, dmv_schema
+from repro.sources.generators import SyntheticConfig, build_synthetic
 
 ROWS = [
     ("J55", "dui", 1993),
@@ -164,3 +169,60 @@ class TestPartials:
         )
         keys = [key for key, _ in result.groups]
         assert keys == sorted(keys, key=repr)
+
+
+@pytest.mark.skipif(not columnar.numpy_available(), reason="numpy not available")
+class TestNumpyGroupByIsWrittenOnce:
+    """A second-phase fetch above the size rule is grouped by numpy
+    reductions over codes and mirrors its source table built once."""
+
+    SPECS = (
+        AggregateSpec("count"),
+        AggregateSpec("sum", "score"),
+        AggregateSpec("avg", "score"),
+        AggregateSpec("min", "score"),
+        AggregateSpec("max", "score"),
+    )
+    GROUP_BYS = ((), ("category",), ("year",), ("category", "year"))
+
+    @pytest.fixture
+    def source(self):
+        federation = build_synthetic(SyntheticConfig(n_sources=2, n_entities=300, seed=7))
+        return next(iter(federation))
+
+    def wanted(self, source, start=0):
+        return frozenset(sorted(source.table.relation.items())[start::2])
+
+    def test_a_fetched_slice_is_never_bucketed(self, source, monkeypatch):
+        fetched = source.fetch_rows(self.wanted(source))
+        assert len(fetched) > 100  # well above the size rule
+        previous = columnar.set_numpy_enabled(False)
+        try:
+            expected = [repr(partial_aggregate_rows(fetched, self.SPECS, by)) for by in self.GROUP_BYS]
+        finally:
+            columnar.set_numpy_enabled(previous)
+
+        def refuse(keys, values):
+            raise AssertionError("a numpy-served group-by bucketed its rows")
+
+        monkeypatch.setattr(aggregates, "_bucket", refuse)
+        fetched = source.fetch_rows(self.wanted(source))
+        got = [repr(partial_aggregate_rows(fetched, self.SPECS, by)) for by in self.GROUP_BYS]
+        assert got == expected
+
+    def test_five_fetches_build_one_encoding_and_one_mirror(self, source, monkeypatch):
+        built = []
+        for method in ("_build_encoded", "_build_np"):
+            original = getattr(ColumnarTable, method)
+
+            def spy(self, name, original=original, method=method):
+                if self._slice_of is None:  # the source table, not a slice of it
+                    built.append((method, name))
+                return original(self, name)
+
+            monkeypatch.setattr(ColumnarTable, method, spy)
+        for start in range(5):
+            fetched = source.fetch_rows(self.wanted(source, start))
+            partial_aggregate_rows(fetched, self.SPECS, ("category",))
+        assert {("_build_encoded", "category"), ("_build_np", "score")} <= set(built)
+        assert set(Counter(built).values()) == {1}, built
