@@ -9,6 +9,7 @@ from repro.mediator.executor import Executor
 from repro.obs.recorder import Recorder
 from repro.optimize.sja_plus import SJAPlusOptimizer
 from repro.plans.builder import build_filter_plan
+from repro.runtime.trace import RuntimeTrace
 from repro.sources.observed import ObservedStatistics
 
 
@@ -94,7 +95,7 @@ def test_mined_plan_quality(medium_kit):
     recorder = Recorder(metrics=None)
     medium_kit.federation.reset_traffic()
     Executor(medium_kit.federation, recorder=recorder).execute(explore.plan)
-    stats.observe(recorder.events)
+    stats.observe(RuntimeTrace.runs(recorder.events))
 
     estimator, model = blind_toolkit(stats, medium_kit)
     mined = SJAPlusOptimizer().optimize(

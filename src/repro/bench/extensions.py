@@ -49,6 +49,7 @@ from repro.runtime.faults import FaultInjector, FaultProfile
 from repro.runtime.health import BreakerConfig
 from repro.runtime.policy import RetryPolicy, completeness_report
 from repro.runtime.replan import ResilientExecutor
+from repro.runtime.trace import RuntimeTrace
 from repro.sources.generators import (
     SyntheticConfig,
     build_synthetic,
@@ -938,7 +939,7 @@ def run_observed_stats(
             recorder = Recorder(metrics=None)
             federation.reset_traffic()
             Executor(federation, recorder=recorder).execute(warm_plan)
-            stats.observe(recorder.events)
+            stats.observe(RuntimeTrace.runs(recorder.events))
         estimator, model = blind_toolkit(stats)
         optimization = SJAPlusOptimizer().optimize(
             query, names, model, estimator

@@ -31,6 +31,7 @@ from repro.errors import CostModelError, ExecutionError
 from repro.mediator.executor import ExecutionResult, Executor
 from repro.mediator.plan_cache import PlanCache
 from repro.mediator.reference import reference_aggregate, reference_answer
+from repro.obs.profile import QueryProfile
 from repro.optimize.base import OptimizationResult, Optimizer
 from repro.optimize.planning import Planning
 from repro.optimize.search import PlanningBudget
@@ -51,6 +52,7 @@ from repro.runtime.engine import Resilience, RuntimeEngine, RuntimeResult
 from repro.runtime.faults import FaultInjector
 from repro.runtime.health import HealthRegistry
 from repro.runtime.replan import ResilientExecutor, ResilientResult
+from repro.runtime.trace import RuntimeTrace
 from repro.sources.registry import Federation
 from repro.sources.statistics import ExactStatistics, StatisticsProvider
 
@@ -351,7 +353,7 @@ class Mediator:
             steps = []
             for round_ in resilient.rounds:
                 steps.extend(round_.result.to_execution_result().steps)
-            traces = [r.result.trace for r in resilient.rounds]
+            traces = tuple(r.result.trace for r in resilient.rounds)
             execution = ExecutionResult(
                 items=resilient.items,
                 steps=steps,
@@ -366,18 +368,26 @@ class Mediator:
             optimization = self._optimize(query)
             runtime_result = self.runtime.run(optimization.plan, budget_s=budget_s)
             execution = runtime_result.to_execution_result()
+            traces = (runtime_result.trace,)
         else:
             optimization = self._optimize(query)
             execution = self.executor.execute(optimization.plan)
+            traces = ()
         execution.breaker_trips = self._breaker_trips() - trips_before
         if self.recorder is not None:
-            from repro.obs.profile import QueryProfile
-
+            if not traces:
+                # The sequential executor's records are the recorder's.
+                traces = (
+                    RuntimeTrace.from_events(
+                        self.recorder.events.events[events_before:],
+                        operations=optimization.plan.operations,
+                    ),
+                )
             breakdown = estimate_plan_cost(
                 optimization.plan, self.cost_model, self.estimator
             )
-            execution.profile = QueryProfile.from_events(
-                self.recorder.events.events[events_before:], breakdown
+            execution.profile = QueryProfile(
+                traces, len(execution.items), breakdown.total, breakdown.by_source()
             )
         verified = None
         if self.verify:

@@ -35,19 +35,18 @@ rebuilt from a persisted JSONL file as well as from a live log:
   plan / pool / execute / merge skeleton from the ticket's timestamps),
   exportable as Chrome trace-event JSON, and a critical-path analyzer
   attributes end-to-end latency to phases exactly;
-* :mod:`~repro.obs.profile` — per-step / per-source / per-condition
-  query profiles (traffic moved, items confirmed, wall-clock vs wire
-  time, predicted vs observed cost),
-  :meth:`~repro.obs.profile.QueryProfile.from_events`;
 * the runtime's own trace — :meth:`RuntimeTrace.from_events
   <repro.runtime.trace.RuntimeTrace.from_events>` is the one fold of a
-  run's ``op`` / ``attempt`` events, live or read back from JSONL, so a
-  persisted log renders the ASCII timeline byte for byte.
+  run's ``op`` / ``attempt`` events, live or read back from JSONL
+  (:meth:`~repro.runtime.trace.RuntimeTrace.runs` splits a log into its
+  runs), so a persisted log renders the ASCII timeline byte for byte.
 
-Closing the loop, :class:`repro.sources.observed.ObservedStatistics`
-is one more fold: it mines these event logs for cardinalities and
-per-condition selectivities, letting a mediator plan from what it has
-*watched happen* instead of oracle ground truth.
+Two views read that trace, not the events: the per-step / per-source /
+per-condition :class:`~repro.obs.profile.QueryProfile` (one trace per
+re-plan round; predicted vs observed cost), and
+:class:`repro.sources.observed.ObservedStatistics`, which closes the
+loop: ``observe(traces)`` mines runs for cardinalities and selectivities,
+letting a mediator plan from what it has *watched happen*.
 """
 
 from repro.obs.events import (

@@ -7,8 +7,8 @@ launched, a circuit breaker changing state, a re-plan round — is one
 The schema (:data:`EVENT_SCHEMA`) is part of the public contract:
 emission validates against it, CI validates persisted logs line by
 line, and downstream consumers (the trace fold
-:meth:`repro.runtime.trace.RuntimeTrace.from_events`, the log-mined
-statistics in :mod:`repro.sources.observed`) rely on exactly these
+:meth:`repro.runtime.trace.RuntimeTrace.from_events`, whose traces the
+query profiles and the mined statistics read) rely on exactly these
 fields.
 
 Records serialize to JSONL with a fixed key order (``ts``, ``type``,

@@ -1,52 +1,39 @@
 """Query profiles: per-step / per-source / per-condition rollups.
 
-A :class:`QueryProfile` condenses one run's event stream into the three
-views an operator actually asks for after a query:
+A :class:`QueryProfile` is a view of one query's runtime traces — one
+:class:`~repro.runtime.trace.RuntimeTrace` per round — in the three
+shapes an operator actually asks for after a query:
 
-* **per step** — what each plan operation cost, how long it spent on the
-  wire vs. end-to-end (queue + backoff included), and how it ended;
+* **per step** — the rounds' :class:`~repro.runtime.trace.OpSpan` rows:
+  what each plan operation cost, how long it spent on the wire vs.
+  end-to-end (queue + backoff included), and how it ended;
 * **per source** — traffic moved (messages, items shipped and received,
   rows bulk-loaded), attempts and hedges, connection-busy seconds;
 * **per condition** — selection items fetched, semijoin binding items
   shipped, and items *confirmed* (survivors received back) for every
   fusion condition.
 
-When the planner's :class:`~repro.plans.cost.PlanCostBreakdown` is
-supplied, the profile also reports predicted vs. observed cost in total
-and per source — the gap that :class:`repro.sources.observed.ObservedStatistics`
-exists to close.
+The per-source and per-condition rollups are one pass over the rounds'
+:class:`~repro.runtime.trace.AttemptSpan` records.  Rounds run back to
+back on one clock, so the makespan and the cost are sums over them.
+
+When the planner's prediction is supplied, the profile also reports
+predicted vs. observed cost in total and per source — the gap that
+:class:`repro.sources.observed.ObservedStatistics` exists to close.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
 
-from repro.obs.events import Event, EventLog
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.plans.cost import PlanCostBreakdown
-
-
-@dataclass(frozen=True)
-class StepProfile:
-    """One plan operation's observed totals."""
-
-    step: int
-    op: str
-    source: str
-    condition: str
-    attempts: int
-    cost: float
-    wire_s: float  # seconds a connection was busy on this step
-    span_s: float  # queued -> finished, backoff and queueing included
-    output: int
-    status: str
+from repro.runtime.faults import AttemptFate
+from repro.runtime.trace import OpSpan, RuntimeTrace
 
 
 @dataclass(frozen=True)
 class SourceProfile:
-    """One source's observed totals across the run."""
+    """One source's observed totals across the query's rounds."""
 
     source: str
     attempts: int
@@ -73,174 +60,81 @@ class ConditionProfile:
 
 @dataclass(frozen=True)
 class QueryProfile:
-    """Per-step / per-source / per-condition rollup of one run."""
+    """Per-step / per-source / per-condition view of one query's rounds.
 
-    steps: tuple[StepProfile, ...]
-    sources: tuple[SourceProfile, ...]
-    conditions: tuple[ConditionProfile, ...]
-    makespan_s: float
-    wire_s: float
-    total_cost: float
+    Attributes:
+        traces: One trace per round, in order (one for a plain run).
+        items: How many items the query's answer holds.
+        predicted_cost / predicted_by_source: The planner's estimate of
+            the first round's plan, in total and per source.
+        sources: Per serving source, in name order.
+        conditions: Per fusion condition, in SQL order.
+        wire_s: Connection-busy seconds summed over every attempt.
+    """
+
+    traces: tuple[RuntimeTrace, ...]
     items: int
     predicted_cost: float | None = None
     predicted_by_source: dict[str, float] = field(default_factory=dict)
+    sources: tuple[SourceProfile, ...] = field(init=False)
+    conditions: tuple[ConditionProfile, ...] = field(init=False)
+    wire_s: float = field(init=False)
 
-    # ------------------------------------------------------------------
-    # Construction
-
-    @staticmethod
-    def from_events(
-        events: EventLog | Iterable[Event],
-        breakdown: "PlanCostBreakdown | None" = None,
-    ) -> "QueryProfile":
-        """Roll an event stream up into a profile.
-
-        All rounds of a resilient run are folded together: a step
-        re-planned into a later round contributes its attempts from
-        every round it appeared in.
-        """
-        all_events = list(events)
-
-        steps: list[StepProfile] = []
-        for event in all_events:
-            if event.type != "op":
-                continue
-            steps.append(
-                StepProfile(
-                    step=event["step"],
-                    op=event["op"],
-                    source=event["source"],
-                    condition=event["condition"],
-                    attempts=0,
-                    cost=0.0,
-                    wire_s=0.0,
-                    span_s=event["finished"] - event["queued"],
-                    output=event["output"],
-                    status=event["status"],
-                )
-            )
-
-        # Fold attempts into their step rows and the per-source /
-        # per-condition rollups.
-        step_index = {
-            (step.step, step.op): i for i, step in enumerate(steps)
-        }
-        source_totals: dict[str, dict[str, float]] = {}
-        condition_totals: dict[str, dict[str, float]] = {}
-
-        def bucket(table: dict, key: str) -> dict[str, float]:
-            return table.setdefault(
-                key,
-                {
-                    "attempts": 0,
-                    "failures": 0,
-                    "hedges": 0,
-                    "busy_s": 0.0,
-                    "cost": 0.0,
-                    "items_sent": 0,
-                    "items_received": 0,
-                    "rows_loaded": 0,
-                    "messages": 0,
-                    "sq_items": 0,
-                    "shipped": 0,
-                    "confirmed": 0,
-                },
-            )
-
+    def __post_init__(self) -> None:
+        """Roll the attempts up in one pass.  A condition gets a row
+        once a semijoin shipped its bindings or an attempt succeeded."""
+        sources: dict[str, list] = {}
+        conditions: dict[str, list] = {}
         wire_s = 0.0
-        for event in all_events:
-            if event.type == "sendset":
-                if event["condition"]:
-                    bucket(condition_totals, event["condition"])[
-                        "shipped"
-                    ] += event["size"]
-                continue
-            if event.type != "attempt":
-                continue
-            duration = event["end"] - event["start"]
-            wire_s += duration
-            key = (event["step"], event["op"])
-            if key in step_index:
-                old = steps[step_index[key]]
-                steps[step_index[key]] = StepProfile(
-                    step=old.step,
-                    op=old.op,
-                    source=old.source,
-                    condition=old.condition,
-                    attempts=old.attempts + 1,
-                    cost=old.cost + event["cost"],
-                    wire_s=old.wire_s + duration,
-                    span_s=old.span_s,
-                    output=old.output,
-                    status=old.status,
-                )
-            per_source = bucket(source_totals, event["source"])
-            per_source["attempts"] += 1
-            per_source["failures"] += 0 if event["fate"] == "ok" else 1
-            per_source["hedges"] += 1 if event["hedge"] else 0
-            per_source["busy_s"] += duration
-            per_source["cost"] += event["cost"]
-            per_source["items_sent"] += event["items_sent"]
-            per_source["items_received"] += event["items_received"]
-            per_source["rows_loaded"] += event["rows_loaded"]
-            per_source["messages"] += event["messages"]
-            if event["condition"] and event["fate"] == "ok":
-                per_condition = bucket(condition_totals, event["condition"])
-                per_condition["cost"] += event["cost"]
-                if event["op"] == "sq":
-                    per_condition["sq_items"] += event["items_received"]
-                elif event["op"] == "sjq":
-                    per_condition["confirmed"] += event["items_received"]
+        for trace in self.traces:
+            for span in trace.spans:
+                condition = span.condition
+                kind = span.operation.kind.value
+                for attempt in span.attempts:
+                    duration = attempt.duration_s
+                    ok = attempt.fate is AttemptFate.OK
+                    wire_s += duration
+                    name = attempt.source or span.source
+                    row = (  # in SourceProfile's field order
+                        1, not ok, attempt.hedge, duration, attempt.cost,
+                        attempt.items_sent, attempt.items_received,
+                        attempt.rows_loaded, attempt.messages,
+                    )
+                    totals = sources.get(name, _NO_TRAFFIC)
+                    sources[name] = list(map(operator.add, totals, row))
+                    if not condition or not (ok or kind == "sjq"):
+                        continue
+                    sums = conditions.setdefault(condition, [0, 0, 0, 0.0])
+                    if kind == "sjq":
+                        sums[1] += attempt.items_sent
+                    if ok:
+                        sums[3] += attempt.cost
+                        if kind == "sq":
+                            sums[0] += attempt.items_received
+                        elif kind == "sjq":
+                            sums[2] += attempt.items_received
+        object.__setattr__(self, "wire_s", wire_s)
+        object.__setattr__(self, "sources", tuple(
+            SourceProfile(name, *row) for name, row in sorted(sources.items())
+        ))
+        object.__setattr__(self, "conditions", tuple(
+            ConditionProfile(name, *row)
+            for name, row in sorted(conditions.items())
+        ))
 
-        makespan = 0.0
-        items = 0
-        total_cost = 0.0
-        for event in all_events:
-            if event.type == "run_end":
-                makespan = max(makespan, event["ts"])
-                items = event["items"]
-                total_cost += event["cost"]
+    @property
+    def steps(self) -> tuple[OpSpan, ...]:
+        """Every round's operation spans, round by round."""
+        return tuple(span for trace in self.traces for span in trace.spans)
 
-        predicted = None
-        predicted_by_source: dict[str, float] = {}
-        if breakdown is not None:
-            predicted = breakdown.total
-            predicted_by_source = breakdown.by_source()
+    @property
+    def makespan_s(self) -> float:
+        """Virtual time of the query: its rounds run back to back."""
+        return sum(trace.makespan_s for trace in self.traces)
 
-        return QueryProfile(
-            steps=tuple(steps),
-            sources=tuple(
-                SourceProfile(
-                    source=name,
-                    attempts=int(totals["attempts"]),
-                    failures=int(totals["failures"]),
-                    hedges=int(totals["hedges"]),
-                    busy_s=totals["busy_s"],
-                    cost=totals["cost"],
-                    items_sent=int(totals["items_sent"]),
-                    items_received=int(totals["items_received"]),
-                    rows_loaded=int(totals["rows_loaded"]),
-                    messages=int(totals["messages"]),
-                )
-                for name, totals in sorted(source_totals.items())
-            ),
-            conditions=tuple(
-                ConditionProfile(
-                    condition=name,
-                    sq_items=int(totals["sq_items"]),
-                    shipped=int(totals["shipped"]),
-                    confirmed=int(totals["confirmed"]),
-                    cost=totals["cost"],
-                )
-                for name, totals in sorted(condition_totals.items())
-            ),
-            makespan_s=makespan,
-            wire_s=wire_s,
-            total_cost=total_cost,
-            items=items,
-            predicted_cost=predicted,
-            predicted_by_source=predicted_by_source,
-        )
+    @property
+    def total_cost(self) -> float:
+        return sum(trace.total_cost for trace in self.traces)
 
     # ------------------------------------------------------------------
     # Rendering
@@ -248,17 +142,22 @@ class QueryProfile:
     def render(self) -> str:
         """Fixed-width report in the style of :mod:`repro.bench.report`."""
         lines = [self._headline(), ""]
-        if self.steps:
+        steps = self.steps
+        if steps:
             lines.append(
                 "step  op         source   attempts    cost  wire s"
                 "  span s  output  status"
             )
-            for step in sorted(self.steps, key=lambda s: (s.step, s.op)):
+            for step in sorted(
+                steps, key=lambda s: (s.step, s.operation.kind.value)
+            ):
                 lines.append(
-                    f"{step.step:>4}  {step.op:<10} {step.source or '-':<8} "
-                    f"{step.attempts:>8} {step.cost:>7.1f} "
-                    f"{step.wire_s:>7.3f} {step.span_s:>7.3f} "
-                    f"{step.output:>7}  {step.status}"
+                    f"{step.step:>4}  {step.operation.kind.value:<10} "
+                    f"{step.source or '-':<8} "
+                    f"{len(step.attempts):>8} {step.cost:>7.1f} "
+                    f"{step.busy_s:>7.3f} "
+                    f"{step.finished_s - step.queued_s:>7.3f} "
+                    f"{step.output_size:>7}  {step.status.value}"
                 )
             lines.append("")
         if self.sources:
@@ -267,14 +166,13 @@ class QueryProfile:
                 "    recv    rows  msgs"
             )
             for src in self.sources:
-                observed = src.cost
                 note = ""
                 predicted = self.predicted_by_source.get(src.source)
                 if predicted is not None:
                     note = f"  (predicted {predicted:.1f})"
                 lines.append(
                     f"{src.source:<8} {src.attempts:>8} {src.failures:>5} "
-                    f"{src.hedges:>6} {src.busy_s:>7.3f} {observed:>7.1f} "
+                    f"{src.hedges:>6} {src.busy_s:>7.3f} {src.cost:>7.1f} "
                     f"{src.items_sent:>7} {src.items_received:>7} "
                     f"{src.rows_loaded:>7} {src.messages:>5}{note}"
                 )
@@ -293,12 +191,11 @@ class QueryProfile:
         return "\n".join(lines).rstrip()
 
     def _headline(self) -> str:
-        text = (
-            f"profile: {self.items} items, cost {self.total_cost:.1f}"
-        )
+        total_cost = self.total_cost
+        text = f"profile: {self.items} items, cost {total_cost:.1f}"
         if self.predicted_cost is not None:
             ratio = (
-                self.total_cost / self.predicted_cost
+                total_cost / self.predicted_cost
                 if self.predicted_cost
                 else float("inf")
             )
@@ -310,3 +207,7 @@ class QueryProfile:
             f"; makespan {self.makespan_s:.3f}s, wire {self.wire_s:.3f}s"
         )
         return text
+
+
+#: A source's :class:`SourceProfile` totals before its first attempt.
+_NO_TRAFFIC = (0, 0, 0, 0.0, 0.0, 0, 0, 0, 0)

@@ -6,11 +6,11 @@ sequential executor, the re-planner and the serving tier name an event
 type and its fields, the recorder puts the event on its clock and
 validates it against :data:`~repro.obs.events.EVENT_SCHEMA` as it lands
 (a misspelt field raises at the call, not at export).  Nothing else is
-recorded: metrics, spans, profiles and timelines are folds of the event
+recorded: metrics, spans and runtime traces are folds of the event
 stream (:func:`repro.obs.fold.fold_event`,
 :func:`repro.obs.spans.engine_spans`,
-:class:`repro.obs.profile.QueryProfile`,
-:meth:`repro.runtime.trace.RuntimeTrace.from_events`).  Recording an
+:meth:`repro.runtime.trace.RuntimeTrace.from_events`), and profiles and
+mined statistics read the traces.  Recording an
 event is one schema check and two appends — to the log and, with a
 registry attached, to the registry's pending list; the metric fold runs
 when the registry is next read (:class:`~repro.obs.metrics.MetricsRegistry`)

@@ -165,12 +165,7 @@ class RuntimeResult:
                 span.status is not OpStatus.DEADLINE
             ):
                 continue
-            condition = getattr(span.operation, "condition", None)
-            mark = (
-                f"load {span.source}"
-                if condition is None
-                else condition.sql
-            )
+            mark = span.condition or f"load {span.source}"
             if mark not in incomplete:
                 incomplete.append(mark)
         return tuple(incomplete)

@@ -6,7 +6,8 @@ one ``op`` event per operation (:data:`repro.obs.events.EVENT_SCHEMA`).
 persisted JSONL log alike: an :class:`OpSpan` per operation — queued/
 started/finished timestamps on the virtual clock plus one
 :class:`AttemptSpan` per wire attempt (so retries and their backoff
-gaps are visible).  A :class:`RuntimeTrace` aggregates the spans into
+gaps are visible); :meth:`RuntimeTrace.runs` folds a log of many runs
+into one trace each.  A :class:`RuntimeTrace` aggregates the spans into
 per-source utilization and renders a fixed-width ASCII timeline in the
 same spirit as :func:`repro.plans.viz.schedule_gantt` and the
 :mod:`repro.bench.report` tables: plain text that diffs cleanly and
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, NamedTuple, Sequence
 
 from repro.errors import ObservabilityError
-from repro.plans.operations import Operation
+from repro.plans.operations import Operation, condition_sql
 from repro.runtime.faults import AttemptFate
 
 
@@ -88,6 +89,11 @@ class OpSpan(NamedTuple):
         return getattr(self.operation, "source", "")
 
     @property
+    def condition(self) -> str:
+        """The operation's condition as SQL (``""`` when it has none)."""
+        return condition_sql(self.operation)
+
+    @property
     def retries(self) -> int:
         """Primary-path re-attempts.
 
@@ -112,14 +118,6 @@ class OpSpan(NamedTuple):
     @property
     def messages(self) -> int:
         return sum(span.messages for span in self.attempts)
-
-    @property
-    def items_sent(self) -> int:
-        return sum(span.items_sent for span in self.attempts)
-
-    @property
-    def items_received(self) -> int:
-        return sum(span.items_received for span in self.attempts)
 
     @property
     def served_by(self) -> str:
@@ -244,7 +242,7 @@ class RuntimeTrace:
                         record["target"],
                         record["source"],
                         record["remote"],
-                        record["condition"],
+                        _ReplayCondition(record["condition"]),
                     ),
                     record["queued"],
                     record["started"],
@@ -258,6 +256,26 @@ class RuntimeTrace:
         ]
         makespan = max(map(_FINISHED, op_records))
         return RuntimeTrace(spans=tuple(spans), makespan_s=makespan)
+
+    @staticmethod
+    def runs(events: Iterable[Any]) -> list["RuntimeTrace"]:
+        """Fold a log of many runs: one trace per run, in log order.
+
+        The log is split at each ``run_start`` (a log without one is one
+        run), so every engine run and every re-plan round is its own
+        trace.  A run that recorded no ``op`` — it raised before any
+        operation finished — has nothing to fold and gives no trace.
+        """
+        chunks: list[list[Any]] = [[]]
+        for event in events:
+            if event.type == "run_start":
+                chunks.append([])
+            chunks[-1].append(event)
+        return [
+            RuntimeTrace.from_events(chunk)
+            for chunk in chunks
+            if any(event.type == "op" for event in chunk)
+        ]
 
     @property
     def remote_spans(self) -> tuple[OpSpan, ...]:
@@ -481,6 +499,11 @@ class _ReplayKind:
 
 
 @dataclass(frozen=True)
+class _ReplayCondition:
+    sql: str
+
+
+@dataclass(frozen=True)
 class _ReplayOperation:
     """Just enough of a plan operation for trace rendering."""
 
@@ -488,12 +511,12 @@ class _ReplayOperation:
     target: str
     source: str
     remote: bool
-    condition_sql: str
+    condition: _ReplayCondition
 
     def render(self, labels=None) -> str:
         text = f"{self.kind.value} -> {self.target}"
         if self.source:
             text += f" @ {self.source}"
-        if self.condition_sql:
-            text += f" [{self.condition_sql}]"
+        if self.condition.sql:
+            text += f" [{self.condition.sql}]"
         return text

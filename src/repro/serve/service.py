@@ -202,8 +202,8 @@ class MediatorService:
             ``mine_statistics=True`` to close the learning loop.
         plan_cache: Shared plan cache — an instance, a capacity, or a
             bool (default ``True``: caching is the point of a service).
-        mine_statistics: Feed each completed query's events back into
-            ``statistics.observe`` so later queries plan on what
+        mine_statistics: Feed each completed query's runtime trace back
+            into ``statistics.observe`` so later queries plan on what
             earlier ones measured.
         shed_policy: ``"deadline"`` (default) sheds deadlined queries at
             admission when their predicted completion — queue-wait from
@@ -731,9 +731,10 @@ class MediatorService:
 
         Called without the service lock: between dispatch and
         completion a ticket belongs to the driver (or worker) running
-        it.  The events the run emitted are sliced once and folded
-        twice — into the trace's engine spans, appended as one batch
-        whether the run returned or raised, and into mined statistics.
+        it.  The events the run emitted are folded into the trace's
+        engine spans, appended as one batch whether the run returned or
+        raised; a run that returned hands its runtime trace to mined
+        statistics, and a run that raised mines nothing.
         """
         recorder = mediator.recorder
         dispatched_s = ticket.dispatched_s
@@ -751,6 +752,7 @@ class MediatorService:
         # laid onto the wall axis).
         recorder.clock_offset_s = dispatched_s
         deadline_cut = False
+        result = None
         try:
             result = mediator.runtime.run(
                 plan, budget_s=budget_s, faults=faults
@@ -764,15 +766,15 @@ class MediatorService:
             ticket.error = f"{type(exc).__name__}: {exc}"
         finally:
             recorder.clock_offset_s = 0.0
-        events = recorder.events.events[events_before:]
         if self.spans is not None:
+            events = recorder.events.events[events_before:]
             self.spans.extend(
                 engine_spans(ticket.trace_id, events, dispatched_s)
             )
-        if self.mine_statistics:
+        if self.mine_statistics and result is not None:
             observe = getattr(self.statistics, "observe", None)
             if callable(observe):
-                observe(events)
+                observe((result.trace,))
         return deadline_cut
 
     def _note_deadline_cut(

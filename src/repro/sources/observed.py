@@ -1,11 +1,13 @@
-"""Statistics mined from recorded event logs — no oracle required.
+"""Statistics mined from observed runs — no oracle required.
 
 Sec. 3 of the paper leaves open where the optimizer's statistics come
 from ("whatever information is available at query optimization time").
 :class:`~repro.sources.statistics.ExactStatistics` answers with an
-oracle; this module answers with *observation*: run a warm-up query with
-a :class:`repro.obs.Recorder` attached, then mine the event stream for
-the quantities the cost model actually consumes.
+oracle; this module answers with *observation*: run a warm-up query,
+then mine its :class:`~repro.runtime.trace.RuntimeTrace` — live, or
+rebuilt from a recorded event log by
+:meth:`~repro.runtime.trace.RuntimeTrace.runs` — for the quantities the
+cost model actually consumes.
 
 The mining exploits two identities that make the estimates robust even
 when the per-source distinct count ``D_s`` is unknown:
@@ -36,18 +38,20 @@ import threading
 from typing import TYPE_CHECKING, Iterable
 
 from repro.relational.conditions import Condition
+from repro.runtime.faults import AttemptFate
+from repro.runtime.trace import RuntimeTrace
 from repro.sources.statistics import DEFAULT_SELECTIVITY, _clamp
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.events import Event, EventLog
 
-#: Distinct-item count assumed for a source the logs say nothing about.
+#: Distinct-item count assumed for a source no observed run touched.
 DEFAULT_DISTINCT = 32
 
 
 class ObservedStatistics:
     """A :class:`~repro.sources.statistics.StatisticsProvider` built from
-    recorded :mod:`repro.obs` event logs.
+    the traces of observed runs.
 
     Args:
         prior_selectivity: Selectivity reported for (source, condition)
@@ -90,40 +94,39 @@ class ObservedStatistics:
     # ------------------------------------------------------------------
     # Mining
 
-    def observe(self, events: "EventLog | Iterable[Event]") -> int:
-        """Fold an event stream in; returns how many attempts were mined.
+    def observe(self, traces: "Iterable[RuntimeTrace]") -> int:
+        """Fold runs in, a trace each; returns how many attempts were mined.
 
         Only successful (``fate == "ok"``) attempts carry usable counts;
         failed and cancelled attempts are skipped.  Attempts are keyed
-        by the *planned* source — a hedge served by a replica is still
-        evidence about the logical source's data.
+        by the *planned* source — the span's — so a hedge served by a
+        replica is still evidence about the logical source's data.
         """
         mined = 0
         with self._lock:
-            for event in events:
-                if event.type != "attempt" or event["fate"] != "ok":
-                    continue
-                source = event["planned"] or event["source"]
-                op = event["op"]
-                if op == "sq":
-                    key = (source, event["condition"])
-                    self._sq_counts[key] = event["items_received"]
-                    self._sq_max[source] = max(
-                        self._sq_max.get(source, 0), event["items_received"]
-                    )
-                elif op == "sjq":
-                    if event["items_sent"] <= 0:
-                        continue
-                    totals = self._sjq.setdefault(
-                        (source, event["condition"]), [0, 0]
-                    )
-                    totals[0] += event["items_sent"]
-                    totals[1] += event["items_received"]
-                elif op == "lq":
-                    self._rows[source] = event["rows_loaded"]
-                else:
-                    continue
-                mined += 1
+            for trace in traces:
+                for span in trace.spans:
+                    source = span.source
+                    key = (source, span.condition)
+                    op = span.operation.kind.value
+                    for attempt in span.attempts:
+                        if attempt.fate is not AttemptFate.OK or (
+                            op == "sjq" and attempt.items_sent <= 0
+                        ):
+                            continue
+                        mined += 1
+                        if op == "sq":
+                            received = attempt.items_received
+                            self._sq_counts[key] = received
+                            self._sq_max[source] = max(
+                                self._sq_max.get(source, 0), received
+                            )
+                        elif op == "sjq":
+                            totals = self._sjq.setdefault(key, [0, 0])
+                            totals[0] += attempt.items_sent
+                            totals[1] += attempt.items_received
+                        else:  # lq, the one other remote operation
+                            self._rows[source] = attempt.rows_loaded
             self._mined += mined
             if mined:
                 self._version += 1
@@ -143,8 +146,10 @@ class ObservedStatistics:
     def from_events(
         events: "EventLog | Iterable[Event]", **kwargs
     ) -> "ObservedStatistics":
+        """Mine a recorded log: every run in it, through
+        :meth:`RuntimeTrace.runs <repro.runtime.trace.RuntimeTrace.runs>`."""
         stats = ObservedStatistics(**kwargs)
-        stats.observe(events)
+        stats.observe(RuntimeTrace.runs(events))
         return stats
 
     @property

@@ -24,6 +24,7 @@ from repro.optimize.sja import SJAOptimizer
 from repro.plans.builder import build_filter_plan
 from repro.query.fusion import FusionQuery
 from repro.relational.conditions import Comparison
+from repro.runtime.trace import RuntimeTrace
 from repro.sources.generators import (
     SyntheticConfig,
     build_synthetic,
@@ -117,7 +118,9 @@ def test_observed_statistics_refresh_invalidates():
     assert optimizer.calls == 1
 
     before = statistics.fingerprint()
-    mined = statistics.observe(warmup_events(federation, query))
+    mined = statistics.observe(
+        RuntimeTrace.runs(warmup_events(federation, query))
+    )
     assert mined > 0
     assert statistics.fingerprint() != before
 

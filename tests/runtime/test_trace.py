@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.mediator.session import Mediator
+from repro.obs import EventLog, Recorder
 from repro.plans.builder import build_filter_plan
 from repro.runtime.engine import Resilience, RuntimeEngine
 from repro.runtime.faults import AttemptFate, FaultInjector, FaultProfile
 from repro.runtime.policy import RetryPolicy
-from repro.runtime.trace import AttemptSpan, OpStatus
-from repro.sources.generators import dmv_fig1
+from repro.runtime.trace import AttemptSpan, OpStatus, RuntimeTrace
+from repro.sources.generators import dmv_fig1, replicate_federation
 
 
 @pytest.fixture
@@ -293,3 +295,72 @@ class TestWrittenInOnePlace:
         assert result.trace == RuntimeTrace.from_events(
             recorder.events, operations=plan.operations
         )
+
+
+def _shape(trace):
+    """What a trace says, minus the operation objects (a trace read back
+    from a log carries stand-ins for them)."""
+    return trace.makespan_s, [
+        (
+            span.step,
+            span.operation.kind.value,
+            span.source,
+            span.condition,
+            span.queued_s,
+            span.started_s,
+            span.finished_s,
+            span.attempts,
+            span.status,
+            span.output_size,
+        )
+        for span in trace.spans
+    ]
+
+
+class TestRuns:
+    def test_one_trace_per_round_in_order(self):
+        federation, query = dmv_fig1()
+        federation = replicate_federation(federation, 2)
+        recorder = Recorder(metrics=None)
+        plain = Mediator(federation, backend="runtime", recorder=recorder)
+        replanning = Mediator(
+            federation,
+            backend="runtime",
+            faults=FaultInjector({"R1": FaultProfile.flaky(1.0)}, seed=0),
+            resilience=Resilience(policy=RetryPolicy.no_retry()),
+            replan=2,
+            recorder=recorder,
+        )
+        first = plain.answer(query)
+        replanned = replanning.answer(query)
+        last = plain.answer(query)
+        assert len(replanned.resilient.rounds) == 2
+        expected = [
+            first.runtime.trace,
+            *(r.result.trace for r in replanned.resilient.rounds),
+            last.runtime.trace,
+        ]
+        runs = RuntimeTrace.runs(recorder.events)
+        assert [_shape(t) for t in runs] == [_shape(t) for t in expected]
+
+    def test_a_log_without_run_start_is_one_run(self):
+        federation, query = dmv_fig1()
+        plan = build_filter_plan(query, federation.source_names)
+        recorder = Recorder(metrics=None)
+        result = RuntimeEngine(
+            federation,
+            faults=FaultInjector(FaultProfile.flaky(0.6), seed=5),
+            recorder=recorder,
+        ).run(plan)
+        events = [e for e in recorder.events if e.type != "run_start"]
+        runs = RuntimeTrace.runs(events)
+        assert [_shape(t) for t in runs] == [_shape(result.trace)]
+
+    def test_a_run_without_op_records_gives_no_trace(self):
+        log = EventLog()
+        log.emit(
+            0.0, "run_start", backend="runtime", round=0, plan_ops=1,
+            remote_ops=1, result="X",
+        )
+        assert RuntimeTrace.runs(log) == []
+        assert RuntimeTrace.runs([]) == []

@@ -23,6 +23,7 @@ from repro.runtime.health import (
     BreakerState,
     HealthRegistry,
 )
+from repro.runtime.trace import RuntimeTrace
 from repro.sources.observed import ObservedStatistics
 from repro.sources.statistics import ExactStatistics
 
@@ -96,11 +97,22 @@ class TestObservedStatisticsHammer:
             fate="ok", hedge=False, cost=2.0, items_sent=0,
             items_received=0, rows_loaded=9, messages=1,
         )
+        for step, op, source, condition, start, end, output in (
+            (1, "sq", "R1", "V = 'x'", 0.0, 0.1, 5),
+            (2, "lq", "R2", "", 0.1, 0.2, 9),
+        ):
+            log.emit(
+                end, "op",
+                round=0, step=step, op=op, target=f"X{step}", source=source,
+                remote=True, condition=condition, queued=start,
+                started=start, finished=end, status="ok", output=output,
+            )
+        traces = RuntimeTrace.runs(log)
         statistics = ObservedStatistics()
 
         def worker(index):
             for __ in range(ROUNDS):
-                mined = statistics.observe(log)
+                mined = statistics.observe(traces)
                 assert mined == 2
                 statistics.fingerprint()
                 statistics.universe_size()

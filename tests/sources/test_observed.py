@@ -6,15 +6,25 @@ import pytest
 
 from repro.costs.estimates import SizeEstimator
 from repro.mediator.executor import Executor
+from repro.mediator.session import Mediator
 from repro.obs import EventLog, Recorder
 from repro.plans.builder import build_filter_plan
 from repro.relational.conditions import Comparison
-from repro.sources.generators import dmv_fig1
+from repro.runtime.engine import Resilience
+from repro.runtime.faults import FaultInjector, FaultProfile
+from repro.runtime.policy import OnExhaust, RetryPolicy
+from repro.runtime.trace import RuntimeTrace
+from repro.serve import MediatorService
+from repro.sources.generators import dmv_fig1, replicate_federation
 from repro.sources.observed import DEFAULT_DISTINCT, ObservedStatistics
 from repro.sources.statistics import ExactStatistics
 
 
 CONDITION = Comparison("V", "=", "dui")
+DMV_SQL = (
+    "SELECT u1.L FROM U u1, U u2 "
+    "WHERE u1.L = u2.L AND u1.V = 'dui' AND u2.V = 'sp'"
+)
 
 
 def attempt(**overrides):
@@ -41,10 +51,30 @@ def attempt(**overrides):
     return record
 
 
+def record_run(log: EventLog, ts: float, fields: dict) -> None:
+    """Record a valid one-step run around an 'attempt' record: the run
+    starts, the attempt lands, and its step's 'op' record closes it."""
+    log.emit(
+        ts, "run_start", backend="runtime", round=fields["round"],
+        plan_ops=1, remote_ops=1, result="X",
+    )
+    log.emit(ts, "attempt", **fields)
+    log.emit(
+        ts, "op",
+        round=fields["round"], step=fields["step"], op=fields["op"],
+        target="X", source=fields["planned"], remote=True,
+        condition=fields["condition"], queued=fields["start"],
+        started=fields["start"], finished=fields["end"],
+        status="ok" if fields["fate"] == "ok" else "degraded",
+        output=fields["items_received"],
+    )
+
+
 def mined(*attempts) -> ObservedStatistics:
+    """Mine a log of one single-attempt run per record."""
     log = EventLog()
     for index, fields in enumerate(attempts):
-        log.emit(float(index), "attempt", **fields)
+        record_run(log, float(index), fields)
     return ObservedStatistics.from_events(log)
 
 
@@ -112,7 +142,7 @@ class TestSemijoinEvidence:
 
     def test_universe_override_wins(self):
         log = EventLog()
-        log.emit(0.0, "attempt", **attempt(op="sq", items_received=5))
+        record_run(log, 0.0, attempt(op="sq", items_received=5))
         stats = ObservedStatistics.from_events(log, universe=500)
         assert stats.universe_size() == 500
 
@@ -156,3 +186,72 @@ class TestAgainstTheOracle:
         text = stats.report()
         assert text.startswith("observed statistics:")
         assert "sq counts" in text
+
+
+class TestMiningTraces:
+    def test_a_jsonl_round_trip_mines_what_the_live_traces_do(self):
+        federation, query = dmv_fig1()
+        recorder = Recorder(metrics=None)
+        mediator = Mediator(
+            replicate_federation(federation, 2),
+            backend="runtime",
+            faults=FaultInjector(FaultProfile.flaky(0.4), seed=3),
+            resilience=Resilience(policy=RetryPolicy.no_retry()),
+            replan=2,
+            recorder=recorder,
+        )
+        live = ObservedStatistics()
+        rounds = []
+        for __ in range(4):
+            traces = mediator.answer(query).execution.profile.traces
+            rounds.append(len(traces))
+            live.observe(traces)
+        assert max(rounds) > 1  # a re-planned answer is in the log
+        log = EventLog.from_jsonl(recorder.events.to_jsonl())
+        mined_log = ObservedStatistics.from_events(log)
+        assert live.observations > 0
+        assert mined_log.observations == live.observations
+        assert mined_log.report() == live.report()
+
+    def test_a_service_run_that_raised_mines_nothing(self):
+        # R3 stalls past the timeout and the policy fails the query, by
+        # then R1 and R2 have answered: none of it is mined.
+        federation, __ = dmv_fig1()
+        statistics = ObservedStatistics()
+        service = MediatorService(
+            federation,
+            statistics=statistics,
+            mine_statistics=True,
+            faults={"R3": FaultProfile(stall_rate=1.0, stall_s=5.0)},
+            resilience=Resilience(
+                policy=RetryPolicy(
+                    max_retries=0, timeout_s=1.0, on_exhaust=OnExhaust.FAIL
+                )
+            ),
+        )
+        ticket = service.submit(DMV_SQL)
+        service.run_until_idle()
+        assert ticket.error is not None
+        fates = [e["fate"] for e in service.recorder.events.of_type("attempt")]
+        assert "ok" in fates  # evidence reached the log ...
+        assert statistics.observations == 0  # ... but the run raised
+        assert statistics.fingerprint().endswith(":v0")
+
+    def test_a_served_query_mines_its_runs_trace(self, monkeypatch):
+        folds = []
+        original = RuntimeTrace.from_events
+
+        def counting(*args, **kwargs):
+            folds.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(RuntimeTrace, "from_events", counting)
+        federation, __ = dmv_fig1()
+        statistics = ObservedStatistics()
+        service = MediatorService(
+            federation, statistics=statistics, mine_statistics=True
+        )
+        service.submit(DMV_SQL)
+        service.run_until_idle()
+        assert len(folds) == 1  # the engine's own fold, nothing after it
+        assert statistics.observations == 3  # R1, R2 and R3's loads
