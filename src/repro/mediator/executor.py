@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Any
 from repro.errors import ExecutionError, SourceUnavailableError
 from repro.plans.operations import Fetch, Operation, SemijoinOp, condition_sql
 from repro.plans.plan import Plan
-from repro.relational.items import as_frozenset
+from repro.relational.items import ItemSet, as_frozenset
 from repro.sources.registry import Federation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -76,6 +76,14 @@ class ExecutionResult:
     incomplete_conditions: tuple[str, ...] = ()
     #: Attached by the mediator when a recorder is active.
     profile: "QueryProfile | None" = field(default=None, repr=False)
+    #: The answer as the run's registers held it: an :class:`ItemSet`
+    #: bitmap, or ``items`` itself when the merge values cannot be
+    #: interned.  The second phase sends this, never the decoded set.
+    item_set: "ItemSet | frozenset[Any] | None" = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.item_set is None:
+            self.item_set = self.items
 
     @property
     def partial(self) -> bool:
@@ -207,7 +215,9 @@ class Executor:
             result.steps.append(trace)
 
         # The one decode of the run: registers hold bitmaps, answers are sets.
-        result.items = as_frozenset(registers[plan.result])
+        answer = registers[plan.result]
+        result.items = as_frozenset(answer)
+        result.item_set = answer if type(answer) is ItemSet else result.items
         if self.recorder is not None:
             self.recorder.emit(
                 self._clock,

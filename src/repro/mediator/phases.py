@@ -125,7 +125,7 @@ def _run_two_phase(mediator: Mediator, query: FusionQuery) -> tuple[
     federation = mediator.federation
     before = federation.total_traffic_cost()
     answer = mediator.answer(query)
-    records = mediator.fetch_records(answer.items)
+    records = mediator.fetch_records(answer.execution.item_set)
     return answer.items, records, federation.total_traffic_cost() - before
 
 

@@ -47,6 +47,8 @@ from repro.relational.aggregates import (
     merge_partials,
     partial_aggregate_rows,
 )
+from repro.relational.columnar import union_items
+from repro.relational.items import ItemSet
 from repro.relational.relation import Relation
 from repro.runtime.engine import Resilience, RuntimeEngine, RuntimeResult
 from repro.runtime.faults import FaultInjector
@@ -338,7 +340,12 @@ class Mediator:
         ``execution.partial`` — instead of raising.  The sequential
         backend has no clock, so the budget is ignored there.
         """
-        query = self._coerce(query)
+        return self._answer(self._coerce(query), budget_s)
+
+    def _answer(
+        self, query: FusionQuery, budget_s: float | None
+    ) -> MediatorAnswer:
+        """:meth:`answer` of a query already validated against the schema."""
         runtime_result = None
         resilient = None
         events_before = (
@@ -356,6 +363,7 @@ class Mediator:
             traces = tuple(r.result.trace for r in resilient.rounds)
             execution = ExecutionResult(
                 items=resilient.items,
+                item_set=union_items(r.result.item_set for r in resilient.rounds),
                 steps=steps,
                 hedges=sum(t.hedge_attempts for t in traces),
                 recovered=sum(len(t.recovered_steps) for t in traces),
@@ -461,14 +469,17 @@ class Mediator:
         return query
 
     def _coerce_aggregate(self, query: AggregateQuery | str) -> AggregateQuery:
+        """The aggregate query, validated once: by :meth:`parse_any` for
+        SQL text, here for a query the caller built."""
         if isinstance(query, str):
             query = self.parse_any(query)
+        elif isinstance(query, AggregateQuery):
+            query.validate_against_schema(self.federation.schema)
         if not isinstance(query, AggregateQuery):
             raise CostModelError(
                 "answer_aggregate requires an aggregation fusion query; "
                 "use answer() for plain fusion queries"
             )
-        query.validate_against_schema(self.federation.schema)
         return query
 
     def answer_aggregate(
@@ -487,14 +498,24 @@ class Mediator:
         in sorted source order, so both paths produce bit-identical
         results.  ``pushdown`` is ``True`` (cost-based choice per
         source), ``False`` (always fetch), or ``"force"`` (push down at
-        every capable source regardless of cost); verification modes
+        every capable source regardless of cost); any other value raises
+        :class:`~repro.errors.CostModelError`.  Verification modes
         other than ``"off"`` always force the fetch path, because the
         voter must see raw tuples.
+
+        Both paths send the fusion answer as the run left it — the
+        :class:`~repro.relational.items.ItemSet` bitmap when the merge
+        values are interned — and the fetched relations' row tuples are
+        never built: the GROUP BY reads their columns.
         """
+        if not (pushdown is True or pushdown is False or pushdown == "force"):
+            raise CostModelError(
+                f"pushdown must be True, False or 'force', got {pushdown!r}"
+            )
         query = self._coerce_aggregate(query)
-        fusion_answer = self.answer(query.fusion, budget_s=budget_s)
-        items = fusion_answer.items
-        allow_pushdown = bool(pushdown) and self.runtime.verify == "off"
+        fusion_answer = self._answer(query.fusion, budget_s)
+        items = fusion_answer.execution.item_set
+        allow_pushdown = pushdown is not False and self.runtime.verify == "off"
         aggregate_plan = plan_aggregate(
             query,
             self.federation,
@@ -544,13 +565,15 @@ class Mediator:
     # ------------------------------------------------------------------
     # Second phase (Sec. 1)
 
-    def fetch_records(self, items: frozenset[Any]) -> Relation:
+    def fetch_records(self, items: ItemSet | frozenset[Any]) -> Relation:
         """Fetch the full rows of the matched items from every source.
 
         This is the "second phase" of the two-phase approach: the fusion
         query identified the entities; now their complete records are
         retrieved (bag union across sources, since each source may hold
-        different rows for the same entity).
+        different rows for the same entity).  Pass the answer's
+        ``execution.item_set``: each source then slices its rows by one
+        flag gather over the bitmap.
         """
         parts = [
             source.fetch_rows(items) for source in self.federation

@@ -43,6 +43,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.errors import ConditionError
 from repro.relational import columnar
+from repro.relational.items import ItemSet
 from repro.relational.relation import Relation
 from repro.relational.schema import DataType, Schema
 
@@ -243,15 +244,17 @@ def partial_aggregate_rows(
     relation: Relation,
     specs: Iterable[AggregateSpec],
     group_by: Iterable[str] = (),
-    items: frozenset[Any] | None = None,
+    items: ItemSet | frozenset[Any] | None = None,
 ) -> Partials:
     """Partial aggregate states for one relation's rows.
 
     ``items`` (when given) restricts input rows to those whose merge
     attribute is in the set — this is exactly what a source computes
     during partial-aggregate pushdown, with ``items`` the fusion
-    answer.  The restriction is a slice of the relation's columnar
-    view, as a ``fetch_rows`` answer is.
+    answer's :class:`~repro.relational.items.ItemSet` bitmap.  The
+    restriction is a slice of the relation's columnar view, as a
+    ``fetch_rows`` answer is; only columns are read, so a fetched
+    relation's row tuples are never built here.
 
     Two folds give the same states to the bit.  When numpy serves the
     rows, every GROUP BY key is dictionary encoded and every aggregated

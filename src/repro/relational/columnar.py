@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import operator
 from itertools import compress, islice
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import ConditionError
 from repro.relational.conditions import (
@@ -241,14 +241,17 @@ class ColumnarTable:
         if column is None and self._slice_of is not None:
             whole = self._slice_of[0].column(name)
             if whole is not None:
-                column = self._columns[name] = list(compress(whole, self._parent_flags()))
+                column = self._columns[name] = list(self.gather(whole))
         return column
 
-    def _parent_flags(self) -> list[bool]:
-        """A slice's mask as the python list ``compress`` gathers by (cached)."""
+    def gather(self, values: Iterable[Any]) -> Iterator[Any]:
+        """A slice's share of ``values``, one per parent row: the values
+        at the mask's true positions, in order.  The mask is turned into
+        the python list ``compress`` gathers by once, and kept; a
+        relation's sliced rows are gathered through it too."""
         if self._flags is None:
             self._flags = mask_as_list(self._slice_of[1])
-        return self._flags
+        return compress(values, self._flags)
 
     def _parent_positions(self):
         """A slice's rows as positions in its parent (an ``intp`` array,
@@ -425,7 +428,7 @@ class ColumnarTable:
             if self._slice_of is not None:
                 built = self._slice_of[0].item_ids()
                 if built is not None:
-                    built = list(compress(built[0], self._parent_flags())), built[1]
+                    built = list(self.gather(built[0])), built[1]
             else:
                 ids = INDEX.ids(self.merge_column)
                 built = None if ids is None else (ids, max(ids, default=-1) + 1)

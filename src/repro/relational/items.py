@@ -19,7 +19,10 @@ the one rule that combines the two kinds.
 An :class:`ItemSet` decodes to a ``frozenset`` once, when something
 iterates it, and keeps the result (:func:`as_frozenset`); the executors
 do exactly that with a plan's answer, so everything a caller receives
-is an ordinary ``frozenset``.
+is an ordinary ``frozenset``.  The bitmap itself stays beside the
+decoded answer (``ExecutionResult.item_set``): the second phase — an
+aggregate query's fetch or pushdown, a two-phase record fetch — sends
+it to the sources, where each membership mask is one flag gather.
 """
 
 from __future__ import annotations

@@ -98,7 +98,7 @@ from repro.plans.operations import (
     SemijoinOp,
 )
 from repro.plans.plan import Plan, PlanStep
-from repro.relational.items import EMPTY_ITEMS, as_frozenset
+from repro.relational.items import EMPTY_ITEMS, ItemSet, as_frozenset
 from repro.relational.relation import Relation
 from repro.runtime.faults import AttemptFate, AttemptOutcome, FaultInjector
 from repro.runtime.health import (
@@ -118,10 +118,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 @dataclass(frozen=True)
 class RuntimeResult:
-    """Answer + observability record of one concurrent execution."""
+    """Answer + observability record of one concurrent execution.
+
+    ``item_set`` is the answer as the run's registers held it: an
+    :class:`~repro.relational.items.ItemSet` bitmap, or ``items`` itself
+    when the merge values cannot be interned.
+    """
 
     items: frozenset[Any]
     trace: RuntimeTrace
+    item_set: ItemSet | frozenset[Any]
 
     @property
     def makespan_s(self) -> float:
@@ -194,6 +200,7 @@ class RuntimeResult:
         ]
         return ExecutionResult(
             items=self.items,
+            item_set=self.item_set,
             steps=steps,
             hedges=self.trace.hedge_attempts,
             recovered=len(self.trace.recovered_steps),
@@ -573,10 +580,12 @@ class _Execution:
         trace = RuntimeTrace.from_events(
             self.records, operations=self.plan.operations
         )
+        # The one decode of the run: registers hold bitmaps, answers are sets.
+        items = frozenset() if answer is None else as_frozenset(answer)
         result = RuntimeResult(
-            # The one decode of the run: registers hold bitmaps, answers are sets.
-            items=frozenset() if answer is None else as_frozenset(answer),
+            items=items,
             trace=trace,
+            item_set=answer if type(answer) is ItemSet else items,
         )
         if self.recorder is not None:
             self.recorder.emit(

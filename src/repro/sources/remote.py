@@ -221,14 +221,17 @@ class RemoteSource:
         )
         return rows
 
-    def fetch_rows(self, items: frozenset[Any]) -> Relation:
+    def fetch_rows(self, items: ItemSet | frozenset[Any]) -> Relation:
         """Second-phase fetch (Sec. 1): full rows for the matched items.
 
         Fusion queries return merge-attribute values only; "if additional
         information on the matching entities is needed, a 'second phase'
         query would be issued".  Bindings are charged like semijoin
         sends; the answer is charged per *row* because whole tuples come
-        back.
+        back.  ``items`` is the fusion answer as the run left it (an
+        :class:`~repro.relational.items.ItemSet` bitmap when interned);
+        the returned relation is a slice of the table whose row tuples
+        are built when first read.
         """
         self._before_request()
         rows = self.table.relation.restrict_to_items(items)
@@ -246,11 +249,12 @@ class RemoteSource:
         self,
         specs: tuple[AggregateSpec, ...],
         group_by: tuple[str, ...],
-        items: frozenset[Any],
+        items: ItemSet | frozenset[Any],
     ) -> Partials:
         """``aq``: partial-aggregate pushdown (PR 10).
 
-        Ships the fusion-answer bindings and receives one partial-state
+        Ships the fusion-answer bindings (the run's bitmap, as
+        :meth:`fetch_rows` takes them) and receives one partial-state
         row per group — charged like a semijoin send with a per-group
         answer, which is the whole point: for large entity sets the
         partials are a fraction of the raw-tuple fetch the mediator

@@ -122,14 +122,15 @@ class TableSource:
         self,
         specs: tuple[AggregateSpec, ...],
         group_by: tuple[str, ...],
-        items: frozenset[Any],
+        items: ItemSet | frozenset[Any],
     ) -> Partials:
         """``aq(specs, R_j, Y)``: partial aggregate states over this source.
 
         Input rows are those whose merge attribute lies in ``items``
-        (the fusion answer); the mediator combines partials from every
-        source.  Only reachable through wrappers declaring
-        ``supports_aggregates``.
+        (the fusion answer, an :class:`ItemSet` bitmap when interned:
+        the membership mask is one flag gather); the mediator combines
+        partials from every source.  Only reachable through wrappers
+        declaring ``supports_aggregates``.
         """
         self.counters.aggregates += 1
         self.counters.rows_scanned += len(self.relation)

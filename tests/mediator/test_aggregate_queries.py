@@ -13,10 +13,11 @@ import math
 
 import pytest
 
-from repro.errors import ExecutionError
+from repro.errors import CostModelError, ExecutionError, QueryError
 from repro.mediator.reference import reference_aggregate
 from repro.mediator.session import AggregateAnswer, Mediator
 from repro.query.aggregate import AggregateQuery
+from repro.query.fusion import FusionQuery
 from repro.query.sqlparse import is_aggregate_query, parse_query
 from repro.relational import columnar
 from repro.relational.aggregates import AggregateSpec, merge_partials, partial_aggregate_rows
@@ -165,6 +166,50 @@ class TestPushdownPath:
         assert len(answer.aggregate_plan.tasks) == 3
         assert all(t.estimated_cost > 0 for t in answer.aggregate_plan.tasks)
         assert dict(answer.result.groups) == EXPECTED_GROUPS
+
+    @pytest.mark.parametrize("pushdown", ["off", "no", "False", "auto", 0, 1, None])
+    def test_only_true_false_and_force_are_settings(self, analytic_federation, pushdown):
+        # A truthy spelling of "off" used to push down at every capable
+        # source, exactly as True does.
+        mediator = Mediator(analytic_federation, verify=False)
+        with pytest.raises(CostModelError, match="pushdown"):
+            mediator.answer_aggregate(AGG_SQL, pushdown=pushdown)
+        fetched = mediator.answer_aggregate(AGG_SQL, pushdown=False)
+        assert fetched.aggregate_plan.pushdown_sources == ()
+        forced = mediator.answer_aggregate(AGG_SQL, pushdown="force")
+        assert forced.aggregate_plan.pushdown_sources == ("R1", "R2", "R3")
+
+
+class TestValidatedOnce:
+    """An aggregate query is checked against the schema exactly once."""
+
+    @pytest.fixture
+    def validations(self, monkeypatch):
+        count = [0]
+        validate = FusionQuery.validate_against_schema
+
+        def counted(self, schema):
+            count[0] += 1
+            return validate(self, schema)
+
+        monkeypatch.setattr(FusionQuery, "validate_against_schema", counted)
+        return count
+
+    @pytest.mark.parametrize("backend", ["sequential", "runtime"])
+    def test_sql_text_is_validated_once(self, dmv_federation, validations, backend):
+        Mediator(dmv_federation, backend=backend).answer_aggregate(AGG_SQL)
+        assert validations[0] == 1
+
+    def test_a_built_query_is_validated_once(self, dmv_federation, validations):
+        query = parse_query(AGG_SQL)
+        Mediator(dmv_federation).answer_aggregate(query)
+        assert validations[0] == 1
+
+    def test_a_built_query_is_still_validated(self, dmv_federation):
+        parsed = parse_query(AGG_SQL)
+        query = AggregateQuery(parsed.fusion, parsed.specs, group_by=("Q",))
+        with pytest.raises(QueryError, match="GROUP BY attribute 'Q'"):
+            Mediator(dmv_federation).answer_aggregate(query)
 
 
 class TestVerification:
