@@ -20,6 +20,12 @@ Every kernel is checked for result equality across the three paths
 before its timings count.  The acceptance gate: pure-python columnar
 beats the row path by >= 3x on the ``merge`` (filter + merge) kernel at
 1e5 rows.
+
+A second table measures a source table's *value index* against the row
+masks it replaces for a one-attribute leaf — a string equality, an int
+range and a semijoin against an ``ItemSet`` binding — at every size,
+both on numpy: where the two cross is where ``_INDEX_MIN_ROWS`` sits.
+At 1e5 rows the index selection must be >= 1.5x the mask path.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from repro.bench.report import Table, join_sections
 from repro.relational import columnar
 from repro.relational.aggregates import AggregateSpec, aggregate_rows
 from repro.relational.conditions import Condition
-from repro.relational.items import as_frozenset
+from repro.relational.items import INDEX, ItemSet, as_frozenset
 from repro.relational.parser import parse_condition
 from repro.relational.relation import Relation
 from repro.relational.schema import dmv_schema
@@ -43,6 +49,11 @@ from repro.relational.schema import dmv_schema
 #: on the filter+merge kernel at SPEEDUP_ROWS rows.
 SPEEDUP_FLOOR = 3.0
 SPEEDUP_ROWS = 100_000
+
+#: The value-index gate: a leaf selection through the index against
+#: the row-mask path at INDEX_ROWS rows.
+INDEX_FLOOR = 1.5
+INDEX_ROWS = 100_000
 
 _VIOLATIONS = ("dui", "sp", "park", "redlight", "nofault", "ins", "reg")
 
@@ -300,6 +311,75 @@ def _sweep_one_size(
     return results
 
 
+def _index_sweep_one_size(n: int, seed: int, reps: int) -> list[dict[str, Any]]:
+    """Time leaf selection and semijoin through the value index and
+    through the row masks at ``n`` rows, numpy forced on for both.
+
+    The mask path is called directly — the kernels ``select_items`` and
+    ``semijoin_items`` run when no index serves.  With one repetition
+    (the sweep's 1e6 rows) each path gets a fresh table per kernel, so
+    the index build (and the masks' mirrors) is inside its timing.
+    """
+    rows = _make_rows(n, seed)
+    relations = [Relation("R", dmv_schema(), rows) for _ in range(2 if reps == 1 else 1)]
+    all_items = sorted({row[0] for row in rows})
+    sample = random.Random(seed + 2).sample(all_items, max(1, len(all_items) // 10))
+    ids = INDEX.ids(sample)
+    binding = ItemSet.from_ids(ids, max(ids) + 1)
+    leaves = [
+        ("select =", parse_condition("V = 'dui'")),
+        ("select range", parse_condition("D BETWEEN 1990 AND 1995")),
+    ]
+    semijoin = parse_condition("D >= 1995")
+
+    def masked_semijoin(table):
+        member = columnar.member_mask(table, binding)
+        return columnar._selected_items(table, member & columnar._mask_np(semijoin, table))
+
+    kernels = [
+        (
+            name,
+            lambda table, c=condition: columnar._selected_items(
+                table, columnar.predicate_mask(table, c)
+            ),
+            lambda table, c=condition: columnar.select_items(table, c),
+        )
+        for name, condition in leaves
+    ]
+    kernels.append(
+        (
+            "semijoin",
+            masked_semijoin,
+            lambda table: columnar.semijoin_items(table, semijoin, binding),
+        )
+    )
+    results = []
+    prev = columnar.set_numpy_enabled(True)
+    try:
+        for name, mask_fn, index_fn in kernels:
+            tables = [relation.columnar() for relation in relations]
+            mask_s, mask_result = _best_of(lambda: mask_fn(tables[0]), reps)
+            index_s, index_result = _best_of(lambda: index_fn(tables[-1]), reps)
+            if index_result != mask_result:
+                raise AssertionError(f"{name}@{n}: the value index and the row masks disagree")
+            results.append(
+                {
+                    "bench": "R12",
+                    "scenario": f"index {name}@{n}",
+                    "kernel": name,
+                    "rows": n,
+                    "mask_s": mask_s,
+                    "index_s": index_s,
+                    "speedup_index": mask_s / index_s if index_s > 0 else float("inf"),
+                }
+            )
+            if reps == 1:  # cold: the next kernel starts from fresh tables
+                relations = [Relation("R", dmv_schema(), rows) for _ in relations]
+    finally:
+        columnar.set_numpy_enabled(prev)
+    return results
+
+
 def run_columnar(
     sizes: tuple[int, ...] = (1_000, 10_000, 100_000, 1_000_000),
     reps: int = 3,
@@ -315,10 +395,15 @@ def run_columnar(
     available) the numpy fast path — with result equality asserted
     across all three before any timing counts.
 
+    With numpy, a second table times each size's one-attribute leaf
+    selections and semijoin through the value index against the row
+    masks (:func:`_index_sweep_one_size`).
+
     When ``bench_json`` is true the rows land in ``BENCH_R12.json``
     for CI trend tracking; ``check_speedup`` enforces the acceptance
-    gate (>= 3x pure-python columnar vs row path on the filter+merge
-    kernel at 1e5 rows) whenever the sweep includes that size.
+    gates (>= 3x pure-python columnar vs row path on the filter+merge
+    kernel, and >= 1.5x index vs masks on the selections, at 1e5 rows)
+    whenever the sweep includes that size.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
@@ -336,9 +421,12 @@ def run_columnar(
         ],
     )
     rows: list[dict[str, Any]] = []
+    index_rows: list[dict[str, Any]] = []
     for n in sizes:
         size_reps = reps if n < 1_000_000 else 1
         rows.extend(_sweep_one_size(n, seed, size_reps))
+        if columnar.numpy_available():
+            index_rows.extend(_index_sweep_one_size(n, seed, size_reps))
     for row in rows:
         table.add_row(
             [
@@ -390,13 +478,53 @@ def run_columnar(
         )
     table.add_note(columnar.substrate_summary())
 
+    index_table = Table(
+        f"value index vs row masks, one-attribute leaf (best of {reps}, numpy both)",
+        ["kernel", "rows", "mask us", "index us", "speedup"],
+    )
+    for row in index_rows:
+        index_table.add_row(
+            [
+                row["kernel"],
+                row["rows"],
+                round(row["mask_s"] * 1e6),
+                round(row["index_s"] * 1e6),
+                f"{row['speedup_index']:.2f}x",
+            ]
+        )
+    index_gate = [
+        row
+        for row in index_rows
+        if row["rows"] == INDEX_ROWS and row["kernel"].startswith("select")
+    ]
+    if check_speedup and index_gate:
+        for row in index_gate:
+            if row["speedup_index"] < INDEX_FLOOR:
+                raise AssertionError(
+                    f"{row['kernel']}@{row['rows']}: the value index is only "
+                    f"{row['speedup_index']:.2f}x the row masks (floor "
+                    f"{INDEX_FLOOR}x)"
+                )
+        index_table.add_note(
+            f"acceptance: index selection >= {INDEX_FLOOR}x the row masks at "
+            f"{INDEX_ROWS} rows — measured "
+            + ", ".join(f"{row['kernel']} {row['speedup_index']:.1f}x" for row in index_gate)
+        )
+    if any(n >= 1_000_000 for n in sizes):
+        index_table.add_note(
+            "rows of 1e6 and more are one cold repetition on a fresh table per "
+            "path: the index build (value codes, item ids, the sort) is inside "
+            "the index timing, the numpy mirrors inside the mask timing"
+        )
+
     if bench_json:
         path = os.path.join(os.getcwd(), "BENCH_R12.json")
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(rows, fh, indent=2)
+            json.dump(rows + index_rows, fh, indent=2)
             fh.write("\n")
 
     return join_sections(
         "=== R12: columnar substrate — vectorized kernels vs the row path ===",
         table.render(),
+        index_table.render() if index_rows else "",
     )

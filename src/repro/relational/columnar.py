@@ -34,6 +34,15 @@ Design rules (see DESIGN.md):
   ``str`` / ``int`` keeps ``frozenset`` answers and the C set methods.
 * Boolean structure (AND/OR/NOT) is computed as mask algebra, never by
   re-walking rows.
+* A one-attribute leaf over a source table of ``_INDEX_MIN_ROWS`` rows
+  or more reads the column's *value index*
+  (:meth:`ColumnarTable.value_index`): the leaf runs once per distinct
+  value, through the same mask kernels, and the rows holding the true
+  values are slices of the item ids sorted by value — no mask over the
+  rows.  The index is built once from immutable rows and holds no
+  verdict or answer: every request evaluates its own condition.  AND /
+  OR / NOT, float, bool and null-holding columns, slices and merge
+  values without item ids keep the row masks.
 
 The numpy kernels run whenever numpy imports and the table is long
 enough to pay for them (``_NUMPY_MIN_ROWS``) — there is no option to
@@ -70,7 +79,7 @@ from repro.relational.items import (
     intersection_of,
     union_of,
 )
-from repro.relational.schema import Schema
+from repro.relational.schema import Attribute, Schema
 
 try:  # pragma: no cover - exercised via the no-numpy CI leg
     import numpy as _np
@@ -101,6 +110,14 @@ _NUMPY_MIN_ROWS = 64
 #: Looking a binding up in a dictionary and scattering its code costs
 #: about this many times what one ``in`` probe of a distinct value does.
 _PROBE_COST_RATIO = 4
+
+#: Below this many rows a one-attribute leaf masks the whole table:
+#: the value index's extra numpy calls cost more than the rows they
+#: skip.  Measured crossover ≈ 5k rows; see DESIGN "Columnar substrate".
+_INDEX_MIN_ROWS = 8192
+
+#: The leaves a value index answers: one attribute, one verdict per value.
+_INDEXED_LEAVES = (Comparison, Between, InSet, Like, IsNull)
 
 #: Marks a cached view that has not been built yet (``None`` is a value).
 _UNBUILT: Any = object()
@@ -158,13 +175,14 @@ class ColumnarTable:
     Rows own the data; everything here is a cache of them, built lazily
     on first use: the columns (plain Python lists sharing the row
     tuples' values), the numpy mirrors of numeric and boolean columns,
-    the dictionary encodings of string columns and the item ids of the
+    the dictionary encodings of string columns, the item ids of the
     merge column (plus, for merge values that cannot be interned, its
-    object-array mirror).  A table built from *ragged* rows (arity
-    mismatches injected by the fault simulator via
-    ``Relation.unchecked``) reports ``well_formed = False`` and must not
-    be used for vectorized evaluation — callers fall back to the row
-    path, which reproduces the historical per-row semantics exactly.
+    object-array mirror) and a source table's value indexes.  A table
+    built from *ragged* rows (arity mismatches injected by the fault
+    simulator via ``Relation.unchecked``) reports ``well_formed =
+    False`` and must not be used for vectorized evaluation — callers
+    fall back to the row path, which reproduces the historical per-row
+    semantics exactly.
     """
 
     __slots__ = (
@@ -177,6 +195,7 @@ class ColumnarTable:
         "_merge_objects",
         "_item_ids",
         "_np_item_ids",
+        "_value_index",
         "_slice_of",
         "_flags",
         "_positions",
@@ -208,6 +227,7 @@ class ColumnarTable:
         self._merge_objects: Any = None
         self._item_ids: tuple[list[int], int] | None = _UNBUILT
         self._np_item_ids: tuple[Any, int] | None = _UNBUILT
+        self._value_index: dict[str, ValueIndex | None] = {}
 
     def where(self, mask: Sequence[Any], length: int | None = None) -> "ColumnarTable":
         """The table of the rows at the true positions of ``mask`` — a
@@ -455,6 +475,72 @@ class ColumnarTable:
                     built = None
             self._np_item_ids = built
         return self._np_item_ids
+
+    def value_index(self, name: str) -> "ValueIndex | None":
+        """The column's rows grouped by value (:class:`ValueIndex`), built
+        once from the :meth:`encoded` codes and the :meth:`np_item_ids`.
+
+        ``None`` (cached) for a slice — it ranges over its parent's rows
+        through a mask instead — and when the column has no encoding,
+        holds a null, or the merge values have no item ids.
+        """
+        if name in self._value_index:
+            return self._value_index[name]
+        built = self._value_index[name] = self._build_value_index(name)
+        return built
+
+    def _build_value_index(self, name: str) -> "ValueIndex | None":
+        if self._slice_of is not None:
+            return None
+        encoded = self.encoded(name)
+        if encoded is None or None in encoded[0]:
+            return None
+        item_ids = self.np_item_ids()
+        if item_ids is None:
+            return None
+        return ValueIndex(name, *encoded, *item_ids)
+
+
+class ValueIndex:
+    """A column of a source table, its rows grouped by value.
+
+    ``values`` is a one-column :class:`ColumnarTable` of the column's
+    distinct values, sorted; the rows holding ``values``' ``v``-th value
+    are ``starts[v]:starts[v + 1]`` of ``ids``, the rows' item ids
+    ordered by value.  A one-attribute leaf runs once per distinct value,
+    through the mask kernels, and a run of adjacent true values is one
+    slice of ``ids`` — one slice for a comparison or BETWEEN, since the
+    values are sorted.  Nothing here depends on a condition: every
+    request evaluates its own.
+    """
+
+    __slots__ = ("values", "starts", "ids", "bound")
+
+    def __init__(self, name: str, index: dict[Any, int], codes, ids, bound: int):
+        ordered = sorted(index)  # one type, str or int: totally ordered
+        rank = _np.empty(len(ordered), dtype=_np.intp)
+        rank[[index[value] for value in ordered]] = _np.arange(len(ordered))
+        row_rank = rank.take(codes)
+        self.values = ColumnarTable(Schema((Attribute(name),), name), [(v,) for v in ordered])
+        self.starts = _np.zeros(len(ordered) + 1, dtype=_np.intp)
+        _np.cumsum(_np.bincount(row_rank, minlength=len(ordered)), out=self.starts[1:])
+        self.ids = ids.take(row_rank.argsort(kind="stable"))
+        self.bound = bound
+
+    def ids_where(self, condition: Condition):
+        """The item ids of the rows satisfying ``condition``, a leaf over
+        this column (one id per row, an ``intp`` array)."""
+        # A run of true values starts and ends where the padded verdicts change.
+        padded = _np.zeros(self.values.length + 2, dtype=bool)
+        padded[1:-1] = _mask_np(condition, self.values)
+        edges = _np.flatnonzero(padded[1:] != padded[:-1])
+        low, high = self.starts.take(edges[0::2]), self.starts.take(edges[1::2])
+        if len(low) == 1:
+            return self.ids[low[0] : high[0]]
+        lengths = high - low
+        # Position i of the output is row (i - run's first output) + run's low.
+        shift = _np.repeat(low - (_np.cumsum(lengths) - lengths), lengths)
+        return self.ids.take(shift + _np.arange(len(shift)))
 
 
 def _code_dtype(count: int):
@@ -793,10 +879,8 @@ def _selected_items(table: ColumnarTable, mask: Mask) -> ItemSet | frozenset[Any
         if built is None:
             return frozenset(table.merge_objects()[mask].tolist())
         ids, bound = built
-        flags = _np.zeros(bound, dtype=_np.uint8)
         # take(flatnonzero) gathers ~4x faster than boolean ids[mask].
-        flags[ids.take(_np.flatnonzero(mask))] = 1
-        return ItemSet(int.from_bytes(_np.packbits(flags, bitorder="little").tobytes(), "little"))
+        return _bitmap(ids.take(_np.flatnonzero(mask)), bound)
     built = table.item_ids()
     if built is None:
         # itertools.compress is the C-speed gather over a python mask.
@@ -805,8 +889,30 @@ def _selected_items(table: ColumnarTable, mask: Mask) -> ItemSet | frozenset[Any
     return ItemSet.from_ids(compress(ids, mask), bound)
 
 
+def _bitmap(ids, bound: int) -> ItemSet:
+    """The set of the item ids in an array, each below ``bound``: one flag
+    byte per id, set by a scatter and packed into the integer once."""
+    flags = _np.zeros(bound, dtype=_np.uint8)
+    flags[ids] = 1
+    return ItemSet(int.from_bytes(_np.packbits(flags, bitorder="little").tobytes(), "little"))
+
+
+def _value_index_for(table: ColumnarTable, condition: Condition) -> ValueIndex | None:
+    """The value index that answers a one-attribute leaf over ``table``:
+    on a table of at least ``_INDEX_MIN_ROWS`` rows (any length when a
+    parity test forces numpy) whose column has one; else None."""
+    if isinstance(condition, _INDEXED_LEAVES) and numpy_serves(table.length, _INDEX_MIN_ROWS):
+        return table.value_index(condition.attribute)
+    return None
+
+
 def select_items(table: ColumnarTable, condition: Condition) -> ItemSet | frozenset[Any]:
-    """``sq(c, R)`` on the columnar batch: distinct qualifying items."""
+    """``sq(c, R)`` on the columnar batch: distinct qualifying items —
+    the ids of a value index's qualifying slices, or the rows under a
+    predicate mask."""
+    index = _value_index_for(table, condition)
+    if index is not None:
+        return _bitmap(index.ids_where(condition), index.bound)
     return _selected_items(table, predicate_mask(table, condition))
 
 
@@ -820,15 +926,21 @@ def select_row_tuples(
 def semijoin_items(
     table: ColumnarTable, condition: Condition, wanted: ItemSet | frozenset[Any]
 ) -> ItemSet | frozenset[Any]:
-    """``sjq(c, R, Y)``: probe the merge column, then mask.
+    """``sjq(c, R, Y)``: the qualifying rows whose item is bound.
 
-    Membership is tested first — when no row is bound the predicate is
-    never evaluated.  The numpy kernels AND two whole-table masks (both
-    are gathers); the python kernels evaluate the predicate on the bound
-    rows only.
+    Through a value index, the qualifying slices' ids keep those whose
+    flag in ``wanted`` is set: one gather over the selected rows.
+    Otherwise membership is tested first — when no row is bound the
+    predicate is never evaluated.  The numpy kernels AND two whole-table
+    masks (both are gathers); the python kernels evaluate the predicate
+    on the bound rows only.
     """
     if not wanted:
         return EMPTY_ITEMS
+    index = _value_index_for(table, condition)
+    if index is not None:
+        ids = index.ids_where(condition)
+        return _bitmap(ids[_binding_flags(wanted, index.bound).take(ids)], index.bound)
     member = member_mask(table, wanted)
     if _is_array(member):
         if not member.any():
@@ -839,6 +951,21 @@ def semijoin_items(
         return EMPTY_ITEMS
     bound = table.where(member, count)
     return _selected_items(bound, _mask_python(condition, bound))
+
+
+def _binding_flags(wanted: ItemSet | frozenset[Any], bound: int):
+    """One bool per item id below ``bound`` (at least): is it in ``wanted``.
+
+    An :class:`ItemSet` unpacks its bits; any other set looks its items
+    up in :data:`~repro.relational.items.INDEX`, which holds every item
+    the table has (an equal item of another type, ``1.0`` for ``1``,
+    finds the same id, as ``in`` would).
+    """
+    if type(wanted) is ItemSet:
+        return _np.frombuffer(wanted.flags(bound), dtype=bool)
+    flags = _np.zeros(bound, dtype=bool)
+    flags[[i for i in map(INDEX.get, wanted) if i is not None and i < bound]] = True
+    return flags
 
 
 def count_matching(table: ColumnarTable, condition: Condition) -> int:

@@ -22,7 +22,13 @@ from repro.relational.relation import Relation
 
 @dataclass
 class SourceOpCounters:
-    """How much work the source engine itself performed (diagnostics)."""
+    """How much work the source engine itself performed (diagnostics).
+
+    ``rows_scanned`` counts the rows each request ranges over — the whole
+    relation, one ``len`` per request — not the rows a kernel reads: a
+    selection answered from a value index reads only the qualifying
+    rows' ids and still counts the table.
+    """
 
     selections: int = 0
     semijoins: int = 0

@@ -445,7 +445,124 @@ class TestKernelChoiceBySize:
             path.read_text() for path in pathlib.Path(repro.__file__).parent.rglob("*.py")
         )
         assert len(re.findall(r"^_NUMPY_MIN_ROWS = ", source, flags=re.M)) == 1
+        assert len(re.findall(r"^_INDEX_MIN_ROWS = ", source, flags=re.M)) == 1
         assert not any("MIN_ROWS" in name for name in repro.relational.__all__)
+
+
+INDEXED_SCHEMA = Schema(
+    (
+        Attribute("L"),
+        Attribute("V"),
+        Attribute("D", DataType.INT),
+        Attribute("F", DataType.FLOAT),
+        Attribute("N", DataType.STRING, nullable=True),
+    ),
+    merge_attribute="L",
+)
+
+
+def _indexed_relation(n: int) -> Relation:
+    rows = [
+        (f"L{i % 997}", ("dui", "sp", "park")[i % 3], 1990 + i % 11, i / 4, None if i % 5 else "x")
+        for i in range(n)
+    ]
+    return Relation("X", INDEXED_SCHEMA, rows)
+
+
+@pytest.mark.skipif(not numpy_available(), reason="numpy not available")
+class TestValueIndexChosenBySizeAndColumnKind:
+    """Above ``_INDEX_MIN_ROWS`` rows a one-attribute leaf over a null-free
+    string or int column is answered from its value index: no mask over
+    the rows.  Everything else — shorter tables, boolean structure,
+    float and null-holding columns, slices, merge values without item
+    ids — masks the rows as before."""
+
+    LIMIT = columnar._INDEX_MIN_ROWS
+
+    @pytest.fixture
+    def masked(self, monkeypatch):
+        """The lengths of the tables a row mask was built or read over."""
+        lengths = []
+
+        def recording(name):
+            kernel = getattr(columnar, name)
+
+            def record(table, *args):
+                lengths.append(table.length)
+                return kernel(table, *args)
+
+            monkeypatch.setattr(columnar, name, record)
+
+        for name in ("predicate_mask", "_selected_items", "member_mask"):
+            recording(name)
+        prev = set_numpy_enabled(None)
+        yield lengths
+        set_numpy_enabled(prev)
+
+    def _answers(self, relation, condition):
+        table = relation.columnar()
+        items = relation.items()
+        return [
+            select_items(table, condition),
+            semijoin_items(table, condition, items),
+            semijoin_items(table, condition, frozenset(items)),
+        ]
+
+    @pytest.mark.parametrize(
+        "condition",
+        [
+            Comparison("V", "=", "sp"),
+            Comparison("D", "<", 1995),
+            Between("D", 1992, 1994),
+            InSet("V", ["dui", "nobody"]),
+            Like("V", "p%"),
+            IsNull("D", negated=True),
+        ],
+        ids=str,
+    )
+    def test_a_leaf_over_a_long_table_reads_no_row_mask(self, masked, condition):
+        relation = _indexed_relation(self.LIMIT)
+        answers = self._answers(relation, condition)
+        assert masked == []
+        short = _indexed_relation(self.LIMIT - 1)
+        self._answers(short, condition)
+        assert set(masked) == {self.LIMIT - 1}
+        expected = frozenset(
+            row[0] for row in relation.rows if condition.evaluate(INDEXED_SCHEMA.row_to_dict(row))
+        )
+        assert answers == [expected] * 3
+
+    @pytest.mark.parametrize(
+        "condition",
+        [
+            Comparison("V", "=", "sp") & Comparison("D", "<", 1995),
+            Comparison("V", "=", "sp") | Comparison("D", "<", 1995),
+            ~Comparison("V", "=", "sp"),
+            Comparison("F", "<", 100.0),
+            Comparison("N", "=", "x"),
+        ],
+        ids=str,
+    )
+    def test_structure_floats_and_nulls_mask_the_rows(self, masked, condition):
+        self._answers(_indexed_relation(self.LIMIT), condition)
+        assert masked.count(self.LIMIT) >= 3
+
+    def test_a_slice_masks_its_rows(self, masked):
+        relation = _indexed_relation(2 * self.LIMIT + 4)
+        relation.columnar()
+        kept = relation.filter(Comparison("F", ">=", 1.0).evaluate)
+        assert len(kept) >= self.LIMIT and kept.columnar()._slice_of is not None
+        self._answers(kept, Comparison("V", "=", "sp"))
+        assert masked.count(len(kept)) >= 3
+
+    def test_merge_values_without_item_ids_mask_the_rows(self, masked):
+        schema = Schema((Attribute("K", DataType.FLOAT), Attribute("V")), "K")
+        rows = [(i / 2, ("dui", "sp")[i % 2]) for i in range(self.LIMIT)]
+        relation = Relation("K", schema, rows)
+        assert select_items(relation.columnar(), Comparison("V", "=", "sp")) == {
+            i / 2 for i in range(1, self.LIMIT, 2)
+        }
+        assert masked == [self.LIMIT, self.LIMIT]
 
 
 @pytest.mark.skipif(not numpy_available(), reason="numpy not available")
