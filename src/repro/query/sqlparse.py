@@ -10,82 +10,311 @@ Section 3".  This module is that checker: it parses SQL of the form
     SELECT u1.M FROM U u1, U u2, ... WHERE
         u1.M = u2.M AND ... AND <per-variable conditions>
 
-and produces a :class:`~repro.query.fusion.FusionQuery`, or raises
-:class:`~repro.errors.NotAFusionQueryError` explaining which part of the
-pattern failed.  The checks implemented:
+into a :class:`~repro.query.fusion.FusionQuery` (an
+:class:`~repro.query.aggregate.AggregateQuery` when the SELECT list has
+aggregate calls or a GROUP BY follows), or raises
+:class:`~repro.errors.NotAFusionQueryError` saying which part of the
+pattern failed.  The text is tokenized once and one descent over the
+tokens finds the clauses: SELECT / FROM / WHERE / GROUP BY are
+recognised where the skeleton expects them, not reserved, and each
+WHERE conjunct is parsed by the condition grammar at the cursor.  The
+checks implemented:
 
-* the SELECT list is a single qualified attribute (the merge attribute);
-* the FROM clause ranges only over the union view, once per variable;
+* the SELECT list is a single qualified attribute (the merge attribute),
+  or GROUP BY columns and COUNT/SUM/AVG/MIN/MAX calls;
+* the FROM clause ranges only over the union view, once per variable,
+  and declares the SELECT variable;
 * the WHERE clause is a conjunction whose variable=variable conjuncts
   are merge-attribute equalities connecting *all* tuple variables; and
-* every remaining conjunct references exactly one tuple variable.
-
-Multiple conjuncts on the same variable are folded into one condition
-with AND; variables with no condition get ``TRUE`` (they only widen the
-join and are harmless, but we flag them as non-fusion to stay strict).
+* every other conjunct references exactly one tuple variable, and every
+  variable has one (several are folded into one condition with AND).
 """
 
 from __future__ import annotations
 
-import re
-
 from repro.errors import NotAFusionQueryError, ParseError
 from repro.query.aggregate import AggregateQuery
 from repro.query.fusion import FusionQuery
+from repro.relational.aggregates import AGGREGATE_FUNCS, AggregateSpec
 from repro.relational.conditions import And, Condition
-from repro.relational.parser import parse_aggregate_list, parse_condition, tokenize
+from repro.relational.parser import Token, _Parser
 
-_SQL_SHAPE = re.compile(
-    r"^\s*SELECT\s+(?P<select>.+?)\s+FROM\s+(?P<from>.+?)\s+WHERE\s+(?P<where>.+?)\s*;?\s*$",
-    re.IGNORECASE | re.DOTALL,
-)
-
-_AGG_SQL_SHAPE = re.compile(
-    r"^\s*SELECT\s+(?P<select>.+?)\s+FROM\s+(?P<from>.+?)\s+WHERE\s+(?P<where>.+?)"
-    r"(?:\s+GROUP\s+BY\s+(?P<group>.+?))?\s*;?\s*$",
-    re.IGNORECASE | re.DOTALL,
-)
-
-_AGG_FUNC_HEAD = re.compile(r"^\s*(count|sum|avg|min|max)\s*\(", re.IGNORECASE)
-
-_QUALIFIED = re.compile(r"^\s*(\w+)\.(\w+)\s*$")
-
-_FROM_ENTRY = re.compile(r"^\s*(\w+)(?:\s+(?:AS\s+)?(\w+))?\s*$", re.IGNORECASE)
-
-_EQUALITY = re.compile(r"^\s*(\w+)\.(\w+)\s*=\s*(\w+)\.(\w+)\s*$")
+_NOT_OF_FORM = "statement is not of the form SELECT ... FROM ... WHERE ..."
 
 
-def _split_top_level(text: str, separator: str) -> list[str]:
-    """Split ``text`` on a keyword separator outside parentheses/strings."""
-    tokens = tokenize(text)
-    pieces: list[str] = []
-    depth = 0
-    start = 0
-    pending_between = 0  # BETWEEN consumes the next AND at this depth
-    for token in tokens:
-        if token.kind == "punct" and token.text == "(":
-            depth += 1
-        elif token.kind == "punct" and token.text == ")":
-            depth -= 1
-        elif token.kind == "keyword" and token.text == "BETWEEN" and depth == 0:
-            pending_between += 1
-        elif token.kind == "keyword" and token.text == separator and depth == 0:
-            if separator == "AND" and pending_between > 0:
-                pending_between -= 1
-                continue
-            pieces.append(text[start : token.position])
-            start = token.position + len(separator)
-    pieces.append(text[start:])
-    return [p.strip() for p in pieces if p.strip()]
+def _is_word(token: Token, word: str) -> bool:
+    """``token`` is the clause word ``word``; clause words are identifiers."""
+    return token.kind == "ident" and token.text.upper() == word
 
 
-def _variables_in(fragment: str) -> set[str]:
-    """Tuple-variable qualifiers appearing in a WHERE-clause fragment."""
-    qualifiers: set[str] = set()
-    for token in tokenize(fragment):
-        if token.kind == "ident" and "." in token.text:
-            qualifiers.add(token.text.split(".", 1)[0])
-    return qualifiers
+def _qualified(token: Token) -> tuple[str, str] | None:
+    """``(variable, attribute)`` of an identifier like ``u1.M``."""
+    if token.kind == "ident":
+        variable, dot, attribute = token.text.partition(".")
+        if dot and "." not in attribute:
+            return variable, attribute
+    return None
+
+
+def _column(entry: list[Token]) -> str | None:
+    """The attribute a one-identifier SELECT / GROUP BY entry names."""
+    if len(entry) == 1 and entry[0].kind == "ident" and entry[0].text.count(".") < 2:
+        return entry[0].text.rpartition(".")[2]
+    return None
+
+
+class _Statement:
+    """One query text and what a single descent over its tokens found."""
+
+    def __init__(self, sql: str, fusion: bool = False):
+        self.sql = sql
+        self.fusion_only = fusion  # check the SELECT list before FROM and WHERE
+        self.selected: tuple[str, str] | None = None
+        self.aggregate = False  # an aggregate call in SELECT, or GROUP BY
+        self.group_by: list[str] | None = None
+
+    def descend(self) -> _Statement:
+        """Tokenize once, then walk SELECT, FROM, WHERE and GROUP BY."""
+        try:
+            self.parser = parser = _Parser(self.sql)
+        except ParseError as exc:
+            raise NotAFusionQueryError(f"cannot tokenize statement: {exc}") from exc
+        tokens = self.tokens = parser.tokens
+        if not _is_word(tokens[0], "SELECT"):
+            raise NotAFusionQueryError(_NOT_OF_FORM)
+        self.select = self._entries(1, "FROM")
+        from_entries = self._entries(parser.index + 1, "WHERE")
+        if tokens[parser.index + 1].kind == "eof":
+            raise NotAFusionQueryError(_NOT_OF_FORM)
+        self.calls = [
+            hi - lo > 1
+            and tokens[lo].kind == "ident"
+            and tokens[lo].text.lower() in AGGREGATE_FUNCS
+            and tokens[lo + 1].text == "("
+            for lo, hi in self.select
+        ]
+        self.aggregate = any(self.calls)
+        if self.fusion_only:
+            self.selected = self._selected()
+        self.tables, self.variables = zip(*[self._variable(lo, hi) for lo, hi in from_entries])
+        parser.index += 1
+        self._where(set(self.variables))
+        if _is_word(tokens[parser.index], "GROUP") and _is_word(tokens[parser.index + 1], "BY"):
+            self.aggregate = True
+            self.group_by = []
+            for lo, hi in self._entries(parser.index + 2):
+                if (attribute := _column(tokens[lo:hi])) is None:
+                    raise NotAFusionQueryError(
+                        f"cannot parse GROUP BY entry {self._text(lo, hi)!r}"
+                    )
+                self.group_by.append(attribute)
+        parser.accept("punct", ";")
+        parser.end()
+        return self
+
+    def _entries(self, start: int, word: str | None = None) -> list[tuple[int, int]]:
+        """Comma-separated token ranges from ``start`` up to the clause
+        word ``word`` (or to ``;`` / the end); the cursor stops there."""
+        tokens = self.tokens
+        entries, lo = [], start
+        for i, token in enumerate(tokens[start:], start):
+            if token.kind == "ident":
+                if word and len(token.text) == len(word) and token.text.upper() == word:
+                    break
+            elif token.text == ",":
+                entries.append((lo, i))
+                lo = i + 1
+            elif token.kind == "eof" or token.text == ";":
+                if word:  # the clause word never came
+                    raise NotAFusionQueryError(_NOT_OF_FORM)
+                break
+        if word and i == start:
+            raise NotAFusionQueryError(_NOT_OF_FORM)
+        entries.append((lo, i))
+        self.parser.index = i
+        return entries
+
+    def _variable(self, lo: int, hi: int) -> tuple[str, str]:
+        """``(table, variable)`` of a FROM entry ``U u1`` / ``U AS u1`` / ``U``."""
+        words = self.tokens[lo:hi]
+        if len(words) == 3 and _is_word(words[1], "AS"):
+            del words[1]
+        if 0 < len(words) < 3:
+            table, variable = words[0], words[-1]
+            if table.kind == variable.kind == "ident" and "." not in table.text + variable.text:
+                return table.text, variable.text
+        raise NotAFusionQueryError(f"cannot parse FROM entry {self._text(lo, hi)!r}")
+
+    def _where(self, declared: set[str]) -> None:
+        """``conjunct ( AND conjunct )*``: a conjunct is a join equality
+        between two tuple variables or a condition on one of them."""
+        parser, tokens = self.parser, self.tokens
+        # (first token, left variable, its attribute, right variable, its attribute)
+        self.joins: list[tuple[int, str, str, str, str]] = []
+        self.conditions: list[tuple[int, int, Condition, set[str]]] = []
+        while True:
+            lo = parser.index
+            left = right = None
+            if lo + 2 < len(tokens) and tokens[lo + 2].kind == "ident":
+                left, right = _qualified(tokens[lo]), _qualified(tokens[lo + 2])
+            if left and right and tokens[lo + 1].text == "=" and {left[0], right[0]} <= declared:
+                self.joins.append((lo, *left, *right))
+                parser.index += 3
+            else:
+                condition = parser.conjunct()
+                used = {
+                    t.text.split(".", 1)[0]
+                    for t in tokens[lo : parser.index]
+                    if t.kind == "ident" and "." in t.text
+                }
+                self.conditions.append((lo, parser.index, condition, used & declared))
+            token = tokens[parser.index]
+            if token.text != "AND" or token.kind != "keyword":
+                return
+            parser.index += 1
+
+    def _text(self, lo: int, hi: int) -> str:
+        """The source text of tokens ``lo .. hi - 1``."""
+        if hi <= lo:
+            return ""
+        last = self.tokens[hi - 1]
+        return self.sql[self.tokens[lo].position : last.position + len(last.text)]
+
+    def fusion(self, view_name: str, merge_attribute: str, name: str) -> FusionQuery:
+        """The fusion part: FROM, join and per-variable condition checks."""
+        view = view_name.upper()
+        for table in self.tables:
+            if table != view_name and table.upper() != view:
+                raise NotAFusionQueryError(
+                    f"FROM must range only over the union view {view_name!r}; "
+                    f"got table {table!r}"
+                )
+        variables = list(self.variables)
+        if len(set(variables)) != len(variables):
+            raise NotAFusionQueryError(f"duplicate tuple variables: {variables}")
+
+        by_variable: dict[str, list[Condition]] = {v: [] for v in variables}
+        for lo, hi, condition, used in self.conditions:
+            if len(used) > 1:
+                raise NotAFusionQueryError(
+                    f"conjunct {self._text(lo, hi)!r} references multiple tuple "
+                    f"variables {sorted(used)}; fusion conditions are single-variable"
+                )
+            if not used:
+                if len(variables) > 1:
+                    raise NotAFusionQueryError(
+                        f"conjunct {self._text(lo, hi)!r} references no tuple variable"
+                    )
+                used = variables  # unqualified is unambiguous with one var
+            (variable,) = used
+            by_variable[variable].append(condition)
+
+        group = {v: {v} for v in variables}  # the variables joined to each
+        for lo, left, lattr, right, rattr in self.joins:
+            if lattr != merge_attribute or rattr != merge_attribute:
+                raise NotAFusionQueryError(
+                    f"join equality {self._text(lo, lo + 3)!r} is not on the merge "
+                    f"attribute {merge_attribute!r}"
+                )
+            joined, other = group[left], group[right]
+            if joined is not other:
+                joined |= other
+                for v in other:
+                    group[v] = joined
+        if (groups := len({id(g) for g in group.values()})) > 1:
+            raise NotAFusionQueryError(
+                "merge-attribute equalities do not connect all tuple variables; "
+                f"disconnected groups remain: {groups}"
+            )
+
+        conditions: list[Condition] = []
+        for variable in variables:
+            if not (parsed := by_variable[variable]):
+                raise NotAFusionQueryError(
+                    f"tuple variable {variable!r} has no condition; the pattern "
+                    "requires one condition per variable"
+                )
+            conditions.append(parsed[0] if len(parsed) == 1 else And.of(*parsed))
+        return FusionQuery(merge_attribute, tuple(conditions), name=name)
+
+    def _selected(self) -> tuple[str, str]:
+        """``(variable, merge attribute)`` of a fusion query's SELECT list."""
+        lo, hi = self.select[0][0], self.select[-1][1]
+        if len(self.select) > 1:
+            raise NotAFusionQueryError(
+                "fusion queries project exactly one attribute (the merge attribute); "
+                f"got {self._text(lo, hi)!r}"
+            )
+        if hi - lo != 1 or not (selected := _qualified(self.tokens[lo])):
+            raise NotAFusionQueryError(
+                "SELECT list must be a qualified attribute like u1.M; "
+                f"got {self._text(lo, hi)!r}"
+            )
+        return selected
+
+    def fusion_query(self, view_name: str, name: str) -> FusionQuery:
+        select_var, merge_attribute = self.selected or self._selected()
+        if self.group_by is not None:
+            raise NotAFusionQueryError(
+                "a fusion query has no GROUP BY clause; this is an aggregation query"
+            )
+        if select_var not in self.variables:
+            raise NotAFusionQueryError(
+                f"SELECT variable {select_var!r} is not declared in FROM"
+            )
+        return self.fusion(view_name, merge_attribute, name)
+
+    def aggregate_query(
+        self, view_name: str, merge_attribute: str | None, name: str
+    ) -> AggregateQuery:
+        group_by = self.group_by or []
+        specs, columns = [], []
+        for (lo, hi), call in zip(self.select, self.calls):
+            if call:
+                specs.append(self._aggregate(lo, hi))
+            elif (column := _column(self.tokens[lo:hi])) is None:
+                raise NotAFusionQueryError(
+                    f"cannot parse SELECT entry {self._text(lo, hi)!r}: neither an "
+                    "attribute nor an aggregate call"
+                )
+            else:
+                columns.append(column)
+        if not specs:
+            raise NotAFusionQueryError(
+                "an aggregation fusion query needs at least one aggregate "
+                "(COUNT/SUM/AVG/MIN/MAX) in the SELECT list"
+            )
+        if unknown := [c for c in columns if c not in group_by]:
+            raise NotAFusionQueryError(
+                f"non-aggregated SELECT columns {unknown} must appear in GROUP BY"
+            )
+        if merge_attribute is None:
+            merge_attribute = next((la for _, _, la, _, ra in self.joins if la == ra), None)
+        if merge_attribute is None:
+            raise NotAFusionQueryError(
+                "cannot infer the merge attribute: the query has no join "
+                "equalities; pass merge_attribute explicitly"
+            )
+        fusion = self.fusion(view_name, merge_attribute, name)
+        return AggregateQuery(fusion, tuple(specs), tuple(group_by), name=name)
+
+    def _aggregate(self, lo: int, hi: int) -> AggregateSpec:
+        """The aggregate call of one SELECT entry, parsed at the cursor.  A
+        malformed one is parsed again over the entry's own tokens, so that
+        the error quotes the entry and its offset in it."""
+        parser = self.parser
+        parser.index = lo
+        try:
+            spec = parser.aggregate()
+        except ParseError:
+            spec = None
+        if spec is None or parser.index != hi:
+            text, start = self._text(lo, hi), self.tokens[lo].position
+            eof = Token("eof", "", start + len(text))
+            entry = _Parser(text, [*self.tokens[lo:hi], eof], base=start)
+            spec = entry.aggregate()
+            entry.end()
+        return spec
 
 
 def parse_fusion_query(
@@ -95,7 +324,7 @@ def parse_fusion_query(
 
     Raises:
         NotAFusionQueryError: if the statement does not match the pattern.
-        ParseError: if a condition fragment is not valid condition syntax.
+        ParseError: if a condition is not valid condition syntax.
 
     Example:
         >>> q = parse_fusion_query(
@@ -105,133 +334,17 @@ def parse_fusion_query(
         >>> q.merge_attribute, q.arity
         ('L', 2)
     """
-    shape = _SQL_SHAPE.match(sql)
-    if not shape:
-        raise NotAFusionQueryError(
-            "statement is not of the form SELECT ... FROM ... WHERE ..."
-        )
-
-    # --- SELECT list: a single qualified merge attribute -----------------
-    select_list = shape.group("select")
-    if "," in select_list:
-        raise NotAFusionQueryError(
-            "fusion queries project exactly one attribute (the merge attribute); "
-            f"got {select_list!r}"
-        )
-    selected = _QUALIFIED.match(select_list)
-    if not selected:
-        raise NotAFusionQueryError(
-            f"SELECT list must be a qualified attribute like u1.M; got {select_list!r}"
-        )
-    select_var, merge_attribute = selected.group(1), selected.group(2)
-
-    # --- FROM clause: U u1, U u2, ... ------------------------------------
-    variables: list[str] = []
-    for entry in shape.group("from").split(","):
-        match = _FROM_ENTRY.match(entry)
-        if not match:
-            raise NotAFusionQueryError(f"cannot parse FROM entry {entry!r}")
-        table, alias = match.group(1), match.group(2)
-        if table.upper() != view_name.upper():
-            raise NotAFusionQueryError(
-                f"FROM must range only over the union view {view_name!r}; "
-                f"got table {table!r}"
-            )
-        variables.append(alias or table)
-    if len(set(variables)) != len(variables):
-        raise NotAFusionQueryError(f"duplicate tuple variables: {variables}")
-    variable_set = set(variables)
-    if select_var not in variable_set:
-        raise NotAFusionQueryError(
-            f"SELECT variable {select_var!r} is not declared in FROM"
-        )
-
-    # --- WHERE clause: equalities + one condition per variable -----------
-    try:
-        conjuncts = _split_top_level(shape.group("where"), "AND")
-    except ParseError as exc:
-        raise NotAFusionQueryError(f"cannot tokenize WHERE clause: {exc}") from exc
-
-    equalities: list[tuple[str, str]] = []
-    fragments_by_variable: dict[str, list[str]] = {v: [] for v in variables}
-    for fragment in conjuncts:
-        equality = _EQUALITY.match(fragment)
-        if equality:
-            lvar, lattr, rvar, rattr = equality.groups()
-            if lvar in variable_set and rvar in variable_set:
-                if lattr != merge_attribute or rattr != merge_attribute:
-                    raise NotAFusionQueryError(
-                        f"join equality {fragment.strip()!r} is not on the merge "
-                        f"attribute {merge_attribute!r}"
-                    )
-                equalities.append((lvar, rvar))
-                continue
-        used = _variables_in(fragment) & variable_set
-        if len(used) > 1:
-            raise NotAFusionQueryError(
-                f"conjunct {fragment.strip()!r} references multiple tuple "
-                f"variables {sorted(used)}; fusion conditions are single-variable"
-            )
-        if len(used) == 0:
-            if len(variables) == 1:
-                used = {variables[0]}  # unqualified is unambiguous with one var
-            else:
-                raise NotAFusionQueryError(
-                    f"conjunct {fragment.strip()!r} references no tuple variable"
-                )
-        fragments_by_variable[used.pop()].append(fragment)
-
-    # --- the equalities must connect all variables ------------------------
-    if len(variables) > 1:
-        component = {variables[0]: variables[0]}
-
-        def find(v: str) -> str:
-            while component.setdefault(v, v) != v:
-                component[v] = component[component[v]]
-                v = component[v]
-            return v
-
-        for left, right in equalities:
-            component[find(left)] = find(right)
-        roots = {find(v) for v in variables}
-        if len(roots) > 1:
-            raise NotAFusionQueryError(
-                "merge-attribute equalities do not connect all tuple variables; "
-                f"disconnected groups remain: {len(roots)}"
-            )
-
-    # --- build per-variable conditions ------------------------------------
-    conditions: list[Condition] = []
-    for variable in variables:
-        fragments = fragments_by_variable[variable]
-        if not fragments:
-            raise NotAFusionQueryError(
-                f"tuple variable {variable!r} has no condition; the pattern "
-                "requires one condition per variable"
-            )
-        parsed = [parse_condition(fragment) for fragment in fragments]
-        conditions.append(parsed[0] if len(parsed) == 1 else And.of(*parsed))
-
-    return FusionQuery(merge_attribute, tuple(conditions), name=name)
-
-
-def _strip_qualifier(entry: str, variable_set: set[str] | None = None) -> str:
-    match = _QUALIFIED.match(entry)
-    if match:
-        return match.group(2)
-    return entry.strip()
+    return _Statement(sql, fusion=True).descend().fusion_query(view_name, name)
 
 
 def is_aggregate_query(sql: str) -> bool:
     """True iff the SELECT list contains an aggregate or GROUP BY appears."""
-    shape = _AGG_SQL_SHAPE.match(sql)
-    if not shape:
-        return False
-    if shape.group("group"):
-        return True
-    return any(
-        _AGG_FUNC_HEAD.match(entry) for entry in shape.group("select").split(",")
-    )
+    statement = _Statement(sql)
+    try:
+        statement.descend()
+    except (NotAFusionQueryError, ParseError):
+        pass
+    return statement.aggregate
 
 
 def parse_aggregate_query(
@@ -242,12 +355,11 @@ def parse_aggregate_query(
 ) -> AggregateQuery:
     """Parse aggregation-fusion SQL into an :class:`AggregateQuery`.
 
-    The FROM/WHERE clauses must match the fusion pattern exactly (they
-    are delegated to :func:`parse_fusion_query`); the SELECT list mixes
-    GROUP BY attributes and aggregate calls.  The merge attribute is
-    inferred from the join equalities when the query ranges over more
-    than one tuple variable; single-variable aggregates need it passed
-    explicitly (the mediator supplies the federation's).
+    The FROM/WHERE clauses must match the fusion pattern exactly; the
+    SELECT list mixes GROUP BY attributes and aggregate calls.  The merge
+    attribute is inferred from the join equalities when the query ranges
+    over more than one tuple variable; single-variable aggregates need it
+    passed explicitly (the mediator supplies the federation's).
 
     Example:
         >>> q = parse_aggregate_query(
@@ -258,86 +370,7 @@ def parse_aggregate_query(
         >>> q.group_by, [str(s) for s in q.specs]
         (('V',), ['COUNT(*)'])
     """
-    shape = _AGG_SQL_SHAPE.match(sql)
-    if not shape:
-        raise NotAFusionQueryError(
-            "statement is not of the form SELECT ... FROM ... WHERE ... [GROUP BY ...]"
-        )
-
-    # --- GROUP BY attributes ---------------------------------------------
-    group_by: list[str] = []
-    if shape.group("group"):
-        for entry in shape.group("group").split(","):
-            attribute = _strip_qualifier(entry)
-            if not attribute.replace("_", "a").isalnum():
-                raise NotAFusionQueryError(
-                    f"cannot parse GROUP BY entry {entry.strip()!r}"
-                )
-            group_by.append(attribute)
-
-    # --- SELECT list: group columns + aggregates --------------------------
-    specs = []
-    select_columns: list[str] = []
-    for entry in shape.group("select").split(","):
-        if _AGG_FUNC_HEAD.match(entry):
-            parsed = parse_aggregate_list(entry.strip())
-            specs.extend(parsed)
-            continue
-        qualified = _QUALIFIED.match(entry)
-        bare = entry.strip()
-        if qualified:
-            select_columns.append(qualified.group(2))
-        elif bare.replace("_", "a").isalnum():
-            select_columns.append(bare)
-        else:
-            raise NotAFusionQueryError(
-                f"cannot parse SELECT entry {entry.strip()!r}: neither an "
-                "attribute nor an aggregate call"
-            )
-    if not specs:
-        raise NotAFusionQueryError(
-            "an aggregation fusion query needs at least one aggregate "
-            "(COUNT/SUM/AVG/MIN/MAX) in the SELECT list"
-        )
-    unknown = [c for c in select_columns if c not in group_by]
-    if unknown:
-        raise NotAFusionQueryError(
-            f"non-aggregated SELECT columns {unknown} must appear in GROUP BY"
-        )
-
-    # --- infer the merge attribute from the join equalities ----------------
-    inferred: str | None = None
-    for fragment in _split_top_level(shape.group("where"), "AND"):
-        equality = _EQUALITY.match(fragment)
-        if equality:
-            _, lattr, _, rattr = equality.groups()
-            if lattr == rattr:
-                inferred = lattr
-                break
-    if merge_attribute is None:
-        merge_attribute = inferred
-    if merge_attribute is None:
-        raise NotAFusionQueryError(
-            "cannot infer the merge attribute: the query has no join "
-            "equalities; pass merge_attribute explicitly"
-        )
-
-    # --- delegate the fusion part ------------------------------------------
-    from_clause = shape.group("from")
-    first_entry = _FROM_ENTRY.match(from_clause.split(",")[0])
-    if not first_entry:
-        raise NotAFusionQueryError(
-            f"cannot parse FROM entry {from_clause.split(',')[0]!r}"
-        )
-    select_var = first_entry.group(2) or first_entry.group(1)
-    fusion_sql = (
-        f"SELECT {select_var}.{merge_attribute} FROM {from_clause} "
-        f"WHERE {shape.group('where')}"
-    )
-    fusion = parse_fusion_query(fusion_sql, view_name=view_name, name=name)
-    return AggregateQuery(
-        fusion=fusion, specs=tuple(specs), group_by=tuple(group_by), name=name
-    )
+    return _Statement(sql).descend().aggregate_query(view_name, merge_attribute, name)
 
 
 def parse_query(
@@ -348,15 +381,14 @@ def parse_query(
 ) -> FusionQuery | AggregateQuery:
     """Parse SQL into whichever query kind it is.
 
-    Dispatches on the SELECT list: aggregate calls (or a GROUP BY
-    clause) produce an :class:`AggregateQuery`; otherwise the classic
-    fusion pattern is required.
+    Dispatches on what the descent found: aggregate calls in the SELECT
+    list (or a GROUP BY clause) produce an :class:`AggregateQuery`;
+    otherwise the classic fusion pattern is required.
     """
-    if is_aggregate_query(sql):
-        return parse_aggregate_query(
-            sql, view_name=view_name, merge_attribute=merge_attribute, name=name
-        )
-    return parse_fusion_query(sql, view_name=view_name, name=name)
+    statement = _Statement(sql).descend()
+    if statement.aggregate:
+        return statement.aggregate_query(view_name, merge_attribute, name)
+    return statement.fusion_query(view_name, name)
 
 
 def is_fusion_query(sql: str, view_name: str = "U") -> bool:

@@ -1,10 +1,11 @@
-"""Recursive-descent parser for condition strings.
+"""Tokenizer and recursive-descent condition grammar.
 
 Grammar (standard SQL-ish precedence, lowest first)::
 
     condition   := or_expr
     or_expr     := and_expr ( OR and_expr )*
     and_expr    := not_expr ( AND not_expr )*
+    conjunct    := not_expr ( OR not_expr )*      (one operand of a WHERE's AND)
     not_expr    := NOT not_expr | primary
     primary     := '(' condition ')'
                  | TRUE | FALSE
@@ -14,17 +15,21 @@ Grammar (standard SQL-ish precedence, lowest first)::
                  | ident [NOT] LIKE string
                  | ident compare_op literal
     literal     := string | number | TRUE | FALSE | NULL
+    aggregate   := FUNC '(' ( '*' | ident ) ')'
 
 Identifiers may be qualified (``u1.V``); the qualifier is stripped since
-fusion-query conditions range over a single tuple variable.
+fusion-query conditions range over a single tuple variable.  A text is
+tokenized once: :mod:`repro.query.sqlparse` runs this grammar at its
+cursor over the token list of a whole statement.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+import re
+from typing import Any, NamedTuple
 
 from repro.errors import ParseError
+from repro.relational.aggregates import AGGREGATE_FUNCS, AggregateSpec
 from repro.relational.conditions import (
     Between,
     Comparison,
@@ -43,13 +48,25 @@ _KEYWORDS = {
     "AND", "OR", "NOT", "IN", "LIKE", "BETWEEN", "IS", "NULL", "TRUE", "FALSE",
 }
 
-_PUNCTUATION = {"(", ")", ",", "*"}
+# One alternation: the commonest token first, the longest operator first
+# (no two of the first five start on the same character; junk is the
+# rest).  ``\d`` is exactly the digits ``int`` accepts; ``[^\W\d]`` is a
+# letter or ``_`` in ASCII but also admits numerics such as ``²``, so a
+# word starting outside ASCII must start with a letter.  The leading
+# group is the whitespace before the token, which keeps the offsets.
+_TOKEN = re.compile(
+    r"(\s*)(?:"
+    r"(?P<word>[^\W\d]\w*(?:\.\w+)*)"
+    r"|(?P<punct>[(),*;])"
+    r"|(?P<op><=|>=|!=|<>|=|<|>)"
+    r"|(?P<string>'[^']*(?:''[^']*)*')"
+    r"|(?P<number>[+-]?\d+(?:\.\d*)?)"
+    r"|(?P<junk>\S)"
+    r")"
+)
 
-_OPERATORS = ("<=", ">=", "!=", "<>", "=", "<", ">")
 
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A lexical token with its source offset (for error messages)."""
 
     kind: str  # 'ident' | 'number' | 'string' | 'op' | 'punct' | 'keyword' | 'eof'
@@ -61,136 +78,107 @@ class Token:
 def tokenize(text: str) -> list[Token]:
     """Split ``text`` into tokens, raising :class:`ParseError` on garbage."""
     tokens: list[Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _PUNCTUATION:
-            tokens.append(Token("punct", ch, i))
-            i += 1
-            continue
-        matched_op = next(
-            (op for op in _OPERATORS if text.startswith(op, i)), None
-        )
-        if matched_op:
-            canonical = "!=" if matched_op == "<>" else matched_op
-            tokens.append(Token("op", canonical, i))
-            i += len(matched_op)
-            continue
-        if ch == "'":
-            j = i + 1
-            chunks: list[str] = []
-            while True:
-                if j >= n:
-                    raise ParseError("unterminated string literal", text, i)
-                if text[j] == "'":
-                    if j + 1 < n and text[j + 1] == "'":  # escaped quote
-                        chunks.append("'")
-                        j += 2
-                        continue
-                    break
-                chunks.append(text[j])
-                j += 1
-            tokens.append(Token("string", text[i : j + 1], i, "".join(chunks)))
-            i = j + 1
-            continue
-        if ch.isdigit() or (ch in "+-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1
-            seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
-                if text[j] == ".":
-                    seen_dot = True
-                j += 1
-            literal = text[i:j]
-            value: Any = float(literal) if seen_dot else int(literal)
-            tokens.append(Token("number", literal, i, value))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] in "._"):
-                j += 1
-            word = text[i:j]
-            upper = word.upper()
+    append, new, position = tokens.append, tuple.__new__, 0
+    for space, word, punct, op, string, number, junk in _TOKEN.findall(text):
+        position += len(space)
+        if word:
+            upper = word if "." in word else word.upper()
             if upper in _KEYWORDS:
-                tokens.append(Token("keyword", upper, i))
+                append(new(Token, ("keyword", upper, position, None)))
+            elif word[0] < "\x80" or word[0].isalpha():
+                append(new(Token, ("ident", word, position, None)))
             else:
-                tokens.append(Token("ident", word, i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", text, i)
-    tokens.append(Token("eof", "", n))
+                raise ParseError(f"unexpected character {word[0]!r}", text, position)
+            position += len(word)
+        elif punct:
+            append(new(Token, ("punct", punct, position, None)))
+            position += 1
+        elif op:
+            append(new(Token, ("op", "!=" if op == "<>" else op, position, None)))
+            position += len(op)
+        elif string:
+            value = string[1:-1].replace("''", "'")
+            append(new(Token, ("string", string, position, value)))
+            position += len(string)
+        elif number:
+            value = float(number) if "." in number else int(number)
+            append(new(Token, ("number", number, position, value)))
+            position += len(number)
+        elif junk == "'":
+            raise ParseError("unterminated string literal", text, position)
+        else:
+            raise ParseError(f"unexpected character {junk!r}", text, position)
+    append(new(Token, ("eof", "", len(text), None)))
     return tokens
 
 
 class _Parser:
-    """Stateful cursor over a token list."""
+    """Stateful cursor over a token list.  Errors quote ``text``, whose
+    first character is at offset ``base`` of the tokens' positions."""
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, tokens: list[Token] | None = None, base: int = 0):
         self.text = text
-        self.tokens = tokenize(text)
+        self.tokens = tokenize(text) if tokens is None else tokens
         self.index = 0
+        self.base = base
 
     # -- cursor helpers --------------------------------------------------
 
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.index]
-
-    def advance(self) -> Token:
-        token = self.current
-        self.index += 1
-        return token
+    def fail(self, message: str, token: Token) -> ParseError:
+        return ParseError(message, self.text, token.position - self.base)
 
     def accept(self, kind: str, text: str | None = None) -> Token | None:
-        token = self.current
+        token = self.tokens[self.index]
         if token.kind == kind and (text is None or token.text == text):
-            return self.advance()
+            self.index += 1
+            return token
         return None
 
     def expect(self, kind: str, text: str | None = None) -> Token:
-        token = self.accept(kind, text)
-        if token is None:
-            want = text or kind
-            raise ParseError(
-                f"expected {want!r}, found {self.current.text!r}",
-                self.text,
-                self.current.position,
-            )
-        return token
+        token = self.tokens[self.index]
+        if token.kind == kind and (text is None or token.text == text):
+            self.index += 1
+            return token
+        raise self.fail(f"expected {text or kind!r}, found {token.text!r}", token)
+
+    def end(self) -> None:
+        """Require that the input is used up."""
+        token = self.tokens[self.index]
+        if token.kind != "eof":
+            raise self.fail(f"trailing input starting at {token.text!r}", token)
 
     # -- grammar ----------------------------------------------------------
 
-    def parse(self) -> Condition:
-        condition = self.or_expr()
-        if self.current.kind != "eof":
-            raise ParseError(
-                f"trailing input starting at {self.current.text!r}",
-                self.text,
-                self.current.position,
-            )
-        return condition
+    def _chain(self, word: str, node: type, operand) -> Condition:
+        operands = [operand()]
+        tokens = self.tokens
+        while tokens[self.index].text == word and tokens[self.index].kind == "keyword":
+            self.index += 1
+            operands.append(operand())
+        return operands[0] if len(operands) == 1 else node.of(*operands)
 
     def or_expr(self) -> Condition:
-        operands = [self.and_expr()]
-        while self.accept("keyword", "OR"):
-            operands.append(self.and_expr())
-        return operands[0] if len(operands) == 1 else Or.of(*operands)
+        return self._chain("OR", Or, self.and_expr)
 
     def and_expr(self) -> Condition:
-        operands = [self.not_expr()]
-        while self.accept("keyword", "AND"):
-            operands.append(self.not_expr())
-        return operands[0] if len(operands) == 1 else And.of(*operands)
+        return self._chain("AND", And, self.not_expr)
+
+    def conjunct(self) -> Condition:
+        return self._chain("OR", Or, self.not_expr)
 
     def not_expr(self) -> Condition:
-        if self.accept("keyword", "NOT"):
+        token = self.tokens[self.index]
+        if token.text == "NOT" and token.kind == "keyword":
+            self.index += 1
             return Not(self.not_expr())
         return self.primary()
 
     def primary(self) -> Condition:
+        token = self.tokens[self.index]
+        if token.kind == "ident":
+            self.index += 1
+            # strip the tuple-variable qualifier
+            return self.predicate_tail(token.text.rpartition(".")[2])
         if self.accept("punct", "("):
             inner = self.or_expr()
             self.expect("punct", ")")
@@ -199,11 +187,13 @@ class _Parser:
             return TrueCondition()
         if self.accept("keyword", "FALSE"):
             return FalseCondition()
-        ident = self.expect("ident")
-        attribute = ident.text.split(".")[-1]  # strip tuple-variable qualifier
-        return self.predicate_tail(attribute)
+        raise self.fail(f"expected 'ident', found {token.text!r}", token)
 
     def predicate_tail(self, attribute: str) -> Condition:
+        token = self.tokens[self.index]
+        if token.kind == "op":
+            self.index += 1
+            return Comparison(attribute, token.text, self.literal())
         if self.accept("keyword", "IS"):
             negated = self.accept("keyword", "NOT") is not None
             self.expect("keyword", "NULL")
@@ -227,86 +217,56 @@ class _Parser:
             like = Like(attribute, pattern.value)
             return Not(like) if negated else like
         if negated:
-            raise ParseError(
-                "NOT must be followed by IN or LIKE here",
-                self.text,
-                self.current.position,
-            )
-        op = self.expect("op")
-        value = self.literal()
-        return Comparison(attribute, op.text, value)
+            raise self.fail("NOT must be followed by IN or LIKE here", self.tokens[self.index])
+        raise self.fail(f"expected 'op', found {token.text!r}", token)
 
     def literal(self) -> Any:
-        token = self.current
+        token = self.tokens[self.index]
         if token.kind in ("string", "number"):
-            self.advance()
+            self.index += 1
             return token.value
-        if token.kind == "keyword" and token.text in ("TRUE", "FALSE"):
-            self.advance()
-            return token.text == "TRUE"
-        if token.kind == "keyword" and token.text == "NULL":
-            self.advance()
-            return None
-        raise ParseError(
-            f"expected a literal, found {token.text!r}", self.text, token.position
-        )
+        if token.kind == "keyword" and token.text in ("TRUE", "FALSE", "NULL"):
+            self.index += 1
+            return None if token.text == "NULL" else token.text == "TRUE"
+        raise self.fail(f"expected a literal, found {token.text!r}", token)
+
+    def aggregate(self) -> AggregateSpec:
+        ident = self.expect("ident")
+        func = ident.text.lower()
+        if func not in AGGREGATE_FUNCS:
+            raise self.fail(
+                f"unknown aggregate function {ident.text!r}; "
+                f"expected one of {tuple(f.upper() for f in AGGREGATE_FUNCS)}",
+                ident,
+            )
+        self.expect("punct", "(")
+        attribute = None
+        if self.accept("punct", "*"):
+            if func != "count":
+                raise self.fail(f"{func.upper()}(*) is not defined; only COUNT(*)", ident)
+        else:
+            attribute = self.expect("ident").text.rpartition(".")[2]
+        self.expect("punct", ")")
+        return AggregateSpec(func, attribute)
 
 
-def parse_aggregate_list(text: str):
-    """Parse a SELECT-list of aggregates into :class:`AggregateSpec`\\ s.
+def parse_aggregate_list(text: str) -> tuple[AggregateSpec, ...]:
+    """Parse ``aggregate ( ',' aggregate )*`` into :class:`AggregateSpec`\\ s.
 
-    Grammar::
-
-        agg_list := agg ( ',' agg )*
-        agg      := FUNC '(' ( '*' | ident ) ')'
-
-    where ``FUNC`` is one of COUNT/SUM/AVG/MIN/MAX (case-insensitive)
-    and the ident may be tuple-variable qualified (``u1.D``).
+    ``FUNC`` is one of COUNT/SUM/AVG/MIN/MAX (case-insensitive) and the
+    ident may be tuple-variable qualified (``u1.D``).
 
     Example:
         >>> [str(s) for s in parse_aggregate_list("COUNT(*), avg(u1.D)")]
         ['COUNT(*)', 'AVG(D)']
     """
-    from repro.relational.aggregates import AGGREGATE_FUNCS, AggregateSpec
-
     if not text or not text.strip():
         raise ParseError("empty aggregate list", text, 0)
     parser = _Parser(text)
-
-    def one() -> AggregateSpec:
-        ident = parser.expect("ident")
-        func = ident.text.lower()
-        if func not in AGGREGATE_FUNCS:
-            raise ParseError(
-                f"unknown aggregate function {ident.text!r}; "
-                f"expected one of {tuple(f.upper() for f in AGGREGATE_FUNCS)}",
-                text,
-                ident.position,
-            )
-        parser.expect("punct", "(")
-        if parser.accept("punct", "*"):
-            attribute = None
-            if func != "count":
-                raise ParseError(
-                    f"{func.upper()}(*) is not defined; only COUNT(*)",
-                    text,
-                    ident.position,
-                )
-        else:
-            attr_token = parser.expect("ident")
-            attribute = attr_token.text.split(".")[-1]
-        parser.expect("punct", ")")
-        return AggregateSpec(func, attribute)
-
-    specs = [one()]
+    specs = [parser.aggregate()]
     while parser.accept("punct", ","):
-        specs.append(one())
-    if parser.current.kind != "eof":
-        raise ParseError(
-            f"trailing input starting at {parser.current.text!r}",
-            text,
-            parser.current.position,
-        )
+        specs.append(parser.aggregate())
+    parser.end()
     return tuple(specs)
 
 
@@ -319,4 +279,7 @@ def parse_condition(text: str) -> Condition:
     """
     if not text or not text.strip():
         raise ParseError("empty condition", text, 0)
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    condition = parser.or_expr()
+    parser.end()
+    return condition

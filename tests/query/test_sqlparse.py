@@ -266,3 +266,42 @@ class TestParseAggregateQuery:
         )
         with pytest.raises(Exception):
             parse_aggregate_query(sql)
+
+
+LITERAL_GROUP_BY_SQL = (
+    "SELECT u1.L FROM U u1, U u2 WHERE u1.L = u2.L "
+    "AND u1.V = 'x GROUP BY y' AND u2.V = 'sp'"
+)
+
+
+class TestClauseWordsByPosition:
+    """Clause words count only where the statement's skeleton expects them."""
+
+    def test_group_by_inside_a_literal_is_a_fusion_query(self):
+        from repro.query.sqlparse import parse_query
+
+        query = parse_query(LITERAL_GROUP_BY_SQL)
+        assert isinstance(query, FusionQuery)
+        assert query.conditions == (
+            Comparison("V", "=", "x GROUP BY y"),
+            Comparison("V", "=", "sp"),
+        )
+
+    def test_group_by_inside_a_literal_is_not_detected_as_aggregate(self):
+        from repro.query.sqlparse import is_aggregate_query
+
+        assert is_aggregate_query(LITERAL_GROUP_BY_SQL) is False
+        assert is_fusion_query(LITERAL_GROUP_BY_SQL) is True
+
+    def test_mediator_parse_any_accepts_it(self, dmv_mediator):
+        query = dmv_mediator.parse_any(LITERAL_GROUP_BY_SQL)
+        assert isinstance(query, FusionQuery)
+        assert query == parse_fusion_query(LITERAL_GROUP_BY_SQL)
+
+    @pytest.mark.parametrize("word", ["select", "from", "where", "group", "by", "as"])
+    def test_clause_words_are_attribute_names_in_conditions(self, word):
+        sql = f"SELECT u1.L FROM U u1 WHERE u1.{word} = 1 AND {word} = 2"
+        query = parse_fusion_query(sql)
+        assert query.conditions == (
+            And.of(Comparison(word, "=", 1), Comparison(word, "=", 2)),
+        )

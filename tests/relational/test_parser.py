@@ -155,3 +155,25 @@ class TestErrors:
         with pytest.raises(ParseError) as excinfo:
             parse_condition("a = $")
         assert excinfo.value.position == 4
+
+
+class TestTokenizerRejectsJunk:
+    """Every malformed text is a :class:`ParseError` with an offset."""
+
+    @pytest.mark.parametrize("text, position", [("D = ²", 4), ("D = 1²", 5)])
+    def test_non_decimal_digits_are_unexpected_characters(self, text, position):
+        with pytest.raises(ParseError, match="unexpected character '²'") as excinfo:
+            parse_condition(text)
+        assert excinfo.value.position == position
+
+    def test_unicode_decimal_digits_are_numbers(self):
+        assert parse_condition("D = ١٢") == Comparison("D", "=", 12)
+
+    def test_trailing_dot_in_identifier(self):
+        with pytest.raises(ParseError, match="unexpected character '.'") as excinfo:
+            parse_condition("u1.V. = 'x'")
+        assert excinfo.value.position == 4
+
+    @pytest.mark.parametrize("word", ["group", "from", "by", "as", "select", "where"])
+    def test_clause_words_are_not_reserved(self, word):
+        assert parse_condition(f"{word} = 1") == Comparison(word, "=", 1)

@@ -46,6 +46,12 @@ class TestQuery:
         assert "stage 1:" in out
         assert "J55, T21" in out
 
+    def test_group_by_inside_a_literal_routes_as_fusion(self, spec_path, capsys):
+        sql = DMV_SQL.replace("'dui'", "'x GROUP BY y'")
+        assert main(["query", spec_path, sql]) == 0
+        out = capsys.readouterr().out
+        assert "answer: (empty)" in out
+
     def test_bad_sql_is_an_error(self, spec_path, capsys):
         assert main(["query", spec_path, "SELECT * FROM U"]) == 2
         assert "error:" in capsys.readouterr().err
