@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.errors import QueryError
-from repro.relational.conditions import Condition, validate_against
+from repro.relational.conditions import Condition, Or, validate_against
 from repro.relational.parser import parse_condition
 from repro.relational.schema import Schema
 
@@ -106,7 +106,9 @@ class FusionQuery:
                 f"{current}.{self.merge_attribute}"
             )
         for variable, condition in zip(variables, self.conditions):
-            clauses.append(condition.to_sql(qualifier=variable))
+            sql = condition.to_sql(qualifier=variable)
+            # The clauses are AND-ed, which binds tighter than OR.
+            clauses.append(f"({sql})" if isinstance(condition, Or) else sql)
         where = " AND ".join(clauses) if clauses else "TRUE"
         return (
             f"SELECT {variables[0]}.{self.merge_attribute} "

@@ -16,19 +16,13 @@ from repro.query.sqlparse import (
     parse_query,
 )
 from repro.relational.aggregates import AGGREGATE_FUNCS, AggregateSpec
-from repro.relational.conditions import Or
 from repro.relational.parser import parse_condition, tokenize
 
 from tests.property.strategies import dmv_conditions
 
-# A top-level OR is rendered without parentheses by ``FusionQuery.to_sql``,
-# so the WHERE clause's AND would regroup it; every other condition is a
-# single conjunct.  Conditions are taken in the form the condition
-# grammar gives them (nested ANDs flattened), which the WHERE clause
-# must reproduce.
-conjunct_conditions = dmv_conditions.filter(lambda c: not isinstance(c, Or)).map(
-    lambda c: parse_condition(c.to_sql())
-)
+# Conditions are taken in the form the condition grammar gives them
+# (nested ANDs flattened), which the WHERE clause must reproduce.
+conjunct_conditions = dmv_conditions.map(lambda c: parse_condition(c.to_sql()))
 
 fusion_queries = st.builds(
     lambda conditions: FusionQuery("L", tuple(conditions)),

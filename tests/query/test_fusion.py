@@ -5,7 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import QueryError
+from repro.query.aggregate import AggregateQuery
 from repro.query.fusion import FusionQuery
+from repro.query.sqlparse import parse_query
+from repro.relational.aggregates import AggregateSpec
 from repro.relational.conditions import Comparison
 from repro.relational.parser import parse_condition
 from repro.relational.schema import dmv_schema
@@ -86,6 +89,22 @@ class TestRendering:
     def test_to_sql_single_condition(self):
         query = FusionQuery.from_strings("L", ["V = 'dui'"])
         assert query.to_sql() == "SELECT u1.L FROM U u1 WHERE u1.V = 'dui'"
+
+    def test_to_sql_parenthesises_an_or_condition(self):
+        # The clauses are AND-ed: a bare OR would regroup with them.
+        query = FusionQuery.from_strings(
+            "L", ["(V = 'a' AND D > 1) OR V = 'c'", "V = 'b'"]
+        )
+        sql = query.to_sql()
+        assert sql == (
+            "SELECT u1.L FROM U u1, U u2 WHERE u1.L = u2.L AND "
+            "(u1.V = 'a' AND u1.D > 1 OR u1.V = 'c') AND u2.V = 'b'"
+        )
+        assert parse_query(sql) == query
+        aggregate = AggregateQuery(
+            fusion=query, specs=(AggregateSpec("count", None),), group_by=("V",)
+        )
+        assert parse_query(aggregate.to_sql()) == aggregate
 
     def test_to_sql_custom_view(self, dui_sp):
         assert "FROM DMV u1" in dui_sp.to_sql(view_name="DMV")
