@@ -186,14 +186,21 @@ class Executor:
         registers: dict[str, Any] = {}
         result = ExecutionResult(items=frozenset())
         self._clock = 0.0
-        if self.recorder is not None:
-            self.recorder.emit(
-                0.0,
-                "run_start",
-                backend="sequential",
-                plan_ops=len(plan.operations),
-                remote_ops=plan.remote_op_count,
-                result=plan.result,
+        recorder = self.recorder
+        if recorder is not None:
+            # Imported on use: repro.obs imports the runtime, which
+            # imports this module.
+            from repro.obs.events import RunEndEvent, RunStartEvent
+
+            recorder.record(
+                RunStartEvent(
+                    recorder.clock_offset_s,
+                    "sequential",
+                    recorder.round,
+                    len(plan.operations),
+                    plan.remote_op_count,
+                    plan.result,
+                )
             )
 
         fetch = registers.__getitem__
@@ -218,18 +225,20 @@ class Executor:
         answer = registers[plan.result]
         result.items = as_frozenset(answer)
         result.item_set = answer if type(answer) is ItemSet else result.items
-        if self.recorder is not None:
-            self.recorder.emit(
-                self._clock,
-                "run_end",
-                backend="sequential",
-                makespan=self._clock,
-                retries=sum(step.retries for step in result.steps),
-                degraded=0,
-                recovered=0,
-                hedges=0,
-                cost=result.total_cost,
-                items=len(result.items),
+        if recorder is not None:
+            recorder.record(
+                RunEndEvent(
+                    recorder.clock_offset_s + self._clock,
+                    "sequential",
+                    recorder.round,
+                    self._clock,
+                    sum(step.retries for step in result.steps),
+                    0,  # degraded
+                    0,  # recovered
+                    0,  # hedges
+                    result.total_cost,
+                    len(result.items),
+                )
             )
         return result
 
@@ -282,52 +291,62 @@ class Executor:
     ) -> None:
         """One step's events on the step clock: a remote step is one
         successful attempt (after its send-set), a local one is free."""
-        assert self.recorder is not None
+        from repro.obs.events import AttemptEvent, OpEvent, SendsetEvent
+
+        recorder = self.recorder
+        assert recorder is not None
+        offset, round_no = recorder.clock_offset_s, recorder.round
         start = self._clock
         end = start + trace.elapsed_s
         condition = condition_sql(op)
         if isinstance(op, SemijoinOp):
-            self.recorder.emit(
-                start,
-                "sendset",
-                step=trace.step,
-                source=op.source,
-                condition=condition,
-                size=len(registers[op.input_register]),
+            recorder.record(
+                SendsetEvent(
+                    offset + start,
+                    round_no,
+                    trace.step,
+                    op.source,
+                    condition,
+                    len(registers[op.input_register]),
+                )
             )
         if op.remote:
-            self.recorder.emit(
-                end,
-                "attempt",
-                step=trace.step,
-                op=op.kind.value,
-                planned=op.source,  # type: ignore[attr-defined]
-                source=op.source,  # type: ignore[attr-defined]
-                condition=condition,
-                attempt=trace.retries + 1,
-                start=start,
-                end=end,
-                fate="ok",
-                hedge=False,
-                cost=trace.actual_cost,
-                items_sent=sum(r.items_sent for r in records),
-                items_received=sum(r.items_received for r in records),
-                rows_loaded=sum(r.rows_loaded for r in records),
-                messages=trace.messages,
+            recorder.record(
+                AttemptEvent(
+                    offset + end,
+                    round_no,
+                    trace.step,
+                    op.kind.value,
+                    op.source,  # type: ignore[attr-defined]
+                    op.source,  # type: ignore[attr-defined]
+                    condition,
+                    trace.retries + 1,
+                    start,
+                    end,
+                    "ok",
+                    False,  # hedge
+                    trace.actual_cost,
+                    sum(r.items_sent for r in records),
+                    sum(r.items_received for r in records),
+                    sum(r.rows_loaded for r in records),
+                    trace.messages,
+                )
             )
-        self.recorder.emit(
-            end,
-            "op",
-            step=trace.step,
-            op=op.kind.value,
-            target=op.target,
-            source=getattr(op, "source", ""),
-            remote=op.remote,
-            condition=condition,
-            queued=start,
-            started=start,
-            finished=end,
-            status="ok",
-            output=trace.output_size,
+        recorder.record(
+            OpEvent(
+                offset + end,
+                round_no,
+                trace.step,
+                op.kind.value,
+                op.target,
+                getattr(op, "source", ""),
+                op.remote,
+                condition,
+                start,
+                start,
+                end,
+                "ok",
+                trace.output_size,
+            )
         )
         self._clock = end

@@ -9,13 +9,14 @@ output is deterministic and replayable.
 The source is :mod:`~repro.obs.events` — a structured event log: every
 wrapper query, semijoin send-set, retry, hedge, breaker transition,
 re-plan round and serve-lifecycle step as a JSONL record with a stable,
-validated schema (:data:`~repro.obs.events.EVENT_SCHEMA`).  The
-:class:`~repro.obs.recorder.Recorder` is the sink the engine, executor,
-health registry, re-planner and serving tier ``emit`` into: it puts
-each event on its clock, stamps the re-plan ``round`` on the event
-types that declare one, and validates it as it lands.  With no
+validated schema (:data:`~repro.obs.events.EVENT_SCHEMA`), held in
+memory as one typed record per event, whose class is generated from
+the schema and whose constructor is the schema check.  The engine,
+executor, health registry, re-planner and serving tier build those
+records on the :class:`~repro.obs.recorder.Recorder`'s clock and round
+and hand them to it; the recorder appends the same objects.  With no
 recorder attached (the default) nothing is exported; the engine still
-folds its trace from the same records it would have emitted.
+folds its trace from the same records it would have handed over.
 
 Everything else is a pure function of the event stream, so it can be
 rebuilt from a persisted JSONL file as well as from a live log:

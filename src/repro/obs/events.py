@@ -15,21 +15,30 @@ Records serialize to JSONL with a fixed key order (``ts``, ``type``,
 then field names sorted), so two runs with the same seed produce
 byte-identical streams.
 
-The schema has one check, :func:`_check`, over the schema compiled once
-(:data:`_COMPILED`: per type, the frozenset of its field names and, per
-field, the exact types taken without a call): :meth:`EventLog.emit`
-runs it on the fields as passed, without building a record, and
-:func:`validate_record` / :meth:`EventLog.from_records` on a parsed
-record split into ``ts``, ``type`` and the rest.
+Each schema type has one slotted record class generated from the schema
+(:data:`EVENT_CLASSES`: :class:`AttemptEvent`, :class:`OpEvent`, ...),
+and its constructor is the one schema check, as straight-line code: a
+finite ``ts``, then each field's exact type without a call, else the
+type's predicate.  The engine, the sequential executor, the re-planner
+and the serving tier build these classes positionally, and a
+:class:`~repro.obs.recorder.Recorder` appends that same object — one
+schema check and two appends per event.  Keyword emission
+(:meth:`EventLog.emit`, :meth:`Recorder.emit
+<repro.obs.recorder.Recorder.emit>`), :func:`validate_record` and
+:meth:`EventLog.from_records` first refuse an unknown type or a wrong
+field set (:func:`event_from_fields`), then build the same class.
+Readers (the trace fold, the span fold, the metric catalogue) read the
+attributes.
 """
 
 from __future__ import annotations
 
 import json
+import keyword
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from repro.errors import ObservabilityError
 
@@ -212,9 +221,14 @@ EVENT_SCHEMA: dict[str, dict[str, str]] = {
 }
 
 
+#: Event types that carry a re-plan ``round``.
+ROUND_STAMPED = frozenset(
+    event_type for event_type, fields in EVENT_SCHEMA.items() if "round" in fields
+)
+
 #: The runtime types accepted for each schema type without a call,
-#: compared with ``type(value) in allowed``; any other value (a ``bool``
-#: for an ``int``, a subclass, every ``list[str]``) goes to the
+#: compared with ``type(value) is t``; any other value (a ``bool`` for an
+#: ``int``, a subclass, every ``list[str]``) goes to the
 #: :data:`_TYPE_CHECKS` predicate, which gives the verdict.
 _EXACT_TYPES: dict[str, tuple[type, ...]] = {
     "int": (int,),
@@ -224,105 +238,72 @@ _EXACT_TYPES: dict[str, tuple[type, ...]] = {
     "list[str]": (),
 }
 
-#: :data:`EVENT_SCHEMA` compiled once: ``type -> (field names,
-#: ((field, type name, exact types, predicate), ...))``.
-_COMPILED: dict[
-    str,
-    tuple[
-        frozenset[str],
-        tuple[tuple[str, str, tuple[type, ...], Callable[[Any], bool]], ...],
-    ],
-] = {
-    event_type: (
-        frozenset(schema),
-        tuple(
-            (name, kind, _EXACT_TYPES[kind], _TYPE_CHECKS[kind])
-            for name, kind in schema.items()
-        ),
-    )
-    for event_type, schema in EVENT_SCHEMA.items()
-}
 
-
-def _check(ts: Any, event_type: Any, fields: Mapping[str, Any]) -> None:
-    """The schema check: ``fields`` are the record without ``ts`` / ``type``.
-
-    Raises:
-        ObservabilityError: as :func:`validate_record`.
-    """
-    compiled = _COMPILED.get(event_type)
-    if compiled is None:
-        raise ObservabilityError(f"unknown event type {event_type!r}")
+def _check_ts(ts: Any, event_type: str) -> None:
+    """Refuse a ``ts`` that is not a finite number (any ``int`` is finite)."""
     if type(ts) is not float and not _TYPE_CHECKS["float"](ts):
-        raise ObservabilityError(
-            f"{event_type}: ts must be a number, got {ts!r}"
-        )
+        raise ObservabilityError(f"{event_type}: ts must be a number, got {ts!r}")
     if isinstance(ts, float) and not math.isfinite(ts):
         # json.dumps would write a bare Infinity / NaN: not JSON.
-        raise ObservabilityError(
-            f"{event_type}: ts must be finite, got {ts!r}"
-        )
-    names, typed = compiled
-    if fields.keys() != names:
-        raise ObservabilityError(
-            f"{event_type}: missing fields {sorted(names - fields.keys())}, "
-            f"unexpected {sorted(fields.keys() - names)}"
-        )
-    for name, kind, exact, check in typed:
-        value = fields[name]
-        if type(value) not in exact and not check(value):
-            raise ObservabilityError(
-                f"{event_type}.{name}: expected {kind}, got {value!r}"
-            )
+        raise ObservabilityError(f"{event_type}: ts must be finite, got {ts!r}")
 
 
-def validate_record(record: Mapping[str, Any]) -> None:
-    """Check one parsed JSONL record against :data:`EVENT_SCHEMA`.
-
-    Raises:
-        ObservabilityError: on an unknown type, a ``ts`` that is not a
-            finite number, a missing or unexpected field, or a field of
-            the wrong type.
-    """
-    _check(record.get("ts"), record.get("type"), _fields_of(record))
+def _wrong_type(event_type: str, key: str, kind: str, value: Any) -> ObservabilityError:
+    return ObservabilityError(f"{event_type}.{key}: expected {kind}, got {value!r}")
 
 
-def _fields_of(record: Mapping[str, Any]) -> dict[str, Any]:
-    return {key: value for key, value in record.items() if key not in ("ts", "type")}
+def field_attribute(key: str) -> str:
+    """The attribute a field is stored under: its JSON key, with a ``_``
+    appended where the key is a Python keyword (``breaker``'s ``from``)."""
+    return key + "_" if keyword.iskeyword(key) else key
 
 
 class Event:
-    """One schema-validated telemetry record on the virtual clock.
+    """One schema-checked telemetry record on the virtual clock.
 
-    A slotted value: construction stores ``fields`` as given (the
-    caller hands over a fresh mapping and does not change it after).
+    The base of one slotted class per :data:`EVENT_SCHEMA` type
+    (:data:`EVENT_CLASSES`), generated from the schema: ``ts``, then the
+    type's fields in schema order, as constructor arguments and as
+    attributes (a field named by a Python keyword gets a trailing ``_``:
+    ``BreakerEvent.from_``).  The constructor is the schema check: it
+    refuses a ``ts`` that is not a finite number and a field whose value
+    is not of the schema type, with the messages of
+    :func:`validate_record`.  Class attributes: ``type`` (the event
+    type), ``FIELDS`` (the JSON keys in schema order).
     """
 
-    __slots__ = ("ts", "type", "fields")
+    __slots__ = ("ts",)
 
-    def __init__(self, ts: float, type: str, fields: Mapping[str, Any]):
-        self.ts = ts
-        self.type = type
-        self.fields = fields
+    type: str
+    FIELDS: tuple[str, ...]
+    #: ``FIELDS`` as a set, compared with a field mapping's keys.
+    _KEYS: frozenset[str]
+    #: ``(attribute, ...)`` in schema order.
+    _ATTRS: tuple[str, ...]
+    #: ``(JSON key, attribute)`` in the canonical (sorted) key order.
+    _SORTED: tuple[tuple[str, str], ...]
+    #: JSON key -> attribute.
+    _ATTR_OF: dict[str, str]
+
+    def _row(self) -> tuple[Any, ...]:
+        return (self.ts, *[getattr(self, attr) for attr in self._ATTRS])
 
     def __repr__(self) -> str:
-        return (
-            f"Event(ts={self.ts!r}, type={self.type!r}, "
-            f"fields={self.fields!r})"
+        values = ", ".join(
+            f"{attr}={getattr(self, attr)!r}" for attr in self._ATTRS
         )
+        return f"{type(self).__name__}(ts={self.ts!r}, {values})"
 
     def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Event:
+        if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.ts, self.type, self.fields) == (
-            other.ts, other.type, other.fields  # type: ignore[attr-defined]
-        )
+        return self._row() == other._row()  # type: ignore[attr-defined]
 
     def to_record(self) -> dict[str, Any]:
         """Plain dict with the canonical key order (ts, type, sorted)."""
         record: dict[str, Any] = {"ts": self.ts, "type": self.type}
-        for key in sorted(self.fields):
-            record[key] = self.fields[key]
+        for key, attr in self._SORTED:
+            record[key] = getattr(self, attr)
         return record
 
     def to_json(self) -> str:
@@ -333,13 +314,117 @@ class Event:
             return self.ts
         if key == "type":
             return self.type
-        return self.fields[key]
+        return getattr(self, self._ATTR_OF[key])
 
     def get(self, key: str, default: Any = None) -> Any:
         try:
             return self[key]
         except KeyError:
             return default
+
+
+def _event_class(event_type: str) -> type[Event]:
+    """The slotted :class:`Event` class of ``event_type``, its
+    constructor generated from the schema as straight-line checks."""
+    schema = EVENT_SCHEMA[event_type]
+    attrs = tuple(map(field_attribute, schema))
+    lines = [
+        f"def __init__(self, ts, {', '.join(attrs)}):",
+        # inf - inf and nan - nan are nan: one test keeps finite floats.
+        "    if type(ts) is not float or ts - ts != 0.0:",
+        f"        _check_ts(ts, {event_type!r})",
+        "    self.ts = ts",
+    ]
+    for (key, kind), attr in zip(schema.items(), attrs):
+        tests = [f"type({attr}) is not {t.__name__}" for t in _EXACT_TYPES[kind]]
+        tests.append(f"not _TYPE_CHECKS[{kind!r}]({attr})")
+        lines += [
+            f"    if {' and '.join(tests)}:",
+            f"        raise _wrong_type({event_type!r}, {key!r}, {kind!r}, {attr})",
+            f"    self.{attr} = {attr}",
+        ]
+    namespace: dict[str, Any] = {
+        "_check_ts": _check_ts,
+        "_wrong_type": _wrong_type,
+        "_TYPE_CHECKS": _TYPE_CHECKS,
+    }
+    exec("\n".join(lines), namespace)
+    name = "".join(part.title() for part in event_type.split("_")) + "Event"
+    return type(
+        name,
+        (Event,),
+        {
+            "__slots__": attrs,
+            "__init__": namespace["__init__"],
+            "__module__": __name__,
+            "__qualname__": name,
+            "type": event_type,
+            "FIELDS": tuple(schema),
+            "_KEYS": frozenset(schema),
+            "_ATTRS": attrs,
+            "_SORTED": tuple(sorted(zip(schema, attrs))),
+            "_ATTR_OF": dict(zip(schema, attrs)),
+        },
+    )
+
+
+#: Event type -> its class, one per :data:`EVENT_SCHEMA` entry, in
+#: schema order.
+EVENT_CLASSES: dict[str, type[Event]] = {
+    event_type: _event_class(event_type) for event_type in EVENT_SCHEMA
+}
+
+RunStartEvent = EVENT_CLASSES["run_start"]
+AttemptEvent = EVENT_CLASSES["attempt"]
+SendsetEvent = EVENT_CLASSES["sendset"]
+RetryEvent = EVENT_CLASSES["retry"]
+HedgeEvent = EVENT_CLASSES["hedge"]
+BreakerEvent = EVENT_CLASSES["breaker"]
+QualityEvent = EVENT_CLASSES["quality"]
+QuarantineEvent = EVENT_CLASSES["quarantine"]
+OpEvent = EVENT_CLASSES["op"]
+RunEndEvent = EVENT_CLASSES["run_end"]
+ReplanEvent = EVENT_CLASSES["replan"]
+ShedEvent = EVENT_CLASSES["shed"]
+DeadlineEvent = EVENT_CLASSES["deadline"]
+PlanEvent = EVENT_CLASSES["plan"]
+PhasesEvent = EVENT_CLASSES["phases"]
+ServeEvent = EVENT_CLASSES["serve"]
+
+
+def event_from_fields(ts: Any, event_type: Any, fields: Mapping[str, Any]) -> Event:
+    """Build the event of ``event_type`` from a field mapping (the record
+    without ``ts`` / ``type``); ``ts`` is kept as given.
+
+    Raises:
+        ObservabilityError: as :func:`validate_record`.
+    """
+    cls = EVENT_CLASSES.get(event_type)
+    if cls is None:
+        raise ObservabilityError(f"unknown event type {event_type!r}")
+    _check_ts(ts, event_type)
+    if fields.keys() != cls._KEYS:
+        raise ObservabilityError(
+            f"{event_type}: missing fields {sorted(cls._KEYS - fields.keys())}, "
+            f"unexpected {sorted(fields.keys() - cls._KEYS)}"
+        )
+    return cls(ts, *[fields[key] for key in cls.FIELDS])
+
+
+def validate_record(record: Mapping[str, Any]) -> None:
+    """Check one parsed JSONL record against :data:`EVENT_SCHEMA`.
+
+    Raises:
+        ObservabilityError: on an unknown type, a ``ts`` that is not a
+            finite number, a missing or unexpected field, or a field of
+            the wrong type — checked in that order, fields in schema
+            order.
+    """
+    event_from_fields(record.get("ts"), record.get("type"), _fields_of(record))
+
+
+def _fields_of(record: Mapping[str, Any]) -> dict[str, Any]:
+    return {key: value for key, value in record.items() if key not in ("ts", "type")}
 
 
 @dataclass
@@ -357,14 +442,13 @@ class EventLog:
     events: list[Event] = field(default_factory=list)
 
     def emit(self, ts: float, event_type: str, **fields: Any) -> Event:
-        """Validate and append one event; returns it.
+        """Build one event from keyword fields, append it and return it.
 
         Raises:
             ObservabilityError: as :func:`validate_record` — nothing is
                 appended then.
         """
-        event = Event(float(ts), event_type, fields)
-        _check(event.ts, event_type, fields)
+        event = event_from_fields(float(ts), event_type, fields)
         self.events.append(event)
         return event
 
@@ -395,11 +479,11 @@ class EventLog:
         """Build (and validate) a log from parsed JSONL records."""
         log = EventLog()
         for record in records:
-            fields = _fields_of(record)
-            _check(record.get("ts"), record.get("type"), fields)
-            log.events.append(
-                Event(ts=float(record["ts"]), type=record["type"], fields=fields)
+            event = event_from_fields(
+                record.get("ts"), record.get("type"), _fields_of(record)
             )
+            event.ts = float(event.ts)
+            log.events.append(event)
         return log
 
     @staticmethod

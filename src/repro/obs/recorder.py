@@ -1,19 +1,24 @@
 """The event sink the execution layers report into.
 
 A :class:`Recorder` owns an event log and (optionally) a metrics
-registry and has one method, :meth:`Recorder.emit`: the engine, the
-sequential executor, the re-planner and the serving tier name an event
-type and its fields, the recorder puts the event on its clock and
-validates it against :data:`~repro.obs.events.EVENT_SCHEMA` as it lands
-(a misspelt field raises at the call, not at export).  Nothing else is
-recorded: metrics, spans and runtime traces are folds of the event
-stream (:func:`repro.obs.fold.fold_event`,
+registry.  The engine, the sequential executor, the re-planner and the
+serving tier build each event as its typed record
+(:data:`~repro.obs.events.EVENT_CLASSES`), stamped with this recorder's
+clock (``clock_offset_s`` + their own clock) and, where the type has
+one, its re-plan ``round``, and hand it to :meth:`Recorder.record`.  The
+record's constructor is the schema check (a misspelt field or a wrongly
+typed value raises at the call, not at export); :meth:`Recorder.record`
+appends that same object to the log and, with a registry attached, to
+the registry's pending list — one schema check and two appends per
+event, no dict and no second check.  :meth:`Recorder.emit` is the
+keyword form of the same thing for callers that name fields: it stamps
+the clock and the round, checks the field set, and builds the same
+record.  Nothing else is recorded: metrics, spans and runtime traces
+are folds of the event stream (:func:`repro.obs.fold.fold_event`,
 :func:`repro.obs.spans.engine_spans`,
 :meth:`repro.runtime.trace.RuntimeTrace.from_events`), and profiles and
-mined statistics read the traces.  Recording an
-event is one schema check and two appends — to the log and, with a
-registry attached, to the registry's pending list; the metric fold runs
-when the registry is next read (:class:`~repro.obs.metrics.MetricsRegistry`)
+mined statistics read the traces.  The metric fold runs when the
+registry is next read (:class:`~repro.obs.metrics.MetricsRegistry`)
 and exports what folding each event as it landed would have.  The fold
 is not cheaper for it: whoever reads the metrics pays it, per pending
 event, at the read.
@@ -21,33 +26,33 @@ event, at the read.
 A recorder is shared across re-plan rounds: the resilient executor bumps
 ``round`` and ``clock_offset_s`` between rounds, so event timestamps
 stay monotone across a whole resilient run even though each engine round
-restarts its clock at zero.  ``round`` is stamped here, on every event
-type whose schema declares it — callers never pass it.
+restarts its clock at zero.
 
 With ``Recorder()`` both a metrics registry and an event log are
 created; pass ``metrics=None`` to keep events only (the event log is
 always on — everything else is derived from it).  The execution layers
 accept ``recorder=None`` (their default) and then export nothing.  The
 runtime engine keeps its ``attempt`` / ``op`` records either way, since
-its trace is their fold; a recorder is handed those same records, so
-attaching one changes no answer and no trace.
+its trace is their fold (without a recorder they carry round 0 and the
+engine clock); a recorder is handed those same objects, so attaching
+one changes no answer and no trace.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.obs.events import EVENT_SCHEMA, EventLog
+from repro.obs.events import (
+    ROUND_STAMPED,
+    BreakerEvent,
+    Event,
+    EventLog,
+    QuarantineEvent,
+    event_from_fields,
+)
 from repro.obs.metrics import MetricsRegistry
 
 _UNSET = object()
-
-#: Event types that carry the recorder's current re-plan round.
-ROUND_STAMPED = frozenset(
-    event_type
-    for event_type, fields in EVENT_SCHEMA.items()
-    if "round" in fields
-)
 
 
 class Recorder:
@@ -69,8 +74,16 @@ class Recorder:
         #: re-plan rounds whose engine clocks each restart at zero.
         self.clock_offset_s = 0.0
 
+    def record(self, event: Event) -> None:
+        """Append one typed event, checked by its constructor and on
+        this recorder's clock, to the log and the registry's pending list."""
+        self.events.events.append(event)
+        if self.metrics is not None:
+            self.metrics.record(event)
+
     def emit(self, now_s: float, event_type: str, **fields: Any) -> None:
-        """Record one event at engine-clock ``now_s``.
+        """Record one event at engine-clock ``now_s`` from keyword fields;
+        ``round`` is stamped here on every type whose schema declares it.
 
         Raises:
             ObservabilityError: unknown type, non-finite timestamp,
@@ -79,11 +92,9 @@ class Recorder:
         """
         if event_type in ROUND_STAMPED:
             fields["round"] = self.round
-        event = self.events.emit(
-            self.clock_offset_s + now_s, event_type, **fields
+        self.record(
+            event_from_fields(float(self.clock_offset_s + now_s), event_type, fields)
         )
-        if self.metrics is not None:
-            self.metrics.record(event)
 
     # The two callbacks whose positional signature HealthRegistry
     # dictates (``observer`` / ``quality_observer``).
@@ -91,16 +102,16 @@ class Recorder:
     def breaker_transition(
         self, now_s: float, source: str, old_state: str, new_state: str
     ) -> None:
-        self.emit(
-            now_s, "breaker", source=source,
-            **{"from": old_state, "to": new_state},
+        self.record(
+            BreakerEvent(self.clock_offset_s + now_s, source, old_state, new_state)
         )
 
     def quarantine_changed(
         self, now_s: float, source: str, action: str, score: float,
         answers: int,
     ) -> None:
-        self.emit(
-            now_s, "quarantine",
-            source=source, action=action, score=score, answers=answers,
+        self.record(
+            QuarantineEvent(
+                self.clock_offset_s + now_s, source, action, score, answers
+            )
         )

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping
 
 from repro.errors import ObservabilityError
-from repro.obs.events import Event
+from repro.obs.events import EVENT_SCHEMA, ROUND_STAMPED, Event, field_attribute
 
 #: Serving-tier span ids are fixed per trace, so engine spans can parent
 #: under ``execute`` before the serve spans are materialized (they are
@@ -235,18 +235,26 @@ class SpanLog:
 # ----------------------------------------------------------------------
 # Span construction: pure folds of ticket timestamps and engine events
 
-#: Event type -> (span name, event fields copied onto its attributes).
+#: Event type -> (span name, (JSON key, attribute) of the event fields
+#: copied onto its attributes, whether the event carries a ``step``).
 #: Events carrying a ``step`` parent under that op, the rest (health
 #: transitions) directly under ``execute``; other event types have no span.
 _ENGINE_SPANS = {
-    "sendset": ("sendset", ("source", "size")),
-    "attempt": ("attempt", ("attempt", "source", "fate", "hedge", "cost")),
-    "retry": ("backoff", ("source", "retries")),
-    "hedge": ("hedge", ("primary", "target", "trigger")),
-    "breaker": ("breaker", ("source", "from", "to")),
-    "quality": ("verify", ("source", "kept")),
-    "quarantine": ("quarantine", ("source", "action")),
-    "op": ("op", ("step", "op", "source", "remote", "status", "output")),
+    kind: (
+        name,
+        tuple((key, field_attribute(key)) for key in copied),
+        "step" in EVENT_SCHEMA[kind],
+    )
+    for kind, (name, copied) in {
+        "sendset": ("sendset", ("source", "size")),
+        "attempt": ("attempt", ("attempt", "source", "fate", "hedge", "cost")),
+        "retry": ("backoff", ("source", "retries")),
+        "hedge": ("hedge", ("primary", "target", "trigger")),
+        "breaker": ("breaker", ("source", "from", "to")),
+        "quality": ("verify", ("source", "kept")),
+        "quarantine": ("quarantine", ("source", "action")),
+        "op": ("op", ("step", "op", "source", "remote", "status", "output")),
+    }.items()
 }
 
 
@@ -273,42 +281,43 @@ def engine_spans(
     next_id = FIRST_ENGINE_SPAN_ID
     round_no = 0
     for event in events:
-        fields = event.fields
-        # ``quality`` events carry no round; they inherit the run's.
-        round_no = fields.get("round", round_no)
         kind = event.type
-        if kind not in _ENGINE_SPANS:
+        # ``quality`` events carry no round; they inherit the run's.
+        if kind in ROUND_STAMPED:
+            round_no = event.round
+        spec = _ENGINE_SPANS.get(kind)
+        if spec is None:
             continue
-        name, copied = _ENGINE_SPANS[kind]
+        name, copied, stepped = spec
         op_id = None
-        if "step" in fields:
-            key = (round_no, fields["step"])
+        if stepped:
+            key = (round_no, event.step)
             if key not in op_ids:
                 op_ids[key] = next_id
                 next_id += 1
             op_id = op_ids[key]
         start_s = end_s = event.ts
-        attributes = {key: fields[key] for key in copied}
+        attributes = {key: getattr(event, attr) for key, attr in copied}
         if kind == "op":
             span_id, parent_id = op_id, EXECUTE_SPAN_ID
-            start_s = offset_s + fields["queued"]
-            end_s = offset_s + fields["finished"]
-            attributes["started"] = offset_s + fields["started"]
+            start_s = offset_s + event.queued
+            end_s = offset_s + event.finished
+            attributes["started"] = offset_s + event.started
         else:
             span_id = next_id
             next_id += 1
             parent_id = EXECUTE_SPAN_ID if op_id is None else op_id
         if kind == "attempt":
-            start_s = offset_s + fields["start"]
-            end_s = offset_s + fields["end"]
+            start_s = offset_s + event.start
+            end_s = offset_s + event.end
         elif kind == "retry":
             # The backoff window is blocked time on the op's critical
             # path; the analyzer classifies it apart from wire time.
-            end_s = offset_s + fields["at"]
+            end_s = offset_s + event.at
         elif kind == "quality":
             # Only tainted answers emit an event, hence get a marker.
             attributes["outcome"] = "tainted"
-            attributes["dropped"] = fields["delivered"] - fields["kept"]
+            attributes["dropped"] = event.delivered - event.kept
         spans.append(
             Span(
                 trace_id, span_id, parent_id, name, "execute",

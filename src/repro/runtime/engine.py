@@ -86,10 +86,21 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, NamedTuple
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import CostModelError, ExecutionError, SourceUnavailableError
 from repro.mediator.executor import ExecutionResult, StepTrace
+from repro.obs.events import (
+    AttemptEvent,
+    Event,
+    HedgeEvent,
+    OpEvent,
+    QualityEvent,
+    RetryEvent,
+    RunEndEvent,
+    RunStartEvent,
+    SendsetEvent,
+)
 from repro.plans.operations import (
     Fetch,
     LoadOp,
@@ -473,13 +484,6 @@ def _traffic_of(records: list) -> tuple[Any, tuple]:
     return elapsed, (cost, sent, received, loaded, len(records))
 
 
-class _Record(NamedTuple):
-    """One ``attempt`` / ``op`` event of a run, as the trace fold reads it."""
-
-    type: str
-    fields: dict[str, Any]
-
-
 class _Execution:
     """One plan run: the event heap, queues, and handlers."""
 
@@ -521,21 +525,24 @@ class _Execution:
         self.confirm_waiting: list[_Task] = []
         self.heap: list[tuple[float, int, str, tuple]] = []
         self.seq = itertools.count()
-        # The run's ``attempt`` / ``op`` records, in event order.
-        self.records: list[_Record] = []
+        # The run's ``attempt`` / ``op`` events, in event order.
+        self.records: list[Event] = []
 
     # ------------------------------------------------------------------
     # Event loop
 
     def run(self) -> RuntimeResult:
-        if self.recorder is not None:
-            self.recorder.emit(
-                0.0,
-                "run_start",
-                backend="runtime",
-                plan_ops=len(self.plan.operations),
-                remote_ops=self.plan.remote_op_count,
-                result=self.plan.result,
+        recorder = self.recorder
+        if recorder is not None:
+            recorder.record(
+                RunStartEvent(
+                    recorder.clock_offset_s,
+                    "runtime",
+                    recorder.round,
+                    len(self.plan.operations),
+                    self.plan.remote_op_count,
+                    self.plan.result,
+                )
             )
         if self.budget_s is not None and self.budget_s <= 0:
             # Budget already spent: degrade everything without ever
@@ -587,33 +594,40 @@ class _Execution:
             trace=trace,
             item_set=answer if type(answer) is ItemSet else items,
         )
-        if self.recorder is not None:
-            self.recorder.emit(
-                trace.makespan_s,
-                "run_end",
-                backend="runtime",
-                makespan=trace.makespan_s,
-                retries=trace.total_retries,
-                degraded=len(trace.degraded_steps)
-                + len(trace.deadline_steps),
-                recovered=len(trace.recovered_steps),
-                hedges=trace.hedge_attempts,
-                cost=trace.total_cost,
-                items=len(result.items),
+        if recorder is not None:
+            recorder.record(
+                RunEndEvent(
+                    recorder.clock_offset_s + trace.makespan_s,
+                    "runtime",
+                    recorder.round,
+                    trace.makespan_s,
+                    trace.total_retries,
+                    len(trace.degraded_steps) + len(trace.deadline_steps),
+                    len(trace.recovered_steps),
+                    trace.hedge_attempts,
+                    trace.total_cost,
+                    len(result.items),
+                )
             )
         return result
 
     def _push(self, time_s: float, kind: str, payload: tuple) -> None:
         heapq.heappush(self.heap, (time_s, next(self.seq), kind, payload))
 
-    def _record(
-        self, now: float, event_type: str, fields: dict[str, Any]
-    ) -> None:
+    def _stamp(self, now: float) -> tuple[float, int]:
+        """An event's ``ts`` and ``round``: the recorder's clock and
+        round, or the engine clock and round 0 without a recorder."""
+        recorder = self.recorder
+        if recorder is None:
+            return now, 0
+        return recorder.clock_offset_s + now, recorder.round
+
+    def _record(self, event: Event) -> None:
         """Keep one ``attempt`` / ``op`` record; an attached recorder
-        receives the same fields."""
-        self.records.append(_Record(event_type, fields))
+        receives the same object."""
+        self.records.append(event)
         if self.recorder is not None:
-            self.recorder.emit(now, event_type, **fields)
+            self.recorder.record(event)
 
     # ------------------------------------------------------------------
     # Readiness and dispatch
@@ -804,15 +818,18 @@ class _Execution:
             # The task's own connection slot stays with it for retries;
             # a substitute's connection is held only for the attempt.
             self.busy[serving] = True
-        if self.recorder is not None and isinstance(task.op, SemijoinOp):
+        recorder = self.recorder
+        if recorder is not None and isinstance(task.op, SemijoinOp):
             bindings = self.values[task.spec.inputs[task.op.input_register]]
-            self.recorder.emit(
-                now,
-                "sendset",
-                step=task.step,
-                source=serving,
-                condition=task.spec.condition,
-                size=len(bindings),
+            recorder.record(
+                SendsetEvent(
+                    recorder.clock_offset_s + now,
+                    recorder.round,
+                    task.step,
+                    serving,
+                    task.spec.condition,
+                    len(bindings),
+                )
             )
         mark = len(source.traffic.records)
         try:
@@ -915,14 +932,17 @@ class _Execution:
         target = self._substitute_target(task, now)
         if target is None:
             return  # no idle healthy replica; the primary races alone
-        if self.recorder is not None:
-            self.recorder.emit(
-                now,
-                "hedge",
-                step=task.step,
-                primary=primary,
-                target=target,
-                trigger=trigger,
+        recorder = self.recorder
+        if recorder is not None:
+            recorder.record(
+                HedgeEvent(
+                    recorder.clock_offset_s + now,
+                    recorder.round,
+                    task.step,
+                    primary,
+                    target,
+                    trigger,
+                )
             )
         self._launch(task, target, now, hedge=True)
 
@@ -952,26 +972,27 @@ class _Execution:
         # ``_value_`` is the value an enum member stores; ``.value``
         # reads it through a Python-level descriptor, once per record.
         task.last_fate = fate_text = fate._value_
+        ts, round_no = self._stamp(now)
         self._record(
-            now,
-            "attempt",
-            {
-                "step": spec.step,
-                "op": spec.kind,
-                "planned": spec.source,
-                "condition": spec.condition,
-                "attempt": task.attempt_count,
-                "source": attempt.source_name,
-                "start": attempt.start_s,
-                "end": now,
-                "fate": fate_text,
-                "hedge": attempt.hedge,
-                "cost": cost,
-                "items_sent": sent,
-                "items_received": received,
-                "rows_loaded": loaded,
-                "messages": messages,
-            },
+            AttemptEvent(
+                ts,
+                round_no,
+                spec.step,
+                spec.kind,
+                spec.source,
+                attempt.source_name,
+                spec.condition,
+                task.attempt_count,
+                attempt.start_s,
+                now,
+                fate_text,
+                attempt.hedge,
+                cost,
+                sent,
+                received,
+                loaded,
+                messages,
+            )
         )
 
     def _handle_complete(self, now: float, attempt: _Attempt) -> None:
@@ -1135,20 +1156,22 @@ class _Execution:
             delivered=report.delivered,
             kept=report.kept,
         )
-        if self.recorder is not None and not report.clean:
+        recorder = self.recorder
+        if recorder is not None and not report.clean:
             # Only answers with detectable issues leave an event, so
             # clean runs do not bloat the log.
-            self.recorder.emit(
-                now,
-                "quality",
-                step=task.step,
-                source=report.source,
-                delivered=report.delivered,
-                kept=report.kept,
-                corrupt=report.corrupt,
-                duplicates=report.duplicates,
-                conflicts=report.conflicts,
-                score=self.health.quality_score(source),
+            recorder.record(
+                QualityEvent(
+                    recorder.clock_offset_s + now,
+                    task.step,
+                    report.source,
+                    report.delivered,
+                    report.kept,
+                    report.corrupt,
+                    report.duplicates,
+                    report.conflicts,
+                    self.health.quality_score(source),
+                )
             )
 
     def _handle_failure(
@@ -1184,14 +1207,17 @@ class _Execution:
         assert task.first_start_s is not None
         if self.policy.may_retry(retries_used, task.first_start_s, retry_at):
             task.retry_pending = True
-            if self.recorder is not None:
-                self.recorder.emit(
-                    now,
-                    "retry",
-                    step=task.step,
-                    source=attempt.source_name,
-                    retries=retries_used + 1,
-                    at=retry_at,
+            recorder = self.recorder
+            if recorder is not None:
+                recorder.record(
+                    RetryEvent(
+                        recorder.clock_offset_s + now,
+                        recorder.round,
+                        task.step,
+                        attempt.source_name,
+                        retries_used + 1,
+                        retry_at,
+                    )
                 )
             self._push(retry_at, "retry", (task,))  # connection stays held
             return
@@ -1298,22 +1324,23 @@ class _Execution:
         spec = task.spec
         self.values[spec.index] = value
         task.done = True
+        ts, round_no = self._stamp(now)
         self._record(
-            now,
-            "op",
-            {
-                "step": spec.step,
-                "op": spec.kind,
-                "target": spec.target,
-                "source": spec.source,
-                "remote": spec.remote,
-                "condition": spec.condition,
-                "queued": task.queued_s,
-                "started": started_s,
-                "finished": now,
-                "status": status._value_,
-                "output": len(value),
-            },
+            OpEvent(
+                ts,
+                round_no,
+                spec.step,
+                spec.kind,
+                spec.target,
+                spec.source,
+                spec.remote,
+                spec.condition,
+                task.queued_s,
+                started_s,
+                now,
+                status._value_,
+                len(value),
+            )
         )
 
     def _propagate(self, task: _Task, now: float) -> None:

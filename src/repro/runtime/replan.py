@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.errors import CostModelError
+from repro.obs.events import ReplanEvent
 from repro.optimize.base import OptimizationResult
 from repro.query.fusion import FusionQuery
 from repro.runtime.engine import RuntimeEngine, RuntimeResult
@@ -174,15 +175,18 @@ class ResilientExecutor:
                 self._mask_source(name, active, masked)
         for round_no in range(self.max_replans + 1):
             optimization = self.plan(query, tuple(active))
-            if self.recorder is not None:
-                self.recorder.round = round_no
-                self.recorder.emit(
-                    0.0,
-                    "replan",
-                    optimizer=optimization.optimizer,
-                    sources=sorted(active),
-                    masked=sorted(masked),
-                    estimated_cost=optimization.estimated_cost,
+            recorder = self.recorder
+            if recorder is not None:
+                recorder.round = round_no
+                recorder.record(
+                    ReplanEvent(
+                        recorder.clock_offset_s,
+                        round_no,
+                        optimization.optimizer,
+                        sorted(active),
+                        sorted(masked),
+                        optimization.estimated_cost,
+                    )
                 )
             result = self.engine.run(optimization.plan, budget_s=remaining_s)
             if self.recorder is not None:

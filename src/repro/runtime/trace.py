@@ -165,14 +165,13 @@ class RuntimeTrace:
     ) -> "RuntimeTrace":
         """Fold one round's ``op`` / ``attempt`` records into a trace.
 
-        ``events`` are records with a ``type`` and a ``fields`` mapping:
-        an :class:`~repro.obs.events.EventLog`, or an engine run's own
-        records (which carry no ``round``: they are round 0).
-        ``round_no`` ``None`` folds the highest round present, the one
-        whose plan completed.  With the plan's ``operations`` each span
-        carries its real :class:`Operation`; without them (a log read
-        back from disk) a stand-in built from the ``op`` record.  The
-        makespan is the last ``finished``, which ``run_end`` repeats.
+        ``events`` are typed events (:mod:`repro.obs.events`): an
+        :class:`~repro.obs.events.EventLog`, or an engine run's own
+        records.  ``round_no`` ``None`` folds the highest round present,
+        the one whose plan completed.  With the plan's ``operations``
+        each span carries its real :class:`Operation`; without them (a
+        log read back from disk) a stand-in built from the ``op`` record.
+        The makespan is the last ``finished``, which ``run_end`` repeats.
 
         Raises:
             ObservabilityError: no ``op`` record for the selected round.
@@ -183,40 +182,38 @@ class RuntimeTrace:
         # step sends nothing further on its primary path, so a non-hedge
         # attempt that starts once the answer is in hand can only be a
         # ``vote`` confirmation fetch.
-        ops_of: dict[int, list[dict[str, Any]]] = {}
+        ops_of: dict[int, list[Any]] = {}
         attempts: dict[tuple[int, int], list[AttemptSpan]] = {}
         answered_s: dict[tuple[int, int], float] = {}
         for event in events:
             kind = event.type
             if kind == "op":
-                record = event.fields
-                ops_of.setdefault(record.get("round", 0), []).append(record)
+                ops_of.setdefault(event.round, []).append(event)
             elif kind == "attempt":
-                record = event.fields
-                key = (record.get("round", 0), record["step"])
-                fate = _FATES[record["fate"]]
-                start = record["start"]
-                hedge = record["hedge"]
+                key = (event.round, event.step)
+                fate = _FATES[event.fate]
+                start = event.start
+                hedge = event.hedge
                 span = _span(
                     AttemptSpan,
                     (
-                        record["attempt"],
+                        event.attempt,
                         start,
-                        record["end"],
+                        event.end,
                         fate,
-                        record["cost"],
-                        record["items_sent"],
-                        record["items_received"],
-                        record["rows_loaded"],
-                        record["messages"],
-                        record["source"],
+                        event.cost,
+                        event.items_sent,
+                        event.items_received,
+                        event.rows_loaded,
+                        event.messages,
+                        event.source,
                         hedge,
                         not hedge and start >= answered_s.get(key, math.inf),
                     ),
                 )
                 attempts.setdefault(key, []).append(span)
                 if fate is AttemptFate.OK:
-                    answered_s.setdefault(key, record["end"])
+                    answered_s.setdefault(key, event.end)
         if round_no is None:
             round_no = max(ops_of, default=0)
         op_records = ops_of.get(round_no)
@@ -234,22 +231,22 @@ class RuntimeTrace:
             _span(
                 OpSpan,
                 (
-                    record["step"],
-                    operations[record["step"] - 1]
+                    record.step,
+                    operations[record.step - 1]
                     if operations is not None
                     else _ReplayOperation(
-                        _ReplayKind(record["op"]),
-                        record["target"],
-                        record["source"],
-                        record["remote"],
-                        _ReplayCondition(record["condition"]),
+                        _ReplayKind(record.op),
+                        record.target,
+                        record.source,
+                        record.remote,
+                        _ReplayCondition(record.condition),
                     ),
-                    record["queued"],
-                    record["started"],
-                    record["finished"],
-                    by_step.get(record["step"], ()),
-                    _STATUSES[record["status"]],
-                    record["output"],
+                    record.queued,
+                    record.started,
+                    record.finished,
+                    by_step.get(record.step, ()),
+                    _STATUSES[record.status],
+                    record.output,
                 ),
             )
             for record in op_records
@@ -486,8 +483,8 @@ class _Tally(NamedTuple):
 
 _FATES = {fate.value: fate for fate in AttemptFate}
 _STATUSES = {status.value: status for status in OpStatus}
-_STEP = operator.itemgetter("step")
-_FINISHED = operator.itemgetter("finished")
+_STEP = operator.attrgetter("step")
+_FINISHED = operator.attrgetter("finished")
 #: Builds a span from its fields in declaration order, without the
 #: Python-level ``__new__`` a ``NamedTuple`` class generates.
 _span = tuple.__new__

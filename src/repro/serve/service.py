@@ -52,6 +52,13 @@ from repro.errors import (
 from repro.mediator.plan_cache import PlanCache
 from repro.mediator.schedule import estimated_response_time
 from repro.mediator.session import Mediator
+from repro.obs.events import (
+    DeadlineEvent,
+    PhasesEvent,
+    PlanEvent,
+    ServeEvent,
+    ShedEvent,
+)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import Recorder
 from repro.obs.spans import (
@@ -461,16 +468,18 @@ class MediatorService:
     ) -> None:
         """One lifecycle transition of query ``seq``, with the queue
         depth and in-flight count *after* it."""
-        self.recorder.emit(
-            now_s,
-            "serve",
-            phase=phase,
-            query=seq,
-            tenant=tenant,
-            queue_depth=self.queue_depth,
-            in_flight=self.in_flight,
-            detail=detail,
-            latency=latency_s,
+        recorder = self.recorder
+        recorder.record(
+            ServeEvent(
+                recorder.clock_offset_s + now_s,
+                phase,
+                seq,
+                tenant,
+                self.queue_depth,
+                self.in_flight,
+                detail,
+                latency_s,
+            )
         )
 
     def _serve_done(self, ticket: QueryTicket, now_s: float) -> None:
@@ -515,16 +524,16 @@ class MediatorService:
             self._serve_event(now_s, "rejected", seq, tenant, exc.reason)
             if isinstance(exc, DeadlineInfeasibleError):
                 # Deadline refusals also get the richer ``shed`` event.
-                self.recorder.emit(
-                    now_s,
-                    "shed",
-                    query=seq,
-                    tenant=tenant,
-                    reason=(
-                        "invalid" if exc.predicted_s is None else "infeasible"
-                    ),
-                    predicted=exc.predicted_s or 0.0,
-                    deadline=deadline_s if deadline_s is not None else 0.0,
+                recorder = self.recorder
+                recorder.record(
+                    ShedEvent(
+                        recorder.clock_offset_s + now_s,
+                        seq,
+                        tenant,
+                        "invalid" if exc.predicted_s is None else "infeasible",
+                        exc.predicted_s or 0.0,
+                        deadline_s if deadline_s is not None else 0.0,
+                    )
                 )
             raise
         ticket = QueryTicket(
@@ -650,17 +659,19 @@ class MediatorService:
         cache = "off"
         if cache_hit is not None:
             cache = "hit" if cache_hit else "miss"
-        self.recorder.emit(
-            now_s,
-            "plan",
-            query=ticket.seq,
-            tenant=ticket.tenant,
-            trace=ticket.trace_id,
-            cache=cache,
-            strategy=optimization.search_strategy,
-            subsets=optimization.subsets_considered,
-            elapsed=elapsed_s,
-            exhausted=optimization.budget_exhausted,
+        recorder = self.recorder
+        recorder.record(
+            PlanEvent(
+                recorder.clock_offset_s + now_s,
+                ticket.seq,
+                ticket.tenant,
+                ticket.trace_id,
+                cache,
+                optimization.search_strategy,
+                optimization.subsets_considered,
+                elapsed_s,
+                optimization.budget_exhausted,
+            )
         )
 
     def _finalize_trace(self, ticket: QueryTicket) -> None:
@@ -707,21 +718,23 @@ class MediatorService:
         if path is None:
             return
         phases = ticket.phases = path.by_phase()
-        self.recorder.emit(
-            completed,
-            "phases",
-            query=ticket.seq,
-            tenant=ticket.tenant,
-            trace=ticket.trace_id,
-            # Admission is instantaneous; the schema folds it into queue.
-            queue=phases["admission"] + phases["queue"],
-            plan=phases["plan"],
-            pool=phases["pool"],
-            exec_wait=phases["exec.wait"],
-            exec_wire=phases["exec.wire"],
-            exec_backoff=phases["exec.backoff"],
-            merge=phases["merge"],
-            total=path.total_s,
+        recorder = self.recorder
+        recorder.record(
+            PhasesEvent(
+                recorder.clock_offset_s + completed,
+                ticket.seq,
+                ticket.tenant,
+                ticket.trace_id,
+                # Admission is instantaneous; the schema folds it into queue.
+                phases["admission"] + phases["queue"],
+                phases["plan"],
+                phases["pool"],
+                phases["exec.wait"],
+                phases["exec.wire"],
+                phases["exec.backoff"],
+                phases["merge"],
+                path.total_s,
+            )
         )
 
     def _execute(self, mediator: Mediator, ticket: QueryTicket, plan) -> bool:
@@ -750,7 +763,7 @@ class MediatorService:
         # event timestamps by the dispatch time interleaves them onto
         # the service timeline (under threads: virtual engine seconds
         # laid onto the wall axis).
-        recorder.clock_offset_s = dispatched_s
+        recorder.clock_offset_s = float(dispatched_s)
         deadline_cut = False
         result = None
         try:
@@ -784,14 +797,16 @@ class MediatorService:
         the queue or of a run the engine cut short."""
         assert ticket.deadline_s is not None
         overrun_s = now_s - (ticket.submitted_s + ticket.deadline_s)
-        self.recorder.emit(
-            now_s,
-            "deadline",
-            query=ticket.seq,
-            tenant=ticket.tenant,
-            stage=stage,
-            budget=ticket.deadline_s,
-            overrun=max(0.0, overrun_s),
+        recorder = self.recorder
+        recorder.record(
+            DeadlineEvent(
+                recorder.clock_offset_s + now_s,
+                ticket.seq,
+                ticket.tenant,
+                stage,
+                ticket.deadline_s,
+                max(0.0, overrun_s),
+            )
         )
 
     def _complete(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import pytest
@@ -9,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ObservabilityError
-from repro.obs.events import EVENT_SCHEMA, EventLog, validate_record
+from repro.obs import events as events_module
+from repro.obs.events import (
+    EVENT_CLASSES,
+    EVENT_SCHEMA,
+    BreakerEvent,
+    EventLog,
+    validate_record,
+)
 from repro.obs.recorder import Recorder
 
 
@@ -339,3 +347,144 @@ class TestOneSchemaCheck:
             "breaker: missing fields ['from', 'to'], "
             "unexpected ['alpha', 'zeta']"
         )
+
+
+# ----------------------------------------------------------------------
+# One generated class per event type
+
+
+def _sample(event_type):
+    """A deterministic valid value per field, in schema order."""
+    return {
+        name: {
+            "int": i,
+            "float": i + 0.5,
+            "str": name,
+            "bool": i % 2 == 0,
+            "list[str]": [name, "x"],
+        }[kind]
+        for i, (name, kind) in enumerate(EVENT_SCHEMA[event_type].items())
+    }
+
+
+#: ``EventLog.emit(1.25, type, **_sample(type))`` as written by the
+#: dict-based records these classes replaced: the bytes must not move.
+GOLDEN_JSON = {
+    "run_start": (
+        '{"ts":1.25,"type":"run_start","backend":"backend","plan_ops":2,"remote_ops":3,'
+        '"result":"result","round":1}'
+    ),
+    "attempt": (
+        '{"ts":1.25,"type":"attempt","attempt":6,"condition":"condition","cost":11.5,'
+        '"end":8.5,"fate":"fate","hedge":true,"items_received":13,"items_sent":12,'
+        '"messages":15,"op":"op","planned":"planned","round":0,"rows_loaded":14,'
+        '"source":"source","start":7.5,"step":1}'
+    ),
+    "sendset": (
+        '{"ts":1.25,"type":"sendset","condition":"condition","round":0,"size":4,'
+        '"source":"source","step":1}'
+    ),
+    "retry": (
+        '{"ts":1.25,"type":"retry","at":4.5,"retries":3,"round":0,"source":"source","step":1}'
+    ),
+    "hedge": (
+        '{"ts":1.25,"type":"hedge","primary":"primary","round":0,"step":1,'
+        '"target":"target","trigger":"trigger"}'
+    ),
+    "breaker": '{"ts":1.25,"type":"breaker","from":"from","source":"source","to":"to"}',
+    "quality": (
+        '{"ts":1.25,"type":"quality","conflicts":6,"corrupt":4,"delivered":2,'
+        '"duplicates":5,"kept":3,"score":7.5,"source":"source","step":0}'
+    ),
+    "quarantine": (
+        '{"ts":1.25,"type":"quarantine","action":"action","answers":3,"score":2.5,'
+        '"source":"source"}'
+    ),
+    "op": (
+        '{"ts":1.25,"type":"op","condition":"condition","finished":9.5,"op":"op",'
+        '"output":11,"queued":7.5,"remote":false,"round":0,"source":"source",'
+        '"started":8.5,"status":"status","step":1,"target":"target"}'
+    ),
+    "run_end": (
+        '{"ts":1.25,"type":"run_end","backend":"backend","cost":7.5,"degraded":4,'
+        '"hedges":6,"items":8,"makespan":2.5,"recovered":5,"retries":3,"round":1}'
+    ),
+    "replan": (
+        '{"ts":1.25,"type":"replan","estimated_cost":4.5,"masked":["masked","x"],'
+        '"optimizer":"optimizer","round":0,"sources":["sources","x"]}'
+    ),
+    "shed": (
+        '{"ts":1.25,"type":"shed","deadline":4.5,"predicted":3.5,"query":0,'
+        '"reason":"reason","tenant":"tenant"}'
+    ),
+    "deadline": (
+        '{"ts":1.25,"type":"deadline","budget":3.5,"overrun":4.5,"query":0,'
+        '"stage":"stage","tenant":"tenant"}'
+    ),
+    "plan": (
+        '{"ts":1.25,"type":"plan","cache":"cache","elapsed":6.5,"exhausted":false,'
+        '"query":0,"strategy":"strategy","subsets":5,"tenant":"tenant","trace":"trace"}'
+    ),
+    "phases": (
+        '{"ts":1.25,"type":"phases","exec_backoff":8.5,"exec_wait":6.5,"exec_wire":7.5,'
+        '"merge":9.5,"plan":4.5,"pool":5.5,"query":0,"queue":3.5,"tenant":"tenant",'
+        '"total":10.5,"trace":"trace"}'
+    ),
+    "serve": (
+        '{"ts":1.25,"type":"serve","detail":"detail","in_flight":4,"latency":6.5,'
+        '"phase":"phase","query":1,"queue_depth":3,"tenant":"tenant"}'
+    ),
+}
+
+
+class TestEventClasses:
+    def test_one_class_per_schema_type(self):
+        assert list(EVENT_CLASSES) == list(EVENT_SCHEMA) == list(GOLDEN_JSON)
+        for event_type, cls in EVENT_CLASSES.items():
+            assert cls.type == event_type
+            assert cls.__name__ == event_type.title().replace("_", "") + "Event"
+            # Importable by its name, so an event pickles by reference.
+            assert getattr(events_module, cls.__name__) is cls
+
+    @pytest.mark.parametrize("event_type", sorted(EVENT_SCHEMA))
+    def test_fields_are_the_schema_in_order(self, event_type):
+        cls = EVENT_CLASSES[event_type]
+        assert cls.FIELDS == tuple(EVENT_SCHEMA[event_type])
+        parameters = list(inspect.signature(cls).parameters)
+        attributes = [name + "_" if name == "from" else name for name in cls.FIELDS]
+        assert parameters == ["ts", *attributes]
+        assert cls.__slots__ == tuple(attributes)
+
+    @pytest.mark.parametrize("event_type", sorted(EVENT_SCHEMA))
+    def test_to_json_keeps_the_bytes(self, event_type):
+        cls = EVENT_CLASSES[event_type]
+        fields = _sample(event_type)
+        event = cls(1.25, *fields.values())
+        assert event.to_json() == GOLDEN_JSON[event_type]
+        emitted = EventLog().emit(1.25, event_type, **fields)
+        assert emitted == event and emitted.__class__ is cls
+        (read,) = EventLog.from_jsonl(GOLDEN_JSON[event_type]).events
+        assert read == event and read.__class__ is cls
+
+    def test_a_keyword_field_is_an_identifier_attribute(self):
+        event = BreakerEvent(0.5, "R1", "closed", "open")
+        assert (event.source, event.from_, event.to) == ("R1", "closed", "open")
+        assert event["from"] == "closed" and event.get("from_") is None
+        assert repr(event) == (
+            "BreakerEvent(ts=0.5, source='R1', from_='closed', to='open')"
+        )
+
+    def test_equality_is_same_type_same_values(self):
+        event = BreakerEvent(0.5, "R1", "closed", "open")
+        assert event == BreakerEvent(0.5, "R1", "closed", "open")
+        assert event != BreakerEvent(0.5, "R1", "closed", "half-open")
+        assert event != BreakerEvent(0.6, "R1", "closed", "open")
+        assert event != EVENT_CLASSES["quarantine"](0.5, "R1", "closed", 1.0, 1)
+
+    def test_the_constructor_is_the_schema_check(self):
+        with pytest.raises(ObservabilityError) as raised:
+            BreakerEvent(math.nan, "R1", "closed", "open")
+        assert str(raised.value) == "breaker: ts must be finite, got nan"
+        with pytest.raises(ObservabilityError) as raised:
+            BreakerEvent(0.5, "R1", None, "open")
+        assert str(raised.value) == "breaker.from: expected str, got None"

@@ -3,12 +3,12 @@
 *The log is sufficient*: over every scenario family the runtime and the
 serving tier know, the registry rebuilt from the persisted JSONL exports
 the same JSON and Prometheus text as the one the recorder folded live.
-*Written in one place*: event fields are declared by ``EVENT_SCHEMA``
-and spelled at the emitting call site (the engine's ``_record`` counts
-as one: it keeps the record and forwards it to ``emit``), metric names
-live in
-``obs/fold.py``, and ``Recorder`` is nothing but ``emit``.  Recording
-folds nothing: the registry folds its pending events when it is read.
+*Written in one place*: event fields are declared by ``EVENT_SCHEMA``,
+each type's record class is generated from it, and every call site
+builds that class positionally — no module but ``obs/events.py`` builds
+an event field dict; metric names live in ``obs/fold.py``, and
+``Recorder`` is ``record`` and ``emit``.  Recording folds nothing: the
+registry folds its pending events when it is read.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from repro.obs import (
     Recorder,
     metrics_from_events,
 )
+from repro.obs.events import EVENT_CLASSES
 from repro.obs.fold import EVENT_FOLDS
-from repro.obs.recorder import ROUND_STAMPED
 from repro.optimize import FilterOptimizer, SJAOptimizer
 from repro.runtime.engine import Resilience, RuntimeEngine
 from repro.runtime.faults import (
@@ -318,62 +318,90 @@ def _sources(*packages: str) -> dict[str, str]:
     }
 
 
-def _emit_calls():
-    """Every ``emit(...)`` / engine ``_record(...)`` call outside ``obs/``.
+#: Event class name -> class.
+_CLASSES_BY_NAME = {cls.__name__: cls for cls in EVENT_CLASSES.values()}
 
-    The one ``emit`` inside ``_record`` forwards the fields its callers
-    spelled out, so it is not a call site of its own.
-    """
+
+def _event_constructions():
+    """Every call of an event class by name, outside ``obs/events.py``."""
     for name, text in _sources("").items():
-        if name.startswith("obs/"):
+        if name == "obs/events.py":
             continue
-        tree = ast.parse(text)
-        forwarding = {
-            id(node)
-            for function in ast.walk(tree)
-            if isinstance(function, ast.FunctionDef)
-            and function.name == "_record"
-            for node in ast.walk(function)
-        }
-        for node in ast.walk(tree):
+        for node in ast.walk(ast.parse(text)):
             if (
                 isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("emit", "_record")
-                and id(node) not in forwarding
+                and isinstance(node.func, ast.Name)
+                and node.func.id in _CLASSES_BY_NAME
             ):
                 yield f"{name}:{node.lineno}", node
 
 
+def _field_dicts(tree: ast.AST) -> list[int]:
+    """Lines of dict displays spelling an event type's fields (with or
+    without the ``round`` a recorder stamps)."""
+    field_sets = [frozenset(fields) for fields in EVENT_SCHEMA.values()]
+    field_sets += [fields - {"round"} for fields in field_sets]
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Dict)
+        and all(isinstance(key, ast.Constant) for key in node.keys)
+        and frozenset(key.value for key in node.keys) in field_sets
+    ]
+
+
+def _field_dict_builders(sources: dict[str, str]) -> dict[str, list[str]]:
+    """Per module: keyword ``emit`` calls, ``_Record(...)`` calls and
+    event field dict displays — every way to spell an event's fields
+    by name."""
+    offenders: dict[str, list[str]] = {}
+    for name, text in sources.items():
+        tree = ast.parse(text)
+        found = [f"field dict at {line}" for line in _field_dicts(tree)]
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if called == "_Record" or (called == "emit" and node.keywords):
+                found.append(f"{called}(...) at {node.lineno}")
+        if found:
+            offenders[name] = found
+    return offenders
+
+
 class TestWrittenInOnePlace:
     def test_call_sites_emit_exactly_the_schema_fields_by_name(self):
+        # Positionally, that is: ``ts`` and then one argument per schema
+        # field, no keywords and no unpacking.
         checked = set()
-        for where, call in _emit_calls():
-            # (now_s, event_type), plus the fields of an engine record
-            assert len(call.args) == 2 + (call.func.attr == "_record"), where
-            event_type = call.args[1]
-            assert isinstance(event_type, ast.Constant), where
-            assert event_type.value in EVENT_SCHEMA, where
-            named = set()
-            for keyword in call.keywords:
-                assert keyword.arg is not None, where  # no ``**``
-                named.add(keyword.arg)
-            if call.func.attr == "_record":
-                # The engine spells its records as one dict display.
-                assert not call.keywords and len(call.args) == 3, where
-                fields = call.args[2]
-                assert isinstance(fields, ast.Dict), where
-                for key in fields.keys:
-                    assert isinstance(key, ast.Constant), where  # no ``**``
-                    named.add(key.value)
-            expected = set(EVENT_SCHEMA[event_type.value])
-            if event_type.value in ROUND_STAMPED:
-                expected.discard("round")  # the recorder stamps it
-            assert named == expected, (where, named ^ expected)
-            checked.add(event_type.value)
-        # breaker / quarantine arrive through the HealthRegistry
-        # observers, the two adaptors on Recorder itself.
-        assert checked == set(EVENT_SCHEMA) - {"breaker", "quarantine"}
+        for where, call in _event_constructions():
+            cls = _CLASSES_BY_NAME[call.func.id]
+            assert not call.keywords, where
+            assert not any(isinstance(arg, ast.Starred) for arg in call.args), where
+            assert len(call.args) == 1 + len(cls.FIELDS), where
+            checked.add(cls.type)
+        assert checked == set(EVENT_SCHEMA)
+
+    def test_no_module_but_the_schema_builds_an_event_field_dict(self):
+        sources = _sources("")
+        del sources["obs/events.py"]
+        assert _field_dict_builders(sources) == {}
+
+    def test_the_field_dict_check_sees_each_spelling(self):
+        text = (
+            "log.emit(0.0, 'retry', step=1, source='R1', retries=1, at=2.0)\n"
+            "records.append(_Record('retry', fields))\n"
+            "fields = {'step': 1, 'source': 'R1', 'retries': 1, 'at': 2.0}\n"
+            "other = {'step': 1, 'source': 'R1'}\n"
+            "recorder.emit(0.0, 'retry', **fields)\n"
+        )
+        assert sorted(_field_dict_builders({"m.py": text})["m.py"]) == [
+            "_Record(...) at 2",
+            "emit(...) at 1",
+            "emit(...) at 5",
+            "field dict at 3",
+        ]
 
     def test_metric_names_live_in_the_fold_module_only(self):
         sources = _sources("runtime", "mediator", "serve")
@@ -398,7 +426,7 @@ class TestWrittenInOnePlace:
             for name, value in vars(Recorder).items()
             if callable(value) and not name.startswith("_")
         }
-        assert public == {"emit", "breaker_transition", "quarantine_changed"}
+        assert public == {"record", "emit", "breaker_transition", "quarantine_changed"}
 
     def test_sequential_executor_builds_no_spans(self):
         text = (ROOT / "mediator/executor.py").read_text()

@@ -4,7 +4,7 @@ allocation rules."""
 
 from __future__ import annotations
 
-from repro.obs.events import Event, EventLog
+from repro.obs.events import EVENT_SCHEMA, Event, EventLog
 from repro.obs.spans import EXECUTE_SPAN_ID, FIRST_ENGINE_SPAN_ID, engine_spans
 from repro.query.fusion import FusionQuery
 from repro.runtime.engine import Resilience
@@ -221,8 +221,16 @@ class TestRecoverableFromAPersistedLog:
             assert len(spans) == len(spanned)
 
 
+#: A placeholder value of each schema kind, for the fields a test
+#: leaves out.
+_PLACEHOLDER = {"int": 0, "float": 0.0, "str": "", "bool": False, "list[str]": []}
+
+
 def _event(ts, event_type, **fields) -> Event:
-    return Event(ts=ts, type=event_type, fields=fields)
+    schema = EVENT_SCHEMA[event_type]
+    full = {name: _PLACEHOLDER[kind] for name, kind in schema.items()}
+    full.update(fields)
+    return EventLog().emit(ts, event_type, **full)
 
 
 def _op_event(ts, round_no, step) -> Event:

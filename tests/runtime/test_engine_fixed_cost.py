@@ -68,16 +68,16 @@ class TestPlanDerivedOncePerPlan:
             recorder=recorder,
         )
         engine.run(plan)
-        ops = [event.fields for event in recorder.events.of_type("op")]
+        ops = recorder.events.of_type("op")
         assert len(ops) == len(plan.operations)
-        for fields in ops:
-            step = plan.steps[fields["step"] - 1]
+        for event in ops:
+            step = plan.steps[event.step - 1]
             assert (step.kind, step.target, step.source, step.remote, step.condition) == (
-                fields["op"],
-                fields["target"],
-                fields["source"],
-                fields["remote"],
-                fields["condition"],
+                event.op,
+                event.target,
+                event.source,
+                event.remote,
+                event.condition,
             )
 
 

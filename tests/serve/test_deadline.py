@@ -113,7 +113,7 @@ class TestAdmissionShedding:
         assert service.admission.rejected_total["deadline"] == 3
         sheds = service.recorder.events.of_type("shed")
         assert len(sheds) == 3
-        assert {e.fields["reason"] for e in sheds} == {"invalid"}
+        assert {e.reason for e in sheds} == {"invalid"}
 
     def test_infeasible_deadline_is_shed_with_prediction(
         self, dmv_federation
@@ -125,8 +125,8 @@ class TestAdmissionShedding:
         sheds = service.recorder.events.of_type("shed")
         assert sheds
         for event in sheds:
-            assert event.fields["reason"] == "infeasible"
-            assert event.fields["predicted"] > event.fields["deadline"]
+            assert event.reason == "infeasible"
+            assert event.predicted > event.deadline
 
     def test_shed_policy_none_admits_everything(self, dmv_federation):
         service = overloaded_service(dmv_federation, "none")
@@ -166,7 +166,7 @@ class TestGracefulDegradation:
         assert set(ticket.items) <= set(full.items)
         assert not ticket.deadline_missed
         cuts = service.recorder.events.of_type("deadline")
-        assert [e.fields["stage"] for e in cuts] == ["execution"]
+        assert [e.stage for e in cuts] == ["execution"]
 
     def test_queue_expiry_completes_as_empty_partial(self, dmv_federation):
         # Under overload with shedding off, queries whose budget dies
@@ -184,7 +184,7 @@ class TestGracefulDegradation:
             assert ticket.partial
             assert ticket.items == frozenset()
         stages = {
-            e.fields["stage"]
+            e.stage
             for e in service.recorder.events.of_type("deadline")
         }
         assert "queue" in stages

@@ -340,7 +340,7 @@ class TestSpanLogHammer:
         # then its serve skeleton; hammer that exact shape.
         from itertools import groupby
 
-        from repro.obs.events import Event
+        from repro.obs.events import EventLog
         from repro.obs.spans import (
             SpanLog,
             derive_trace_id,
@@ -351,21 +351,18 @@ class TestSpanLogHammer:
 
         log = SpanLog()
         rounds = ROUNDS // 4
-        events = []
+        events = EventLog()
         for step in (1, 2, 3):
-            events.append(
-                Event(0.7, "attempt", {
-                    "round": 0, "step": step, "attempt": 1, "source": "R1",
-                    "fate": "ok", "hedge": False, "cost": 1.0,
-                    "start": 0.0, "end": 0.5,
-                })
+            events.emit(
+                0.7, "attempt", round=0, step=step, op="sq", planned="R1",
+                source="R1", condition="", attempt=1, start=0.0, end=0.5,
+                fate="ok", hedge=False, cost=1.0, items_sent=0,
+                items_received=0, rows_loaded=0, messages=1,
             )
-            events.append(
-                Event(0.7, "op", {
-                    "round": 0, "step": step, "op": "sq", "source": "R1",
-                    "remote": True, "status": "ok", "output": 1,
-                    "queued": 0.0, "started": 0.0, "finished": 0.5,
-                })
+            events.emit(
+                0.7, "op", round=0, step=step, op="sq", target="X1",
+                source="R1", remote=True, condition="", queued=0.0,
+                started=0.0, finished=0.5, status="ok", output=1,
             )
 
         def worker(index):
