@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.serving import DMV_SQL, run_serving
-from repro.runtime import BreakerConfig, Resilience
+from repro.runtime import BreakerConfig, Faults, Resilience
 from repro.serve import (
     ChurnWave,
     FairScheduler,
@@ -39,7 +39,7 @@ def serve_deterministic(federation, arrivals, churn=None):
         pool_slots=6,
         queue_limit=32,
         seed=77,
-        churn=churn,
+        faults=Faults(churn=churn),
         resilience=Resilience(
             breaker=BreakerConfig.default() if churn is not None else None
         ),

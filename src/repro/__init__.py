@@ -91,6 +91,7 @@ from repro.runtime import (
     CompletenessReport,
     FaultInjector,
     FaultProfile,
+    Faults,
     HealthRegistry,
     OnExhaust,
     Resilience,
@@ -178,6 +179,7 @@ __all__ = [
     "RuntimeTrace",
     "FaultInjector",
     "FaultProfile",
+    "Faults",
     "Resilience",
     "RetryPolicy",
     "OnExhaust",

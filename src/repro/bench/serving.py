@@ -22,7 +22,7 @@ import os
 from repro.bench.report import Table, join_sections
 from repro.optimize.planning import Planning
 from repro.optimize.sja_plus import SJAPlusOptimizer
-from repro.runtime import BreakerConfig, Resilience
+from repro.runtime import BreakerConfig, Faults, Resilience
 from repro.serve import (
     ChurnWave,
     MediatorService,
@@ -66,7 +66,7 @@ def _service(
         pool_slots=pool_slots,
         queue_limit=queue_limit,
         seed=seed,
-        churn=churn,
+        faults=Faults(churn=churn),
         resilience=Resilience(
             breaker=BreakerConfig.default() if churn is not None else None
         ),

@@ -28,7 +28,7 @@ from repro.bench.report import Table, join_sections
 from repro.bench.serving import DMV_SQL
 from repro.obs.slo import SLOMonitor, parse_slo_spec
 from repro.obs.spans import validate_chrome_trace
-from repro.runtime import BreakerConfig, Resilience
+from repro.runtime import BreakerConfig, Faults, Resilience
 from repro.serve import (
     ChurnWave,
     MediatorService,
@@ -69,7 +69,7 @@ def _service(
         pool_slots=pool_slots,
         queue_limit=queue_limit,
         seed=seed,
-        churn=churn,
+        faults=Faults(churn=churn),
         resilience=Resilience(breaker=BreakerConfig.default()),
     )
 

@@ -51,6 +51,7 @@ from repro.mediator.session import Mediator
 from repro.optimize.planning import OPTIMIZERS, SEARCHES, Planning
 from repro.optimize.search import DEFAULT_BEAM_WIDTH
 from repro.query.sqlparse import is_aggregate_query, parse_fusion_query
+from repro.runtime.faults import FaultProfile, Faults
 from repro.sources.generators import dmv_fig1
 
 #: Where ``--emit-events`` lands when no path is given: under
@@ -66,6 +67,89 @@ def _planning(args) -> Planning:
     (each planner flag's ``dest`` is its field's name)."""
     given = vars(args).keys() & {f.name for f in dataclasses.fields(Planning)}
     return Planning(**{name: getattr(args, name) for name in given})
+
+
+def _add_shared_flags(sub: argparse.ArgumentParser) -> None:
+    """The flags ``query`` and ``workload`` share, declared once: the
+    fault setup, answer verification, telemetry and the deadline (on
+    ``query`` all but the telemetry need ``--runtime``)."""
+    sub.add_argument(
+        "--fault-rate",
+        type=float,
+        default=0.0,
+        metavar="P",
+        help="per-attempt transient-failure probability injected at "
+        "every source (default: 0)",
+    )
+    sub.add_argument(
+        "--data-faults",
+        metavar="SPEC",
+        default=None,
+        help="tamper with delivered payloads: a comma list of "
+        "[SRC:]KIND=RATE entries with KIND in "
+        "{truncated,stale,duplicate,corrupt} (or any "
+        "DataFaultProfile field, e.g. stale_fraction); "
+        "'stale=0.3' hits every source, 'R1~1:corrupt=1' only "
+        "the named one",
+    )
+    sub.add_argument(
+        "--verify",
+        choices=("off", "sanitize", "vote"),
+        default="off",
+        help="answer verification: 'sanitize' drops schema-violating "
+        "values and duplicates, 'vote' additionally cross-checks "
+        "replica-group answers and keeps the majority (default: off)",
+    )
+    sub.add_argument(
+        "--quarantine",
+        action="store_true",
+        help="take sources whose data-quality score collapses out of "
+        "rotation, for every later query (pairs with --verify)",
+    )
+    sub.add_argument(
+        "--metrics",
+        nargs="?",
+        const="json",
+        choices=("json", "prom"),
+        default=None,
+        metavar="FORMAT",
+        help="print a metrics snapshot after the run, as deterministic "
+        "JSON (default) or Prometheus text exposition ('prom')",
+    )
+    sub.add_argument(
+        "--emit-events",
+        nargs="?",
+        const=DEFAULT_EVENTS_PATH,
+        metavar="PATH",
+        default=None,
+        help="write the structured event log of the run (a workload's "
+        "holds admission, dispatch and completion, plus engine events "
+        "under the virtual clock) to PATH as JSON lines, one validated "
+        f"event per line; without PATH, defaults to {DEFAULT_EVENTS_PATH}",
+    )
+    sub.add_argument(
+        "--deadline",
+        type=float,
+        default=None,
+        metavar="S",
+        help="end-to-end answer budget of S seconds (a workload attaches "
+        "it to every arrival): at expiry in-flight work is cancelled "
+        "and the best partial answer so far is returned, marked "
+        "partial, instead of an error; a workload under --shed-policy "
+        "deadline sheds arrivals predicted to miss it at admission",
+    )
+
+
+def _faults(args) -> Faults:
+    """The fault setup the flags declare, as one value (``--churn`` is a
+    ``workload`` flag)."""
+    churn = vars(args).get("churn")
+    churn = _parse_churn(churn) if churn else None
+    return Faults(
+        wire=FaultProfile.flaky(args.fault_rate),
+        data=_parse_data_faults(args.data_faults),
+        churn=churn,
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -137,44 +221,10 @@ def _build_parser() -> argparse.ArgumentParser:
                 "(observed makespan, retries, fault tolerance)",
             )
             sub.add_argument(
-                "--fault-rate",
-                type=float,
-                default=0.0,
-                metavar="P",
-                help="per-attempt transient-failure probability injected "
-                "at every source (runtime backend only)",
-            )
-            sub.add_argument(
                 "--fault-seed",
                 type=int,
                 default=0,
                 help="seed for fault injection (default: 0)",
-            )
-            sub.add_argument(
-                "--data-faults",
-                metavar="SPEC",
-                default=None,
-                help="tamper with delivered payloads (runtime backend): "
-                "a comma list of [SRC:]KIND=RATE entries with KIND in "
-                "{truncated,stale,duplicate,corrupt} (or any "
-                "DataFaultProfile field, e.g. stale_fraction); "
-                "'stale=0.3' hits every source, 'R1~1:corrupt=1' only "
-                "the named one",
-            )
-            sub.add_argument(
-                "--verify",
-                choices=("off", "sanitize", "vote"),
-                default="off",
-                help="answer verification (runtime backend): 'sanitize' "
-                "drops schema-violating values and duplicates, 'vote' "
-                "additionally cross-checks replica-group answers and "
-                "keeps the majority (default: off)",
-            )
-            sub.add_argument(
-                "--quarantine",
-                action="store_true",
-                help="take sources whose data-quality score collapses "
-                "out of rotation (runtime backend; pairs with --verify)",
             )
             sub.add_argument(
                 "--retries",
@@ -228,41 +278,10 @@ def _build_parser() -> argparse.ArgumentParser:
                 "replica-group members (runtime backend)",
             )
             sub.add_argument(
-                "--metrics",
-                nargs="?",
-                const="json",
-                choices=("json", "prom"),
-                default=None,
-                metavar="FORMAT",
-                help="print a metrics snapshot after the answer, as "
-                "deterministic JSON (default) or Prometheus text "
-                "exposition ('prom')",
-            )
-            sub.add_argument(
                 "--profile",
                 action="store_true",
                 help="print the query profile: per-step, per-source and "
                 "per-condition rollups with predicted vs observed cost",
-            )
-            sub.add_argument(
-                "--emit-events",
-                nargs="?",
-                const=DEFAULT_EVENTS_PATH,
-                metavar="PATH",
-                default=None,
-                help="write the structured event log of the run to PATH "
-                "as JSON lines (one validated event per line); without "
-                f"PATH, defaults to {DEFAULT_EVENTS_PATH}",
-            )
-            sub.add_argument(
-                "--deadline",
-                type=float,
-                default=None,
-                metavar="S",
-                help="end-to-end answer budget in virtual seconds "
-                "(runtime backend): at expiry in-flight work is "
-                "cancelled and the best partial answer so far is "
-                "returned, marked PARTIAL, instead of an error",
             )
             sub.add_argument(
                 "--observed-stats",
@@ -283,6 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 "128) keyed on query + statistics fingerprints; "
                 "repeated queries skip the optimizer",
             )
+            _add_shared_flags(sub)
 
     workload = subparsers.add_parser(
         "workload",
@@ -342,63 +362,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "(default 0.5) for arrivals inside [START, END) seconds",
     )
     workload.add_argument(
-        "--fault-rate", type=float, default=0.0, metavar="P",
-        help="baseline per-attempt transient-failure probability at "
-        "every source (default: 0)",
-    )
-    workload.add_argument(
         "--breaker", action="store_true",
         help="enable the shared circuit breakers",
     )
-    workload.add_argument(
-        "--data-faults",
-        metavar="SPEC",
-        default=None,
-        help="tamper with delivered payloads: a comma list of "
-        "[SRC:]KIND=RATE entries, KIND in {truncated,stale,"
-        "duplicate,corrupt}; see the query subcommand",
-    )
-    workload.add_argument(
-        "--verify",
-        choices=("off", "sanitize", "vote"),
-        default="off",
-        help="answer verification for every query (default: off)",
-    )
-    workload.add_argument(
-        "--quarantine", action="store_true",
-        help="quarantine sources whose data-quality score collapses "
-        "(shared across queries and tenants)",
-    )
-    workload.add_argument(
-        "--metrics",
-        nargs="?",
-        const="json",
-        choices=("json", "prom"),
-        default=None,
-        metavar="FORMAT",
-        help="print the serving metrics snapshot after the run",
-    )
-    workload.add_argument(
-        "--emit-events",
-        nargs="?",
-        const=DEFAULT_EVENTS_PATH,
-        metavar="PATH",
-        default=None,
-        help="write the service event log (admission, dispatch, "
-        "completion, plus engine events under the virtual clock) "
-        "to PATH as JSON lines; without PATH, defaults to "
-        f"{DEFAULT_EVENTS_PATH}",
-    )
-    workload.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        metavar="S",
-        help="attach an end-to-end deadline of S seconds to every "
-        "arrival: admitted queries answer by their deadline "
-        "(possibly partially), and infeasible ones are shed at "
-        "admission under --shed-policy deadline",
-    )
+    _add_shared_flags(workload)
     workload.add_argument(
         "--shed-policy",
         choices=("none", "deadline"),
@@ -572,20 +539,13 @@ def _run_aggregate(
 def _run_runtime(federation, args, recorder, statistics) -> int:
     from repro.runtime import (
         BreakerConfig,
-        FaultInjector,
-        FaultProfile,
         QuarantineConfig,
         Resilience,
         RetryPolicy,
         completeness_report,
     )
-    from repro.runtime.faults import with_data_faults
 
-    profiles, default = with_data_faults(
-        {},
-        FaultProfile.flaky(args.fault_rate),
-        _parse_data_faults(args.data_faults),
-    )
+    faults = _faults(args).injector(args.fault_seed)
     resilience = Resilience(
         policy=RetryPolicy(max_retries=args.retries),
         hedge_delay_s=args.hedge_delay,
@@ -601,7 +561,7 @@ def _run_runtime(federation, args, recorder, statistics) -> int:
     mediator = Mediator(
         federation,
         backend="runtime",
-        faults=FaultInjector(profiles, seed=args.fault_seed, default=default),
+        faults=faults,
         resilience=resilience,
         replan=args.replan,
         statistics=statistics,
@@ -807,12 +767,7 @@ def _parse_churn(text: str):
 
 
 def _command_workload(args) -> int:
-    from repro.runtime import (
-        BreakerConfig,
-        FaultProfile,
-        QuarantineConfig,
-        Resilience,
-    )
+    from repro.runtime import BreakerConfig, QuarantineConfig, Resilience
     from repro.serve import (
         MediatorService,
         WorkloadSpec,
@@ -823,10 +778,6 @@ def _command_workload(args) -> int:
 
     federation = load_federation(args.spec)
     tenants = [_parse_tenant(text) for text in args.tenant] or None
-    churn = _parse_churn(args.churn) if args.churn else None
-    faults = (
-        FaultProfile.flaky(args.fault_rate) if args.fault_rate > 0 else None
-    )
     service = MediatorService(
         federation,
         mode=args.mode,
@@ -835,9 +786,7 @@ def _command_workload(args) -> int:
         pool_slots=args.pool_slots,
         queue_limit=args.queue_limit,
         seed=args.seed,
-        faults=faults,
-        churn=churn,
-        data_faults=_parse_data_faults(args.data_faults),
+        faults=_faults(args),
         resilience=Resilience(
             breaker=BreakerConfig.default() if args.breaker else None,
             quarantine=QuarantineConfig.default() if args.quarantine else None,

@@ -240,11 +240,16 @@ _EXACT_TYPES: dict[str, tuple[type, ...]] = {
 
 
 def _check_ts(ts: Any, event_type: str) -> None:
-    """Refuse a ``ts`` that is not a finite number (any ``int`` is finite)."""
+    """Refuse a ``ts`` that is not a finite number: a NaN / ±inf float,
+    or an ``int`` past the float range (it has no float to become)."""
     if type(ts) is not float and not _TYPE_CHECKS["float"](ts):
         raise ObservabilityError(f"{event_type}: ts must be a number, got {ts!r}")
-    if isinstance(ts, float) and not math.isfinite(ts):
+    try:
         # json.dumps would write a bare Infinity / NaN: not JSON.
+        finite = math.isfinite(ts)
+    except OverflowError:
+        finite = False
+    if not finite:
         raise ObservabilityError(f"{event_type}: ts must be finite, got {ts!r}")
 
 
@@ -448,7 +453,11 @@ class EventLog:
             ObservabilityError: as :func:`validate_record` — nothing is
                 appended then.
         """
-        event = event_from_fields(float(ts), event_type, fields)
+        try:
+            ts = float(ts)
+        except OverflowError:
+            pass  # an int past the float range: refused below
+        event = event_from_fields(ts, event_type, fields)
         self.events.append(event)
         return event
 

@@ -92,9 +92,11 @@ class Recorder:
         """
         if event_type in ROUND_STAMPED:
             fields["round"] = self.round
-        self.record(
-            event_from_fields(float(self.clock_offset_s + now_s), event_type, fields)
-        )
+        try:
+            ts = float(self.clock_offset_s + now_s)
+        except OverflowError:
+            ts = now_s  # an int past the float range: refused below
+        self.record(event_from_fields(ts, event_type, fields))
 
     # The two callbacks whose positional signature HealthRegistry
     # dictates (``observer`` / ``quality_observer``).

@@ -106,9 +106,7 @@ class FusionQuery:
                 f"{current}.{self.merge_attribute}"
             )
         for variable, condition in zip(variables, self.conditions):
-            sql = condition.to_sql(qualifier=variable)
-            # The clauses are AND-ed, which binds tighter than OR.
-            clauses.append(f"({sql})" if isinstance(condition, Or) else sql)
+            clauses.append(_conjunct(condition, variable))
         where = " AND ".join(clauses) if clauses else "TRUE"
         return (
             f"SELECT {variables[0]}.{self.merge_attribute} "
@@ -124,5 +122,12 @@ class FusionQuery:
         return "\n".join(lines)
 
     def __str__(self) -> str:
-        conds = " AND ".join(c.to_sql() for c in self.conditions)
+        conds = " AND ".join(map(_conjunct, self.conditions))
         return f"fuse[{self.merge_attribute}]({conds})"
+
+
+def _conjunct(condition: Condition, qualifier: str = "") -> str:
+    """``condition`` as one operand of an ``AND`` list: parenthesised
+    when it is an ``OR``, which binds looser than the ``AND``."""
+    sql = condition.to_sql(qualifier=qualifier)
+    return f"({sql})" if isinstance(condition, Or) else sql

@@ -23,7 +23,10 @@ duplicates, corrupt values — :class:`~repro.runtime.faults.DataFaultProfile`),
 and the answer-verification layer (:mod:`~repro.runtime.verify`)
 validates, sanitizes, and cross-replica-votes those answers, feeding a
 per-source quality score that can quarantine a lying source
-(:class:`~repro.runtime.health.QuarantineConfig`).
+(:class:`~repro.runtime.health.QuarantineConfig`).  One
+:class:`~repro.runtime.faults.Faults` value declares a whole fault
+setup — wire profiles, data faults, a churn wave — and
+:meth:`~repro.runtime.faults.Faults.injector` realises it with a seed.
 """
 
 from repro.runtime.availability import (
@@ -37,11 +40,13 @@ from repro.runtime.engine import Resilience, RuntimeEngine, RuntimeResult
 from repro.runtime.faults import (
     AttemptFate,
     AttemptOutcome,
+    ChurnWave,
     DataFate,
     DataFaultProfile,
     DataTamper,
     FaultInjector,
     FaultProfile,
+    Faults,
 )
 from repro.runtime.health import (
     BreakerConfig,
@@ -78,6 +83,8 @@ __all__ = [
     "RuntimeResult",
     "FaultInjector",
     "FaultProfile",
+    "Faults",
+    "ChurnWave",
     "AttemptFate",
     "AttemptOutcome",
     "DataFate",

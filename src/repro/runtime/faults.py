@@ -31,6 +31,10 @@ seed, so a run is reproducible regardless of how the event loop
 interleaves sources.  Data-fault draws use a *sibling* stream
 (``"{seed}:{source}:data"``), so enabling payload faults never shifts
 the wire-level outcome stream.
+
+A :class:`Faults` value declares one fault setup — wire profiles, data
+faults and an optional :class:`ChurnWave` — and :meth:`Faults.injector`
+is the one place they are combined into a seeded :class:`FaultInjector`.
 """
 
 from __future__ import annotations
@@ -277,26 +281,96 @@ class FaultProfile:
         return FaultProfile(slowdown_rate=rate, slowdown_factor=factor)
 
 
-def with_data_faults(
-    profiles: dict[str, FaultProfile],
-    default: FaultProfile | None,
-    data_faults: "DataFaultProfile | dict[str, DataFaultProfile] | None",
-) -> tuple[dict[str, FaultProfile], FaultProfile | None]:
-    """Lay payload tampering over wire profiles: one
-    :class:`DataFaultProfile` for every source (profiles that already
-    tamper keep their own) or a ``{source: profile}`` mapping.  Returns
-    the ``(profiles, default)`` to build a :class:`FaultInjector` from."""
-    profiles = dict(profiles)
-    if isinstance(data_faults, dict):
-        for name, data in data_faults.items():
-            base = profiles.get(name) or default or FaultProfile.none()
-            profiles[name] = replace(base, data=data)
-    elif data_faults is not None:
-        default = replace(default or FaultProfile.none(), data=data_faults)
-        for name, profile in profiles.items():
-            if profile.data is None:
-                profiles[name] = replace(profile, data=data_faults)
-    return profiles, default
+@dataclass(frozen=True)
+class ChurnWave:
+    """A window of source flakiness crossing a workload mid-stream.
+
+    Queries whose *arrival time* falls inside ``[start_s, end_s)`` see
+    the named sources with a :meth:`FaultProfile.flaky` profile of the
+    given rate.  Keying on arrival time (not dispatch time) makes the
+    affected query set identical across service modes.
+    """
+
+    start_s: float
+    end_s: float
+    sources: tuple[str, ...]
+    rate: float = 0.5
+
+    def __post_init__(self) -> None:
+        if not (0 <= self.start_s < self.end_s):
+            raise CostModelError(
+                f"churn window must satisfy 0 <= start < end, got "
+                f"[{self.start_s}, {self.end_s})"
+            )
+        if not self.sources:
+            raise CostModelError("churn wave needs at least one source")
+
+    def covers(self, at_s: float) -> bool:
+        return self.start_s <= at_s < self.end_s
+
+    def profile(self) -> FaultProfile:
+        return FaultProfile.flaky(self.rate)
+
+
+@dataclass(frozen=True)
+class Faults:
+    """What the world does to a mediator's sources, declared once.
+
+    Attributes:
+        wire: Wire-level behaviour: one :class:`FaultProfile` for every
+            source, or a ``{source: FaultProfile}`` mapping (absent
+            sources are healthy).
+        data: Payload tampering: one :class:`DataFaultProfile` for every
+            source (a wire profile that already tampers keeps its own),
+            or a ``{source: DataFaultProfile}`` mapping.
+        churn: A :class:`ChurnWave` turning its sources flaky for
+            queries that arrive inside its window.
+
+    A value holds no seed: :meth:`injector` realises it for one run, so
+    a service keeps one workload seed and derives each query's.
+    """
+
+    wire: FaultProfile | dict[str, FaultProfile] | None = None
+    data: DataFaultProfile | dict[str, DataFaultProfile] | None = None
+    churn: ChurnWave | None = None
+
+    def __post_init__(self) -> None:
+        for name, kind in (("wire", FaultProfile), ("data", DataFaultProfile)):
+            value = getattr(self, name)
+            wanted = f"a {kind.__name__}"
+            if isinstance(value, dict):
+                if not all(isinstance(v, kind) for v in value.values()):
+                    raise CostModelError(f"{name} must map sources to {wanted}, got {value!r}")
+                # A copy: the caller's map may change, the value may not.
+                object.__setattr__(self, name, dict(value))
+            elif value is not None and not isinstance(value, kind):
+                raise CostModelError(
+                    f"{name} must be {wanted}, a {{source: profile}} map or None, got {value!r}"
+                )
+        if self.churn is not None and not isinstance(self.churn, ChurnWave):
+            raise CostModelError(f"churn must be a ChurnWave or None, got {self.churn!r}")
+
+    def injector(self, seed: int, at_s: float = 0.0) -> "FaultInjector":
+        """The seeded injector of one run that starts (or, under a
+        service, arrives) at ``at_s``: the wire profiles, the churn
+        wave's sources overridden while ``at_s`` is inside its window,
+        then the payload tampering laid over the result."""
+        if isinstance(self.wire, dict):
+            profiles, default = dict(self.wire), None
+        else:
+            profiles, default = {}, self.wire
+        if self.churn is not None and self.churn.covers(at_s):
+            profiles.update(dict.fromkeys(self.churn.sources, self.churn.profile()))
+        if isinstance(self.data, dict):
+            for name, data in self.data.items():
+                base = profiles.get(name) or default or FaultProfile.none()
+                profiles[name] = replace(base, data=data)
+        elif self.data is not None:
+            default = replace(default or FaultProfile.none(), data=self.data)
+            for name, profile in profiles.items():
+                if profile.data is None:
+                    profiles[name] = replace(profile, data=self.data)
+        return FaultInjector(profiles, seed=seed, default=default)
 
 
 class FaultInjector:

@@ -17,10 +17,13 @@ Public surface:
 * :class:`~repro.serve.pools.SourcePools` — bounded per-source
   connection slots.
 * :mod:`~repro.serve.workload` — seeded workload generation
-  (:class:`WorkloadSpec`, :class:`ChurnWave`) and the load-generator
-  harness (:func:`run_workload`, :class:`WorkloadReport`).
+  (:class:`WorkloadSpec`) and the load-generator harness
+  (:func:`run_workload`, :class:`WorkloadReport`).
+  :class:`ChurnWave` (a mid-workload window of source flakiness) is
+  :class:`repro.runtime.faults.ChurnWave`, re-exported here.
 """
 
+from repro.runtime.faults import ChurnWave
 from repro.serve.admission import AdmissionController
 from repro.serve.deadline import (
     SHED_POLICIES,
@@ -33,7 +36,6 @@ from repro.serve.service import MediatorService, QueryTicket, derive_seed
 from repro.serve.tenants import FairScheduler, TenantSpec
 from repro.serve.workload import (
     Arrival,
-    ChurnWave,
     WorkloadReport,
     WorkloadSpec,
     generate_arrivals,

@@ -18,8 +18,10 @@ Two execution modes, same scheduling code:
 * ``"deterministic"`` — a discrete-event simulation at query
   granularity on the virtual clock.  Submissions carry arrival times,
   each dispatched query runs on the engine with a private
-  :class:`~repro.runtime.faults.FaultInjector` seeded from the workload
-  seed and its submission sequence number (:func:`derive_seed`), and
+  :class:`~repro.runtime.faults.FaultInjector` — the service's
+  :class:`~repro.runtime.faults.Faults` realised with a seed derived
+  from the workload seed and its submission sequence number
+  (:func:`derive_seed`) — and
   its completion is scheduled at dispatch time + engine makespan.
   Overlap is real (in-flight counts, pool contention, queueing delay)
   and the whole run — answers, metrics, the event stream — replays
@@ -73,12 +75,7 @@ from repro.optimize.planning import Planning
 from repro.query.fusion import FusionQuery
 from repro.relational.columnar import substrate_summary
 from repro.runtime.engine import Resilience
-from repro.runtime.faults import (
-    DataFaultProfile,
-    FaultInjector,
-    FaultProfile,
-    with_data_faults,
-)
+from repro.runtime.faults import Faults
 from repro.runtime.health import HealthRegistry
 from repro.serve.admission import AdmissionController
 from repro.serve.deadline import (
@@ -89,7 +86,6 @@ from repro.serve.deadline import (
 )
 from repro.serve.pools import SourcePools
 from repro.serve.tenants import DEFAULT_TENANT, FairScheduler, TenantSpec
-from repro.serve.workload import ChurnWave
 from repro.sources.registry import Federation
 from repro.sources.statistics import ExactStatistics, StatisticsProvider
 
@@ -179,15 +175,14 @@ class MediatorService:
             sources, or a ``{source: slots}`` mapping).
         seed: Workload master seed; every query's fault stream derives
             from it and the query's submission number.
-        faults: Baseline fault profile(s) applied to every query.
-        churn: Optional :class:`~repro.serve.workload.ChurnWave`
-            adding flakiness to queries arriving inside its window.
-        data_faults: Payload-level tampering merged into every query's
-            injector — one
-            :class:`~repro.runtime.faults.DataFaultProfile` for all
-            sources, or a ``{source: profile}`` mapping.  Like wire
-            faults, the tamper streams derive from the workload seed
-            and the submission number, so runs replay byte-identically.
+        faults: One :class:`~repro.runtime.faults.Faults` value —
+            wire profiles, payload tampering and an optional churn wave
+            (flaky sources for queries *arriving* inside its window) —
+            realised per query by ``faults.injector(derive_seed(seed,
+            seq), submitted_s)``, so every fault stream derives from the
+            workload seed and the submission number and runs replay
+            byte-identically (default: no faults).  Anything else
+            raises :class:`~repro.errors.ServiceError`.
         resilience: One :class:`~repro.runtime.engine.Resilience`
             value, handed unchanged to every worker's mediator.  Its
             ``breaker`` / ``quarantine`` configure the *shared* health
@@ -239,9 +234,7 @@ class MediatorService:
         queue_limit: int = 16,
         pool_slots: int | dict[str, int] = 2,
         seed: int = 0,
-        faults: FaultProfile | dict[str, FaultProfile] | None = None,
-        churn: ChurnWave | None = None,
-        data_faults: DataFaultProfile | dict[str, DataFaultProfile] | None = None,
+        faults: Faults | None = None,
         resilience: Resilience | None = None,
         planning: Planning | None = None,
         statistics: StatisticsProvider | None = None,
@@ -261,12 +254,12 @@ class MediatorService:
                 f"unknown shed_policy {shed_policy!r}; "
                 f"choose from {SHED_POLICIES}"
             )
+        if faults is not None and not isinstance(faults, Faults):
+            raise ServiceError(f"faults must be a Faults value, got {faults!r}")
         self.federation = federation
         self.mode = mode
         self.seed = seed
-        self.faults = faults
-        self.churn = churn
-        self.data_faults = data_faults
+        self.faults = faults or Faults()
         self.resilience = resilience = resilience or Resilience()
         self.planning = planning or Planning()
         self.mine_statistics = mine_statistics
@@ -431,26 +424,6 @@ class MediatorService:
         backlog = self.queue_depth + self.in_flight
         return self.wait_estimator.predict_completion_s(
             tenant, backlog, plan_makespan
-        )
-
-    def _injector_for(self, ticket: QueryTicket) -> FaultInjector:
-        profiles: dict[str, FaultProfile] = {}
-        default = None
-        if isinstance(self.faults, dict):
-            profiles.update(self.faults)
-        elif self.faults is not None:
-            default = self.faults
-        if self.churn is not None and self.churn.covers(ticket.submitted_s):
-            wave = self.churn.profile()
-            for name in self.churn.sources:
-                profiles[name] = wave
-        profiles, default = with_data_faults(
-            profiles, default, self.data_faults
-        )
-        return FaultInjector(
-            profiles or None,
-            seed=derive_seed(self.seed, ticket.seq),
-            default=default,
         )
 
     @staticmethod
@@ -758,7 +731,7 @@ class MediatorService:
             budget_s = max(
                 0.0, ticket.submitted_s + ticket.deadline_s - dispatched_s
             )
-        faults = self._injector_for(ticket)
+        faults = self.faults.injector(derive_seed(self.seed, ticket.seq), ticket.submitted_s)
         # The engine's clock restarts at zero each run; offsetting its
         # event timestamps by the dispatch time interleaves them onto
         # the service timeline (under threads: virtual engine seconds

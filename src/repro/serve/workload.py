@@ -1,13 +1,15 @@
 """Seeded workload generation and the load-generator harness.
 
 A workload is a Poisson arrival process over a pool of fusion-query SQL
-texts, split across weighted tenants, with an optional *churn wave* — a
-window of the workload timeline during which chosen sources turn flaky,
-modeling the fact that internet sources degrade while traffic keeps
-coming.  Everything derives from one workload seed: arrival times,
-tenant assignment, query choice, and (via
-:func:`repro.serve.service.derive_seed`) every query's private fault
-stream — so a deterministic-mode run replays byte-identically.
+texts, split across weighted tenants; a service may add a *churn wave*
+(:class:`~repro.runtime.faults.ChurnWave`, part of its
+:class:`~repro.runtime.faults.Faults`) — a window of the workload
+timeline during which chosen sources turn flaky, modeling the fact that
+internet sources degrade while traffic keeps coming.  Everything
+derives from one workload seed: arrival times, tenant assignment, query
+choice, and (via :func:`repro.serve.service.derive_seed`) every query's
+private fault stream — so a deterministic-mode run replays
+byte-identically.
 
 :func:`run_workload` drives either service mode with the same arrival
 list and folds the outcome into a :class:`WorkloadReport` with the
@@ -23,40 +25,8 @@ from typing import Sequence
 
 from repro.errors import AdmissionError, CostModelError
 from repro.obs.spans import PHASES
-from repro.runtime.faults import FaultProfile
 from repro.serve.deadline import valid_deadline
 from repro.serve.tenants import TenantSpec
-
-
-@dataclass(frozen=True)
-class ChurnWave:
-    """A window of source flakiness crossing the workload mid-stream.
-
-    Queries whose *arrival time* falls inside ``[start_s, end_s)`` see
-    the named sources with a :meth:`~repro.runtime.faults.FaultProfile.flaky`
-    profile of the given rate.  Keying on arrival time (not dispatch
-    time) makes the affected query set identical across service modes.
-    """
-
-    start_s: float
-    end_s: float
-    sources: tuple[str, ...]
-    rate: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.start_s < self.end_s):
-            raise CostModelError(
-                f"churn window must satisfy 0 <= start < end, got "
-                f"[{self.start_s}, {self.end_s})"
-            )
-        if not self.sources:
-            raise CostModelError("churn wave needs at least one source")
-
-    def covers(self, at_s: float) -> bool:
-        return self.start_s <= at_s < self.end_s
-
-    def profile(self) -> FaultProfile:
-        return FaultProfile.flaky(self.rate)
 
 
 @dataclass(frozen=True)

@@ -203,6 +203,12 @@ TABLE = {
         _fields("breaker"),
         (_ERR, "breaker: ts must be finite, got -inf"),
     ),
+    "int ts past the float range": (
+        10**400,
+        "breaker",
+        _fields("breaker"),
+        (_ERR, f"breaker: ts must be finite, got {10**400}"),
+    ),
     "ts before the field set": (
         math.inf,
         "breaker",

@@ -37,6 +37,7 @@ from repro.runtime.faults import (
     DataFaultProfile,
     FaultInjector,
     FaultProfile,
+    Faults,
 )
 from repro.runtime.health import BreakerConfig, QuarantineConfig
 from repro.serve import (
@@ -194,7 +195,7 @@ def serve_churn() -> Recorder:
     return _serve(
         replicate_federation(dmv_fig1()[0], 2),
         count=24, rate_qps=2.0, deadline_s=1.0,
-        churn=ChurnWave(2.0, 8.0, ("R1", "R1~1", "R2", "R2~1"), rate=0.8),
+        faults=Faults(churn=ChurnWave(2.0, 8.0, ("R1", "R1~1", "R2", "R2~1"), rate=0.8)),
         shed_policy="none", queue_limit=64,
         resilience=Resilience(
             hedge_delay_s=2.0, breaker=BreakerConfig.default()

@@ -13,7 +13,7 @@ from repro.obs.slo import (
     SLOStatus,
     parse_slo_spec,
 )
-from repro.runtime.faults import FaultProfile
+from repro.runtime.faults import FaultProfile, Faults
 from repro.serve import (
     MediatorService,
     WorkloadSpec,
@@ -156,7 +156,7 @@ class TestVerdictFromAPersistedLog:
             pool_slots=1,
             queue_limit=64,
             seed=8,
-            faults=FaultProfile.flaky(0.4),
+            faults=Faults(wire=FaultProfile.flaky(0.4)),
             shed_policy="none",
         )
         spec = WorkloadSpec(

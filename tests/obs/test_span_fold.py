@@ -8,7 +8,7 @@ from repro.obs.events import EVENT_SCHEMA, Event, EventLog
 from repro.obs.spans import EXECUTE_SPAN_ID, FIRST_ENGINE_SPAN_ID, engine_spans
 from repro.query.fusion import FusionQuery
 from repro.runtime.engine import Resilience
-from repro.runtime.faults import DataFaultProfile, FaultProfile
+from repro.runtime.faults import DataFaultProfile, FaultProfile, Faults
 from repro.runtime.health import BreakerConfig, QuarantineConfig
 from repro.serve import MediatorService
 from repro.sources.generators import (
@@ -31,7 +31,7 @@ def resilience_service() -> tuple[MediatorService, object, float]:
     service = MediatorService(
         replicate_federation(dmv_fig1()[0], 2),
         seed=45,
-        faults=FaultProfile.flaky(0.6),
+        faults=Faults(wire=FaultProfile.flaky(0.6)),
         resilience=Resilience(
             hedge_delay_s=2.0, breaker=BreakerConfig.aggressive()
         ),
@@ -43,7 +43,7 @@ def verify_service() -> tuple[MediatorService, object, float]:
     service = MediatorService(
         dmv_fig1()[0],
         seed=2,
-        data_faults={"R2": DataFaultProfile(corrupt_rate=1.0)},
+        faults=Faults(data={"R2": DataFaultProfile(corrupt_rate=1.0)}),
         resilience=Resilience(
             # One tainted answer is evidence enough: the quarantine fires
             # inside the very query that delivered it.

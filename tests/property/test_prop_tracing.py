@@ -22,7 +22,7 @@ DMV_SQL = (
 
 
 def run_once(seed, count, rate_qps, pool_slots, fault_rate):
-    from repro.runtime.faults import FaultProfile
+    from repro.runtime.faults import FaultProfile, Faults
 
     federation, __ = dmv_fig1()
     service = MediatorService(
@@ -30,7 +30,7 @@ def run_once(seed, count, rate_qps, pool_slots, fault_rate):
         mode="deterministic",
         pool_slots=pool_slots,
         seed=seed,
-        faults=FaultProfile.flaky(fault_rate) if fault_rate else None,
+        faults=Faults(wire=FaultProfile.flaky(fault_rate)) if fault_rate else None,
     )
     spec = WorkloadSpec(
         queries=(DMV_SQL,), count=count, rate_qps=rate_qps, seed=seed

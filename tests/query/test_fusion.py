@@ -116,3 +116,9 @@ class TestRendering:
 
     def test_str(self, dui_sp):
         assert str(dui_sp) == "fuse[L](V = 'dui' AND V = 'sp')"
+
+    def test_str_parenthesises_an_or_condition(self):
+        query = FusionQuery.from_strings(
+            "L", ["(V = 'a' AND D > 1) OR V = 'c'", "V = 'b'"]
+        )
+        assert str(query) == "fuse[L]((V = 'a' AND D > 1 OR V = 'c') AND V = 'b')"

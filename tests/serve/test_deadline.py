@@ -21,7 +21,7 @@ from repro.serve import (
     run_workload,
     valid_deadline,
 )
-from repro.sources.generators import DMV_FIG1_ANSWER, dmv_fig1
+from repro.sources.generators import DMV_FIG1_ANSWER
 from repro.optimize.planning import Planning
 
 DMV_SQL = (

@@ -14,13 +14,14 @@ from repro.errors import (
 from repro.obs.events import EventLog
 from repro.optimize.sja_plus import SJAPlusOptimizer
 from repro.runtime.engine import Resilience
-from repro.runtime.faults import FaultProfile
+from repro.runtime.faults import DataFaultProfile, FaultProfile, Faults
 from repro.runtime.health import BreakerConfig, QuarantineConfig
 from repro.serve import (
     ChurnWave,
     MediatorService,
     QueryTicket,
     TenantSpec,
+    derive_seed,
 )
 from repro.sources.generators import DMV_FIG1_ANSWER, dmv_fig1
 from repro.sources.observed import ObservedStatistics
@@ -110,7 +111,7 @@ class TestDeterministicMode:
         service = MediatorService(
             dmv_federation,
             mode="deterministic",
-            faults={"R2": FaultProfile.flaky(1.0)},
+            faults=Faults(wire={"R2": FaultProfile.flaky(1.0)}),
             resilience=Resilience(breaker=BreakerConfig.default()),
             seed=3,
         )
@@ -231,8 +232,10 @@ def _run_replay(federation, seed):
         pool_slots=2,
         queue_limit=8,
         tenants=[TenantSpec("a", weight=1.0), TenantSpec("b", weight=3.0)],
-        faults=FaultProfile.flaky(0.2),
-        churn=ChurnWave(0.5, 2.0, sources=("R2",), rate=0.6),
+        faults=Faults(
+            wire=FaultProfile.flaky(0.2),
+            churn=ChurnWave(0.5, 2.0, sources=("R2",), rate=0.6),
+        ),
         resilience=Resilience(breaker=BreakerConfig.default()),
     )
     import random
@@ -378,9 +381,8 @@ class TestThreadMode:
 class TestUntrustedServing:
     """Data faults + verification + quarantine through the service."""
 
-    def make_service(self, resilience=Resilience(load_balance=True), **kwargs):
+    def make_service(self, resilience=Resilience(load_balance=True), wire=None):
         from repro.optimize import FilterOptimizer
-        from repro.runtime.faults import DataFaultProfile
         from repro.sources.generators import replicate_federation
 
         federation, __ = dmv_fig1()
@@ -389,10 +391,9 @@ class TestUntrustedServing:
         service = MediatorService(
             federation,
             mode="deterministic",
-            data_faults={f"R{i}~1": liar for i in (1, 2, 3)},
+            faults=Faults(wire=wire, data={f"R{i}~1": liar for i in (1, 2, 3)}),
             planning=Planning(optimizer=FilterOptimizer()),
             resilience=resilience,
-            **kwargs,
         )
         return service
 
@@ -424,13 +425,8 @@ class TestUntrustedServing:
         assert service.health.quality_of("R1~1").answers == 0
 
     def test_per_source_data_faults_merge_into_wire_profiles(self):
-        from repro.runtime.faults import DataFaultProfile
-
-        service = self.make_service(
-            faults={"R1~1": FaultProfile.flaky(0.2)}
-        )
-        ticket = QueryTicket(seq=0, tenant="default", query=DMV_SQL)
-        injector = service._injector_for(ticket)
+        service = self.make_service(wire={"R1~1": FaultProfile.flaky(0.2)})
+        injector = service.faults.injector(derive_seed(service.seed, 0))
         tampered = injector.profile_for("R1~1")
         assert tampered.transient_rate == 0.2
         assert isinstance(tampered.data, DataFaultProfile)

@@ -16,7 +16,7 @@ from repro.obs.spans import (
     validate_chrome_trace,
 )
 from repro.runtime.engine import Resilience
-from repro.runtime.faults import FaultProfile
+from repro.runtime.faults import FaultProfile, Faults
 from repro.runtime.health import BreakerConfig
 from repro.serve import (
     MediatorService,
@@ -199,7 +199,7 @@ class TestThreadModeTracing:
             workers=3,
             seed=9,
             resilience=Resilience(breaker=BreakerConfig.default()),
-            faults=FaultProfile.flaky(0.6),
+            faults=Faults(wire=FaultProfile.flaky(0.6)),
             queue_limit=64,
         )
         try:

@@ -11,7 +11,7 @@ from repro.obs import EventLog, Recorder
 from repro.plans.builder import build_filter_plan
 from repro.relational.conditions import Comparison
 from repro.runtime.engine import Resilience
-from repro.runtime.faults import FaultInjector, FaultProfile
+from repro.runtime.faults import FaultInjector, FaultProfile, Faults
 from repro.runtime.policy import OnExhaust, RetryPolicy
 from repro.runtime.trace import RuntimeTrace
 from repro.serve import MediatorService
@@ -222,7 +222,7 @@ class TestMiningTraces:
             federation,
             statistics=statistics,
             mine_statistics=True,
-            faults={"R3": FaultProfile(stall_rate=1.0, stall_s=5.0)},
+            faults=Faults(wire={"R3": FaultProfile(stall_rate=1.0, stall_s=5.0)}),
             resilience=Resilience(
                 policy=RetryPolicy(
                     max_retries=0, timeout_s=1.0, on_exhaust=OnExhaust.FAIL
