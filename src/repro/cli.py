@@ -45,7 +45,7 @@ import dataclasses
 import os
 import sys
 
-from repro.errors import FusionError, NotAFusionQueryError
+from repro.errors import CostModelError, FusionError, NotAFusionQueryError
 from repro.io import load_federation, save_federation
 from repro.mediator.session import Mediator
 from repro.optimize.planning import OPTIMIZERS, SEARCHES, Planning
@@ -475,19 +475,40 @@ def _emit_telemetry(args, recorder, profile=None) -> None:
         print(f"wrote {len(recorder.events)} events to {args.emit_events}")
 
 
+#: ``query`` flags only the runtime backend reads, with their parser
+#: defaults; another value without ``--runtime`` is refused.
+RUNTIME_ONLY_FLAGS = {
+    "--fault-rate": 0.0, "--data-faults": None, "--verify": "off",
+    "--quarantine": False, "--deadline": None, "--fault-seed": 0,
+    "--retries": 3, "--hedge-delay": None, "--breaker": "off",
+    "--replan": 0, "--load-balance": False, "--timeline": False,
+}
+
+
+def _refuse_ignored_flags(args) -> None:
+    """Refuse a ``query`` flag the run would silently ignore: a runtime
+    flag without ``--runtime``, or ``--adaptive`` (sequential fusion
+    queries only) with ``--runtime`` or on an aggregate query."""
+    problems = []
+    ignored = [
+        flag
+        for flag, default in RUNTIME_ONLY_FLAGS.items()
+        if not args.runtime and getattr(args, flag[2:].replace("-", "_")) != default
+    ]
+    if ignored:
+        problems.append(f"{', '.join(ignored)} would be ignored without --runtime")
+    if args.adaptive and (args.runtime or is_aggregate_query(args.sql)):
+        where = "with --runtime" if args.runtime else "on an aggregate query"
+        problems.append(f"--adaptive would be ignored {where}")
+    if problems:
+        raise CostModelError("; ".join(problems))
+
+
 def _command_query(args) -> int:
+    _refuse_ignored_flags(args)
     federation = load_federation(args.spec)
     recorder = _make_recorder(args)
     statistics = _load_observed_statistics(args.observed_stats)
-    if not args.runtime and (
-        args.data_faults is not None or args.verify != "off" or args.quarantine
-    ):
-        from repro.errors import CostModelError
-
-        raise CostModelError(
-            "--data-faults/--verify/--quarantine need the runtime "
-            "backend; add --runtime"
-        )
     if args.runtime:
         return _run_runtime(federation, args, recorder, statistics)
     mediator = Mediator(
@@ -676,7 +697,6 @@ _DATA_FAULT_KEYS = {
 def _parse_data_faults(text: str | None):
     """``[SRC:]KIND=RATE,...`` -> DataFaultProfile or {source: profile}
     (None for an absent flag)."""
-    from repro.errors import CostModelError
     from repro.runtime.faults import DataFaultProfile
 
     if text is None:
@@ -727,7 +747,6 @@ def _parse_data_faults(text: str | None):
 
 def _parse_tenant(text: str):
     """``NAME[:WEIGHT[:QUOTA]]`` -> TenantSpec."""
-    from repro.errors import CostModelError
     from repro.serve import TenantSpec
 
     parts = text.split(":")
@@ -747,7 +766,6 @@ def _parse_tenant(text: str):
 
 def _parse_churn(text: str):
     """``START:END:SRC,SRC[:RATE]`` -> ChurnWave."""
-    from repro.errors import CostModelError
     from repro.serve import ChurnWave
 
     parts = text.split(":")

@@ -3,8 +3,10 @@
 Every error raised by the library derives from :class:`FusionError`, so
 callers can catch one type at the API boundary.  Subclasses are split by
 subsystem (schema/data, query, source, planning, execution) because the
-mediator reacts differently to each: a :class:`SourceUnavailableError` is
-retryable, a :class:`PlanValidationError` is a programming bug.
+mediator reacts differently to each: a :class:`CapabilityError` is an
+infinite-cost route, a :class:`PlanValidationError` a programming bug.
+A transient source fault raises nothing: the runtime engine judges each
+wire attempt (:mod:`repro.runtime.faults`) and retries it.
 """
 
 from __future__ import annotations
@@ -52,14 +54,6 @@ class CapabilityError(SourceError):
     source supports neither semijoin queries nor passed-binding selections,
     no plan may route a semijoin through it.
     """
-
-
-class SourceUnavailableError(SourceError):
-    """A simulated transient failure (timeout / unreachable source)."""
-
-    def __init__(self, source_name: str, message: str = ""):
-        self.source_name = source_name
-        super().__init__(message or f"source {source_name!r} is unavailable")
 
 
 class UnknownSourceError(SourceError):

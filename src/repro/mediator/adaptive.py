@@ -29,7 +29,6 @@ from typing import Any
 
 from repro.costs.estimates import SizeEstimator
 from repro.costs.model import CostModel
-from repro.errors import ExecutionError, SourceUnavailableError
 from repro.optimize.search import StageOutcome
 from repro.optimize.sja import SJAStagedProblem
 from repro.plans.builder import StagedChoice
@@ -101,12 +100,10 @@ class AdaptiveExecutor:
         federation: Federation,
         cost_model: CostModel,
         estimator: SizeEstimator,
-        max_retries: int = 3,
     ):
         self.federation = federation
         self.cost_model = cost_model
         self.estimator = estimator
-        self.max_retries = max_retries
 
     # ------------------------------------------------------------------
 
@@ -163,18 +160,6 @@ class AdaptiveExecutor:
     # ------------------------------------------------------------------
     # Execution pieces
 
-    def _with_retries(self, action):
-        retries = 0
-        while True:
-            try:
-                return action(), retries
-            except SourceUnavailableError as exc:
-                retries += 1
-                if retries > self.max_retries:
-                    raise ExecutionError(
-                        f"source failed after {self.max_retries} retries: {exc}"
-                    ) from exc
-
     def _run_stage(
         self,
         condition: Condition,
@@ -191,20 +176,12 @@ class AdaptiveExecutor:
         for source, choice in zip(self.federation, chosen.payload):
             choices[source.name] = choice.value
             if choice is StagedChoice.SELECTION:
-                answer, __ = self._with_retries(
-                    lambda source=source: source.selection(condition)
-                )
+                answer = source.selection(condition)
                 confirmed |= answer if current is None else answer & current
             else:
                 # Difference pruning for free: never re-send items that
                 # an earlier source in this stage already confirmed.
-                to_send = current - confirmed
-                answer, __ = self._with_retries(
-                    lambda source=source, to_send=to_send: source.semijoin(
-                        condition, to_send
-                    )
-                )
-                confirmed |= answer
+                confirmed |= source.semijoin(condition, current - confirmed)
         stage = AdaptiveStage(
             condition=condition,
             choices=choices,

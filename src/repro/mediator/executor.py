@@ -8,10 +8,8 @@ traffic logs) — so benchmarks can compare *estimated* plan cost against
 *actual* execution cost, and traces can be printed next to the paper's
 figures.
 
-Transient failures injected by
-:class:`~repro.sources.remote.FailureInjector` are retried up to
-``max_retries`` times per operation before surfacing as
-:class:`~repro.errors.ExecutionError`.
+It injects no faults and retries nothing: faults, retries, hedging and
+deadlines belong to the runtime engine (:mod:`repro.runtime.engine`).
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from repro.errors import ExecutionError, SourceUnavailableError
 from repro.plans.operations import Fetch, Operation, SemijoinOp, condition_sql
 from repro.plans.plan import Plan
 from repro.relational.items import ItemSet, as_frozenset
@@ -174,6 +171,7 @@ class Executor:
         recorder: "Recorder | None" = None,
     ):
         self.federation = federation
+        # No effect; kept because benchmarks/e2e/layers.py passes and reads it.
         self.max_retries = max_retries
         self.recorder = recorder
         # Virtual clock for telemetry: the sequential executor has no
@@ -232,7 +230,7 @@ class Executor:
                     "sequential",
                     recorder.round,
                     self._clock,
-                    sum(step.retries for step in result.steps),
+                    0,  # retries
                     0,  # degraded
                     0,  # recovered
                     0,  # hedges
@@ -253,18 +251,7 @@ class Executor:
     ) -> StepTrace:
         source = self.federation.source(op.source)  # type: ignore[attr-defined]
         mark = len(source.traffic.records)
-        retries = 0
-        while True:
-            try:
-                answer = registers[op.target] = op.call(source, fetch)
-                break
-            except SourceUnavailableError as exc:
-                retries += 1
-                if retries > self.max_retries:
-                    raise ExecutionError(
-                        f"step {index} ({op.render()}) failed after "
-                        f"{self.max_retries} retries: {exc}"
-                    ) from exc
+        answer = registers[op.target] = op.call(source, fetch)
         new_records = source.traffic.records[mark:]
         trace = StepTrace(
             step=index,
@@ -273,7 +260,6 @@ class Executor:
             actual_cost=sum(record.cost for record in new_records),
             elapsed_s=sum(record.elapsed_s for record in new_records),
             messages=len(new_records),
-            retries=retries,
         )
         if self.recorder is not None:
             self._record_step(op, trace, new_records, registers)
@@ -320,7 +306,7 @@ class Executor:
                     op.source,  # type: ignore[attr-defined]
                     op.source,  # type: ignore[attr-defined]
                     condition,
-                    trace.retries + 1,
+                    1,  # attempt
                     start,
                     end,
                     "ok",

@@ -183,7 +183,7 @@ class Mediator:
         resilience: How the runtime backend responds to failing or lying
             sources: one :class:`~repro.runtime.engine.Resilience` value
             (each knob is documented there).  The sequential backend
-            reads only its ``policy.max_retries``.
+            reads none of it: it injects no faults and retries nothing.
         replan: Re-planning rounds allowed after a degraded run (dead
             sources masked, substitutes swapped in, answers merged by
             union).  ``True`` means 2 rounds; 0 / ``False`` disables.
@@ -248,9 +248,7 @@ class Mediator:
         self.runtime = runtime = RuntimeEngine(
             federation, resilience, faults=faults, health=health, recorder=recorder
         )
-        self.executor = Executor(
-            federation, max_retries=runtime.policy.max_retries, recorder=recorder
-        )
+        self.executor = Executor(federation, recorder=recorder)
         self.planning = planning = planning or Planning()
         self.optimizer: Optimizer = planning.optimizer_for(
             runtime, faults, self.max_replans

@@ -90,8 +90,8 @@ class Operation:
     def call(self, source: Any, fetch: Fetch) -> Any:
         """A remote operation's answer from ``source``'s wrapper.
 
-        Raises :class:`~repro.errors.SourceUnavailableError` when the
-        wrapper's failure injector fires; retrying is the caller's job.
+        The call always answers: the runtime engine judges whether the
+        attempt failed on the wire (:mod:`repro.runtime.faults`) and retries it.
         """
         raise NotImplementedError
 

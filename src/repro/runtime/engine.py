@@ -88,7 +88,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from repro.errors import CostModelError, ExecutionError, SourceUnavailableError
+from repro.errors import CostModelError, ExecutionError
 from repro.mediator.executor import ExecutionResult, StepTrace
 from repro.obs.events import (
     AttemptEvent,
@@ -832,21 +832,9 @@ class _Execution:
                 )
             )
         mark = len(source.traffic.records)
-        try:
-            value = task.op.call(source, self._fetch_for(task))
-            call_failed = False
-        except SourceUnavailableError:
-            value = None
-            call_failed = True
+        value = task.op.call(source, self._fetch_for(task))
         base, traffic = _traffic_of(source.traffic.records[mark:])
-        if call_failed:
-            # The legacy per-source FailureInjector fired before any
-            # traffic was charged: fail after one empty round trip.
-            outcome = AttemptOutcome(
-                AttemptFate.TRANSIENT, source.link.request_time_s(0, 0)
-            )
-        else:
-            outcome = self.faults.judge(source.name, now, base, source.link)
+        outcome = self.faults.judge(source.name, now, base, source.link)
         timeout = self.policy.timeout_s
         if timeout is not None and outcome.duration_s > timeout:
             outcome = AttemptOutcome(AttemptFate.TIMEOUT, timeout)

@@ -12,7 +12,7 @@ simulates the whole stack in-process:
 * :mod:`~repro.sources.network` — per-message overhead, per-item
   transfer charges, latency, and traffic accounting;
 * :mod:`~repro.sources.remote` — the wrapper a mediator actually talks
-  to: capability checks + network charging + optional failure injection;
+  to: capability checks + network charging;
 * :mod:`~repro.sources.registry` — a :class:`Federation` of sources
   forming the union view ``U``;
 * :mod:`~repro.sources.statistics` — exact / sampled / histogram
@@ -27,7 +27,7 @@ simulates the whole stack in-process:
 from repro.sources.capabilities import SourceCapabilities
 from repro.sources.network import LinkProfile, TrafficLog, TrafficRecord
 from repro.sources.table_source import TableSource
-from repro.sources.remote import FailureInjector, RemoteSource
+from repro.sources.remote import RemoteSource
 from repro.sources.registry import Federation
 
 __all__ = [
@@ -37,6 +37,5 @@ __all__ = [
     "TrafficRecord",
     "TableSource",
     "RemoteSource",
-    "FailureInjector",
     "Federation",
 ]

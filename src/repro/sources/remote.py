@@ -1,4 +1,4 @@
-"""The wrapper the mediator talks to: capabilities + network + failures.
+"""The wrapper the mediator talks to: capabilities + network.
 
 A :class:`RemoteSource` fronts a :class:`~repro.sources.table_source.TableSource`
 with everything that makes an Internet source an *Internet* source:
@@ -8,8 +8,7 @@ with everything that makes an Internet source an *Internet* source:
 * traffic charging through a :class:`~repro.sources.network.LinkProfile`,
   recorded in a :class:`~repro.sources.network.TrafficLog`;
 * batching of native semijoin binding sets when the wrapper caps the
-  batch size; and
-* optional injected transient failures, so retry behaviour can be tested.
+  batch size.  (Faults are injected by the runtime engine, not here.)
 
 Semijoin *emulation* lives here deliberately: the paper says the mediator
 emulates, and this class is the mediator-side stub of the source, so each
@@ -19,11 +18,9 @@ emulated semijoins are expensive and why SJA's per-source choice matters.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
 from typing import Any
 
-from repro.errors import CapabilityError, SourceUnavailableError
+from repro.errors import CapabilityError
 from repro.relational.aggregates import AggregateSpec, Partials
 from repro.relational.algebra import union_many
 from repro.relational.conditions import Condition
@@ -32,41 +29,6 @@ from repro.relational.relation import Relation
 from repro.sources.capabilities import SemijoinSupport, SourceCapabilities
 from repro.sources.network import LinkProfile, TrafficLog
 from repro.sources.table_source import TableSource
-
-
-@dataclass
-class FailureInjector:
-    """Deterministic transient-failure injection for a source.
-
-    Each request independently fails with probability ``failure_rate``;
-    the RNG is seeded so runs are reproducible.  ``max_failures`` bounds
-    the total number of injected failures (useful to guarantee a retry
-    eventually succeeds in tests).
-    """
-
-    failure_rate: float
-    seed: int = 0
-    max_failures: int | None = None
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.failure_rate <= 1.0:
-            raise ValueError(
-                f"failure_rate must be in [0, 1], got {self.failure_rate}"
-            )
-        self._rng = random.Random(self.seed)
-        self._injected = 0
-
-    def maybe_fail(self, source_name: str) -> None:
-        """Raise :class:`SourceUnavailableError` with the configured rate."""
-        if self.max_failures is not None and self._injected >= self.max_failures:
-            return
-        if self._rng.random() < self.failure_rate:
-            self._injected += 1
-            raise SourceUnavailableError(source_name, "injected transient failure")
-
-    @property
-    def injected_failures(self) -> int:
-        return self._injected
 
 
 class RemoteSource:
@@ -89,12 +51,10 @@ class RemoteSource:
         table: TableSource,
         capabilities: SourceCapabilities | None = None,
         link: LinkProfile | None = None,
-        failure: FailureInjector | None = None,
     ):
         self.table = table
         self.capabilities = capabilities or SourceCapabilities.full()
         self.link = link or LinkProfile()
-        self.failure = failure
         self.traffic = TrafficLog()
 
     @property
@@ -116,16 +76,11 @@ class RemoteSource:
         self.traffic.clear()
         self.table.counters.reset()
 
-    def _before_request(self) -> None:
-        if self.failure is not None:
-            self.failure.maybe_fail(self.name)
-
     # ------------------------------------------------------------------
     # Wrapper operations
 
     def selection(self, condition: Condition) -> ItemSet | frozenset[Any]:
         """``sq(c, R_j)`` over the simulated link."""
-        self._before_request()
         answer = self.table.selection(condition)
         self.traffic.charge(
             self.link, self.name, "sq", items_sent=0, items_received=len(answer)
@@ -173,7 +128,6 @@ class RemoteSource:
     def _semijoin_request(
         self, condition: Condition, batch: ItemSet | frozenset[Any]
     ) -> ItemSet | frozenset[Any]:
-        self._before_request()
         matched = self.table.semijoin(condition, batch)
         self.traffic.charge(
             self.link,
@@ -189,7 +143,6 @@ class RemoteSource:
     ) -> ItemSet | frozenset[Any]:
         answer: list[Any] = []
         for item in sorted(items, key=repr):
-            self._before_request()
             matched = self.table.binding_selection(condition, item)
             self.traffic.charge(
                 self.link,
@@ -209,7 +162,6 @@ class RemoteSource:
         charged per row — more expensive per result, but it saves the
         second phase when most qualifying entities end up in the answer.
         """
-        self._before_request()
         rows = self.table.selection_rows(condition)
         self.traffic.charge(
             self.link,
@@ -233,7 +185,6 @@ class RemoteSource:
         the returned relation is a slice of the table whose row tuples
         are built when first read.
         """
-        self._before_request()
         rows = self.table.relation.restrict_to_items(items)
         self.traffic.charge(
             self.link,
@@ -265,7 +216,6 @@ class RemoteSource:
             raise CapabilityError(
                 f"source {self.name!r} does not support partial aggregates"
             )
-        self._before_request()
         partials = self.table.aggregate_partials(specs, group_by, items)
         self.traffic.charge(
             self.link,
@@ -282,7 +232,6 @@ class RemoteSource:
             raise CapabilityError(
                 f"source {self.name!r} does not support loading its contents"
             )
-        self._before_request()
         relation = self.table.load()
         self.traffic.charge(
             self.link,

@@ -12,6 +12,7 @@ from repro.optimize.greedy import SelectivityOrderOptimizer
 from repro.optimize.sja import SJAOptimizer
 from repro.optimize.sja_plus import SJAPlusOptimizer
 from repro.runtime.engine import Resilience
+from repro.runtime.faults import FaultProfile, Faults
 from repro.runtime.policy import RetryPolicy
 from repro.sources.generators import (
     SyntheticConfig,
@@ -21,7 +22,6 @@ from repro.sources.generators import (
     synthetic_conditions,
     synthetic_query,
 )
-from repro.sources.remote import FailureInjector
 from repro.sources.statistics import (
     ExactStatistics,
     HistogramStatistics,
@@ -180,18 +180,18 @@ class TestFaultTolerance:
     def test_flaky_federation_still_answers(self):
         config = SyntheticConfig(n_sources=3, n_entities=100, seed=71)
         federation = build_synthetic(config)
-        for index, source in enumerate(federation):
-            source.failure = FailureInjector(
-                failure_rate=0.3, seed=index, max_failures=5
-            )
         mediator = Mediator(
             federation,
             verify=True,
+            backend="runtime",
+            faults=Faults(wire=FaultProfile.flaky(0.3)).injector(71),
             resilience=Resilience(policy=RetryPolicy(max_retries=10)),
         )
         query = synthetic_query(config, m=2, seed=73)
         answer = mediator.answer(query)
         assert answer.verified is True
+        assert not answer.execution.partial
+        assert sum(step.retries for step in answer.execution.steps) > 0
 
 
 class TestInternetScale:

@@ -16,6 +16,7 @@ from repro.errors import (
     UnknownSourceError,
 )
 from repro.mediator.executor import Executor
+from repro.mediator.reference import reference_answer
 from repro.mediator.session import Mediator
 from repro.optimize.sja import SJAOptimizer
 from repro.plans.builder import (
@@ -26,6 +27,9 @@ from repro.plans.builder import (
 from repro.plans.operations import SelectionOp, UnionOp
 from repro.plans.plan import Plan
 from repro.query.fusion import FusionQuery
+from repro.runtime.engine import Resilience, RuntimeEngine
+from repro.runtime.faults import FaultProfile, Faults
+from repro.runtime.policy import RetryPolicy
 from repro.sources.capabilities import SourceCapabilities
 from repro.sources.generators import dmv_fig1
 from repro.optimize.planning import Planning
@@ -58,13 +62,23 @@ class TestExecutorFailures:
             Executor(federation).execute(plan)
 
     def test_permanently_down_source(self):
-        from repro.sources.remote import FailureInjector
-
+        """A source that never answers degrades its steps; the engine
+        returns what the others confirmed and raises nothing."""
         federation, query = dmv_fig1()
-        federation.source("R3").failure = FailureInjector(1.0, seed=0)
         plan = build_filter_plan(query, federation.source_names)
-        with pytest.raises(ExecutionError, match="retries"):
-            Executor(federation, max_retries=1).execute(plan)
+        faults = Faults(wire={"R3": FaultProfile(transient_rate=1.0)})
+        result = RuntimeEngine(
+            federation,
+            Resilience(policy=RetryPolicy(max_retries=1)),
+            faults=faults.injector(0),
+        ).run(plan)
+        assert result.items <= reference_answer(federation, query)
+        on_r3 = {
+            index
+            for index, op in enumerate(plan.operations, start=1)
+            if op.remote and op.source == "R3"
+        }
+        assert on_r3 and set(result.degraded_steps) == on_r3
 
 
 class TestOptimizerFailures:

@@ -16,7 +16,6 @@ from repro.sources.generators import (
     dmv_fig1,
     synthetic_query,
 )
-from repro.sources.remote import FailureInjector
 from repro.sources.statistics import ExactStatistics, SampledStatistics
 
 
@@ -121,14 +120,3 @@ class TestAdaptivity:
         # c chosen first is the cheaper/smaller one; with equal charge
         # profiles that is dui (3 items) over sp (4 items).
         assert result.ordering()[0].to_sql() == "V = 'dui'"
-
-
-class TestRetries:
-    def test_transient_failures_survived(self):
-        federation, query = dmv_fig1()
-        federation.source("R2").failure = FailureInjector(
-            1.0, seed=0, max_failures=2
-        )
-        executor = make_adaptive(federation)
-        executor.max_retries = 5
-        assert executor.execute(query).items == DMV_FIG1_ANSWER

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ExecutionError
 from repro.mediator.executor import ExecutionResult, Executor
 from repro.plans.builder import build_filter_plan, build_staged_plan, uniform_choices
 from repro.plans.operations import (
@@ -18,7 +17,6 @@ from repro.plans.operations import (
 )
 from repro.plans.plan import Plan
 from repro.sources.generators import DMV_FIG1_ANSWER, dmv_fig1
-from repro.sources.remote import FailureInjector
 
 
 class TestBasicExecution:
@@ -120,27 +118,6 @@ class TestExtendedOps:
         )
         result = Executor(federation).execute(plan)
         assert result.items == frozenset({"J55"})
-
-
-class TestRetries:
-    def test_transient_failures_retried(self, dmv_query):
-        federation, query = dmv_fig1()
-        federation.source("R1").failure = FailureInjector(
-            failure_rate=1.0, seed=0, max_failures=2
-        )
-        plan = build_filter_plan(query, federation.source_names)
-        result = Executor(federation, max_retries=3).execute(plan)
-        assert result.items == DMV_FIG1_ANSWER
-        assert any(step.retries > 0 for step in result.steps)
-
-    def test_exhausted_retries_raise(self):
-        federation, query = dmv_fig1()
-        federation.source("R1").failure = FailureInjector(
-            failure_rate=1.0, seed=0
-        )
-        plan = build_filter_plan(query, federation.source_names)
-        with pytest.raises(ExecutionError, match="retries"):
-            Executor(federation, max_retries=2).execute(plan)
 
 
 class TestTraceRendering:

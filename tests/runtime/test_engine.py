@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import inspect
 import math
 import pathlib
 import threading
@@ -49,7 +50,7 @@ from repro.sources.generators import (
     synthetic_query,
 )
 from repro.sources.registry import Federation
-from repro.sources.remote import FailureInjector
+from repro.sources.remote import RemoteSource
 from repro.sources.statistics import ExactStatistics
 
 
@@ -190,24 +191,6 @@ class TestRetries:
         faulty = engine.run(plan)
         assert faulty.trace.total_retries > 0
         assert faulty.trace.total_cost > clean_cost
-
-    def test_legacy_failure_injector_is_a_transient(self, dmv_kit):
-        federation, query, __ = dmv_kit
-        federation.source("R1").failure = FailureInjector(
-            failure_rate=1.0, seed=0, max_failures=2
-        )
-        try:
-            plan = build_filter_plan(query, federation.source_names)
-            result = RuntimeEngine(federation).run(plan)
-        finally:
-            federation.source("R1").failure = None
-        assert result.items == DMV_FIG1_ANSWER
-        fates = [
-            a.fate
-            for s in result.trace.remote_spans
-            for a in s.attempts
-        ]
-        assert fates.count(AttemptFate.TRANSIENT) == 2
 
 
 class TestDegradationAndFailure:
@@ -419,8 +402,9 @@ class TestResilienceValue:
 
 #: Classes that consume a knob rather than re-declare it.
 CONSUMERS = {"HealthRegistry"}
-#: The sequential executors' own retry budget predates the policy.
-RETRY_COUNTERS = {"RetryPolicy", "Executor", "AdaptiveExecutor"}
+#: ``Executor(max_retries=)`` has no effect; the wall-clock benchmark
+#: (benchmarks/e2e/layers.py) passes it, so the keyword stays.
+RETRY_COUNTERS = {"RetryPolicy", "Executor"}
 
 
 def _declarations():
@@ -486,6 +470,46 @@ class TestResilienceDeclaredOnce:
         assert "retry_policy" not in owners
         assert "mediator_options" not in owners
         assert owners["max_retries"] <= RETRY_COUNTERS
+
+    def test_one_fault_model_one_retry_loop(self):
+        """Faults come from :mod:`repro.runtime.faults` alone and only the
+        engine retries: no wrapper hook raises a transient error, and no
+        ``while`` loop tries a call until it stops raising a library
+        error (a ``try`` that leaves the loop on success).  The serving
+        loops that fail a ticket and pop the next one are not retries."""
+        assert not hasattr(repro.errors, "SourceUnavailableError")
+        assert not hasattr(repro.sources, "FailureInjector")
+        parameters = inspect.signature(RemoteSource.__init__).parameters
+        assert list(parameters) == ["self", "table", "capabilities", "link"]
+        library_errors = {
+            name
+            for name, value in vars(repro.errors).items()
+            if isinstance(value, type) and issubclass(value, Exception)
+        }
+
+        def caught(handler):
+            kinds = handler.type
+            kinds = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+            return {getattr(kind, "id", getattr(kind, "attr", None)) for kind in kinds}
+
+        def leaves_on_success(node):
+            return any(
+                isinstance(inner, (ast.Break, ast.Return))
+                for stmt in node.body + node.orelse
+                for inner in ast.walk(stmt)
+            )
+
+        loops = [
+            f"{name}:{node.lineno}"
+            for name, tree in _trees("")
+            for loop in ast.walk(tree)
+            if isinstance(loop, ast.While)
+            for node in ast.walk(loop)
+            if isinstance(node, ast.Try)
+            and leaves_on_success(node)
+            and any(caught(h) & library_errors for h in node.handlers)
+        ]
+        assert loops == []
 
     def test_no_bool_sugar_is_coerced_outside_plan_cache_of(self):
         sugared = {"breaker", "quarantine", "plan_cache"}

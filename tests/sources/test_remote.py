@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.errors import CapabilityError, SourceUnavailableError
+from repro.errors import CapabilityError
 from repro.mediator.session import Mediator
 from repro.obs import Recorder
 from repro.relational.items import ItemSet, items_of
@@ -17,19 +17,18 @@ from repro.relational.schema import dmv_schema
 from repro.sources.capabilities import SourceCapabilities
 from repro.sources.generators import SyntheticConfig, build_synthetic, synthetic_query
 from repro.sources.network import LinkProfile
-from repro.sources.remote import FailureInjector, RemoteSource
+from repro.sources.remote import RemoteSource
 from repro.sources.table_source import TableSource
 
 ROWS = [("J55", "dui", 1993), ("T21", "sp", 1994), ("T80", "dui", 1993)]
 LINK = LinkProfile(request_overhead=10, per_item_send=1, per_item_receive=1)
 
 
-def make_source(capabilities=None, failure=None):
+def make_source(capabilities=None):
     return RemoteSource(
         TableSource(Relation("R1", dmv_schema(), ROWS)),
         capabilities=capabilities,
         link=LINK,
-        failure=failure,
     )
 
 
@@ -185,53 +184,3 @@ class TestLoadAndFetch:
         assert record.operation == "fetch"
         assert record.items_sent == 1
         assert record.rows_loaded == 1
-
-
-class TestFailureInjection:
-    def test_injector_is_deterministic(self):
-        a = FailureInjector(failure_rate=0.5, seed=1)
-        b = FailureInjector(failure_rate=0.5, seed=1)
-
-        def failure_pattern(injector):
-            pattern = []
-            for __ in range(20):
-                try:
-                    injector.maybe_fail("R1")
-                    pattern.append(False)
-                except SourceUnavailableError:
-                    pattern.append(True)
-            return pattern
-
-        assert failure_pattern(a) == failure_pattern(b)
-
-    def test_max_failures_bound(self):
-        injector = FailureInjector(failure_rate=1.0, seed=0, max_failures=2)
-        failures = 0
-        for __ in range(10):
-            try:
-                injector.maybe_fail("R1")
-            except SourceUnavailableError:
-                failures += 1
-        assert failures == 2
-        assert injector.injected_failures == 2
-
-    def test_rate_zero_never_fails(self):
-        source = make_source(failure=FailureInjector(0.0, seed=3))
-        for __ in range(5):
-            source.selection(parse_condition("V = 'dui'"))
-        assert source.traffic.message_count == 5
-
-    def test_rate_validated(self):
-        with pytest.raises(ValueError):
-            FailureInjector(failure_rate=1.5)
-
-    def test_failed_request_charges_nothing(self):
-        source = make_source(
-            failure=FailureInjector(1.0, seed=0, max_failures=1)
-        )
-        with pytest.raises(SourceUnavailableError):
-            source.selection(parse_condition("V = 'dui'"))
-        assert source.traffic.message_count == 0
-        # next attempt succeeds (max_failures exhausted)
-        source.selection(parse_condition("V = 'dui'"))
-        assert source.traffic.message_count == 1

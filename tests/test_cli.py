@@ -281,3 +281,47 @@ class TestAggregateQuery:
         assert main(["query", spec_path, AGG_SQL, "--runtime"]) == 0
         out = capsys.readouterr().out
         assert "aggregate node" in out
+
+
+class TestIgnoredFlagsRefused:
+    """A flag the chosen run would not read exits 2 with one ``error:``
+    line naming it, instead of a run identical to one without it."""
+
+    @pytest.mark.parametrize(
+        "kind, flags",
+        [
+            ("fusion", ["--fault-rate", "0.3"]),
+            ("fusion", ["--data-faults", "stale=0.4"]),
+            ("fusion", ["--verify", "sanitize"]),
+            ("fusion", ["--quarantine"]),
+            ("fusion", ["--deadline", "0.5"]),
+            ("fusion", ["--fault-seed", "3"]),
+            ("fusion", ["--retries", "2"]),
+            ("fusion", ["--hedge-delay", "2.0"]),
+            ("fusion", ["--breaker", "aggressive"]),
+            ("fusion", ["--replan", "2"]),
+            ("fusion", ["--load-balance"]),
+            ("fusion", ["--timeline"]),
+            ("fusion", ["--adaptive", "--runtime"]),
+            ("aggregate", ["--adaptive"]),
+            ("aggregate", ["--retries", "2"]),
+        ],
+        ids=lambda value: "-".join(value).lstrip("-") if isinstance(value, list) else value,
+    )
+    def test_refused(self, spec_path, capsys, kind, flags):
+        sql = {"fusion": DMV_SQL, "aggregate": AGG_SQL}[kind]
+        assert main(["query", spec_path, sql, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert lines[0].startswith(f"error: {flags[0]} would be ignored")
+
+    def test_every_runtime_flag_at_its_default_is_accepted(self, spec_path, capsys):
+        from repro.cli import RUNTIME_ONLY_FLAGS, _build_parser
+
+        args = _build_parser().parse_args(["query", spec_path, DMV_SQL])
+        for flag, default in RUNTIME_ONLY_FLAGS.items():
+            assert getattr(args, flag[2:].replace("-", "_")) == default, flag
+        assert main(["query", spec_path, DMV_SQL, "--fault-rate", "0", "--retries", "3"]) == 0
+        assert main(["query", spec_path, DMV_SQL, "--adaptive"]) == 0

@@ -18,7 +18,6 @@ class TestHierarchy:
             errors.NotAFusionQueryError,
             errors.SourceError,
             errors.CapabilityError,
-            errors.SourceUnavailableError,
             errors.UnknownSourceError,
             errors.StatisticsError,
             errors.CostModelError,
@@ -53,8 +52,3 @@ class TestPayloads:
         error = errors.ParseError("generic")
         assert error.position is None
         assert str(error) == "generic"
-
-    def test_source_unavailable_names_the_source(self):
-        error = errors.SourceUnavailableError("R7")
-        assert error.source_name == "R7"
-        assert "R7" in str(error)
