@@ -1,11 +1,20 @@
 """Spans are a fold of the event stream: pinned golden forests for every
-marker kind, recoverability from a persisted log, and the fold's id
-allocation rules."""
+marker kind, pinned critical paths, recoverability from a persisted log,
+and the fold's id allocation rules."""
 
 from __future__ import annotations
 
+import hashlib
+import sys
+from pathlib import Path
+
 from repro.obs.events import EVENT_SCHEMA, Event, EventLog
-from repro.obs.spans import EXECUTE_SPAN_ID, FIRST_ENGINE_SPAN_ID, engine_spans
+from repro.obs.spans import (
+    EXECUTE_SPAN_ID,
+    FIRST_ENGINE_SPAN_ID,
+    analyze_trace,
+    engine_spans,
+)
 from repro.query.fusion import FusionQuery
 from repro.runtime.engine import Resilience
 from repro.runtime.faults import DataFaultProfile, FaultProfile, Faults
@@ -188,6 +197,131 @@ class TestGoldenForests:
             "op", "attempt", "sendset", "backoff", "hedge",
             "breaker", "verify", "quarantine",
         }
+
+
+#: Each scenario's ``phases`` record as JSONL, its ``ticket.phases`` and
+#: its critical path (phase, start, end, detail), rounded like the
+#: forests: the attribution the completion step writes, byte for byte.
+RESILIENCE_PHASES = (
+    '{"ts":2.401,"type":"phases","exec_backoff":0.20000000000000018,'
+    '"exec_wait":0.0,"exec_wire":0.7009999999999996,"merge":0.0,"plan":0.0,'
+    '"pool":0.0,"query":0,"queue":0.0,"tenant":"default",'
+    '"total":0.9009999999999998,"trace":"38b0f728590780c5"}',
+    {
+        "admission": 0.0, "queue": 0.0, "plan": 0.0, "pool": 0.0,
+        "exec.wait": 0.0, "exec.wire": 0.7009999999999996,
+        "exec.backoff": 0.20000000000000018, "merge": 0.0,
+    },
+    [
+        ("exec.wire", 1.5, 2.0, "R2"),
+        ("exec.backoff", 2.0, 2.2, "R2"),
+        ("exec.wire", 2.2, 2.401, "R2"),
+        ("merge", 2.401, 2.401, "op"),
+    ],
+)
+
+VERIFY_PHASES = (
+    '{"ts":0.702,"type":"phases","exec_backoff":0.0,"exec_wait":0.0,'
+    '"exec_wire":0.20199999999999996,"merge":0.0,"plan":0.0,"pool":0.0,'
+    '"query":0,"queue":0.0,"tenant":"default","total":0.20199999999999996,'
+    '"trace":"ee4b135308a7ae87"}',
+    {
+        "admission": 0.0, "queue": 0.0, "plan": 0.0, "pool": 0.0,
+        "exec.wait": 0.0, "exec.wire": 0.20199999999999996,
+        "exec.backoff": 0.0, "merge": 0.0,
+    },
+    [("exec.wire", 0.5, 0.702, "R1"), ("merge", 0.702, 0.702, "op")],
+)
+
+SEMIJOIN_PHASES = (
+    '{"ts":0.861,"type":"phases","exec_backoff":0.0,"exec_wait":0.0,'
+    '"exec_wire":0.611,"merge":0.0,"plan":0.0,"pool":0.0,"query":0,'
+    '"queue":0.0,"tenant":"default","total":0.611,'
+    '"trace":"7962a0e836648f7f"}',
+    {
+        "admission": 0.0, "queue": 0.0, "plan": 0.0, "pool": 0.0,
+        "exec.wait": 0.0, "exec.wire": 0.611, "exec.backoff": 0.0,
+        "merge": 0.0,
+    },
+    [
+        ("exec.wire", 0.25, 0.453, "S000"),
+        ("merge", 0.453, 0.453, "op"),
+        ("exec.wire", 0.453, 0.66, "S000"),
+        ("merge", 0.66, 0.66, "op"),
+        ("exec.wire", 0.66, 0.861, "S001"),
+        ("merge", 0.861, 0.861, "op"),
+        ("merge", 0.861, 0.861, "op"),
+    ],
+)
+
+PHASE_SCENARIOS = [
+    (resilience_service, RESILIENCE_PHASES),
+    (verify_service, VERIFY_PHASES),
+    (semijoin_service, SEMIJOIN_PHASES),
+]
+
+#: sha256 of the ``phases`` JSONL of serve_point's seed-16 smoke
+#: arrivals, calm and under wire faults + breakers + deadlines (the
+#: configurations of CI's read-back step).
+SERVE_POINT_PHASES_SHA256 = {
+    "calm": "070aa8aeaaa5229457fc17861ffa18edab187e2a3487d88dc1a5e76d7c3dc3c5",
+    "faulty": "f55d8ac305975cd3372e7fa7d504c05d164192587ac70fdf3aaf5a4c221b1f56",
+}
+
+
+class TestGoldenCriticalPaths:
+    def test_phases_records_tickets_and_slices_match_the_pins(self):
+        for scenario, (record, phases, slices) in PHASE_SCENARIOS:
+            service, ticket = serve_one(scenario)
+            written = service.recorder.events.of_type("phases")
+            assert [e.to_json() for e in written] == [record], scenario.__name__
+            assert ticket.phases == phases, scenario.__name__
+            path = analyze_trace(service.spans.for_trace(ticket.trace_id))
+            assert [
+                (s.phase, _round(s.start_s), _round(s.end_s), s.detail)
+                for s in path.slices
+            ] == slices, scenario.__name__
+
+    def test_serve_point_smoke_phases_match_the_pinned_digest(self):
+        root = Path(__file__).resolve().parents[2]
+        sys.path.insert(0, str(root / "benchmarks" / "e2e"))
+        try:
+            from workloads import TENANTS, WORKLOADS, PlainKit
+        finally:
+            sys.path.remove(str(root / "benchmarks" / "e2e"))
+        configs = {
+            "calm": ({}, None),
+            "faulty": (
+                {
+                    "faults": Faults(wire=FaultProfile.flaky(0.2)),
+                    "shed_policy": "none",
+                    "resilience": Resilience(
+                        breaker=BreakerConfig.aggressive()
+                    ),
+                },
+                3.0,
+            ),
+        }
+        workload = WORKLOADS["serve_point"](16, smoke=True)
+        state = workload.build(PlainKit(), lambda: None)
+        for name, (options, deadline) in configs.items():
+            service = MediatorService(
+                state.federation, mode="deterministic", tenants=TENANTS,
+                pool_slots=2, queue_limit=64, seed=16,
+                statistics=state.statistics, **options,
+            )
+            for arrival in workload.arrivals:
+                service.submit(
+                    arrival.sql, tenant=arrival.tenant, at_s=arrival.at_s,
+                    deadline_s=deadline,
+                )
+            service.run_until_idle()
+            lines = [
+                e.to_json() for e in service.recorder.events.of_type("phases")
+            ]
+            assert len(lines) == len(workload.arrivals), name
+            digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+            assert digest == SERVE_POINT_PHASES_SHA256[name], name
 
 
 class TestRecoverableFromAPersistedLog:
