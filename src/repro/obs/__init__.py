@@ -34,8 +34,11 @@ rebuilt from a persisted JSONL file as well as from a live log:
   op / attempt / backoff / hedge / marker subtree of its trace
   (:func:`~repro.obs.spans.serve_spans` adds the admission / queue /
   plan / pool / execute / merge skeleton from the ticket's timestamps),
-  exportable as Chrome trace-event JSON, and a critical-path analyzer
-  attributes end-to-end latency to phases exactly;
+  as immutable slotted records, exportable as Chrome trace-event JSON.
+  One critical-path core, :func:`~repro.obs.spans.critical_path`,
+  attributes end-to-end latency to phases exactly: the service feeds it
+  at completion from the skeleton and the grouping the engine fold
+  built, :func:`~repro.obs.spans.analyze_trace` from persisted spans;
 * the runtime's own trace — :meth:`RuntimeTrace.from_events
   <repro.runtime.trace.RuntimeTrace.from_events>` is the one fold of a
   run's ``op`` / ``attempt`` events, live or read back from JSONL

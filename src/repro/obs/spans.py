@@ -18,12 +18,19 @@ two pure functions:
   transition markers.  A span exists iff an event exists, so the same
   subtree can be rebuilt from a persisted JSONL log.
 
+A :class:`Span` is an immutable slotted record whose constructor refuses
+a span that ends before it starts.  :func:`engine_spans` returns an
+:class:`EngineSpans` list that also carries the grouping the fold built
+on the way: the op spans and each op's children.
+
 The :class:`SpanLog` is the storage: thread-safe, append-only, exported
-either as Chrome trace-event JSON (:meth:`SpanLog.to_chrome_json`,
-loadable in Perfetto — each query is one track) or walked by the
-critical-path analyzer (:func:`analyze_trace`), which tiles a query's
-end-to-end latency into :class:`PhaseSlice` segments whose durations sum
-*exactly* to the measured latency — the property CI asserts.
+as Chrome trace-event JSON (:meth:`SpanLog.to_chrome_json`, loadable in
+Perfetto — each query is one track).  :func:`critical_path` is the one
+critical-path core: it tiles a query's end-to-end latency into
+:class:`PhaseSlice` records whose durations sum *exactly* to the
+measured latency — the property CI asserts.  The service feeds it at
+completion from the serve skeleton and the engine fold's grouping;
+:func:`analyze_trace` feeds it from persisted spans, grouped in one pass.
 """
 
 from __future__ import annotations
@@ -32,8 +39,8 @@ import bisect
 import json
 import os
 import threading
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Mapping
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from repro.errors import ObservabilityError
 from repro.obs.events import EVENT_SCHEMA, ROUND_STAMPED, Event, field_attribute
@@ -85,15 +92,7 @@ def derive_trace_id(workload_seed: int, seq: int) -> str:
     return f"{value:016x}"
 
 
-@dataclass(frozen=True)
-class Span:
-    """One node of a query's span tree.
-
-    Times are service-timeline seconds (virtual clock in deterministic
-    mode, seconds since service start under threads).  ``parent_id`` is
-    ``None`` only for the root ``query`` span.
-    """
-
+class _SpanFields(NamedTuple):
     trace_id: str
     span_id: int
     parent_id: int | None
@@ -101,14 +100,43 @@ class Span:
     category: str
     start_s: float
     end_s: float
-    attributes: Mapping[str, Any] = field(default_factory=dict)
+    attributes: Mapping[str, Any]
 
-    def __post_init__(self) -> None:
-        if self.end_s < self.start_s - 1e-9:
+
+class Span(_SpanFields):
+    """One node of a query's span tree: an immutable slotted record.
+
+    Times are service-timeline seconds (virtual clock in deterministic
+    mode, seconds since service start under threads).  ``parent_id`` is
+    ``None`` only for the root ``query`` span.  The constructor refuses
+    a span that ends before it starts; ``attributes`` defaults to a
+    fresh dict per span.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        trace_id: str,
+        span_id: int,
+        parent_id: int | None,
+        name: str,
+        category: str,
+        start_s: float,
+        end_s: float,
+        attributes: Mapping[str, Any] | None = None,
+    ) -> "Span":
+        if end_s < start_s - 1e-9:
             raise ObservabilityError(
-                f"span {self.name!r} ends ({self.end_s}) before it "
-                f"starts ({self.start_s})"
+                f"span {name!r} ends ({end_s}) before it starts ({start_s})"
             )
+        return tuple.__new__(
+            cls,
+            (
+                trace_id, span_id, parent_id, name, category, start_s, end_s,
+                {} if attributes is None else attributes,
+            ),
+        )
 
     @property
     def duration_s(self) -> float:
@@ -138,11 +166,16 @@ class SpanLog:
         return span
 
     def extend(self, spans: Iterable[Span]) -> None:
-        """Append a batch atomically (no other thread's spans between)."""
+        """Append one trace's batch atomically (no other thread's spans
+        between).  Every span of a batch belongs to the trace of its
+        first: the service hands over a trace's engine subtree or its
+        serve skeleton, never a mix of traces."""
+        batch = list(spans)
+        if not batch:
+            return
         with self._lock:
-            for span in spans:
-                self._by_trace.setdefault(span.trace_id, []).append(span)
-                self._spans.append(span)
+            self._by_trace.setdefault(batch[0].trace_id, []).extend(batch)
+            self._spans.extend(batch)
 
     def __len__(self) -> int:
         with self._lock:
@@ -235,16 +268,22 @@ class SpanLog:
 # ----------------------------------------------------------------------
 # Span construction: pure folds of ticket timestamps and engine events
 
-#: Event type -> (span name, (JSON key, attribute) of the event fields
-#: copied onto its attributes, whether the event carries a ``step``).
-#: Events carrying a ``step`` parent under that op, the rest (health
-#: transitions) directly under ``execute``; other event types have no span.
+def _attribute_copier(copied: tuple[str, ...]) -> Callable[[Event], dict[str, Any]]:
+    """One event type's attribute builder: a function returning a fresh
+    dict of the ``copied`` fields, compiled once as a dict display —
+    per event it costs a third of a comprehension over the keys or of
+    zipping the keys with an ``operator.attrgetter``'s tuple."""
+    items = ", ".join(f"{key!r}: event.{field_attribute(key)}" for key in copied)
+    return eval(f"lambda event: {{{items}}}")
+
+
+#: Event type -> (span name, the builder of its attributes from the
+#: event's fields, whether the event carries a ``step``).  Events
+#: carrying a ``step`` parent under that op, the rest (health
+#: transitions) directly under ``execute``; other event types have no
+#: span.
 _ENGINE_SPANS = {
-    kind: (
-        name,
-        tuple((key, field_attribute(key)) for key in copied),
-        "step" in EVENT_SCHEMA[kind],
-    )
+    kind: (name, _attribute_copier(copied), "step" in EVENT_SCHEMA[kind])
     for kind, (name, copied) in {
         "sendset": ("sendset", ("source", "size")),
         "attempt": ("attempt", ("attempt", "source", "fate", "hedge", "cost")),
@@ -258,9 +297,24 @@ _ENGINE_SPANS = {
 }
 
 
+class EngineSpans(list):
+    """The ``execute`` subtree of one trace, in fold order, with the
+    grouping the fold built on the way: ``ops`` — the op spans in the
+    order they were appended — and ``children`` — op span id -> the
+    spans parented under it.  The critical path reads the grouping
+    instead of regrouping the spans."""
+
+    __slots__ = ("ops", "children")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.ops: list[Span] = []
+        self.children: dict[int, list[Span]] = {}
+
+
 def engine_spans(
     trace_id: str, events: Iterable[Event], offset_s: float
-) -> list[Span]:
+) -> EngineSpans:
     """The ``execute`` subtree of one query, folded from its events.
 
     ``events`` is the slice of the stream one engine run emitted and
@@ -276,7 +330,8 @@ def engine_spans(
     Every span stands for exactly one event, with one exception: an op
     left open by a run that raised is closed here, ``status="aborted"``.
     """
-    spans: list[Span] = []
+    spans = EngineSpans()
+    ops, children = spans.ops, spans.children
     op_ids: dict[tuple[int, int], int] = {}
     next_id = FIRST_ENGINE_SPAN_ID
     round_no = 0
@@ -288,58 +343,62 @@ def engine_spans(
         spec = _ENGINE_SPANS.get(kind)
         if spec is None:
             continue
-        name, copied, stepped = spec
+        name, copy_attributes, stepped = spec
         op_id = None
         if stepped:
             key = (round_no, event.step)
-            if key not in op_ids:
-                op_ids[key] = next_id
+            op_id = op_ids.get(key)
+            if op_id is None:
+                op_id = op_ids[key] = next_id
                 next_id += 1
-            op_id = op_ids[key]
         start_s = end_s = event.ts
-        attributes = {key: getattr(event, attr) for key, attr in copied}
+        attributes = copy_attributes(event)
         if kind == "op":
-            span_id, parent_id = op_id, EXECUTE_SPAN_ID
             start_s = offset_s + event.queued
             end_s = offset_s + event.finished
             attributes["started"] = offset_s + event.started
-        else:
-            span_id = next_id
-            next_id += 1
-            parent_id = EXECUTE_SPAN_ID if op_id is None else op_id
-        if kind == "attempt":
-            start_s = offset_s + event.start
-            end_s = offset_s + event.end
-        elif kind == "retry":
-            # The backoff window is blocked time on the op's critical
-            # path; the analyzer classifies it apart from wire time.
-            end_s = offset_s + event.at
-        elif kind == "quality":
-            # Only tainted answers emit an event, hence get a marker.
-            attributes["outcome"] = "tainted"
-            attributes["dropped"] = event.delivered - event.kept
-        spans.append(
-            Span(
-                trace_id, span_id, parent_id, name, "execute",
+            span = Span(
+                trace_id, op_id, EXECUTE_SPAN_ID, name, "execute",
                 start_s, end_s, attributes,
             )
-        )
+            ops.append(span)
+        else:
+            if kind == "attempt":
+                start_s = offset_s + event.start
+                end_s = offset_s + event.end
+            elif kind == "retry":
+                # The backoff window is blocked time on the op's
+                # critical path; the analyzer classifies it apart from
+                # wire time.
+                end_s = offset_s + event.at
+            elif kind == "quality":
+                # Only tainted answers emit an event, hence get a marker.
+                attributes["outcome"] = "tainted"
+                attributes["dropped"] = event.delivered - event.kept
+            span = Span(
+                trace_id, next_id, EXECUTE_SPAN_ID if op_id is None else op_id,
+                name, "execute", start_s, end_s, attributes,
+            )
+            next_id += 1
+            if op_id is not None:
+                children.setdefault(op_id, []).append(span)
+        spans.append(span)
     # A run that raised never emitted ``op`` for what it was still
     # working on; close each such op over its children's extent, or
     # they would dangle and the failed trace — the one most worth
     # opening — would not be a tree.
-    closed = {span.span_id for span in spans if span.name == "op"}
+    closed = {span.span_id for span in ops}
     for (__, step), span_id in op_ids.items():
         if span_id not in closed:
-            children = [s for s in spans if s.parent_id == span_id]
-            spans.append(
-                Span(
-                    trace_id, span_id, EXECUTE_SPAN_ID, "op", "execute",
-                    min(child.start_s for child in children),
-                    max(child.end_s for child in children),
-                    {"step": step, "status": "aborted"},
-                )
+            below = children[span_id]
+            span = Span(
+                trace_id, span_id, EXECUTE_SPAN_ID, "op", "execute",
+                min(child.start_s for child in below),
+                max(child.end_s for child in below),
+                {"step": step, "status": "aborted"},
             )
+            ops.append(span)
+            spans.append(span)
     return spans
 
 
@@ -458,9 +517,9 @@ def validate_chrome_trace(data: Mapping[str, Any]) -> int:
 # Critical-path analysis
 
 
-@dataclass(frozen=True)
-class PhaseSlice:
-    """One segment of a query's blocking chain."""
+class PhaseSlice(NamedTuple):
+    """One segment of a query's blocking chain: an immutable slotted
+    record, built only by the critical-path core below."""
 
     phase: str
     start_s: float
@@ -492,9 +551,10 @@ class CriticalPath:
 
     def by_phase(self) -> dict[str, float]:
         """Seconds attributed to each phase (every phase listed)."""
-        totals = {phase: 0.0 for phase in PHASES}
-        for piece in self.slices:
-            totals[piece.phase] = totals.get(piece.phase, 0.0) + piece.duration_s
+        totals = dict.fromkeys(PHASES, 0.0)
+        for phase, start_s, end_s, __ in self.slices:
+            duration = end_s - start_s
+            totals[phase] = totals.get(phase, 0.0) + (duration if duration > 0.0 else 0.0)
         return totals
 
     def dominant_phase(self) -> str:
@@ -503,9 +563,12 @@ class CriticalPath:
 
 
 _EPS = 1e-9
+#: Builds a record from its fields in declaration order, without the
+#: Python-level ``__new__`` a ``NamedTuple`` class generates.
+_record = tuple.__new__
 
 
-def _chain_ops(op_spans: list[Span]) -> list[Span]:
+def _chain_ops(op_spans: Sequence[Span]) -> list[Span]:
     """The blocking chain through the engine's op spans, latest first.
 
     An op span runs ``[queued, finished]`` with ``started`` in its
@@ -530,15 +593,19 @@ def _chain_ops(op_spans: list[Span]) -> list[Span]:
     ends = [span.end_s for span in ordered]
     chain = [ordered.pop()]
     ends.pop()
+    bisect_left, bisect_right = bisect.bisect_left, bisect.bisect_right
+    eps = _EPS
+    start = chain[0].start_s
     while True:
-        start = chain[-1].start_s
-        low = bisect.bisect_left(ends, start - 2 * _EPS)
-        high = bisect.bisect_right(ends, start + 2 * _EPS)
-        for position in range(high - 1, low - 1, -1):
+        position = bisect_right(ends, start + 2 * eps)
+        low = bisect_left(ends, start - 2 * eps, 0, position)
+        while position > low:
+            position -= 1
             span = ordered[position]
-            if abs(span.end_s - start) <= _EPS and span.start_s <= start + _EPS:
+            if abs(span.end_s - start) <= eps and span.start_s <= start + eps:
                 chain.append(span)
                 del ordered[position], ends[position]
+                start = span.start_s
                 break
         else:
             return chain
@@ -556,142 +623,178 @@ def _merge_intervals(
     return merged
 
 
-def _op_slices(op: Span, children: list[Span]) -> list[PhaseSlice]:
-    """Tile one chain op's ``[queued, finished]`` window into phases.
+def _op_slices(
+    op: Span, children: Iterable[Span]
+) -> list[tuple[str, float, float, str]]:
+    """Tile one remote chain op's ``[queued, finished]`` window into
+    phases, as ``(phase, start, end, detail)`` rows.
 
     ``[queued, started]`` is engine-side source wait; inside
     ``[started, finished]`` time covered by an attempt is wire time,
     time covered by a scheduled backoff is backoff, and anything else
-    (e.g. parked on a confirmation) is wait.  Local (merge) ops are
-    instantaneous and classify as ``merge``.
+    (e.g. parked on a confirmation) is wait.
+
+    One sweep: the attempt and backoff windows, clipped to ``[started,
+    finished]`` and merged, are walked in time order.  Each piece
+    between consecutive window edges is wire if its midpoint lies within
+    ``_EPS`` of an attempt window, else backoff if within ``_EPS`` of a
+    backoff window, else wait; a piece ending within ``_EPS`` of the
+    last one kept is dropped, and same-phase neighbours coalesce.  A
+    child that starts after its op finished (the engine emits none) has
+    no window.
     """
-    detail = str(op.attributes.get("source", "") or op.name)
-    started = float(op.attributes.get("started", op.start_s))
-    if not op.attributes.get("remote", True):
-        return [PhaseSlice("merge", op.start_s, op.end_s, detail=op.name)]
-    slices: list[PhaseSlice] = []
-    if started > op.start_s + _EPS:
-        slices.append(
-            PhaseSlice("exec.wait", op.start_s, started, detail=detail)
-        )
-    wire = _merge_intervals(
-        [
-            (max(started, child.start_s), min(op.end_s, child.end_s))
-            for child in children
-            if child.name == "attempt" and child.end_s > started
-        ]
-    )
-    backoff = _merge_intervals(
-        [
-            (max(started, child.start_s), min(op.end_s, child.end_s))
-            for child in children
-            if child.name == "backoff" and child.end_s > started
-        ]
-    )
-    cursor = started
-    points = sorted(
-        {started, op.end_s}
-        | {t for pair in wire for t in pair}
-        | {t for pair in backoff for t in pair}
-    )
-    for left, right in zip(points, points[1:]):
-        if right <= cursor + _EPS or right > op.end_s + _EPS:
+    attributes = op.attributes
+    start_s, end_s = op.start_s, op.end_s
+    detail = str(attributes.get("source", "") or op.name)
+    started = float(attributes.get("started", start_s))
+    wire: list[tuple[float, float]] = []
+    backoff: list[tuple[float, float]] = []
+    for child in children:
+        name = child.name
+        if name == "attempt":
+            windows = wire
+        elif name == "backoff":
+            windows = backoff
+        else:
             continue
-        mid = (left + right) / 2.0
-        if any(s - _EPS <= mid <= e + _EPS for s, e in wire):
-            phase = "exec.wire"
-        elif any(s - _EPS <= mid <= e + _EPS for s, e in backoff):
-            phase = "exec.backoff"
-        else:
-            phase = "exec.wait"
-        if slices and slices[-1].phase == phase and slices[-1].detail == detail:
-            slices[-1] = PhaseSlice(phase, slices[-1].start_s, right, detail)
-        else:
-            slices.append(PhaseSlice(phase, left, right, detail))
-        cursor = right
-    if cursor < op.end_s - _EPS:
-        slices.append(PhaseSlice("exec.wait", cursor, op.end_s, detail=detail))
-    return slices
+        low = max(started, child.start_s)
+        high = min(end_s, child.end_s)
+        if child.end_s > started and low <= high:
+            windows.append((low, high))
+    wire = _merge_intervals(wire)
+    backoff = _merge_intervals(backoff)
+    rows: list[tuple[str, float, float, str]] = []
+    if started > start_s + _EPS:
+        rows.append(("exec.wait", start_s, started, detail))
+    # Merged windows are sorted and end in increasing order, so each
+    # list's edges are sorted (sorting the two runs merges them) and one
+    # forward index per list finds the window near each midpoint.
+    edges = sorted([t for window in wire + backoff for t in window])
+    edges.append(end_s)
+    in_wire = in_backoff = 0
+    left = cursor = started
+    for right in edges:
+        if right <= left:
+            continue  # an edge shared by two windows
+        if right > cursor + _EPS:
+            mid = (left + right) / 2.0
+            while in_wire < len(wire) and wire[in_wire][1] + _EPS < mid:
+                in_wire += 1
+            while in_backoff < len(backoff) and backoff[in_backoff][1] + _EPS < mid:
+                in_backoff += 1
+            if in_wire < len(wire) and wire[in_wire][0] - _EPS <= mid:
+                phase = "exec.wire"
+            elif in_backoff < len(backoff) and backoff[in_backoff][0] - _EPS <= mid:
+                phase = "exec.backoff"
+            else:
+                phase = "exec.wait"
+            if rows and rows[-1][0] == phase:
+                rows[-1] = (phase, rows[-1][1], right, detail)
+            else:
+                rows.append((phase, left, right, detail))
+            cursor = right
+        left = right
+    return rows
+
+
+def critical_path(
+    fixed: Sequence[Span | None],
+    ops: Sequence[Span],
+    children: Mapping[int, Sequence[Span]],
+) -> CriticalPath:
+    """Tile one trace's latency into a :class:`CriticalPath`: the one
+    critical-path core, fed at completion from what the span folds
+    built and by :func:`analyze_trace` from persisted spans.
+
+    ``fixed`` holds the serving-tier spans by id, ``ROOT_SPAN_ID``
+    through ``MERGE_SPAN_ID`` (``None`` where a trace lacks one; the
+    root must be present), ``ops`` the trace's op spans in append order
+    and ``children`` op span id -> the spans under it.  The serving-tier
+    spans tile ``[submit, dispatch]`` by construction; inside
+    ``execute`` the chain of op spans is walked back from the
+    last-finishing operation, each link split into wait/wire/backoff
+    segments.  Any unattributed remainder becomes an ``exec.wait``
+    slice, so the tiling — and the sum — is exact even for traces with
+    unusual shapes.
+    """
+    root, admission, queue, plan, pool, execute, merge = fixed
+    # (phase, end, detail) in timeline order; the final tiling below
+    # starts each slice where the previous one ended.
+    pieces: list[tuple[str, float, str]] = []
+    for span, phase in (
+        (admission, "admission"),
+        (queue, "queue"),
+        (plan, "plan"),
+        (pool, "pool"),
+    ):
+        if span is not None and span.end_s - span.start_s > _EPS:
+            pieces.append((phase, span.end_s, ""))
+    if execute is not None and execute.end_s - execute.start_s > _EPS:
+        # Tile gaps (chain not reaching the dispatch instant, or ops
+        # finishing before the engine's final clock tick) as wait.
+        cursor, execute_end = execute.start_s, execute.end_s
+        for op in reversed(_chain_ops(ops)):
+            if op.attributes.get("remote", True):
+                rows = _op_slices(op, children.get(op.span_id, ()))
+            else:
+                # A local op is instantaneous merge work.
+                rows = (("merge", op.start_s, op.end_s, op.name),)
+            for phase, start, end, detail in rows:
+                if start > cursor + _EPS:
+                    pieces.append(("exec.wait", start, ""))
+                elif start < cursor:
+                    start = cursor
+                if end > execute_end:
+                    end = execute_end
+                if end > start + _EPS or (phase == "merge" and end >= start):
+                    pieces.append((phase, end, detail))
+                    cursor = end
+        if cursor < execute_end - _EPS:
+            pieces.append(("exec.wait", execute_end, ""))
+    if merge is not None and merge.end_s - merge.start_s > _EPS:
+        pieces.append(("merge", merge.end_s, ""))
+    # Exact tiling of [submit, complete]: clamp boundaries so adjacent
+    # slices always touch — rounding never creates gaps or overlaps.
+    slices: list[PhaseSlice] = []
+    cursor, root_end = root.start_s, root.end_s
+    for phase, end, detail in pieces:
+        if end > root_end:
+            end = root_end
+        if end < cursor:
+            end = cursor
+        slices.append(_record(PhaseSlice, (phase, cursor, end, detail)))
+        cursor = end
+    if cursor < root_end - _EPS or not slices:
+        slices.append(_record(PhaseSlice, ("exec.wait", cursor, root_end, "")))
+    else:
+        phase, start, __, detail = slices[-1]
+        slices[-1] = _record(PhaseSlice, (phase, start, root_end, detail))
+    return CriticalPath(trace_id=root.trace_id, slices=tuple(slices))
 
 
 def analyze_trace(spans: Iterable[Span]) -> CriticalPath | None:
-    """Walk one trace's blocking chain into a :class:`CriticalPath`.
+    """The :func:`critical_path` of one trace's spans, e.g. read back
+    from an exported trace.
 
-    Returns ``None`` when the trace has no root span (nothing to
-    attribute).  The serving-tier spans tile ``[submit, dispatch]`` by
-    construction; inside ``execute`` the chain of op spans is walked
-    back from the last-finishing operation, each link split into
-    wait/wire/backoff segments.  Any unattributed remainder becomes an
-    ``exec.wait`` slice, so the tiling — and the sum — is exact even
-    for traces with unusual shapes.
+    Groups the spans in one pass — the serving-tier spans by id, the op
+    spans, each span under its parent — and hands the grouping to the
+    core.  Returns ``None`` when the trace has no root span (nothing to
+    attribute).
     """
-    spans = list(spans)
-    by_id = {span.span_id: span for span in spans}
+    by_id: dict[int, Span] = {}
+    ops: list[Span] = []
+    children: dict[int, list[Span]] = {}
+    for span in spans:
+        by_id[span.span_id] = span
+        if span.parent_id is not None:
+            children.setdefault(span.parent_id, []).append(span)
+        if span.name == "op" and span.category == "execute":
+            ops.append(span)
     root = by_id.get(ROOT_SPAN_ID)
     if root is None or root.name != "query":
         return None
-    slices: list[PhaseSlice] = []
-
-    def serve_slice(span_id: int, phase: str) -> None:
-        span = by_id.get(span_id)
-        if span is not None and span.duration_s > _EPS:
-            slices.append(PhaseSlice(phase, span.start_s, span.end_s))
-
-    serve_slice(ADMISSION_SPAN_ID, "admission")
-    serve_slice(QUEUE_SPAN_ID, "queue")
-    serve_slice(PLAN_SPAN_ID, "plan")
-    serve_slice(POOL_SPAN_ID, "pool")
-    execute = by_id.get(EXECUTE_SPAN_ID)
-    if execute is not None and execute.duration_s > _EPS:
-        op_spans = [
-            span
-            for span in spans
-            if span.category == "execute" and span.name == "op"
-        ]
-        children: dict[int, list[Span]] = {}
-        for span in spans:
-            if span.parent_id is not None:
-                children.setdefault(span.parent_id, []).append(span)
-        exec_slices: list[PhaseSlice] = []
-        for op in reversed(_chain_ops(op_spans)):
-            exec_slices.extend(_op_slices(op, children.get(op.span_id, [])))
-        # Tile gaps (chain not reaching the dispatch instant, or ops
-        # finishing before the engine's final clock tick) as wait.
-        tiled: list[PhaseSlice] = []
-        cursor = execute.start_s
-        for piece in exec_slices:
-            if piece.start_s > cursor + _EPS:
-                tiled.append(PhaseSlice("exec.wait", cursor, piece.start_s))
-            clipped_start = max(piece.start_s, cursor)
-            clipped_end = min(piece.end_s, execute.end_s)
-            if clipped_end > clipped_start + _EPS or (
-                piece.phase == "merge" and clipped_end >= clipped_start
-            ):
-                tiled.append(
-                    PhaseSlice(
-                        piece.phase, clipped_start, clipped_end, piece.detail
-                    )
-                )
-                cursor = clipped_end
-        if cursor < execute.end_s - _EPS:
-            tiled.append(PhaseSlice("exec.wait", cursor, execute.end_s))
-        slices.extend(tiled)
-    serve_slice(MERGE_SPAN_ID, "merge")
-    # Exact tiling of [submit, complete]: clamp boundaries so adjacent
-    # slices always touch — rounding never creates gaps or overlaps.
-    tiled: list[PhaseSlice] = []
-    cursor = root.start_s
-    for piece in slices:
-        start = cursor
-        end = max(start, min(piece.end_s, root.end_s))
-        tiled.append(PhaseSlice(piece.phase, start, end, piece.detail))
-        cursor = end
-    if cursor < root.end_s - _EPS or not tiled:
-        tiled.append(PhaseSlice("exec.wait", cursor, root.end_s))
-    else:
-        last = tiled[-1]
-        tiled[-1] = PhaseSlice(last.phase, last.start_s, root.end_s, last.detail)
-    return CriticalPath(trace_id=root.trace_id, slices=tuple(tiled))
+    fixed = [by_id.get(span_id) for span_id in range(ROOT_SPAN_ID, FIRST_ENGINE_SPAN_ID)]
+    return critical_path(fixed, ops, children)
 
 
 def analyze_log(log: SpanLog) -> dict[str, CriticalPath]:

@@ -64,8 +64,9 @@ from repro.obs.events import (
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import Recorder
 from repro.obs.spans import (
+    EngineSpans,
     SpanLog,
-    analyze_trace,
+    critical_path,
     derive_trace_id,
     engine_spans,
     serve_spans,
@@ -143,6 +144,11 @@ class QueryTicket:
     #: Critical-path seconds per phase (see repro.obs.spans.PHASES),
     #: filled at completion when tracing is on; sums to ``latency_s``.
     phases: dict[str, float] = field(default_factory=dict)
+    #: The engine spans folded from this query's run, held from the run
+    #: to the completion step, which reads their op grouping.
+    _engine_spans: EngineSpans | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def latency_s(self) -> float:
@@ -651,6 +657,10 @@ class MediatorService:
         """Append the completed query's serve spans and attribute its
         latency to phases (``ticket.phases``).
 
+        The critical path is tiled from the serve spans just built and
+        the op grouping of the engine spans the run folded; the trace is
+        not read back out of the span log.
+
         Every ticket that completed gets a trace — even ones that never
         planned or dispatched (queue-expired, unplannable): their phase
         boundaries collapse onto the completion instant, so the whole
@@ -672,24 +682,26 @@ class MediatorService:
         cache = "off"
         if ticket.plan_cache_hit is not None:
             cache = "hit" if ticket.plan_cache_hit else "miss"
-        self.spans.extend(
-            serve_spans(
-                ticket.trace_id,
-                ticket.seq,
-                ticket.tenant,
-                ticket.status,
-                submitted_s=ticket.submitted_s,
-                planned_s=planned,
-                plan_elapsed_s=ticket.plan_elapsed_s,
-                dispatched_s=dispatched,
-                completed_s=completed,
-                cache=cache,
-                strategy=ticket.search_strategy,
-            )
+        serve = serve_spans(
+            ticket.trace_id,
+            ticket.seq,
+            ticket.tenant,
+            ticket.status,
+            submitted_s=ticket.submitted_s,
+            planned_s=planned,
+            plan_elapsed_s=ticket.plan_elapsed_s,
+            dispatched_s=dispatched,
+            completed_s=completed,
+            cache=cache,
+            strategy=ticket.search_strategy,
         )
-        path = analyze_trace(self.spans.for_trace(ticket.trace_id))
-        if path is None:
-            return
+        self.spans.extend(serve)
+        engine = ticket._engine_spans
+        ticket._engine_spans = None
+        if engine is None:
+            path = critical_path(serve, (), {})
+        else:
+            path = critical_path(serve, engine.ops, engine.children)
         phases = ticket.phases = path.by_phase()
         recorder = self.recorder
         recorder.record(
@@ -754,9 +766,10 @@ class MediatorService:
             recorder.clock_offset_s = 0.0
         if self.spans is not None:
             events = recorder.events.events[events_before:]
-            self.spans.extend(
-                engine_spans(ticket.trace_id, events, dispatched_s)
+            spans = ticket._engine_spans = engine_spans(
+                ticket.trace_id, events, dispatched_s
             )
+            self.spans.extend(spans)
         if self.mine_statistics and result is not None:
             observe = getattr(self.statistics, "observe", None)
             if callable(observe):

@@ -134,6 +134,35 @@ class TestCriticalPathExactness:
             assert path.total_s == pytest.approx(ticket.latency_s, abs=1e-9)
             assert path.by_phase() == ticket.phases
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_analyzer_agrees_with_the_completion_path_under_faults(self, seed):
+        # Retries, backoffs, hedges, breakers and deadline cuts on a
+        # replicated federation: the attribution written at completion
+        # (from the span folds) equals the one read back from the log,
+        # float for float, ``phases`` record included.
+        from repro.sources.generators import replicate_federation
+
+        service, __ = serve(
+            replicate_federation(dmv_fig1()[0], 2),
+            count=10,
+            seed=seed,
+            pool_slots=1 + seed % 3,
+            faults=Faults(wire=FaultProfile.flaky(0.2 + 0.1 * (seed % 4))),
+            resilience=Resilience(
+                hedge_delay_s=2.0 if seed % 2 else None,
+                breaker=BreakerConfig.aggressive(),
+            ),
+        )
+        paths = analyze_log(service.spans)
+        records = {
+            event.trace: event
+            for event in service.recorder.events.of_type("phases")
+        }
+        for ticket in service.tickets:
+            path = paths[ticket.trace_id]
+            assert path.by_phase() == ticket.phases
+            assert path.total_s == records[ticket.trace_id].total
+
 
 class TestDeterministicReplay:
     def test_same_seed_exports_byte_identical_traces(self, federation):
