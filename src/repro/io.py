@@ -82,6 +82,8 @@ def schema_from_dict(data: dict[str, Any]) -> Schema:
         merge = data["merge"]
     except KeyError as exc:
         raise SchemaError(f"schema spec missing key: {exc}") from exc
+    except (TypeError, AttributeError) as exc:
+        raise SchemaError(f"schema spec is malformed: {exc}") from exc
     return Schema(attributes, merge_attribute=merge)
 
 
@@ -200,14 +202,36 @@ def federation_to_dict(federation: Federation) -> dict[str, Any]:
     return data
 
 
+def _spec_object(value: Any, what: str) -> dict[str, Any]:
+    """``value`` if it is a JSON object, else a :class:`SchemaError`."""
+    if not isinstance(value, dict):
+        raise SchemaError(
+            f"{what} must be a JSON object, got {type(value).__name__}"
+        )
+    return value
+
+
 def federation_from_dict(
     data: dict[str, Any], base_dir: str = "."
 ) -> Federation:
     """Build a federation from a spec dict (CSV paths resolve against
-    ``base_dir``)."""
-    schema = schema_from_dict(data["schema"])
+    ``base_dir``).  A spec of the wrong shape — not an object, no
+    ``schema``, a source that is not an object or has no ``name`` —
+    raises :class:`~repro.errors.SchemaError`."""
+    _spec_object(data, "federation spec")
+    if "schema" not in data:
+        raise SchemaError("federation spec missing key: 'schema'")
+    schema = schema_from_dict(_spec_object(data["schema"], "federation schema"))
+    entries = data.get("sources", [])
+    if not isinstance(entries, list):
+        raise SchemaError(
+            f"federation sources must be a JSON list, got {type(entries).__name__}"
+        )
     sources = []
-    for entry in data.get("sources", []):
+    for number, entry in enumerate(entries, 1):
+        _spec_object(entry, f"federation source #{number}")
+        if "name" not in entry:
+            raise SchemaError(f"federation source #{number} has no 'name'")
         name = entry["name"]
         if "csv" in entry:
             rows = rows_from_csv(
@@ -246,7 +270,13 @@ def save_federation(federation: Federation, path: str) -> None:
 
 
 def load_federation(path: str) -> Federation:
-    """Load a federation spec from a JSON file."""
+    """Load a federation spec from a JSON file; a file that is not JSON
+    raises :class:`~repro.errors.SchemaError`."""
     with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise SchemaError(
+                f"federation spec {path!r} is not JSON: {exc}"
+            ) from exc
     return federation_from_dict(data, base_dir=os.path.dirname(path) or ".")

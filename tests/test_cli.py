@@ -59,6 +59,31 @@ class TestQuery:
     def test_missing_spec_is_an_error(self, capsys):
         assert main(["query", "/does/not/exist.json", DMV_SQL]) == 2
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("not json", "is not JSON"),
+            ("{}", "missing key: 'schema'"),
+            ("[]", "must be a JSON object, got list"),
+            ('{"schema": [], "sources": []}', "must be a JSON object, got list"),
+            (
+                '{"schema": {"merge": "L", "attributes": [{"name": "L"}]},'
+                ' "sources": [{"rows": []}]}',
+                "source #1 has no 'name'",
+            ),
+        ],
+        ids=["not-json", "no-schema", "list", "schema-list", "unnamed-source"],
+    )
+    def test_malformed_spec_is_one_error_line(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["query", str(path), DMV_SQL]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert message in lines[0]
+
 
 class TestExplain:
     def test_explain_prints_estimates(self, spec_path, capsys):
