@@ -87,7 +87,7 @@ def main() -> None:
         result = engine.run(plan)
         report = completeness_report(federation, query, result.items)
         print(result.trace.timeline())
-        print(result.summary())
+        print(result.trace.summary())
         print(f"completeness: {report.summary()}")
         assert not report.spurious  # degraded answers only *lose* items
         print()
@@ -115,7 +115,7 @@ def main() -> None:
     )
     result = engine.run(plan)
     print(result.trace.timeline())
-    print(result.summary())
+    print(result.trace.summary())
     print(result.trace.utilization_report())
 
 

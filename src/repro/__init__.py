@@ -99,7 +99,6 @@ from repro.runtime import (
     ResilientResult,
     RetryPolicy,
     RuntimeEngine,
-    RuntimeResult,
     RuntimeTrace,
     completeness_report,
 )
@@ -175,7 +174,6 @@ __all__ = [
     "CorrelationModel",
     "CorrelatedSizeEstimator",
     "RuntimeEngine",
-    "RuntimeResult",
     "RuntimeTrace",
     "FaultInjector",
     "FaultProfile",

@@ -586,7 +586,7 @@ def run_fault_sweep(
                     len(report.spurious),
                     result.makespan_s,
                     result.trace.total_retries,
-                    len(result.degraded_steps),
+                    len(result.trace.degraded_steps),
                     result.trace.total_cost,
                 ]
             )
@@ -681,10 +681,10 @@ def run_resilience(
                 ).run(query)
                 report = completeness_report(federation, query, result.items)
                 skipped = sum(
-                    len(r.result.degraded_steps) for r in result.rounds
+                    len(r.result.trace.degraded_steps) for r in result.rounds
                 )
                 recovered = sum(
-                    len(r.result.recovered_steps) for r in result.rounds
+                    len(r.result.trace.recovered_steps) for r in result.rounds
                 )
                 table.add_row(
                     [

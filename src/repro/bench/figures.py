@@ -53,7 +53,7 @@ def run_fig1() -> str:
     federation.reset_traffic()
     execution = Executor(federation).execute(result.plan)
     sections.append("execution trace:")
-    sections.append(execution.trace(result.plan))
+    sections.append(execution.render_steps(result.plan))
     sections.append(
         "answer: " + ", ".join(sorted(execution.items))
         + "   (paper: J55, T21 — fused across sources)"

@@ -335,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "query's fault stream derive from it (default: 0)",
     )
     workload.add_argument(
-        "--workers", type=int, default=4,
+        "--workers", type=int, default=None,
         help="thread-pool size for --mode threads (default: 4)",
     )
     workload.add_argument(
@@ -420,7 +420,7 @@ def _command_demo() -> int:
     print()
     print(answer.plan.pretty())
     print()
-    print(answer.execution.trace(answer.plan))
+    print(answer.execution.render_steps(answer.plan))
     print()
     print("answer:", ", ".join(sorted(answer.items)))
     return 0
@@ -525,7 +525,7 @@ def _command_query(args) -> int:
     answer = mediator.answer(args.sql)
     print(answer.plan.pretty())
     print()
-    print(answer.execution.trace(answer.plan))
+    print(answer.execution.render_steps(answer.plan))
     print()
     print("answer:", ", ".join(sorted(map(str, answer.items))) or "(empty)")
     print(answer.summary())
@@ -595,7 +595,7 @@ def _run_runtime(federation, args, recorder, statistics) -> int:
             mediator, args.sql, args.pushdown, deadline=args.deadline
         )
     answer = mediator.answer(args.sql, budget_s=args.deadline)
-    assert answer.runtime is not None
+    trace = answer.execution.trace
     print(answer.plan.pretty())
     print()
     if mediator.planning.optimizer == "robust":
@@ -609,9 +609,9 @@ def _run_runtime(federation, args, recorder, statistics) -> int:
             print(f"  {candidate.summary()}")
         print()
     if args.timeline:
-        print(answer.runtime.trace.timeline())
+        print(trace.timeline())
         print()
-        print(answer.runtime.trace.utilization_report())
+        print(trace.utilization_report())
         print()
     if answer.resilient is not None and answer.resilient.replans:
         print(f"replanning: {answer.resilient.summary()}")
@@ -635,7 +635,7 @@ def _run_runtime(federation, args, recorder, statistics) -> int:
     if args.fault_rate > 0:
         report = completeness_report(
             federation, answer.query, answer.items,
-            trace=answer.runtime.trace,
+            trace=trace,
         )
         print(f"completeness: {report.summary()}")
     _emit_telemetry(
@@ -794,13 +794,15 @@ def _command_workload(args) -> int:
         run_workload,
     )
 
+    if args.workers is not None and args.mode != "threads":
+        raise CostModelError("--workers would be ignored without --mode threads")
     federation = load_federation(args.spec)
     tenants = [_parse_tenant(text) for text in args.tenant] or None
     service = MediatorService(
         federation,
         mode=args.mode,
         tenants=tenants,
-        workers=args.workers,
+        workers=4 if args.workers is None else args.workers,
         pool_slots=args.pool_slots,
         queue_limit=args.queue_limit,
         seed=args.seed,

@@ -14,6 +14,7 @@ deadlines belong to the runtime engine (:mod:`repro.runtime.engine`).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -25,6 +26,7 @@ from repro.sources.registry import Federation
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.profile import QueryProfile
     from repro.obs.recorder import Recorder
+    from repro.runtime.trace import RuntimeTrace
 
 
 @dataclass(frozen=True)
@@ -52,40 +54,109 @@ class StepTrace:
 class ExecutionResult:
     """The answer plus full accounting of one plan execution.
 
-    The resilience counters (``hedges`` … ``replans``) are zero for the
-    plain sequential executor; the runtime backend and the mediator fill
-    them in when projecting richer traces onto this type.
+    ``traces`` holds one :class:`~repro.runtime.trace.RuntimeTrace` per
+    engine round (empty for the sequential executor); every resilience
+    counter is read off them.  One round gives that run's counters;
+    several rounds (a re-planned run, rounds back to back) sum
+    ``hedges`` and ``recovered``, take ``degraded`` and
+    ``incomplete_conditions`` from the last round, and report a deadline
+    hit by any round.
     """
 
     items: frozenset[Any]
-    steps: list[StepTrace] = field(default_factory=list)
-    hedges: int = 0
-    recovered: int = 0
-    degraded: int = 0
-    breaker_trips: int = 0
-    replans: int = 0
-    #: True when the query's deadline budget expired mid-execution and
-    #: the answer is an on-time *partial* (a subset of the truth).
-    deadline_expired: bool = False
-    #: Per-condition completeness marks: the conditions (or loads) whose
-    #: contribution is missing because their operation degraded or was
-    #: cut at the deadline.  Empty means every condition fully answered.
-    incomplete_conditions: tuple[str, ...] = ()
-    #: Attached by the mediator when a recorder is active.
-    profile: "QueryProfile | None" = field(default=None, repr=False)
     #: The answer as the run's registers held it: an :class:`ItemSet`
     #: bitmap, or ``items`` itself when the merge values cannot be
     #: interned.  The second phase sends this, never the decoded set.
     item_set: "ItemSet | frozenset[Any] | None" = field(default=None, repr=False)
+    traces: "tuple[RuntimeTrace, ...]" = ()
+    breaker_trips: int = 0
+    #: Attached by the mediator when a recorder is active.
+    profile: "QueryProfile | None" = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.item_set is None:
             self.item_set = self.items
 
+    @functools.cached_property
+    def steps(self) -> list[StepTrace]:
+        """One :class:`StepTrace` per plan step, rounds in order.
+
+        The sequential executor sets its own; an engine record projects
+        its rounds' op spans on first read.  ``elapsed_s`` counts
+        connection-busy time only (attempt durations, not backoff
+        waits); a step that made no attempt costs ``0.0`` and took
+        ``0.0`` s, as a local step does in the sequential executor.
+        """
+        return [
+            StepTrace(
+                step=span.step,
+                operation=span.operation,
+                output_size=span.output_size,
+                actual_cost=span.cost if span.attempts else 0.0,
+                elapsed_s=span.busy_s if span.attempts else 0.0,
+                messages=span.messages,
+                retries=span.retries,
+            )
+            for trace in self.traces
+            for span in trace.spans
+        ]
+
+    @property
+    def trace(self) -> "RuntimeTrace | None":
+        """The last engine round's trace (``None`` for a sequential run)."""
+        return self.traces[-1] if self.traces else None
+
+    @property
+    def hedges(self) -> int:
+        return sum(trace.hedge_attempts for trace in self.traces)
+
+    @property
+    def recovered(self) -> int:
+        return sum(len(trace.recovered_steps) for trace in self.traces)
+
+    @property
+    def degraded(self) -> int:
+        """Operations the last round lost, to retries or the deadline."""
+        trace = self.trace
+        if trace is None:
+            return 0
+        return len(trace.degraded_steps) + len(trace.deadline_steps)
+
+    @property
+    def replans(self) -> int:
+        return max(len(self.traces) - 1, 0)
+
+    @property
+    def deadline_expired(self) -> bool:
+        """True when the query's deadline budget expired mid-execution
+        in any round and the answer is an on-time *partial* (a subset
+        of the truth)."""
+        return any(trace.deadline_steps for trace in self.traces)
+
+    @property
+    def incomplete_conditions(self) -> tuple[str, ...]:
+        """Per-condition completeness marks of the last round: the
+        conditions (or loads) whose contribution is missing because
+        their operation degraded or was cut at the deadline, in plan
+        order.  Empty means every condition fully answered."""
+        trace = self.trace
+        return () if trace is None else trace.incomplete_conditions
+
+    @property
+    def complete(self) -> bool:
+        """True when the last round lost no operation (answer is exact)."""
+        return self.degraded == 0
+
     @property
     def partial(self) -> bool:
         """True when any condition's contribution is known-incomplete."""
         return self.degraded > 0 or self.deadline_expired
+
+    @property
+    def makespan_s(self) -> float:
+        """Virtual response time: rounds run back to back on one clock
+        (``0.0`` for a sequential run, which has no clock)."""
+        return sum(trace.makespan_s for trace in self.traces)
 
     @property
     def total_cost(self) -> float:
@@ -108,8 +179,8 @@ class ExecutionResult:
                 totals[source] = totals.get(source, 0.0) + step.actual_cost
         return totals
 
-    def trace(self, plan: Plan | None = None) -> str:
-        """Printable execution trace, paper-style."""
+    def render_steps(self, plan: Plan | None = None) -> str:
+        """Printable per-step listing, paper-style."""
         labels = plan.condition_labels() if plan is not None else None
         lines = [step.render(labels) for step in self.steps]
         lines.append(
@@ -182,7 +253,7 @@ class Executor:
         """Run ``plan`` and return its answer with per-step traces."""
         # One register file: item sets, and relations written by loads.
         registers: dict[str, Any] = {}
-        result = ExecutionResult(items=frozenset())
+        steps: list[StepTrace] = []
         self._clock = 0.0
         recorder = self.recorder
         if recorder is not None:
@@ -217,12 +288,13 @@ class Executor:
                 )
                 if self.recorder is not None:
                     self._record_step(op, trace, [], registers)
-            result.steps.append(trace)
+            steps.append(trace)
 
         # The one decode of the run: registers hold bitmaps, answers are sets.
         answer = registers[plan.result]
-        result.items = as_frozenset(answer)
-        result.item_set = answer if type(answer) is ItemSet else result.items
+        items = as_frozenset(answer)
+        result = ExecutionResult(items, answer if type(answer) is ItemSet else items)
+        result.steps = steps
         if recorder is not None:
             recorder.record(
                 RunEndEvent(

@@ -50,7 +50,7 @@ from repro.relational.aggregates import (
 from repro.relational.columnar import union_items
 from repro.relational.items import ItemSet
 from repro.relational.relation import Relation
-from repro.runtime.engine import Resilience, RuntimeEngine, RuntimeResult
+from repro.runtime.engine import Resilience, RuntimeEngine
 from repro.runtime.faults import FaultInjector
 from repro.runtime.health import HealthRegistry
 from repro.runtime.replan import ResilientExecutor, ResilientResult
@@ -71,15 +71,23 @@ class MediatorAnswer:
     optimization: OptimizationResult
     execution: ExecutionResult
     verified: bool | None = None
-    #: Present when the concurrent runtime backend executed the plan.
-    runtime: RuntimeResult | None = None
-    #: Present when re-planning was enabled (``replan > 0``); the
-    #: ``runtime`` field then holds the final round's result.
+    #: Present when re-planning was enabled (``replan > 0``): the
+    #: rounds, each with its own record; ``execution`` merges them.
     resilient: ResilientResult | None = None
 
     @property
     def plan(self) -> Plan:
         return self.optimization.plan
+
+    @property
+    def loss_expected(self) -> bool:
+        """True when the run is known to have lost answers — its last
+        round lost an operation (retries spent, deadline cut) or
+        re-planning masked a source — so an answer that differs from
+        the reference is expected, not a bug."""
+        return not self.execution.complete or (
+            self.resilient is not None and bool(self.resilient.masked)
+        )
 
     def summary(self) -> str:
         checked = (
@@ -94,14 +102,15 @@ class MediatorAnswer:
             f"{self.execution.total_cost:.1f}, "
             f"{self.execution.total_messages} messages"
         )
-        if self.runtime is not None:
+        trace = self.execution.trace
+        if trace is not None:
             text += (
-                f"; makespan {self.runtime.makespan_s:.3f}s, "
-                f"{self.runtime.trace.total_retries} retries, "
-                f"{len(self.runtime.degraded_steps)} degraded"
+                f"; makespan {trace.makespan_s:.3f}s, "
+                f"{trace.total_retries} retries, "
+                f"{len(trace.degraded_steps)} degraded"
             )
-            if self.runtime.recovered_steps:
-                text += f", {len(self.runtime.recovered_steps)} recovered"
+            if trace.recovered_steps:
+                text += f", {len(trace.recovered_steps)} recovered"
         if self.resilient is not None and self.resilient.replans:
             text += f"; {self.resilient.replans} replan round(s)"
         return text
@@ -189,11 +198,10 @@ class Mediator:
             union).  ``True`` means 2 rounds; 0 / ``False`` disables.
         recorder: Optional :class:`repro.obs.Recorder`.  When attached,
             both backends emit structured events and metrics, breaker
-            transitions are observed, every answer's
-            ``execution.profile`` is filled in, and the resilience
-            counters on :class:`ExecutionResult` are populated.  ``None``
-            (the default) leaves execution byte-identical to an
-            uninstrumented mediator.
+            transitions are observed, and every answer's
+            ``execution.profile`` is filled in.  ``None`` (the default)
+            leaves execution byte-identical to an uninstrumented
+            mediator.
         health: Optional externally owned
             :class:`~repro.runtime.health.HealthRegistry`.  When given,
             the mediator uses it instead of creating its own — a
@@ -317,16 +325,6 @@ class Mediator:
         if self.plan_cache is not None:
             self.plan_cache.clear()
 
-    def execute(self, plan: Plan) -> ExecutionResult:
-        """Execute a previously produced plan."""
-        return self.executor.execute(plan)
-
-    def execute_concurrent(
-        self, plan: Plan, budget_s: float | None = None
-    ) -> RuntimeResult:
-        """Execute a plan on the discrete-event concurrent runtime."""
-        return self.runtime.run(plan, budget_s=budget_s)
-
     def answer(
         self, query: FusionQuery | str, budget_s: float | None = None
     ) -> MediatorAnswer:
@@ -344,7 +342,6 @@ class Mediator:
         self, query: FusionQuery, budget_s: float | None
     ) -> MediatorAnswer:
         """:meth:`answer` of a query already validated against the schema."""
-        runtime_result = None
         resilient = None
         events_before = (
             len(self.recorder.events) if self.recorder is not None else 0
@@ -353,73 +350,49 @@ class Mediator:
         if self.backend == "runtime" and self.replanner is not None:
             resilient = self.replanner.run(query, budget_s=budget_s)
             optimization = resilient.rounds[0].optimization
-            runtime_result = resilient.rounds[-1].result
-            last_execution = runtime_result.to_execution_result()
-            steps = []
-            for round_ in resilient.rounds:
-                steps.extend(round_.result.to_execution_result().steps)
-            traces = tuple(r.result.trace for r in resilient.rounds)
+            rounds = [round_.result for round_ in resilient.rounds]
             execution = ExecutionResult(
-                items=resilient.items,
-                item_set=union_items(r.result.item_set for r in resilient.rounds),
-                steps=steps,
-                hedges=sum(t.hedge_attempts for t in traces),
-                recovered=sum(len(t.recovered_steps) for t in traces),
-                degraded=last_execution.degraded,
-                replans=resilient.replans,
-                deadline_expired=resilient.deadline_expired,
-                incomplete_conditions=last_execution.incomplete_conditions,
+                resilient.items,
+                union_items(result.item_set for result in rounds),
+                traces=tuple(result.trace for result in rounds),
             )
         elif self.backend == "runtime":
             optimization = self._optimize(query)
-            runtime_result = self.runtime.run(optimization.plan, budget_s=budget_s)
-            execution = runtime_result.to_execution_result()
-            traces = (runtime_result.trace,)
+            execution = self.runtime.run(optimization.plan, budget_s=budget_s)
         else:
             optimization = self._optimize(query)
             execution = self.executor.execute(optimization.plan)
-            traces = ()
         execution.breaker_trips = self._breaker_trips() - trips_before
         if self.recorder is not None:
-            if not traces:
-                # The sequential executor's records are the recorder's.
-                traces = (
-                    RuntimeTrace.from_events(
-                        self.recorder.events.events[events_before:],
-                        operations=optimization.plan.operations,
-                    ),
-                )
+            # A sequential run's records are the recorder's.
+            traces = execution.traces or (
+                RuntimeTrace.from_events(
+                    self.recorder.events.events[events_before:],
+                    operations=optimization.plan.operations,
+                ),
+            )
             breakdown = estimate_plan_cost(
                 optimization.plan, self.cost_model, self.estimator
             )
             execution.profile = QueryProfile(
                 traces, len(execution.items), breakdown.total, breakdown.by_source()
             )
-        verified = None
-        if self.verify:
-            expected = reference_answer(self.federation, query)
-            verified = execution.items == expected
-            degraded = (
-                runtime_result is not None
-                and not runtime_result.complete
-            ) or (resilient is not None and bool(resilient.masked))
-            # A degraded (or deadline-cut) concurrent run is *expected*
-            # to lose answers; only an unexplained mismatch is a bug
-            # worth raising on.
-            if not verified and not degraded:
-                raise ExecutionError(
-                    f"plan answer {sorted(execution.items, key=repr)} differs "
-                    f"from reference {sorted(expected, key=repr)}"
-                )
-        return MediatorAnswer(
+        answer = MediatorAnswer(
             query=query,
             items=execution.items,
             optimization=optimization,
             execution=execution,
-            verified=verified,
-            runtime=runtime_result,
             resilient=resilient,
         )
+        if self.verify:
+            expected = reference_answer(self.federation, query)
+            answer.verified = execution.items == expected
+            if not answer.verified and not answer.loss_expected:
+                raise ExecutionError(
+                    f"plan answer {sorted(execution.items, key=repr)} differs "
+                    f"from reference {sorted(expected, key=repr)}"
+                )
+        return answer
 
     def _breaker_trips(self) -> int:
         """Lifetime breaker openings across the shared health registry."""
@@ -540,14 +513,7 @@ class Mediator:
         if self.verify:
             expected = reference_aggregate(self.federation, query)
             verified = result == expected
-            degraded = (
-                fusion_answer.runtime is not None
-                and not fusion_answer.runtime.complete
-            ) or (
-                fusion_answer.resilient is not None
-                and bool(fusion_answer.resilient.masked)
-            )
-            if not verified and not degraded:
+            if not verified and not fusion_answer.loss_expected:
                 raise ExecutionError(
                     f"aggregate answer {result.groups!r} differs from "
                     f"reference {expected.groups!r}"

@@ -36,7 +36,7 @@ from repro.runtime.availability import (
     ObservedAvailability,
     expected_completeness,
 )
-from repro.runtime.engine import Resilience, RuntimeEngine, RuntimeResult
+from repro.runtime.engine import Resilience, RuntimeEngine
 from repro.runtime.faults import (
     AttemptFate,
     AttemptOutcome,
@@ -80,7 +80,6 @@ from repro.runtime.verify import (
 __all__ = [
     "Resilience",
     "RuntimeEngine",
-    "RuntimeResult",
     "FaultInjector",
     "FaultProfile",
     "Faults",

@@ -89,7 +89,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import CostModelError, ExecutionError
-from repro.mediator.executor import ExecutionResult, StepTrace
+from repro.mediator.executor import ExecutionResult
 from repro.obs.events import (
     AttemptEvent,
     Event,
@@ -125,112 +125,6 @@ from repro.sources.registry import Federation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.recorder import Recorder
-
-
-@dataclass(frozen=True)
-class RuntimeResult:
-    """Answer + observability record of one concurrent execution.
-
-    ``item_set`` is the answer as the run's registers held it: an
-    :class:`~repro.relational.items.ItemSet` bitmap, or ``items`` itself
-    when the merge values cannot be interned.
-    """
-
-    items: frozenset[Any]
-    trace: RuntimeTrace
-    item_set: ItemSet | frozenset[Any]
-
-    @property
-    def makespan_s(self) -> float:
-        return self.trace.makespan_s
-
-    @property
-    def degraded_steps(self) -> tuple[int, ...]:
-        """Plan steps whose retry budget ran out (empty result used)."""
-        return self.trace.degraded_steps
-
-    @property
-    def deadline_steps(self) -> tuple[int, ...]:
-        """Plan steps cut short by the query's deadline budget."""
-        return self.trace.deadline_steps
-
-    @property
-    def recovered_steps(self) -> tuple[int, ...]:
-        """Plan steps served by a substitute of their planned source."""
-        return self.trace.recovered_steps
-
-    @property
-    def deadline_expired(self) -> bool:
-        """True when the query budget expired before the plan finished."""
-        return bool(self.deadline_steps)
-
-    @property
-    def complete(self) -> bool:
-        """True when no operation degraded (answer is exact)."""
-        return not (self.degraded_steps or self.deadline_steps)
-
-    @property
-    def incomplete_conditions(self) -> tuple[str, ...]:
-        """What a partial answer is missing: one mark per condition (or
-        load) whose operation was lost — to a spent retry budget or to
-        the query deadline — in plan order; empty when complete."""
-        if self.complete:
-            return ()
-        incomplete: list[str] = []
-        for span in self.trace.spans:
-            if span.status is not OpStatus.DEGRADED and (
-                span.status is not OpStatus.DEADLINE
-            ):
-                continue
-            mark = span.condition or f"load {span.source}"
-            if mark not in incomplete:
-                incomplete.append(mark)
-        return tuple(incomplete)
-
-    def to_execution_result(self) -> ExecutionResult:
-        """Project onto the sequential executor's result type.
-
-        Lets every consumer of :class:`ExecutionResult` (summaries,
-        cost accounting, schedule cross-validation) read a concurrent
-        run unchanged.  ``elapsed_s`` counts connection-busy time only
-        (attempt durations, not backoff waits).  A step that made no
-        attempt costs ``0.0`` and took ``0.0`` s, as a local step does in
-        the sequential executor.
-        """
-        steps = [
-            StepTrace(
-                step=span.step,
-                operation=span.operation,
-                output_size=span.output_size,
-                actual_cost=span.cost if span.attempts else 0.0,
-                elapsed_s=span.busy_s if span.attempts else 0.0,
-                messages=span.messages,
-                retries=span.retries,
-            )
-            for span in self.trace.spans
-        ]
-        return ExecutionResult(
-            items=self.items,
-            item_set=self.item_set,
-            steps=steps,
-            hedges=self.trace.hedge_attempts,
-            recovered=len(self.trace.recovered_steps),
-            degraded=len(self.trace.degraded_steps)
-            + len(self.trace.deadline_steps),
-            deadline_expired=self.deadline_expired,
-            incomplete_conditions=self.incomplete_conditions,
-        )
-
-    def summary(self) -> str:
-        return self.trace.summary()
-
-    def __repr__(self) -> str:
-        return (
-            f"RuntimeResult({len(self.items)} items, "
-            f"makespan {self.makespan_s:.3f}s, "
-            f"{self.trace.total_retries} retries, "
-            f"{len(self.degraded_steps)} degraded)"
-        )
 
 
 @dataclass(frozen=True)
@@ -356,8 +250,9 @@ class RuntimeEngine:
         plan: Plan,
         budget_s: float | None = None,
         faults: FaultInjector | None = None,
-    ) -> RuntimeResult:
-        """Execute ``plan`` concurrently and return answer + trace.
+    ) -> ExecutionResult:
+        """Execute ``plan`` concurrently and return its answer with the
+        run's trace (``result.trace``).
 
         ``budget_s`` is the query's remaining deadline budget in virtual
         time.  When it expires mid-run the engine cancels every in-flight
@@ -531,7 +426,7 @@ class _Execution:
     # ------------------------------------------------------------------
     # Event loop
 
-    def run(self) -> RuntimeResult:
+    def run(self) -> ExecutionResult:
         recorder = self.recorder
         if recorder is not None:
             recorder.record(
@@ -589,10 +484,8 @@ class _Execution:
         )
         # The one decode of the run: registers hold bitmaps, answers are sets.
         items = frozenset() if answer is None else as_frozenset(answer)
-        result = RuntimeResult(
-            items=items,
-            trace=trace,
-            item_set=answer if type(answer) is ItemSet else items,
+        result = ExecutionResult(
+            items, answer if type(answer) is ItemSet else items, traces=(trace,)
         )
         if recorder is not None:
             recorder.record(

@@ -34,10 +34,11 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.errors import CostModelError
+from repro.mediator.executor import ExecutionResult
 from repro.obs.events import ReplanEvent
 from repro.optimize.base import OptimizationResult
 from repro.query.fusion import FusionQuery
-from repro.runtime.engine import RuntimeEngine, RuntimeResult
+from repro.runtime.engine import RuntimeEngine
 from repro.runtime.health import BreakerState
 from repro.runtime.trace import OpStatus
 
@@ -49,7 +50,7 @@ class ReplanRound:
     round: int  # 0 = initial plan, 1.. = replans
     sources: tuple[str, ...]  # sources the optimizer planned over
     optimization: OptimizationResult
-    result: RuntimeResult
+    result: ExecutionResult  # this round's engine run
 
     @property
     def dead_sources(self) -> tuple[str, ...]:
@@ -85,11 +86,6 @@ class ResilientResult:
     def complete(self) -> bool:
         """True when the final round finished with nothing degraded."""
         return self.rounds[-1].result.complete
-
-    @property
-    def deadline_expired(self) -> bool:
-        """True when any round was cut short by the query budget."""
-        return any(r.result.deadline_expired for r in self.rounds)
 
     @property
     def makespan_s(self) -> float:

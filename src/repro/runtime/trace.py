@@ -324,6 +324,21 @@ class RuntimeTrace:
         return self._tally.recovered
 
     @property
+    def incomplete_conditions(self) -> tuple[str, ...]:
+        """What a partial answer is missing: one mark per condition (or
+        load) whose operation was lost — to a spent retry budget or to
+        the query deadline — in plan order; empty when nothing was."""
+        if not (self.degraded_steps or self.deadline_steps):
+            return ()
+        incomplete: list[str] = []
+        for span in self.spans:
+            if span.status is OpStatus.DEGRADED or span.status is OpStatus.DEADLINE:
+                mark = span.condition or f"load {span.source}"
+                if mark not in incomplete:
+                    incomplete.append(mark)
+        return tuple(incomplete)
+
+    @property
     def hedge_attempts(self) -> int:
         """Speculative duplicate attempts launched across all steps."""
         return self._tally.hedges

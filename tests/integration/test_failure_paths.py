@@ -78,7 +78,7 @@ class TestExecutorFailures:
             for index, op in enumerate(plan.operations, start=1)
             if op.remote and op.source == "R3"
         }
-        assert on_r3 and set(result.degraded_steps) == on_r3
+        assert on_r3 and set(result.trace.degraded_steps) == on_r3
 
 
 class TestOptimizerFailures:

@@ -99,8 +99,6 @@ def test_one_decode_per_answer(backend, optimizer, override, decodes, bitmaps_on
             assert decodes[0] - before == 1, (name, backend, str(query))
             assert type(answer.items) is frozenset
             assert type(answer.execution.items) is frozenset
-            if answer.runtime is not None:
-                assert type(answer.runtime.items) is frozenset
     assert {"selection", "semijoin", "union_many", "intersect_many"} <= set(bitmaps_only)
 
 

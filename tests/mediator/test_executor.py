@@ -16,6 +16,8 @@ from repro.plans.operations import (
     UnionOp,
 )
 from repro.plans.plan import Plan
+from repro.runtime.faults import AttemptFate
+from repro.runtime.trace import AttemptSpan, OpSpan, OpStatus, RuntimeTrace
 from repro.sources.generators import DMV_FIG1_ANSWER, dmv_fig1
 
 
@@ -125,7 +127,7 @@ class TestTraceRendering:
         federation, query = dmv
         plan = build_filter_plan(query, federation.source_names)
         result = Executor(federation).execute(plan)
-        text = result.trace(plan)
+        text = result.render_steps(plan)
         assert "sq(c1, R1)" in text
         assert "answer: 2 items" in text
 
@@ -143,10 +145,25 @@ class TestResultSummary:
         assert repr(result) == f"ExecutionResult({summary})"
 
 
+def _round(hedges: int = 0, recovered: int = 0, degraded: int = 0) -> RuntimeTrace:
+    """A stand-in engine round: ``hedges`` hedge attempts on one
+    operation, then ``recovered`` recovered and ``degraded`` degraded
+    operations, all on the first operation of the Fig. 1 filter plan."""
+    federation, query = dmv_fig1()
+    op = build_filter_plan(query, federation.source_names).operations[0]
+    hedge = AttemptSpan(1, 0.0, 0.1, AttemptFate.OK, 0.0, 0, 0, 0, 1, hedge=True)
+    statuses = [OpStatus.OK] + [OpStatus.RECOVERED] * recovered + [OpStatus.DEGRADED] * degraded
+    spans = [
+        OpSpan(step, op, 0.0, 0.0, 0.1, (hedge,) * hedges if step == 1 else (), status, 0)
+        for step, status in enumerate(statuses, start=1)
+    ]
+    return RuntimeTrace(spans=tuple(spans), makespan_s=0.1)
+
+
 class TestResilienceCounters:
-    """summary() regression: the resilience counters appended in the
-    observability pass must show up when nonzero and stay silent when
-    zero, leaving the base text untouched."""
+    """summary() regression: the resilience counters, read off the
+    rounds' traces, show up when nonzero and stay silent when zero,
+    leaving the base text untouched."""
 
     def test_zero_counters_keep_the_base_summary(self):
         result = ExecutionResult(items=frozenset())
@@ -159,11 +176,8 @@ class TestResilienceCounters:
     def test_nonzero_counters_are_appended_in_order(self):
         result = ExecutionResult(
             items=frozenset({"a"}),
-            hedges=2,
-            recovered=1,
-            degraded=3,
+            traces=(_round(hedges=2, degraded=1), _round(recovered=1), _round(degraded=3)),
             breaker_trips=1,
-            replans=2,
         )
         summary = result.summary()
         assert summary.endswith(
@@ -172,7 +186,9 @@ class TestResilienceCounters:
         )
 
     def test_partial_counters_skip_zero_entries(self):
-        result = ExecutionResult(items=frozenset(), hedges=1, replans=4)
+        result = ExecutionResult(
+            items=frozenset(), traces=(_round(hedges=1, degraded=1), *[_round()] * 4)
+        )
         summary = result.summary()
         assert summary.endswith("; 1 hedges, 4 replans")
         assert "degraded" not in summary

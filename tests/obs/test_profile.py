@@ -113,7 +113,7 @@ class TestMakespan:
         assert (
             first.execution.profile.makespan_s
             == second.execution.profile.makespan_s
-            == second.runtime.makespan_s
+            == second.execution.makespan_s
         )
 
 
@@ -142,7 +142,7 @@ class TestOneFold:
         profile = answer.execution.profile
         assert len(profile.traces) == 1
         if backend == "runtime":
-            assert profile.traces[0] is answer.runtime.trace
+            assert profile.traces[0] is answer.execution.trace
         assert profile.total_cost == pytest.approx(
             answer.execution.total_cost
         )

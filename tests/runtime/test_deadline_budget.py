@@ -74,7 +74,7 @@ class TestBudgetBasics:
         assert result.items <= full.items
         assert result.makespan_s <= budget
         # Nothing raises: the partial answer is a normal return value.
-        assert result.deadline_steps
+        assert result.trace.deadline_steps
 
     def test_non_finite_budget_rejected(self, dmv):
         federation, query = dmv

@@ -206,7 +206,7 @@ class TestDegradationAndFailure:
         )
         result = engine.run(plan)
         assert not result.complete
-        assert result.degraded_steps
+        assert result.trace.degraded_steps
         # R1's ops degraded to empty sets: subset of the truth, never more.
         assert result.items <= DMV_FIG1_ANSWER
 
@@ -316,22 +316,20 @@ class TestDeterminismAndProjection:
         assert first.makespan_s == second.makespan_s
         assert first.trace.spans == second.trace.spans
 
-    def test_to_execution_result_projection(self, dmv_kit):
+    def test_steps_project_the_op_spans(self, dmv_kit):
         federation, query, __ = dmv_kit
         plan = build_filter_plan(query, federation.source_names)
         result = RuntimeEngine(federation).run(plan)
-        projected = result.to_execution_result()
-        assert projected.items == result.items
-        assert len(projected.steps) == len(plan)
-        assert projected.total_cost == pytest.approx(result.trace.total_cost)
-        assert projected.total_messages == result.trace.total_messages
+        assert len(result.steps) == len(plan)
+        assert result.total_cost == pytest.approx(result.trace.total_cost)
+        assert result.total_messages == result.trace.total_messages
 
     def test_result_repr_and_summary(self, dmv_kit):
         federation, query, __ = dmv_kit
         plan = build_filter_plan(query, federation.source_names)
         result = RuntimeEngine(federation).run(plan)
         assert "2 items" in repr(result)
-        assert "makespan" in result.summary()
+        assert "makespan" in result.trace.summary()
 
 
 class TestResilienceValue:
@@ -394,7 +392,7 @@ class TestResilienceValue:
         )
         own = engine.faults
         dead = FaultInjector({"R1": FaultProfile.flaky(1.0)}, seed=0)
-        assert engine.run(plan, faults=dead).degraded_steps
+        assert engine.run(plan, faults=dead).trace.degraded_steps
         assert dead.attempts > 0 and own.attempts == 0
         assert engine.faults is own
         assert engine.run(plan).items == DMV_FIG1_ANSWER

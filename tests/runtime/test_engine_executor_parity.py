@@ -114,7 +114,7 @@ def _check_kit(kit) -> int:
             set_numpy_enabled(numpy_on)
             for plan in plans:
                 expected = executor.execute(plan)
-                got = engine.run(plan).to_execution_result()
+                got = engine.run(plan)
                 assert got.items == expected.items, (plan.description, numpy_on)
                 assert _steps(got) == _steps(expected), (
                     plan.description,

@@ -5,8 +5,8 @@ operation — is derived once per :class:`~repro.plans.plan.Plan` object
 (``Plan.steps``) and shared by every run of it; a run keeps only mutable
 state.  ``RuntimeTrace.from_events`` is the one builder of the trace's
 spans, and builds them as tuples.  The serving tier reads a run's answer,
-completeness and incomplete-condition marks straight off the
-``RuntimeResult``, without projecting the run onto an ``ExecutionResult``.
+completeness and incomplete-condition marks off the engine's
+``ExecutionResult`` without ever projecting its op spans into steps.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from repro.plans.builder import build_filter_plan
 from repro.runtime.engine import RuntimeEngine
 from repro.runtime.faults import FaultInjector, FaultProfile
 from repro.runtime.trace import AttemptSpan, OpSpan
+from repro.serve.service import MediatorService
 from repro.sources.generators import dmv_fig1
 
 ROOT = pathlib.Path(repro.__file__).parent
@@ -103,16 +104,22 @@ class TestSpansBuiltInOnePlace:
 
 
 class TestServiceReadsTheRunResult:
-    def test_service_never_projects_onto_an_execution_result(self):
-        tree = ast.parse((ROOT / "serve/service.py").read_text())
-        calls = [
-            node.lineno
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "to_execution_result"
-        ]
-        assert calls == []
+    def test_service_never_projects_the_steps(self, monkeypatch):
+        results = []
+        run = RuntimeEngine.run
+
+        def recording(engine, *args, **kwargs):
+            results.append(run(engine, *args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(RuntimeEngine, "run", recording)
+        federation, query = dmv_fig1()
+        service = MediatorService(federation)
+        for at_s in (0.0, 0.5):
+            service.submit(query.to_sql(), at_s=at_s)
+        service.run_until_idle()
+        assert len(results) == 2
+        assert all("steps" not in vars(result) for result in results)
 
     def test_marks_live_on_the_run_result(self):
         federation, query = dmv_fig1()
@@ -121,8 +128,6 @@ class TestServiceReadsTheRunResult:
         result = engine.run(plan, budget_s=0.0)  # every remote op cut
         assert not result.complete
         assert result.incomplete_conditions
-        execution = result.to_execution_result()
-        assert execution.incomplete_conditions == result.incomplete_conditions
-        assert execution.partial is (not result.complete)
+        assert result.partial is (not result.complete)
+        assert "steps" not in vars(result)
         assert engine.run(plan).incomplete_conditions == ()
-

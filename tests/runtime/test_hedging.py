@@ -45,7 +45,7 @@ class TestHedgeOnFailure:
         result = engine.run(plan)
         assert result.items == DMV_FIG1_ANSWER
         assert result.complete
-        assert result.recovered_steps
+        assert result.trace.recovered_steps
         recovered = [
             s for s in result.trace.spans if s.status is OpStatus.RECOVERED
         ]

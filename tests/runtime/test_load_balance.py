@@ -46,7 +46,7 @@ class TestBalancedDispatch:
         assert all(
             span.status is OpStatus.OK for span in result.trace.remote_spans
         )
-        assert not result.recovered_steps
+        assert not result.trace.recovered_steps
 
     def test_balancing_never_slows_a_healthy_run(self):
         federation, query = replicated()

@@ -336,9 +336,9 @@ class TestRuns:
         last = plain.answer(query)
         assert len(replanned.resilient.rounds) == 2
         expected = [
-            first.runtime.trace,
+            first.execution.trace,
             *(r.result.trace for r in replanned.resilient.rounds),
-            last.runtime.trace,
+            last.execution.trace,
         ]
         runs = RuntimeTrace.runs(recorder.events)
         assert [_shape(t) for t in runs] == [_shape(t) for t in expected]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
 from repro.errors import (
@@ -205,13 +207,22 @@ class TestDeterministicMode:
             dmv_federation,
             mode="deterministic",
             statistics=statistics,
-            mine_statistics=True,
         )
         before = statistics.fingerprint()
         service.submit(DMV_SQL, at_s=0.0)
         service.run_until_idle()
         assert statistics.observations > 0
         assert statistics.fingerprint() != before
+
+    def test_observed_statistics_are_mined_unasked(self, dmv_federation):
+        # Mining follows from the provider: one with a callable
+        # ``observe`` is fed every completed run, with no switch.
+        assert "mine_statistics" not in inspect.signature(MediatorService).parameters
+        statistics = ObservedStatistics()
+        service = MediatorService(dmv_federation, statistics=statistics)
+        service.submit(DMV_SQL)
+        service.run_until_idle()
+        assert statistics.observations == 3  # R1, R2 and R3's loads
 
     def test_event_stream_round_trips_through_schema(self, dmv_federation):
         service = MediatorService(dmv_federation, mode="deterministic")

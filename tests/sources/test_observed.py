@@ -221,7 +221,6 @@ class TestMiningTraces:
         service = MediatorService(
             federation,
             statistics=statistics,
-            mine_statistics=True,
             faults=Faults(wire={"R3": FaultProfile(stall_rate=1.0, stall_s=5.0)}),
             resilience=Resilience(
                 policy=RetryPolicy(
@@ -248,9 +247,7 @@ class TestMiningTraces:
         monkeypatch.setattr(RuntimeTrace, "from_events", counting)
         federation, __ = dmv_fig1()
         statistics = ObservedStatistics()
-        service = MediatorService(
-            federation, statistics=statistics, mine_statistics=True
-        )
+        service = MediatorService(federation, statistics=statistics)
         service.submit(DMV_SQL)
         service.run_until_idle()
         assert len(folds) == 1  # the engine's own fold, nothing after it

@@ -252,6 +252,16 @@ class TestWorkload:
         ) == 0
         assert "5/5 completed" in capsys.readouterr().out
 
+    def test_workers_without_thread_mode_is_refused(self, spec_path, capsys):
+        # Only thread mode has a worker pool; the virtual clock would
+        # silently ignore the flag.
+        assert main(["workload", spec_path, DMV_SQL, "--workers", "2", "--count", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: --workers would be ignored without --mode threads"
+        ]
+
     def test_workload_emits_events(self, spec_path, tmp_path, capsys):
         path = str(tmp_path / "serve-events.jsonl")
         assert main(
