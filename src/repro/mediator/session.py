@@ -102,15 +102,17 @@ class MediatorAnswer:
             f"{self.execution.total_cost:.1f}, "
             f"{self.execution.total_messages} messages"
         )
-        trace = self.execution.trace
-        if trace is not None:
+        execution = self.execution
+        if execution.traces:
+            # The run record's totals: every round's retries, recoveries
+            # and wall time; the last round's lost operations.
+            retries = sum(trace.total_retries for trace in execution.traces)
             text += (
-                f"; makespan {trace.makespan_s:.3f}s, "
-                f"{trace.total_retries} retries, "
-                f"{len(trace.degraded_steps)} degraded"
+                f"; makespan {execution.makespan_s:.3f}s, "
+                f"{retries} retries, {execution.degraded} degraded"
             )
-            if trace.recovered_steps:
-                text += f", {len(trace.recovered_steps)} recovered"
+            if execution.recovered:
+                text += f", {execution.recovered} recovered"
         if self.resilient is not None and self.resilient.replans:
             text += f"; {self.resilient.replans} replan round(s)"
         return text

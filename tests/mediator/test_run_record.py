@@ -76,7 +76,7 @@ def pins(answer) -> dict:
 
 
 GOLDEN: dict[str, dict] = {'deadline': {'summary': '0 items; optimizer SJA+, estimated cost 48.0, actual cost '
-                         '48.0, 3 messages; makespan 0.100s, 0 retries, 0 degraded',
+                         '48.0, 3 messages; makespan 0.100s, 0 retries, 3 degraded',
               'execution': '0 items in 12 steps; cost 48.0, 3 messages, 0 retries, '
                            '0.300s on the wire; 3 degraded; PARTIAL (deadline): '
                            'missing load R1, load R2, load R3',
@@ -105,7 +105,7 @@ GOLDEN: dict[str, dict] = {'deadline': {'summary': '0 items; optimizer SJA+, est
                   'resilient': None},
  'replan_still_degraded': {'summary': '1 items; optimizer SJA+, estimated cost 48.0, '
                                       'actual cost 256.0, 16 messages; makespan '
-                                      '0.403s, 0 retries, 1 degraded, 2 recovered; 2 '
+                                      '1.206s, 0 retries, 1 degraded, 4 recovered; 2 '
                                       'replan round(s)',
                            'execution': '1 items in 36 steps; cost 256.0, 16 messages, '
                                         '0 retries, 3.218s on the wire; 7 hedges, 4 '
@@ -122,7 +122,7 @@ GOLDEN: dict[str, dict] = {'deadline': {'summary': '0 items; optimizer SJA+, est
                            'resilient': '1 items in 3 round(s), makespan 1.206s, cost '
                                         '256.0, masked: R1, R2, R2~1 (still degraded)'},
  'replan_two_rounds': {'summary': '2 items; optimizer SJA+, estimated cost 48.0, '
-                                  'actual cost 160.0, 10 messages; makespan 0.403s, 0 '
+                                  'actual cost 160.0, 10 messages; makespan 0.803s, 0 '
                                   'retries, 0 degraded, 2 recovered; 1 replan round(s)',
                        'execution': '2 items in 24 steps; cost 160.0, 10 messages, 0 '
                                     'retries, 2.012s on the wire; 4 hedges, 2 '
