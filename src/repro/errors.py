@@ -15,6 +15,9 @@ from __future__ import annotations
 class FusionError(Exception):
     """Base class for all errors raised by this library."""
 
+    #: What an engine run had recorded when this error ended it.
+    records: tuple = ()
+
 
 class SchemaError(FusionError):
     """A relation, row, or attribute violates its declared schema."""

@@ -29,25 +29,25 @@ rebuilt from a persisted JSONL file as well as from a live log:
   when it is next read;
   :func:`~repro.obs.fold.metrics_from_events` applies it to a log,
   and both export the same bytes;
-* :mod:`~repro.obs.spans` — causal span trees:
-  :func:`~repro.obs.spans.engine_spans` folds a query's events into the
-  op / attempt / backoff / hedge / marker subtree of its trace
-  (:func:`~repro.obs.spans.serve_spans` adds the admission / queue /
-  plan / pool / execute / merge skeleton from the ticket's timestamps),
-  as immutable slotted records, exportable as Chrome trace-event JSON.
-  One critical-path core, :func:`~repro.obs.spans.critical_path`,
-  attributes end-to-end latency to phases exactly: the service feeds it
-  at completion from the skeleton and the grouping the engine fold
-  built, :func:`~repro.obs.spans.analyze_trace` from persisted spans;
 * the runtime's own trace — :meth:`RuntimeTrace.from_events
   <repro.runtime.trace.RuntimeTrace.from_events>` is the one fold of a
-  run's ``op`` / ``attempt`` events, live or read back from JSONL
+  run's records, live or read back from JSONL
   (:meth:`~repro.runtime.trace.RuntimeTrace.runs` splits a log into its
   runs), so a persisted log renders the ASCII timeline byte for byte.
 
-Two views read that trace, not the events: the per-step / per-source /
-per-condition :class:`~repro.obs.profile.QueryProfile` (one trace per
-re-plan round; predicted vs observed cost), and
+Three views read that trace, not the events: causal span trees
+(:mod:`~repro.obs.spans`: :func:`~repro.obs.spans.execute_spans`
+renders a query's traces as the op / attempt / backoff / hedge /
+marker subtree of its span tree, :func:`~repro.obs.spans.serve_spans`
+adds the admission / queue / plan / pool / execute / merge skeleton
+from the ticket's timestamps, as immutable slotted records exportable
+as Chrome trace-event JSON; one critical-path core,
+:func:`~repro.obs.spans.critical_path`, attributes end-to-end latency
+to phases exactly, fed at completion from the skeleton and the
+rendering's grouping and by :func:`~repro.obs.spans.analyze_trace`
+from persisted spans), the per-step / per-source / per-condition
+:class:`~repro.obs.profile.QueryProfile` (one trace per re-plan round;
+predicted vs observed cost), and
 :class:`repro.sources.observed.ObservedStatistics`, which closes the
 loop: ``observe(traces)`` mines runs for cardinalities and selectivities,
 letting a mediator plan from what it has *watched happen*.
@@ -83,7 +83,7 @@ from repro.obs.spans import (
     analyze_log,
     analyze_trace,
     derive_trace_id,
-    engine_spans,
+    execute_spans,
     serve_spans,
     top_contributors,
     validate_chrome_trace,
@@ -114,7 +114,7 @@ __all__ = [
     "analyze_log",
     "analyze_trace",
     "derive_trace_id",
-    "engine_spans",
+    "execute_spans",
     "serve_spans",
     "top_contributors",
     "validate_chrome_trace",

@@ -8,8 +8,8 @@ The schema (:data:`EVENT_SCHEMA`) is part of the public contract:
 emission validates against it, CI validates persisted logs line by
 line, and downstream consumers (the trace fold
 :meth:`repro.runtime.trace.RuntimeTrace.from_events`, whose traces the
-query profiles and the mined statistics read) rely on exactly these
-fields.
+span trees, the query profiles and the mined statistics read) rely on
+exactly these fields.
 
 Records serialize to JSONL with a fixed key order (``ts``, ``type``,
 then field names sorted), so two runs with the same seed produce
@@ -27,8 +27,7 @@ schema check and two appends per event.  Keyword emission
 <repro.obs.recorder.Recorder.emit>`), :func:`validate_record` and
 :meth:`EventLog.from_records` first refuse an unknown type or a wrong
 field set (:func:`event_from_fields`), then build the same class.
-Readers (the trace fold, the span fold, the metric catalogue) read the
-attributes.
+Readers (the trace fold, the metric catalogue) read the attributes.
 """
 
 from __future__ import annotations

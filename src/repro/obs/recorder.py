@@ -13,12 +13,11 @@ the registry's pending list — one schema check and two appends per
 event, no dict and no second check.  :meth:`Recorder.emit` is the
 keyword form of the same thing for callers that name fields: it stamps
 the clock and the round, checks the field set, and builds the same
-record.  Nothing else is recorded: metrics, spans and runtime traces
-are folds of the event stream (:func:`repro.obs.fold.fold_event`,
-:func:`repro.obs.spans.engine_spans`,
-:meth:`repro.runtime.trace.RuntimeTrace.from_events`), and profiles and
-mined statistics read the traces.  The metric fold runs when the
-registry is next read (:class:`~repro.obs.metrics.MetricsRegistry`)
+record.  Nothing else is recorded: metrics and runtime traces are
+folds of the event stream (:func:`repro.obs.fold.fold_event`,
+:meth:`repro.runtime.trace.RuntimeTrace.from_events`), and spans,
+profiles and mined statistics read the traces.  The metric fold runs
+when the registry is next read (:class:`~repro.obs.metrics.MetricsRegistry`)
 and exports what folding each event as it landed would have.  The fold
 is not cheaper for it: whoever reads the metrics pays it, per pending
 event, at the read.
@@ -32,10 +31,10 @@ With ``Recorder()`` both a metrics registry and an event log are
 created; pass ``metrics=None`` to keep events only (the event log is
 always on — everything else is derived from it).  The execution layers
 accept ``recorder=None`` (their default) and then export nothing.  The
-runtime engine keeps its ``attempt`` / ``op`` records either way, since
-its trace is their fold (without a recorder they carry round 0 and the
-engine clock); a recorder is handed those same objects, so attaching
-one changes no answer and no trace.
+runtime engine keeps its records either way, since its trace is their
+fold (without a recorder they carry round 0 and the engine clock); a
+recorder is handed those same objects, so attaching one changes no
+answer and no trace.
 """
 
 from __future__ import annotations
@@ -73,6 +72,10 @@ class Recorder:
         #: Added to every timestamp — keeps event time monotone across
         #: re-plan rounds whose engine clocks each restart at zero.
         self.clock_offset_s = 0.0
+        #: The record list of the engine run in flight on this recorder
+        #: (``None`` between runs): a breaker or quarantine transition
+        #: observed during a run is one of its records too.
+        self.run_records: list[Event] | None = None
 
     def record(self, event: Event) -> None:
         """Append one typed event, checked by its constructor and on
@@ -104,7 +107,7 @@ class Recorder:
     def breaker_transition(
         self, now_s: float, source: str, old_state: str, new_state: str
     ) -> None:
-        self.record(
+        self._observed(
             BreakerEvent(self.clock_offset_s + now_s, source, old_state, new_state)
         )
 
@@ -112,8 +115,13 @@ class Recorder:
         self, now_s: float, source: str, action: str, score: float,
         answers: int,
     ) -> None:
-        self.record(
+        self._observed(
             QuarantineEvent(
                 self.clock_offset_s + now_s, source, action, score, answers
             )
         )
+
+    def _observed(self, event: Event) -> None:
+        self.record(event)
+        if self.run_records is not None:
+            self.run_records.append(event)

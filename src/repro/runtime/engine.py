@@ -16,10 +16,11 @@ Both obey the same parallel execution model:
 On top of that model the engine layers what static analysis cannot see:
 per-attempt fault injection (:mod:`repro.runtime.faults`), retries with
 exponential backoff and deadlines (:mod:`repro.runtime.policy`), and
-one ``attempt`` / ``op`` record per wire attempt and operation, whose
-fold (:mod:`repro.runtime.trace`) is the trace.  Failed attempts are
-charged in full on the simulated wire — retries buy resilience with
-real traffic, which is exactly the trade-off the R3 benchmark measures.
+one record per wire attempt, operation, send-set, retry, hedge and
+tainted answer, whose fold (:mod:`repro.runtime.trace`) is the trace.
+Failed attempts are charged in full on the simulated wire — retries buy
+resilience with real traffic, which is exactly the trade-off the R3
+benchmark measures.
 
 Replica-aware resilience (opt-in fields of :class:`Resilience`; the
 zero-config engine behaves exactly as before):
@@ -88,7 +89,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from repro.errors import CostModelError, ExecutionError
+from repro.errors import CostModelError, ExecutionError, FusionError
 from repro.mediator.executor import ExecutionResult
 from repro.obs.events import (
     AttemptEvent,
@@ -420,7 +421,8 @@ class _Execution:
         self.confirm_waiting: list[_Task] = []
         self.heap: list[tuple[float, int, str, tuple]] = []
         self.seq = itertools.count()
-        # The run's ``attempt`` / ``op`` events, in event order.
+        # The run's records, in event order: its own, and the breaker /
+        # quarantine transitions its recorder observes while it runs.
         self.records: list[Event] = []
 
     # ------------------------------------------------------------------
@@ -439,6 +441,45 @@ class _Execution:
                     self.plan.result,
                 )
             )
+            recorder.run_records = self.records
+        try:
+            self._loop()
+        except FusionError as exc:
+            # Nothing folds a run that raised; its records go with the
+            # error, for whoever renders what it did.
+            exc.records = tuple(self.records)
+            raise
+        finally:
+            if recorder is not None:
+                recorder.run_records = None
+        answer = self.values[self.plan.result_writer]
+        trace = RuntimeTrace.from_events(
+            self.records, operations=self.plan.operations
+        )
+        # The one decode of the run: registers hold bitmaps, answers are sets.
+        items = frozenset() if answer is None else as_frozenset(answer)
+        result = ExecutionResult(
+            items, answer if type(answer) is ItemSet else items, traces=(trace,)
+        )
+        if recorder is not None:
+            recorder.record(
+                RunEndEvent(
+                    recorder.clock_offset_s + trace.makespan_s,
+                    "runtime",
+                    recorder.round,
+                    trace.makespan_s,
+                    trace.total_retries,
+                    len(trace.degraded_steps) + len(trace.deadline_steps),
+                    len(trace.recovered_steps),
+                    trace.hedge_attempts,
+                    trace.total_cost,
+                    len(result.items),
+                )
+            )
+        return result
+
+    def _loop(self) -> None:
+        """Drain the event heap: every task finishes or the run raises."""
         if self.budget_s is not None and self.budget_s <= 0:
             # Budget already spent: degrade everything without ever
             # touching the wire.
@@ -478,31 +519,6 @@ class _Execution:
             raise ExecutionError(
                 f"runtime deadlock: steps {unfinished} never completed"
             )
-        answer = self.values[self.plan.result_writer]
-        trace = RuntimeTrace.from_events(
-            self.records, operations=self.plan.operations
-        )
-        # The one decode of the run: registers hold bitmaps, answers are sets.
-        items = frozenset() if answer is None else as_frozenset(answer)
-        result = ExecutionResult(
-            items, answer if type(answer) is ItemSet else items, traces=(trace,)
-        )
-        if recorder is not None:
-            recorder.record(
-                RunEndEvent(
-                    recorder.clock_offset_s + trace.makespan_s,
-                    "runtime",
-                    recorder.round,
-                    trace.makespan_s,
-                    trace.total_retries,
-                    len(trace.degraded_steps) + len(trace.deadline_steps),
-                    len(trace.recovered_steps),
-                    trace.hedge_attempts,
-                    trace.total_cost,
-                    len(result.items),
-                )
-            )
-        return result
 
     def _push(self, time_s: float, kind: str, payload: tuple) -> None:
         heapq.heappush(self.heap, (time_s, next(self.seq), kind, payload))
@@ -516,8 +532,8 @@ class _Execution:
         return recorder.clock_offset_s + now, recorder.round
 
     def _record(self, event: Event) -> None:
-        """Keep one ``attempt`` / ``op`` record; an attached recorder
-        receives the same object."""
+        """Keep one record of the run; an attached recorder receives the
+        same object."""
         self.records.append(event)
         if self.recorder is not None:
             self.recorder.record(event)
@@ -711,17 +727,12 @@ class _Execution:
             # The task's own connection slot stays with it for retries;
             # a substitute's connection is held only for the attempt.
             self.busy[serving] = True
-        recorder = self.recorder
-        if recorder is not None and isinstance(task.op, SemijoinOp):
+        if isinstance(task.op, SemijoinOp):
             bindings = self.values[task.spec.inputs[task.op.input_register]]
-            recorder.record(
+            ts, round_no = self._stamp(now)
+            self._record(
                 SendsetEvent(
-                    recorder.clock_offset_s + now,
-                    recorder.round,
-                    task.step,
-                    serving,
-                    task.spec.condition,
-                    len(bindings),
+                    ts, round_no, task.step, serving, task.spec.condition, len(bindings)
                 )
             )
         mark = len(source.traffic.records)
@@ -813,18 +824,10 @@ class _Execution:
         target = self._substitute_target(task, now)
         if target is None:
             return  # no idle healthy replica; the primary races alone
-        recorder = self.recorder
-        if recorder is not None:
-            recorder.record(
-                HedgeEvent(
-                    recorder.clock_offset_s + now,
-                    recorder.round,
-                    task.step,
-                    primary,
-                    target,
-                    trigger,
-                )
-            )
+        ts, round_no = self._stamp(now)
+        self._record(
+            HedgeEvent(ts, round_no, task.step, primary, target, trigger)
+        )
         self._launch(task, target, now, hedge=True)
 
     def _cancel(self, attempt: _Attempt, now: float) -> None:
@@ -1037,13 +1040,12 @@ class _Execution:
             delivered=report.delivered,
             kept=report.kept,
         )
-        recorder = self.recorder
-        if recorder is not None and not report.clean:
+        if not report.clean:
             # Only answers with detectable issues leave an event, so
             # clean runs do not bloat the log.
-            recorder.record(
+            self._record(
                 QualityEvent(
-                    recorder.clock_offset_s + now,
+                    self._stamp(now)[0],
                     task.step,
                     report.source,
                     report.delivered,
@@ -1088,18 +1090,12 @@ class _Execution:
         assert task.first_start_s is not None
         if self.policy.may_retry(retries_used, task.first_start_s, retry_at):
             task.retry_pending = True
-            recorder = self.recorder
-            if recorder is not None:
-                recorder.record(
-                    RetryEvent(
-                        recorder.clock_offset_s + now,
-                        recorder.round,
-                        task.step,
-                        attempt.source_name,
-                        retries_used + 1,
-                        retry_at,
-                    )
+            ts, round_no = self._stamp(now)
+            self._record(
+                RetryEvent(
+                    ts, round_no, task.step, attempt.source_name, retries_used + 1, retry_at
                 )
+            )
             self._push(retry_at, "retry", (task,))  # connection stays held
             return
         if task.inflight:

@@ -64,11 +64,11 @@ from repro.obs.events import (
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import Recorder
 from repro.obs.spans import (
-    EngineSpans,
+    Span,
     SpanLog,
     critical_path,
     derive_trace_id,
-    engine_spans,
+    execute_spans,
     serve_spans,
 )
 from repro.optimize.base import OptimizationResult
@@ -78,6 +78,7 @@ from repro.relational.columnar import substrate_summary
 from repro.runtime.engine import Resilience
 from repro.runtime.faults import Faults
 from repro.runtime.health import HealthRegistry
+from repro.runtime.trace import RuntimeTrace
 from repro.serve.admission import AdmissionController
 from repro.serve.deadline import (
     SHED_POLICIES,
@@ -144,9 +145,9 @@ class QueryTicket:
     #: Critical-path seconds per phase (see repro.obs.spans.PHASES),
     #: filled at completion when tracing is on; sums to ``latency_s``.
     phases: dict[str, float] = field(default_factory=dict)
-    #: The engine spans folded from this query's run, held from the run
-    #: to the completion step, which reads their op grouping.
-    _engine_spans: EngineSpans | None = field(
+    #: The op spans rendered from this query's run, as ``(step, span)``,
+    #: and the spans under each: held for the completion step.
+    _ops: tuple[list[tuple[int, Span]], dict[int, list[Span]]] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -223,8 +224,8 @@ class MediatorService:
             on): a deterministic per-query ``trace_id``
             (:func:`~repro.obs.spans.derive_trace_id` over the workload
             seed and submission number), serving-tier phase spans, and
-            the engine's op/attempt/backoff children folded from the
-            query's events, all in ``service.spans`` — exportable as
+            the engine's op/attempt/backoff children rendered from the
+            run's trace, all in ``service.spans`` — exportable as
             Chrome trace-event JSON and walked by the critical-path
             analyzer into ``ticket.phases``.  ``False`` skips span
             collection (and the ``plan`` / ``phases`` events) entirely.
@@ -658,8 +659,8 @@ class MediatorService:
         latency to phases (``ticket.phases``).
 
         The critical path is tiled from the serve spans just built and
-        the op grouping of the engine spans the run folded; the trace is
-        not read back out of the span log.
+        the op spans rendered after the run; the trace is not read back
+        out of the span log.
 
         Every ticket that completed gets a trace — even ones that never
         planned or dispatched (queue-expired, unplannable): their phase
@@ -696,12 +697,9 @@ class MediatorService:
             strategy=ticket.search_strategy,
         )
         self.spans.extend(serve)
-        engine = ticket._engine_spans
-        ticket._engine_spans = None
-        if engine is None:
-            path = critical_path(serve, (), {})
-        else:
-            path = critical_path(serve, engine.ops, engine.children)
+        ops, children = ticket._ops or ((), {})
+        ticket._ops = None
+        path = critical_path(serve, ops, children)
         phases = ticket.phases = path.by_phase()
         recorder = self.recorder
         recorder.record(
@@ -729,15 +727,15 @@ class MediatorService:
 
         Called without the service lock: between dispatch and
         completion a ticket belongs to the driver (or worker) running
-        it.  The events the run emitted are folded into the trace's
-        engine spans, appended as one batch whether the run returned or
-        raised; a run that returned hands its runtime trace to mined
-        statistics, and a run that raised mines nothing.
+        it.  The run's traces are rendered as the trace's ``execute``
+        subtree, appended as one batch whether the run returned or
+        raised (the engine folds no run that raised: its records, on
+        the error, are folded here); a run that returned hands its
+        traces to mined statistics, and a run that raised mines nothing.
         """
         recorder = mediator.recorder
         dispatched_s = ticket.dispatched_s
         assert recorder is not None and dispatched_s is not None
-        events_before = len(recorder.events)
         budget_s = None
         if ticket.deadline_s is not None:
             budget_s = max(
@@ -751,6 +749,7 @@ class MediatorService:
         recorder.clock_offset_s = float(dispatched_s)
         deadline_cut = False
         result = None
+        traces: tuple[RuntimeTrace, ...] = ()
         try:
             result = mediator.runtime.run(
                 plan, budget_s=budget_s, faults=faults
@@ -760,18 +759,21 @@ class MediatorService:
             ticket.incomplete_conditions = result.incomplete_conditions
             ticket.makespan_s = result.makespan_s
             deadline_cut = result.deadline_expired
+            traces = result.traces
         except FusionError as exc:
             ticket.error = f"{type(exc).__name__}: {exc}"
+            if self.spans is not None and exc.records:
+                traces = (RuntimeTrace.from_events(exc.records, operations=plan.operations),)
         finally:
             recorder.clock_offset_s = 0.0
         if self.spans is not None:
-            events = recorder.events.events[events_before:]
-            spans = ticket._engine_spans = engine_spans(
-                ticket.trace_id, events, dispatched_s
+            spans, ops, children = execute_spans(
+                ticket.trace_id, traces, dispatched_s
             )
             self.spans.extend(spans)
+            ticket._ops = (ops, children)
         if self._observe is not None and result is not None:
-            self._observe(result.traces)
+            self._observe(traces)
         return deadline_cut
 
     def _note_deadline_cut(

@@ -50,6 +50,11 @@ def _scan_chain(op_spans: list[Span]) -> list[Span]:
     return chain
 
 
+def _stepped(spans: list[Span]) -> list[tuple[int, Span]]:
+    """The ``(step, span)`` pairs ``_chain_ops`` walks."""
+    return [(span.attributes["step"], span) for span in spans]
+
+
 def _spans(rng: random.Random, count: int) -> list[Span]:
     """Op spans on a coarse grid of instants, so ends and starts collide."""
     instants = [rng.choice((0.0, 0.5, 1.0, 1.5, 2.0, 3.0)) for __ in range(count)]
@@ -84,7 +89,7 @@ class TestChainAgainstTheScan:
     def test_same_chain_on_random_span_sets(self, seed):
         rng = random.Random(seed)
         spans = _spans(rng, rng.randint(0, 40))
-        assert [id(s) for s in _chain_ops(spans)] == [
+        assert [id(s) for s in _chain_ops(_stepped(spans))] == [
             id(s) for s in _scan_chain(spans)
         ]
 
@@ -93,7 +98,7 @@ class TestChainAgainstTheScan:
             Span("t", i + 1, 0, f"m{i}", "engine.op", 1.0, 1.0, {"step": i})
             for i in range(30)
         ]
-        chain = _chain_ops(spans)
+        chain = _chain_ops(_stepped(spans))
         assert chain == _scan_chain(spans)
         assert len(chain) == 30  # every merge once, then the walk stops
 
@@ -101,7 +106,7 @@ class TestChainAgainstTheScan:
         first = Span("t", 1, 0, "a", "engine.op", 0.0, 1.0, {"step": 1})
         second = Span("t", 2, 0, "b", "engine.op", 0.0, 1.0, {"step": 2})
         tail = Span("t", 3, 0, "c", "engine.op", 1.0, 2.0, {"step": 3})
-        assert _chain_ops([tail, second, first]) == [tail, second]
+        assert _chain_ops(_stepped([tail, second, first])) == [tail, second]
 
 
 def _midpoint_slices(op: Span, children: list[Span]) -> list[tuple]:

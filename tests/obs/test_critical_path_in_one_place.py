@@ -2,8 +2,8 @@
 
 ``repro.obs.spans.critical_path`` is the one core that tiles a trace's
 latency into phase slices.  The serving tier feeds it at completion from
-what the span folds built (the serve skeleton and the engine fold's op
-grouping); ``analyze_trace`` feeds it from persisted spans.  So only
+the spans it built (the serve skeleton, and the op spans rendered from
+the run's trace); ``analyze_trace`` feeds it from persisted spans.  So only
 ``obs/spans.py`` builds a ``PhaseSlice``, the service never reads a
 trace back out of its span log, and on random span sets both entries
 give the same path.
@@ -19,7 +19,8 @@ import pytest
 
 import repro
 from repro.obs.events import EVENT_SCHEMA, EventLog
-from repro.obs.spans import analyze_trace, critical_path, engine_spans, serve_spans
+from repro.obs.spans import analyze_trace, critical_path, serve_spans
+from tests.obs.test_span_fold import fold_then_render
 
 ROOT = pathlib.Path(repro.__file__).parent
 
@@ -154,12 +155,14 @@ def test_the_completion_path_equals_the_analyzer_on_random_span_sets(seed):
     planned = submitted + rng.choice((0.0, 0.5))
     dispatched = planned + rng.choice((0.0, 0.25))
     completed = dispatched + rng.choice((0.0, 1.0, 2.0, 3.0))
-    engine = engine_spans("t", random_run(rng, dispatched), dispatched)
+    engine, ops, children = fold_then_render(
+        "t", random_run(rng, dispatched), dispatched
+    )
     serve = serve_spans(
         "t", seed, "a", "done", submitted_s=submitted, planned_s=planned,
         plan_elapsed_s=rng.choice((0.0, 0.1)), dispatched_s=dispatched,
         completed_s=completed,
     )
-    at_completion = critical_path(serve, engine.ops, engine.children)
+    at_completion = critical_path(serve, ops, children)
     # In the span log's order: the engine batch, then the serve skeleton.
     assert analyze_trace([*engine, *serve]) == at_completion

@@ -336,7 +336,7 @@ class TestSpanLogHammer:
 
     def test_concurrent_service_recorders_share_one_log(self):
         # Thread mode has every worker append to the service's one
-        # SpanLog in whole batches — a trace's folded engine subtree,
+        # SpanLog in whole batches — a trace's rendered engine subtree,
         # then its serve skeleton; hammer that exact shape.
         from itertools import groupby
 
@@ -344,10 +344,11 @@ class TestSpanLogHammer:
         from repro.obs.spans import (
             SpanLog,
             derive_trace_id,
-            engine_spans,
+            execute_spans,
             serve_spans,
             validate_chrome_trace,
         )
+        from repro.runtime.trace import RuntimeTrace
 
         log = SpanLog()
         rounds = ROUNDS // 4
@@ -364,11 +365,12 @@ class TestSpanLogHammer:
                 source="R1", remote=True, condition="", queued=0.0,
                 started=0.0, finished=0.5, status="ok", output=1,
             )
+        run = RuntimeTrace.from_events(events)
 
         def worker(index):
             for round_no in range(rounds):
                 trace = derive_trace_id(index, round_no)
-                log.extend(engine_spans(trace, events, 0.2))
+                log.extend(execute_spans(trace, (run,), 0.2)[0])
                 log.extend(
                     serve_spans(
                         trace, round_no, "hammer", "done",
