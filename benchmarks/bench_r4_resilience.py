@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from repro.bench.extensions import resilient_executor, run_resilience
+from repro.bench.extensions import run_resilience
+from repro.mediator.session import Mediator
 from repro.plans.builder import build_filter_plan
 from repro.runtime.engine import Resilience, RuntimeEngine
 from repro.runtime.faults import FaultInjector, FaultProfile
@@ -51,13 +52,14 @@ def test_replanning_recovers_without_spurious(benchmark, medium_kit):
 
     def run():
         federation.reset_traffic()
-        executor = resilient_executor(
+        mediator = Mediator(
             federation,
-            FaultInjector(FaultProfile.flaky(0.4), seed=11),
-            RESILIENT,
-            max_replans=2,
+            backend="runtime",
+            faults=FaultInjector(FaultProfile.flaky(0.4), seed=11),
+            resilience=RESILIENT,
+            replan=2,
         )
-        return executor.run(query)
+        return mediator.answer(query)
 
     result = benchmark(run)
     report = completeness_report(federation, query, result.items)
@@ -70,21 +72,21 @@ def test_replication_buys_completeness(medium_kit):
     # mirrors available the resilient stack strictly beats skip-only.
     federation, query = replicated_kit(medium_kit)
 
-    def completeness(resilience, max_replans):
+    def completeness(resilience, replan):
         federation.reset_traffic()
-        executor = resilient_executor(
+        result = Mediator(
             federation,
-            FaultInjector(FaultProfile.flaky(0.3), seed=23),
-            resilience,
-            max_replans,
-        )
-        result = executor.run(query)
+            backend="runtime",
+            faults=FaultInjector(FaultProfile.flaky(0.3), seed=23),
+            resilience=resilience,
+            replan=replan,
+        ).answer(query)
         report = completeness_report(federation, query, result.items)
         assert not report.spurious
         return report.completeness
 
-    skip_only = completeness(SKIP_ONLY, max_replans=0)
-    resilient = completeness(RESILIENT, max_replans=2)
+    skip_only = completeness(SKIP_ONLY, replan=0)
+    resilient = completeness(RESILIENT, replan=2)
     assert resilient > skip_only
 
 

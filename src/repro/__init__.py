@@ -95,8 +95,6 @@ from repro.runtime import (
     HealthRegistry,
     OnExhaust,
     Resilience,
-    ResilientExecutor,
-    ResilientResult,
     RetryPolicy,
     RuntimeEngine,
     RuntimeTrace,
@@ -185,8 +183,6 @@ __all__ = [
     "completeness_report",
     "BreakerConfig",
     "HealthRegistry",
-    "ResilientExecutor",
-    "ResilientResult",
     "replicate_federation",
     "load_federation",
     "save_federation",

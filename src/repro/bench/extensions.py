@@ -48,7 +48,6 @@ from repro.runtime.engine import Resilience, RuntimeEngine
 from repro.runtime.faults import FaultInjector, FaultProfile
 from repro.runtime.health import BreakerConfig
 from repro.runtime.policy import RetryPolicy, completeness_report
-from repro.runtime.replan import ResilientExecutor
 from repro.runtime.trace import RuntimeTrace
 from repro.sources.generators import (
     SyntheticConfig,
@@ -601,16 +600,6 @@ def run_fault_sweep(
     )
 
 
-def resilient_executor(
-    federation, faults, resilience, max_replans: int
-) -> ResilientExecutor:
-    """The re-planning loop over a fresh mediator's own engine and planner."""
-    mediator = Mediator(
-        federation, backend="runtime", faults=faults, resilience=resilience
-    )
-    return ResilientExecutor(mediator.runtime, mediator._optimize, max_replans)
-
-
 def run_resilience(
     fault_rates: tuple[float, ...] = (0.0, 0.2, 0.4),
     replication_factors: tuple[int, ...] = (1, 2),
@@ -673,18 +662,16 @@ def run_resilience(
             federation = replicate_federation(base_federation, copies)
             for label, resilience, max_replans in modes:
                 federation.reset_traffic()
-                result = resilient_executor(
+                result = Mediator(
                     federation,
-                    FaultInjector(FaultProfile.flaky(rate), seed=29),
-                    resilience,
-                    max_replans,
-                ).run(query)
+                    backend="runtime",
+                    faults=FaultInjector(FaultProfile.flaky(rate), seed=29),
+                    resilience=resilience,
+                    replan=max_replans,
+                ).answer(query).execution
                 report = completeness_report(federation, query, result.items)
                 skipped = sum(
-                    len(r.result.trace.degraded_steps) for r in result.rounds
-                )
-                recovered = sum(
-                    len(r.result.trace.recovered_steps) for r in result.rounds
+                    len(trace.degraded_steps) for trace in result.traces
                 )
                 table.add_row(
                     [
@@ -694,7 +681,7 @@ def run_resilience(
                         report.completeness,
                         len(report.spurious),
                         skipped,
-                        recovered,
+                        result.recovered,
                         result.replans,
                         result.makespan_s,
                         result.total_cost,

@@ -467,9 +467,6 @@ def _emit_telemetry(args, recorder, profile=None) -> None:
         else:
             print(recorder.metrics.to_json_text())
     if args.emit_events is not None:
-        directory = os.path.dirname(args.emit_events)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
         recorder.events.write(args.emit_events)
         print()
         print(f"wrote {len(recorder.events)} events to {args.emit_events}")
@@ -613,8 +610,8 @@ def _run_runtime(federation, args, recorder, statistics) -> int:
         print()
         print(trace.utilization_report())
         print()
-    if answer.resilient is not None and answer.resilient.replans:
-        print(f"replanning: {answer.resilient.summary()}")
+    if answer.execution.replans:
+        print(f"replanning: {answer.replanning()}")
     if resilience.breaker is not None:
         print(mediator.runtime.health.report())
         print()

@@ -12,7 +12,7 @@ do not publish their cost structure.
 
 Loads are not probed (fetching whole sources as calibration would defeat
 the purpose), so ``lq_cost`` extrapolates: rows are charged like
-received items scaled by ``load_factor``.
+received items scaled by :data:`LOAD_FACTOR`.
 """
 
 from __future__ import annotations
@@ -27,6 +27,9 @@ from repro.sources.capabilities import SourceCapabilities
 from repro.sources.registry import Federation
 from repro.sources.sampling import FittedLinkParameters, calibrate_federation
 
+#: A loaded row is charged as this many received items.
+LOAD_FACTOR = 2.0
+
 
 class CalibratedCostModel(CostModel):
     """Charge-shaped cost model over fitted per-source parameters."""
@@ -37,13 +40,11 @@ class CalibratedCostModel(CostModel):
         capabilities: dict[str, SourceCapabilities],
         estimator: SizeEstimator,
         cardinalities: dict[str, int],
-        load_factor: float = 2.0,
     ):
         self.fitted = dict(fitted)
         self.capabilities = dict(capabilities)
         self.estimator = estimator
         self.cardinalities = dict(cardinalities)
-        self.load_factor = load_factor
 
     @staticmethod
     def calibrate(
@@ -51,7 +52,6 @@ class CalibratedCostModel(CostModel):
         estimator: SizeEstimator,
         probe_conditions: list[Condition],
         seed: int = 0,
-        load_factor: float = 2.0,
     ) -> "CalibratedCostModel":
         """Probe the federation and return a model over the fitted numbers."""
         fitted = calibrate_federation(federation, probe_conditions, seed=seed)
@@ -64,7 +64,6 @@ class CalibratedCostModel(CostModel):
             cardinalities={
                 source.name: len(source.table) for source in federation
             },
-            load_factor=load_factor,
         )
 
     # ------------------------------------------------------------------
@@ -113,5 +112,5 @@ class CalibratedCostModel(CostModel):
         rows = self.cardinalities[source_name]
         return (
             parameters.request_overhead
-            + rows * parameters.per_item_receive * self.load_factor
+            + rows * parameters.per_item_receive * LOAD_FACTOR
         )

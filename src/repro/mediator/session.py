@@ -31,6 +31,7 @@ from repro.errors import CostModelError, ExecutionError
 from repro.mediator.executor import ExecutionResult, Executor
 from repro.mediator.plan_cache import PlanCache
 from repro.mediator.reference import reference_aggregate, reference_answer
+from repro.obs.events import ReplanEvent
 from repro.obs.profile import QueryProfile
 from repro.optimize.base import OptimizationResult, Optimizer
 from repro.optimize.planning import Planning
@@ -52,9 +53,8 @@ from repro.relational.items import ItemSet
 from repro.relational.relation import Relation
 from repro.runtime.engine import Resilience, RuntimeEngine
 from repro.runtime.faults import FaultInjector
-from repro.runtime.health import HealthRegistry
-from repro.runtime.replan import ResilientExecutor, ResilientResult
-from repro.runtime.trace import RuntimeTrace
+from repro.runtime.health import BreakerState, HealthRegistry
+from repro.runtime.trace import OpStatus, RuntimeTrace
 from repro.sources.registry import Federation
 from repro.sources.statistics import ExactStatistics, StatisticsProvider
 
@@ -71,9 +71,11 @@ class MediatorAnswer:
     optimization: OptimizationResult
     execution: ExecutionResult
     verified: bool | None = None
-    #: Present when re-planning was enabled (``replan > 0``): the
-    #: rounds, each with its own record; ``execution`` merges them.
-    resilient: ResilientResult | None = None
+    #: With re-planning on (``replan > 0``): the sources each round
+    #: planned over (``execution.traces`` holds each round's run) and the
+    #: sources masked as dead or quarantined.  Empty otherwise.
+    planned: tuple[tuple[str, ...], ...] = ()
+    masked: tuple[str, ...] = ()
 
     @property
     def plan(self) -> Plan:
@@ -85,9 +87,7 @@ class MediatorAnswer:
         round lost an operation (retries spent, deadline cut) or
         re-planning masked a source — so an answer that differs from
         the reference is expected, not a bug."""
-        return not self.execution.complete or (
-            self.resilient is not None and bool(self.resilient.masked)
-        )
+        return not self.execution.complete or bool(self.masked)
 
     def summary(self) -> str:
         checked = (
@@ -113,8 +113,24 @@ class MediatorAnswer:
             )
             if execution.recovered:
                 text += f", {execution.recovered} recovered"
-        if self.resilient is not None and self.resilient.replans:
-            text += f"; {self.resilient.replans} replan round(s)"
+        if execution.replans:
+            text += f"; {execution.replans} replan round(s)"
+        return text
+
+    def replanning(self) -> str:
+        """The re-planning digest: answer size, rounds, their summed
+        makespan and cost, the masked sources, and whether the last
+        round still lost an operation."""
+        execution = self.execution
+        text = (
+            f"{len(self.items)} items in {len(execution.traces)} round(s), "
+            f"makespan {execution.makespan_s:.3f}s, cost "
+            f"{execution.total_cost:.1f}"
+        )
+        if self.masked:
+            text += f", masked: {', '.join(self.masked)}"
+        if not execution.complete:
+            text += " (still degraded)"
         return text
 
 
@@ -195,9 +211,9 @@ class Mediator:
             sources: one :class:`~repro.runtime.engine.Resilience` value
             (each knob is documented there).  The sequential backend
             reads none of it: it injects no faults and retries nothing.
-        replan: Re-planning rounds allowed after a degraded run (dead
-            sources masked, substitutes swapped in, answers merged by
-            union).  ``True`` means 2 rounds; 0 / ``False`` disables.
+        replan: Re-planning rounds (a non-negative int) allowed after a
+            degraded runtime run: dead sources masked, substitutes
+            swapped in, answers merged by union.  0 disables.
         recorder: Optional :class:`repro.obs.Recorder`.  When attached,
             both backends emit structured events and metrics, breaker
             transitions are observed, and every answer's
@@ -223,7 +239,7 @@ class Mediator:
         backend: str = "sequential",
         faults: FaultInjector | None = None,
         resilience: Resilience | None = None,
-        replan: int | bool = 0,
+        replan: int = 0,
         recorder=None,
         plan_cache: PlanCache | int | bool | None = None,
         health: HealthRegistry | None = None,
@@ -237,11 +253,11 @@ class Mediator:
                 f"verify (the oracle check) must be a bool, got {verify!r}; "
                 "a verification mode goes in Resilience(verify=...)"
             )
-        self.max_replans = 2 if replan is True else int(replan)
-        if self.max_replans < 0:
+        if isinstance(replan, bool) or not isinstance(replan, int) or replan < 0:
             raise CostModelError(
-                f"replan must be >= 0, got {self.max_replans}"
+                f"replan must be an int >= 0, got {replan!r}"
             )
+        self.max_replans = replan
         self.federation = federation
         self.statistics = statistics or ExactStatistics(federation)
         self.estimator = SizeEstimator(self.statistics, federation.source_names)
@@ -264,11 +280,6 @@ class Mediator:
             runtime, faults, self.max_replans
         )
         self.plan_cache: PlanCache | None = PlanCache.of(plan_cache)
-        self.replanner = (
-            ResilientExecutor(runtime, self._optimize, self.max_replans)
-            if self.max_replans > 0
-            else None
-        )
 
     # ------------------------------------------------------------------
 
@@ -344,26 +355,22 @@ class Mediator:
         self, query: FusionQuery, budget_s: float | None
     ) -> MediatorAnswer:
         """:meth:`answer` of a query already validated against the schema."""
-        resilient = None
+        planned: tuple[tuple[str, ...], ...] = ()
+        masked: tuple[str, ...] = ()
         events_before = (
             len(self.recorder.events) if self.recorder is not None else 0
         )
         trips_before = self._breaker_trips()
-        if self.backend == "runtime" and self.replanner is not None:
-            resilient = self.replanner.run(query, budget_s=budget_s)
-            optimization = resilient.rounds[0].optimization
-            rounds = [round_.result for round_ in resilient.rounds]
-            execution = ExecutionResult(
-                resilient.items,
-                union_items(result.item_set for result in rounds),
-                traces=tuple(result.trace for result in rounds),
-            )
-        elif self.backend == "runtime":
-            optimization = self._optimize(query)
-            execution = self.runtime.run(optimization.plan, budget_s=budget_s)
-        else:
+        if self.backend == "sequential":
             optimization = self._optimize(query)
             execution = self.executor.execute(optimization.plan)
+        elif self.max_replans:
+            optimization, execution, planned, masked = self._replan(
+                query, budget_s
+            )
+        else:
+            optimization = self._optimize(query)
+            execution = self.runtime.run(optimization.plan, budget_s=budget_s)
         execution.breaker_trips = self._breaker_trips() - trips_before
         if self.recorder is not None:
             # A sequential run's records are the recorder's.
@@ -384,7 +391,8 @@ class Mediator:
             items=execution.items,
             optimization=optimization,
             execution=execution,
-            resilient=resilient,
+            planned=planned,
+            masked=masked,
         )
         if self.verify:
             expected = reference_answer(self.federation, query)
@@ -395,6 +403,127 @@ class Mediator:
                     f"from reference {sorted(expected, key=repr)}"
                 )
         return answer
+
+    def _replan(
+        self, query: FusionQuery, budget_s: float | None
+    ) -> tuple[
+        OptimizationResult,
+        ExecutionResult,
+        tuple[tuple[str, ...], ...],
+        tuple[str, ...],
+    ]:
+        """Run ``query`` on the engine in rounds, re-planning around dead
+        sources: round 0's plan, the merged run record, each round's
+        planned sources, and the masked sources.
+
+        Hedging and breakers recover an operation while it runs; a round
+        that still lost one (retries spent, no substitute served it) is
+        followed by a re-plan of the same query over the surviving
+        sources, every dead or quarantined source masked and an unused
+        substitute swapped in where one exists.  Every round runs on the
+        mediator's one engine, so breaker state carries over and a
+        replan does not re-burn budget on sources already known dead,
+        and plans through :meth:`_optimize`, so rounds share the plan
+        cache.
+
+        Answers accumulate across rounds by union.  That is sound
+        because fusion answers are monotone in the evaluated sources:
+        each round's (possibly degraded) answer is a subset of the true
+        answer — skipping a source only ever under-fills some
+        ``X_i = ∪_j sq(c_i, R_j)``, shrinking the final intersection —
+        so the union of subsets is still a subset.  Re-planning can only
+        add confirmed answers, never invent spurious ones.
+
+        ``budget_s`` bounds the whole run: rounds share one clock, so
+        each round's engine budget is what earlier rounds left, and
+        re-planning stops once it is spent (the partial union so far is
+        returned on time).
+        """
+        runtime = self.runtime
+        recorder = self.recorder
+        active = list(self.federation.representative_names)
+        masked: list[str] = []
+        planned: list[tuple[str, ...]] = []
+        results: list[ExecutionResult] = []
+        items: frozenset[Any] = frozenset()
+        remaining_s = budget_s
+        # The shared health registry may already be quarantining sources
+        # (tripped by earlier queries); never plan onto them.
+        for name in runtime.health.quarantined_names():
+            if name in active:
+                self._mask(name, active, masked)
+        for round_no in range(self.max_replans + 1):
+            sources = tuple(active)
+            optimization = self._optimize(query, sources)
+            if round_no == 0:
+                first = optimization
+            if recorder is not None:
+                recorder.round = round_no
+                recorder.record(
+                    ReplanEvent(
+                        recorder.clock_offset_s,
+                        round_no,
+                        optimization.optimizer,
+                        sorted(active),
+                        sorted(masked),
+                        optimization.estimated_cost,
+                    )
+                )
+            result = runtime.run(optimization.plan, budget_s=remaining_s)
+            if recorder is not None:
+                # Rounds run back to back on one clock; shift the next
+                # round's timestamps past everything this round emitted.
+                recorder.clock_offset_s += result.makespan_s
+            if remaining_s is not None:
+                remaining_s -= result.makespan_s
+            planned.append(sources)
+            results.append(result)
+            items |= result.items
+            if result.complete:
+                break
+            if remaining_s is not None and remaining_s <= 0:
+                break  # budget spent; return the partial union on time
+            # The planned sources of lost operations, then any source the
+            # round quarantined on data quality: both are replanned around.
+            unusable = [
+                span.source
+                for span in result.trace.remote_spans
+                if span.status is OpStatus.DEGRADED
+            ]
+            unusable += [
+                name for name in runtime.health.quarantined_names() if name in active
+            ]
+            changed = False
+            for name in dict.fromkeys(unusable):
+                changed |= self._mask(name, active, masked)
+            if not active or not changed:
+                break  # nothing left to reroute to; keep what we have
+        execution = ExecutionResult(
+            items,
+            union_items(result.item_set for result in results),
+            traces=tuple(result.trace for result in results),
+        )
+        return first, execution, tuple(planned), tuple(masked)
+
+    def _mask(self, dead: str, active: list[str], masked: list[str]) -> bool:
+        """Remove ``dead`` from planning and swap in its best substitute
+        not already planned, masked or quarantined; True when ``active``
+        changed."""
+        if dead not in masked:
+            masked.append(dead)
+        changed = dead in active
+        if changed:
+            active.remove(dead)
+        health = self.runtime.health
+        for name in self.runtime.substitutes_for(dead):
+            if (
+                name not in active
+                and name not in masked
+                and health.state_of(name) is not BreakerState.QUARANTINED
+            ):
+                active.append(name)
+                return True
+        return changed
 
     def _breaker_trips(self) -> int:
         """Lifetime breaker openings across the shared health registry."""

@@ -31,9 +31,8 @@ re-searching plan space:
   reaches mirrors via hedging/breakers/re-planning, so duplicating the
   work buys little completeness and the expansion is skipped.)
 
-Re-planning integration: a :class:`RobustOptimizer` handed to
-:class:`~repro.runtime.replan.ResilientExecutor` (or to
-``Mediator(planning=Planning(optimizer="robust"), replan=...)``)
+Re-planning integration: a
+``Mediator(planning=Planning(optimizer="robust"), replan=...)``
 re-ranks every replan round with the same utility, and an
 :class:`~repro.runtime.availability.ObservedAvailability` model reads
 the shared health registry live — sources that died in earlier rounds

@@ -13,9 +13,9 @@ timeline.  Everything is seeded and replayable.
 
 On top of the engine sit the replica-aware resilience layers: per-source
 health tracking and circuit breakers (:mod:`~repro.runtime.health`),
-hedged dispatch onto substitutable sources (:class:`Resilience`), and
-in-flight re-planning around dead sources
-(:mod:`~repro.runtime.replan`).
+and hedged dispatch onto substitutable sources (:class:`Resilience`);
+the mediator re-plans around dead sources between engine rounds
+(:meth:`repro.mediator.session.Mediator.answer` with ``replan=N``).
 
 Faults are not only wire-level: the injector can also tamper with the
 *payload* of a successful answer (truncation, stale snapshots,
@@ -63,11 +63,6 @@ from repro.runtime.policy import (
     RetryPolicy,
     completeness_report,
 )
-from repro.runtime.replan import (
-    ReplanRound,
-    ResilientExecutor,
-    ResilientResult,
-)
 from repro.runtime.trace import AttemptSpan, OpSpan, OpStatus, RuntimeTrace
 from repro.runtime.verify import (
     VERIFY_MODES,
@@ -109,9 +104,6 @@ __all__ = [
     "CircuitBreaker",
     "HealthRegistry",
     "SourceHealth",
-    "ResilientExecutor",
-    "ResilientResult",
-    "ReplanRound",
     "AvailabilityModel",
     "ObservedAvailability",
     "CompletenessEstimate",

@@ -264,20 +264,24 @@ class RuntimeTrace:
     def runs(events: Iterable[Any]) -> list["RuntimeTrace"]:
         """Fold a log of many runs: one trace per run, in log order.
 
-        The log is split at each ``run_start`` (a log without one is one
-        run), so every engine run and every re-plan round is its own
-        trace.  A run that recorded no ``op`` — it raised before any
-        operation finished — has nothing to fold and gives no trace.
+        The log is split at each ``run_start``, so every engine run and
+        every re-plan round is its own trace, one that raised before any
+        operation finished included (its attempts and retries, no op
+        span).  What precedes the first ``run_start`` is a run only when
+        it holds an ``op`` record (a log without ``run_start`` is one
+        run); a run with no record to fold gives no trace.
         """
         chunks: list[list[Any]] = [[]]
         for event in events:
             if event.type == "run_start":
                 chunks.append([])
             chunks[-1].append(event)
+        if not any(event.type == "op" for event in chunks[0]):
+            del chunks[0]
         return [
             RuntimeTrace.from_events(chunk)
             for chunk in chunks
-            if any(event.type == "op" for event in chunk)
+            if any(event.type in _FOLDED for event in chunk)
         ]
 
     @property
@@ -504,6 +508,8 @@ class _Tally(NamedTuple):
 
 #: The record types a trace keeps as they are.
 _KEPT = frozenset(("sendset", "retry", "hedge", "quality", "breaker", "quarantine"))
+#: Every record type a trace is folded from.
+_FOLDED = _KEPT | {"op", "attempt"}
 _FATES = {fate.value: fate for fate in AttemptFate}
 _STATUSES = {status.value: status for status in OpStatus}
 _STEP = operator.attrgetter("step")

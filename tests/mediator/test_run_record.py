@@ -10,11 +10,14 @@ report the same, and the recorded run's profile supplies the makespan.
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
 
 import pytest
 
 import repro
+import repro.bench.extensions
 import repro.runtime
+from repro.errors import CostModelError
 from repro.mediator.executor import ExecutionResult
 from repro.mediator.session import Mediator, MediatorAnswer
 from repro.obs.recorder import Recorder
@@ -71,7 +74,7 @@ def pins(answer) -> dict:
         "incomplete_conditions": execution.incomplete_conditions,
         "breaker_trips": execution.breaker_trips,
         "total_cost": execution.total_cost.hex(),
-        "resilient": None if answer.resilient is None else answer.resilient.summary(),
+        "replanning": answer.replanning() if answer.planned else None,
     }
 
 
@@ -88,7 +91,7 @@ GOLDEN: dict[str, dict] = {'deadline': {'summary': '0 items; optimizer SJA+, est
               'incomplete_conditions': ('load R1', 'load R2', 'load R3'),
               'breaker_trips': 0,
               'total_cost': '0x1.8000000000000p+5',
-              'resilient': None},
+              'replanning': None},
  'flaky_hedged': {'summary': '2 items; optimizer SJA+, estimated cost 48.0, actual '
                              'cost 144.0, 9 messages; makespan 0.403s, 3 retries, 0 '
                              'degraded, 3 recovered',
@@ -102,7 +105,7 @@ GOLDEN: dict[str, dict] = {'deadline': {'summary': '0 items; optimizer SJA+, est
                   'incomplete_conditions': (),
                   'breaker_trips': 0,
                   'total_cost': '0x1.2000000000000p+7',
-                  'resilient': None},
+                  'replanning': None},
  'replan_still_degraded': {'summary': '1 items; optimizer SJA+, estimated cost 48.0, '
                                       'actual cost 256.0, 16 messages; makespan '
                                       '1.206s, 0 retries, 1 degraded, 4 recovered; 2 '
@@ -119,7 +122,7 @@ GOLDEN: dict[str, dict] = {'deadline': {'summary': '0 items; optimizer SJA+, est
                            'incomplete_conditions': ('load R2~1',),
                            'breaker_trips': 4,
                            'total_cost': '0x1.0000000000000p+8',
-                           'resilient': '1 items in 3 round(s), makespan 1.206s, cost '
+                           'replanning': '1 items in 3 round(s), makespan 1.206s, cost '
                                         '256.0, masked: R1, R2, R2~1 (still degraded)'},
  'replan_two_rounds': {'summary': '2 items; optimizer SJA+, estimated cost 48.0, '
                                   'actual cost 160.0, 10 messages; makespan 0.803s, 0 '
@@ -135,7 +138,7 @@ GOLDEN: dict[str, dict] = {'deadline': {'summary': '0 items; optimizer SJA+, est
                        'incomplete_conditions': (),
                        'breaker_trips': 1,
                        'total_cost': '0x1.4000000000000p+7',
-                       'resilient': '2 items in 2 round(s), makespan 0.803s, cost '
+                       'replanning': '2 items in 2 round(s), makespan 0.803s, cost '
                                     '160.0, masked: R1, R2'},
  'runtime': {'summary': '2 items; optimizer SJA+, estimated cost 48.0, actual cost '
                         '48.0, 3 messages; makespan 0.203s, 0 retries, 0 degraded',
@@ -149,7 +152,7 @@ GOLDEN: dict[str, dict] = {'deadline': {'summary': '0 items; optimizer SJA+, est
              'incomplete_conditions': (),
              'breaker_trips': 0,
              'total_cost': '0x1.8000000000000p+5',
-             'resilient': None},
+             'replanning': None},
  'sequential': {'summary': '2 items; optimizer SJA+, estimated cost 48.0, actual cost '
                            '48.0, 3 messages',
                 'execution': '2 items in 12 steps; cost 48.0, 3 messages, 0 retries, '
@@ -162,7 +165,7 @@ GOLDEN: dict[str, dict] = {'deadline': {'summary': '0 items; optimizer SJA+, est
                 'incomplete_conditions': (),
                 'breaker_trips': 0,
                 'total_cost': '0x1.8000000000000p+5',
-                'resilient': None}}
+                'replanning': None}}
 
 #: The recorded run's ``execution.profile.makespan_s``, as float hex.
 MAKESPAN: dict[str, str] = {'deadline': '0x1.999999999999ap-4',
@@ -213,6 +216,37 @@ class TestOneRecordPerRun:
     def test_an_answer_has_one_record(self):
         assert "runtime" not in {f.name for f in dataclasses.fields(MediatorAnswer)}
         assert not hasattr(Mediator, "execute") and not hasattr(Mediator, "execute_concurrent")
+
+    def test_replanning_is_the_mediators_own_round_loop(self):
+        # No second executor, run record or replanner: a re-planned
+        # run is ``Mediator(backend="runtime", replan=N).answer``.
+        for module in (repro, repro.runtime):
+            for name in ("ResilientExecutor", "ResilientResult", "ReplanRound"):
+                assert not hasattr(module, name), name
+        assert importlib.util.find_spec("repro.runtime.replan") is None
+        assert not hasattr(repro.bench.extensions, "resilient_executor")
+        assert "resilient" not in {f.name for f in dataclasses.fields(MediatorAnswer)}
+        federation, __ = dmv_fig1()
+        assert not hasattr(Mediator(federation, backend="runtime", replan=2), "replanner")
+
+    @pytest.mark.parametrize("name", ["replan_two_rounds", "replan_still_degraded"])
+    def test_a_replanned_answer_records_one_trace_per_round(self, name):
+        recorder = Recorder()
+        answer = run(name, recorder)
+        execution = answer.execution
+        assert len(execution.traces) == len(answer.planned) == execution.replans + 1 > 1
+        assert len(recorder.events.of_type("replan")) == len(execution.traces)
+        assert execution.makespan_s == sum(trace.makespan_s for trace in execution.traces)
+        assert answer.replanning().startswith(
+            f"{len(answer.items)} items in {len(execution.traces)} round(s), "
+            f"makespan {execution.makespan_s:.3f}s"
+        )
+
+    @pytest.mark.parametrize("replan", [True, False, 2.0, "2", -1])
+    def test_replan_is_a_non_negative_int(self, replan):
+        federation, __ = dmv_fig1()
+        with pytest.raises(CostModelError):
+            Mediator(federation, backend="runtime", replan=replan)
 
     @pytest.mark.parametrize("name", sorted(set(SCENARIOS) - {"sequential"}))
     def test_the_makespan_is_the_profiles(self, name):

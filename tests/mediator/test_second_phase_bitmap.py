@@ -141,8 +141,8 @@ def test_replanned_answer_is_the_union_of_the_rounds_bitmaps(federation, second_
         resilience=Resilience(policy=RetryPolicy(max_retries=0)),
     )
     answer = mediator.answer_aggregate(AGG_SQL, pushdown=False)
-    resilient = answer.fusion.resilient
-    assert resilient.replans == 1
-    item_set = answer.fusion.execution.item_set
-    assert type(item_set) is ItemSet and item_set == resilient.items == answer.items
+    execution = answer.fusion.execution
+    assert execution.replans == 1
+    item_set = execution.item_set
+    assert type(item_set) is ItemSet and item_set == execution.items == answer.items
     assert all(type(wanted) is ItemSet for wanted in second_phase["wanted"])

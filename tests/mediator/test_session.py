@@ -209,8 +209,7 @@ class TestResilientBackend:
         mediator = self.make_mediator(replan=2)
         answer = mediator.answer(dmv_query)
         assert answer.items == DMV_FIG1_ANSWER
-        assert answer.resilient is not None
-        assert answer.resilient.replans >= 1
+        assert answer.execution.replans >= 1
         assert "replan round" in answer.summary()
 
     def test_hedging_recovers_in_flight(self, dmv_query):
@@ -219,7 +218,7 @@ class TestResilientBackend:
         )
         answer = mediator.answer(dmv_query)
         assert answer.items == DMV_FIG1_ANSWER
-        assert answer.resilient is None  # no replanning configured
+        assert answer.planned == ()  # no replanning configured
         assert answer.execution.trace.recovered_steps
         assert "recovered" in answer.summary()
 
@@ -240,12 +239,12 @@ class TestResilientBackend:
         assert answer.items == DMV_FIG1_ANSWER
         # Re-planning rounds run on the mediator's own engine, so the
         # mediator-level view saw the failures.
-        assert mediator.replanner.engine is mediator.runtime
+        assert answer.execution.replans == 1
         assert mediator.runtime.health.health_of("R1").failures > 0
 
     @pytest.mark.parametrize("replan", [0, 2])
     def test_replanning_goes_through_the_plan_cache(self, dmv_query, replan):
-        # The replanner plans with the mediator's own cached planner:
+        # Re-planning rounds plan with the mediator's own cached planner:
         # three identical answers read 2 hits / 1 miss either way.
         federation = replicate_federation(dmv_fig1()[0], 2)
         mediator = Mediator(
@@ -259,11 +258,10 @@ class TestResilientBackend:
     def test_later_rounds_cache_under_the_masked_source_tuple(self, dmv_query):
         mediator = self.make_mediator(replan=2, plan_cache=True)
         first = mediator.answer(dmv_query)
-        assert first.resilient.replans == 1
+        assert first.execution.replans == 1
         # Round 0 planned over the representatives, round 1 over the
         # tuple with the dead R1 masked and its mirror swapped in.
-        planned = [round_.sources for round_ in first.resilient.rounds]
-        assert planned == [("R1", "R2", "R3"), ("R2", "R3", "R1~1")]
+        assert first.planned == (("R1", "R2", "R3"), ("R2", "R3", "R1~1"))
         assert (mediator.plan_cache.misses, len(mediator.plan_cache)) == (2, 2)
         mediator.answer(dmv_query)
         assert (mediator.plan_cache.hits, mediator.plan_cache.misses) == (2, 2)
@@ -298,4 +296,4 @@ class TestResilientBackend:
         answer = mediator.answer(dmv_query)
         assert answer.verified is False
         assert answer.items < DMV_FIG1_ANSWER
-        assert answer.resilient.masked
+        assert answer.masked

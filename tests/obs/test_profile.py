@@ -52,14 +52,10 @@ class TestReplannedRows:
     def test_each_row_reports_its_own_rounds_attempts(self):
         mediator, query = replanning_mediator()
         answer = mediator.answer(query)
-        rounds = answer.resilient.rounds
-        assert len(rounds) == 2
+        traces = answer.execution.traces
+        assert len(traces) == 2
         spans = sorted(
-            (
-                span
-                for round_ in rounds
-                for span in round_.result.trace.spans
-            ),
+            (span for trace in traces for span in trace.spans),
             key=lambda span: (span.step, span.operation.kind.value),
         )
         rows = step_rows(answer.execution.profile)
@@ -84,12 +80,13 @@ class TestReplannedRows:
         mediator, query = replanning_mediator()
         answer = mediator.answer(query)
         profile = answer.execution.profile
-        traces = tuple(r.result.trace for r in answer.resilient.rounds)
+        traces = answer.execution.traces
+        assert len(traces) == 2
         assert profile.traces == traces
         assert profile.steps == tuple(
             span for trace in traces for span in trace.spans
         )
-        assert profile.total_cost == answer.resilient.total_cost
+        assert profile.total_cost == sum(trace.total_cost for trace in traces)
 
 
 class TestMakespan:
@@ -98,8 +95,9 @@ class TestMakespan:
         for __ in range(3):
             answer = mediator.answer(query)
             profile = answer.execution.profile
-            assert profile.makespan_s == answer.resilient.makespan_s
-            assert f"makespan {answer.resilient.makespan_s:.3f}s" in (
+            makespan_s = sum(t.makespan_s for t in answer.execution.traces)
+            assert profile.makespan_s == makespan_s
+            assert f"makespan {makespan_s:.3f}s" in (
                 profile.render()
             )
 

@@ -423,6 +423,23 @@ class TestAServedRunThatRaised:
             written = service.recorder.events.of_type("phases")
             assert [e.to_json() for e in written] == [FAILED_PHASES[seed]], seed
 
+    def test_the_persisted_log_renders_the_live_spans(self):
+        service, query, at_s = failing_service(0)
+        ticket = service.submit(query, at_s=at_s)
+        service.run_until_idle()
+        assert ticket.status == "failed"
+        live = [
+            span
+            for span in service.spans.for_trace(ticket.trace_id)
+            if span.span_id >= FIRST_ENGINE_SPAN_ID
+        ]
+        log = EventLog.from_jsonl(service.recorder.events.to_jsonl())
+        runs = RuntimeTrace.runs(log.events)
+        assert len(runs) == 1 and runs[0].spans == ()
+        reread = execute_spans(ticket.trace_id, runs, ticket.dispatched_s)[0]
+        assert len(live) == 10
+        assert reread == live
+
 
 class TestRecoverableFromAPersistedLog:
     def test_fold_of_reloaded_jsonl_equals_fold_of_live_events(self):

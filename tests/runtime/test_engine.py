@@ -534,7 +534,7 @@ class TestResilienceDeclaredOnce:
     def test_a_mediator_builds_exactly_one_engine(self):
         calls = [
             f"{name}:{node.lineno}"
-            for name, tree in _trees("mediator", "runtime/replan.py")
+            for name, tree in _trees("mediator")
             for node in ast.walk(tree)
             if isinstance(node, ast.Call)
             and getattr(node.func, "id", None) == "RuntimeEngine"
@@ -749,11 +749,13 @@ class TestReplicaChoiceWrittenInOnePlace:
 
     def test_replanning_reads_the_engines_substitutability_map(self, monkeypatch):
         federation = replicate_federation(dmv_fig1()[0], 2)
-        executor = Mediator(federation, backend="runtime", replan=2).replanner
-        assert executor.engine.substitutes_for("R1") == ("R1~1",)  # built once
+        mediator = Mediator(federation, backend="runtime", replan=2)
+        assert mediator.runtime.substitutes_for("R1") == ("R1~1",)  # built once
 
         def rebuilt(*args, **kwargs):
             raise AssertionError("the substitutability map was rebuilt")
 
         monkeypatch.setattr(Federation, "substitutability", rebuilt)
-        assert executor._replacement("R1", ["R2", "R3"], ["R1"]) == "R1~1"
+        active, masked = ["R2", "R3"], ["R1"]
+        assert mediator._mask("R1", active, masked)
+        assert active == ["R2", "R3", "R1~1"]

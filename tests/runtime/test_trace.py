@@ -334,10 +334,10 @@ class TestRuns:
         first = plain.answer(query)
         replanned = replanning.answer(query)
         last = plain.answer(query)
-        assert len(replanned.resilient.rounds) == 2
+        assert len(replanned.execution.traces) == 2
         expected = [
             first.execution.trace,
-            *(r.result.trace for r in replanned.resilient.rounds),
+            *replanned.execution.traces,
             last.execution.trace,
         ]
         runs = RuntimeTrace.runs(recorder.events)
