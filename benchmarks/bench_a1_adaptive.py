@@ -2,28 +2,28 @@
 
 from __future__ import annotations
 
-from repro.mediator.adaptive import AdaptiveExecutor
 from repro.mediator.reference import reference_answer
+from repro.mediator.session import Mediator
 
 
 def test_adaptive_execute(benchmark, medium_kit):
     kit = medium_kit
-    executor = AdaptiveExecutor(kit.federation, kit.cost_model, kit.estimator)
+    mediator = Mediator(kit.federation)
 
     def run():
         kit.federation.reset_traffic()
-        return executor.execute(kit.query).items
+        return mediator.answer_adaptive(kit.query).items
 
     assert benchmark(run) == reference_answer(kit.federation, kit.query)
 
 
 def test_adaptive_execute_heterogeneous(benchmark, hetero_kit):
     kit = hetero_kit
-    executor = AdaptiveExecutor(kit.federation, kit.cost_model, kit.estimator)
+    mediator = Mediator(kit.federation)
 
     def run():
         kit.federation.reset_traffic()
-        return executor.execute(kit.query).items
+        return mediator.answer_adaptive(kit.query).items
 
     assert benchmark(run) == reference_answer(kit.federation, kit.query)
 

@@ -8,9 +8,11 @@ Three responses to that uncertainty:
 1. static SJA planning with independence estimates (the paper's
    default stance: "as good a guess as we can make");
 2. a sampled CorrelationModel correcting the estimates up front; and
-3. the AdaptiveExecutor, which needs no model at all — it observes the
-   actual X_i after each stage, re-plans the rest, and never re-sends
-   items already confirmed within a stage.
+3. ``Mediator.answer_adaptive``, which needs no model at all — it
+   observes the actual X_i after each stage, re-plans the rest, and never
+   re-sends items already confirmed within a stage.
+
+Every run here is on the mediator's engine (``mediator.runtime``).
 
 Run:
     python examples/adaptive_mediation.py
@@ -19,8 +21,6 @@ Run:
 from __future__ import annotations
 
 import repro
-from repro.costs.estimates import SizeEstimator
-from repro.mediator.adaptive import AdaptiveExecutor
 from repro.relational.relation import Relation
 from repro.relational.schema import dmv_schema
 
@@ -55,9 +55,8 @@ def correlated_federation() -> tuple[repro.Federation, repro.FusionQuery]:
 
 def main() -> None:
     federation, query = correlated_federation()
-    statistics = repro.ExactStatistics(federation)
-    estimator = SizeEstimator(statistics, federation.source_names)
-    cost_model = repro.ChargeCostModel.for_federation(federation, estimator)
+    mediator = repro.Mediator(federation)
+    statistics, estimator = mediator.statistics, mediator.estimator
     truth = repro.reference_answer(federation, query)
     print(
         f"{len(truth)} drivers truly match all three conditions; the "
@@ -80,10 +79,10 @@ def main() -> None:
 
     # 1. static planning on independence estimates
     plan = repro.SJAOptimizer().optimize(
-        query, federation.source_names, cost_model, estimator
+        query, federation.source_names, mediator.cost_model, estimator
     ).plan
     federation.reset_traffic()
-    static_cost = repro.Executor(federation).execute(plan).total_cost
+    static_cost = mediator.runtime.run(plan).total_cost
 
     # 2. static planning on corrected estimates
     corrected_model = repro.ChargeCostModel.for_federation(
@@ -93,15 +92,11 @@ def main() -> None:
         query, federation.source_names, corrected_model, corrected
     ).plan
     federation.reset_traffic()
-    corrected_cost = repro.Executor(federation).execute(
-        corrected_plan
-    ).total_cost
+    corrected_cost = mediator.runtime.run(corrected_plan).total_cost
 
     # 3. adaptive execution: no estimates needed beyond stage one
     federation.reset_traffic()
-    adaptive_result = AdaptiveExecutor(
-        federation, cost_model, estimator
-    ).execute(query)
+    adaptive_result = mediator.answer_adaptive(query)
     assert adaptive_result.items == truth
 
     print(f"{'strategy':<40} {'actual cost':>12}")

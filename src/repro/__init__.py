@@ -81,7 +81,6 @@ from repro.mediator.executor import Executor
 from repro.mediator.plan_cache import PlanCache
 from repro.mediator.reference import reference_answer
 from repro.mediator.session import Mediator
-from repro.mediator.adaptive import AdaptiveExecutor
 from repro.mediator.schedule import estimated_response_time, response_time
 from repro.mediator.phases import PhaseStrategy, answer_with_records
 from repro.optimize.response_time import ResponseTimeSJAOptimizer
@@ -163,7 +162,6 @@ __all__ = [
     "Mediator",
     "PlanCache",
     "reference_answer",
-    "AdaptiveExecutor",
     "response_time",
     "estimated_response_time",
     "PhaseStrategy",

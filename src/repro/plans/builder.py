@@ -15,11 +15,13 @@ including the register-reassignment idiom (``X2 := X2 ∩ X1``).
 from __future__ import annotations
 
 import enum
-from typing import Sequence
+from typing import Any, Sequence
 
 from repro.errors import PlanValidationError
 from repro.plans.operations import (
+    DifferenceOp,
     IntersectOp,
+    ObservedOp,
     Operation,
     SelectionOp,
     SemijoinOp,
@@ -27,6 +29,7 @@ from repro.plans.operations import (
 )
 from repro.plans.plan import Plan, StageInfo
 from repro.query.fusion import FusionQuery
+from repro.relational.conditions import Condition
 
 
 class StagedChoice(enum.Enum):
@@ -142,6 +145,47 @@ def build_staged_plan(
         description=description,
         stages=stages,
     )
+
+
+def build_stage_plan(
+    condition: Condition,
+    choices: Sequence[StagedChoice],
+    source_names: Sequence[str],
+    observed: Any = None,
+) -> Plan:
+    """One stage as a plan of its own: an adaptive round.
+
+    ``observed`` is the binding set ``X`` the rounds before observed
+    (``None`` opens the query: selections only, else the plan reads an
+    undefined ``X`` and is refused).  Sources are visited in federation
+    order, as SJA's source loop prices them.  A selection
+    ``Y_j := sq(c, R_j)`` is intersected with ``X`` and unioned into the
+    running confirmed set ``C_j``; a semijoin sends ``D_j := X − C_{j-1}``,
+    so no item an earlier source of the stage confirmed is sent again
+    (Sec. 4's difference pruning, kept by the dataflow).  The result
+    register holds the stage's ``X_i``.
+    """
+    operations: list[Operation] = []
+    if observed is not None:
+        operations.append(ObservedOp("X", observed))
+    confirmed = ""
+    for j, (source, choice) in enumerate(zip(source_names, choices), start=1):
+        answer = f"Y{j}"
+        if choice is StagedChoice.SELECTION:
+            operations.append(SelectionOp(answer, condition, source))
+            if observed is not None:
+                operations.append(IntersectOp(answer, (answer, "X")))
+        else:
+            sent = "X"
+            if confirmed:
+                sent = f"D{j}"
+                operations.append(DifferenceOp(sent, "X", confirmed))
+            operations.append(SemijoinOp(answer, condition, source, sent))
+        if confirmed:
+            operations.append(UnionOp(f"C{j}", (confirmed, answer)))
+            answer = f"C{j}"
+        confirmed = answer
+    return Plan(operations, result=confirmed, description="adaptive stage")
 
 
 def all_selection_choices(m: int, n: int) -> list[list[StagedChoice]]:

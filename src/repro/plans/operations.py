@@ -23,12 +23,14 @@ Local operations (free at the mediator):
 * :class:`UnionOp`, :class:`IntersectOp` — simple-plan combinators
 * :class:`DifferenceOp` — SJA+'s semijoin-set pruning (Sec. 4)
 * :class:`LocalSelectionOp` — ``X := sq(c, T)`` over a loaded relation
+* :class:`ObservedOp` — ``X := <a set the mediator holds>``: an adaptive
+  round's observed binding set (no wire, no serialized or costed form)
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.relational.algebra import (
@@ -60,6 +62,7 @@ class OpKind(enum.Enum):
     UNION = "union"
     INTERSECT = "intersect"
     DIFFERENCE = "difference"
+    OBSERVED = "observed"
 
 
 class Operation:
@@ -311,6 +314,37 @@ class DifferenceOp(Operation):
 
     def evaluate(self, fetch: Fetch) -> Any:
         return difference(fetch(self.left), fetch(self.right))
+
+
+@dataclass(frozen=True)
+class ObservedOp(Operation):
+    """``target := items`` — a set the mediator already holds.
+
+    An adaptive round (:meth:`repro.mediator.session.Mediator.answer_adaptive`)
+    reads the ``X_{i-1}`` the rounds before it observed through one of
+    these.  It reads nothing, so it is evaluated at the start of the run
+    like any other local operation.  It is a value, not a recipe, so
+    plan serialization and static costing refuse it.
+    """
+
+    target_register: str
+    items: Any = field(repr=False)
+
+    kind = OpKind.OBSERVED
+    remote = False
+
+    @property
+    def target(self) -> str:
+        return self.target_register
+
+    def reads(self) -> tuple[str, ...]:
+        return ()
+
+    def render(self, labels: dict[Condition, str] | None = None) -> str:
+        return f"{self.target_register} := observed({len(self.items)} items)"
+
+    def evaluate(self, fetch: Fetch) -> Any:
+        return self.items
 
 
 #: Operations allowed in *simple* plans (Sec. 2.3).

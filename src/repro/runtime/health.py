@@ -552,6 +552,12 @@ class HealthRegistry:
             breaker = self.breaker_of(source_name)
             return BreakerState.CLOSED if breaker is None else breaker.state
 
+    def times_opened(self) -> int:
+        """Lifetime breaker openings, summed over every source (the
+        ``times_opened`` column of :meth:`snapshot`, without building it)."""
+        with self._lock:
+            return sum(breaker.times_opened for breaker in self._breakers.values())
+
     def snapshot(self) -> dict[str, dict]:
         """Per-source health as plain data (tests and telemetry read
         this instead of poking registry internals).

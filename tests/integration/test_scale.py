@@ -13,9 +13,9 @@ import pytest
 
 from repro.costs.charge import ChargeCostModel
 from repro.costs.estimates import SizeEstimator
-from repro.mediator.adaptive import AdaptiveExecutor
 from repro.mediator.executor import Executor
 from repro.mediator.reference import reference_answer
+from repro.mediator.session import Mediator
 from repro.optimize.greedy import GreedySJAOptimizer
 from repro.optimize.sja import SJAOptimizer
 from repro.sources.generators import (
@@ -70,8 +70,8 @@ class TestLargeN:
     def test_adaptive_handles_150_sources(self, big_federation):
         federation, query, cost_model, estimator = big_federation
         federation.reset_traffic()
-        executor = AdaptiveExecutor(federation, cost_model, estimator)
-        result = executor.execute(query)
+        mediator = Mediator(federation, cost_model=cost_model)
+        result = mediator.answer_adaptive(query)
         assert result.items == reference_answer(federation, query)
 
     def test_plan_size_linear_in_n(self, big_federation):

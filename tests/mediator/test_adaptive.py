@@ -1,13 +1,11 @@
-"""Unit tests for the adaptive (interleaved) executor."""
+"""Unit tests for adaptive (interleaved) execution, ``Mediator.answer_adaptive``."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.costs.charge import ChargeCostModel
-from repro.costs.estimates import SizeEstimator
-from repro.mediator.adaptive import AdaptiveExecutor
 from repro.mediator.reference import reference_answer
+from repro.mediator.session import Mediator
 from repro.query.fusion import FusionQuery
 from repro.sources.generators import (
     DMV_FIG1_ANSWER,
@@ -16,20 +14,17 @@ from repro.sources.generators import (
     dmv_fig1,
     synthetic_query,
 )
-from repro.sources.statistics import ExactStatistics, SampledStatistics
+from repro.sources.statistics import SampledStatistics
 
 
 def make_adaptive(federation, statistics=None):
-    statistics = statistics or ExactStatistics(federation)
-    estimator = SizeEstimator(statistics, federation.source_names)
-    model = ChargeCostModel.for_federation(federation, estimator)
-    return AdaptiveExecutor(federation, model, estimator)
+    return Mediator(federation, statistics=statistics)
 
 
 class TestCorrectness:
     def test_dmv_answer(self):
         federation, query = dmv_fig1()
-        result = make_adaptive(federation).execute(query)
+        result = make_adaptive(federation).answer_adaptive(query)
         assert result.items == DMV_FIG1_ANSWER
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -37,7 +32,7 @@ class TestCorrectness:
         config = SyntheticConfig(n_sources=4, n_entities=200, seed=seed)
         federation = build_synthetic(config)
         query = synthetic_query(config, m=3, seed=seed + 20)
-        result = make_adaptive(federation).execute(query)
+        result = make_adaptive(federation).answer_adaptive(query)
         assert result.items == reference_answer(federation, query)
 
     def test_correct_with_sampled_statistics(self):
@@ -47,14 +42,14 @@ class TestCorrectness:
         executor = make_adaptive(
             federation, SampledStatistics(federation, 0.2, seed=1)
         )
-        assert executor.execute(query).items == reference_answer(
+        assert executor.answer_adaptive(query).items == reference_answer(
             federation, query
         )
 
     def test_single_condition(self):
         federation, __ = dmv_fig1()
         query = FusionQuery.from_strings("L", ["V = 'sp'"])
-        result = make_adaptive(federation).execute(query)
+        result = make_adaptive(federation).answer_adaptive(query)
         assert result.items == reference_answer(federation, query)
         assert len(result.stages) == 1
 
@@ -65,7 +60,7 @@ class TestEarlyTermination:
         query = FusionQuery.from_strings(
             "L", ["V = 'nope'", "V = 'sp'", "V = 'dui'"]
         )
-        result = make_adaptive(federation).execute(query)
+        result = make_adaptive(federation).answer_adaptive(query)
         assert result.items == frozenset()
         assert result.terminated_early
         assert result.stages_skipped == 2
@@ -74,7 +69,7 @@ class TestEarlyTermination:
     def test_summary_mentions_early_stop(self):
         federation, __ = dmv_fig1()
         query = FusionQuery.from_strings("L", ["V = 'nope'", "V = 'sp'"])
-        result = make_adaptive(federation).execute(query)
+        result = make_adaptive(federation).answer_adaptive(query)
         assert "stopped early" in result.summary()
 
 
@@ -90,7 +85,7 @@ class TestAdaptivity:
                 per_item_receive=50.0,
             )
         )
-        result = make_adaptive(federation).execute(query)
+        result = make_adaptive(federation).answer_adaptive(query)
         assert result.items == DMV_FIG1_ANSWER
         semijoin_records = [
             record
@@ -106,7 +101,7 @@ class TestAdaptivity:
     def test_stage_costs_accounted(self):
         federation, query = dmv_fig1()
         federation.reset_traffic()
-        result = make_adaptive(federation).execute(query)
+        result = make_adaptive(federation).answer_adaptive(query)
         assert result.total_cost == pytest.approx(
             federation.total_traffic_cost()
         )
@@ -116,7 +111,7 @@ class TestAdaptivity:
         query = FusionQuery.from_strings(
             "L", ["V = 'sp'", "V = 'dui'"]
         )
-        result = make_adaptive(federation).execute(query)
+        result = make_adaptive(federation).answer_adaptive(query)
         # c chosen first is the cheaper/smaller one; with equal charge
         # profiles that is dui (3 items) over sp (4 items).
         assert result.ordering()[0].to_sql() == "V = 'dui'"

@@ -24,7 +24,7 @@ from repro.obs.recorder import Recorder
 from repro.plans.builder import build_filter_plan
 from repro.runtime.engine import Resilience, RuntimeEngine
 from repro.runtime.faults import FaultProfile, Faults
-from repro.runtime.health import BreakerConfig
+from repro.runtime.health import BreakerConfig, HealthRegistry
 from repro.runtime.policy import RetryPolicy
 from repro.sources.generators import dmv_fig1, replicate_federation
 
@@ -241,6 +241,14 @@ class TestOneRecordPerRun:
             f"{len(answer.items)} items in {len(execution.traces)} round(s), "
             f"makespan {execution.makespan_s:.3f}s"
         )
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_breaker_trips_are_counted_without_a_health_snapshot(self, name, monkeypatch):
+        def snapshot(registry):
+            raise AssertionError("Mediator.answer built a full health snapshot")
+
+        monkeypatch.setattr(HealthRegistry, "snapshot", snapshot)
+        assert pins(run(name)) == GOLDEN[name]
 
     @pytest.mark.parametrize("replan", [True, False, 2.0, "2", -1])
     def test_replan_is_a_non_negative_int(self, replan):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.costs.charge import ChargeCostModel
 from repro.costs.estimates import SizeEstimator
 from repro.io import federation_from_dict, federation_to_dict
-from repro.mediator.adaptive import AdaptiveExecutor
 from repro.mediator.executor import Executor
 from repro.mediator.phases import PhaseStrategy, answer_with_records
 from repro.mediator.reference import reference_answer
@@ -37,8 +36,7 @@ def test_adaptive_matches_reference(kit, query_seed):
     query, cost_model, estimator = planning_kit(
         federation, config, m, query_seed
     )
-    executor = AdaptiveExecutor(federation, cost_model, estimator)
-    result = executor.execute(query)
+    result = Mediator(federation, cost_model=cost_model).answer_adaptive(query)
     assert result.items == reference_answer(federation, query)
 
 
@@ -50,8 +48,7 @@ def test_adaptive_cost_accounting_consistent(kit, query_seed):
         federation, config, m, query_seed
     )
     federation.reset_traffic()
-    executor = AdaptiveExecutor(federation, cost_model, estimator)
-    result = executor.execute(query)
+    result = Mediator(federation, cost_model=cost_model).answer_adaptive(query)
     assert abs(result.total_cost - federation.total_traffic_cost()) < 1e-6
 
 
