@@ -9,6 +9,8 @@
 * :mod:`~repro.mediator.plan_cache` — the LRU :class:`PlanCache`
   (canonical query fingerprint + statistics fingerprint) that lets
   repeated fusion queries skip optimization entirely;
+* :mod:`~repro.mediator.adaptive` — the stage log that
+  ``Mediator.answer_adaptive`` returns (one record per stage run);
 * :mod:`~repro.mediator.session` — the :class:`Mediator` facade a
   downstream user talks to: register a federation, hand it SQL or a
   :class:`~repro.query.fusion.FusionQuery`, get the fused answer (and
