@@ -57,25 +57,32 @@ class ExecutionResult:
     ``traces`` holds one :class:`~repro.runtime.trace.RuntimeTrace` per
     engine round (empty for the sequential executor); every resilience
     counter is read off them.  One round gives that run's counters;
-    several rounds (a re-planned run, rounds back to back) sum
-    ``hedges`` and ``recovered``, take ``degraded`` and
+    several rounds (a re-planned run, whose answers are merged by union)
+    sum ``hedges`` and ``recovered``, take ``degraded`` and
     ``incomplete_conditions`` from the last round, and report a deadline
-    hit by any round.
+    hit by any round.  Chained rounds (an adaptive answer's stages) read
+    them off every round: :class:`~repro.mediator.adaptive.StagedExecution`.
     """
 
-    items: frozenset[Any]
     #: The answer as the run's registers held it: an :class:`ItemSet`
-    #: bitmap, or ``items`` itself when the merge values cannot be
+    #: bitmap, or a ``frozenset`` when the merge values cannot be
     #: interned.  The second phase sends this, never the decoded set.
-    item_set: "ItemSet | frozenset[Any] | None" = field(default=None, repr=False)
+    item_set: "ItemSet | frozenset[Any]"
     traces: "tuple[RuntimeTrace, ...]" = ()
     breaker_trips: int = 0
     #: Attached by the mediator when a recorder is active.
     profile: "QueryProfile | None" = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if self.item_set is None:
-            self.item_set = self.items
+        if type(self.item_set) is not ItemSet:
+            self.item_set = as_frozenset(self.item_set)
+
+    @functools.cached_property
+    def items(self) -> frozenset[Any]:
+        """The answer as a ``frozenset``: ``item_set`` decoded on first
+        read, so a run whose answer only feeds another run (an adaptive
+        stage) is never decoded."""
+        return as_frozenset(self.item_set)
 
     @functools.cached_property
     def steps(self) -> list[StepTrace]:
@@ -290,10 +297,8 @@ class Executor:
                     self._record_step(op, trace, [], registers)
             steps.append(trace)
 
-        # The one decode of the run: registers hold bitmaps, answers are sets.
-        answer = registers[plan.result]
-        items = as_frozenset(answer)
-        result = ExecutionResult(items, answer if type(answer) is ItemSet else items)
+        # Registers hold bitmaps; the answer is decoded when first read.
+        result = ExecutionResult(registers[plan.result])
         result.steps = steps
         if recorder is not None:
             recorder.record(
@@ -307,7 +312,7 @@ class Executor:
                     0,  # recovered
                     0,  # hedges
                     result.total_cost,
-                    len(result.items),
+                    len(result.item_set),
                 )
             )
         return result

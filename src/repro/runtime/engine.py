@@ -110,7 +110,7 @@ from repro.plans.operations import (
     SemijoinOp,
 )
 from repro.plans.plan import Plan, PlanStep
-from repro.relational.items import EMPTY_ITEMS, ItemSet, as_frozenset
+from repro.relational.items import EMPTY_ITEMS
 from repro.relational.relation import Relation
 from repro.runtime.faults import AttemptFate, AttemptOutcome, FaultInjector
 from repro.runtime.health import (
@@ -456,10 +456,9 @@ class _Execution:
         trace = RuntimeTrace.from_events(
             self.records, operations=self.plan.operations
         )
-        # The one decode of the run: registers hold bitmaps, answers are sets.
-        items = frozenset() if answer is None else as_frozenset(answer)
+        # Registers hold bitmaps; the answer is decoded when first read.
         result = ExecutionResult(
-            items, answer if type(answer) is ItemSet else items, traces=(trace,)
+            frozenset() if answer is None else answer, traces=(trace,)
         )
         if recorder is not None:
             recorder.record(
@@ -473,7 +472,7 @@ class _Execution:
                     len(trace.recovered_steps),
                     trace.hedge_attempts,
                     trace.total_cost,
-                    len(result.items),
+                    len(result.item_set),
                 )
             )
         return result

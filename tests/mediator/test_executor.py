@@ -166,7 +166,7 @@ class TestResilienceCounters:
     leaving the base text untouched."""
 
     def test_zero_counters_keep_the_base_summary(self):
-        result = ExecutionResult(items=frozenset())
+        result = ExecutionResult(item_set=frozenset())
         summary = result.summary()
         assert summary == (
             "0 items in 0 steps; cost 0.0, 0 messages, 0 retries, "
@@ -175,7 +175,7 @@ class TestResilienceCounters:
 
     def test_nonzero_counters_are_appended_in_order(self):
         result = ExecutionResult(
-            items=frozenset({"a"}),
+            item_set=frozenset({"a"}),
             traces=(_round(hedges=2, degraded=1), _round(recovered=1), _round(degraded=3)),
             breaker_trips=1,
         )
@@ -187,7 +187,7 @@ class TestResilienceCounters:
 
     def test_partial_counters_skip_zero_entries(self):
         result = ExecutionResult(
-            items=frozenset(), traces=(_round(hedges=1, degraded=1), *[_round()] * 4)
+            item_set=frozenset(), traces=(_round(hedges=1, degraded=1), *[_round()] * 4)
         )
         summary = result.summary()
         assert summary.endswith("; 1 hedges, 4 replans")
