@@ -67,12 +67,15 @@ class StagedExecution(ExecutionResult):
 @dataclass
 class AdaptiveResult:
     """Answer, stage log and run record of one adaptive execution:
-    ``execution.traces`` holds one engine trace per stage run."""
+    ``execution.traces`` holds one engine trace per stage run;
+    ``verified`` is the oracle check's outcome (None without
+    ``verify=True``)."""
 
     items: frozenset[Any]
     execution: StagedExecution
     stages: list[AdaptiveStage]
     stages_skipped: int
+    verified: bool | None = None
 
     @property
     def terminated_early(self) -> bool:
@@ -87,7 +90,8 @@ class AdaptiveResult:
         return [stage.condition for stage in self.stages]
 
     def summary(self) -> str:
-        text = f"{len(self.items)} items, actual cost {self.total_cost:.1f}, "
+        checked = {None: "", True: " (verified)", False: " (MISMATCH!)"}[self.verified]
+        text = f"{len(self.items)} items{checked}, actual cost {self.total_cost:.1f}, "
         text += f"{len(self.stages)} stages"
         if self.terminated_early:
             text += f", stopped early ({self.stages_skipped} stages skipped)"

@@ -23,6 +23,17 @@ small working set of repeated queries (the paper's Sec. 1 motivation),
 so a bounded cache captures nearly all hits without growing without
 limit.
 
+Beside the plans the cache keeps a **statement map**: SQL text to the
+frozen query it parses to, keyed on the parser entry (``"fusion"`` or
+``"any"``), the view name, the merge attribute and the text.  A
+repeated text is then tokenised and parsed once
+(:meth:`PlanCache.statement`); the mediator still checks the parsed
+query against its own schema on every call, so one cache may serve
+federations whose schemas differ.  A text that fails to parse is never
+stored.  The statement map has its own LRU order under the same
+capacity and lock, and leaves the plan counters, ``len()`` and
+``summary()`` alone: those describe plans only.
+
 The cache is thread-safe: one :class:`PlanCache` is shared by every
 worker of a :class:`~repro.serve.MediatorService`, so lookups, inserts,
 LRU reshuffling, and the hit/miss counters are all guarded by an
@@ -35,15 +46,19 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.errors import OptimizationError
 from repro.optimize.base import OptimizationResult
+from repro.query.aggregate import AggregateQuery
 from repro.query.fusion import FusionQuery
 from repro.sources.statistics import StatisticsProvider
 
-#: Default number of plans kept (LRU beyond this).
+#: Default number of plans kept (LRU beyond this), and of statements.
 DEFAULT_CAPACITY = 128
+
+#: A statement key: parser entry, view name, merge attribute, SQL text.
+StatementKey = tuple[str, str, str, str]
 
 
 def query_fingerprint(query: FusionQuery) -> str:
@@ -85,6 +100,7 @@ class PlanCache:
         self._entries: OrderedDict[
             tuple[str, tuple[str, ...], str], OptimizationResult
         ] = OrderedDict()
+        self._statements: OrderedDict[StatementKey, FusionQuery | AggregateQuery] = OrderedDict()
         self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0
@@ -145,10 +161,33 @@ class PlanCache:
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
 
+    def statement(
+        self,
+        key: StatementKey,
+        parse: Callable[[], FusionQuery | AggregateQuery],
+    ) -> FusionQuery | AggregateQuery:
+        """The query ``key``'s text parses to: ``parse()`` runs on the
+        first lookup only.  A parse error propagates and stores nothing,
+        so a bad text raises the same error on every call.  The parse
+        runs outside the lock (two workers may both parse a new text;
+        the second put wins harmlessly)."""
+        with self._lock:
+            query = self._statements.get(key)
+            if query is not None:
+                self._statements.move_to_end(key)
+                return query
+        query = parse()
+        with self._lock:
+            self._statements[key] = query
+            while len(self._statements) > self.capacity:
+                self._statements.popitem(last=False)
+        return query
+
     def clear(self) -> None:
-        """Drop every entry and reset the hit/miss counters."""
+        """Drop every plan and statement and reset the hit/miss counters."""
         with self._lock:
             self._entries.clear()
+            self._statements.clear()
             self.hits = 0
             self.misses = 0
 

@@ -22,7 +22,7 @@ Example:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 from repro.costs.charge import ChargeCostModel
 from repro.costs.estimates import SizeEstimator
@@ -203,7 +203,9 @@ class Mediator:
             Entries are keyed on a canonical query
             fingerprint plus the statistics provider's fingerprint, so
             an :class:`~repro.sources.observed.ObservedStatistics`
-            refresh invalidates stale plans automatically.
+            refresh invalidates stale plans automatically.  The cache
+            also keeps each parsed SQL statement, so a repeated text is
+            parsed once (the schema check still runs on every call).
         backend: ``"sequential"`` executes plans one operation at a time
             (the paper's total-work setting); ``"runtime"`` executes
             them concurrently on the discrete-event engine of
@@ -288,8 +290,26 @@ class Mediator:
 
     def parse(self, sql: str) -> FusionQuery:
         """Parse fusion-query SQL against this federation's view name."""
-        query = parse_fusion_query(sql, view_name=self.federation.name)
-        query.validate_against_schema(self.federation.schema)
+        view = self.federation.name
+        return self._parsed("fusion", sql, lambda: parse_fusion_query(sql, view_name=view))
+
+    def _parsed(
+        self,
+        entry: str,
+        sql: str,
+        parse: Callable[[], FusionQuery | AggregateQuery],
+    ) -> Any:
+        """``parse()``'s query, validated against the schema on every
+        call; with a plan cache a repeated text is parsed once (its
+        statement map is keyed on ``entry``, view, merge attribute and
+        text)."""
+        schema = self.federation.schema
+        if self.plan_cache is None:
+            query = parse()
+        else:
+            key = (entry, self.federation.name, schema.merge_attribute, sql)
+            query = self.plan_cache.statement(key, parse)
+        query.validate_against_schema(schema)
         return query
 
     def _coerce(self, query: FusionQuery | str) -> FusionQuery:
@@ -398,14 +418,23 @@ class Mediator:
             masked=masked,
         )
         if self.verify:
-            expected = reference_answer(self.federation, query)
-            answer.verified = execution.items == expected
-            if not answer.verified and not answer.loss_expected:
-                raise ExecutionError(
-                    f"plan answer {sorted(execution.items, key=repr)} differs "
-                    f"from reference {sorted(expected, key=repr)}"
-                )
+            answer.verified = self._check(query, execution.items, answer.loss_expected)
         return answer
+
+    def _check(self, query: FusionQuery, items: frozenset[Any], loss_expected: bool) -> bool:
+        """The ``verify=True`` oracle check: whether ``items`` is the
+        reference answer.  A mismatch raises
+        :class:`~repro.errors.ExecutionError` unless the run is known to
+        have lost answers."""
+        expected = reference_answer(self.federation, query)
+        if items == expected:
+            return True
+        if not loss_expected:
+            raise ExecutionError(
+                f"plan answer {sorted(items, key=repr)} differs "
+                f"from reference {sorted(expected, key=repr)}"
+            )
+        return False
 
     def _replan(
         self, query: FusionQuery, budget_s: float | None
@@ -522,7 +551,10 @@ class Mediator:
         own (:func:`~repro.plans.builder.build_stage_plan`) and runs it
         on the mediator's engine.  An empty ``X_i`` stops the query
         unless some stage lost an operation (then ``X_i`` may be short,
-        and ``result.execution.complete`` is False).
+        and ``result.execution.complete`` is False).  With
+        ``verify=True`` the answer is checked against the oracle as in
+        :meth:`answer` (``result.verified``).  Stages have no re-planning
+        rounds, so a mediator built with ``replan > 0`` is refused.
 
         Example:
             >>> from repro.sources.generators import dmv_fig1
@@ -531,6 +563,11 @@ class Mediator:
             >>> sorted(result.items), len(result.execution.traces)
             (['J55', 'T21'], 2)
         """
+        if self.max_replans:
+            raise CostModelError(
+                f"answer_adaptive runs no re-planning rounds; this mediator has "
+                f"replan={self.max_replans} (build it with replan=0)"
+            )
         query = self._coerce(query)
         names = self.federation.source_names
         rule = SJAStagedProblem(query.conditions, names, self.cost_model, self.estimator)
@@ -568,7 +605,10 @@ class Mediator:
             current = run.item_set
         execution = StagedExecution(current, traces=tuple(run.trace for run in runs))
         # The one decode of the answer: every stage handed on its bitmap.
-        return AdaptiveResult(execution.items, execution, stages, len(remaining))
+        result = AdaptiveResult(execution.items, execution, stages, len(remaining))
+        if self.verify:
+            result.verified = self._check(query, result.items, not execution.complete)
+        return result
 
     def _mask(self, dead: str, active: list[str], masked: list[str]) -> bool:
         """Remove ``dead`` from planning and swap in its best substitute
@@ -620,13 +660,10 @@ class Mediator:
 
     def parse_any(self, sql: str) -> FusionQuery | AggregateQuery:
         """Parse SQL into whichever query kind it is (fusion or aggregate)."""
-        query = parse_query(
-            sql,
-            view_name=self.federation.name,
-            merge_attribute=self.federation.schema.merge_attribute,
+        view, merge = self.federation.name, self.federation.schema.merge_attribute
+        return self._parsed(
+            "any", sql, lambda: parse_query(sql, view_name=view, merge_attribute=merge)
         )
-        query.validate_against_schema(self.federation.schema)
-        return query
 
     def _coerce_aggregate(self, query: AggregateQuery | str) -> AggregateQuery:
         """The aggregate query, validated once: by :meth:`parse_any` for

@@ -9,12 +9,12 @@ import pytest
 from repro.costs.model import (
     INFINITE_COST,
     CostModel,
-    TableCostModel,
     UniformCostModel,
     check_cost_axioms,
 )
 from repro.errors import CostModelError
 from repro.relational.parser import parse_condition
+from tests.costs.table_model import TableCostModel
 
 CONDITION = parse_condition("V = 'dui'")
 OTHER = parse_condition("V = 'sp'")

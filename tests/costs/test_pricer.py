@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from repro.costs.calibrated import CalibratedCostModel
 from repro.costs.charge import _NUMPY_MIN_CELLS, ChargeCostModel
 from repro.costs.estimates import SizeEstimator
-from repro.costs.model import CostModel, TableCostModel, UniformCostModel
+from repro.costs.model import CostModel, UniformCostModel
 from repro.errors import CostModelError
 from repro.optimize.response_time import ResponseTimeStagedProblem
 from repro.optimize.search import (
@@ -45,6 +45,7 @@ from repro.sources.capabilities import SemijoinSupport, SourceCapabilities
 from repro.sources.generators import SyntheticConfig
 from repro.sources.network import LinkProfile
 from repro.sources.sampling import FittedLinkParameters
+from tests.costs.table_model import TableCostModel
 
 CONDITION = parse_condition("V = 'dui'")
 SOURCE = "S"

@@ -85,7 +85,8 @@ class TestOptimizerFailures:
     def test_no_feasible_plan_when_everything_is_infinite(
         self, dmv_query, dmv_estimator
     ):
-        from repro.costs.model import INFINITE_COST, TableCostModel
+        from repro.costs.model import INFINITE_COST
+        from tests.costs.table_model import TableCostModel
 
         model = TableCostModel(
             default_sq=INFINITE_COST, default_sjq=(INFINITE_COST, 0.0)

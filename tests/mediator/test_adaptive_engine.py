@@ -16,7 +16,8 @@ import pathlib
 import pytest
 
 import repro
-from repro.errors import PlanValidationError
+import repro.mediator.session as session
+from repro.errors import CostModelError, ExecutionError, PlanValidationError
 from repro.mediator.adaptive import AdaptiveResult, AdaptiveStage
 from repro.mediator.reference import reference_answer
 from repro.mediator.session import Mediator
@@ -132,12 +133,13 @@ class TestStagePlan:
         assert result.items == {"J55", "T21"}
 
 
-def faulty(federation, seed, retries):
+def faulty(federation, seed, retries, **options):
     return Mediator(
         federation,
         backend="runtime",
         faults=Faults(wire=FaultProfile.flaky(0.4)).injector(seed),
         resilience=Resilience(policy=RetryPolicy(max_retries=retries)),
+        **options,
     )
 
 
@@ -182,3 +184,37 @@ class TestOnTheEngine:
         assert recorder.events.of_type("replan") == []
         assert "repro_replan_rounds_total" not in recorder.metrics.to_prometheus()
         assert result.execution.replans == 0
+
+
+class TestTheMediatorsSettings:
+    """``verify=True`` checks an adaptive answer; ``replan > 0`` is refused."""
+
+    @pytest.mark.parametrize("seed, answer", [(1, ["T21"]), (3, ["T21"]), (7, [])])
+    def test_a_short_answer_after_a_loss_is_checked_and_marked(self, seed, answer):
+        federation, query = dmv_fig1()
+        federation = replicate_federation(federation, 2)
+        result = faulty(federation, seed, 0, verify=True).answer_adaptive(query)
+        assert sorted(reference_answer(federation, query)) == ["J55", "T21"]
+        assert sorted(result.items) == answer
+        assert result.verified is False
+        assert not result.execution.complete
+        assert "(MISMATCH!)" in result.summary() and "PARTIAL" in result.summary()
+
+    def test_a_right_answer_is_verified(self):
+        federation, query = dmv_fig1()
+        assert Mediator(federation).answer_adaptive(query).verified is None
+        result = Mediator(federation, verify=True).answer_adaptive(query)
+        assert result.verified is True
+        assert result.summary().startswith("2 items (verified), ")
+
+    def test_a_wrong_answer_with_no_loss_raises(self, monkeypatch):
+        federation, query = dmv_fig1()
+        monkeypatch.setattr(session, "reference_answer", lambda *_: frozenset({"X99"}))
+        with pytest.raises(ExecutionError, match="differs from reference"):
+            Mediator(federation, verify=True).answer_adaptive(query)
+
+    def test_replanning_rounds_are_refused(self):
+        federation, query = dmv_fig1()
+        mediator = Mediator(federation, backend="runtime", verify=True, replan=2)
+        with pytest.raises(CostModelError, match="replan=2"):
+            mediator.answer_adaptive(query)

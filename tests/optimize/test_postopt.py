@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.costs.model import TableCostModel
 from repro.mediator.executor import Executor
 from repro.mediator.reference import reference_answer
 from repro.optimize.postopt import (
@@ -25,6 +24,7 @@ from repro.plans.operations import (
     OpKind,
     SemijoinOp,
 )
+from tests.costs.table_model import TableCostModel
 
 
 @pytest.fixture

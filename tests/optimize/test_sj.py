@@ -5,12 +5,12 @@ from __future__ import annotations
 import math
 
 
-from repro.costs.model import TableCostModel
 from repro.mediator.executor import Executor
 from repro.mediator.reference import reference_answer
 from repro.optimize.filter import FilterOptimizer
 from repro.optimize.sj import SJOptimizer
 from repro.plans.classify import PlanClass, classify
+from tests.costs.table_model import TableCostModel
 
 
 class TestSearch:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 
 
-from repro.costs.model import TableCostModel
 from repro.mediator.executor import Executor
 from repro.mediator.reference import reference_answer
 from repro.optimize.sj import SJOptimizer
@@ -16,6 +15,7 @@ from repro.sources.generators import dmv_fig1
 from repro.costs.charge import ChargeCostModel
 from repro.costs.estimates import SizeEstimator
 from repro.sources.statistics import ExactStatistics
+from tests.costs.table_model import TableCostModel
 
 
 class TestSearch:

@@ -52,7 +52,7 @@ class TestRoundTrip:
     def test_extended_ops_roundtrip(
         self, dmv_query, dmv_cost_model, dmv_estimator, dmv_federation
     ):
-        from repro.costs.model import TableCostModel
+        from tests.costs.table_model import TableCostModel
         from repro.plans.builder import StagedChoice, build_staged_plan
 
         base = build_staged_plan(
