@@ -5,9 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.harness import make_kit
-from repro.mediator.executor import Executor
 from repro.optimize.sja import SJAOptimizer
 from repro.optimize.sja_plus import SJAPlusOptimizer
+from repro.runtime.engine import RuntimeEngine
 from repro.sources.generators import SyntheticConfig
 
 
@@ -40,17 +40,17 @@ def test_sja_plus_variants_execute(benchmark, tiny_sources_kit, variant_kwargs):
     plan = SJAPlusOptimizer(**variant_kwargs).optimize(
         kit.query, kit.source_names, kit.cost_model, kit.estimator
     ).plan
-    executor = Executor(kit.federation)
+    engine = RuntimeEngine(kit.federation)
 
     def run():
         kit.federation.reset_traffic()
-        return executor.execute(plan).total_cost
+        return engine.run(plan).total_cost
 
     base_plan = SJAOptimizer().optimize(
         kit.query, kit.source_names, kit.cost_model, kit.estimator
     ).plan
     kit.federation.reset_traffic()
-    base_cost = executor.execute(base_plan).total_cost
+    base_cost = engine.run(base_plan).total_cost
     assert benchmark(run) <= base_cost + 1e-6
 
 

@@ -2,21 +2,21 @@
 
 from __future__ import annotations
 
-from repro.mediator.executor import Executor
 from repro.mediator.reference import reference_answer
 from repro.optimize.filter import FilterOptimizer
 from repro.optimize.sja_plus import SJAPlusOptimizer
 from repro.plans.builder import build_filter_plan
+from repro.runtime.engine import RuntimeEngine
 
 
 def test_execute_filter_plan(benchmark, medium_kit):
     kit = medium_kit
     plan = build_filter_plan(kit.query, kit.source_names)
-    executor = Executor(kit.federation)
+    engine = RuntimeEngine(kit.federation)
 
     def run():
         kit.federation.reset_traffic()
-        return executor.execute(plan).items
+        return engine.run(plan).items
 
     assert benchmark(run) == reference_answer(kit.federation, kit.query)
 
@@ -26,18 +26,18 @@ def test_execute_sja_plus_plan(benchmark, hetero_kit):
     plan = SJAPlusOptimizer().optimize(
         kit.query, kit.source_names, kit.cost_model, kit.estimator
     ).plan
-    executor = Executor(kit.federation)
+    engine = RuntimeEngine(kit.federation)
 
     def run():
         kit.federation.reset_traffic()
-        return executor.execute(plan).items
+        return engine.run(plan).items
 
     assert benchmark(run) == reference_answer(kit.federation, kit.query)
 
 
 def test_optimize_and_execute_end_to_end(benchmark, medium_kit):
     kit = medium_kit
-    executor = Executor(kit.federation)
+    engine = RuntimeEngine(kit.federation)
     optimizer = FilterOptimizer()
 
     def run():
@@ -45,7 +45,7 @@ def test_optimize_and_execute_end_to_end(benchmark, medium_kit):
         result = optimizer.optimize(
             kit.query, kit.source_names, kit.cost_model, kit.estimator
         )
-        return executor.execute(result.plan).items
+        return engine.run(result.plan).items
 
     assert benchmark(run) == reference_answer(kit.federation, kit.query)
 

@@ -2,16 +2,16 @@
 
 from __future__ import annotations
 
-from repro.mediator.executor import Executor
 from repro.mediator.schedule import estimated_response_time, response_time
 from repro.optimize.response_time import ResponseTimeSJAOptimizer
 from repro.plans.builder import build_filter_plan
+from repro.runtime.engine import RuntimeEngine
 
 
 def test_schedule_executed_plan(benchmark, medium_kit):
     kit = medium_kit
     plan = build_filter_plan(kit.query, kit.source_names)
-    execution = Executor(kit.federation).execute(plan)
+    execution = RuntimeEngine(kit.federation).run(plan)
     schedule = benchmark(response_time, plan, execution)
     assert schedule.makespan_s <= schedule.total_time_s
 

@@ -5,11 +5,10 @@ from __future__ import annotations
 from repro.bench.extensions import run_observed_stats
 from repro.costs.charge import ChargeCostModel
 from repro.costs.estimates import SizeEstimator
-from repro.mediator.executor import Executor
 from repro.obs.recorder import Recorder
 from repro.optimize.sja_plus import SJAPlusOptimizer
 from repro.plans.builder import build_filter_plan
-from repro.runtime.trace import RuntimeTrace
+from repro.runtime.engine import RuntimeEngine
 from repro.sources.observed import ObservedStatistics
 
 
@@ -20,7 +19,7 @@ def warmup_events(kit):
         kit.query, kit.source_names, "exploratory warm-up"
     )
     kit.federation.reset_traffic()
-    Executor(kit.federation, recorder=recorder).execute(plan)
+    RuntimeEngine(kit.federation, recorder=recorder).run(plan)
     return recorder.events
 
 
@@ -77,7 +76,7 @@ def test_mined_plan_quality(medium_kit):
     # cost, with the identical answer.
     def measured(plan):
         medium_kit.federation.reset_traffic()
-        return Executor(medium_kit.federation).execute(plan)
+        return RuntimeEngine(medium_kit.federation).run(plan)
 
     oracle = SJAPlusOptimizer().optimize(
         medium_kit.query,
@@ -92,10 +91,8 @@ def test_mined_plan_quality(medium_kit):
     explore = SJAPlusOptimizer().optimize(
         medium_kit.query, medium_kit.source_names, model, estimator
     )
-    recorder = Recorder(metrics=None)
     medium_kit.federation.reset_traffic()
-    Executor(medium_kit.federation, recorder=recorder).execute(explore.plan)
-    stats.observe(RuntimeTrace.runs(recorder.events))
+    stats.observe(RuntimeEngine(medium_kit.federation).run(explore.plan).traces)
 
     estimator, model = blind_toolkit(stats, medium_kit)
     mined = SJAPlusOptimizer().optimize(

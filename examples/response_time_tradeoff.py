@@ -48,7 +48,7 @@ def main() -> None:
     statistics = repro.ExactStatistics(federation)
     estimator = SizeEstimator(statistics, federation.source_names)
     cost_model = repro.ChargeCostModel.for_federation(federation, estimator)
-    executor = repro.Executor(federation)
+    engine = repro.RuntimeEngine(federation)
 
     for label, optimizer in (
         ("SJA (minimize total work)", repro.SJAOptimizer()),
@@ -61,7 +61,7 @@ def main() -> None:
             query, federation.source_names, cost_model, estimator
         )
         federation.reset_traffic()
-        execution = executor.execute(result.plan)
+        execution = engine.run(result.plan)
         schedule = response_time(result.plan, execution)
         print(f"--- {label} ---")
         print(

@@ -364,8 +364,8 @@ def run_ablation_postopt() -> str:
         apply_difference_pruning,
         apply_source_loading,
     )
-    from repro.mediator.executor import Executor
     from repro.plans.operations import OpKind
+    from repro.runtime.engine import RuntimeEngine
 
     for entities, m in ((40, 2), (40, 4), (400, 2), (400, 4), (2000, 3)):
         config = SyntheticConfig(
@@ -385,11 +385,11 @@ def run_ablation_postopt() -> str:
         pruned = apply_difference_pruning(base)
         loaded = apply_source_loading(base, kit.cost_model, kit.estimator)
         both = apply_source_loading(pruned, kit.cost_model, kit.estimator)
-        executor = Executor(kit.federation)
+        engine = RuntimeEngine(kit.federation)
         costs = []
         for plan in (base, pruned, loaded, both):
             kit.federation.reset_traffic()
-            costs.append(executor.execute(plan).total_cost)
+            costs.append(engine.run(plan).total_cost)
         table.add_row(
             [
                 entities,

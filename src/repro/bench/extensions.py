@@ -26,7 +26,6 @@ from repro.mediator.phases import (
 from repro.mediator.reference import reference_answer
 from repro.mediator.schedule import response_time
 from repro.mediator.session import Mediator
-from repro.obs.recorder import Recorder
 from repro.optimize.filter import FilterOptimizer
 from repro.optimize.planning import Planning
 from repro.optimize.response_time import ResponseTimeSJAOptimizer
@@ -47,7 +46,6 @@ from repro.runtime.engine import Resilience, RuntimeEngine
 from repro.runtime.faults import FaultInjector, FaultProfile
 from repro.runtime.health import BreakerConfig
 from repro.runtime.policy import RetryPolicy, completeness_report
-from repro.runtime.trace import RuntimeTrace
 from repro.sources.generators import (
     SyntheticConfig,
     build_synthetic,
@@ -107,7 +105,7 @@ def run_response_time() -> str:
             ExactStatistics(federation), federation.source_names
         )
         cost_model = ChargeCostModel.for_federation(federation, estimator)
-        executor = Executor(federation)
+        engine = RuntimeEngine(federation)
         optimizers = {
             "FILTER": FilterOptimizer(),
             "SJA": SJAOptimizer(),
@@ -118,7 +116,7 @@ def run_response_time() -> str:
                 query, federation.source_names, cost_model, estimator
             ).plan
             federation.reset_traffic()
-            execution = executor.execute(plan)
+            execution = engine.run(plan)
             schedule = response_time(plan, execution)
             table.add_row(
                 [
@@ -311,7 +309,7 @@ def run_overlap() -> str:
             ExactStatistics(federation), federation.source_names
         )
         cost_model = ChargeCostModel.for_federation(federation, estimator)
-        executor = Executor(federation)
+        engine = RuntimeEngine(federation)
         costs = {}
         semijoin_count = 0
         answer_size = 0
@@ -323,7 +321,7 @@ def run_overlap() -> str:
                 query, federation.source_names, cost_model, estimator
             ).plan
             federation.reset_traffic()
-            execution = executor.execute(plan)
+            execution = engine.run(plan)
             costs[label] = execution.total_cost
             if label == "SJA":
                 semijoin_count = plan.count_by_kind().get(OpKind.SEMIJOIN, 0)
@@ -821,7 +819,7 @@ def run_observed_stats(
     ``sq`` answer count becomes exact selectivity evidence); later
     warm-ups execute whatever plan the current statistics pick, adding
     semijoin hits/trials evidence that pins down the universe size.  The
-    mined provider sees only the recorded event stream — no federation
+    mined provider sees only the warm-up runs' traces — no federation
     internals — yet its cost model for planning uses its *own*
     cardinality estimates, so the whole loop is oracle-free.  Every
     chosen plan is then executed on the live federation; the score is
@@ -845,7 +843,7 @@ def run_observed_stats(
 
     def measured(plan):
         federation.reset_traffic()
-        return Executor(federation).execute(plan)
+        return RuntimeEngine(federation).run(plan)
 
     def blind_toolkit(stats: ObservedStatistics):
         """Estimator + cost model that never touch the federation's data."""
@@ -906,10 +904,8 @@ def run_observed_stats(
                     .optimize(query, names, model, estimator)
                     .plan
                 )
-            recorder = Recorder(metrics=None)
             federation.reset_traffic()
-            Executor(federation, recorder=recorder).execute(warm_plan)
-            stats.observe(RuntimeTrace.runs(recorder.events))
+            stats.observe(RuntimeEngine(federation).run(warm_plan).traces)
         estimator, model = blind_toolkit(stats)
         optimization = SJAPlusOptimizer().optimize(
             query, names, model, estimator

@@ -6,7 +6,6 @@ import time
 
 from repro.bench.harness import kit_for_federation, make_kit, run_optimizers
 from repro.bench.report import Table, join_sections
-from repro.mediator.executor import Executor
 from repro.optimize.filter import FilterOptimizer
 from repro.optimize.postopt import (
     apply_difference_pruning,
@@ -24,6 +23,7 @@ from repro.plans.builder import (
 from repro.plans.classify import classify
 from repro.plans.cost import estimate_plan_cost
 from repro.query.fusion import FusionQuery
+from repro.runtime.engine import RuntimeEngine
 from repro.sources.generators import (
     SyntheticConfig,
     dmv_fig1,
@@ -51,7 +51,7 @@ def run_fig1() -> str:
     sections.append("chosen plan (SJA+):")
     sections.append(result.plan.pretty())
     federation.reset_traffic()
-    execution = Executor(federation).execute(result.plan)
+    execution = RuntimeEngine(federation).run(result.plan)
     sections.append("execution trace:")
     sections.append(execution.render_steps(result.plan))
     sections.append(
@@ -244,7 +244,7 @@ def run_fig5() -> str:
         )
     )
     kit = kit_for_federation(federation, query)
-    executor = Executor(federation)
+    engine = RuntimeEngine(federation)
 
     base = SJAOptimizer().optimize(
         query, kit.source_names, kit.cost_model, kit.estimator
@@ -269,7 +269,7 @@ def run_fig5() -> str:
             plan, kit.cost_model, kit.estimator
         ).total
         federation.reset_traffic()
-        execution = executor.execute(plan)
+        execution = engine.run(plan)
         table.add_row(
             [
                 plan.description,

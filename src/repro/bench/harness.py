@@ -14,10 +14,10 @@ from typing import Sequence
 from repro.costs.charge import ChargeCostModel
 from repro.costs.estimates import SizeEstimator
 from repro.costs.model import CostModel
-from repro.mediator.executor import Executor
 from repro.mediator.reference import reference_answer
 from repro.optimize.base import Optimizer
 from repro.query.fusion import FusionQuery
+from repro.runtime.engine import RuntimeEngine
 from repro.sources.generators import (
     SyntheticConfig,
     build_synthetic,
@@ -85,14 +85,14 @@ def run_optimizers(
 ) -> list[OptimizerRun]:
     """Optimize + execute each optimizer on the kit, verifying answers."""
     expected = reference_answer(kit.federation, kit.query)
-    executor = Executor(kit.federation)
+    engine = RuntimeEngine(kit.federation)
     runs: list[OptimizerRun] = []
     for optimizer in optimizers:
         result = optimizer.optimize(
             kit.query, kit.source_names, kit.cost_model, kit.estimator
         )
         kit.federation.reset_traffic()
-        execution = executor.execute(result.plan)
+        execution = engine.run(result.plan)
         runs.append(
             OptimizerRun(
                 name=result.optimizer,

@@ -1,15 +1,14 @@
-"""Plan execution against the (simulated) remote sources.
+"""Sequential plan execution against the (simulated) remote sources.
 
 The executor walks a plan's operations, dispatching remote operations to
 the federation's wrappers and local operations to the item-set algebra.
 It records a :class:`StepTrace` per operation — actual output size and
-the actual network cost incurred (measured as the delta of the sources'
-traffic logs) — so benchmarks can compare *estimated* plan cost against
-*actual* execution cost, and traces can be printed next to the paper's
-figures.
-
-It injects no faults and retries nothing: faults, retries, hedging and
-deadlines belong to the runtime engine (:mod:`repro.runtime.engine`).
+the actual network cost incurred (the delta of the sources' traffic
+logs).  It injects no faults and retries nothing; every other plan runs
+on the runtime engine (:mod:`repro.runtime.engine`).  Besides tests and
+the wall-clock benchmark's layer timings, two callers are left:
+``Mediator``'s sequential backend, and R2's oracle, whose independent
+side is a sequential run's step times.
 """
 
 from __future__ import annotations

@@ -109,14 +109,19 @@ class PlanCache:
     def of(value: "PlanCache | int | bool | None") -> "PlanCache | None":
         """The ``plan_cache=`` sugar of ``Mediator`` and the service:
         an instance as is, ``True`` the default capacity, an int that
-        capacity, ``False`` / ``None`` no cache."""
+        capacity, ``False`` / ``None`` no cache; nothing else."""
         if value is True:
             return PlanCache()
         if value is False:
             return None
         if isinstance(value, int):
             return PlanCache(capacity=value)
-        return value
+        if value is None or isinstance(value, PlanCache):
+            return value
+        raise OptimizationError(
+            "plan_cache must be a PlanCache, an int, a bool or None, "
+            f"got {type(value).__name__}"
+        )
 
     def _key(
         self,

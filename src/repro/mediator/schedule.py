@@ -15,10 +15,9 @@ This module implements that model for our plans:
 :func:`response_time` computes the makespan of a plan by longest-path
 analysis over this DAG, using either actual per-op times (from an
 execution's step traces) or estimated times (from link profiles and a
-size estimator).  :func:`critical_path` reports which operations the
-makespan consists of — filter plans parallelize perfectly (one round),
-deep semijoin chains trade total work for response time, which is
-exactly the tension the R1 benchmark quantifies.
+size estimator).  Filter plans parallelize perfectly (one round), deep
+semijoin chains trade total work for response time, which is exactly
+the tension the R1 benchmark quantifies.
 """
 
 from __future__ import annotations
@@ -65,20 +64,6 @@ class Schedule:
             return 1.0
         return self.total_time_s / self.makespan_s
 
-    def critical_path(self) -> list[ScheduledOp]:
-        """Operations whose finish equals a successor's start, ending at
-        the makespan (one longest chain, remote ops only)."""
-        chain: list[ScheduledOp] = []
-        horizon = self.makespan_s
-        for scheduled in reversed(self.ops):
-            if not scheduled.operation.remote:
-                continue
-            if abs(scheduled.finish_s - horizon) < 1e-12:
-                chain.append(scheduled)
-                horizon = scheduled.start_s
-        chain.reverse()
-        return chain
-
 
 def _schedule(plan: Plan, durations: list[float]) -> Schedule:
     """Longest-path scheduling with per-source serialization."""
@@ -118,10 +103,10 @@ def response_time(plan: Plan, execution: ExecutionResult) -> Schedule:
     Example:
         >>> from repro.sources.generators import dmv_fig1
         >>> from repro.plans.builder import build_filter_plan
-        >>> from repro.mediator.executor import Executor
+        >>> from repro.runtime.engine import RuntimeEngine
         >>> federation, query = dmv_fig1()
         >>> plan = build_filter_plan(query, federation.source_names)
-        >>> execution = Executor(federation).execute(plan)
+        >>> execution = RuntimeEngine(federation).run(plan)
         >>> schedule = response_time(plan, execution)
         >>> schedule.parallel_speedup > 1.0   # m*n selections, n-way parallel
         True

@@ -40,7 +40,25 @@ from repro.sources.generators import (
 )
 
 ROOT = pathlib.Path(repro.__file__).parent
+REPO = pathlib.Path(__file__).resolve().parents[2]
 SQ, SJQ = StagedChoice.SELECTION, StagedChoice.SEMIJOIN
+
+
+def executor_calls(tree: ast.AST, scope: str = "") -> list[str]:
+    """The qualified name of each function or class that constructs an
+    ``Executor`` (``Executor(...)`` or ``<module>.Executor(...)``)."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found += executor_calls(node, f"{scope}{node.name}.")
+            continue
+        if isinstance(node, ast.Call) and (
+            getattr(node.func, "id", None) == "Executor"
+            or getattr(node.func, "attr", None) == "Executor"
+        ):
+            found.append(scope.rstrip(".") or "<module>")
+        found += executor_calls(node, scope)
+    return found
 
 
 def source_calls(tree: ast.AST) -> list[int]:
@@ -70,6 +88,37 @@ class TestWrittenInOnePlace:
         assert source_calls(ast.parse("source.selection(c)"))
         assert source_calls(ast.parse("self.federation.source(n).semijoin(c, x)"))
         assert not source_calls(ast.parse("selection(c)"))
+
+    def test_only_the_mediator_and_three_oracles_build_an_executor(self):
+        # Experiments, examples and benchmarks run plans on the engine.
+        # The sequential executor is left to the mediator's sequential
+        # backend, to the wall-clock benchmark's layer timings, and to
+        # three checks that compare the engine with it.
+        found = {}
+        for top in ("src", "examples", "benchmarks"):
+            for path in sorted((REPO / top).rglob("*.py")):
+                name = path.relative_to(REPO).as_posix()
+                if name.startswith("benchmarks/e2e/"):
+                    continue
+                calls = executor_calls(ast.parse(path.read_text()))
+                if calls:
+                    found[name] = calls
+        assert found == {
+            "src/repro/mediator/session.py": ["Mediator.__init__"],
+            "src/repro/bench/extensions.py": ["run_concurrent_runtime"],
+            "benchmarks/bench_r2_concurrent_runtime.py": ["test_engine_matches_schedule"],
+            "examples/fault_tolerant_mediation.py": ["main"],
+        }
+
+    def test_the_executor_scanner_names_the_caller(self):
+        tree = ast.parse(
+            "class A:\n"
+            "    def f(self):\n"
+            "        return [repro.Executor(fed) for _ in x]\n"
+            "run = Executor(fed).execute\n"
+        )
+        assert executor_calls(tree) == ["A.f", "<module>"]
+        assert executor_calls(ast.parse("Executor\nexecutor(fed)")) == []
 
     def test_no_adaptive_executor_is_left(self):
         # mediator/adaptive.py keeps only the stage-log records.

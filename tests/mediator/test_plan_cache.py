@@ -214,6 +214,18 @@ def test_mediator_coerces_plan_cache_argument():
     assert sized.plan_cache.capacity == 4
 
 
+@pytest.mark.parametrize("value", [2.5, "yes", [], object()])
+def test_both_constructors_refuse_a_plan_cache_of_another_type(value):
+    # Such a value used to construct and then break every answer with
+    # an AttributeError; it is refused where it is given.
+    from repro.serve.service import MediatorService
+
+    federation, __ = dmv_fig1()
+    for construct in (Mediator, MediatorService):
+        with pytest.raises(OptimizationError, match="plan_cache must be"):
+            construct(federation, plan_cache=value)
+
+
 def test_budget_cut_plan_is_not_cached():
     # A plan cut short by the planning budget answers that query only:
     # once the pressure is gone the same query is planned exactly, and

@@ -86,22 +86,6 @@ class TestActualScheduling:
         )
         assert longest_single <= schedule.makespan_s <= schedule.total_time_s
 
-    def test_critical_path_ends_at_makespan(self, kit):
-        federation, query, __ = kit
-        plan = build_staged_plan(
-            query,
-            [0, 1],
-            uniform_choices(2, 3, [False, True]),
-            federation.source_names,
-        )
-        execution = Executor(federation).execute(plan)
-        schedule = response_time(plan, execution)
-        path = schedule.critical_path()
-        assert path
-        assert path[-1].finish_s == pytest.approx(schedule.makespan_s)
-        for earlier, later in zip(path, path[1:]):
-            assert earlier.finish_s <= later.start_s + 1e-12
-
     def test_mismatched_trace_rejected(self, kit):
         federation, query, __ = kit
         plan = build_filter_plan(query, federation.source_names)
