@@ -4,8 +4,8 @@ Subcommands:
 
 * ``demo`` — run the Fig. 1 DMV example end to end;
 * ``query SPEC SQL`` — load a federation spec (see :mod:`repro.io`),
-  run a fusion query, print plan + trace + answer; ``--runtime`` runs
-  it on the concurrent discrete-event engine instead (with
+  run a fusion query on the concurrent discrete-event engine, print
+  plan + steps + answer (with
   ``--fault-rate``/``--retries``/``--timeline`` to inject failures and
   watch the retry behaviour, ``--hedge-delay``/``--breaker``/
   ``--replan`` to recover via replicas when the spec declares them,
@@ -71,8 +71,7 @@ def _planning(args) -> Planning:
 
 def _add_shared_flags(sub: argparse.ArgumentParser) -> None:
     """The flags ``query`` and ``workload`` share, declared once: the
-    fault setup, answer verification, telemetry and the deadline (on
-    ``query`` all but the telemetry need ``--runtime``)."""
+    fault setup, answer verification, telemetry and the deadline."""
     sub.add_argument(
         "--fault-rate",
         type=float,
@@ -215,12 +214,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 "stage with actual intermediate sizes)",
             )
             sub.add_argument(
-                "--runtime",
-                action="store_true",
-                help="execute concurrently on the discrete-event runtime "
-                "(observed makespan, retries, fault tolerance)",
-            )
-            sub.add_argument(
                 "--fault-seed",
                 type=int,
                 default=0,
@@ -235,7 +228,7 @@ def _build_parser() -> argparse.ArgumentParser:
             sub.add_argument(
                 "--timeline",
                 action="store_true",
-                help="print the ASCII execution timeline (runtime backend)",
+                help="print the ASCII execution timeline",
             )
             sub.add_argument(
                 "--hedge-delay",
@@ -244,14 +237,14 @@ def _build_parser() -> argparse.ArgumentParser:
                 metavar="S",
                 help="speculatively duplicate an attempt on a replica "
                 "after S virtual seconds, and immediately on failure "
-                "(runtime backend; requires replicas/substitutes)",
+                "(requires replicas/substitutes)",
             )
             sub.add_argument(
                 "--breaker",
                 choices=("off", "default", "aggressive"),
                 default="off",
                 help="circuit-breaker profile: trip dead sources and "
-                "reroute to replicas (runtime backend)",
+                "reroute to replicas",
             )
             sub.add_argument(
                 "--replan",
@@ -259,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 default=0,
                 metavar="N",
                 help="re-plan up to N times around dead sources, merging "
-                "answers (runtime backend; default: 0)",
+                "answers (default: 0)",
             )
             sub.add_argument(
                 "--robustness-lambda",
@@ -274,8 +267,8 @@ def _build_parser() -> argparse.ArgumentParser:
             sub.add_argument(
                 "--load-balance",
                 action="store_true",
-                help="spread healthy runtime traffic round-robin across "
-                "replica-group members (runtime backend)",
+                help="spread healthy traffic round-robin across "
+                "replica-group members",
             )
             sub.add_argument(
                 "--profile",
@@ -414,7 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _command_demo() -> int:
     federation, query = dmv_fig1()
-    mediator = Mediator(federation, verify=True)
+    mediator = Mediator(federation, backend="runtime", verify=True)
     answer = mediator.answer(query)
     print(query.to_sql())
     print()
@@ -472,117 +465,41 @@ def _emit_telemetry(args, recorder, profile=None) -> None:
         print(f"wrote {len(recorder.events)} events to {args.emit_events}")
 
 
-#: ``query`` flags only the runtime backend reads, with their parser
-#: defaults; another value without ``--runtime`` is refused.
-RUNTIME_ONLY_FLAGS = {
-    "--fault-rate": 0.0, "--data-faults": None, "--verify": "off",
-    "--quarantine": False, "--deadline": None, "--fault-seed": 0,
-    "--retries": 3, "--hedge-delay": None, "--breaker": "off",
-    "--replan": 0, "--load-balance": False, "--timeline": False,
-}
-
-
 #: ``query`` flags an ``--adaptive`` run never reads, as ``flag: dest``:
-#: it builds no profile, caches no plan, and plans every stage by the
-#: SJA stage rule.  A value other than the parser's default is refused.
+#: it builds no profile, caches no plan, plans every stage by the SJA
+#: stage rule, and runs its stages without a deadline, a timeline or
+#: re-planning rounds.  A value other than the parser's default is
+#: refused.
 ADAPTIVE_IGNORED_FLAGS = {
     "--profile": "profile", "--plan-cache": "plan_cache",
     "--optimizer": "optimizer", "--search": "search",
     "--beam-width": "beam_width", "--robustness-lambda": "robustness",
+    "--deadline": "deadline", "--timeline": "timeline", "--replan": "replan",
 }
 
 
 def _refuse_ignored_flags(args) -> None:
-    """Refuse a ``query`` flag the run would silently ignore: a runtime
-    flag without ``--runtime``, ``--adaptive`` with ``--runtime`` or on
-    an aggregate query, and a flag an ``--adaptive`` run does not read."""
-    problems = []
-    ignored = [
-        flag
-        for flag, default in RUNTIME_ONLY_FLAGS.items()
-        if not args.runtime and getattr(args, flag[2:].replace("-", "_")) != default
-    ]
-    if ignored:
-        problems.append(f"{', '.join(ignored)} would be ignored without --runtime")
-    if args.adaptive and (args.runtime or is_aggregate_query(args.sql)):
-        where = "with --runtime" if args.runtime else "on an aggregate query"
-        problems.append(f"--adaptive would be ignored {where}")
-    elif args.adaptive:
-        defaults = _build_parser().parse_args(["query", args.spec, args.sql])
-        unread = [
-            flag
-            for flag, dest in ADAPTIVE_IGNORED_FLAGS.items()
-            if getattr(args, dest) != getattr(defaults, dest)
-        ]
-        if unread:
-            problems.append(f"{', '.join(unread)} would be ignored with --adaptive")
-    if problems:
-        raise CostModelError("; ".join(problems))
-
-
-def _command_query(args) -> int:
-    _refuse_ignored_flags(args)
-    federation = load_federation(args.spec)
-    recorder = _make_recorder(args)
-    statistics = _load_observed_statistics(args.observed_stats)
-    if args.runtime:
-        return _run_runtime(federation, args, recorder, statistics)
-    mediator = Mediator(
-        federation,
-        statistics=statistics,
-        planning=_planning(args),
-        recorder=recorder,
-        plan_cache=args.plan_cache,
-    )
+    """Refuse a ``query`` flag the run would silently ignore:
+    ``--adaptive`` on an aggregate query, and a flag an ``--adaptive``
+    run does not read."""
+    if not args.adaptive:
+        return
     if is_aggregate_query(args.sql):
-        return _run_aggregate(mediator, args.sql, args.pushdown)
-    if args.adaptive:
-        return _run_adaptive(mediator, args)
-    answer = mediator.answer(args.sql)
-    print(answer.plan.pretty())
-    print()
-    print(answer.execution.render_steps(answer.plan))
-    print()
-    print("answer:", ", ".join(sorted(map(str, answer.items))) or "(empty)")
-    print(answer.summary())
-    if mediator.plan_cache is not None:
-        print(mediator.plan_cache.summary())
-    _emit_telemetry(
-        args, recorder, answer.execution.profile if args.profile else None
-    )
-    return 0
+        raise CostModelError("--adaptive would be ignored on an aggregate query")
+    defaults = _build_parser().parse_args(["query", args.spec, args.sql])
+    unread = [
+        flag
+        for flag, dest in ADAPTIVE_IGNORED_FLAGS.items()
+        if getattr(args, dest) != getattr(defaults, dest)
+    ]
+    if unread:
+        raise CostModelError(f"{', '.join(unread)} would be ignored with --adaptive")
 
 
-def _run_aggregate(
-    mediator: Mediator,
-    sql: str,
-    pushdown: str,
-    deadline: float | None = None,
-) -> int:
-    """Run an aggregation fusion query and print both phases."""
-    mode: bool | str = {"auto": True, "force": "force", "off": False}[pushdown]
-    answer = mediator.answer_aggregate(
-        sql, budget_s=deadline, pushdown=mode
-    )
-    print(answer.fusion.plan.pretty())
-    print()
-    print(answer.aggregate_plan.render())
-    print()
-    print(answer.result.pretty())
-    print(answer.summary())
-    return 0
+def _mediator(args, federation, recorder, statistics) -> Mediator:
+    """The one engine-backed mediator the ``query`` flags describe."""
+    from repro.runtime import BreakerConfig, QuarantineConfig, Resilience, RetryPolicy
 
-
-def _run_runtime(federation, args, recorder, statistics) -> int:
-    from repro.runtime import (
-        BreakerConfig,
-        QuarantineConfig,
-        Resilience,
-        RetryPolicy,
-        completeness_report,
-    )
-
-    faults = _faults(args).injector(args.fault_seed)
     resilience = Resilience(
         policy=RetryPolicy(max_retries=args.retries),
         hedge_delay_s=args.hedge_delay,
@@ -595,10 +512,10 @@ def _run_runtime(federation, args, recorder, statistics) -> int:
         load_balance=args.load_balance,
         verify=args.verify,
     )
-    mediator = Mediator(
+    return Mediator(
         federation,
         backend="runtime",
-        faults=faults,
+        faults=_faults(args).injector(args.fault_seed),
         resilience=resilience,
         replan=args.replan,
         statistics=statistics,
@@ -606,13 +523,25 @@ def _run_runtime(federation, args, recorder, statistics) -> int:
         recorder=recorder,
         plan_cache=args.plan_cache,
     )
+
+
+def _command_query(args) -> int:
+    from repro.runtime import completeness_report
+
+    _refuse_ignored_flags(args)
+    federation = load_federation(args.spec)
+    recorder = _make_recorder(args)
+    statistics = _load_observed_statistics(args.observed_stats)
+    mediator = _mediator(args, federation, recorder, statistics)
     if is_aggregate_query(args.sql):
-        return _run_aggregate(
-            mediator, args.sql, args.pushdown, deadline=args.deadline
-        )
+        return _run_aggregate(mediator, args.sql, args.pushdown, args.deadline)
+    if args.adaptive:
+        return _run_adaptive(mediator, args)
     answer = mediator.answer(args.sql, budget_s=args.deadline)
     trace = answer.execution.trace
     print(answer.plan.pretty())
+    print()
+    print(answer.execution.render_steps(answer.plan))
     print()
     if mediator.planning.optimizer == "robust":
         opt = answer.optimization
@@ -631,11 +560,13 @@ def _run_runtime(federation, args, recorder, statistics) -> int:
         print()
     if answer.execution.replans:
         print(f"replanning: {answer.replanning()}")
-    if resilience.breaker is not None:
+    if args.breaker != "off":
         print(mediator.runtime.health.report())
         print()
     print("answer:", ", ".join(sorted(map(str, answer.items))) or "(empty)")
     print(answer.summary())
+    if mediator.plan_cache is not None:
+        print(mediator.plan_cache.summary())
     if args.verify != "off":
         quarantined = sorted(mediator.runtime.health.quarantined_names())
         if quarantined:
@@ -657,6 +588,23 @@ def _run_runtime(federation, args, recorder, statistics) -> int:
     _emit_telemetry(
         args, recorder, answer.execution.profile if args.profile else None
     )
+    return 0
+
+
+def _run_aggregate(
+    mediator: Mediator, sql: str, pushdown: str, deadline: float | None
+) -> int:
+    """Run an aggregation fusion query and print both phases."""
+    mode: bool | str = {"auto": True, "force": "force", "off": False}[pushdown]
+    answer = mediator.answer_aggregate(
+        sql, budget_s=deadline, pushdown=mode
+    )
+    print(answer.fusion.plan.pretty())
+    print()
+    print(answer.aggregate_plan.render())
+    print()
+    print(answer.result.pretty())
+    print(answer.summary())
     return 0
 
 

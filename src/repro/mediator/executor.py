@@ -4,11 +4,12 @@ The executor walks a plan's operations, dispatching remote operations to
 the federation's wrappers and local operations to the item-set algebra.
 It records a :class:`StepTrace` per operation — actual output size and
 the actual network cost incurred (the delta of the sources' traffic
-logs).  It injects no faults and retries nothing; every other plan runs
-on the runtime engine (:mod:`repro.runtime.engine`).  Besides tests and
-the wall-clock benchmark's layer timings, two callers are left:
-``Mediator``'s sequential backend, and R2's oracle, whose independent
-side is a sequential run's step times.
+logs).  It injects no faults, retries nothing, keeps no clock and
+records no events: timing, faults and telemetry belong to the runtime
+engine (:mod:`repro.runtime.engine`), where every other plan runs.
+Besides tests and the wall-clock benchmark's layer timings, two callers
+are left: ``Mediator``'s sequential backend, and R2's oracle, whose
+independent side is a sequential run's step times.
 """
 
 from __future__ import annotations
@@ -17,14 +18,14 @@ import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from repro.plans.operations import Fetch, Operation, SemijoinOp, condition_sql
+from repro.errors import CostModelError
+from repro.plans.operations import Fetch, Operation
 from repro.plans.plan import Plan
 from repro.relational.items import ItemSet, as_frozenset
 from repro.sources.registry import Federation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.profile import QueryProfile
-    from repro.obs.recorder import Recorder
     from repro.runtime.trace import RuntimeTrace
 
 
@@ -245,39 +246,24 @@ class Executor:
         self,
         federation: Federation,
         max_retries: int = 3,
-        recorder: "Recorder | None" = None,
+        recorder: None = None,
     ):
         self.federation = federation
         # No effect; kept because benchmarks/e2e/layers.py passes and reads it.
         self.max_retries = max_retries
-        self.recorder = recorder
-        # Virtual clock for telemetry: the sequential executor has no
-        # event heap, so elapsed wire time accumulates step by step.
-        self._clock = 0.0
+        # Only None; kept because benchmarks/e2e/layers.py passes it.  The
+        # engine is the one path that records: RuntimeEngine(recorder=...).
+        if recorder is not None:
+            raise CostModelError(
+                "the sequential executor records nothing; attach a recorder "
+                "to the runtime engine (Mediator(backend='runtime', recorder=...))"
+            )
 
     def execute(self, plan: Plan) -> ExecutionResult:
         """Run ``plan`` and return its answer with per-step traces."""
         # One register file: item sets, and relations written by loads.
         registers: dict[str, Any] = {}
         steps: list[StepTrace] = []
-        self._clock = 0.0
-        recorder = self.recorder
-        if recorder is not None:
-            # Imported on use: repro.obs imports the runtime, which
-            # imports this module.
-            from repro.obs.events import RunEndEvent, RunStartEvent
-
-            recorder.record(
-                RunStartEvent(
-                    recorder.clock_offset_s,
-                    "sequential",
-                    recorder.round,
-                    len(plan.operations),
-                    plan.remote_op_count,
-                    plan.result,
-                )
-            )
-
         fetch = registers.__getitem__
         for index, op in enumerate(plan.operations, start=1):
             if op.remote:
@@ -292,28 +278,11 @@ class Executor:
                     elapsed_s=0.0,
                     messages=0,
                 )
-                if self.recorder is not None:
-                    self._record_step(op, trace, [], registers)
             steps.append(trace)
 
         # Registers hold bitmaps; the answer is decoded when first read.
         result = ExecutionResult(registers[plan.result])
         result.steps = steps
-        if recorder is not None:
-            recorder.record(
-                RunEndEvent(
-                    recorder.clock_offset_s + self._clock,
-                    "sequential",
-                    recorder.round,
-                    self._clock,
-                    0,  # retries
-                    0,  # degraded
-                    0,  # recovered
-                    0,  # hedges
-                    result.total_cost,
-                    len(result.item_set),
-                )
-            )
         return result
 
     # ------------------------------------------------------------------
@@ -329,7 +298,7 @@ class Executor:
         mark = len(source.traffic.records)
         answer = registers[op.target] = op.call(source, fetch)
         new_records = source.traffic.records[mark:]
-        trace = StepTrace(
+        return StepTrace(
             step=index,
             operation=op,
             output_size=len(answer),
@@ -337,78 +306,3 @@ class Executor:
             elapsed_s=sum(record.elapsed_s for record in new_records),
             messages=len(new_records),
         )
-        if self.recorder is not None:
-            self._record_step(op, trace, new_records, registers)
-        return trace
-
-    # ------------------------------------------------------------------
-    # Telemetry (no-ops unless a recorder is attached)
-
-    def _record_step(
-        self,
-        op: Operation,
-        trace: StepTrace,
-        records: list,
-        registers: dict[str, Any],
-    ) -> None:
-        """One step's events on the step clock: a remote step is one
-        successful attempt (after its send-set), a local one is free."""
-        from repro.obs.events import AttemptEvent, OpEvent, SendsetEvent
-
-        recorder = self.recorder
-        assert recorder is not None
-        offset, round_no = recorder.clock_offset_s, recorder.round
-        start = self._clock
-        end = start + trace.elapsed_s
-        condition = condition_sql(op)
-        if isinstance(op, SemijoinOp):
-            recorder.record(
-                SendsetEvent(
-                    offset + start,
-                    round_no,
-                    trace.step,
-                    op.source,
-                    condition,
-                    len(registers[op.input_register]),
-                )
-            )
-        if op.remote:
-            recorder.record(
-                AttemptEvent(
-                    offset + end,
-                    round_no,
-                    trace.step,
-                    op.kind.value,
-                    op.source,  # type: ignore[attr-defined]
-                    op.source,  # type: ignore[attr-defined]
-                    condition,
-                    1,  # attempt
-                    start,
-                    end,
-                    "ok",
-                    False,  # hedge
-                    trace.actual_cost,
-                    sum(r.items_sent for r in records),
-                    sum(r.items_received for r in records),
-                    sum(r.rows_loaded for r in records),
-                    trace.messages,
-                )
-            )
-        recorder.record(
-            OpEvent(
-                offset + end,
-                round_no,
-                trace.step,
-                op.kind.value,
-                op.target,
-                getattr(op, "source", ""),
-                op.remote,
-                condition,
-                start,
-                start,
-                end,
-                "ok",
-                trace.output_size,
-            )
-        )
-        self._clock = end

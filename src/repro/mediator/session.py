@@ -57,7 +57,7 @@ from repro.relational.relation import Relation
 from repro.runtime.engine import Resilience, RuntimeEngine
 from repro.runtime.faults import FaultInjector
 from repro.runtime.health import BreakerState, HealthRegistry
-from repro.runtime.trace import OpStatus, RuntimeTrace
+from repro.runtime.trace import OpStatus
 from repro.sources.registry import Federation
 from repro.sources.statistics import ExactStatistics, StatisticsProvider
 
@@ -207,24 +207,29 @@ class Mediator:
             also keeps each parsed SQL statement, so a repeated text is
             parsed once (the schema check still runs on every call).
         backend: ``"sequential"`` executes plans one operation at a time
-            (the paper's total-work setting); ``"runtime"`` executes
-            them concurrently on the discrete-event engine of
-            :mod:`repro.runtime`, observing response time, faults, and
-            retries.
+            (the paper's total-work setting: no clock, no faults, no
+            events); ``"runtime"`` executes them concurrently on the
+            discrete-event engine of :mod:`repro.runtime`, observing
+            response time, faults, and retries.  Adaptive answers run
+            on the engine under either backend.
         faults: Fault injector for the runtime backend (default: none).
+            The sequential backend injects none; its robust planner and
+            adaptive answers still read it.
         resilience: How the runtime backend responds to failing or lying
             sources: one :class:`~repro.runtime.engine.Resilience` value
             (each knob is documented there).  The sequential backend
-            reads none of it: it injects no faults and retries nothing.
+            retries nothing.
         replan: Re-planning rounds (a non-negative int) allowed after a
             degraded runtime run: dead sources masked, substitutes
-            swapped in, answers merged by union.  0 disables.
-        recorder: Optional :class:`repro.obs.Recorder`.  When attached,
-            both backends emit structured events and metrics, breaker
-            transitions are observed, and every answer's
-            ``execution.profile`` is filled in.  ``None`` (the default)
-            leaves execution byte-identical to an uninstrumented
-            mediator.
+            swapped in, answers merged by union.  0 disables; more than
+            0 needs ``backend="runtime"``.
+        recorder: Optional :class:`repro.obs.Recorder`; needs
+            ``backend="runtime"``, since the engine is the one path that
+            records.  When attached, every engine run emits structured
+            events and metrics, breaker transitions are observed, and
+            every answer's ``execution.profile`` is filled in from
+            ``execution.traces``.  ``None`` (the default) leaves
+            execution byte-identical to an uninstrumented mediator.
         health: Optional externally owned
             :class:`~repro.runtime.health.HealthRegistry`.  When given,
             the mediator uses it instead of creating its own — a
@@ -262,6 +267,18 @@ class Mediator:
             raise CostModelError(
                 f"replan must be an int >= 0, got {replan!r}"
             )
+        # Re-planning rounds and recording run on the engine only; the
+        # sequential backend would accept them and do nothing.
+        if backend == "sequential" and replan:
+            raise CostModelError(
+                f"replan={replan} needs backend='runtime': the sequential "
+                "backend runs each plan once"
+            )
+        if backend == "sequential" and recorder is not None:
+            raise CostModelError(
+                "a recorder needs backend='runtime': the sequential backend "
+                "records nothing"
+            )
         self.max_replans = replan
         self.federation = federation
         self.statistics = statistics or ExactStatistics(federation)
@@ -279,7 +296,7 @@ class Mediator:
         self.runtime = runtime = RuntimeEngine(
             federation, resilience, faults=faults, health=health, recorder=recorder
         )
-        self.executor = Executor(federation, recorder=recorder)
+        self.executor = Executor(federation)
         self.planning = planning = planning or Planning()
         self.optimizer: Optimizer = planning.optimizer_for(
             runtime, faults, self.max_replans
@@ -366,11 +383,11 @@ class Mediator:
     ) -> MediatorAnswer:
         """Optimize, execute, and (optionally) verify one fusion query.
 
-        ``budget_s`` bounds execution virtual time (runtime backend
-        only): at expiry in-flight work is cancelled and the best
-        partial answer found so far is returned — marked via
-        ``execution.partial`` — instead of raising.  The sequential
-        backend has no clock, so the budget is ignored there.
+        ``budget_s`` bounds execution virtual time: at expiry in-flight
+        work is cancelled and the best partial answer found so far is
+        returned — marked via ``execution.partial`` — instead of
+        raising.  The sequential backend has no clock, so a budget there
+        raises :class:`~repro.errors.CostModelError`.
         """
         return self._answer(self._coerce(query), budget_s)
 
@@ -380,11 +397,13 @@ class Mediator:
         """:meth:`answer` of a query already validated against the schema."""
         planned: tuple[tuple[str, ...], ...] = ()
         masked: tuple[str, ...] = ()
-        events_before = (
-            len(self.recorder.events) if self.recorder is not None else 0
-        )
         trips_before = self.runtime.health.times_opened()
         if self.backend == "sequential":
+            if budget_s is not None:
+                raise CostModelError(
+                    "budget_s needs backend='runtime': the sequential "
+                    "backend has no clock"
+                )
             optimization = self._optimize(query)
             execution = self.executor.execute(optimization.plan)
         elif self.max_replans:
@@ -396,18 +415,14 @@ class Mediator:
             execution = self.runtime.run(optimization.plan, budget_s=budget_s)
         execution.breaker_trips = self.runtime.health.times_opened() - trips_before
         if self.recorder is not None:
-            # A sequential run's records are the recorder's.
-            traces = execution.traces or (
-                RuntimeTrace.from_events(
-                    self.recorder.events.events[events_before:],
-                    operations=optimization.plan.operations,
-                ),
-            )
             breakdown = estimate_plan_cost(
                 optimization.plan, self.cost_model, self.estimator
             )
             execution.profile = QueryProfile(
-                traces, len(execution.items), breakdown.total, breakdown.by_source()
+                execution.traces,
+                len(execution.items),
+                breakdown.total,
+                breakdown.by_source(),
             )
         answer = MediatorAnswer(
             query=query,
@@ -688,7 +703,7 @@ class Mediator:
         """Optimize, execute, and aggregate one aggregation fusion query.
 
         The fusion part runs exactly as :meth:`answer` (same plans, same
-        traces); the aggregate node then gathers per-source evidence for
+        traces, the same ``budget_s``); the aggregate node then gathers per-source evidence for
         the qualifying entities — via partial-aggregate pushdown (``aq``)
         at sources declaring ``supports_aggregates``, raw-tuple fetch
         plus mediator-side partials everywhere else — and merges partials

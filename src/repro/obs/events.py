@@ -19,8 +19,8 @@ Each schema type has one slotted record class generated from the schema
 (:data:`EVENT_CLASSES`: :class:`AttemptEvent`, :class:`OpEvent`, ...),
 and its constructor is the one schema check, as straight-line code: a
 finite ``ts``, then each field's exact type without a call, else the
-type's predicate.  The engine, the sequential executor, the re-planner
-and the serving tier build these classes positionally, and a
+type's predicate.  The engine, the re-planner and the serving tier
+build these classes positionally, and a
 :class:`~repro.obs.recorder.Recorder` appends that same object — one
 schema check and two appends per event.  Keyword emission
 (:meth:`EventLog.emit`, :meth:`Recorder.emit
@@ -56,7 +56,7 @@ _TYPE_CHECKS = {
 EVENT_SCHEMA: dict[str, dict[str, str]] = {
     # One plan execution starting (round 0) or a re-plan round starting.
     "run_start": {
-        "backend": "str",  # "runtime" | "sequential"
+        "backend": "str",  # "runtime" (older logs may read "sequential")
         "round": "int",
         "plan_ops": "int",
         "remote_ops": "int",

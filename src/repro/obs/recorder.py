@@ -1,9 +1,9 @@
 """The event sink the execution layers report into.
 
 A :class:`Recorder` owns an event log and (optionally) a metrics
-registry.  The engine, the sequential executor, the re-planner and the
-serving tier build each event as its typed record
-(:data:`~repro.obs.events.EVENT_CLASSES`), stamped with this recorder's
+registry.  The engine, the re-planner and the serving tier build each
+event as its typed record (:data:`~repro.obs.events.EVENT_CLASSES`),
+stamped with this recorder's
 clock (``clock_offset_s`` + their own clock) and, where the type has
 one, its re-plan ``round``, and hand it to :meth:`Recorder.record`.  The
 record's constructor is the schema check (a misspelt field or a wrongly
@@ -22,19 +22,21 @@ and exports what folding each event as it landed would have.  The fold
 is not cheaper for it: whoever reads the metrics pays it, per pending
 event, at the read.
 
-A recorder is shared across re-plan rounds: the resilient executor bumps
-``round`` and ``clock_offset_s`` between rounds, so event timestamps
-stay monotone across a whole resilient run even though each engine round
-restarts its clock at zero.
+A recorder is shared across re-plan rounds: the mediator's round loop
+bumps ``round`` and ``clock_offset_s`` between rounds, so event
+timestamps stay monotone across a whole re-planned run even though each
+engine round restarts its clock at zero.
 
 With ``Recorder()`` both a metrics registry and an event log are
 created; pass ``metrics=None`` to keep events only (the event log is
-always on — everything else is derived from it).  The execution layers
-accept ``recorder=None`` (their default) and then export nothing.  The
-runtime engine keeps its records either way, since its trace is their
-fold (without a recorder they carry round 0 and the engine clock); a
-recorder is handed those same objects, so attaching one changes no
-answer and no trace.
+always on — everything else is derived from it).  Only the runtime
+engine records (the sequential executor keeps no clock, and a
+``Mediator`` takes a recorder only with ``backend="runtime"``); the
+recording layers accept ``recorder=None`` (their default) and then
+export nothing.  The engine keeps its records either way, since its
+trace is their fold (without a recorder they carry round 0 and the
+engine clock); a recorder is handed those same objects, so attaching
+one changes no answer and no trace.
 """
 
 from __future__ import annotations

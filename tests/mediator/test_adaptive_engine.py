@@ -222,7 +222,7 @@ class TestOnTheEngine:
     def test_every_stage_run_is_traced_and_recorded(self):
         federation, query = dmv_fig1()
         recorder = Recorder()
-        result = Mediator(federation, recorder=recorder).answer_adaptive(query)
+        result = Mediator(federation, backend="runtime", recorder=recorder).answer_adaptive(query)
         runs = RuntimeTrace.runs(recorder.events)
         assert len(runs) == len(result.stages) == len(result.execution.traces) == 2
         assert [trace.total_cost for trace in runs] == [

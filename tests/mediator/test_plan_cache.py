@@ -11,7 +11,6 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import OptimizationError
-from repro.mediator.executor import Executor
 from repro.mediator.plan_cache import (
     DEFAULT_CAPACITY,
     PlanCache,
@@ -24,6 +23,7 @@ from repro.optimize.sja import SJAOptimizer
 from repro.plans.builder import build_filter_plan
 from repro.query.fusion import FusionQuery
 from repro.relational.conditions import Comparison
+from repro.runtime.engine import RuntimeEngine
 from repro.runtime.trace import RuntimeTrace
 from repro.sources.generators import (
     SyntheticConfig,
@@ -52,7 +52,7 @@ def warmup_events(federation, query):
     recorder = Recorder(metrics=None)
     plan = build_filter_plan(query, federation.source_names, "warm-up")
     federation.reset_traffic()
-    Executor(federation, recorder=recorder).execute(plan)
+    RuntimeEngine(federation, recorder=recorder).run(plan)
     return recorder.events
 
 

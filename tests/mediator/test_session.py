@@ -164,6 +164,24 @@ class TestRuntimeBackend:
         assert answer.execution.trace is None
         assert "makespan" not in answer.summary()
 
+    def test_sequential_backend_refuses_what_it_would_ignore(
+        self, dmv_federation, dmv_mediator, dmv_query
+    ):
+        # Re-planning rounds and budgets need the engine's clock; the
+        # sequential backend would accept them and run as without.
+        with pytest.raises(CostModelError, match="replan=2 needs backend='runtime'"):
+            Mediator(dmv_federation, replan=2)
+        with pytest.raises(CostModelError, match="budget_s needs backend='runtime'"):
+            dmv_mediator.answer(dmv_query, budget_s=1.0)
+        aggregate = (
+            "SELECT u1.V, COUNT(*) FROM U u1, U u2 "
+            "WHERE u1.L = u2.L AND u1.V = 'dui' AND u2.V = 'sp' GROUP BY u1.V"
+        )
+        with pytest.raises(CostModelError, match="budget_s needs backend='runtime'"):
+            dmv_mediator.answer_aggregate(aggregate, budget_s=1.0)
+        assert dmv_mediator.answer(dmv_query, budget_s=None).items == DMV_FIG1_ANSWER
+        assert Mediator(dmv_federation, replan=0).max_replans == 0
+
     def test_degraded_run_does_not_fail_verification(
         self, dmv_federation, dmv_query
     ):

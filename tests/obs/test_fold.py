@@ -81,26 +81,13 @@ def _answer(federation, queries, **options) -> Recorder:
     return recorder
 
 
-def sequential_fig1() -> Recorder:
-    federation, query = dmv_fig1()
-    return _answer(federation, [query])
-
-
-def _semijoin_plan(backend: str) -> Recorder:
+def semijoins_runtime() -> Recorder:
     return _answer(
         build_synthetic(SYNTHETIC),
         [synthetic_query(SYNTHETIC, m=3, seed=7)],
         planning=Planning(optimizer=SJAOptimizer()),
-        backend=backend,
+        backend="runtime",
     )
-
-
-def semijoins_sequential() -> Recorder:
-    return _semijoin_plan("sequential")
-
-
-def semijoins_runtime() -> Recorder:
-    return _semijoin_plan("runtime")
 
 
 def resilient() -> Recorder:
@@ -238,8 +225,6 @@ def serve_anytime() -> Recorder:
 
 
 SCENARIOS = [
-    sequential_fig1,
-    semijoins_sequential,
     semijoins_runtime,
     resilient,
     sanitize,
@@ -432,6 +417,34 @@ class TestWrittenInOnePlace:
     def test_sequential_executor_builds_no_spans(self):
         text = (ROOT / "mediator/executor.py").read_text()
         assert "AttemptSpan" not in text and "OpSpan" not in text
+
+    def test_sequential_executor_records_nothing(self):
+        # The engine is the one path that records, clocks or injects
+        # faults: the executor imports nothing from repro.obs (but the
+        # type of ExecutionResult.profile, for annotations only) and
+        # hands no record to anything.
+        tree = ast.parse((ROOT / "mediator/executor.py").read_text())
+        typing_only = {
+            id(node)
+            for block in ast.walk(tree)
+            if isinstance(block, ast.If) and ast.unparse(block.test) == "TYPE_CHECKING"
+            for node in ast.walk(block)
+        }
+        imports = [
+            node.module if isinstance(node, ast.ImportFrom) else alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in typing_only
+            for alias in node.names
+        ]
+        assert imports and not [name for name in imports if name.startswith("repro.obs")]
+        records = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "record"
+        ]
+        assert records == []
 
     def test_round_is_stamped_from_the_recorder(self):
         recorder = Recorder()

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.mediator.executor import Executor
 from repro.mediator.session import Mediator
 from repro.obs import Recorder
 from repro.optimize.planning import Planning
@@ -116,10 +117,12 @@ class TestMakespan:
 
 
 class TestOneFold:
-    @pytest.mark.parametrize("backend", ["sequential", "runtime"])
+    @pytest.mark.parametrize("backend", ["runtime"])
     def test_a_recorded_answer_folds_its_records_once(
         self, backend, monkeypatch
     ):
+        # The engine's own fold is the only one: the profile reads the
+        # answer's traces, never the recorder's events.
         folds = []
         original = RuntimeTrace.from_events
 
@@ -138,26 +141,29 @@ class TestOneFold:
         answer = mediator.answer(query)
         assert len(folds) == 1
         profile = answer.execution.profile
-        assert len(profile.traces) == 1
-        if backend == "runtime":
-            assert profile.traces[0] is answer.execution.trace
+        assert profile.traces == (answer.execution.trace,)
         assert profile.total_cost == pytest.approx(
             answer.execution.total_cost
         )
 
     def test_sequential_rows_match_the_executors_steps(self):
+        # Without faults the engine's profile rows are the sequential
+        # executor's steps: same outputs, same measured costs.
         federation, query = dmv_fig1()
-        answer = Mediator(
+        mediator = Mediator(
             federation,
             planning=Planning(optimizer="sja"),
+            backend="runtime",
             recorder=Recorder(),
-        ).answer(query)
+        )
+        answer = mediator.answer(query)
         profile = answer.execution.profile
+        sequential = Executor(dmv_fig1()[0]).execute(answer.plan)
         assert [
             (span.step, span.output_size, span.cost)
             for span in profile.steps
         ] == [
             (step.step, step.output_size, step.actual_cost)
-            for step in answer.execution.steps
+            for step in sequential.steps
         ]
-        assert profile.items == len(answer.items)
+        assert profile.items == len(sequential.items) == len(answer.items)

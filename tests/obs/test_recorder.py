@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ObservabilityError
+from repro.errors import CostModelError, ObservabilityError
+from repro.mediator.executor import Executor
 from repro.mediator.session import Mediator
 from repro.obs import EventLog, MetricsRegistry, Recorder
 from repro.optimize.sja_plus import SJAPlusOptimizer
@@ -228,14 +229,15 @@ class TestProfiles:
         assert text.startswith("profile:")
         assert "observed/predicted" in text
 
-    def test_sequential_backend_is_instrumented_too(self):
-        federation, query = dmv_fig1()
-        recorder = Recorder()
-        answer = Mediator(federation, recorder=recorder).answer(query)
-        start = recorder.events.of_type("run_start")[0]
-        assert start["backend"] == "sequential"
-        assert answer.execution.profile is not None
-        EventLog.from_jsonl(recorder.events.to_jsonl())  # all valid
+    def test_sequential_backend_refuses_a_recorder(self):
+        # The engine is the one path that records; the sequential
+        # executor keeps the keyword for callers that pass None.
+        federation, __ = dmv_fig1()
+        with pytest.raises(CostModelError, match="backend='runtime'"):
+            Mediator(federation, recorder=Recorder())
+        with pytest.raises(CostModelError, match="records nothing"):
+            Executor(federation, recorder=Recorder())
+        assert Executor(federation, recorder=None).max_retries == 3
 
     def test_no_recorder_no_profile(self):
         federation, query = dmv_fig1()

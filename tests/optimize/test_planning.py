@@ -121,7 +121,7 @@ class TestIgnoredSettingsAreRefused:
     def test_cli_robustness_needs_the_robust_planner(self, tmp_path, capsys):
         spec = str(tmp_path / "dmv.json")
         assert cli.main(["export-dmv", spec]) == 0
-        query = ["query", spec, DMV_SQL, "--runtime", "--fault-rate", "0.3"]
+        query = ["query", spec, DMV_SQL, "--fault-rate", "0.3"]
         capsys.readouterr()
         assert cli.main([*query, "--robustness-lambda", "5.0"]) == 2
         lines = capsys.readouterr().err.splitlines()

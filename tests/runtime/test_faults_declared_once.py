@@ -192,7 +192,7 @@ class TestCliBuildsOneValue:
 
     def test_query_and_workload_flags_build_the_same_value(self):
         flags = ["--fault-rate", "0.2", "--data-faults", "R1:stale=0.4"]
-        query = _build_parser().parse_args(["query", "spec.json", self.SQL, "--runtime", *flags])
+        query = _build_parser().parse_args(["query", "spec.json", self.SQL, *flags])
         workload = _build_parser().parse_args(
             ["workload", "spec.json", self.SQL, "--churn", "1:3:R2,R3:0.6", *flags]
         )

@@ -5,12 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.costs.estimates import SizeEstimator
-from repro.mediator.executor import Executor
 from repro.mediator.session import Mediator
 from repro.obs import EventLog, Recorder
 from repro.plans.builder import build_filter_plan
 from repro.relational.conditions import Comparison
-from repro.runtime.engine import Resilience
+from repro.runtime.engine import Resilience, RuntimeEngine
 from repro.runtime.faults import FaultInjector, FaultProfile, Faults
 from repro.runtime.policy import OnExhaust, RetryPolicy
 from repro.runtime.trace import RuntimeTrace
@@ -162,7 +161,7 @@ class TestAgainstTheOracle:
         recorder = Recorder(metrics=None)
         plan = build_filter_plan(query, federation.source_names)
         federation.reset_traffic()
-        Executor(federation, recorder=recorder).execute(plan)
+        RuntimeEngine(federation, recorder=recorder).run(plan)
         return federation, query, recorder
 
     def test_filter_warmup_reproduces_sq_output_sizes(self):

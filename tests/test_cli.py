@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import repro.cli as cli
 from repro.cli import main
+from repro.io import save_federation
+from repro.mediator.reference import reference_answer
+from repro.sources.generators import dmv_fig1, replicate_federation
 
 DMV_SQL = (
     "SELECT u1.L FROM U u1, U u2 "
@@ -104,15 +111,17 @@ class TestCheck:
 
 
 class TestRuntimeBackend:
+    """``query`` runs on the runtime engine; there is no other path."""
+
     def test_runtime_execution(self, spec_path, capsys):
-        assert main(["query", spec_path, DMV_SQL, "--runtime"]) == 0
+        assert main(["query", spec_path, DMV_SQL]) == 0
         out = capsys.readouterr().out
         assert "J55, T21" in out
         assert "makespan" in out
 
     def test_runtime_with_timeline(self, spec_path, capsys):
         assert main(
-            ["query", spec_path, DMV_SQL, "--runtime", "--timeline"]
+            ["query", spec_path, DMV_SQL, "--timeline"]
         ) == 0
         out = capsys.readouterr().out
         assert "|" in out          # the ASCII timeline rows
@@ -121,7 +130,7 @@ class TestRuntimeBackend:
     def test_runtime_with_faults_reports_completeness(self, spec_path, capsys):
         assert main(
             [
-                "query", spec_path, DMV_SQL, "--runtime",
+                "query", spec_path, DMV_SQL,
                 "--fault-rate", "0.4", "--fault-seed", "3", "--retries", "5",
             ]
         ) == 0
@@ -130,7 +139,7 @@ class TestRuntimeBackend:
 
     def test_runtime_fault_runs_are_seeded(self, spec_path, capsys):
         args = [
-            "query", spec_path, DMV_SQL, "--runtime",
+            "query", spec_path, DMV_SQL,
             "--fault-rate", "0.5", "--fault-seed", "9", "--retries", "2",
         ]
         assert main(args) == 0
@@ -155,7 +164,7 @@ class TestTelemetry:
     def test_metrics_json(self, spec_path, capsys):
         assert main(["query", spec_path, DMV_SQL, "--metrics"]) == 0
         out = capsys.readouterr().out
-        assert '"repro_runs_total{backend=\\"sequential\\"}"' in out
+        assert '"repro_runs_total{backend=\\"runtime\\"}"' in out
 
     def test_metrics_prometheus(self, spec_path, capsys):
         assert main(
@@ -181,7 +190,7 @@ class TestTelemetry:
         for path in paths:
             assert main(
                 [
-                    "query", spec_path, DMV_SQL, "--runtime",
+                    "query", spec_path, DMV_SQL,
                     "--fault-rate", "0.4", "--fault-seed", "3",
                     "--emit-events", path,
                 ]
@@ -223,7 +232,7 @@ class TestTelemetry:
 
     def test_runtime_backend_telemetry(self, spec_path, capsys):
         assert main(
-            ["query", spec_path, DMV_SQL, "--runtime", "--profile"]
+            ["query", spec_path, DMV_SQL, "--profile"]
         ) == 0
         out = capsys.readouterr().out
         assert "profile:" in out
@@ -330,9 +339,10 @@ class TestAggregateQuery:
             main(["query", spec_path, AGG_SQL, "--aggregate"])
 
     def test_aggregate_under_runtime(self, spec_path, capsys):
-        assert main(["query", spec_path, AGG_SQL, "--runtime"]) == 0
+        assert main(["query", spec_path, AGG_SQL]) == 0
         out = capsys.readouterr().out
         assert "aggregate node" in out
+        assert "makespan" in out
 
 
 class TestIgnoredFlagsRefused:
@@ -342,27 +352,16 @@ class TestIgnoredFlagsRefused:
     @pytest.mark.parametrize(
         "kind, flags",
         [
-            ("fusion", ["--fault-rate", "0.3"]),
-            ("fusion", ["--data-faults", "stale=0.4"]),
-            ("fusion", ["--verify", "sanitize"]),
-            ("fusion", ["--quarantine"]),
-            ("fusion", ["--deadline", "0.5"]),
-            ("fusion", ["--fault-seed", "3"]),
-            ("fusion", ["--retries", "2"]),
-            ("fusion", ["--hedge-delay", "2.0"]),
-            ("fusion", ["--breaker", "aggressive"]),
-            ("fusion", ["--replan", "2"]),
-            ("fusion", ["--load-balance"]),
-            ("fusion", ["--timeline"]),
-            ("fusion", ["--adaptive", "--runtime"]),
             ("fusion", ["--profile", "--adaptive"]),
             ("fusion", ["--plan-cache", "--adaptive"]),
             ("fusion", ["--optimizer", "filter", "--adaptive"]),
             ("fusion", ["--search", "dp", "--adaptive"]),
             ("fusion", ["--beam-width", "4", "--adaptive"]),
             ("fusion", ["--robustness-lambda", "5", "--adaptive"]),
+            ("fusion", ["--deadline", "1", "--adaptive"]),
+            ("fusion", ["--timeline", "--adaptive"]),
+            ("fusion", ["--replan", "2", "--adaptive"]),
             ("aggregate", ["--adaptive"]),
-            ("aggregate", ["--retries", "2"]),
         ],
         ids=lambda value: "-".join(value).lstrip("-") if isinstance(value, list) else value,
     )
@@ -374,16 +373,84 @@ class TestIgnoredFlagsRefused:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert lines[0].startswith(f"error: {flags[0]} would be ignored")
-
-    def test_every_runtime_flag_at_its_default_is_accepted(self, spec_path, capsys):
-        from repro.cli import RUNTIME_ONLY_FLAGS, _build_parser
-
-        args = _build_parser().parse_args(["query", spec_path, DMV_SQL])
-        for flag, default in RUNTIME_ONLY_FLAGS.items():
-            assert getattr(args, flag[2:].replace("-", "_")) == default, flag
-        assert main(["query", spec_path, DMV_SQL, "--fault-rate", "0", "--retries", "3"]) == 0
-        assert main(["query", spec_path, DMV_SQL, "--adaptive"]) == 0
+        assert lines[0].endswith("on an aggregate query" if kind == "aggregate" else "with --adaptive")
 
     def test_an_adaptive_planner_flag_at_its_default_is_accepted(self, spec_path, capsys):
         assert main(["query", spec_path, DMV_SQL, "--adaptive", "--optimizer", "sja+"]) == 0
         assert main(["query", spec_path, DMV_SQL, "--adaptive", "--beam-width", "8"]) == 0
+
+
+#: The flags ``query`` once refused without a ``--runtime`` flag.
+ENGINE_FLAGS = [
+    ["--fault-rate", "0.3"],
+    ["--data-faults", "stale=0.4"],
+    ["--verify", "sanitize"],
+    ["--quarantine"],
+    ["--deadline", "0.5"],
+    ["--fault-seed", "3"],
+    ["--retries", "2"],
+    ["--hedge-delay", "2.0"],
+    ["--breaker", "aggressive"],
+    ["--replan", "2"],
+    ["--load-balance"],
+    ["--timeline"],
+]
+
+
+class TestOneRunPath:
+    """``query`` builds one engine-backed mediator from its flags: every
+    resilience flag is read, and there is no backend flag."""
+
+    @pytest.mark.parametrize("flags", ENGINE_FLAGS, ids=lambda flags: "-".join(flags).lstrip("-"))
+    def test_an_engine_flag_is_read(self, spec_path, capsys, flags):
+        assert main(["query", spec_path, DMV_SQL, *flags]) == 0
+        assert "makespan" in capsys.readouterr().out
+
+    def test_an_engine_flag_is_read_on_an_aggregate_query(self, spec_path, capsys):
+        assert main(["query", spec_path, AGG_SQL, "--retries", "2"]) == 0
+        assert "makespan" in capsys.readouterr().out
+
+    def test_there_is_no_backend_flag(self, spec_path, capsys):
+        with pytest.raises(SystemExit):
+            main(["query", spec_path, DMV_SQL, "--runtime"])
+        assert "unrecognized arguments: --runtime" in capsys.readouterr().err
+
+    def test_the_cli_has_one_run_path(self):
+        # No second run function, no table of flags it refuses, and no
+        # read of a backend flag.
+        tree = ast.parse(Path(cli.__file__).read_text())
+        defined = {
+            target.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        } | {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        assert not defined & {"RUNTIME_ONLY_FLAGS", "_run_runtime"}
+        reads = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "args"
+            and node.attr == "runtime"
+        ]
+        assert reads == []
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_adaptive_stages_run_under_the_fault_flags(self, tmp_path, capsys, seed):
+        # Mirrors stand in for a failed stage operation, so every answer
+        # is a subset of the reference; the faults bite on every seed
+        # (retries and lost attempts cost more than the fault-free 136).
+        federation, query = dmv_fig1()
+        federation = replicate_federation(federation, 2)
+        spec = str(tmp_path / "rep2.json")
+        save_federation(federation, spec)
+        argv = ["query", spec, DMV_SQL, "--adaptive", "--fault-rate", "0.4"]
+        assert main([*argv, "--fault-seed", str(seed)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        answer = next(line for line in lines if line.startswith("answer: "))
+        items = set(answer.removeprefix("answer: ").split(", ")) - {"(empty)"}
+        assert items <= set(reference_answer(federation, query))
+        cost = float(lines[-1].split("actual cost ")[1].split(",")[0])
+        assert cost > 136.0
