@@ -91,6 +91,58 @@ class TestValidation:
         assert plan.result == "X2"
 
 
+#: Every malformed-plan shape with the exact message validation gives it.
+#: Within one step an undefined register wins over a mistyped one, even
+#: when the mistyped register is read first; across steps the first bad
+#: step wins; the result is checked last.
+MALFORMED = {
+    "empty plan": ([], "X", "a plan requires at least one operation"),
+    "undefined register": (
+        [SelectionOp("X1", DUI, "R1"), SemijoinOp("X2", SP, "R2", "Y")],
+        "X2",
+        "step 2 (X2 := sjq(V = 'sp', R2, Y)) reads undefined register 'Y'",
+    ),
+    "relation read as items": (
+        [LoadOp("T", "R1"), SelectionOp("X", DUI, "R1"), UnionOp("Y", ("X", "T"))],
+        "Y",
+        "step 3 (Y := X ∪ T) reads 'T' as items but it holds relation",
+    ),
+    "items read as relation": (
+        [SelectionOp("X", DUI, "R1"), LocalSelectionOp("Y", SP, "X")],
+        "Y",
+        "step 2 (Y := sq(V = 'sp', X)) reads 'X' as relation but it holds items",
+    ),
+    "undefined beats mistyped": (
+        [LoadOp("T", "R1"), UnionOp("Y", ("T", "Z"))],
+        "Y",
+        "step 2 (Y := T ∪ Z) reads undefined register 'Z'",
+    ),
+    "first bad step wins": (
+        [LoadOp("T", "R1"), UnionOp("Y", ("T",)), UnionOp("W", ("Q",))],
+        "W",
+        "step 2 (Y := T) reads 'T' as items but it holds relation",
+    ),
+    "undefined result": (
+        [SelectionOp("X", DUI, "R1")],
+        "Z",
+        "result register 'Z' is never defined",
+    ),
+    "relation result": (
+        [LoadOp("T", "R1")],
+        "T",
+        "result register 'T' holds a relation, not items",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_validation_message_is_pinned(case):
+    operations, result, message = MALFORMED[case]
+    with pytest.raises(PlanValidationError) as raised:
+        Plan(operations, result=result)
+    assert str(raised.value) == message
+
+
 class TestIntrospection:
     def test_count_by_kind(self):
         counts = simple_plan().count_by_kind()
