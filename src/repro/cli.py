@@ -478,22 +478,33 @@ ADAPTIVE_IGNORED_FLAGS = {
 }
 
 
+#: ``query`` flags an aggregate run never reads, as ``flag: dest``: it
+#: prints both phases, not a fusion profile or a timeline (its
+#: ``--metrics`` and ``--emit-events`` take effect).
+AGGREGATE_IGNORED_FLAGS = {"--profile": "profile", "--timeline": "timeline"}
+
+
 def _refuse_ignored_flags(args) -> None:
     """Refuse a ``query`` flag the run would silently ignore:
-    ``--adaptive`` on an aggregate query, and a flag an ``--adaptive``
-    run does not read."""
-    if not args.adaptive:
-        return
-    if is_aggregate_query(args.sql):
+    ``--adaptive`` on an aggregate query, a flag an ``--adaptive`` run
+    does not read, and a flag an aggregate run does not read."""
+    aggregate = is_aggregate_query(args.sql)
+    if args.adaptive and aggregate:
         raise CostModelError("--adaptive would be ignored on an aggregate query")
+    if args.adaptive:
+        ignored, where = ADAPTIVE_IGNORED_FLAGS, "with --adaptive"
+    elif aggregate:
+        ignored, where = AGGREGATE_IGNORED_FLAGS, "on an aggregate query"
+    else:
+        return
     defaults = _build_parser().parse_args(["query", args.spec, args.sql])
     unread = [
         flag
-        for flag, dest in ADAPTIVE_IGNORED_FLAGS.items()
+        for flag, dest in ignored.items()
         if getattr(args, dest) != getattr(defaults, dest)
     ]
     if unread:
-        raise CostModelError(f"{', '.join(unread)} would be ignored with --adaptive")
+        raise CostModelError(f"{', '.join(unread)} would be ignored {where}")
 
 
 def _mediator(args, federation, recorder, statistics) -> Mediator:
@@ -534,7 +545,7 @@ def _command_query(args) -> int:
     statistics = _load_observed_statistics(args.observed_stats)
     mediator = _mediator(args, federation, recorder, statistics)
     if is_aggregate_query(args.sql):
-        return _run_aggregate(mediator, args.sql, args.pushdown, args.deadline)
+        return _run_aggregate(mediator, args)
     if args.adaptive:
         return _run_adaptive(mediator, args)
     answer = mediator.answer(args.sql, budget_s=args.deadline)
@@ -591,13 +602,12 @@ def _command_query(args) -> int:
     return 0
 
 
-def _run_aggregate(
-    mediator: Mediator, sql: str, pushdown: str, deadline: float | None
-) -> int:
-    """Run an aggregation fusion query and print both phases."""
-    mode: bool | str = {"auto": True, "force": "force", "off": False}[pushdown]
+def _run_aggregate(mediator: Mediator, args) -> int:
+    """Run an aggregation fusion query, print both phases, then the
+    ``--metrics`` snapshot and the ``--emit-events`` log."""
+    mode: bool | str = {"auto": True, "force": "force", "off": False}[args.pushdown]
     answer = mediator.answer_aggregate(
-        sql, budget_s=deadline, pushdown=mode
+        args.sql, budget_s=args.deadline, pushdown=mode
     )
     print(answer.fusion.plan.pretty())
     print()
@@ -605,6 +615,7 @@ def _run_aggregate(
     print()
     print(answer.result.pretty())
     print(answer.summary())
+    _emit_telemetry(args, mediator.recorder)
     return 0
 
 

@@ -584,7 +584,9 @@ class Mediator:
                 f"replan={self.max_replans} (build it with replan=0)"
             )
         query = self._coerce(query)
-        names = self.federation.source_names
+        # One representative per replica group, as :meth:`_optimize`
+        # plans: mirrors stay failover capacity for the engine.
+        names = self.federation.representative_names
         rule = SJAStagedProblem(query.conditions, names, self.cost_model, self.estimator)
         remaining = list(range(query.arity))
         stages: list[AdaptiveStage] = []

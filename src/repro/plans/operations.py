@@ -73,6 +73,8 @@ class Operation:
     kind: OpKind
     #: True for operations that contact a source (and therefore cost).
     remote: bool = False
+    #: What the target register holds afterwards.
+    result_type: RegisterType = RegisterType.ITEMS
 
     @property
     def target(self) -> str:
@@ -81,10 +83,6 @@ class Operation:
     def reads(self) -> tuple[str, ...]:
         """Registers this operation consumes, in order."""
         raise NotImplementedError
-
-    @property
-    def result_type(self) -> RegisterType:
-        return RegisterType.ITEMS
 
     def render(self, labels: dict[Condition, str] | None = None) -> str:
         """Paper-style rendering; ``labels`` maps conditions to c_i names."""
@@ -183,6 +181,7 @@ class LoadOp(Operation):
 
     kind = OpKind.LOAD
     remote = True
+    result_type = RegisterType.RELATION
 
     @property
     def target(self) -> str:
@@ -190,10 +189,6 @@ class LoadOp(Operation):
 
     def reads(self) -> tuple[str, ...]:
         return ()
-
-    @property
-    def result_type(self) -> RegisterType:
-        return RegisterType.RELATION
 
     def render(self, labels: dict[Condition, str] | None = None) -> str:
         return f"{self.target_register} := lq({self.source})"

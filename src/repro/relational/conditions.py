@@ -85,6 +85,13 @@ class Condition:
         """Render as SQL; ``qualifier`` prefixes attribute references."""
         raise NotImplementedError
 
+    def __getstate__(self) -> dict[str, Any]:
+        # ``str`` hashes differ between processes: a pickled or copied
+        # condition computes its own hash again (see :func:`_hash_once`).
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
     @functools.cached_property
     def sql(self) -> str:
         """:meth:`to_sql` unqualified, rendered on first use and kept:
@@ -111,10 +118,32 @@ class Condition:
         return self.to_sql()
 
 
+def _hash_once(cls: type) -> type:
+    """Class decorator over a condition dataclass: its structural hash is
+    computed on first use and kept on the instance.  Conditions key the
+    statistics and cost caches and are looked up thousands of times per
+    optimized query; a condition is immutable, so its hash never changes
+    within a process.  :meth:`Condition.__getstate__` leaves the kept
+    hash out of pickles and copies."""
+    structural = cls.__hash__
+
+    def __hash__(self: Condition) -> int:
+        try:
+            return self._hash  # type: ignore[attr-defined]
+        except AttributeError:
+            value = structural(self)
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    cls.__hash__ = __hash__  # type: ignore[method-assign]
+    return cls
+
+
 def _qualify(qualifier: str, attribute: str) -> str:
     return f"{qualifier}.{attribute}" if qualifier else attribute
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Comparison(Condition):
     """``attribute <op> literal`` for ``op`` in ``=, !=, <, <=, >, >=``."""
@@ -164,6 +193,7 @@ class Comparison(Condition):
         )
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Between(Condition):
     """``attribute BETWEEN low AND high`` (inclusive on both ends)."""
@@ -190,6 +220,7 @@ class Between(Condition):
         )
 
 
+@_hash_once
 @dataclass(frozen=True)
 class InSet(Condition):
     """``attribute IN (v1, v2, ...)``; values stored as a frozenset."""
@@ -217,6 +248,7 @@ class InSet(Condition):
         return f"{_qualify(qualifier, self.attribute)} IN ({rendered})"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Like(Condition):
     """``attribute LIKE pattern`` with ``%`` and ``_`` wildcards."""
@@ -240,6 +272,7 @@ class Like(Condition):
         )
 
 
+@_hash_once
 @dataclass(frozen=True)
 class IsNull(Condition):
     """``attribute IS NULL`` (or ``IS NOT NULL`` when negated)."""
@@ -259,6 +292,7 @@ class IsNull(Condition):
         return f"{_qualify(qualifier, self.attribute)} {verb}"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class And(Condition):
     """Conjunction of two or more conditions."""
@@ -305,6 +339,7 @@ class And(Condition):
         return " AND ".join(parts)
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Or(Condition):
     """Disjunction of two or more conditions."""
@@ -344,6 +379,7 @@ class Or(Condition):
         return " OR ".join(op.to_sql(qualifier) for op in self.operands)
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Not(Condition):
     """Logical negation."""
@@ -360,6 +396,7 @@ class Not(Condition):
         return f"NOT ({self.operand.to_sql(qualifier)})"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class TrueCondition(Condition):
     """The always-true condition (useful as a neutral element)."""
@@ -374,6 +411,7 @@ class TrueCondition(Condition):
         return "TRUE"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class FalseCondition(Condition):
     """The always-false condition."""

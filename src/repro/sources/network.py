@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from repro.errors import CostModelError
 
@@ -116,9 +116,9 @@ class LinkProfile:
         return 2 * self.latency_s + volume / self.items_per_s
 
 
-@dataclass(frozen=True)
-class TrafficRecord:
-    """One wrapper request as observed on the simulated wire."""
+class TrafficRecord(NamedTuple):
+    """One wrapper request as observed on the simulated wire: an
+    immutable slotted record."""
 
     source_name: str
     operation: str  # 'sq' | 'sjq' | 'sjq-emulated' | 'lq'

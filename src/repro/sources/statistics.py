@@ -79,6 +79,10 @@ def _clamp(value: float) -> float:
     return min(1.0, max(0.0, value))
 
 
+def _unknown_source(source_name: str) -> StatisticsError:
+    return StatisticsError(f"no statistics for source {source_name!r}")
+
+
 class _BaseStatistics:
     """Shared bookkeeping: cardinalities, item counts, universe size."""
 
@@ -95,15 +99,19 @@ class _BaseStatistics:
 
     def _check_source(self, source_name: str) -> None:
         if source_name not in self._cardinality:
-            raise StatisticsError(f"no statistics for source {source_name!r}")
+            raise _unknown_source(source_name)
 
     def cardinality(self, source_name: str) -> int:
-        self._check_source(source_name)
-        return self._cardinality[source_name]
+        try:
+            return self._cardinality[source_name]
+        except KeyError:
+            raise _unknown_source(source_name) from None
 
     def distinct_items(self, source_name: str) -> int:
-        self._check_source(source_name)
-        return self._distinct[source_name]
+        try:
+            return self._distinct[source_name]
+        except KeyError:
+            raise _unknown_source(source_name) from None
 
     def universe_size(self) -> int:
         return self._universe
@@ -118,7 +126,8 @@ def _item_fraction(relation: Relation, condition: Condition) -> float:
 
 class ExactStatistics(_BaseStatistics):
     """Oracle statistics computed from ground-truth data, cached per
-    (source, condition) pair.
+    (source, condition) pair; the source name is checked on a miss only,
+    since a cached pair names a known source.
 
     Example:
         >>> from repro.sources.generators import dmv_fig1
@@ -134,11 +143,11 @@ class ExactStatistics(_BaseStatistics):
         self._cache: dict[tuple[str, Condition], float] = {}
 
     def selectivity(self, source_name: str, condition: Condition) -> float:
-        self._check_source(source_name)
         key = (source_name, condition)
         cached = self._cache.get(key)
         if cached is not None:
             return cached
+        self._check_source(source_name)
         relation = self._federation.source(source_name).table.relation
         value = self._cache[key] = _item_fraction(relation, condition)
         return value
@@ -182,11 +191,11 @@ class SampledStatistics(_BaseStatistics):
         return len(self._samples[source_name])
 
     def selectivity(self, source_name: str, condition: Condition) -> float:
-        self._check_source(source_name)
         key = (source_name, condition)
         cached = self._cache.get(key)
         if cached is not None:
             return cached
+        self._check_source(source_name)
         sample = self._samples[source_name]
         value = self._cache[key] = _item_fraction(sample, condition)
         return value

@@ -8,8 +8,12 @@ figure, a cost or a sorted answer, so the bytes are the same under any
 hash seed.
 
 ``query`` now runs on the engine alone.  ``demo`` and ``--adaptive``
-print what they printed.  Every other ``query`` output differs from the
-two old ones by exactly these changes, and by nothing else:
+print what they printed, except that adaptive stages plan over one
+source per replica group, as every other ``query`` does: on the 2x
+spec they query no mirror, so ``rep2-adaptive`` is ``fig1-adaptive``
+byte for byte (it read each stage at all six sources, actual cost
+136.0).  Every other ``query`` output differs from the two old ones by
+exactly these changes, and by nothing else:
 
 * from the old ``--runtime`` run: the per-step listing after the plan
   (which the sequential run printed there), and the plan-cache line
@@ -104,6 +108,10 @@ def test_adaptive_is_unchanged(capsys, specs, spec):
     assert out == golden(f"{spec}-adaptive")
 
 
+def test_adaptive_stages_query_no_mirror():
+    assert golden("rep2-adaptive") == golden("fig1-adaptive")
+
+
 @pytest.mark.parametrize("name", QUERIES)
 @pytest.mark.parametrize("spec", ["fig1", "rep2"])
 def test_query_differs_only_as_declared(capsys, specs, spec, name):
@@ -124,3 +132,22 @@ def test_query_differs_only_as_declared(capsys, specs, spec, name):
         # without faults its step listing is the engine's, line for line.
         assert RUNTIME_SUFFIX.sub("", out) == golden(f"{spec}-{sequential_run}")
         assert steps == cut_steps(golden(f"{spec}-{sequential_run}"))[0]
+
+
+#: A run that loses R1 and answers in a second round over its mirror.
+REPLAN = [SQL, "--fault-rate", "0.4", "--fault-seed", "3", "--retries", "0",
+          "--hedge-delay", "2.0", "--breaker", "aggressive", "--replan", "2"]
+
+
+def test_replanned_listing_marks_each_round(capsys, specs):
+    out = stdout(capsys, ["query", specs["rep2"], *REPLAN])
+    assert out == golden("rep2-replan")
+    lines = out.splitlines()
+    assert [line for line in lines if line.startswith("-- round")] == [
+        "-- round 1",
+        "-- round 2",
+    ]
+    # The total line covers both rounds: it sums every step of both.
+    total = next(line for line in lines if line.startswith("answer: 2 items, total cost"))
+    assert total == "answer: 2 items, total cost 144.0, 9 messages (all 2 rounds)"
+    assert "actual cost 144.0, 9 messages" in out

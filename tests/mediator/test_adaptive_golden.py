@@ -3,7 +3,7 @@
 A1's four stage logs (ordering, per-source choices, estimated and
 actual cost as ``float.hex``, input and output sizes, early stop), the
 ``repro query --adaptive`` stdout on Fig. 1 and on its 2x replicated
-federation, and the stdout of ``examples/adaptive_mediation.py``.
+federation (the same bytes: stages query no mirror), and the stdout of ``examples/adaptive_mediation.py``.
 """
 
 from __future__ import annotations
@@ -78,13 +78,6 @@ answer: J55, T21
 2 items, actual cost 68.0, 2 stages
 """
 
-FIG1_X2_STDOUT = """\
-stage 1: V = 'dui' [R1:sq, R1~1:sq, R2:sq, R2~1:sq, R3:sq, R3~1:sq] -> 3 items, cost 66.0
-stage 2: V = 'sp' [R1:sq, R1~1:sq, R2:sq, R2~1:sq, R3:sq, R3~1:sq] -> 2 items, cost 70.0
-answer: J55, T21
-2 items, actual cost 136.0, 2 stages
-"""
-
 EXAMPLE_STDOUT = """\
 200 drivers truly match all three conditions; the independence chain predicts 31.1
 sampled lift(dui, sp) = 1.50; corrected prediction 94.1
@@ -126,17 +119,17 @@ def test_a1_stage_logs(label):
     assert (result.terminated_early, result.stages_skipped, stages) == A1_STAGES[label]
 
 
-@pytest.mark.parametrize(
-    "replicas, expected", [(1, FIG1_STDOUT), (2, FIG1_X2_STDOUT)], ids=["fig1", "fig1x2"]
-)
-def test_cli_adaptive_stdout(tmp_path, capsys, replicas, expected):
+@pytest.mark.parametrize("replicas", [1, 2], ids=["fig1", "fig1x2"])
+def test_cli_adaptive_stdout(tmp_path, capsys, replicas):
+    # Stages plan over one source per replica group: mirrors are
+    # failover capacity, so the 2x federation prints Fig. 1's stages.
     federation = dmv_fig1()[0]
     if replicas > 1:
         federation = replicate_federation(federation, replicas)
     spec = tmp_path / "spec.json"
     save_federation(federation, spec)
     assert main(["query", str(spec), DMV_SQL, "--adaptive"]) == 0
-    assert capsys.readouterr().out == expected
+    assert capsys.readouterr().out == FIG1_STDOUT
 
 
 def test_example_stdout(capsys):
