@@ -20,6 +20,10 @@ exactly these changes, and by nothing else:
   after the summary line under ``--plan-cache``;
 * from the old sequential run: the summary line's runtime suffix
   ``; makespan …s, N retries, N degraded``.
+
+``workload-*.out`` pin the deterministic ``workload`` report: the
+serving summary, the per-phase critical-path table, the top
+contributors and the SLO grades, all on the virtual clock.
 """
 
 from __future__ import annotations
@@ -151,3 +155,19 @@ def test_replanned_listing_marks_each_round(capsys, specs):
     total = next(line for line in lines if line.startswith("answer: 2 items, total cost"))
     assert total == "answer: 2 items, total cost 144.0, 9 messages (all 2 rounds)"
     assert "actual cost 144.0, 9 messages" in out
+
+
+#: Case -> ``workload`` arguments after the spec and the SQL: the flags
+#: CI's R11 step runs with, and a faulty run whose contributor table
+#: has several rows.
+WORKLOADS = {
+    "slo": ["--count", "10", "--rate-qps", "10", "--pool-slots", "1",
+            "--slo", "latency:60:0.75,completeness:0.9"],
+    "faults": ["--fault-rate", "0.4", "--breaker"],
+}
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_workload_report_is_unchanged(capsys, specs, name):
+    out = stdout(capsys, ["workload", specs["fig1"], SQL, *WORKLOADS[name]])
+    assert out == golden(f"workload-{name}")
