@@ -30,8 +30,12 @@ Perfetto — each query is one track).  :func:`critical_path` is the one
 critical-path core: it tiles a query's end-to-end latency into
 :class:`PhaseSlice` records whose durations sum *exactly* to the
 measured latency — the property CI asserts.  The service feeds it at
-completion from the serve skeleton and the rendering's grouping;
-:func:`analyze_trace` feeds it from persisted spans, grouped in one pass.
+completion from the serve skeleton and the rendering's grouping, and
+:meth:`CriticalPath.by_phase` folds that one tiling into the ticket's
+phases and the service's running ``phase[@detail]`` totals: the workload
+report ranks those with :func:`top_contributors` and tiles no trace
+again.  :func:`analyze_trace` feeds the core from persisted spans,
+grouped in one pass (:func:`analyze_log` for a whole exported log).
 """
 
 from __future__ import annotations
@@ -525,12 +529,22 @@ class CriticalPath:
             return 0.0
         return self.slices[-1].end_s - self.slices[0].start_s
 
-    def by_phase(self) -> dict[str, float]:
-        """Seconds attributed to each phase (every phase listed)."""
+    def by_phase(self, blocked_s: dict[str, float] | None = None) -> dict[str, float]:
+        """Seconds attributed to each phase (every phase listed).
+
+        With ``blocked_s``, the same pass also adds each slice's seconds
+        to ``blocked_s`` under its ``phase[@detail]`` label: the running
+        total that :func:`top_contributors` ranks.
+        """
         totals = dict.fromkeys(PHASES, 0.0)
-        for phase, start_s, end_s, __ in self.slices:
+        for phase, start_s, end_s, detail in self.slices:
             duration = end_s - start_s
-            totals[phase] = totals.get(phase, 0.0) + (duration if duration > 0.0 else 0.0)
+            if duration <= 0.0:
+                duration = 0.0
+            totals[phase] = totals.get(phase, 0.0) + duration
+            if blocked_s is not None:
+                label = f"{phase}@{detail}" if detail else phase
+                blocked_s[label] = blocked_s.get(label, 0.0) + duration
         return totals
 
     def dominant_phase(self) -> str:
@@ -789,20 +803,13 @@ def analyze_log(log: SpanLog) -> dict[str, CriticalPath]:
 
 
 def top_contributors(
-    paths: Iterable[CriticalPath], limit: int = 5
+    blocked_s: Mapping[str, float], limit: int = 5
 ) -> list[tuple[str, float]]:
     """The heaviest (phase, detail) contributors across many queries.
 
-    Aggregates blocked seconds by ``phase[@detail]`` label and returns
-    the ``limit`` largest — the "where did the p99 go" table of the
-    workload report.
+    ``blocked_s`` maps ``phase[@detail]`` labels to blocked seconds, as
+    :meth:`CriticalPath.by_phase` folds them; returns the ``limit``
+    largest — the "where did the p99 go" table of the workload report.
     """
-    totals: dict[str, float] = {}
-    for path in paths:
-        for piece in path.slices:
-            label = piece.phase
-            if piece.detail:
-                label = f"{piece.phase}@{piece.detail}"
-            totals[label] = totals.get(label, 0.0) + piece.duration_s
-    ranked = sorted(totals.items(), key=lambda item: (-item[1], item[0]))
+    ranked = sorted(blocked_s.items(), key=lambda item: (-item[1], item[0]))
     return [(label, total) for label, total in ranked[:limit] if total > 0.0]

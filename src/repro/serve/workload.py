@@ -288,14 +288,12 @@ def run_workload(service, arrivals: Sequence[Arrival]) -> WorkloadReport:
     phase_latencies: dict[str, list[float]] = {}
     contributors: list[tuple[str, float]] = []
     if getattr(service, "spans", None) is not None:
-        from repro.obs.spans import analyze_log, top_contributors
+        from repro.obs.spans import top_contributors
 
         for ticket in done + failed:
             for phase, seconds in ticket.phases.items():
                 phase_latencies.setdefault(phase, []).append(seconds)
-        contributors = top_contributors(
-            analyze_log(service.spans).values(), limit=5
-        )
+        contributors = top_contributors(service.blocked_s, limit=5)
     cache = service.plan_cache
     return WorkloadReport(
         mode=service.mode,

@@ -276,13 +276,17 @@ class TestTopContributors:
                 slices=(PhaseSlice("exec.wire", 0.0, 4.0, detail="R1"),),
             ),
         ]
-        ranked = top_contributors(paths, limit=2)
+        blocked_s: dict[str, float] = {}
+        for path in paths:
+            path.by_phase(blocked_s)
+        assert blocked_s == {"queue": 3.0, "exec.wire@R1": 6.0}
+        ranked = top_contributors(blocked_s, limit=2)
         assert ranked == [("exec.wire@R1", 6.0), ("queue", 3.0)]
 
     def test_zero_contributions_are_dropped(self):
-        paths = [
-            CriticalPath(
-                trace_id=TRACE, slices=(PhaseSlice("merge", 1.0, 1.0),)
-            )
-        ]
-        assert top_contributors(paths) == []
+        path = CriticalPath(
+            trace_id=TRACE, slices=(PhaseSlice("merge", 1.0, 1.0),)
+        )
+        blocked_s: dict[str, float] = {}
+        path.by_phase(blocked_s)
+        assert top_contributors(blocked_s) == []

@@ -13,7 +13,7 @@ from __future__ import annotations
 import sys
 import threading
 
-from repro.mediator.plan_cache import PlanCache
+from repro.mediator.plan_cache import PlanCache, query_fingerprint
 from repro.obs.events import EventLog
 from repro.obs.fold import metrics_from_events
 from repro.obs.metrics import Histogram, MetricsRegistry, _label_text
@@ -24,6 +24,7 @@ from repro.runtime.health import (
     HealthRegistry,
 )
 from repro.runtime.trace import RuntimeTrace
+from repro.serve.service import MediatorService
 from repro.sources.observed import ObservedStatistics
 from repro.sources.statistics import ExactStatistics
 
@@ -391,3 +392,77 @@ class TestSpanLogHammer:
         ]
         assert set(runs) <= {6, 7, 13}
         assert validate_chrome_trace(log.to_chrome_trace()) == len(log)
+
+
+class TestPlanCacheHitFlag:
+    """Each served query's hit flag is its own lookup's answer, not a
+    reading of the shared counter that a sibling worker also moves."""
+
+    #: Worker A's query: never planned before, so its lookup misses.
+    MISS_SQL = (
+        "SELECT u1.L FROM U u1, U u2 "
+        "WHERE u1.L = u2.L AND u1.V = 'dui' AND u2.V = 'sr'"
+    )
+    #: Worker B's query: planned once up front, so its lookup hits.
+    HIT_SQL = (
+        "SELECT u1.L FROM U u1, U u2 "
+        "WHERE u1.L = u2.L AND u1.V = 'dui' AND u2.V = 'sp'"
+    )
+
+    class StagedCache(PlanCache):
+        """Once armed, holds a missing lookup until a hitting one has
+        answered, so B's hit lands while A's lookup is in flight."""
+
+        def __init__(self):
+            super().__init__()
+            self.armed = False
+            self.miss_waiting = threading.Event()
+            self.hit_answered = threading.Event()
+            self.answers: dict[str, bool] = {}
+            self.timed_out = False
+
+        def get(self, query, sources, statistics):
+            result = super().get(query, sources, statistics)
+            if self.armed:
+                if result is None:
+                    self.miss_waiting.set()
+                    self.timed_out |= not self.hit_answered.wait(JOIN_TIMEOUT_S)
+                else:
+                    self.timed_out |= not self.miss_waiting.wait(JOIN_TIMEOUT_S)
+                    self.hit_answered.set()
+                self.answers[query_fingerprint(query)] = result is not None
+            return result
+
+    def test_a_miss_stays_a_miss_while_a_sibling_hits(self, dmv_federation):
+        cache = self.StagedCache()
+        service = MediatorService(
+            dmv_federation, mode="threads", workers=2, plan_cache=cache
+        )
+        try:
+            service.submit(self.HIT_SQL)
+            service.drain(timeout_s=JOIN_TIMEOUT_S)
+            cache.armed = True
+            missed = service.submit(self.MISS_SQL)
+            hit = service.submit(self.HIT_SQL)
+            service.drain(timeout_s=JOIN_TIMEOUT_S)
+        finally:
+            service.close()
+        assert not cache.timed_out, "the two lookups never overlapped"
+        parse = service._make_mediator(Recorder()).parse
+        assert cache.answers == {
+            query_fingerprint(parse(self.MISS_SQL)): False,
+            query_fingerprint(parse(self.HIT_SQL)): True,
+        }
+        assert (missed.plan_cache_hit, hit.plan_cache_hit) == (False, True)
+        labels = {
+            event.query: event.cache
+            for event in service.recorder.events.of_type("plan")
+        }
+        assert (labels[missed.seq], labels[hit.seq]) == ("miss", "hit")
+        plan_spans = {
+            span.trace_id: span.attributes["cache"]
+            for span in service.spans
+            if span.name == "plan"
+        }
+        assert plan_spans[missed.trace_id] == "miss"
+        assert plan_spans[hit.trace_id] == "hit"
