@@ -30,13 +30,11 @@ At 1e5 rows the index selection must be >= 1.5x the mask path.
 
 from __future__ import annotations
 
-import json
-import os
 import random
 import time
 from typing import Any, Callable
 
-from repro.bench.report import Table, join_sections
+from repro.bench.report import Table, join_sections, write_bench_rows
 from repro.relational import columnar
 from repro.relational.aggregates import AggregateSpec, aggregate_rows
 from repro.relational.conditions import Condition
@@ -518,10 +516,7 @@ def run_columnar(
         )
 
     if bench_json:
-        path = os.path.join(os.getcwd(), "BENCH_R12.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(rows + index_rows, fh, indent=2)
-            fh.write("\n")
+        write_bench_rows("R12", rows + index_rows)
 
     return join_sections(
         "=== R12: columnar substrate — vectorized kernels vs the row path ===",

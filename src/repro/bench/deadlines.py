@@ -20,32 +20,16 @@ end-to-end deadlines buy.  Three sections:
 
 from __future__ import annotations
 
-import json
-import os
-
-from repro.bench.report import Table, join_sections
-from repro.bench.serving import DMV_SQL
+from repro.bench.report import Table, check_replay, join_sections, write_bench_rows
+from repro.bench.serving import DMV_SQL, TENANTS, dmv_arrivals
 from repro.mediator import Mediator
 from repro.optimize import Planning, SJAPlusOptimizer
-from repro.serve import (
-    MediatorService,
-    TenantSpec,
-    WorkloadSpec,
-    generate_arrivals,
-    run_workload,
-)
+from repro.serve import MediatorService, run_workload
 from repro.sources.generators import dmv_fig1
 
 #: Finishing exactly on the deadline counts as met (matches the
 #: serving tier's own slack).
 _SLACK_S = 1e-9
-
-
-def _tenants() -> list[TenantSpec]:
-    return [
-        TenantSpec("bronze", weight=1.0),
-        TenantSpec("gold", weight=3.0),
-    ]
 
 
 def _service(
@@ -59,7 +43,7 @@ def _service(
     return MediatorService(
         federation,
         mode="deterministic",
-        tenants=_tenants(),
+        tenants=TENANTS,
         pool_slots=pool_slots,
         queue_limit=queue_limit,
         seed=seed,
@@ -90,23 +74,8 @@ def run_deadlines(
     tracking.
     """
     federation, __ = dmv_fig1()
-    spec = WorkloadSpec(
-        queries=(DMV_SQL,),
-        tenants=tuple(_tenants()),
-        count=count,
-        rate_qps=rate_qps,
-        seed=seed,
-    )
-    blind_arrivals = generate_arrivals(spec)
-    deadline_spec = WorkloadSpec(
-        queries=spec.queries,
-        tenants=spec.tenants,
-        count=count,
-        rate_qps=rate_qps,
-        seed=seed,
-        deadline_s=deadline_s,
-    )
-    deadline_arrivals = generate_arrivals(deadline_spec)
+    blind_arrivals = dmv_arrivals(count, rate_qps, seed)
+    deadline_arrivals = dmv_arrivals(count, rate_qps, seed, deadline_s)
 
     #: The full answer, computed once off the serving path — the
     #: reference for the zero-spurious-tuples check.
@@ -265,24 +234,7 @@ def run_deadlines(
         "everywhere"
     )
 
-    replay_table = Table(
-        "deterministic replay (shed scenario, virtual clock)",
-        ["run", "seed", "events", "shed+deadline", "bytes", "vs run 1"],
-    )
-    streams = []
-    for run_no, replay_seed in ((1, seed), (2, seed), (3, seed + 1)):
-        load = deadline_arrivals
-        if replay_seed != seed:
-            load = generate_arrivals(
-                WorkloadSpec(
-                    queries=spec.queries,
-                    tenants=spec.tenants,
-                    count=count,
-                    rate_qps=rate_qps,
-                    seed=replay_seed,
-                    deadline_s=deadline_s,
-                )
-            )
+    def replay(replay_seed: int) -> tuple[str, tuple[int, int]]:
         service = _service(
             federation,
             pool_slots=pool_slots,
@@ -290,41 +242,21 @@ def run_deadlines(
             seed=replay_seed,
             shed_policy="deadline",
         )
-        run_workload(service, load)
-        stream = service.recorder.events.to_jsonl()
-        streams.append(stream)
-        marked = len(
-            service.recorder.events.of_type("shed", "deadline")
+        run_workload(
+            service, dmv_arrivals(count, rate_qps, replay_seed, deadline_s)
         )
-        verdict = "-"
-        if run_no == 2:
-            verdict = "identical" if stream == streams[0] else "DIVERGED"
-        elif run_no == 3:
-            verdict = "diverged" if stream != streams[0] else "IDENTICAL"
-        replay_table.add_row(
-            [
-                run_no,
-                replay_seed,
-                len(stream.splitlines()),
-                marked,
-                len(stream),
-                verdict,
-            ]
-        )
-    if streams[1] != streams[0]:
-        raise AssertionError(
-            "same-seed replay with deadlines produced a different "
-            "event stream — deterministic mode must replay "
-            "byte-identically"
-        )
-    if streams[2] == streams[0]:
-        raise AssertionError(
-            "changing the workload seed left the event stream "
-            "unchanged — fault streams must derive from the seed"
-        )
-    replay_table.add_note(
+        events = service.recorder.events
+        stream = events.to_jsonl()
+        marked = len(events.of_type("shed", "deadline"))
+        return stream, (len(stream.splitlines()), marked)
+
+    replay_table = check_replay(
+        "deterministic replay (shed scenario, virtual clock)",
+        ["events", "shed+deadline"],
         "acceptance: same seed -> byte-identical stream with shed "
-        "and deadline records included; new seed diverges"
+        "and deadline records included; new seed diverges",
+        replay,
+        seed,
     )
 
     budget_table = Table(
@@ -385,10 +317,7 @@ def run_deadlines(
     )
 
     if bench_json:
-        path = os.path.join(os.getcwd(), "BENCH_R9.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(rows, fh, indent=2)
-            fh.write("\n")
+        write_bench_rows("R9", rows)
 
     return join_sections(
         "=== R9: deadline-aware serving — answering on time ===",

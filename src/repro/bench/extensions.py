@@ -8,12 +8,10 @@ paper's caveats invite (dependence of conditions; estimate errors).
 
 from __future__ import annotations
 
-import json
 import math
-import os
 
 from repro.bench.harness import make_kit
-from repro.bench.report import Table, join_sections
+from repro.bench.report import Table, join_sections, write_bench_rows
 from repro.mediator.plan_cache import PlanCache
 from repro.costs.charge import ChargeCostModel
 from repro.costs.correlation import CorrelatedSizeEstimator, CorrelationModel
@@ -1129,10 +1127,7 @@ def run_search_scaling(
     cache_table.add_note(cache.summary())
 
     if bench_json:
-        path = os.path.join(os.getcwd(), "BENCH_R7.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(rows, fh, indent=2)
-            fh.write("\n")
+        write_bench_rows("R7", rows)
 
     return join_sections(
         "=== R7: plan-search scaling — retiring the m! sweep ===",

@@ -16,14 +16,12 @@ shared plan-cache hit counts.  Four sections:
 
 from __future__ import annotations
 
-import json
-import os
-
-from repro.bench.report import Table, join_sections
+from repro.bench.report import Table, check_replay, join_sections, write_bench_rows
 from repro.optimize.planning import Planning
 from repro.optimize.sja_plus import SJAPlusOptimizer
 from repro.runtime import BreakerConfig, Faults, Resilience
 from repro.serve import (
+    Arrival,
     ChurnWave,
     MediatorService,
     TenantSpec,
@@ -40,12 +38,32 @@ DMV_SQL = (
     "WHERE u1.L = u2.L AND u1.V = 'dui' AND u2.V = 'sp'"
 )
 
+#: The two tenants of every serving experiment, weighted 1:3.
+TENANTS = (TenantSpec("bronze", weight=1.0), TenantSpec("gold", weight=3.0))
 
-def _tenants() -> list[TenantSpec]:
-    return [
-        TenantSpec("bronze", weight=1.0),
-        TenantSpec("gold", weight=3.0),
-    ]
+
+def dmv_arrivals(
+    count: int, rate_qps: float, seed: int, deadline_s: float | None = None
+) -> list[Arrival]:
+    """Seeded Poisson arrivals of :data:`DMV_SQL` for :data:`TENANTS`."""
+    return generate_arrivals(
+        WorkloadSpec(
+            queries=(DMV_SQL,),
+            tenants=TENANTS,
+            count=count,
+            rate_qps=rate_qps,
+            seed=seed,
+            deadline_s=deadline_s,
+        )
+    )
+
+
+def churn_wave(arrivals: list[Arrival], rate: float) -> ChurnWave:
+    """R2 flaky at ``rate`` for arrivals in 30-70 % of their span."""
+    span_s = arrivals[-1].at_s
+    return ChurnWave(
+        start_s=span_s * 0.3, end_s=span_s * 0.7, sources=("R2",), rate=rate
+    )
 
 
 def _service(
@@ -61,7 +79,7 @@ def _service(
     return MediatorService(
         federation,
         mode=mode,
-        tenants=_tenants(),
+        tenants=TENANTS,
         workers=workers,
         pool_slots=pool_slots,
         queue_limit=queue_limit,
@@ -98,21 +116,8 @@ def run_serving(
     tracking.
     """
     federation, __ = dmv_fig1()
-    spec = WorkloadSpec(
-        queries=(DMV_SQL,),
-        tenants=tuple(_tenants()),
-        count=count,
-        rate_qps=rate_qps,
-        seed=seed,
-    )
-    arrivals = generate_arrivals(spec)
-    span_s = arrivals[-1].at_s
-    churn = ChurnWave(
-        start_s=span_s * 0.3,
-        end_s=span_s * 0.7,
-        sources=("R2",),
-        rate=churn_rate,
-    )
+    arrivals = dmv_arrivals(count, rate_qps, seed)
+    churn = churn_wave(arrivals, churn_rate)
 
     table = Table(
         "serving workloads (DMV federation, "
@@ -207,12 +212,7 @@ def run_serving(
         "plan cache + health registry during the churn run"
     )
 
-    replay_table = Table(
-        "deterministic replay (churn workload, virtual clock)",
-        ["run", "seed", "events", "bytes", "vs run 1"],
-    )
-    streams = []
-    for run_no, replay_seed in ((1, seed), (2, seed), (3, seed + 1)):
+    def replay(replay_seed: int) -> tuple[str, tuple[int]]:
         service = _service(
             federation,
             "deterministic",
@@ -223,34 +223,15 @@ def run_serving(
         )
         run_workload(service, arrivals)
         stream = service.recorder.events.to_jsonl()
-        streams.append(stream)
-        verdict = "-"
-        if run_no == 2:
-            verdict = "identical" if stream == streams[0] else "DIVERGED"
-        elif run_no == 3:
-            verdict = "diverged" if stream != streams[0] else "IDENTICAL"
-        replay_table.add_row(
-            [
-                run_no,
-                replay_seed,
-                len(stream.splitlines()),
-                len(stream),
-                verdict,
-            ]
-        )
-    if streams[1] != streams[0]:
-        raise AssertionError(
-            "same-seed replay produced a different event stream — "
-            "deterministic mode must replay byte-identically"
-        )
-    if streams[2] == streams[0]:
-        raise AssertionError(
-            "changing the workload seed left the event stream "
-            "unchanged — fault streams must derive from the seed"
-        )
-    replay_table.add_note(
+        return stream, (len(stream.splitlines()),)
+
+    replay_table = check_replay(
+        "deterministic replay (churn workload, virtual clock)",
+        ["events"],
         "acceptance: same seed -> byte-identical event stream "
-        "(faults, breakers, and churn included); new seed diverges"
+        "(faults, breakers, and churn included); new seed diverges",
+        replay,
+        seed,
     )
 
     cache_table = Table(
@@ -274,7 +255,7 @@ def run_serving(
     service = MediatorService(
         federation,
         mode="deterministic",
-        tenants=_tenants(),
+        tenants=TENANTS,
         pool_slots=pool_slots,
         queue_limit=queue_limit,
         seed=seed,
@@ -282,7 +263,7 @@ def run_serving(
     )
     repeat_report = run_workload(service, arrivals)
     cache = service.plan_cache
-    distinct = len(spec.queries)
+    distinct = len({arrival.sql for arrival in arrivals})
     if calls["n"] != distinct:
         raise AssertionError(
             f"{calls['n']} optimizer calls for {distinct} distinct "
@@ -313,7 +294,7 @@ def run_serving(
         ["tenant", "weight", "admitted", "share", "p95 s"],
     )
     total_admitted = sum(churn_report.admitted_by_tenant.values()) or 1
-    for tenant in _tenants():
+    for tenant in TENANTS:
         admitted = churn_report.admitted_by_tenant.get(tenant.name, 0)
         latencies = churn_report.latency_by_tenant.get(tenant.name, [])
         fairness_table.add_row(
@@ -331,10 +312,7 @@ def run_serving(
     )
 
     if bench_json:
-        path = os.path.join(os.getcwd(), "BENCH_R8.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(rows, fh, indent=2)
-            fh.write("\n")
+        write_bench_rows("R8", rows)
 
     return join_sections(
         "=== R8: serving tier — many queries, one mediator ===",

@@ -22,21 +22,13 @@ nanosecond).  This experiment shows what that buys: three sections.
 from __future__ import annotations
 
 import json
-import os
 
-from repro.bench.report import Table, join_sections
-from repro.bench.serving import DMV_SQL
+from repro.bench.report import Table, check_replay, join_sections, write_bench_rows
+from repro.bench.serving import TENANTS, churn_wave, dmv_arrivals
 from repro.obs.slo import SLOMonitor, parse_slo_spec
 from repro.obs.spans import validate_chrome_trace
 from repro.runtime import BreakerConfig, Faults, Resilience
-from repro.serve import (
-    ChurnWave,
-    MediatorService,
-    TenantSpec,
-    WorkloadSpec,
-    generate_arrivals,
-    run_workload,
-)
+from repro.serve import ChurnWave, MediatorService, run_workload
 from repro.sources.generators import dmv_fig1
 
 #: Attribution must tile the measured latency exactly; this is the
@@ -45,13 +37,6 @@ _SUM_SLACK_S = 1e-9
 
 #: The SLOs every scenario is graded against (virtual seconds).
 _SLO_SPEC = "latency:60:0.75,completeness:0.9"
-
-
-def _tenants() -> list[TenantSpec]:
-    return [
-        TenantSpec("bronze", weight=1.0),
-        TenantSpec("gold", weight=3.0),
-    ]
 
 
 def _service(
@@ -65,7 +50,7 @@ def _service(
     return MediatorService(
         federation,
         mode="deterministic",
-        tenants=_tenants(),
+        tenants=TENANTS,
         pool_slots=pool_slots,
         queue_limit=queue_limit,
         seed=seed,
@@ -116,21 +101,8 @@ def run_tracing(
     trend tracking.
     """
     federation, __ = dmv_fig1()
-    spec = WorkloadSpec(
-        queries=(DMV_SQL,),
-        tenants=tuple(_tenants()),
-        count=count,
-        rate_qps=rate_qps,
-        seed=seed,
-    )
-    arrivals = generate_arrivals(spec)
-    span_s = arrivals[-1].at_s
-    churn = ChurnWave(
-        start_s=span_s * 0.3,
-        end_s=span_s * 0.7,
-        sources=("R2",),
-        rate=churn_rate,
-    )
+    arrivals = dmv_arrivals(count, rate_qps, seed)
+    churn = churn_wave(arrivals, churn_rate)
 
     table = Table(
         "tail attribution (DMV federation, "
@@ -267,23 +239,7 @@ def run_tracing(
         "acceptance: error-budget burn orders starved > churn > calm"
     )
 
-    replay_table = Table(
-        "deterministic trace replay (starved scenario, Chrome JSON)",
-        ["run", "seed", "spans", "bytes", "vs run 1"],
-    )
-    exports = []
-    for run_no, replay_seed in ((1, seed), (2, seed), (3, seed + 1)):
-        load = arrivals
-        if replay_seed != seed:
-            load = generate_arrivals(
-                WorkloadSpec(
-                    queries=spec.queries,
-                    tenants=spec.tenants,
-                    count=count,
-                    rate_qps=rate_qps,
-                    seed=replay_seed,
-                )
-            )
+    def replay(replay_seed: int) -> tuple[str, tuple[int]]:
         service = _service(
             federation,
             pool_slots=1,
@@ -291,40 +247,21 @@ def run_tracing(
             seed=replay_seed,
             churn=churn,
         )
-        run_workload(service, load)
+        run_workload(service, dmv_arrivals(count, rate_qps, replay_seed))
         exported = service.spans.to_chrome_json()
-        exports.append(exported)
-        span_count = validate_chrome_trace(json.loads(exported))
-        verdict = "-"
-        if run_no == 2:
-            verdict = "identical" if exported == exports[0] else "DIVERGED"
-        elif run_no == 3:
-            verdict = "diverged" if exported != exports[0] else "IDENTICAL"
-        replay_table.add_row(
-            [run_no, replay_seed, span_count, len(exported), verdict]
-        )
-    if exports[1] != exports[0]:
-        raise AssertionError(
-            "same-seed replay produced different Chrome trace JSON — "
-            "span trees must replay byte-identically under the "
-            "virtual clock"
-        )
-    if exports[2] == exports[0]:
-        raise AssertionError(
-            "changing the workload seed left the exported trace "
-            "unchanged — trace ids and timings must derive from the "
-            "seed"
-        )
-    replay_table.add_note(
+        return exported, (validate_chrome_trace(json.loads(exported)),)
+
+    replay_table = check_replay(
+        "deterministic trace replay (starved scenario, Chrome JSON)",
+        ["spans"],
         "acceptance: same seed -> byte-identical export (schema-"
-        "validated); new seed diverges"
+        "validated); new seed diverges",
+        replay,
+        seed,
     )
 
     if bench_json:
-        path = os.path.join(os.getcwd(), "BENCH_R11.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(rows, fh, indent=2)
-            fh.write("\n")
+        write_bench_rows("R11", rows)
 
     return join_sections(
         "=== R11: causal tracing — naming the bottleneck ===",

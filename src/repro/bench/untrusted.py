@@ -24,10 +24,7 @@ the rotation would hide the mirrors).  Three sections:
 
 from __future__ import annotations
 
-import json
-import os
-
-from repro.bench.report import Table, join_sections
+from repro.bench.report import Table, check_replay, join_sections, write_bench_rows
 from repro.bench.serving import DMV_SQL
 from repro.mediator import Mediator
 from repro.obs import EventLog, Recorder
@@ -205,50 +202,26 @@ def run_untrusted(
         "the outvoted mirrors are blamed and quarantined"
     )
 
-    replay_table = Table(
-        "deterministic replay (vote mode, quality + quarantine events)",
-        ["run", "seed", "events", "quality+quarantine", "bytes",
-         "vs run 1"],
-    )
-    streams = []
-    for run_no, replay_seed in ((1, seed), (2, seed), (3, seed + 1)):
+    def replay(replay_seed: int) -> tuple[str, tuple[int, int]]:
         recorder = Recorder(events=EventLog())
         mediator = _mediator(federation, "vote", replay_seed, recorder)
         for __ in range(queries):
             mediator.answer(DMV_SQL)
         stream = recorder.events.to_jsonl()
-        streams.append(stream)
         marked = len(recorder.events.of_type("quality", "quarantine"))
-        verdict = "-"
-        if run_no == 2:
-            verdict = "identical" if stream == streams[0] else "DIVERGED"
-        elif run_no == 3:
-            verdict = "diverged" if stream != streams[0] else "IDENTICAL"
-        replay_table.add_row(
-            [run_no, replay_seed, len(stream.splitlines()), marked,
-             len(stream), verdict]
-        )
-    if streams[1] != streams[0]:
-        raise AssertionError(
-            "same-seed verified replay produced a different event "
-            "stream — tamper and vote outcomes must derive from the "
-            "seed alone"
-        )
-    if streams[2] == streams[0]:
-        raise AssertionError(
-            "changing the seed left the verified event stream "
-            "unchanged — data-fault streams must derive from the seed"
-        )
-    replay_table.add_note(
+        return stream, (len(stream.splitlines()), marked)
+
+    replay_table = check_replay(
+        "deterministic replay (vote mode, quality + quarantine events)",
+        ["events", "quality+quarantine"],
         "acceptance: same seed -> byte-identical stream with quality "
-        "and quarantine records included; new seed diverges"
+        "and quarantine records included; new seed diverges",
+        replay,
+        seed,
     )
 
     if bench_json:
-        path = os.path.join(os.getcwd(), "BENCH_R10.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(rows, fh, indent=2)
-            fh.write("\n")
+        write_bench_rows("R10", rows)
 
     return join_sections(
         "=== R10: untrusted answers — verification and quarantine ===",
