@@ -9,8 +9,9 @@ paper's caveats invite (dependence of conditions; estimate errors).
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
-from repro.bench.harness import make_kit
+from repro.bench.harness import PlanningKit, kit_for_federation, make_kit
 from repro.bench.report import Table, join_sections, write_bench_rows
 from repro.mediator.plan_cache import PlanCache
 from repro.costs.charge import ChargeCostModel
@@ -87,22 +88,11 @@ def run_response_time() -> str:
             receive_range=(2.0, 5.0),
             seed=int(latency * 100),
         )
-        federation = build_synthetic(config)
-        # override latency uniformly
+        kit = make_kit(config, 3, query_seed=11)
+        federation = kit.federation
+        # Override latency uniformly; the charge model reads no latency.
         for source in federation:
-            source.link = LinkProfile(
-                request_overhead=source.link.request_overhead,
-                per_item_send=source.link.per_item_send,
-                per_item_receive=source.link.per_item_receive,
-                per_row_load=source.link.per_row_load,
-                latency_s=latency,
-                items_per_s=source.link.items_per_s,
-            )
-        query = synthetic_query(config, m=3, seed=11)
-        estimator = SizeEstimator(
-            ExactStatistics(federation), federation.source_names
-        )
-        cost_model = ChargeCostModel.for_federation(federation, estimator)
+            source.link = replace(source.link, latency_s=latency)
         engine = RuntimeEngine(federation)
         optimizers = {
             "FILTER": FilterOptimizer(),
@@ -111,7 +101,7 @@ def run_response_time() -> str:
         }
         for label, optimizer in optimizers.items():
             plan = optimizer.optimize(
-                query, federation.source_names, cost_model, estimator
+                kit.query, kit.source_names, kit.cost_model, kit.estimator
             ).plan
             federation.reset_traffic()
             execution = engine.run(plan)
@@ -301,12 +291,8 @@ def run_overlap() -> str:
             send_range=(0.3, 0.3),
             seed=int(coverage * 100),
         )
-        federation = build_synthetic(config)
-        query = synthetic_query(config, m=3, seed=61)
-        estimator = SizeEstimator(
-            ExactStatistics(federation), federation.source_names
-        )
-        cost_model = ChargeCostModel.for_federation(federation, estimator)
+        kit = make_kit(config, 3, query_seed=61)
+        federation = kit.federation
         engine = RuntimeEngine(federation)
         costs = {}
         semijoin_count = 0
@@ -316,7 +302,7 @@ def run_overlap() -> str:
             ("SJA", SJAOptimizer()),
         ):
             plan = optimizer.optimize(
-                query, federation.source_names, cost_model, estimator
+                kit.query, kit.source_names, kit.cost_model, kit.estimator
             ).plan
             federation.reset_traffic()
             execution = engine.run(plan)
@@ -411,19 +397,13 @@ def run_phases() -> str:
     )
 
 
-def _r2_plans(federation, query, estimator, cost_model):
+def _r2_plans(kit: PlanningKit):
     """The three plan classes R2 cross-validates, as (label, plan)."""
-    names = federation.source_names
+    planned = (kit.query, kit.source_names, kit.cost_model, kit.estimator)
     return [
-        ("FILTER", build_filter_plan(query, names)),
-        (
-            "SJ",
-            SJOptimizer().optimize(query, names, cost_model, estimator).plan,
-        ),
-        (
-            "SJA",
-            SJAOptimizer().optimize(query, names, cost_model, estimator).plan,
-        ),
+        ("FILTER", build_filter_plan(kit.query, kit.source_names)),
+        ("SJ", SJOptimizer().optimize(*planned).plan),
+        ("SJA", SJAOptimizer().optimize(*planned).plan),
     ]
 
 
@@ -448,7 +428,6 @@ def run_concurrent_runtime() -> str:
             "answer ok",
         ],
     )
-    workloads = [("dmv", *dmv_fig1())]
     config = SyntheticConfig(
         n_sources=6,
         n_entities=200,
@@ -457,19 +436,17 @@ def run_concurrent_runtime() -> str:
         receive_range=(1.0, 3.0),
         seed=97,
     )
-    workloads.append(
-        ("synthetic", build_synthetic(config), synthetic_query(config, m=3, seed=5))
-    )
+    workloads = [
+        ("dmv", kit_for_federation(*dmv_fig1())),
+        ("synthetic", make_kit(config, 3, query_seed=5)),
+    ]
     max_delta = 0.0
-    for name, federation, query in workloads:
-        estimator = SizeEstimator(
-            ExactStatistics(federation), federation.source_names
-        )
-        cost_model = ChargeCostModel.for_federation(federation, estimator)
-        expected = reference_answer(federation, query)
+    for name, kit in workloads:
+        federation = kit.federation
+        expected = reference_answer(federation, kit.query)
         executor = Executor(federation)
         engine = RuntimeEngine(federation)
-        for label, plan in _r2_plans(federation, query, estimator, cost_model):
+        for label, plan in _r2_plans(kit):
             federation.reset_traffic()
             predicted = response_time(plan, executor.execute(plan))
             federation.reset_traffic()
@@ -496,6 +473,32 @@ def run_concurrent_runtime() -> str:
     )
 
 
+def _fault_kit(n_sources: int, n_entities: int) -> PlanningKit:
+    """R3–R5's seed-181 synthetic federation and m = 3 query."""
+    config = SyntheticConfig(
+        n_sources=n_sources,
+        n_entities=n_entities,
+        coverage=(0.3, 0.6),
+        overhead_range=(5.0, 20.0),
+        receive_range=(1.0, 3.0),
+        seed=181,
+    )
+    return make_kit(config, 3, query_seed=13)
+
+
+def _flaky_run(federation: Federation, plan, policy: RetryPolicy, rate: float, seed: int):
+    """``plan`` on a fresh engine under seeded transient faults at
+    ``rate``: retries per ``policy``, no hedging and no breakers, so an
+    operation that still fails is skipped (degraded to an empty set)."""
+    federation.reset_traffic()
+    engine = RuntimeEngine(
+        federation,
+        Resilience(policy=policy),
+        faults=FaultInjector(FaultProfile.flaky(rate), seed=seed),
+    )
+    return engine.run(plan)
+
+
 def run_fault_sweep(
     fault_rates: tuple[float, ...] = (0.0, 0.1, 0.3, 0.5),
     n_sources: int = 8,
@@ -510,23 +513,11 @@ def run_fault_sweep(
     answer never contains a wrong item and execution never errors out.
     CI runs it at tiny parameters as a smoke check.
     """
-    config = SyntheticConfig(
-        n_sources=n_sources,
-        n_entities=n_entities,
-        coverage=(0.3, 0.6),
-        overhead_range=(5.0, 20.0),
-        receive_range=(1.0, 3.0),
-        seed=181,
-    )
-    federation = build_synthetic(config)
-    query = synthetic_query(config, m=3, seed=13)
-    estimator = SizeEstimator(
-        ExactStatistics(federation), federation.source_names
-    )
-    cost_model = ChargeCostModel.for_federation(federation, estimator)
+    kit = _fault_kit(n_sources, n_entities)
+    federation = kit.federation
     plan = (
         SJAOptimizer()
-        .optimize(query, federation.source_names, cost_model, estimator)
+        .optimize(kit.query, kit.source_names, kit.cost_model, kit.estimator)
         .plan
     )
     policies = [
@@ -548,14 +539,8 @@ def run_fault_sweep(
     )
     for rate in fault_rates:
         for label, policy in policies:
-            federation.reset_traffic()
-            engine = RuntimeEngine(
-                federation,
-                Resilience(policy=policy),
-                faults=FaultInjector(FaultProfile.flaky(rate), seed=29),
-            )
-            result = engine.run(plan)
-            report = completeness_report(federation, query, result.items)
+            result = _flaky_run(federation, plan, policy, rate, 29)
+            report = completeness_report(federation, kit.query, result.items)
             table.add_row(
                 [
                     rate,
@@ -597,16 +582,8 @@ def run_resilience(
     Both stay at zero spurious answers — substitution and re-planning
     only ever union rows the federation already holds.
     """
-    config = SyntheticConfig(
-        n_sources=n_sources,
-        n_entities=n_entities,
-        coverage=(0.3, 0.6),
-        overhead_range=(5.0, 20.0),
-        receive_range=(1.0, 3.0),
-        seed=181,
-    )
-    base_federation = build_synthetic(config)
-    query = synthetic_query(config, m=3, seed=13)
+    kit = _fault_kit(n_sources, n_entities)
+    query = kit.query
     table = Table(
         "completeness vs fault rate x replication "
         "(skip-only baseline vs hedge+breaker+replan)",
@@ -638,7 +615,7 @@ def run_resilience(
     ]
     for rate in fault_rates:
         for copies in replication_factors:
-            federation = replicate_federation(base_federation, copies)
+            federation = replicate_federation(kit.federation, copies)
             for label, resilience, max_replans in modes:
                 federation.reset_traffic()
                 result = Mediator(
@@ -696,21 +673,10 @@ def run_robust_planning(
     condition alive.  Measured completeness is averaged over several
     fault seeds; each individual run is seed-deterministic.
     """
-    config = SyntheticConfig(
-        n_sources=n_sources,
-        n_entities=n_entities,
-        coverage=(0.3, 0.6),
-        overhead_range=(5.0, 20.0),
-        receive_range=(1.0, 3.0),
-        seed=181,
-    )
-    federation = replicate_federation(build_synthetic(config), 2)
-    query = synthetic_query(config, m=3, seed=13)
-    estimator = SizeEstimator(
-        ExactStatistics(federation), federation.source_names
-    )
-    cost_model = ChargeCostModel.for_federation(federation, estimator)
-    representatives = federation.representative_names
+    base = _fault_kit(n_sources, n_entities)
+    kit = kit_for_federation(replicate_federation(base.federation, 2), base.query)
+    federation, query, estimator = kit.federation, kit.query, kit.estimator
+    planned = (query, federation.representative_names, kit.cost_model, estimator)
     policy = RetryPolicy.no_retry()
     seeds = (29, 31, 37, 41, 43)
     table = Table(
@@ -728,15 +694,6 @@ def run_robust_planning(
         ],
     )
 
-    def skip_only_run(plan, rate: float, seed: int):
-        federation.reset_traffic()
-        engine = RuntimeEngine(
-            federation,
-            Resilience(policy=policy),
-            faults=FaultInjector(FaultProfile.flaky(rate), seed=seed),
-        )
-        return engine.run(plan)
-
     deterministic = True
     for rate in fault_rates:
         availability = AvailabilityModel.from_faults(
@@ -744,15 +701,13 @@ def run_robust_planning(
             policy,
             federation.source_names,
         )
-        base = SJAPlusOptimizer().optimize(
-            query, representatives, cost_model, estimator
-        )
-        plans = [("SJA+ cost-only", "-", base)]
+        cost_only = SJAPlusOptimizer().optimize(*planned)
+        plans = [("SJA+ cost-only", "-", cost_only)]
         for lam in lambdas:
             robust = RobustOptimizer(
                 federation, availability, robustness=lam
-            ).optimize(query, representatives, cost_model, estimator)
-            if lam == 0.0 and robust.plan != base.plan:
+            ).optimize(*planned)
+            if lam == 0.0 and robust.plan != cost_only.plan:
                 raise AssertionError(
                     "lambda=0 must reproduce the cost-only plan"
                 )
@@ -764,15 +719,15 @@ def run_robust_planning(
             measured = []
             wire = []
             for seed in seeds:
-                result = skip_only_run(optimization.plan, rate, seed)
+                result = _flaky_run(federation, optimization.plan, policy, rate, seed)
                 measured.append(
                     completeness_report(
                         federation, query, result.items
                     ).completeness
                 )
                 wire.append(result.trace.total_cost)
-            replay = skip_only_run(optimization.plan, rate, seeds[0])
-            first = skip_only_run(optimization.plan, rate, seeds[0])
+            replay = _flaky_run(federation, optimization.plan, policy, rate, seeds[0])
+            first = _flaky_run(federation, optimization.plan, policy, rate, seeds[0])
             deterministic &= replay.trace == first.trace
             table.add_row(
                 [
@@ -831,13 +786,8 @@ def run_observed_stats(
         receive_range=(1.0, 3.0),
         seed=211,
     )
-    federation = build_synthetic(config)
-    query = synthetic_query(config, m=3, seed=17)
-    names = federation.source_names
-    oracle_estimator = SizeEstimator(ExactStatistics(federation), names)
-    oracle_model = ChargeCostModel.for_federation(
-        federation, oracle_estimator
-    )
+    oracle = make_kit(config, 3, query_seed=17)
+    federation, query, names = oracle.federation, oracle.query, oracle.source_names
 
     def measured(plan):
         federation.reset_traffic()
@@ -857,7 +807,7 @@ def run_observed_stats(
         return estimator, model
 
     oracle_opt = SJAPlusOptimizer().optimize(
-        query, names, oracle_model, oracle_estimator
+        query, names, oracle.cost_model, oracle.estimator
     )
     oracle_run = measured(oracle_opt.plan)
     oracle_cost = oracle_run.total_cost
@@ -880,7 +830,7 @@ def run_observed_stats(
             "-",
             "oracle",
             "-",
-            oracle_estimator.statistics.universe_size(),
+            oracle.estimator.statistics.universe_size(),
             oracle_opt.estimated_cost,
             oracle_cost,
             1.0,

@@ -3,7 +3,10 @@
 Experiments repeatedly need the same bundle — federation, query, oracle
 statistics, estimator, charge model — and the same comparison loop over
 optimizers measuring estimated cost, actual executed cost, message
-counts, and wall-clock optimization time.  This module is that plumbing.
+counts, and wall-clock optimization time.  This module is that plumbing,
+and :func:`kit_for_federation` is the one place an experiment builds the
+oracle planner's view (R6's log-mined toolkit and C7's two estimators
+are the experiments' own subject, so they build theirs).
 """
 
 from __future__ import annotations
@@ -49,11 +52,7 @@ def make_kit(
     query = synthetic_query(
         config, m=m, seed=config.seed + 1000 if query_seed is None else query_seed
     )
-    estimator = SizeEstimator(
-        ExactStatistics(federation), federation.source_names
-    )
-    cost_model = ChargeCostModel.for_federation(federation, estimator)
-    return PlanningKit(federation, query, cost_model, estimator)
+    return kit_for_federation(federation, query)
 
 
 def kit_for_federation(federation: Federation, query: FusionQuery) -> PlanningKit:

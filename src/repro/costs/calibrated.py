@@ -1,29 +1,28 @@
 """A cost model with parameters learned by query sampling (ref. [25]).
 
-Identical in shape to :class:`~repro.costs.charge.ChargeCostModel` — the
-semijoin formula is the same code,
-:func:`~repro.costs.charge.charge_sjq_pricer` and its batched
-:func:`~repro.costs.charge.charge_sjq_price_table` — but the per-source
-(overhead, send, receive) charges come from
-:func:`repro.sources.sampling.calibrate_federation` — i.e. the mediator
-*measured* them with probe queries rather than reading them from
-configuration.  This is the honest Internet setting: autonomous sources
-do not publish their cost structure.
+One charge model, two sources of numbers: this is
+:class:`~repro.costs.charge.ChargeCostModel` itself, over per-source
+(overhead, send, receive) charges that
+:func:`repro.sources.sampling.calibrate_federation` fitted — i.e. the
+mediator *measured* them with probe queries rather than reading them
+from configuration.  This is the honest Internet setting: autonomous
+sources do not publish their cost structure.  The constructor only turns
+each :class:`~repro.sources.sampling.FittedLinkParameters` into the
+:class:`~repro.sources.network.LinkProfile` the charge model reads; every
+cost is the charge model's.
 
 Loads are not probed (fetching whole sources as calibration would defeat
-the purpose), so ``lq_cost`` extrapolates: rows are charged like
-received items scaled by :data:`LOAD_FACTOR`.
+the purpose), so ``lq_cost`` extrapolates: a loaded row is charged like
+a received item scaled by :data:`LOAD_FACTOR`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
-
-from repro.costs.charge import charge_sjq_price_table, charge_sjq_pricer
+from repro.costs.charge import ChargeCostModel
 from repro.costs.estimates import SizeEstimator
-from repro.costs.model import INFINITE_COST, CostModel
 from repro.relational.conditions import Condition
 from repro.sources.capabilities import SourceCapabilities
+from repro.sources.network import LinkProfile
 from repro.sources.registry import Federation
 from repro.sources.sampling import FittedLinkParameters, calibrate_federation
 
@@ -31,8 +30,10 @@ from repro.sources.sampling import FittedLinkParameters, calibrate_federation
 LOAD_FACTOR = 2.0
 
 
-class CalibratedCostModel(CostModel):
-    """Charge-shaped cost model over fitted per-source parameters."""
+class CalibratedCostModel(ChargeCostModel):
+    """The charge model over fitted per-source parameters.  A negative or
+    non-finite fitted charge raises ``CostModelError`` here, as in any
+    :class:`LinkProfile`; calibration clamps at zero, so never makes one."""
 
     def __init__(
         self,
@@ -42,9 +43,20 @@ class CalibratedCostModel(CostModel):
         cardinalities: dict[str, int],
     ):
         self.fitted = dict(fitted)
-        self.capabilities = dict(capabilities)
-        self.estimator = estimator
-        self.cardinalities = dict(cardinalities)
+        super().__init__(
+            profiles={
+                name: LinkProfile(
+                    request_overhead=parameters.request_overhead,
+                    per_item_send=parameters.per_item_send,
+                    per_item_receive=parameters.per_item_receive,
+                    per_row_load=parameters.per_item_receive * LOAD_FACTOR,
+                )
+                for name, parameters in self.fitted.items()
+            },
+            capabilities=capabilities,
+            estimator=estimator,
+            cardinalities=cardinalities,
+        )
 
     @staticmethod
     def calibrate(
@@ -64,53 +76,4 @@ class CalibratedCostModel(CostModel):
             cardinalities={
                 source.name: len(source.table) for source in federation
             },
-        )
-
-    # ------------------------------------------------------------------
-
-    def sq_cost(self, condition: Condition, source_name: str) -> float:
-        parameters = self.fitted[source_name]
-        received = self.estimator.sq_output_size(condition, source_name)
-        return parameters.request_overhead + received * parameters.per_item_receive
-
-    def sjq_cost(
-        self, condition: Condition, source_name: str, input_size: float
-    ) -> float:
-        return self.sjq_pricer(condition, source_name)(input_size)
-
-    def sjq_pricer(
-        self, condition: Condition, source_name: str
-    ) -> Callable[[float], float]:
-        return charge_sjq_pricer(
-            self.fitted[source_name],
-            self.capabilities[source_name],
-            self.estimator,
-            condition,
-            source_name,
-        )
-
-    def sjq_price_table(
-        self,
-        condition: Condition,
-        source_names: Sequence[str],
-        sizes: Sequence[float],
-    ) -> Sequence[Sequence[float]]:
-        return charge_sjq_price_table(
-            [self.fitted[source] for source in source_names],
-            [self.capabilities[source] for source in source_names],
-            self.estimator,
-            condition,
-            source_names,
-            sizes,
-        )
-
-    def lq_cost(self, source_name: str) -> float:
-        capabilities = self.capabilities[source_name]
-        if not capabilities.supports_load:
-            return INFINITE_COST
-        parameters = self.fitted[source_name]
-        rows = self.cardinalities[source_name]
-        return (
-            parameters.request_overhead
-            + rows * parameters.per_item_receive * LOAD_FACTOR
         )

@@ -21,8 +21,13 @@ The semijoin formula is written once, in :func:`_semijoin_charge`: the
 scalar :func:`charge_sjq_pricer` and the batched
 :func:`charge_sjq_price_table` both evaluate it (the table on numpy
 arrays when the table is big enough to pay for numpy), and
-``sjq_cost`` is that pricer applied, here and in
-:class:`~repro.costs.calibrated.CalibratedCostModel`.
+``sjq_cost`` is that pricer applied.
+
+The charges are declared (:meth:`ChargeCostModel.for_federation` reads
+each source's configured link: the oracle setting) or fitted by query
+sampling (:class:`~repro.costs.calibrated.CalibratedCostModel`, the
+subclass whose constructor turns fitted parameters into link profiles);
+either way this one class prices them.
 
 Because estimation uses the very same formulas as execution accounting,
 any estimated-vs-actual gap observed in the E1 benchmark is attributable
@@ -33,7 +38,7 @@ from __future__ import annotations
 
 import math
 from itertools import repeat
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 from repro.costs.estimates import SizeEstimator
 from repro.costs.model import INFINITE_COST, CostModel
@@ -43,10 +48,6 @@ from repro.sources.capabilities import SemijoinSupport, SourceCapabilities
 from repro.sources.network import LinkProfile
 from repro.sources.registry import Federation
 
-if TYPE_CHECKING:
-    from repro.sources.sampling import FittedLinkParameters
-
-
 #: A price table built by numpy costs ≈ 20–30 µs more per call than one
 #: built by walking the pricers and ≈ 0.25 µs less per cell, so a table
 #: smaller than this is lists.  Measured crossover 64–128 cells; Fig. 1's
@@ -55,7 +56,7 @@ _NUMPY_MIN_CELLS = 128
 
 
 def _resolve_semijoin(
-    charges: LinkProfile | FittedLinkParameters, capabilities: SourceCapabilities
+    charges: LinkProfile, capabilities: SourceCapabilities
 ) -> tuple[float, float, int | None] | None:
     """``(overhead per request, charge per binding, batch)`` of a
     source's semijoin, or ``None`` when it is unsupported.  An emulated
@@ -84,7 +85,7 @@ def _semijoin_charge(requests, overhead, per_binding, fraction, receive, input_s
 
 
 def charge_sjq_pricer(
-    charges: LinkProfile | FittedLinkParameters,
+    charges: LinkProfile,
     capabilities: SourceCapabilities,
     estimator: SizeEstimator,
     condition: Condition,
@@ -92,10 +93,9 @@ def charge_sjq_pricer(
 ) -> Callable[[float], float]:
     """The charge-shaped semijoin price as a function of ``|X|`` alone.
 
-    Tier, charges (declared or fitted: the three attributes are named
-    alike), batch and match fraction are resolved here; every returned
-    function checks the size first, then answers ``inf`` for an
-    unsupported source and ``0.0`` for an empty binding set.
+    Tier, charges, batch and match fraction are resolved here; every
+    returned function checks the size first, then answers ``inf`` for
+    an unsupported source and ``0.0`` for an empty binding set.
     """
     require_size = CostModel._require_size
     resolved = _resolve_semijoin(charges, capabilities)
@@ -124,7 +124,7 @@ def charge_sjq_pricer(
 
 
 def charge_sjq_price_table(
-    charges: Sequence[LinkProfile | FittedLinkParameters],
+    charges: Sequence[LinkProfile],
     capabilities: Sequence[SourceCapabilities],
     estimator: SizeEstimator,
     condition: Condition,

@@ -95,13 +95,10 @@ def estimate_one_phase_cost(mediator: Mediator, query: FusionQuery) -> float:
 
 
 def estimate_two_phase_cost(mediator: Mediator, query: FusionQuery) -> float:
-    """Expected cost: the optimizer's phase-1 plan + the record fetch."""
-    plan_result = mediator.optimizer.optimize(
-        query,
-        mediator.federation.source_names,
-        mediator.cost_model,
-        mediator.estimator,
-    )
+    """Expected cost: the phase-1 plan :meth:`Mediator.answer` runs (over
+    one source per replica group, from the plan cache when there is
+    one) + the record fetch."""
+    plan_result = mediator.plan(query)
     answer_size = mediator.estimator.answer_size(query.conditions)
     fetch = 0.0
     for source in mediator.federation:

@@ -663,14 +663,10 @@ class Mediator:
             result.plan, self.cost_model, self.estimator
         )
         labels = result.plan.condition_labels()
-        if result.subsets_considered and not result.plans_considered:
-            searched = f"{result.subsets_considered} subsets considered"
-        else:
-            searched = f"{result.plans_considered} plans considered"
         lines = [
             query.describe(),
             f"optimizer: {result.optimizer} "
-            f"({searched}, {result.search_strategy} search)",
+            f"({result.searched}, {result.search_strategy} search)",
         ]
         for step in breakdown.steps:
             lines.append(

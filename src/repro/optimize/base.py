@@ -58,18 +58,22 @@ class OptimizationResult:
     subsets_considered: int = 0
     budget_exhausted: bool = False
 
-    def summary(self) -> str:
+    @property
+    def searched(self) -> str:
+        """``"N subsets considered"`` after a subset-based search,
+        ``"N plans considered"`` otherwise."""
         if self.subsets_considered and not self.plans_considered:
-            searched = f"{self.subsets_considered} subsets considered"
-        else:
-            searched = f"{self.plans_considered} plans considered"
+            return f"{self.subsets_considered} subsets considered"
+        return f"{self.plans_considered} plans considered"
+
+    def summary(self) -> str:
         strategy = self.search_strategy
         if self.budget_exhausted:
             strategy += ", budget exhausted"
         return (
             f"{self.optimizer}: cost {self.estimated_cost:.1f}, "
             f"{self.plan.remote_op_count} source queries, "
-            f"{searched} ({strategy}) "
+            f"{self.searched} ({strategy}) "
             f"in {self.elapsed_s * 1e3:.2f} ms"
         )
 

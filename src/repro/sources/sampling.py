@@ -13,8 +13,11 @@ simulated sources:
    receive·items_received`` per source (non-negative clamped).
 
 The fitted parameters feed
-:class:`~repro.costs.calibrated.CalibratedCostModel`, closing the loop:
-an optimizer using *learned* costs instead of oracle ones.
+:class:`~repro.costs.calibrated.CalibratedCostModel` — the charge model
+with each source's fitted charges in place of its declared link profile
+— closing the loop: an optimizer using *learned* costs instead of oracle
+ones.  The clamp keeps every fitted charge finite and non-negative, as a
+:class:`~repro.sources.network.LinkProfile` requires.
 """
 
 from __future__ import annotations

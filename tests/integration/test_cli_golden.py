@@ -24,6 +24,8 @@ exactly these changes, and by nothing else:
 ``workload-*.out`` pin the deterministic ``workload`` report: the
 serving summary, the per-phase critical-path table, the top
 contributors and the SLO grades, all on the virtual clock.
+``*-explain.out`` pin ``explain``: the plan with its estimated
+per-step costs, which prices no mirror, so the 2x spec reads as Fig. 1.
 """
 
 from __future__ import annotations
@@ -114,6 +116,12 @@ def test_adaptive_is_unchanged(capsys, specs, spec):
 
 def test_adaptive_stages_query_no_mirror():
     assert golden("rep2-adaptive") == golden("fig1-adaptive")
+
+
+@pytest.mark.parametrize("spec", ["fig1", "rep2"])
+def test_explain_is_unchanged(capsys, specs, spec):
+    out = stdout(capsys, ["explain", specs[spec], SQL])
+    assert out == golden(f"{spec}-explain")
 
 
 @pytest.mark.parametrize("name", QUERIES)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.mediator.phases import (
@@ -12,11 +14,14 @@ from repro.mediator.phases import (
 )
 from repro.mediator.reference import reference_answer
 from repro.mediator.session import Mediator
+from repro.optimize.planning import Planning
+from repro.optimize.sja_plus import SJAPlusOptimizer
 from repro.sources.generators import (
     DMV_FIG1_ANSWER,
     SyntheticConfig,
     build_synthetic,
     dmv_fig1,
+    replicate_federation,
     synthetic_query,
 )
 
@@ -118,3 +123,26 @@ class TestAutoChoice:
         assert result.actual_cost == pytest.approx(
             federation.total_traffic_cost()
         )
+
+
+class _FreePhaseOne(SJAPlusOptimizer):
+    """SJA+'s plan, priced at zero: a two-phase estimate over it is the
+    record fetch alone."""
+
+    def optimize(self, query, source_names, cost_model, estimator):
+        result = super().optimize(query, source_names, cost_model, estimator)
+        return replace(result, estimated_cost=0.0)
+
+
+def test_two_phase_estimate_prices_the_plan_answer_runs():
+    # ``answer`` plans over one source per replica group; pricing phase 1
+    # over every mirror would price a plan that never runs.
+    federation, query = dmv_fig1()
+    replicated = replicate_federation(federation, 2)
+    mediator = Mediator(replicated)
+    fetch = estimate_two_phase_cost(
+        Mediator(replicated, planning=Planning(optimizer=_FreePhaseOne())), query
+    )
+    # The subtraction rounds; the mirrors' plan would cost 96, not 48.
+    phase_one = estimate_two_phase_cost(mediator, query) - fetch
+    assert phase_one == pytest.approx(mediator.plan(query).estimated_cost, rel=1e-12)

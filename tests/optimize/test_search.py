@@ -269,12 +269,16 @@ def test_the_stage_rule_is_written_in_one_place():
 
 def test_the_charge_formula_is_written_in_one_place():
     # ChargeCostModel and CalibratedCostModel differ in where the three
-    # charges come from, not in what is done with them: the semijoin
-    # formula is ``costs.charge.charge_sjq_pricer`` (batched:
-    # ``charge_sjq_price_table``) and each model's ``sjq_cost`` is that
-    # pricer applied — no arithmetic of its own.
-    root = pathlib.Path(repro.__file__).parent
-    assert "per_item_send" not in (root / "costs/calibrated.py").read_text()
+    # charges come from, not in what is done with them: the calibrated
+    # model is the charge model over fitted charges, defining no cost
+    # method of its own; the semijoin formula is
+    # ``costs.charge.charge_sjq_pricer`` (batched:
+    # ``charge_sjq_price_table``) and ``sjq_cost`` is that pricer
+    # applied — no arithmetic of its own.
+    assert issubclass(CalibratedCostModel, ChargeCostModel)
+    assert not {
+        "sq_cost", "sjq_cost", "sjq_pricer", "sjq_price_table", "lq_cost"
+    } & set(vars(CalibratedCostModel))
     for model in (ChargeCostModel, CalibratedCostModel):
         applied = inspect.getsource(model.sjq_cost)
         assert "self.sjq_pricer(" in applied, model.__name__
