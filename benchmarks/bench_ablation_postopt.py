@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.harness import make_kit
+from repro.optimize.postopt import apply_difference_pruning, apply_source_loading
 from repro.optimize.sja import SJAOptimizer
-from repro.optimize.sja_plus import SJAPlusOptimizer
 from repro.runtime.engine import RuntimeEngine
 from repro.sources.generators import SyntheticConfig
 
@@ -25,30 +25,32 @@ def tiny_sources_kit():
     return make_kit(config, m=4)
 
 
-@pytest.mark.parametrize(
-    "variant_kwargs",
-    [
-        {"prune_difference": False, "load_sources": False},
-        {"prune_difference": True, "load_sources": False},
-        {"prune_difference": False, "load_sources": True},
-        {"prune_difference": True, "load_sources": True},
-    ],
-    ids=["none", "diff-only", "load-only", "both"],
-)
-def test_sja_plus_variants_execute(benchmark, tiny_sources_kit, variant_kwargs):
+#: The four SJA+ variants of C6, each as the passes applied to SJA's plan.
+VARIANTS = {
+    "none": lambda plan, kit: plan,
+    "diff-only": lambda plan, kit: apply_difference_pruning(plan),
+    "load-only": lambda plan, kit: apply_source_loading(
+        plan, kit.cost_model, kit.estimator
+    ),
+    "both": lambda plan, kit: apply_source_loading(
+        apply_difference_pruning(plan), kit.cost_model, kit.estimator
+    ),
+}
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_sja_plus_variants_execute(benchmark, tiny_sources_kit, variant):
     kit = tiny_sources_kit
-    plan = SJAPlusOptimizer(**variant_kwargs).optimize(
+    base_plan = SJAOptimizer().optimize(
         kit.query, kit.source_names, kit.cost_model, kit.estimator
     ).plan
+    plan = VARIANTS[variant](base_plan, kit)
     engine = RuntimeEngine(kit.federation)
 
     def run():
         kit.federation.reset_traffic()
         return engine.run(plan).total_cost
 
-    base_plan = SJAOptimizer().optimize(
-        kit.query, kit.source_names, kit.cost_model, kit.estimator
-    ).plan
     kit.federation.reset_traffic()
     base_cost = engine.run(base_plan).total_cost
     assert benchmark(run) <= base_cost + 1e-6

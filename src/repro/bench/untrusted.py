@@ -33,7 +33,6 @@ from repro.runtime import (
     DataFaultProfile,
     FaultInjector,
     FaultProfile,
-    QuarantineConfig,
     Resilience,
 )
 from repro.sources.generators import dmv_fig1, replicate_federation
@@ -62,7 +61,7 @@ def _mediator(
         planning=Planning(optimizer="filter"),
         faults=FaultInjector(_mirror_profiles(), seed=seed),
         resilience=Resilience(
-            quarantine=QuarantineConfig.default() if verify != "off" else None,
+            quarantine=verify != "off",
             load_balance=True,
             verify=verify,
         ),

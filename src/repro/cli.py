@@ -509,7 +509,7 @@ def _refuse_ignored_flags(args) -> None:
 
 def _mediator(args, federation, recorder, statistics) -> Mediator:
     """The one engine-backed mediator the ``query`` flags describe."""
-    from repro.runtime import BreakerConfig, QuarantineConfig, Resilience, RetryPolicy
+    from repro.runtime import BreakerConfig, Resilience, RetryPolicy
 
     resilience = Resilience(
         policy=RetryPolicy(max_retries=args.retries),
@@ -519,7 +519,7 @@ def _mediator(args, federation, recorder, statistics) -> Mediator:
             "default": BreakerConfig.default(),
             "aggressive": BreakerConfig.aggressive(),
         }[args.breaker],
-        quarantine=QuarantineConfig.default() if args.quarantine else None,
+        quarantine=args.quarantine,
         load_balance=args.load_balance,
         verify=args.verify,
     )
@@ -755,7 +755,7 @@ def _parse_churn(text: str):
 
 
 def _command_workload(args) -> int:
-    from repro.runtime import BreakerConfig, QuarantineConfig, Resilience
+    from repro.runtime import BreakerConfig, Resilience
     from repro.serve import (
         MediatorService,
         WorkloadSpec,
@@ -779,7 +779,7 @@ def _command_workload(args) -> int:
         faults=_faults(args),
         resilience=Resilience(
             breaker=BreakerConfig.default() if args.breaker else None,
-            quarantine=QuarantineConfig.default() if args.quarantine else None,
+            quarantine=args.quarantine,
             verify=args.verify,
         ),
         shed_policy=args.shed_policy,

@@ -28,6 +28,11 @@ slightly by construction: two-phase fetches **all** rows of matched
 entities, one-phase returns the rows that **qualified** under some
 condition (a superset per condition, a subset per entity).  The
 ``items`` field is the ground truth either way.
+
+"Every source" means one source per replica group
+(:attr:`~repro.sources.registry.Federation.representative_names`), as
+the fusion plan itself is planned: a mirror holds its representative's
+rows, so reading it too would double every record and its cost.
 """
 
 from __future__ import annotations
@@ -36,10 +41,13 @@ import enum
 from dataclasses import dataclass
 from typing import Any
 
+from repro.costs.estimates import SizeEstimator
 from repro.mediator.session import Mediator
 from repro.query.fusion import FusionQuery
 from repro.relational.algebra import intersect_many
 from repro.relational.relation import Relation
+from repro.sources.registry import Federation
+from repro.sources.remote import RemoteSource
 
 
 class PhaseStrategy(enum.Enum):
@@ -70,6 +78,11 @@ class RecordAnswer:
         )
 
 
+def _representatives(federation: Federation) -> list[RemoteSource]:
+    """One source per replica group, in federation order."""
+    return [federation.source(name) for name in federation.representative_names]
+
+
 def _rows_per_item(mediator: Mediator, source_name: str) -> float:
     statistics = mediator.statistics
     distinct = statistics.distinct_items(source_name)
@@ -81,7 +94,7 @@ def _rows_per_item(mediator: Mediator, source_name: str) -> float:
 def estimate_one_phase_cost(mediator: Mediator, query: FusionQuery) -> float:
     """Expected cost of row-returning selections for every (c_i, R_j)."""
     total = 0.0
-    for source in mediator.federation:
+    for source in _representatives(mediator.federation):
         link = source.link
         ratio = _rows_per_item(mediator, source.name)
         for condition in query.conditions:
@@ -99,9 +112,14 @@ def estimate_two_phase_cost(mediator: Mediator, query: FusionQuery) -> float:
     one source per replica group, from the plan cache when there is
     one) + the record fetch."""
     plan_result = mediator.plan(query)
-    answer_size = mediator.estimator.answer_size(query.conditions)
+    federation = mediator.federation
+    # A mirror is no independent witness of an item: the answer size is
+    # estimated over the representatives the fetch reads.
+    answer_size = SizeEstimator(
+        mediator.statistics, federation.representative_names
+    ).answer_size(query.conditions)
     fetch = 0.0
-    for source in mediator.federation:
+    for source in _representatives(federation):
         link = source.link
         expected_rows = (
             answer_size
@@ -136,7 +154,7 @@ def _run_one_phase(mediator: Mediator, query: FusionQuery) -> tuple[
     merge_position = federation.schema.merge_position
     for condition in query.conditions:
         satisfied: set[Any] = set()
-        for source in federation:
+        for source in _representatives(federation):
             rows = source.selection_rows(condition)
             all_rows.append(rows)
             satisfied.update(row[merge_position] for row in rows)

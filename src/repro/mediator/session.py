@@ -777,7 +777,9 @@ class Mediator:
     # Second phase (Sec. 1)
 
     def fetch_records(self, items: ItemSet | frozenset[Any]) -> Relation:
-        """Fetch the full rows of the matched items from every source.
+        """Fetch the full rows of the matched items from one source per
+        replica group, as :meth:`_optimize` plans (a mirror holds the
+        same rows as its representative).
 
         This is the "second phase" of the two-phase approach: the fusion
         query identified the entities; now their complete records are
@@ -786,7 +788,9 @@ class Mediator:
         ``execution.item_set``: each source then slices its rows by one
         flag gather over the bitmap.
         """
+        federation = self.federation
         parts = [
-            source.fetch_rows(items) for source in self.federation
+            federation.source(name).fetch_rows(items)
+            for name in federation.representative_names
         ]
         return Relation.union_all("matched_records", parts)

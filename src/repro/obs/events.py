@@ -122,10 +122,10 @@ EVENT_SCHEMA: dict[str, dict[str, str]] = {
         "conflicts": "int",  # values outvoted in a cross-replica vote
         "score": "float",  # the source's quality score after this answer
     },
-    # A source entered or left data-quality quarantine.
+    # A source entered data-quality quarantine.
     "quarantine": {
         "source": "str",
-        "action": "str",  # "enter" | "exit"
+        "action": "str",  # "enter" (quarantine is sticky)
         "score": "float",  # quality score at the transition
         "answers": "int",  # verified answers the score is based on
     },

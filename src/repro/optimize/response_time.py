@@ -24,12 +24,12 @@ the response-time winner often differ (benchmark R1).
 
 Makespan is *not* stage-additive (selections pipeline past stage
 boundaries in :mod:`repro.mediator.schedule`), so the subset strategies
-of :mod:`repro.optimize.search` cannot score it exactly.  For m past
-the factorial budget they search an additive *stage-frontier surrogate*
-— each stage costs the maximum per-source time it adds — and the
-surviving ordering(s) are re-scored by the true schedule.  The
-``exhaustive`` strategy (the ``auto`` default at small m) keeps exact
-true-schedule scoring for every ordering, as before.
+of :mod:`repro.optimize.search` cannot score it exactly.  The search is
+always ``auto``: up to the factorial budget every ordering is scored by
+the true schedule; past it the subset DP (or, past that, the default
+beam) searches an additive *stage-frontier surrogate* — each stage
+costs the maximum per-source time it adds — and the surviving
+ordering(s) are re-scored by the true schedule.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from repro.costs.model import CostModel
 from repro.mediator.schedule import Schedule, estimated_response_time
 from repro.optimize.base import OptimizationResult, Optimizer, _Stopwatch
 from repro.optimize.search import (
-    DEFAULT_BEAM_WIDTH,
     SearchOutcome,
     StagedEstimatorProblem,
     StageOutcome,
@@ -164,15 +163,8 @@ class ResponseTimeSJAOptimizer(Optimizer):
 
     name = "SJA-RT"
 
-    def __init__(
-        self,
-        federation: Federation,
-        search: str = "auto",
-        beam_width: int = DEFAULT_BEAM_WIDTH,
-    ):
+    def __init__(self, federation: Federation):
         self.federation = federation
-        self.search = search
-        self.beam_width = beam_width
         #: Makespan of the winning plan (seconds); set by optimize().
         self.last_schedule: Schedule | None = None
 
@@ -185,7 +177,7 @@ class ResponseTimeSJAOptimizer(Optimizer):
     ) -> OptimizationResult:
         self._check_inputs(query, source_names)
         m = query.arity
-        resolved = resolve_strategy(self.search, m)
+        resolved = resolve_strategy("auto", m)
         best_schedule: Schedule | None = None
         best_plan = None
         orderings = 0
@@ -209,7 +201,7 @@ class ResponseTimeSJAOptimizer(Optimizer):
                     for ordering in permutations(range(m))
                 )
             elif resolved == "beam":
-                candidates = beam_search(problem, m, self.beam_width)
+                candidates = beam_search(problem, m)
             else:
                 candidates = (search_ordering(problem, m, resolved),)
             for outcome in candidates:

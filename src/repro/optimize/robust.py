@@ -17,9 +17,9 @@ cheapest plan's cost a second time.
 The candidate set wraps the existing SJA/SJA+ enumeration rather than
 re-searching plan space:
 
-* the cost-optimal base plan (SJA+ by default) — listed first, so with
-  ``lambda = 0`` (or a perfect availability model) the stable argmin
-  reproduces the cost-only choice exactly, with zero cost overhead;
+* the cost-optimal SJA+ plan — listed first, so with ``lambda = 0``
+  (or a perfect availability model) the stable argmin reproduces the
+  cost-only choice exactly, with zero cost overhead;
 * the un-postoptimized SJA plan and the FILTER plan over the same
   sources — differently shaped fallbacks with the same source set;
 * when the federation declares replica groups and the executor has no
@@ -50,7 +50,6 @@ from repro.costs.model import CostModel
 from repro.errors import CostModelError
 from repro.optimize.base import OptimizationResult, Optimizer, _Stopwatch
 from repro.optimize.search import DEFAULT_BEAM_WIDTH, PlanningBudget
-from repro.optimize.sja import SJAOptimizer
 from repro.optimize.sja_plus import SJAPlusOptimizer
 from repro.plans.builder import build_filter_plan
 from repro.plans.cost import estimate_plan_cost
@@ -104,26 +103,19 @@ class RobustOptimizer(Optimizer):
         federation: Supplies replica groups for the completeness model
             and for the dual-path source expansion.
         availability: Per-source success probabilities (default:
-            perfect — the optimizer then degenerates to its base).
+            perfect — the optimizer then degenerates to SJA+).
         robustness: The ``lambda`` exchange rate (>= 0); 0 reproduces
-            the base optimizer's choice exactly.
-        base: Cost-only optimizer producing the primary candidate
-            (default :class:`SJAPlusOptimizer`).
+            the SJA+ choice exactly.
         failover: True when the executor can transparently serve
             planned operations from mirrors (hedging, breakers,
             re-planning); dual-path expansion is skipped because the
             redundancy already exists at execution time.
-        dual_path: Allow candidates that plan replica-group mirrors as
-            real work (only relevant without failover).
-        search: Plan-search strategy for the internal SJA sweeps and,
-            when ``base`` is not supplied, the default base optimizer.
+        search: Plan-search strategy of the SJA search under SJA+, which
+            also serves the un-postoptimized SJA candidates.
         beam_width: Beam width for ``search="beam"`` (ditto).
-        planning_budget: Anytime-search budget handed to the default
-            base optimizer.  The internal SJA sweeps share the base's
-            budget, exposed as ``self.planning_budget`` so the serving
-            tier can re-arm it per query; a supplied ``base`` carries
-            its own, so passing this with it raises
-            :class:`~repro.errors.CostModelError`.
+        planning_budget: Anytime-search budget of that search, exposed
+            as ``self.planning_budget`` so the serving tier can re-arm
+            it per query.
     """
 
     name = "robust"
@@ -133,9 +125,7 @@ class RobustOptimizer(Optimizer):
         federation: Federation,
         availability: AvailabilityModel | None = None,
         robustness: float = 1.0,
-        base: Optimizer | None = None,
         failover: bool = False,
-        dual_path: bool = True,
         search: str = "auto",
         beam_width: int = DEFAULT_BEAM_WIDTH,
         planning_budget: "PlanningBudget | None" = None,
@@ -144,28 +134,20 @@ class RobustOptimizer(Optimizer):
             raise CostModelError(
                 f"robustness must be finite and >= 0, got {robustness}"
             )
-        if base is not None and planning_budget is not None:
-            raise CostModelError(
-                "planning_budget cannot configure a supplied base "
-                "optimizer; configure the base itself"
-            )
         self.federation = federation
         self.availability = availability or AvailabilityModel.perfect()
         self.robustness = robustness
-        self.search = search
-        self.beam_width = beam_width
-        self.base = base or SJAPlusOptimizer(
+        self.failover = failover
+        self.base = SJAPlusOptimizer(
             search=search,
             beam_width=beam_width,
             planning_budget=planning_budget,
         )
-        self.failover = failover
-        self.dual_path = dual_path
 
     @property
     def planning_budget(self) -> "PlanningBudget | None":
-        """The base optimizer's anytime budget (None when unsupported)."""
-        return getattr(self.base, "planning_budget", None)
+        """The SJA search's anytime budget."""
+        return self.base.planning_budget
 
     # ------------------------------------------------------------------
 
@@ -223,11 +205,6 @@ class RobustOptimizer(Optimizer):
             query, source_names, cost_model, estimator
         )
         with _Stopwatch() as watch:
-            sja = SJAOptimizer(
-                search=self.search,
-                beam_width=self.beam_width,
-                planning_budget=self.planning_budget,
-            )
             # (label, plan, search stats) — the base candidate first, so
             # ties (lambda = 0, perfect availability) keep its plan.
             candidates: list[tuple[str, Plan, int, int, int]] = [
@@ -241,7 +218,7 @@ class RobustOptimizer(Optimizer):
             ]
 
             def add_shapes(names: Sequence[str], tag: str) -> None:
-                sja_result = sja.optimize(query, names, cost_model, estimator)
+                sja_result = self.base.sja.optimize(query, names, cost_model, estimator)
                 candidates.append(
                     (
                         f"SJA{tag}",
@@ -265,11 +242,7 @@ class RobustOptimizer(Optimizer):
 
             add_shapes(source_names, "")
             expanded = self._expanded_sources(source_names)
-            if (
-                self.dual_path
-                and not self.failover
-                and expanded != tuple(source_names)
-            ):
+            if not self.failover and expanded != tuple(source_names):
                 expanded_base = self.base.optimize(
                     query, expanded, cost_model, estimator
                 )

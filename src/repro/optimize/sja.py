@@ -20,8 +20,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.optimize.search import (
-    DEFAULT_BEAM_WIDTH,
-    PlanningBudget,
     SearchedOptimizer,
     StagedEstimatorProblem,
     StageOutcome,
@@ -107,16 +105,5 @@ class SJAOptimizer(SearchedOptimizer):
     name = "SJA"
     stage_rule = SJAStagedProblem
     description = "SJA optimal semijoin-adaptive plan"
-
-    def __init__(
-        self,
-        intersect_policy: IntersectPolicy = IntersectPolicy.ALWAYS,
-        search: str = "auto",
-        beam_width: int = DEFAULT_BEAM_WIDTH,
-        planning_budget: PlanningBudget | None = None,
-    ):
-        super().__init__(search, beam_width, planning_budget)
-        # Fig. 4 appends the stage-end intersection unconditionally; the
-        # policy is configurable because the intersection is free and
-        # some tests compare plan shapes against Fig. 2(c).
-        self.intersect_policy = intersect_policy
+    # Fig. 4 appends the stage-end intersection unconditionally.
+    intersect_policy = IntersectPolicy.ALWAYS

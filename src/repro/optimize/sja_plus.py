@@ -24,7 +24,6 @@ from typing import Sequence
 
 from repro.costs.estimates import SizeEstimator
 from repro.costs.model import CostModel
-from repro.errors import CostModelError
 from repro.optimize.base import OptimizationResult, Optimizer, _Stopwatch
 from repro.optimize.postopt import (
     apply_difference_pruning,
@@ -39,20 +38,15 @@ from repro.query.fusion import FusionQuery
 class SJAPlusOptimizer(Optimizer):
     """SJA plus difference pruning and source loading.
 
+    Both postoptimization passes always run; the C6 ablation applies
+    them one at a time through :mod:`repro.optimize.postopt`.
+
     Args:
-        base: The optimizer producing the staged plan to postoptimize
-            (defaults to :class:`~repro.optimize.sja.SJAOptimizer`; a
-            greedy variant can be substituted for large ``m``).
-        prune_difference: Apply the difference-pruning pass.
-        load_sources: Apply the source-loading pass.
-        search: Plan-search strategy handed to the default base
-            optimizer.  A supplied ``base`` is configured itself, so
-            passing this (or the next two) with it raises
-            :class:`~repro.errors.CostModelError`.
+        search: Plan-search strategy of the underlying SJA search.
         beam_width: Beam width for ``search="beam"``.
-        planning_budget: Anytime-search budget handed to the default
-            base optimizer; also exposed as ``self.planning_budget`` so
-            the serving tier can re-arm it per query.
+        planning_budget: Anytime-search budget of the SJA search; also
+            exposed as ``self.planning_budget`` so the serving tier can
+            re-arm it per query.
 
     Example:
         >>> from repro.sources.generators import dmv_fig1
@@ -72,36 +66,20 @@ class SJAPlusOptimizer(Optimizer):
 
     def __init__(
         self,
-        base: Optimizer | None = None,
-        prune_difference: bool = True,
-        load_sources: bool = True,
         search: str = "auto",
         beam_width: int = DEFAULT_BEAM_WIDTH,
         planning_budget: "PlanningBudget | None" = None,
     ):
-        if base is not None:
-            for setting, value, default in (
-                ("search", search, "auto"),
-                ("beam_width", beam_width, DEFAULT_BEAM_WIDTH),
-                ("planning_budget", planning_budget, None),
-            ):
-                if value != default:
-                    raise CostModelError(
-                        f"{setting} cannot configure a supplied base "
-                        "optimizer; configure the base itself"
-                    )
-        self.base = base or SJAOptimizer(
+        self.sja = SJAOptimizer(
             search=search,
             beam_width=beam_width,
             planning_budget=planning_budget,
         )
-        self.prune_difference = prune_difference
-        self.load_sources = load_sources
 
     @property
     def planning_budget(self) -> "PlanningBudget | None":
-        """The base optimizer's anytime budget (None when unsupported)."""
-        return getattr(self.base, "planning_budget", None)
+        """The SJA search's anytime budget."""
+        return self.sja.planning_budget
 
     def optimize(
         self,
@@ -111,26 +89,23 @@ class SJAPlusOptimizer(Optimizer):
         estimator: SizeEstimator,
     ) -> OptimizationResult:
         self._check_inputs(query, source_names)
-        base_result = self.base.optimize(
+        base_result = self.sja.optimize(
             query, source_names, cost_model, estimator
         )
         with _Stopwatch() as watch:
-            plan = base_result.plan
-            if self.prune_difference:
-                plan = apply_difference_pruning(plan)
+            plan = apply_difference_pruning(base_result.plan)
             breakdown = estimate_plan_cost(plan, cost_model, estimator)
-            if self.load_sources:
-                loaded = apply_source_loading(
-                    plan, cost_model, estimator, breakdown=breakdown
-                )
-                if loaded is not plan:  # rewritten: price what was built
-                    plan = loaded
-                    breakdown = estimate_plan_cost(plan, cost_model, estimator)
+            loaded = apply_source_loading(
+                plan, cost_model, estimator, breakdown=breakdown
+            )
+            if loaded is not plan:  # rewritten: price what was built
+                plan = loaded
+                breakdown = estimate_plan_cost(plan, cost_model, estimator)
             estimated = breakdown.total
         return OptimizationResult(
             plan=plan.with_description(
                 plan.description.replace(
-                    self.base.name + " ", ""
+                    self.sja.name + " ", ""
                 ) or "SJA+ postoptimized plan"
             ),
             estimated_cost=self._finite_or_raise(estimated, "the SJA+ plan"),

@@ -22,8 +22,8 @@ Faults are not only wire-level: the injector can also tamper with the
 duplicates, corrupt values — :class:`~repro.runtime.faults.DataFaultProfile`),
 and the answer-verification layer (:mod:`~repro.runtime.verify`)
 validates, sanitizes, and cross-replica-votes those answers, feeding a
-per-source quality score that can quarantine a lying source
-(:class:`~repro.runtime.health.QuarantineConfig`).  One
+per-source quality score that can quarantine a lying source for good
+(``Resilience(quarantine=True)``).  One
 :class:`~repro.runtime.faults.Faults` value declares a whole fault
 setup — wire profiles, data faults, a churn wave — and
 :meth:`~repro.runtime.faults.Faults.injector` realises it with a seed.
@@ -54,7 +54,6 @@ from repro.runtime.health import (
     CircuitBreaker,
     DataQuality,
     HealthRegistry,
-    QuarantineConfig,
     SourceHealth,
 )
 from repro.runtime.policy import (
@@ -89,7 +88,6 @@ __all__ = [
     "VoteResult",
     "VERIFY_MODES",
     "validate_mode",
-    "QuarantineConfig",
     "DataQuality",
     "RetryPolicy",
     "OnExhaust",

@@ -50,7 +50,7 @@ Approximations, stated once: condition/source independence throughout
 (the paper's working assumption); loads that serve several conditions
 are treated per condition (the cross-condition correlation of one load
 failing is ignored); slowdowns are assumed to finish within the attempt
-timeout; hard-outage windows are time-dependent and not modelled.
+timeout.
 """
 
 from __future__ import annotations
@@ -189,7 +189,7 @@ class AvailabilityModel:
         policy's per-attempt timeout would cut it off before the hang
         clears (no timeout means the attempt eventually succeeds,
         just slowly).  Slowdowns return correct answers and are assumed
-        to fit the timeout; outage windows are not modelled.
+        to fit the timeout.
         """
         p = 1.0 - profile.transient_rate
         timeout = policy.timeout_s if policy is not None else None

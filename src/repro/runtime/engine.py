@@ -15,7 +15,7 @@ Both obey the same parallel execution model:
 
 On top of that model the engine layers what static analysis cannot see:
 per-attempt fault injection (:mod:`repro.runtime.faults`), retries with
-exponential backoff and deadlines (:mod:`repro.runtime.policy`), and
+exponential backoff (:mod:`repro.runtime.policy`), and
 one record per wire attempt, operation, send-set, retry, hedge and
 tainted answer, whose fold (:mod:`repro.runtime.trace`) is the trace.
 Failed attempts are charged in full on the simulated wire — retries buy
@@ -39,9 +39,9 @@ zero-config engine behaves exactly as before):
   substitute whose rows contain the original's can never introduce
   spurious answers — substitution trades nothing for completeness.
   **One wait rule** covers every refusal (open or half-open breaker,
-  quarantine): a parked task wakes when its breaker reopens or its
-  quarantine lifts, if that time is finite, or at the next completion
-  in its own run.  Once the event heap runs dry with tasks still
+  quarantine): a parked task wakes when its breaker reopens, or at the
+  next completion in its own run.  Quarantine is sticky, so it never
+  lifts on its own.  Once the event heap runs dry with tasks still
   parked, each is given up exactly as if its retry budget were spent,
   so a run never hangs on a refusal.
 * **Replica load balancing** (``load_balance``) — plans typically put
@@ -113,12 +113,7 @@ from repro.plans.plan import Plan, PlanStep
 from repro.relational.items import EMPTY_ITEMS
 from repro.relational.relation import Relation
 from repro.runtime.faults import AttemptFate, AttemptOutcome, FaultInjector
-from repro.runtime.health import (
-    BreakerConfig,
-    BreakerState,
-    HealthRegistry,
-    QuarantineConfig,
-)
+from repro.runtime.health import BreakerConfig, BreakerState, HealthRegistry
 from repro.runtime.policy import OnExhaust, RetryPolicy
 from repro.runtime.trace import OpStatus, RuntimeTrace
 from repro.runtime.verify import AnswerReport, AnswerVerifier, validate_mode
@@ -140,7 +135,7 @@ class Resilience:
     settings, and stay constructor arguments.
 
     Attributes:
-        policy: Retry/backoff/deadline policy (default:
+        policy: Retry/backoff policy (default:
             :meth:`RetryPolicy.default`).
         hedge_delay_s: Hedged-dispatch delay in virtual seconds, see
             the module docstring (``None``: no hedging).
@@ -148,7 +143,8 @@ class Resilience:
             breakers (health is still tracked).
         quarantine: Data-quality quarantine: sources whose verified
             answers keep failing checks are refused like an open
-            breaker, on *quality* rather than errors (``None``: off).
+            breaker, on *quality* rather than errors, for the rest of
+            the registry's life (``False``: off).
         load_balance: Replica load balancing (off by default — the
             zero-config engine matches the static scheduler exactly).
         verify: Answer-verification mode of :mod:`repro.runtime.verify`:
@@ -163,7 +159,7 @@ class Resilience:
     policy: RetryPolicy = RetryPolicy()
     hedge_delay_s: float | None = None
     breaker: BreakerConfig | None = None
-    quarantine: QuarantineConfig | None = None
+    quarantine: bool = False
     load_balance: bool = False
     verify: str = "off"
 
@@ -179,7 +175,7 @@ class Resilience:
         for name, kind, wanted in (
             ("policy", RetryPolicy, "a RetryPolicy"),
             ("breaker", BreakerConfig | None, "a BreakerConfig or None"),
-            ("quarantine", QuarantineConfig | None, "a QuarantineConfig or None"),
+            ("quarantine", bool, "a bool"),
         ):
             value = getattr(self, name)
             if not isinstance(value, kind):
@@ -635,21 +631,17 @@ class _Execution:
         """Park a dispatch refused with no substitute free: the one wait rule.
 
         The slot's refusal may next change when its open breaker
-        reopens, if that is still ahead, and otherwise when its
-        quarantine lifts; when that time is finite a wake goes on the
-        heap there.  Any completion in the run also wakes every parked
-        task (a half-open breaker's probe may have finished, a
-        substitute may be free).  A task nothing can wake — a sticky
-        quarantine, or a probe held by another run sharing the registry
-        — is given up by :meth:`run` once the heap is empty.
+        reopens, if that is still ahead; a wake goes on the heap there.
+        Any completion in the run also wakes every parked task (a
+        half-open breaker's probe may have finished, a substitute may be
+        free).  A task nothing can wake — a quarantined slot, or a probe
+        held by another run sharing the registry — is given up by
+        :meth:`run` once the heap is empty.
         """
         self.blocked.append(task)
         wake_at = self.health.reopens_at(task.slot_source)
-        if wake_at is None or wake_at <= now:
-            # No breaker reopening ahead: only a quarantine can refuse.
-            wake_at = self.health.quarantine_lifts_at(task.slot_source)
-        if wake_at is not None and math.isfinite(wake_at):
-            self._push(max(wake_at, now), "dispatch", (task,))
+        if wake_at is not None and wake_at > now:
+            self._push(wake_at, "dispatch", (task,))
 
     def _wake(self, now: float, task: _Task) -> None:
         """Unpark ``task`` and retry its dispatch, unless it no longer needs one.
@@ -737,7 +729,7 @@ class _Execution:
         mark = len(source.traffic.records)
         value = task.op.call(source, self._fetch_for(task))
         base, traffic = _traffic_of(source.traffic.records[mark:])
-        outcome = self.faults.judge(source.name, now, base, source.link)
+        outcome = self.faults.judge(source.name, base, source.link)
         timeout = self.policy.timeout_s
         if timeout is not None and outcome.duration_s > timeout:
             outcome = AttemptOutcome(AttemptFate.TIMEOUT, timeout)
@@ -1071,12 +1063,7 @@ class _Execution:
             self._hedge(task, task.slot_source, now, "failure")
         retries_used = task.primary_attempts - 1
         remaining = None if self.budget_s is None else self.budget_s - now
-        wait = self.policy.clamped_backoff_s(
-            retries_used + 1,
-            remaining,
-            key=task.op.target,
-            seed=self.faults.seed,
-        )
+        wait = self.policy.clamped_backoff_s(retries_used + 1, remaining)
         if wait is None:
             # The backoff sleep alone would cross the query deadline:
             # degrade now instead of sleeping into the expiry.
@@ -1086,8 +1073,7 @@ class _Execution:
             self._give_up(task, now, OpStatus.DEADLINE)
             return
         retry_at = now + wait
-        assert task.first_start_s is not None
-        if self.policy.may_retry(retries_used, task.first_start_s, retry_at):
+        if self.policy.may_retry(retries_used):
             task.retry_pending = True
             ts, round_no = self._stamp(now)
             self._record(

@@ -2,7 +2,7 @@
 
 The network simulator (:mod:`repro.sources.network`) computes how long a
 healthy exchange takes; this module decides what *actually* happens to
-each attempt on the simulated wire.  Four failure modes, configurable
+each attempt on the simulated wire.  Three failure modes, configurable
 per source through a :class:`FaultProfile`:
 
 * **transient errors** — the request dies quickly (connection reset);
@@ -12,9 +12,7 @@ per source through a :class:`FaultProfile`:
   :class:`~repro.runtime.policy.RetryPolicy` this is the classic
   "request timed out" failure;
 * **slowdowns** — the source is up but degraded; the attempt completes
-  correctly, ``slowdown_factor`` times slower;
-* **hard outages** — absolute windows of virtual time during which every
-  request to the source fails fast (connection refused).
+  correctly, ``slowdown_factor`` times slower.
 
 On top of the wire-level fates, a :class:`DataFaultProfile` describes
 *payload-level* faults: answers that arrive on time but are wrong.
@@ -55,7 +53,6 @@ class AttemptFate(enum.Enum):
     OK = "ok"
     TRANSIENT = "transient"
     TIMEOUT = "timeout"
-    OUTAGE = "outage"
     #: A hedged duplicate whose sibling won the race; the attempt was
     #: abandoned (but its traffic was already on the wire and charged).
     CANCELLED = "cancelled"
@@ -212,8 +209,6 @@ class FaultProfile:
         slowdown_rate: Per-attempt probability of a degraded-but-correct
             response.
         slowdown_factor: Duration multiplier for slowed attempts.
-        outages: ``(start_s, end_s)`` windows of virtual time during
-            which every attempt fails fast.
         data: Optional payload-fault behaviour — answers that arrive
             but are truncated, stale, duplicated, or corrupt.
     """
@@ -223,7 +218,6 @@ class FaultProfile:
     stall_s: float = 30.0
     slowdown_rate: float = 0.0
     slowdown_factor: float = 4.0
-    outages: tuple[tuple[float, float], ...] = ()
     data: DataFaultProfile | None = None
 
     def __post_init__(self) -> None:
@@ -239,10 +233,6 @@ class FaultProfile:
             raise CostModelError(
                 f"slowdown_factor must be >= 1, got {self.slowdown_factor}"
             )
-        for window in self.outages:
-            start, end = window
-            if not (math.isfinite(start) and math.isfinite(end) and 0 <= start < end):
-                raise CostModelError(f"invalid outage window {window!r}")
 
     @property
     def wire_healthy(self) -> bool:
@@ -251,7 +241,6 @@ class FaultProfile:
             self.transient_rate == 0.0
             and self.stall_rate == 0.0
             and self.slowdown_rate == 0.0
-            and not self.outages
         )
 
     @property
@@ -260,10 +249,6 @@ class FaultProfile:
         return self.wire_healthy and (
             self.data is None or self.data.healthy
         )
-
-    def in_outage(self, now_s: float) -> bool:
-        """Whether ``now_s`` falls inside a hard-outage window."""
-        return any(start <= now_s < end for start, end in self.outages)
 
     @staticmethod
     def none() -> "FaultProfile":
@@ -409,7 +394,7 @@ class FaultInjector:
         # so they have no bucket here.
         self.injected: dict[str, int] = {
             kind: 0
-            for kind in ("transient", "outage", "stall", "slowdown")
+            for kind in ("transient", "stall", "slowdown")
         }
         self.injected.update({fate.value: 0 for fate in DataFate})
 
@@ -431,26 +416,19 @@ class FaultInjector:
         return stream
 
     def judge(
-        self,
-        source_name: str,
-        now_s: float,
-        base_duration_s: float,
-        link: LinkProfile,
+        self, source_name: str, base_duration_s: float, link: LinkProfile
     ) -> AttemptOutcome:
         """Decide one attempt's fate.
 
         ``base_duration_s`` is the healthy duration of the exchange (from
         the network simulator); the outcome's duration replaces it.  A
         failed attempt still takes simulated time: transient errors
-        surface after one round trip, outages fail after one latency.
+        surface after one round trip.
         """
         self.attempts += 1
         profile = self.profile_for(source_name)
         if profile.wire_healthy:
             return AttemptOutcome(AttemptFate.OK, base_duration_s)
-        if profile.in_outage(now_s):
-            self.injected["outage"] += 1
-            return AttemptOutcome(AttemptFate.OUTAGE, link.latency_s)
         stream = self._stream(source_name)
         # Fixed draw order keeps streams aligned across configurations.
         u_transient = stream.random()

@@ -10,18 +10,20 @@ classic remedy is a *circuit breaker* per source.  A
   rolling failure rate crossed the threshold with enough volume).  New
   dispatches are refused, so the engine reroutes them to healthy
   replicas instead of burning the retry budget.
-* **HALF_OPEN** — the cooldown elapsed; a bounded number of probe
-  attempts are let through.  A probe success closes the breaker, a
-  probe failure re-opens it for another cooldown.
+* **HALF_OPEN** — the cooldown elapsed; one probe attempt is let
+  through.  A probe success closes the breaker, a probe failure
+  re-opens it for another cooldown.
 
 Breakers only see *wire* failures — a source that answers promptly with
 stale or corrupt data looks perfectly healthy to them.  The registry
 therefore also keeps a per-source **data-quality score** fed by the
 answer verifier (:mod:`repro.runtime.verify`): the shrunk fraction of
-recent answers that arrived clean.  When the score drops below a
-:class:`QuarantineConfig` threshold the source enters a fourth state,
+its verified answers that arrived clean.  With quarantine on, once a source
+has served :data:`QUARANTINE_MIN_VOLUME` verified answers and its score
+drops below :data:`QUARANTINE_THRESHOLD`, it enters a fourth state,
 **QUARANTINED** — every dispatch is refused (like OPEN, but tripped on
-quality, not errors) until an optional cooldown elapses.
+quality, not errors) for the rest of the registry's life: quarantine is
+sticky.
 
 Everything is driven by the engine's virtual clock and the seeded fault
 streams — no wall-clock, no hidden randomness — so runs with breakers
@@ -39,6 +41,12 @@ from dataclasses import dataclass
 from repro.errors import CostModelError
 
 
+#: Recent attempts kept per source for the rolling failure rate.
+HEALTH_WINDOW = 20
+#: Attempts in the window before the breaker's rate rule may trip.
+BREAKER_MIN_VOLUME = 5
+
+
 @dataclass(frozen=True)
 class BreakerConfig:
     """Tuning knobs of one circuit breaker.
@@ -46,29 +54,21 @@ class BreakerConfig:
     Attributes:
         failure_threshold: Consecutive failures that trip the breaker.
         failure_rate_to_open: Rolling failure rate that trips it (once
-            ``min_volume`` attempts are in the window).
-        window: Number of recent attempts kept per source.
-        min_volume: Attempts required before the rate rule may trip.
+            :data:`BREAKER_MIN_VOLUME` attempts are in the window).
         cooldown_s: Virtual time an open breaker waits before allowing
-            half-open probes.
-        half_open_probes: Concurrent probe attempts allowed while
-            half-open.
+            its one half-open probe.
     """
 
     failure_threshold: int = 3
     failure_rate_to_open: float = 0.5
-    window: int = 20
-    min_volume: int = 5
     cooldown_s: float = 30.0
-    half_open_probes: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("failure_threshold", "window", "min_volume", "half_open_probes"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
-                raise CostModelError(
-                    f"{name} must be a positive integer, got {value!r}"
-                )
+        if not isinstance(self.failure_threshold, int) or self.failure_threshold < 1:
+            raise CostModelError(
+                "failure_threshold must be a positive integer, got "
+                f"{self.failure_threshold!r}"
+            )
         if not (
             math.isfinite(self.failure_rate_to_open)
             and 0.0 < self.failure_rate_to_open <= 1.0
@@ -102,64 +102,17 @@ class BreakerState(enum.Enum):
     QUARANTINED = "quarantined"
 
 
-@dataclass(frozen=True)
-class QuarantineConfig:
-    """When bad data — not wire failures — takes a source out of rotation.
-
-    Attributes:
-        quality_threshold: Quarantine trips once the shrunk clean-answer
-            fraction falls below this.
-        min_volume: Verified answers required (since the last release)
-            before the score may trip.
-        cooldown_s: Virtual time a quarantined source sits out before
-            being allowed back; ``None`` quarantines for the rest of
-            the run.
-        prior_weight: Pseudo-count of clean answers blended into the
-            score, so one bad answer from a cold source does not
-            instantly quarantine it.
-    """
-
-    quality_threshold: float = 0.8
-    min_volume: int = 3
-    cooldown_s: float | None = None
-    prior_weight: float = 2.0
-
-    def __post_init__(self) -> None:
-        if not (
-            math.isfinite(self.quality_threshold)
-            and 0.0 < self.quality_threshold <= 1.0
-        ):
-            raise CostModelError(
-                "quality_threshold must be in (0, 1], got "
-                f"{self.quality_threshold}"
-            )
-        if not isinstance(self.min_volume, int) or self.min_volume < 1:
-            raise CostModelError(
-                f"min_volume must be a positive integer, got {self.min_volume!r}"
-            )
-        if self.cooldown_s is not None and not (
-            math.isfinite(self.cooldown_s) and self.cooldown_s >= 0
-        ):
-            raise CostModelError(
-                f"cooldown_s must be finite and non-negative, got {self.cooldown_s}"
-            )
-        if not (math.isfinite(self.prior_weight) and self.prior_weight >= 0):
-            raise CostModelError(
-                f"prior_weight must be finite and non-negative, got {self.prior_weight}"
-            )
-
-    @staticmethod
-    def default() -> "QuarantineConfig":
-        return QuarantineConfig()
+#: Quarantine trips once the shrunk clean-answer fraction falls below this.
+QUARANTINE_THRESHOLD = 0.8
+#: Verified answers a source serves before its score may trip quarantine.
+QUARANTINE_MIN_VOLUME = 3
+#: Pseudo-count of clean answers blended into the score, so one bad
+#: answer from a cold source does not instantly quarantine it.
+QUALITY_PRIOR_WEIGHT = 2.0
 
 
 class DataQuality:
-    """Per-source data-quality counters fed by the answer verifier.
-
-    ``mark``/``clean_mark`` snapshot the counters at the last quarantine
-    release, so the trip rule judges a released source on what it has
-    served *since* coming back, not on its whole history.
-    """
+    """Per-source data-quality counters fed by the answer verifier."""
 
     def __init__(self) -> None:
         self.answers = 0
@@ -167,8 +120,6 @@ class DataQuality:
         self.items_delivered = 0
         self.items_kept = 0
         self.times_quarantined = 0
-        self.mark = 0
-        self.clean_mark = 0
 
     def record(self, clean: bool, delivered: int, kept: int) -> None:
         self.answers += 1
@@ -182,28 +133,23 @@ class DataQuality:
         return self.answers - self.clean
 
     @property
-    def volume(self) -> int:
-        """Verified answers since the last quarantine release."""
-        return self.answers - self.mark
-
-    def score(self, prior_weight: float) -> float:
-        """Shrunk clean-answer fraction since the last release."""
-        if prior_weight + self.volume == 0:
-            return 1.0
-        clean = self.clean - self.clean_mark
-        return (prior_weight + clean) / (prior_weight + self.volume)
+    def score(self) -> float:
+        """Shrunk clean-answer fraction."""
+        return (QUALITY_PRIOR_WEIGHT + self.clean) / (
+            QUALITY_PRIOR_WEIGHT + self.answers
+        )
 
 
 class SourceHealth:
     """Rolling failure/latency statistics of one source.
 
-    Records the last ``window`` attempts as ``(ok, duration_s)`` pairs
-    plus lifetime counters; used by the breaker's rate rule and by the
-    registry report.
+    Records the last :data:`HEALTH_WINDOW` attempts as
+    ``(ok, duration_s)`` pairs plus lifetime counters; used by the
+    breaker's rate rule and by the registry report.
     """
 
-    def __init__(self, window: int = 20):
-        self._recent: deque[tuple[bool, float]] = deque(maxlen=window)
+    def __init__(self) -> None:
+        self._recent: deque[tuple[bool, float]] = deque(maxlen=HEALTH_WINDOW)
         self.attempts = 0
         self.failures = 0
         self.busy_s = 0.0
@@ -255,7 +201,7 @@ class CircuitBreaker:
         self.state = BreakerState.CLOSED
         self.consecutive_failures = 0
         self.opened_at_s: float | None = None
-        self.probes_in_flight = 0
+        self.probing = False
         self.times_opened = 0
 
     def _transition(self, now_s: float, new_state: BreakerState) -> None:
@@ -278,9 +224,9 @@ class CircuitBreaker:
         """Whether a dispatch to this source may start at ``now_s``.
 
         Transitions OPEN -> HALF_OPEN once the cooldown has elapsed and
-        counts half-open probes; callers must follow every allowed
-        dispatch with exactly one :meth:`record_success` /
-        :meth:`record_failure`.
+        then admits one probe at a time; callers must follow every
+        allowed dispatch with exactly one :meth:`record_success` /
+        :meth:`record_failure` (or :meth:`abandon`).
         """
         if self.state is BreakerState.CLOSED:
             return True
@@ -290,18 +236,18 @@ class CircuitBreaker:
             if now_s + 1e-12 < reopens:
                 return False
             self._transition(now_s, BreakerState.HALF_OPEN)
-            self.probes_in_flight = 0
-        # HALF_OPEN: admit a bounded number of concurrent probes.
-        if self.probes_in_flight >= self.config.half_open_probes:
+            self.probing = False
+        # HALF_OPEN: admit one probe at a time.
+        if self.probing:
             return False
-        self.probes_in_flight += 1
+        self.probing = True
         return True
 
     def record_success(self, now_s: float, duration_s: float) -> None:
         self.health.record(True, duration_s)
         self.consecutive_failures = 0
         if self.state is BreakerState.HALF_OPEN:
-            self.probes_in_flight = max(0, self.probes_in_flight - 1)
+            self.probing = False
             self._transition(now_s, BreakerState.CLOSED)
             self.opened_at_s = None
 
@@ -314,13 +260,13 @@ class CircuitBreaker:
         must be returned or the breaker would starve.
         """
         if self.state is BreakerState.HALF_OPEN:
-            self.probes_in_flight = max(0, self.probes_in_flight - 1)
+            self.probing = False
 
     def record_failure(self, now_s: float, duration_s: float) -> None:
         self.health.record(False, duration_s)
         self.consecutive_failures += 1
         if self.state is BreakerState.HALF_OPEN:
-            self.probes_in_flight = max(0, self.probes_in_flight - 1)
+            self.probing = False
             self._trip(now_s)
             return
         if self.state is BreakerState.CLOSED and self._should_trip():
@@ -330,7 +276,7 @@ class CircuitBreaker:
         if self.consecutive_failures >= self.config.failure_threshold:
             return True
         return (
-            self.health.volume >= self.config.min_volume
+            self.health.volume >= BREAKER_MIN_VOLUME
             and self.health.failure_rate >= self.config.failure_rate_to_open
         )
 
@@ -357,16 +303,14 @@ class HealthRegistry:
     """
 
     def __init__(
-        self,
-        config: BreakerConfig | None = None,
-        quarantine: QuarantineConfig | None = None,
+        self, config: BreakerConfig | None = None, quarantine: bool = False
     ):
         self.config = config
         self.quarantine = quarantine
         self._health: dict[str, SourceHealth] = {}
         self._breakers: dict[str, CircuitBreaker] = {}
         self._quality: dict[str, DataQuality] = {}
-        self._quarantined: dict[str, float] = {}
+        self._quarantined: set[str] = set()
         self._lock = threading.RLock()
         #: Optional transition observer, called as
         #: ``observer(now_s, source, old_state, new_state)`` with the
@@ -374,8 +318,7 @@ class HealthRegistry:
         #: after breakers already exist.
         self.observer = None
         #: Optional quarantine observer, called as
-        #: ``quality_observer(now_s, source, action, score, answers)``
-        #: with action ``"enter"`` or ``"exit"``.
+        #: ``quality_observer(now_s, source, "enter", score, answers)``.
         self.quality_observer = None
 
     @property
@@ -386,8 +329,7 @@ class HealthRegistry:
         with self._lock:
             health = self._health.get(source_name)
             if health is None:
-                window = self.config.window if self.config else 20
-                health = SourceHealth(window)
+                health = SourceHealth()
                 self._health[source_name] = health
             return health
 
@@ -427,97 +369,51 @@ class HealthRegistry:
     ) -> None:
         """Fold one verified answer into the source's quality score.
 
-        Called by the answer verifier for every checked answer; may trip
-        the registry-level quarantine when the score crosses the
-        configured threshold.
+        Called by the answer verifier for every checked answer; with
+        quarantine on, may quarantine the source for good once its score
+        falls below :data:`QUARANTINE_THRESHOLD`.
         """
         with self._lock:
             quality = self.quality_of(source_name)
             quality.record(clean, delivered, kept)
-            config = self.quarantine
-            if config is None or source_name in self._quarantined:
-                return
-            if quality.volume < config.min_volume:
-                return
-            if quality.score(config.prior_weight) < config.quality_threshold:
+            if (
+                self.quarantine
+                and source_name not in self._quarantined
+                and quality.answers >= QUARANTINE_MIN_VOLUME
+                and quality.score < QUARANTINE_THRESHOLD
+            ):
                 self._enter_quarantine(source_name, now_s)
 
     def _enter_quarantine(self, source_name: str, now_s: float) -> None:
         quality = self.quality_of(source_name)
         breaker = self._breakers.get(source_name)
         old = breaker.state if breaker else BreakerState.CLOSED
-        self._quarantined[source_name] = now_s
+        self._quarantined.add(source_name)
         quality.times_quarantined += 1
         if self.observer is not None:
             self.observer(
                 now_s, source_name, old.value, BreakerState.QUARANTINED.value
             )
         if self.quality_observer is not None:
-            assert self.quarantine is not None
             self.quality_observer(
-                now_s,
-                source_name,
-                "enter",
-                quality.score(self.quarantine.prior_weight),
-                quality.volume,
-            )
-
-    def _release_quarantine(self, source_name: str, now_s: float) -> None:
-        quality = self.quality_of(source_name)
-        del self._quarantined[source_name]
-        # Judge the source afresh on what it serves after coming back.
-        quality.mark = quality.answers
-        quality.clean_mark = quality.clean
-        breaker = self._breakers.get(source_name)
-        new = breaker.state if breaker else BreakerState.CLOSED
-        if self.observer is not None:
-            self.observer(
-                now_s, source_name, BreakerState.QUARANTINED.value, new.value
-            )
-        if self.quality_observer is not None:
-            assert self.quarantine is not None
-            self.quality_observer(
-                now_s,
-                source_name,
-                "exit",
-                quality.score(self.quarantine.prior_weight),
-                quality.volume,
+                now_s, source_name, "enter", quality.score, quality.answers
             )
 
     def quality_score(self, source_name: str) -> float:
         """The source's current shrunk clean-answer fraction."""
         with self._lock:
             quality = self._quality.get(source_name)
-            if quality is None:
-                return 1.0
-            prior = self.quarantine.prior_weight if self.quarantine else 2.0
-            return quality.score(prior)
+            return 1.0 if quality is None else quality.score
 
     def quarantined_names(self) -> tuple[str, ...]:
         """Currently quarantined sources, sorted."""
         with self._lock:
             return tuple(sorted(self._quarantined))
 
-    def quarantine_lifts_at(self, source_name: str) -> float | None:
-        """When the quarantine ends: ``None`` if not quarantined,
-        ``math.inf`` for a sticky quarantine (``cooldown_s=None``)."""
-        with self._lock:
-            since = self._quarantined.get(source_name)
-            if since is None or self.quarantine is None:
-                return None
-            if self.quarantine.cooldown_s is None:
-                return math.inf
-            return since + self.quarantine.cooldown_s
-
     def allow(self, source_name: str, now_s: float) -> bool:
         with self._lock:
-            since = self._quarantined.get(source_name)
-            if since is not None:
-                assert self.quarantine is not None
-                cooldown = self.quarantine.cooldown_s
-                if cooldown is None or now_s + 1e-12 < since + cooldown:
-                    return False
-                self._release_quarantine(source_name, now_s)
+            if source_name in self._quarantined:
+                return False
             breaker = self.breaker_of(source_name)
             return True if breaker is None else breaker.allow(now_s)
 
@@ -573,7 +469,6 @@ class HealthRegistry:
 
     def _snapshot_locked(self) -> dict[str, dict]:
         out: dict[str, dict] = {}
-        prior = self.quarantine.prior_weight if self.quarantine else 2.0
         for name in sorted(set(self._health) | set(self._quality)):
             health = self._health.get(name) or SourceHealth()
             breaker = self._breakers.get(name)
@@ -595,7 +490,7 @@ class HealthRegistry:
                 "times_opened": breaker.times_opened if breaker else 0,
                 "answers": quality.answers if quality else 0,
                 "tainted": quality.tainted if quality else 0,
-                "quality_score": quality.score(prior) if quality else 1.0,
+                "quality_score": quality.score if quality else 1.0,
                 "times_quarantined": (
                     quality.times_quarantined if quality else 0
                 ),
@@ -608,7 +503,6 @@ class HealthRegistry:
             "source   attempts fail  rate   breaker    opened quality"
         ]
         with self._lock:
-            prior = self.quarantine.prior_weight if self.quarantine else 2.0
             for name in sorted(set(self._health) | set(self._quality)):
                 health = self._health.get(name) or SourceHealth()
                 breaker = self._breakers.get(name)
@@ -618,7 +512,7 @@ class HealthRegistry:
                 else:
                     state = breaker.state.value if breaker else "-"
                 opened = breaker.times_opened if breaker else 0
-                score = f"{quality.score(prior):>6.0%}" if quality else "     -"
+                score = f"{quality.score:>6.0%}" if quality else "     -"
                 lines.append(
                     f"{name:<8} {health.attempts:>8} {health.failures:>4} "
                     f"{health.failure_rate:>5.0%} {state:>10} {opened:>7} "

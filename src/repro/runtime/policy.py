@@ -1,16 +1,15 @@
-"""Resilience policy: retries, backoff, deadlines, graceful degradation.
+"""Resilience policy: retries, backoff, graceful degradation.
 
 A :class:`RetryPolicy` tells the runtime engine what to do when an
 attempt fails: how many times to retry, how long to back off between
-attempts, how long one attempt may run before it is cut off
-(``timeout_s``), and how much total virtual time one operation may
-consume across attempts (``deadline_s``).  Backoff is deterministic
-exponential by default; opt-in *seeded* jitter (``backoff_jitter``)
-de-synchronizes retry storms while staying replayable — the perturbation
-is a pure function of ``(seed, key, retry_number)``, so the same run
-configuration always produces the same waits.
+attempts, and how long one attempt may run before it is cut off
+(``timeout_s``).  Backoff is deterministic exponential: the wait
+doubles per retry from ``backoff_base_s`` and is capped at
+:data:`BACKOFF_MAX_S`.  The one deadline is the query's own budget
+(``budget_s`` of :meth:`~repro.runtime.engine.RuntimeEngine.run`),
+which clamps every backoff sleep.
 
-When the budget is exhausted the policy chooses between two endgames:
+When an operation's retries are spent the policy chooses between two endgames:
 
 * ``OnExhaust.SKIP`` — *graceful degradation*: the operation yields an
   empty result, execution continues, and the answer is a subset of the
@@ -28,7 +27,6 @@ from __future__ import annotations
 
 import enum
 import math
-import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
@@ -48,59 +46,44 @@ class OnExhaust(enum.Enum):
     FAIL = "fail"  # raise ExecutionError
 
 
+#: Growth factor of the backoff wait per further retry.
+BACKOFF_MULTIPLIER = 2.0
+#: Cap on a single backoff wait, in virtual seconds.
+BACKOFF_MAX_S = 5.0
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Retry/backoff/deadline configuration for the runtime engine.
+    """Retry/backoff configuration for the runtime engine.
 
     Attributes:
         max_retries: Retries allowed per operation (0 = single attempt).
         backoff_base_s: Wait before the first retry.
-        backoff_multiplier: Growth factor per further retry.
-        backoff_max_s: Cap on a single backoff wait.
         timeout_s: Per-attempt cutoff; an attempt still running at this
             point fails as a timeout.  ``None`` disables the cutoff.
-        deadline_s: Total virtual-time budget per operation, measured
-            from its first attempt; no retry may be scheduled past it.
         on_exhaust: Degrade (:attr:`OnExhaust.SKIP`) or raise.
-        backoff_jitter: Opt-in seeded jitter fraction in ``[0, 1]``: each
-            wait is perturbed by up to ``±jitter`` of itself, drawn
-            deterministically from ``(seed, key, retry_number)`` — runs
-            replay exactly, but concurrent operations no longer retry in
-            lock-step.  0 (the default) keeps pure exponential backoff.
     """
 
     max_retries: int = 3
     backoff_base_s: float = 0.1
-    backoff_multiplier: float = 2.0
-    backoff_max_s: float = 5.0
     timeout_s: float | None = None
-    deadline_s: float | None = None
     on_exhaust: OnExhaust = OnExhaust.SKIP
-    backoff_jitter: float = 0.0
 
     def __post_init__(self) -> None:
         if not isinstance(self.max_retries, int) or self.max_retries < 0:
             raise CostModelError(
                 f"max_retries must be an integer >= 0, got {self.max_retries!r}"
             )
-        for name in ("backoff_base_s", "backoff_multiplier", "backoff_max_s"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise CostModelError(
-                    f"{name} must be finite and non-negative, got {value}"
-                )
-        for name in ("timeout_s", "deadline_s"):
-            value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value > 0):
-                raise CostModelError(
-                    f"{name} must be finite and positive, got {value}"
-                )
-        if not (
-            math.isfinite(self.backoff_jitter)
-            and 0.0 <= self.backoff_jitter <= 1.0
+        if not (math.isfinite(self.backoff_base_s) and self.backoff_base_s >= 0):
+            raise CostModelError(
+                "backoff_base_s must be finite and non-negative, got "
+                f"{self.backoff_base_s}"
+            )
+        if self.timeout_s is not None and not (
+            math.isfinite(self.timeout_s) and self.timeout_s > 0
         ):
             raise CostModelError(
-                f"backoff_jitter must be in [0, 1], got {self.backoff_jitter}"
+                f"timeout_s must be finite and positive, got {self.timeout_s}"
             )
         if not isinstance(self.on_exhaust, OnExhaust):
             raise CostModelError(
@@ -108,33 +91,15 @@ class RetryPolicy:
                 f"{self.on_exhaust!r}"
             )
 
-    def backoff_s(
-        self, retry_number: int, *, key: str = "", seed: int = 0
-    ) -> float:
-        """Wait before retry ``retry_number`` (1-based), capped.
-
-        With ``backoff_jitter`` enabled the capped wait is perturbed by a
-        factor drawn from a fresh :class:`random.Random` seeded with
-        ``"{seed}:{key}:{retry_number}"`` — deterministic per (seed,
-        operation, attempt), independent of event-loop interleaving.
-        """
+    def backoff_s(self, retry_number: int) -> float:
+        """Wait before retry ``retry_number`` (1-based), capped."""
         if retry_number < 1:
             raise ValueError(f"retry_number must be >= 1, got {retry_number}")
-        wait = self.backoff_base_s * self.backoff_multiplier ** (retry_number - 1)
-        wait = min(wait, self.backoff_max_s)
-        if self.backoff_jitter and wait > 0:
-            # String seeding hashes with SHA-512, stable across processes.
-            u = random.Random(f"{seed}:{key}:{retry_number}").random()
-            wait *= 1.0 + self.backoff_jitter * (2.0 * u - 1.0)
-        return wait
+        wait = self.backoff_base_s * BACKOFF_MULTIPLIER ** (retry_number - 1)
+        return min(wait, BACKOFF_MAX_S)
 
     def clamped_backoff_s(
-        self,
-        retry_number: int,
-        remaining_s: float | None,
-        *,
-        key: str = "",
-        seed: int = 0,
+        self, retry_number: int, remaining_s: float | None
     ) -> float | None:
         """Backoff wait clamped to the caller's remaining query budget.
 
@@ -146,7 +111,7 @@ class RetryPolicy:
         deadline and could only be cancelled).  ``remaining_s=None``
         means "no query budget" and degrades to :meth:`backoff_s`.
         """
-        wait = self.backoff_s(retry_number, key=key, seed=seed)
+        wait = self.backoff_s(retry_number)
         if remaining_s is None:
             return wait
         if wait >= remaining_s:
@@ -155,15 +120,9 @@ class RetryPolicy:
             return None
         return min(wait, remaining_s)
 
-    def may_retry(
-        self, retries_done: int, first_start_s: float, retry_at_s: float
-    ) -> bool:
-        """Whether another retry fits the count and deadline budgets."""
-        if retries_done >= self.max_retries:
-            return False
-        if self.deadline_s is not None:
-            return retry_at_s - first_start_s <= self.deadline_s
-        return True
+    def may_retry(self, retries_done: int) -> bool:
+        """Whether another retry fits the retry budget."""
+        return retries_done < self.max_retries
 
     @staticmethod
     def no_retry(on_exhaust: OnExhaust = OnExhaust.SKIP) -> "RetryPolicy":
@@ -174,16 +133,6 @@ class RetryPolicy:
     def default() -> "RetryPolicy":
         """Three retries, exponential backoff from 100 ms, degrade."""
         return RetryPolicy()
-
-    @staticmethod
-    def strict(timeout_s: float = 10.0, deadline_s: float = 30.0) -> "RetryPolicy":
-        """Bounded-latency profile: tight timeout + per-op deadline."""
-        return RetryPolicy(timeout_s=timeout_s, deadline_s=deadline_s)
-
-    @staticmethod
-    def jittered(jitter: float = 0.5) -> "RetryPolicy":
-        """Default profile with seeded backoff jitter enabled."""
-        return RetryPolicy(backoff_jitter=jitter)
 
 
 @dataclass(frozen=True)

@@ -146,3 +146,40 @@ def test_two_phase_estimate_prices_the_plan_answer_runs():
     # The subtraction rounds; the mirrors' plan would cost 96, not 48.
     phase_one = estimate_two_phase_cost(mediator, query) - fetch
     assert phase_one == pytest.approx(mediator.plan(query).estimated_cost, rel=1e-12)
+
+
+class TestMirrorsAreReadOnce:
+    """Both phases read one source per replica group, as the fusion plan
+    is planned: on Fig. 1 mirrored once, every record, cost and
+    estimate reads as on Fig. 1 itself."""
+
+    def run(self, federation, strategy):
+        federation.reset_traffic()
+        return answer_with_records(Mediator(federation), dmv_fig1()[1], strategy)
+
+    @pytest.mark.parametrize(
+        "strategy, records, cost",
+        [(PhaseStrategy.TWO_PHASE, 5, 94.0), (PhaseStrategy.ONE_PHASE, 5, 78.0)],
+    )
+    def test_replicated_fig1_reads_as_fig1(self, strategy, records, cost):
+        for federation in (dmv_fig1()[0], replicate_federation(dmv_fig1()[0], 2)):
+            result = self.run(federation, strategy)
+            assert result.items == DMV_FIG1_ANSWER
+            assert len(result.records) == records
+            assert result.actual_cost == pytest.approx(cost)
+            assert result.estimated_two_phase == pytest.approx(90.2, abs=0.05)
+            assert result.estimated_one_phase == pytest.approx(78.0)
+
+    def test_auto_picks_one_phase_on_both(self):
+        for federation in (dmv_fig1()[0], replicate_federation(dmv_fig1()[0], 2)):
+            assert self.run(federation, PhaseStrategy.AUTO).strategy is (
+                PhaseStrategy.ONE_PHASE
+            )
+
+    def test_fetch_records_skips_the_mirrors(self):
+        replicated = replicate_federation(dmv_fig1()[0], 2)
+        mediator = Mediator(replicated)
+        records = mediator.fetch_records(mediator.answer(dmv_fig1()[1]).execution.item_set)
+        plain = Mediator(dmv_fig1()[0])
+        expected = plain.fetch_records(plain.answer(dmv_fig1()[1]).execution.item_set)
+        assert sorted(records.rows) == sorted(expected.rows)

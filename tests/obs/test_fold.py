@@ -39,7 +39,7 @@ from repro.runtime.faults import (
     FaultProfile,
     Faults,
 )
-from repro.runtime.health import BreakerConfig, QuarantineConfig
+from repro.runtime.health import BreakerConfig
 from repro.serve import (
     ChurnWave,
     MediatorService,
@@ -116,7 +116,7 @@ def _untrusted(mode: str) -> Recorder:
         backend="runtime",
         faults=FaultInjector(dirty, seed=5),
         resilience=Resilience(
-            quarantine=QuarantineConfig.default() if mode == "vote" else None,
+            quarantine=mode == "vote",
             load_balance=True,
             verify=mode,
         ),

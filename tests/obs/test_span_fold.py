@@ -24,7 +24,7 @@ from repro.obs.spans import (
 from repro.query.fusion import FusionQuery
 from repro.runtime.engine import Resilience
 from repro.runtime.faults import DataFaultProfile, FaultProfile, Faults
-from repro.runtime.health import BreakerConfig, QuarantineConfig
+from repro.runtime.health import BreakerConfig
 from repro.runtime.policy import OnExhaust, RetryPolicy
 from repro.runtime.trace import RuntimeTrace
 from repro.serve import MediatorService
@@ -76,13 +76,12 @@ def verify_service() -> tuple[MediatorService, object, float]:
         dmv_fig1()[0],
         seed=2,
         faults=Faults(data={"R2": DataFaultProfile(corrupt_rate=1.0)}),
-        resilience=Resilience(
-            # One tainted answer is evidence enough: the quarantine fires
-            # inside the very query that delivered it.
-            quarantine=QuarantineConfig(min_volume=1, prior_weight=0.0),
-            verify="sanitize",
-        ),
+        resilience=Resilience(quarantine=True, verify="sanitize"),
     )
+    # R2 has served two tainted answers before, so the third — inside
+    # the served query — is the evidence that quarantines it.
+    for __ in range(2):
+        service.health.record_quality("R2", 0.0, clean=False)
     return service, one_condition_query(), 0.5
 
 

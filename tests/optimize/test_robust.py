@@ -8,9 +8,8 @@ from repro.costs.estimates import SizeEstimator
 from repro.costs.model import UniformCostModel
 from repro.errors import CostModelError
 from repro.optimize import RobustOptimizer, SJAPlusOptimizer
-from repro.optimize import robust as robust_module
 from repro.optimize.search import PlanningBudget
-from repro.runtime.availability import AvailabilityModel
+from repro.runtime.availability import AvailabilityModel, expected_completeness
 from repro.runtime.faults import FaultInjector, FaultProfile
 from repro.runtime.policy import RetryPolicy
 from repro.sources.generators import dmv_fig1, replicate_federation
@@ -116,11 +115,9 @@ class TestFailoverAwareness:
         # the cheap single-path plan already scores well.
         base = SJAPlusOptimizer().optimize(query, reps, cost_model, estimator)
         assert with_failover.plan == base.plan
-        assert with_failover.expected_completeness > RobustOptimizer(
-            federation, model, robustness=5.0, dual_path=False
-        ).optimize(
-            query, reps, cost_model, estimator
-        ).expected_completeness
+        assert with_failover.expected_completeness > expected_completeness(
+            base.plan, federation, estimator, model, failover=False
+        ).overall
 
 
 class TestValidation:
@@ -130,49 +127,22 @@ class TestValidation:
         with pytest.raises(CostModelError):
             RobustOptimizer(federation, robustness=bad)
 
-    def test_a_supplied_base_takes_no_planning_budget(self, setting):
-        # A supplied base carries its own budget, which the internal
-        # sweeps share; a second one would be dropped without a word.
-        federation, __, __, __ = setting
-        budget = PlanningBudget(max_subsets=1)
-        with pytest.raises(
-            CostModelError, match="^planning_budget .*configure the base itself"
-        ):
-            RobustOptimizer(
-                federation, base=SJAPlusOptimizer(), planning_budget=budget
-            )
-        for optimizer in (
-            RobustOptimizer(federation, planning_budget=budget),
-            RobustOptimizer(
-                federation, base=SJAPlusOptimizer(planning_budget=budget)
-            ),
-        ):
-            assert optimizer.planning_budget is budget
-
-    def test_a_supplied_base_still_takes_the_sweeps_search(
-        self, setting, monkeypatch
-    ):
-        # search and beam_width configure the internal SJA sweeps too,
-        # so beside a supplied base they are taken, not dropped.
+    def test_every_search_takes_the_settings(self, setting):
+        # search, beam_width and the budget configure the one SJA
+        # search under SJA+, which also serves the SJA candidates.
         federation, query, cost_model, estimator = setting
-        built = []
-
-        class Recording(robust_module.SJAOptimizer):
-            def __init__(self, **settings):
-                built.append(settings)
-                super().__init__(**settings)
-
-        monkeypatch.setattr(robust_module, "SJAOptimizer", Recording)
-        RobustOptimizer(
+        budget = PlanningBudget(max_subsets=1)
+        optimizer = RobustOptimizer(
             federation,
             flaky_model(federation),
-            base=SJAPlusOptimizer(),
             search="beam",
             beam_width=3,
-        ).optimize(
+            planning_budget=budget,
+        )
+        sja = optimizer.base.sja
+        assert (sja.search, sja.beam_width, sja.planning_budget) == ("beam", 3, budget)
+        assert optimizer.planning_budget is budget
+        result = optimizer.optimize(
             query, federation.representative_names, cost_model, estimator
         )
-        assert built and all(
-            settings["search"] == "beam" and settings["beam_width"] == 3
-            for settings in built
-        )
+        assert {c.label for c in result.candidates} >= {"SJA+", "SJA", "FILTER"}

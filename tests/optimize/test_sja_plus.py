@@ -4,11 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import CostModelError
 from repro.mediator.executor import Executor
 from repro.mediator.reference import reference_answer
 from repro.optimize.postopt import apply_difference_pruning, apply_source_loading
-from repro.optimize.search import PlanningBudget
 from repro.optimize.sja import SJAOptimizer
 from repro.optimize.sja_plus import SJAPlusOptimizer
 from repro.plans.classify import PlanClass, classify
@@ -62,13 +60,14 @@ class TestSJAPlus:
 
     def test_difference_pruning_applied_when_semijoins_present(self):
         federation, query, model, estimator = semijoin_heavy_kit()
-        result = SJAPlusOptimizer(load_sources=False).optimize(
+        sja = SJAOptimizer().optimize(
             query, federation.source_names, model, estimator
         )
-        counts = result.plan.count_by_kind()
+        pruned = apply_difference_pruning(sja.plan)
+        counts = pruned.count_by_kind()
         assert counts.get(OpKind.SEMIJOIN, 0) > 0
         assert counts.get(OpKind.DIFFERENCE, 0) > 0
-        assert classify(result.plan) is PlanClass.EXTENDED
+        assert classify(pruned) is PlanClass.EXTENDED
 
     def test_source_loading_applied_on_tiny_sources(self, dmv):
         federation, query = dmv  # default link: loads are cheap vs queries
@@ -81,25 +80,20 @@ class TestSJAPlus:
         )
         assert result.plan.count_by_kind().get(OpKind.LOAD, 0) == 3
 
-    def test_passes_can_be_disabled(self, synthetic_setup):
+    def test_sja_plus_is_both_passes_over_sja(self, synthetic_setup):
+        # SJA+ always runs both passes; the C6 ablation applies them one
+        # at a time through the same two functions.
         federation, query, model, estimator = synthetic_setup
-        plain = SJAPlusOptimizer(
-            prune_difference=False, load_sources=False
-        ).optimize(query, federation.source_names, model, estimator)
         sja = SJAOptimizer().optimize(
             query, federation.source_names, model, estimator
         )
-        assert plain.plan.operations == sja.plan.operations
-
-    def test_custom_base_optimizer(self, synthetic_setup):
-        from repro.optimize.greedy import SelectivityOrderOptimizer
-
-        federation, query, model, estimator = synthetic_setup
-        result = SJAPlusOptimizer(base=SelectivityOrderOptimizer()).optimize(
+        both = apply_source_loading(
+            apply_difference_pruning(sja.plan), model, estimator
+        )
+        plus = SJAPlusOptimizer().optimize(
             query, federation.source_names, model, estimator
         )
-        execution = Executor(federation).execute(result.plan)
-        assert execution.items == reference_answer(federation, query)
+        assert plus.plan.operations == both.operations
 
     def test_search_statistics_propagated(self, synthetic_setup):
         federation, query, model, estimator = synthetic_setup
@@ -167,25 +161,6 @@ class TestSJAPlus:
         sja_cost = executor.execute(sja_plan).total_cost
         plus_cost = executor.execute(plus_plan).total_cost
         assert plus_cost <= sja_cost + 1e-9
-
-
-@pytest.mark.parametrize(
-    "setting",
-    [
-        {"search": "dp"},
-        {"beam_width": 3},
-        {"planning_budget": PlanningBudget(max_subsets=1)},
-    ],
-    ids=lambda setting: next(iter(setting)),
-)
-def test_a_supplied_base_takes_no_search_setting(setting):
-    # The settings configure the default base; a supplied base is
-    # configured itself, so passing both would silently drop one.
-    from repro.optimize.greedy import SelectivityOrderOptimizer
-
-    with pytest.raises(CostModelError, match="configure the base itself"):
-        SJAPlusOptimizer(base=SelectivityOrderOptimizer(), **setting)
-    SJAPlusOptimizer(**setting)  # the default base takes each of them
 
 
 def test_a_fresh_query_validates_each_operation_list_once(monkeypatch, plan_fresh_kit):

@@ -75,8 +75,8 @@ def test_wire_fates_unchanged_by_data_faults(seed):
         FaultProfile(transient_rate=0.5, data=NOISY), seed=seed
     )
     for __ in range(8):
-        expected = wire_only.judge("A", 0.0, 1.0, link)
-        actual = with_data.judge("A", 0.0, 1.0, link)
+        expected = wire_only.judge("A", 1.0, link)
+        actual = with_data.judge("A", 1.0, link)
         with_data.tamper("A", ITEMS, pool=POOL)
         assert actual == expected
 

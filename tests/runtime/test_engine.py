@@ -38,7 +38,7 @@ from repro.runtime.faults import (
     FaultInjector,
     FaultProfile,
 )
-from repro.runtime.health import BreakerConfig, HealthRegistry, QuarantineConfig
+from repro.runtime.health import BreakerConfig, HealthRegistry
 from repro.runtime.policy import OnExhaust, RetryPolicy
 from repro.runtime.trace import OpStatus
 from repro.sources.generators import (
@@ -245,29 +245,6 @@ class TestDegradationAndFailure:
         for span in result.trace.remote_spans:
             assert span.attempts[-1].duration_s == pytest.approx(2.0)
 
-    def test_outage_window_fails_fast_then_recovers(self, dmv_kit):
-        federation, query, __ = dmv_kit
-        plan = build_filter_plan(query, federation.source_names)
-        engine = RuntimeEngine(
-            federation,
-            faults=FaultInjector(
-                {"R1": FaultProfile(outages=((0.0, 5.0),))}, seed=0
-            ),
-            resilience=Resilience(
-                policy=RetryPolicy(max_retries=10, backoff_base_s=2.0),
-            ),
-        )
-        result = engine.run(plan)
-        assert result.items == DMV_FIG1_ANSWER
-        outage_fates = [
-            a.fate
-            for s in result.trace.remote_spans
-            if s.source == "R1"
-            for a in s.attempts
-        ]
-        assert AttemptFate.OUTAGE in outage_fates
-        assert outage_fates[-1] is AttemptFate.OK
-
     def test_degraded_load_yields_empty_relation(self, dmv_kit):
         federation, query, __ = dmv_kit
         c1, c2 = query.conditions
@@ -342,7 +319,7 @@ class TestResilienceValue:
             {"hedge_delay_s": float("nan")},
             {"verify": "maybe"},
             {"breaker": True},
-            {"quarantine": True},
+            {"quarantine": None},
             {"policy": None},
         ],
         ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()),
@@ -361,7 +338,7 @@ class TestResilienceValue:
             policy=RetryPolicy.no_retry(),
             hedge_delay_s=2.0,
             breaker=BreakerConfig.aggressive(),
-            quarantine=QuarantineConfig.default(),
+            quarantine=True,
             load_balance=True,
             verify="sanitize",
         )
@@ -580,7 +557,7 @@ class TestParkedTasksGiveUp:
     def _lying_r1(self, federation, **resilience):
         return RuntimeEngine(
             federation,
-            Resilience(verify="sanitize", quarantine=QuarantineConfig(), **resilience),
+            Resilience(verify="sanitize", quarantine=True, **resilience),
             faults=FaultInjector(
                 {"R1": FaultProfile(data=DataFaultProfile.corrupting(1.0))}, seed=0
             ),
@@ -592,7 +569,7 @@ class TestParkedTasksGiveUp:
         engine = self._lying_r1(federation)
         assert sorted(engine.run(plan).items) == ["T21"]
         # R1's third tainted answer quarantines it for good mid-run; its
-        # next step is refused and used to wait for a lift at t = inf.
+        # next step is refused, and nothing in the run can wake it.
         second = _within(10, lambda: engine.run(plan))
         assert engine.health.quarantined_names() == ("R1",)
         assert _refused_steps(second, "R1") == [5]
@@ -628,17 +605,17 @@ class TestParkedTasksGiveUp:
 
 
 class _Refusals(HealthRegistry):
-    """A registry reporting fixed refusal end times for every source."""
+    """A registry reporting one fixed breaker reopening time for every
+    source; ``lifts`` is when a source's quarantine lifts — None when it
+    is not quarantined, ``math.inf`` for the (always sticky) quarantine."""
 
     def __init__(self, reopens, lifts):
-        super().__init__()
-        self._times = (reopens, lifts)
+        super().__init__(quarantine=lifts is not None)
+        self._reopens = reopens
+        self._quarantined = {"R1", "R2", "R3"} if lifts is not None else set()
 
     def reopens_at(self, source_name):
-        return self._times[0]
-
-    def quarantine_lifts_at(self, source_name):
-        return self._times[1]
+        return self._reopens
 
 
 class TestWaitWrittenInOnePlace:
@@ -677,9 +654,6 @@ class TestWaitWrittenInOnePlace:
             (0.5, None, None),
             (3.0, None, 3.0),
             (3.0, math.inf, 3.0),
-            (3.0, 4.0, 3.0),
-            (None, 4.0, 4.0),
-            (0.5, 4.0, 4.0),
         ],
     )
     def test_block_wakes_only_at_a_finite_time(self, dmv_kit, reopens, lifts, wake):

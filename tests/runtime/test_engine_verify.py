@@ -21,7 +21,7 @@ from repro.runtime.faults import (
     FaultInjector,
     FaultProfile,
 )
-from repro.runtime.health import BreakerConfig, BreakerState, QuarantineConfig
+from repro.runtime.health import BreakerConfig, BreakerState
 from repro.sources.generators import (
     DMV_FIG1_ANSWER,
     dmv_fig1,
@@ -38,7 +38,7 @@ def make_engine(
     seed: int = 11,
     replicas: int = 2,
     data: DataFaultProfile = LIAR,
-    quarantine: QuarantineConfig | None = None,
+    quarantine: bool = False,
 ):
     federation, query = dmv_fig1()
     federation = replicate_federation(federation, replicas)
@@ -107,7 +107,7 @@ class TestSanitize:
 
     def test_corrupt_taint_trips_quarantine_without_votes(self):
         engine, plan = make_engine(
-            verify="sanitize", quarantine=QuarantineConfig()
+            verify="sanitize", quarantine=True
         )
         sweep(engine, plan, runs=6)
         assert engine.health.quarantined_names() != ()
@@ -137,7 +137,7 @@ class TestVote:
         stale_only = DataFaultProfile(stale_rate=1.0)
         engine, plan = make_engine(
             verify="vote", data=stale_only,
-            quarantine=QuarantineConfig(),
+            quarantine=True,
         )
         sweep(engine, plan, runs=6)
         assert engine.health.quarantined_names() == ()
@@ -147,7 +147,7 @@ class TestVote:
 
     def test_quarantine_recovers_completeness(self):
         engine, plan = make_engine(
-            verify="vote", quarantine=QuarantineConfig()
+            verify="vote", quarantine=True
         )
         outcomes = sweep(engine, plan, runs=8)
         assert engine.health.quarantined_names() != ()
@@ -157,7 +157,7 @@ class TestVote:
 
     def test_quarantined_member_gets_no_traffic(self):
         engine, plan = make_engine(
-            verify="vote", quarantine=QuarantineConfig()
+            verify="vote", quarantine=True
         )
         sweep(engine, plan, runs=8)
         quarantined = set(engine.health.quarantined_names())
@@ -172,7 +172,7 @@ class TestVote:
 
     def test_state_of_reports_quarantined(self):
         engine, plan = make_engine(
-            verify="vote", quarantine=QuarantineConfig()
+            verify="vote", quarantine=True
         )
         sweep(engine, plan, runs=8)
         name = engine.health.quarantined_names()[0]
@@ -189,7 +189,7 @@ class TestThreeWayMajority:
 
     def test_outvoted_liar_is_blamed_and_quarantined(self):
         engine, plan = make_engine(
-            verify="vote", replicas=3, quarantine=QuarantineConfig()
+            verify="vote", replicas=3, quarantine=True
         )
         sweep(engine, plan, runs=6)
         quarantined = set(engine.health.quarantined_names())
@@ -290,7 +290,7 @@ def mirrored_engine(data, seed, **resilience):
     }
     engine = RuntimeEngine(
         federation,
-        Resilience(verify="vote", quarantine=QuarantineConfig(cooldown_s=0.5), **resilience),
+        Resilience(verify="vote", quarantine=True, **resilience),
         faults=FaultInjector(mirrors, seed=seed, default=FaultProfile.flaky(0.4)),
     )
     return engine, build_filter_plan(query, federation.source_names)
@@ -305,19 +305,25 @@ class TestOneAttemptPerConnection:
     """
 
     def test_a_released_slot_is_not_reused_while_another_task_holds_it(self):
-        engine, plan = mirrored_engine(DataFaultProfile.corrupting(1.0), seed=0)
-        engine.run(plan)
-        second = engine.run(plan)
-        # Step 2 used to confirm on R1~1 over [1.702, 1.902] s while
-        # step 9's attempt held it over [1.706, 1.907] s.
-        assert overlapping_attempts(second.trace) == []
-        confirms = {
-            span.step: (attempt.start_s, attempt.end_s)
-            for span in second.trace.remote_spans
+        engine, plan = mirrored_engine(
+            DataFaultProfile.corrupting(1.0), seed=1, breaker=BreakerConfig.aggressive()
+        )
+        result = engine.run(plan)
+        # Steps 2 and 1 used to confirm on R1~1 at once, over
+        # [5.701, 5.901] s and [5.701, 5.903] s.
+        assert overlapping_attempts(result.trace) == []
+        late_on_mirror = sorted(
+            (attempt.start_s, attempt.end_s, span.step, attempt.confirm)
+            for span in result.trace.remote_spans
             for attempt in span.attempts
-            if attempt.source == "R1~1" and attempt.confirm
-        }
-        assert confirms[2][0] >= confirms[9][1]  # step 2 now waits its turn
+            if attempt.source == "R1~1" and attempt.start_s >= 5.0
+        )
+        # Step 9's own attempt, then each confirmation in its turn.
+        assert [entry[2:] for entry in late_on_mirror] == [(9, False), (1, True), (8, True)]
+        assert all(
+            later[0] >= earlier[1]
+            for earlier, later in zip(late_on_mirror, late_on_mirror[1:])
+        )
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize(

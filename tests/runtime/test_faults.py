@@ -7,7 +7,6 @@ import pytest
 from repro.errors import CostModelError
 from repro.relational.relation import Relation
 from repro.relational.schema import dmv_schema
-from repro.runtime.engine import Resilience
 from repro.runtime.faults import (
     AttemptFate,
     DataFate,
@@ -37,17 +36,6 @@ class TestFaultProfile:
         with pytest.raises(CostModelError):
             FaultProfile(transient_rate=rate)
 
-    def test_invalid_outage_window_rejected(self):
-        with pytest.raises(CostModelError):
-            FaultProfile(outages=((5.0, 2.0),))
-
-    def test_in_outage(self):
-        profile = FaultProfile(outages=((1.0, 2.0), (5.0, 6.0)))
-        assert profile.in_outage(1.5)
-        assert profile.in_outage(5.0)
-        assert not profile.in_outage(2.0)  # half-open window
-        assert not profile.in_outage(3.0)
-
     def test_slowdown_factor_below_one_rejected(self):
         with pytest.raises(CostModelError):
             FaultProfile(slowdown_rate=0.5, slowdown_factor=0.5)
@@ -57,7 +45,7 @@ class TestFaultInjector:
     def test_healthy_profile_never_perturbs(self):
         injector = FaultInjector.none()
         for __ in range(50):
-            outcome = injector.judge("S", 0.0, 1.0, LINK)
+            outcome = injector.judge("S", 1.0, LINK)
             assert outcome.fate is AttemptFate.OK
             assert outcome.duration_s == 1.0
         assert injector.attempts == 50
@@ -65,32 +53,22 @@ class TestFaultInjector:
 
     def test_always_transient(self):
         injector = FaultInjector(FaultProfile.flaky(1.0), seed=0)
-        outcome = injector.judge("S", 0.0, 1.0, LINK)
+        outcome = injector.judge("S", 1.0, LINK)
         assert outcome.fate is AttemptFate.TRANSIENT
         # Fails after one empty round trip, not the full exchange.
         assert outcome.duration_s == pytest.approx(LINK.request_time_s(0, 0))
-
-    def test_outage_beats_randomness(self):
-        injector = FaultInjector(
-            FaultProfile(outages=((0.0, 10.0),)), seed=0
-        )
-        outcome = injector.judge("S", 5.0, 1.0, LINK)
-        assert outcome.fate is AttemptFate.OUTAGE
-        assert outcome.duration_s == pytest.approx(LINK.latency_s)
-        after = injector.judge("S", 10.0, 1.0, LINK)
-        assert after.fate is AttemptFate.OK
 
     def test_stall_extends_duration(self):
         injector = FaultInjector(
             FaultProfile(stall_rate=1.0, stall_s=30.0), seed=0
         )
-        outcome = injector.judge("S", 0.0, 1.0, LINK)
+        outcome = injector.judge("S", 1.0, LINK)
         assert outcome.fate is AttemptFate.OK  # policy turns it into timeout
         assert outcome.duration_s == pytest.approx(31.0)
 
     def test_slowdown_multiplies_duration(self):
         injector = FaultInjector(FaultProfile.degraded(1.0, 4.0), seed=0)
-        outcome = injector.judge("S", 0.0, 1.0, LINK)
+        outcome = injector.judge("S", 1.0, LINK)
         assert outcome.fate is AttemptFate.OK
         assert outcome.duration_s == pytest.approx(4.0)
 
@@ -98,7 +76,7 @@ class TestFaultInjector:
         def draw(seed):
             injector = FaultInjector(FaultProfile.flaky(0.5), seed=seed)
             return [
-                injector.judge(name, 0.0, 1.0, LINK).fate
+                injector.judge(name, 1.0, LINK).fate
                 for name in ("A", "B", "A", "B", "A")
             ]
 
@@ -108,13 +86,13 @@ class TestFaultInjector:
     def test_interleaving_does_not_change_a_sources_stream(self):
         a_only = FaultInjector(FaultProfile.flaky(0.5), seed=3)
         fates_alone = [
-            a_only.judge("A", 0.0, 1.0, LINK).fate for __ in range(6)
+            a_only.judge("A", 1.0, LINK).fate for __ in range(6)
         ]
         mixed = FaultInjector(FaultProfile.flaky(0.5), seed=3)
         fates_mixed = []
         for __ in range(6):
-            fates_mixed.append(mixed.judge("A", 0.0, 1.0, LINK).fate)
-            mixed.judge("B", 0.0, 1.0, LINK)  # interleaved traffic
+            fates_mixed.append(mixed.judge("A", 1.0, LINK).fate)
+            mixed.judge("B", 1.0, LINK)  # interleaved traffic
         assert fates_alone == fates_mixed
 
     def test_per_source_mapping_with_default(self):
@@ -123,13 +101,13 @@ class TestFaultInjector:
             seed=0,
             default=FaultProfile.none(),
         )
-        assert injector.judge("A", 0.0, 1.0, LINK).fate.failed
-        assert not injector.judge("B", 0.0, 1.0, LINK).fate.failed
+        assert injector.judge("A", 1.0, LINK).fate.failed
+        assert not injector.judge("B", 1.0, LINK).fate.failed
 
     def test_summary_counts(self):
         injector = FaultInjector(FaultProfile.flaky(1.0), seed=0)
-        injector.judge("A", 0.0, 1.0, LINK)
-        injector.judge("A", 0.0, 1.0, LINK)
+        injector.judge("A", 1.0, LINK)
+        injector.judge("A", 1.0, LINK)
         assert "2 attempts" in injector.summary()
         assert "2 injected faults" in injector.summary()
         assert "transient" in injector.summary()
@@ -138,10 +116,10 @@ class TestFaultInjector:
         stalls = FaultInjector(
             FaultProfile(stall_rate=1.0, stall_s=30.0), seed=0
         )
-        stalls.judge("A", 0.0, 1.0, LINK)
+        stalls.judge("A", 1.0, LINK)
         assert stalls.injected["stall"] == 1
         slow = FaultInjector(FaultProfile.degraded(1.0, 4.0), seed=0)
-        slow.judge("A", 0.0, 1.0, LINK)
+        slow.judge("A", 1.0, LINK)
         assert slow.injected["slowdown"] == 1
         assert "slowdown" in slow.summary()
 
@@ -242,7 +220,7 @@ class TestDataTamper:
         # leave a source's wire-level outcomes byte-identical.
         wire_only = FaultInjector(FaultProfile.flaky(0.5), seed=9)
         plain = [
-            wire_only.judge("A", 0.0, 1.0, LINK).fate for __ in range(10)
+            wire_only.judge("A", 1.0, LINK).fate for __ in range(10)
         ]
         both = FaultInjector(
             FaultProfile(
@@ -253,7 +231,7 @@ class TestDataTamper:
         )
         mixed = []
         for __ in range(10):
-            mixed.append(both.judge("A", 0.0, 1.0, LINK).fate)
+            mixed.append(both.judge("A", 1.0, LINK).fate)
             both.tamper("A", self.ITEMS, pool=self.POOL)
         assert plain == mixed
 
@@ -300,118 +278,3 @@ class TestDataTamper:
             row for row in payload.rows if isinstance(row[0], bytes)
         ]
         assert len(bad) == tamper.corrupted > 0
-
-
-class TestOutageOverlaps:
-    """Outage windows interacting with retry backoffs and hedge delays."""
-
-    def run_engine(self, outage, resilience, replicate=False):
-        from repro.plans.builder import build_filter_plan
-        from repro.runtime.engine import RuntimeEngine
-        from repro.sources.generators import dmv_fig1, replicate_federation
-
-        federation, query = dmv_fig1()
-        if replicate:
-            federation = replicate_federation(federation, 2)
-        plan = build_filter_plan(query, federation.representative_names)
-        engine = RuntimeEngine(
-            federation,
-            resilience,
-            faults=FaultInjector(
-                {"R1": FaultProfile(outages=(outage,))}, seed=0
-            ),
-        )
-        return engine.run(plan)
-
-    def r1_attempts(self, result):
-        return [
-            attempt
-            for span in result.trace.remote_spans
-            if span.source == "R1"
-            for attempt in span.attempts
-        ]
-
-    def test_backoffs_inside_window_keep_failing_until_it_ends(self):
-        from repro.runtime.policy import RetryPolicy
-
-        outage = (0.0, 4.0)
-        result = self.run_engine(
-            outage,
-            Resilience(policy=RetryPolicy(max_retries=10, backoff_base_s=1.0)),
-        )
-        attempts = self.r1_attempts(result)
-        # Every attempt that started inside the window failed with
-        # OUTAGE; the first attempt at/after its end succeeded.
-        for attempt in attempts:
-            if attempt.start_s < outage[1]:
-                assert attempt.fate is AttemptFate.OUTAGE
-            else:
-                assert attempt.fate is AttemptFate.OK
-                assert not attempt.hedge
-        assert sum(1 for a in attempts if a.fate is AttemptFate.OUTAGE) >= 2
-        assert result.complete
-
-    def test_backoff_longer_than_window_skips_it_entirely(self):
-        from repro.runtime.policy import RetryPolicy
-
-        result = self.run_engine(
-            (0.0, 0.5),
-            Resilience(policy=RetryPolicy(max_retries=2, backoff_base_s=5.0)),
-        )
-        attempts = self.r1_attempts(result)
-        fates = [a.fate for a in attempts]
-        # One failure inside the window, then the 5 s backoff lands the
-        # single retry far past it.
-        assert fates.count(AttemptFate.OUTAGE) == len(fates) - fates.count(
-            AttemptFate.OK
-        )
-        assert result.complete
-        for span in result.trace.remote_spans:
-            if span.source == "R1":
-                assert span.retries <= 1
-
-    def test_budget_exhausted_inside_window_degrades(self):
-        from repro.runtime.policy import RetryPolicy
-        from repro.sources.generators import DMV_FIG1_ANSWER
-
-        result = self.run_engine(
-            (0.0, 1e6),
-            Resilience(policy=RetryPolicy(max_retries=2, backoff_base_s=0.5)),
-        )
-        assert not result.complete
-        assert result.items <= DMV_FIG1_ANSWER
-        assert all(
-            a.fate is AttemptFate.OUTAGE for a in self.r1_attempts(result)
-        )
-
-    def test_hedge_rides_out_outage_via_mirror(self):
-        from repro.runtime.policy import RetryPolicy
-        from repro.sources.generators import DMV_FIG1_ANSWER
-
-        outage_end = 1e6
-        result = self.run_engine(
-            (0.0, outage_end),
-            Resilience(policy=RetryPolicy.no_retry(), hedge_delay_s=2.0),
-            replicate=True,
-        )
-        assert result.items == DMV_FIG1_ANSWER
-        assert result.complete
-        assert result.makespan_s < outage_end
-        assert result.trace.recovered_steps
-
-    def test_jittered_backoff_with_outage_is_deterministic(self):
-        from repro.runtime.policy import RetryPolicy
-
-        runs = [
-            self.run_engine(
-                (0.0, 3.0),
-                Resilience(
-                    policy=RetryPolicy(
-                        max_retries=8, backoff_base_s=0.7, backoff_jitter=0.5
-                    )
-                ),
-            )
-            for __ in range(2)
-        ]
-        assert runs[0].trace == runs[1].trace
-        assert runs[0].complete

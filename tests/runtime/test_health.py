@@ -5,7 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import CostModelError
+from repro.runtime.engine import Resilience
 from repro.runtime.health import (
+    BREAKER_MIN_VOLUME,
+    HEALTH_WINDOW,
     BreakerConfig,
     BreakerState,
     CircuitBreaker,
@@ -16,7 +19,7 @@ from repro.runtime.health import (
 
 def make_breaker(**kwargs) -> CircuitBreaker:
     config = BreakerConfig(**kwargs)
-    return CircuitBreaker(config, SourceHealth(config.window))
+    return CircuitBreaker(config, SourceHealth())
 
 
 class TestBreakerConfig:
@@ -24,9 +27,9 @@ class TestBreakerConfig:
         "kwargs",
         [
             {"failure_threshold": 0},
-            {"window": 0},
-            {"min_volume": -1},
-            {"half_open_probes": 0},
+            {"failure_threshold": 2.5},
+            {"failure_rate_to_open": float("nan")},
+            {"failure_rate_to_open": -0.1},
             {"failure_rate_to_open": 0.0},
             {"failure_rate_to_open": 1.5},
             {"cooldown_s": -1.0},
@@ -46,15 +49,16 @@ class TestBreakerConfig:
 
 class TestSourceHealth:
     def test_rolling_window_statistics(self):
-        health = SourceHealth(window=3)
-        for ok in (False, False, True, True):
+        assert HEALTH_WINDOW == 20
+        health = SourceHealth()
+        for ok in [False] * 5 + [True] * 17:
             health.record(ok, 1.0)
-        # Window holds the last 3: False, True, True.
-        assert health.volume == 3
-        assert health.failure_rate == pytest.approx(1 / 3)
-        assert health.attempts == 4
-        assert health.failures == 2
-        assert health.busy_s == pytest.approx(4.0)
+        # The window holds the last 20: three failures, 17 successes.
+        assert health.volume == 20
+        assert health.failure_rate == pytest.approx(3 / 20)
+        assert health.attempts == 22
+        assert health.failures == 5
+        assert health.busy_s == pytest.approx(22.0)
 
     def test_empty_window_rates_are_zero(self):
         health = SourceHealth()
@@ -62,7 +66,7 @@ class TestSourceHealth:
         assert health.mean_latency_s == 0.0
 
     def test_mean_latency(self):
-        health = SourceHealth(window=10)
+        health = SourceHealth()
         health.record(True, 1.0)
         health.record(True, 3.0)
         assert health.mean_latency_s == pytest.approx(2.0)
@@ -79,26 +83,23 @@ class TestCircuitBreaker:
         assert breaker.times_opened == 1
 
     def test_success_resets_consecutive_count(self):
-        breaker = make_breaker(failure_threshold=2, min_volume=100)
+        breaker = make_breaker(failure_threshold=2)
         breaker.record_failure(0.0, 0.1)
         breaker.record_success(1.0, 0.1)
         breaker.record_failure(2.0, 0.1)
         assert breaker.state is BreakerState.CLOSED
 
     def test_trips_on_windowed_failure_rate(self):
-        breaker = make_breaker(
-            failure_threshold=100,
-            failure_rate_to_open=0.5,
-            window=10,
-            min_volume=4,
-        )
+        assert BREAKER_MIN_VOLUME == 5
+        breaker = make_breaker(failure_threshold=100, failure_rate_to_open=0.5)
         # Alternate so consecutive failures never accumulate.
         breaker.record_failure(0.0, 0.1)
         breaker.record_success(1.0, 0.1)
         breaker.record_failure(2.0, 0.1)
-        assert breaker.state is BreakerState.CLOSED  # volume 3 < min 4
-        breaker.record_failure(3.0, 0.1)
-        assert breaker.state is BreakerState.OPEN  # rate 3/4 >= 0.5
+        breaker.record_success(3.0, 0.1)
+        assert breaker.state is BreakerState.CLOSED  # volume 4 < min 5
+        breaker.record_failure(4.0, 0.1)
+        assert breaker.state is BreakerState.OPEN  # rate 3/5 >= 0.5
 
     def test_open_blocks_until_cooldown_then_half_opens(self):
         breaker = make_breaker(failure_threshold=1, cooldown_s=10.0)
@@ -110,9 +111,7 @@ class TestCircuitBreaker:
         assert breaker.state is BreakerState.HALF_OPEN
 
     def test_half_open_limits_probes(self):
-        breaker = make_breaker(
-            failure_threshold=1, cooldown_s=0.0, half_open_probes=1
-        )
+        breaker = make_breaker(failure_threshold=1, cooldown_s=0.0)
         breaker.record_failure(0.0, 0.1)
         assert breaker.allow(1.0)  # the one probe
         assert not breaker.allow(1.0)  # second concurrent probe refused
@@ -136,9 +135,7 @@ class TestCircuitBreaker:
         assert breaker.times_opened == 2
 
     def test_abandon_returns_probe_slot(self):
-        breaker = make_breaker(
-            failure_threshold=1, cooldown_s=0.0, half_open_probes=1
-        )
+        breaker = make_breaker(failure_threshold=1, cooldown_s=0.0)
         breaker.record_failure(0.0, 0.1)
         assert breaker.allow(1.0)
         breaker.abandon()  # the probe was cancelled, not answered
@@ -232,12 +229,10 @@ class TestTransitionObserver:
 
 
 class TestQuarantine:
-    """Registry-level data-quality quarantine."""
+    """Registry-level data-quality quarantine: sticky once tripped."""
 
-    def registry(self, **kwargs) -> HealthRegistry:
-        from repro.runtime.health import QuarantineConfig
-
-        return HealthRegistry(None, QuarantineConfig(**kwargs))
+    def registry(self) -> HealthRegistry:
+        return HealthRegistry(None, quarantine=True)
 
     def taint(self, registry, name, count, now_s=0.0):
         for __ in range(count):
@@ -246,17 +241,11 @@ class TestQuarantine:
             )
 
     def test_config_validation(self):
-        from repro.runtime.health import QuarantineConfig
-
-        for kwargs in (
-            {"quality_threshold": 0.0},
-            {"quality_threshold": 1.5},
-            {"min_volume": 0},
-            {"cooldown_s": -1.0},
-            {"prior_weight": float("nan")},
-        ):
-            with pytest.raises(CostModelError):
-                QuarantineConfig(**kwargs)
+        # Quarantine is on or off; a former config object or None is
+        # rejected instead of silently read as a truth value.
+        for value in (None, 1, "on"):
+            with pytest.raises(CostModelError, match="quarantine must be a bool"):
+                Resilience(quarantine=value)
 
     def test_clean_answers_never_quarantine(self):
         registry = self.registry()
@@ -268,57 +257,46 @@ class TestQuarantine:
         assert registry.quality_score("R1") == 1.0
 
     def test_persistent_taint_trips_after_min_volume(self):
-        registry = self.registry(min_volume=3)
+        registry = self.registry()
         self.taint(registry, "R1", 2)
-        assert registry.quarantined_names() == ()  # volume too low
+        assert registry.quarantined_names() == ()  # volume 2 < 3
         self.taint(registry, "R1", 1)
         assert registry.quarantined_names() == ("R1",)
         assert registry.state_of("R1") is BreakerState.QUARANTINED
 
     def test_prior_shields_a_cold_source(self):
-        # One bad answer against a prior of two clean pseudo-answers
-        # keeps the score at 2/3 >= a 0.6 threshold.
-        registry = self.registry(
-            min_volume=1, prior_weight=2.0, quality_threshold=0.6
-        )
+        # Two clean pseudo-answers join the score: two clean answers and
+        # one bad one score (2 + 2) / (2 + 3) = 0.8, not below the 0.8
+        # threshold, though the raw clean fraction is 2/3.
+        registry = self.registry()
+        for __ in range(2):
+            registry.record_quality("R1", 0.0, clean=True, delivered=4, kept=4)
         self.taint(registry, "R1", 1)
+        assert registry.quality_score("R1") == pytest.approx(0.8)
         assert registry.quarantined_names() == ()
-        self.taint(registry, "R1", 1)  # 2/4 = 0.5 < 0.6
+        self.taint(registry, "R1", 1)  # 4/6 < 0.8
         assert registry.quarantined_names() == ("R1",)
 
     def test_sticky_quarantine_never_lifts(self):
-        import math
-
-        registry = self.registry(cooldown_s=None)
+        registry = self.registry()
         self.taint(registry, "R1", 5)
-        assert registry.quarantine_lifts_at("R1") == math.inf
         assert not registry.allow("R1", 1e12)
+        for __ in range(50):  # clean answers from a vote do not release it
+            registry.record_quality("R1", 1e12, clean=True, delivered=4, kept=4)
+        assert registry.quarantined_names() == ("R1",)
+        assert registry.quality_of("R1").times_quarantined == 1
 
-    def test_cooldown_releases_and_rejudges_afresh(self):
-        registry = self.registry(cooldown_s=30.0, min_volume=3)
-        self.taint(registry, "R1", 5, now_s=0.0)
-        assert not registry.allow("R1", 10.0)
-        assert registry.quarantine_lifts_at("R1") == 30.0
-        assert registry.allow("R1", 30.0)
-        assert registry.quarantined_names() == ()
-        # Released: judged on post-release volume, not history.
-        quality = registry.quality_of("R1")
-        assert quality.volume == 0
-        assert registry.quality_score("R1") == 1.0
-        assert quality.times_quarantined == 1
-
-    def test_quality_observer_sees_enter_and_exit(self):
-        registry = self.registry(cooldown_s=10.0, min_volume=3)
+    def test_quality_observer_sees_the_one_enter(self):
+        registry = self.registry()
         seen = []
         registry.quality_observer = (
             lambda now, name, action, score, answers: seen.append(
-                (now, name, action)
+                (now, name, action, answers)
             )
         )
         self.taint(registry, "R1", 4, now_s=1.0)
-        registry.allow("R1", 20.0)
-        assert [entry[2] for entry in seen] == ["enter", "exit"]
-        assert seen[0][1] == "R1"
+        registry.allow("R1", 1e12)
+        assert seen == [(1.0, "R1", "enter", 3)]
 
     def test_snapshot_and_report_show_quality(self):
         registry = self.registry()

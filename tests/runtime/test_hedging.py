@@ -308,7 +308,7 @@ class TestDeterminism:
             federation,
             faults=FaultInjector(FaultProfile.flaky(0.4), seed=7),
             resilience=Resilience(
-                policy=RetryPolicy(max_retries=2, backoff_jitter=0.5),
+                policy=RetryPolicy(max_retries=2),
                 hedge_delay_s=2.0,
                 breaker=BreakerConfig.aggressive(),
             ),

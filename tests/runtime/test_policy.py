@@ -7,6 +7,7 @@ import pytest
 from repro.errors import CostModelError
 from repro.runtime.engine import Resilience
 from repro.runtime.policy import (
+    BACKOFF_MAX_S,
     CompletenessReport,
     OnExhaust,
     RetryPolicy,
@@ -17,14 +18,11 @@ from repro.sources.generators import DMV_FIG1_ANSWER, dmv_fig1
 
 class TestRetryPolicy:
     def test_backoff_grows_exponentially_and_caps(self):
-        policy = RetryPolicy(
-            backoff_base_s=0.1, backoff_multiplier=2.0, backoff_max_s=0.5
-        )
-        assert policy.backoff_s(1) == pytest.approx(0.1)
-        assert policy.backoff_s(2) == pytest.approx(0.2)
-        assert policy.backoff_s(3) == pytest.approx(0.4)
-        assert policy.backoff_s(4) == pytest.approx(0.5)  # capped
-        assert policy.backoff_s(10) == pytest.approx(0.5)
+        # Doubling from the 0.1 s base, capped at BACKOFF_MAX_S = 5.0.
+        policy = RetryPolicy()
+        schedule = [policy.backoff_s(retry) for retry in range(1, 9)]
+        assert schedule == pytest.approx([0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 5.0, 5.0])
+        assert BACKOFF_MAX_S == 5.0
 
     def test_backoff_rejects_zeroth_retry(self):
         with pytest.raises(ValueError):
@@ -32,25 +30,15 @@ class TestRetryPolicy:
 
     def test_may_retry_counts(self):
         policy = RetryPolicy(max_retries=2)
-        assert policy.may_retry(0, 0.0, 1.0)
-        assert policy.may_retry(1, 0.0, 1.0)
-        assert not policy.may_retry(2, 0.0, 1.0)
-
-    def test_may_retry_deadline(self):
-        policy = RetryPolicy(max_retries=10, deadline_s=5.0)
-        assert policy.may_retry(0, 100.0, 104.0)
-        assert not policy.may_retry(0, 100.0, 105.5)
+        assert policy.may_retry(0)
+        assert policy.may_retry(1)
+        assert not policy.may_retry(2)
 
     def test_no_retry_profile(self):
         policy = RetryPolicy.no_retry()
         assert policy.max_retries == 0
         assert policy.on_exhaust is OnExhaust.SKIP
-        assert not policy.may_retry(0, 0.0, 0.0)
-
-    def test_strict_profile_has_bounds(self):
-        policy = RetryPolicy.strict(timeout_s=1.0, deadline_s=3.0)
-        assert policy.timeout_s == 1.0
-        assert policy.deadline_s == 3.0
+        assert not policy.may_retry(0)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -59,10 +47,22 @@ class TestRetryPolicy:
             {"backoff_base_s": -0.1},
             {"backoff_base_s": float("inf")},
             {"timeout_s": 0.0},
-            {"deadline_s": -1.0},
+            {"timeout_s": float("nan")},
         ],
     )
     def test_invalid_configurations_rejected(self, kwargs):
+        with pytest.raises(CostModelError):
+            RetryPolicy(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"max_retries": 1.5},
+            {"max_retries": "3"},
+            {"on_exhaust": "skip"},
+        ],
+    )
+    def test_wrongly_typed_fields_rejected(self, kwargs):
         with pytest.raises(CostModelError):
             RetryPolicy(**kwargs)
 
@@ -106,56 +106,6 @@ class TestCompletenessReport:
         assert report.exact
         partial = completeness_report(federation, query, frozenset({"J55"}))
         assert partial.completeness == pytest.approx(0.5)
-
-
-class TestBackoffJitter:
-    def test_disabled_by_default(self):
-        policy = RetryPolicy(backoff_base_s=0.1)
-        assert policy.backoff_jitter == 0.0
-        assert policy.backoff_s(1, key="op", seed=3) == pytest.approx(0.1)
-
-    def test_jitter_stays_within_band(self):
-        policy = RetryPolicy(backoff_base_s=1.0, backoff_jitter=0.25)
-        for retry in range(1, 6):
-            for seed in range(5):
-                wait = policy.backoff_s(retry, key="semijoin:R1", seed=seed)
-                base = min(
-                    1.0 * policy.backoff_multiplier ** (retry - 1),
-                    policy.backoff_max_s,
-                )
-                assert base * 0.75 <= wait <= base * 1.25
-
-    def test_deterministic_per_seed_key_and_attempt(self):
-        policy = RetryPolicy.jittered()
-        a = policy.backoff_s(2, key="load:R1", seed=7)
-        b = policy.backoff_s(2, key="load:R1", seed=7)
-        assert a == b  # byte-identical, not just approximately equal
-
-    def test_varies_across_seed_key_and_attempt(self):
-        policy = RetryPolicy.jittered()
-        baseline = policy.backoff_s(1, key="load:R1", seed=7)
-        assert policy.backoff_s(1, key="load:R2", seed=7) != baseline
-        assert policy.backoff_s(1, key="load:R1", seed=8) != baseline
-
-    def test_jittered_profile(self):
-        assert RetryPolicy.jittered(0.3).backoff_jitter == 0.3
-
-    @pytest.mark.parametrize("jitter", [-0.1, 1.5, float("nan")])
-    def test_invalid_jitter_rejected(self, jitter):
-        with pytest.raises(CostModelError):
-            RetryPolicy(backoff_jitter=jitter)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"max_retries": 1.5},
-            {"max_retries": "3"},
-            {"on_exhaust": "skip"},
-        ],
-    )
-    def test_wrongly_typed_fields_rejected(self, kwargs):
-        with pytest.raises(CostModelError):
-            RetryPolicy(**kwargs)
 
 
 class TestCompletenessAccounting:

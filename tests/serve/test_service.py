@@ -17,7 +17,7 @@ from repro.obs.events import EventLog
 from repro.optimize.sja_plus import SJAPlusOptimizer
 from repro.runtime.engine import Resilience
 from repro.runtime.faults import DataFaultProfile, FaultProfile, Faults
-from repro.runtime.health import BreakerConfig, QuarantineConfig
+from repro.runtime.health import BreakerConfig
 from repro.serve import (
     ChurnWave,
     MediatorService,
@@ -411,7 +411,7 @@ class TestUntrustedServing:
     def test_verified_service_quarantines_liars_for_all_queries(self):
         service = self.make_service(
             Resilience(
-                quarantine=QuarantineConfig.default(),
+                quarantine=True,
                 load_balance=True,
                 verify="vote",
             )

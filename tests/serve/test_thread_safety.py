@@ -251,14 +251,7 @@ class TestHealthRegistryHammer:
 
 class TestQuarantineHammer:
     def test_concurrent_quality_records_and_quarantine(self):
-        from repro.runtime.health import QuarantineConfig
-
-        registry = HealthRegistry(
-            None,
-            QuarantineConfig(
-                quality_threshold=0.8, min_volume=3, cooldown_s=None
-            ),
-        )
+        registry = HealthRegistry(None, quarantine=True)
         # Half the sources always lie, half never do; every thread
         # hammers all of them plus the read paths.
         liars = ["L1", "L2"]
