@@ -19,8 +19,9 @@ counts from a :class:`~repro.costs.estimates.SizeEstimator`:
 
 The semijoin formula is written once, in :func:`_semijoin_charge`: the
 scalar :func:`charge_sjq_pricer` and the batched
-:func:`charge_sjq_price_table` both evaluate it (the table on numpy
-arrays when the table is big enough to pay for numpy), and
+:func:`charge_sjq_price_table` — a whole query's conditions × sources ×
+sizes, one call per subset search — both evaluate it (the table on
+numpy arrays when the table is big enough to pay for numpy), and
 ``sjq_cost`` is that pricer applied.
 
 The charges are declared (:meth:`ChargeCostModel.for_federation` reads
@@ -48,11 +49,14 @@ from repro.sources.capabilities import SemijoinSupport, SourceCapabilities
 from repro.sources.network import LinkProfile
 from repro.sources.registry import Federation
 
-#: A price table built by numpy costs ≈ 20–30 µs more per call than one
-#: built by walking the pricers and ≈ 0.25 µs less per cell, so a table
-#: smaller than this is lists.  Measured crossover 64–128 cells; Fig. 1's
-#: tables hold 3, R7's m = 4 ones 28, ``plan_fresh``'s 1 008.
-_NUMPY_MIN_CELLS = 128
+#: A query's price table built by numpy, and folded by the stage rule as
+#: an array, costs ≈ 25–35 µs more per search than one built by walking
+#: the pricers and folded as lists, and ≈ 0.3 µs less per cell, so a
+#: table smaller than this is lists.  Measured crossover (SJA and SJ row
+#: pass, best of 9, n = 2–24 sources): 48–72 cells.  The subset DP's
+#: table holds m · n · (2^(m-1) − 1) cells: Fig. 1's 6, R7's m = 4 one
+#: 112, ``plan_fresh``'s 7 056.
+_NUMPY_MIN_CELLS = 64
 
 
 def _resolve_semijoin(
@@ -127,36 +131,51 @@ def charge_sjq_price_table(
     charges: Sequence[LinkProfile],
     capabilities: Sequence[SourceCapabilities],
     estimator: SizeEstimator,
-    condition: Condition,
+    conditions: Sequence[Condition],
     source_names: Sequence[str],
-    sizes: Sequence[float],
-) -> Sequence[Sequence[float]]:
+    sizes: Sequence[Sequence[float]],
+) -> Sequence[Sequence[Sequence[float]]]:
     """:meth:`CostModel.sjq_price_table` for the charge-shaped models:
-    the :func:`charge_sjq_pricer` of every source (``charges[j]`` and
-    ``capabilities[j]`` are ``source_names[j]``'s) at every size, cell
-    for cell the same bits.  The sizes are checked once.  A table of
-    :data:`_NUMPY_MIN_CELLS` cells or more is one numpy broadcast of the
-    formula (a 2-D array); a smaller one walks the pricers."""
-    CostModel._require_sizes(sizes)
-    if not numpy_serves(len(source_names) * len(sizes), _NUMPY_MIN_CELLS):
-        pricers = map(
-            charge_sjq_pricer,
-            charges,
-            capabilities,
-            repeat(estimator),
-            repeat(condition),
-            source_names,
-        )
-        return [list(map(price, sizes)) for price in pricers]
+    the :func:`charge_sjq_pricer` of every condition at every source
+    (``charges[j]`` and ``capabilities[j]`` are ``source_names[j]``'s)
+    at every size of the condition's row, cell for cell the same bits.
+    A table of :data:`_NUMPY_MIN_CELLS` cells or more is one numpy
+    broadcast of the formula (a 3-D array): the per-source columns are
+    resolved once, the match fraction once per (condition, supported
+    source), and all sizes are checked in one pass.  A smaller table
+    walks the pricers."""
+    cells = len(source_names) * sum(map(len, sizes))
+    if not numpy_serves(cells, _NUMPY_MIN_CELLS):
+        for row in sizes:
+            CostModel._require_sizes(row)
+        return [
+            [
+                list(map(price, row))
+                for price in map(
+                    charge_sjq_pricer,
+                    charges,
+                    capabilities,
+                    repeat(estimator),
+                    repeat(condition),
+                    source_names,
+                )
+            ]
+            for condition, row in zip(conditions, sizes)
+        ]
     import numpy as np
 
-    # One row of parameters per source, read below as (n, 1) columns; an
-    # unsupported source is priced as zeros and then replaced by inf.
-    parameters = []
-    for declared, capable, source in zip(charges, capabilities, source_names):
+    x = np.asarray(sizes, dtype=float)[:, None, :]  # conditions × 1 × sizes
+    if not ((x >= 0) & (x < INFINITE_COST)).all():
+        for row in sizes:
+            CostModel._require_sizes(row)
+    # One row of parameters per source, read below as 1 × sources × 1
+    # columns; an unsupported source is priced as zeros, then inf.
+    parameters, takes_semijoins = [], []
+    for declared, capable in zip(charges, capabilities):
         resolved = _resolve_semijoin(declared, capable)
+        takes_semijoins.append(resolved is not None)
         if resolved is None:
-            parameters.append((0.0, 0.0, 1.0, False, 0.0, 0.0, False))
+            parameters.append((0.0, 0.0, 1.0, False, 0.0))
             continue
         overhead, per_binding, batch = resolved
         parameters.append(
@@ -165,15 +184,25 @@ def charge_sjq_price_table(
                 per_binding,
                 batch or 1.0,
                 batch is not None,
-                estimator.match_fraction(condition, source),
                 declared.per_item_receive,
-                True,
             )
         )
-    overhead, per_binding, batch, batched, fraction, receive, supported = (
-        np.array(parameters, dtype=float).reshape(len(parameters), 7).T[..., None]
+    overhead, per_binding, batch, batched, receive = (
+        np.array(parameters, dtype=float)
+        .reshape(len(parameters), 5)
+        .T[:, None, :, None]
     )
-    x = np.asarray(sizes, dtype=float)
+    supported = np.array(takes_semijoins)[None, :, None]
+    fraction = np.array(
+        [
+            [
+                estimator.match_fraction(condition, source) if takes_semijoin else 0.0
+                for takes_semijoin, source in zip(takes_semijoins, source_names)
+            ]
+            for condition in conditions
+        ],
+        dtype=float,
+    ).reshape(len(conditions), len(parameters), 1)  # conditions × sources × 1
     requests = np.where(batched, np.ceil(np.ceil(x) / batch), 1.0)
     table = _semijoin_charge(requests, overhead, per_binding, fraction, receive, x)
     return np.where(supported, np.where(x == 0, 0.0, table), INFINITE_COST)
@@ -251,15 +280,15 @@ class ChargeCostModel(CostModel):
 
     def sjq_price_table(
         self,
-        condition: Condition,
+        conditions: Sequence[Condition],
         source_names: Sequence[str],
-        sizes: Sequence[float],
-    ) -> Sequence[Sequence[float]]:
+        sizes: Sequence[Sequence[float]],
+    ) -> Sequence[Sequence[Sequence[float]]]:
         return charge_sjq_price_table(
             [self.profiles[source] for source in source_names],
             [self.capabilities[source] for source in source_names],
             self.estimator,
-            condition,
+            conditions,
             source_names,
             sizes,
         )

@@ -12,12 +12,13 @@ A cost model answers three questions for the optimizer:
 
 A model may also answer ``sjq_pricer(c, R_j)`` — ``sjq_cost`` with the
 pair resolved once, a function of ``|X|`` alone; the default is
-``sjq_cost`` partially applied — and ``sjq_price_table(c, sources,
-sizes)`` — one condition's semijoin prices at many sources and many
-``|X|`` in one call, a sources × sizes table whose every cell is
-bit-equal to the pricer's answer.  Its default walks the pricers; the
-charge-shaped models answer a big table with one numpy broadcast.  The
-subset DP prices each condition's later stages with one table.
+``sjq_cost`` partially applied — and ``sjq_price_table(conditions,
+sources, sizes)`` — a query's semijoin prices at many sources and many
+``|X|`` in one call, a conditions × sources × sizes table (one row of
+sizes per condition) whose every cell is bit-equal to the pricer's
+answer.  Its default walks the pricers; the charge-shaped models answer
+a big table with one numpy broadcast.  The subset DP prices every later
+stage of a query with one table.
 
 Axioms (Sec. 2.4), checkable via :func:`check_cost_axioms`:
 
@@ -83,26 +84,29 @@ class CostModel(ABC):
 
     def sjq_price_table(
         self,
-        condition: Condition,
+        conditions: Sequence[Condition],
         source_names: Sequence[str],
-        sizes: Sequence[float],
-    ) -> Sequence[Sequence[float]]:
-        """``sjq_pricer(condition, s)(x)`` for every source ``s`` (rows, in
-        ``source_names`` order) and every size ``x`` (columns, in
-        ``sizes`` order).
+        sizes: Sequence[Sequence[float]],
+    ) -> Sequence[Sequence[Sequence[float]]]:
+        """``sjq_pricer(conditions[i], s)(x)`` for every condition (the
+        outer axis), every source ``s`` (in ``source_names`` order) and
+        every size ``x`` of ``sizes[i]``, condition ``i``'s own row of
+        sizes; all rows hold the same number of sizes.
 
-        Override it to price a whole row at once.  The table is a list of
-        per-source lists, or one 2-D float64 numpy array (the
-        charge-shaped models, for a table big enough to pay for numpy).
-        Contract: every cell bit-equal to the pricer's answer, and a size
-        outside ``0 <= |X| < inf`` raises the pricer's
-        :class:`CostModelError`.
+        Override it to price a whole query at once.  The table is nested
+        lists, or one 3-D float64 numpy array (the charge-shaped models,
+        for a table big enough to pay for numpy).  Contract: every cell
+        bit-equal to the pricer's answer, and a size outside
+        ``0 <= |X| < inf`` raises the pricer's :class:`CostModelError`.
         """
         return [
-            [pricer(size) for size in sizes]
-            for pricer in (
-                self.sjq_pricer(condition, source) for source in source_names
-            )
+            [
+                [pricer(size) for size in row]
+                for pricer in (
+                    self.sjq_pricer(condition, source) for source in source_names
+                )
+            ]
+            for condition, row in zip(conditions, sizes)
         ]
 
     def supports_semijoin(self, source_name: str, condition: Condition) -> bool:

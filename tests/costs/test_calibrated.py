@@ -196,8 +196,10 @@ def test_fitted_charges_price_bit_equal_to_the_reference(grid_federation, numpy_
                 assert model.lq_cost(name).hex() == _reference_lq(
                     fitted[name], capabilities[name], rows[name]
                 ).hex()
-            for condition in conditions:
-                table = model.sjq_price_table(condition, names, SIZES)
+            tables = model.sjq_price_table(
+                conditions, names, [SIZES] * len(conditions)
+            )
+            for condition, table in zip(conditions, tables):
                 for j, name in enumerate(names):
                     assert model.sq_cost(condition, name).hex() == _reference_sq(
                         fitted[name], estimator, condition, name
