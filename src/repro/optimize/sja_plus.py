@@ -13,9 +13,13 @@ postoptimization rather than an up-front search: extending SJA to
 consider set difference systematically would be exponential in ``n``
 (Sec. 4.1, last paragraph).
 
-Reported ``estimated_cost`` uses the generic plan coster — the only
-ruler able to price difference-pruned and load-rewritten plans — so it
-is directly comparable to costing SJA's plan with the same coster.
+The postoptimization is one priced walk
+(:func:`~repro.optimize.postopt.postoptimize`): it prunes, prices and
+loads SJA's plan and builds one plan.  Reported ``estimated_cost`` is
+that walk's total, which equals the generic plan coster's price of the
+finished plan bit for bit — the only ruler able to price
+difference-pruned and load-rewritten plans — so it is directly
+comparable to costing SJA's plan with that coster.
 """
 
 from __future__ import annotations
@@ -25,13 +29,9 @@ from typing import Sequence
 from repro.costs.estimates import SizeEstimator
 from repro.costs.model import CostModel
 from repro.optimize.base import OptimizationResult, Optimizer, _Stopwatch
-from repro.optimize.postopt import (
-    apply_difference_pruning,
-    apply_source_loading,
-)
+from repro.optimize.postopt import postoptimize
 from repro.optimize.search import DEFAULT_BEAM_WIDTH, PlanningBudget
 from repro.optimize.sja import SJAOptimizer
-from repro.plans.cost import estimate_plan_cost
 from repro.query.fusion import FusionQuery
 
 
@@ -93,14 +93,9 @@ class SJAPlusOptimizer(Optimizer):
             query, source_names, cost_model, estimator
         )
         with _Stopwatch() as watch:
-            plan = apply_difference_pruning(base_result.plan)
-            breakdown = estimate_plan_cost(plan, cost_model, estimator)
-            loaded = apply_source_loading(
-                plan, cost_model, estimator, breakdown=breakdown
+            plan, breakdown = postoptimize(
+                base_result.plan, cost_model, estimator
             )
-            if loaded is not plan:  # rewritten: price what was built
-                plan = loaded
-                breakdown = estimate_plan_cost(plan, cost_model, estimator)
             estimated = breakdown.total
         return OptimizationResult(
             plan=plan.with_description(

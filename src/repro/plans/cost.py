@@ -16,12 +16,20 @@ with probability ``p = s / D``, so
 
 which is exactly the independence assumption the paper's optimizers
 already make for intermediate sizes.
+
+The rule is written once, per step, in :class:`StepPricer`:
+:func:`estimate_plan_cost` applies it to every step of a plan, and SJA+'s
+postoptimization walk (:func:`repro.optimize.postopt.postoptimize`)
+applies it to the steps it emits.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from repro.costs.estimates import SizeEstimator
 from repro.costs.model import CostModel
@@ -71,12 +79,144 @@ class PlanCostBreakdown:
         return totals
 
 
+class StepPricer:
+    """The per-operation pricing rule, applied one plan step at a time.
+
+    Holds what pricing a step reads of the steps before it: each
+    register's estimated size and the source each loaded relation came
+    from.  :meth:`price` prices a step and records it; :meth:`carry`
+    records a step at a ``(cost, size)`` priced before — a step whose
+    inputs hold what they held then prices the same.  The recorded
+    steps are ``operations``, ``costs`` and ``output_sizes``, in order;
+    :meth:`breakdown` sums them.
+
+    Example:
+        >>> from repro.sources.generators import dmv_fig1
+        >>> from repro.sources.statistics import ExactStatistics
+        >>> from repro.costs.charge import ChargeCostModel
+        >>> federation, query = dmv_fig1()
+        >>> estimator = SizeEstimator(ExactStatistics(federation),
+        ...                           federation.source_names)
+        >>> model = ChargeCostModel.for_federation(federation, estimator)
+        >>> pricer = StepPricer(model, estimator)
+        >>> pricer.price(LoadOp("T_R1", "R1"))
+        >>> pricer.costs, pricer.output_sizes
+        ([16.0], [3.0])
+    """
+
+    __slots__ = (
+        "cost_model",
+        "estimator",
+        "universe",
+        "sizes",
+        "loaded_from",
+        "operations",
+        "costs",
+        "output_sizes",
+    )
+
+    def __init__(self, cost_model: CostModel, estimator: SizeEstimator):
+        self.cost_model = cost_model
+        self.estimator = estimator
+        self.universe = float(estimator.statistics.universe_size())
+        self.sizes: dict[str, float] = {}
+        self.loaded_from: dict[str, str] = {}
+        self.operations: list[Operation] = []
+        self.costs: list[float] = []
+        self.output_sizes: list[float] = []
+
+    def _probability(self, register: str) -> float:
+        if self.universe <= 0:
+            return 0.0
+        return min(1.0, self.sizes[register] / self.universe)
+
+    def price(self, op: Operation) -> None:
+        """Price ``op`` against the registers recorded so far; record it."""
+        cost_model, estimator = self.cost_model, self.estimator
+        if isinstance(op, SelectionOp):
+            cost = cost_model.sq_cost(op.condition, op.source)
+            size = estimator.sq_output_size(op.condition, op.source)
+        elif isinstance(op, SemijoinOp):
+            input_size = self.sizes[op.input_register]
+            cost = cost_model.sjq_cost(op.condition, op.source, input_size)
+            size = estimator.sjq_output_size(
+                op.condition, op.source, input_size
+            )
+        elif isinstance(op, LoadOp):
+            cost = cost_model.lq_cost(op.source)
+            size = float(estimator.statistics.cardinality(op.source))
+        elif isinstance(op, LocalSelectionOp):
+            source = self.loaded_from.get(op.input_register)
+            if source is None:
+                raise PlanValidationError(
+                    f"local selection reads {op.input_register!r} which is "
+                    "not a loaded relation"
+                )
+            cost = 0.0
+            size = estimator.sq_output_size(op.condition, source)
+        elif isinstance(op, UnionOp):
+            cost = 0.0
+            miss = 1.0
+            for register in op.inputs:
+                miss *= 1.0 - self._probability(register)
+            size = self.universe * (1.0 - miss)
+        elif isinstance(op, IntersectOp):
+            cost = 0.0
+            product = 1.0
+            for register in op.inputs:
+                product *= self._probability(register)
+            size = self.universe * product
+        elif isinstance(op, DifferenceOp):
+            cost = 0.0
+            size = self.universe * self._probability(op.left) * (
+                1.0 - self._probability(op.right)
+            )
+        else:  # pragma: no cover - new op kinds must be handled explicitly
+            raise PlanValidationError(f"cannot cost operation {op!r}")
+        self.carry(op, cost, size)
+
+    def price_all(self, operations: Iterable[Operation]) -> "StepPricer":
+        """Price ``operations`` one after another; returns this pricer."""
+        price = self.price
+        for op in operations:
+            price(op)
+        return self
+
+    def carry(self, op: Operation, cost: float, size: float) -> None:
+        """Record ``op`` at a ``(cost, size)`` priced before."""
+        if isinstance(op, LoadOp):
+            self.loaded_from[op.target] = op.source
+        self.sizes[op.target] = size
+        self.operations.append(op)
+        self.costs.append(cost)
+        self.output_sizes.append(size)
+
+    def breakdown(self, result: str) -> PlanCostBreakdown:
+        """The recorded steps as the breakdown of a plan answering
+        ``result``, totalled in step order."""
+        return PlanCostBreakdown(
+            # A plain left fold: ``sum`` compensates from Python 3.12 on.
+            total=functools.reduce(operator.add, self.costs, 0.0),
+            steps=tuple(
+                map(
+                    OpCostEstimate,
+                    itertools.count(1),
+                    self.operations,
+                    self.costs,
+                    self.output_sizes,
+                )
+            ),
+            result_size=self.sizes[result],
+        )
+
+
 def estimate_plan_cost(
     plan: Plan,
     cost_model: CostModel,
     estimator: SizeEstimator,
 ) -> PlanCostBreakdown:
-    """Estimate the cost of ``plan`` under ``cost_model``.
+    """Estimate the cost of ``plan`` under ``cost_model``: the
+    :class:`StepPricer` applied to every step.
 
     Example:
         >>> from repro.sources.generators import dmv_fig1
@@ -93,64 +233,8 @@ def estimate_plan_cost(
         >>> round(breakdown.total, 1)
         68.0
     """
-    universe = float(estimator.statistics.universe_size())
-    sizes: dict[str, float] = {}
-    relation_provenance: dict[str, str] = {}
-    steps: list[OpCostEstimate] = []
-    total = 0.0
-
-    def probability(register: str) -> float:
-        if universe <= 0:
-            return 0.0
-        return min(1.0, sizes[register] / universe)
-
-    for index, op in enumerate(plan.operations, start=1):
-        if isinstance(op, SelectionOp):
-            cost = cost_model.sq_cost(op.condition, op.source)
-            size = estimator.sq_output_size(op.condition, op.source)
-        elif isinstance(op, SemijoinOp):
-            input_size = sizes[op.input_register]
-            cost = cost_model.sjq_cost(op.condition, op.source, input_size)
-            size = estimator.sjq_output_size(
-                op.condition, op.source, input_size
-            )
-        elif isinstance(op, LoadOp):
-            cost = cost_model.lq_cost(op.source)
-            size = float(estimator.statistics.cardinality(op.source))
-            relation_provenance[op.target] = op.source
-        elif isinstance(op, LocalSelectionOp):
-            source = relation_provenance.get(op.input_register)
-            if source is None:
-                raise PlanValidationError(
-                    f"local selection reads {op.input_register!r} which is "
-                    "not a loaded relation"
-                )
-            cost = 0.0
-            size = estimator.sq_output_size(op.condition, source)
-        elif isinstance(op, UnionOp):
-            cost = 0.0
-            miss = 1.0
-            for register in op.inputs:
-                miss *= 1.0 - probability(register)
-            size = universe * (1.0 - miss)
-        elif isinstance(op, IntersectOp):
-            cost = 0.0
-            product = 1.0
-            for register in op.inputs:
-                product *= probability(register)
-            size = universe * product
-        elif isinstance(op, DifferenceOp):
-            cost = 0.0
-            size = universe * probability(op.left) * (
-                1.0 - probability(op.right)
-            )
-        else:  # pragma: no cover - new op kinds must be handled explicitly
-            raise PlanValidationError(f"cannot cost operation {op!r}")
-
-        sizes[op.target] = size
-        total += cost
-        steps.append(OpCostEstimate(index, op, cost, size))
-
-    return PlanCostBreakdown(
-        total=total, steps=tuple(steps), result_size=sizes[plan.result]
+    return (
+        StepPricer(cost_model, estimator)
+        .price_all(plan.operations)
+        .breakdown(plan.result)
     )

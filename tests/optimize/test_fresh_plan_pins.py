@@ -33,9 +33,9 @@ SEEDS = (16, 17, 18, 21, 25)
 NUMPY_LEGS = (True, False) if numpy_available() else (False,)
 
 
-def fresh_plan_pin(seed: int) -> dict:
-    """The pinned facts of one seed's SJA+ plan, from a fresh kit."""
-    kit = make_kit(
+def fresh_kit(seed: int):
+    """One seed's ``plan_fresh``-shaped planning kit."""
+    return make_kit(
         SyntheticConfig(
             n_sources=16,
             n_entities=300,
@@ -46,6 +46,11 @@ def fresh_plan_pin(seed: int) -> dict:
         ),
         m=7,
     )
+
+
+def fresh_plan_pin(seed: int) -> dict:
+    """The pinned facts of one seed's SJA+ plan, from a fresh kit."""
+    kit = fresh_kit(seed)
     result = SJAPlusOptimizer().optimize(
         kit.query, kit.source_names, kit.cost_model, kit.estimator
     )

@@ -176,25 +176,6 @@ class TestSourceLoading:
             is mixed_stage_plan
         )
 
-    def test_accepts_the_breakdown_the_caller_already_has(
-        self, dmv_estimator, mixed_stage_plan
-    ):
-        for lq_table in ({"R1": 5.0, "R3": 5.0}, {}):
-            model = TableCostModel(
-                default_sq=100.0, default_sjq=(50.0, 1.0), lq_table=lq_table
-            )
-            breakdown = estimate_plan_cost(
-                mixed_stage_plan, model, dmv_estimator
-            )
-            handed = apply_source_loading(
-                mixed_stage_plan, model, dmv_estimator, breakdown=breakdown
-            )
-            computed = apply_source_loading(
-                mixed_stage_plan, model, dmv_estimator
-            )
-            assert handed.operations == computed.operations
-            assert (handed is mixed_stage_plan) == (not lq_table)
-
     def test_preserves_answer(self, dmv_federation, dmv_query, dmv_estimator):
         plan = build_staged_plan(
             dmv_query,
@@ -230,22 +211,6 @@ class TestSourceLoading:
             if op.kind is OpKind.INTERSECT and "X1" in op.reads()
         ]
         assert intersects  # the sjq replacement re-binds against X1
-
-    def test_only_sources_filter(
-        self, dmv_query, dmv_estimator, mixed_stage_plan
-    ):
-        model = TableCostModel(
-            default_sq=100.0,
-            default_sjq=(50.0, 1.0),
-            lq_table={"R1": 1.0, "R2": 1.0, "R3": 1.0},
-        )
-        loaded = apply_source_loading(
-            mixed_stage_plan, model, dmv_estimator, only_sources=["R2"]
-        )
-        load_targets = {
-            op.source for op in loaded.operations if isinstance(op, LoadOp)
-        }
-        assert load_targets == {"R2"}
 
 
 class TestCombined:

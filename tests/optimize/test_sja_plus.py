@@ -6,9 +6,11 @@ import pytest
 
 from repro.mediator.executor import Executor
 from repro.mediator.reference import reference_answer
+from repro.optimize import postopt, sja_plus
 from repro.optimize.postopt import apply_difference_pruning, apply_source_loading
 from repro.optimize.sja import SJAOptimizer
 from repro.optimize.sja_plus import SJAPlusOptimizer
+from repro.plans import cost as cost_module
 from repro.plans.classify import PlanClass, classify
 from repro.plans.cost import estimate_plan_cost
 from repro.plans.operations import OpKind
@@ -109,9 +111,10 @@ class TestSJAPlus:
 
     @pytest.mark.parametrize("loading_rewrites", [False, True])
     def test_finished_plan_is_priced_once(self, monkeypatch, loading_rewrites):
-        # The loading pass needs the candidate's breakdown and the
-        # result needs its total: one pricing serves both unless loading
-        # built a different plan, which is then priced afresh.
+        # SJA+ prunes, prices and loads SJA's plan in one walk: it never
+        # prices a built plan with the generic coster, and builds only
+        # SJA's staged plan and the finished one.  Its total is still
+        # the generic coster's price of that plan, to the bit.
         if loading_rewrites:
             federation, query = dmv_fig1()  # default link: loads are cheap
             estimator = SizeEstimator(
@@ -120,25 +123,31 @@ class TestSJAPlus:
             model = ChargeCostModel.for_federation(federation, estimator)
         else:
             federation, query, model, estimator = semijoin_heavy_kit()
-        priced = []
+        priced, built = [], []
 
         def counting(plan, cost_model, size_estimator):
             priced.append(plan)
             return estimate_plan_cost(plan, cost_model, size_estimator)
 
+        for module in (cost_module, postopt, sja_plus):
+            monkeypatch.setattr(
+                module, "estimate_plan_cost", counting, raising=False
+            )
+        construct = Plan.__init__
         monkeypatch.setattr(
-            "repro.optimize.sja_plus.estimate_plan_cost", counting
-        )
-        monkeypatch.setattr(
-            "repro.optimize.postopt.estimate_plan_cost", counting
+            Plan,
+            "__init__",
+            lambda plan, *args, **kwargs: built.append(plan)
+            or construct(plan, *args, **kwargs),
         )
         result = SJAPlusOptimizer().optimize(
             query, federation.source_names, model, estimator
         )
         loads = result.plan.count_by_kind().get(OpKind.LOAD, 0)
         assert (loads > 0) == loading_rewrites
-        assert len(priced) == (2 if loading_rewrites else 1)
-        assert priced[-1].operations == result.plan.operations
+        assert priced == []
+        assert 1 <= len(built) <= 2
+        assert built[-1].operations == result.plan.operations
         assert (
             result.estimated_cost.hex()
             == estimate_plan_cost(result.plan, model, estimator).total.hex()
@@ -164,9 +173,10 @@ class TestSJAPlus:
 
 
 def test_a_fresh_query_validates_each_operation_list_once(monkeypatch, plan_fresh_kit):
-    # The staged builder and each postoptimization pass that rewrites
-    # the plan build one new operation list apiece, validated when it is
-    # built; renaming the finished plan copies it unvalidated.
+    # The staged builder builds one operation list and the
+    # postoptimization walk one more when it rewrites the plan, each
+    # validated when it is built; renaming the finished plan copies it
+    # unvalidated.
     kit = plan_fresh_kit
     names = kit.source_names
     base = SJAOptimizer().optimize(
@@ -174,7 +184,7 @@ def test_a_fresh_query_validates_each_operation_list_once(monkeypatch, plan_fres
     ).plan
     pruned = apply_difference_pruning(base)
     loaded = apply_source_loading(pruned, kit.cost_model, kit.estimator)
-    built = 1 + (pruned is not base) + (loaded is not pruned)
+    built = 1 + (loaded is not base)
     validated = []
     check = Plan._validate
     monkeypatch.setattr(
