@@ -104,10 +104,10 @@ def generate_arrivals(spec: WorkloadSpec) -> list[Arrival]:
 
 def percentile(values: Sequence[float], q: float) -> float:
     """Nearest-rank percentile (deterministic, no interpolation)."""
-    if not values:
-        return 0.0
     if not 0 <= q <= 100:
         raise CostModelError(f"percentile must be in [0, 100], got {q}")
+    if not values:
+        return 0.0
     ordered = sorted(values)
     rank = max(1, -(-len(ordered) * q // 100))  # ceil without floats
     return ordered[int(rank) - 1]

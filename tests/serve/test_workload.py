@@ -98,6 +98,11 @@ class TestPercentile:
         with pytest.raises(CostModelError):
             percentile([1.0], 101)
 
+    @pytest.mark.parametrize("q", [-1, 101, 150])
+    def test_out_of_range_rejected_without_values(self, q):
+        with pytest.raises(CostModelError):
+            percentile([], q)
+
 
 class TestRunWorkload:
     def test_deterministic_end_to_end(self, dmv_federation):
