@@ -136,9 +136,9 @@ def test_a_fresh_plan_costs_what_its_operations_cost_r13(monkeypatch):
         plans = []
         construct = plan_module.Plan.__init__
 
-        def constructed(self, operations, *args, **kwargs):
+        def constructed(self, ops, *args, **kwargs):
             del reads[:]
-            construct(self, operations, *args, **kwargs)
+            construct(self, ops, *args, **kwargs)
             assert len(reads) == len(self.operations), (len(reads), len(self.operations))
             assert set(map(id, reads)) == set(map(id, self.operations))
             plans.append(self)
