@@ -6,8 +6,8 @@ the paths it searches (recursively), the directories it skips
 hits it allows (a ``grep -v`` regex over grep's ``path:line:text``
 output).  The row's name says what the missing name keeps true; many
 rows have an AST or runtime check beside them, named in the comment.
-Files are searched as a fresh checkout has them: the caches and build
-products ``.gitignore`` lists are skipped.
+Files are searched as a fresh checkout has them: bytecode caches and
+the build's ``*.egg-info`` are skipped.
 """
 
 from __future__ import annotations
@@ -25,8 +25,9 @@ ROOT = Path(__file__).resolve().parents[1]
 #: The paths most rows search.
 PRODUCT = ("src", "benchmarks", "examples", "docs", "README.md", "DESIGN.md")
 
-#: Directories a build or a test run leaves behind; a checkout has none.
-BUILD_PRODUCTS = ("__pycache__", ".pytest_cache", ".hypothesis", "*.egg-info")
+#: Directories a build or an import leaves inside the searched paths; a
+#: checkout has none.
+BUILD_PRODUCTS = ("__pycache__", "*.egg-info")
 
 
 @dataclass(frozen=True)
