@@ -283,16 +283,24 @@ def test_scan_heavy_selects_through_the_value_index(monkeypatch):
 
     Seeds 16-17 at full size: every answer equals the oracle, the fusion
     bitmaps are equal under set_numpy_enabled(None / True / False), and
-    the two numpy settings answer leaves from a value index while the
-    python kernels never do.
+    where numpy imports the two numpy settings answer leaves from both
+    forms of a value index — its bitmaps and its slices — while the
+    python kernels take neither.  Without numpy no index is built.
     """
-    served, ids_where = [0], columnar.ValueIndex.ids_where
+    served = {"bitmaps": 0, "slices": 0}
+    bits_where, ids_where = columnar.ValueIndex.bits_where, columnar.ValueIndex.ids_where
 
-    def counted(self, condition):
-        served[0] += 1
+    def bitmapped(self, condition):
+        bits = bits_where(self, condition)
+        served["bitmaps"] += bits is not None
+        return bits
+
+    def sliced(self, condition):
+        served["slices"] += 1
         return ids_where(self, condition)
 
-    monkeypatch.setattr(columnar.ValueIndex, "ids_where", counted)
+    monkeypatch.setattr(columnar.ValueIndex, "bits_where", bitmapped)
+    monkeypatch.setattr(columnar.ValueIndex, "ids_where", sliced)
     with time_limit(600):
         for seed in (16, 17):
             w = WORKLOADS["scan_heavy"](seed)
@@ -300,7 +308,7 @@ def test_scan_heavy_selects_through_the_value_index(monkeypatch):
             bitmaps = {}
             for override in (None, True, False):
                 previous = columnar.set_numpy_enabled(override)
-                served[0] = 0
+                served.update(bitmaps=0, slices=0)
                 runs = []
                 for i, op in enumerate(w.ops(state)):
                     result = op.run()
@@ -309,7 +317,10 @@ def test_scan_heavy_selects_through_the_value_index(monkeypatch):
                     runs.append(result.execution.item_set)
                 columnar.set_numpy_enabled(previous)
                 bitmaps[override] = runs
-                assert (served[0] > 0) == (override is not False), (seed, override, served[0])
+                indexed = columnar.numpy_available() and override is not False
+                assert {form: count > 0 for form, count in served.items()} == {
+                    "bitmaps": indexed, "slices": indexed
+                }, (seed, override, served)
             assert bitmaps[None] == bitmaps[True] == bitmaps[False], seed
 
 

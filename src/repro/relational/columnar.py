@@ -34,15 +34,19 @@ Design rules (see DESIGN.md):
   ``str`` / ``int`` keeps ``frozenset`` answers and the C set methods.
 * Boolean structure (AND/OR/NOT) is computed as mask algebra, never by
   re-walking rows.
-* A one-attribute leaf over a source table of ``_INDEX_MIN_ROWS`` rows
-  or more reads the column's *value index*
-  (:meth:`ColumnarTable.value_index`): the leaf runs once per distinct
+* A one-attribute leaf over a source table reads the column's *value
+  index* (:meth:`ColumnarTable.value_index`).  Its *bitmap form*, kept
+  where the column's distinct values × item bound fit in
+  ``_BITMAP_BITS``, answers ``=`` / ``!=`` / ``<`` / ``<=`` / ``>`` /
+  ``>=`` / ``BETWEEN`` / ``IN`` with a ``bisect`` or a dict lookup and
+  an integer OR — no numpy call, no row touched.  Any other leaf, on a
+  table of ``_INDEX_MIN_ROWS`` rows or more, runs once per distinct
   value, through the same mask kernels, and the rows holding the true
-  values are slices of the item ids sorted by value — no mask over the
-  rows.  The index is built once from immutable rows and holds no
-  verdict or answer: every request evaluates its own condition.  AND /
-  OR / NOT, float, bool and null-holding columns, slices and merge
-  values without item ids keep the row masks.
+  values are slices of the item ids sorted by value (the *slice form*).
+  The index is built once from immutable rows and holds no verdict or
+  answer: every request evaluates its own condition.  AND / OR / NOT,
+  float, bool and null-holding columns, slices and merge values
+  without item ids keep the row masks.
 
 The numpy kernels run whenever numpy imports and the table is long
 enough to pay for them (``_NUMPY_MIN_ROWS``) — there is no option to
@@ -53,6 +57,8 @@ either set of kernels at every size in a process that has numpy.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left, bisect_right
+from functools import reduce
 from itertools import compress, islice
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -118,6 +124,16 @@ _INDEX_MIN_ROWS = 8192
 
 #: The leaves a value index answers: one attribute, one verdict per value.
 _INDEXED_LEAVES = (Comparison, Between, InSet, Like, IsNull)
+
+#: A value index keeps its bitmap form when the column's distinct values
+#: × the table's item bound fit in this many bits: its three lists of
+#: bitmaps then hold at most 3 × 128 KiB, and the build's flag matrix
+#: one byte a bit.  See DESIGN "Columnar substrate" (5).
+_BITMAP_BITS = 2**20
+
+#: The literals a bitmap form compares with a column of each value type:
+#: those python orders exactly against it (a NaN aside).
+_ORDERED_WITH = {int: frozenset({int, float}), str: frozenset({str})}
 
 #: Marks a cached view that has not been built yet (``None`` is a value).
 _UNBUILT: Any = object()
@@ -477,7 +493,7 @@ class ColumnarTable:
         return self._np_item_ids
 
     def value_index(self, name: str) -> "ValueIndex | None":
-        """The column's rows grouped by value (:class:`ValueIndex`), built
+        """The column's items grouped by value (:class:`ValueIndex`), built
         once from the :meth:`encoded` codes and the :meth:`np_item_ids`.
 
         ``None`` (cached) for a slice — it ranges over its parent's rows
@@ -502,45 +518,134 @@ class ColumnarTable:
 
 
 class ValueIndex:
-    """A column of a source table, its rows grouped by value.
+    """A column of a source table, its items grouped by value.
 
-    ``values`` is a one-column :class:`ColumnarTable` of the column's
-    distinct values, sorted; the rows holding ``values``' ``v``-th value
-    are ``starts[v]:starts[v + 1]`` of ``ids``, the rows' item ids
-    ordered by value.  A one-attribute leaf runs once per distinct value,
+    ``values`` are the column's distinct values, sorted (all ``str`` or
+    all ``int``: totally ordered), and ``bound`` the table's item bound.
+
+    The *bitmap form* is range encoding (Chan & Ioannidis, SIGMOD 1998)
+    over items: ``bitmaps[k]`` holds the :class:`ItemSet` bits of the
+    items of the rows holding ``values[k]``, ``prefix[k]`` the OR of
+    ``bitmaps[:k]`` and ``suffix[k]`` the OR of ``bitmaps[k:]``.  An
+    item qualifies when any of its rows does, so every OR is exact.  It
+    is built with the index when ``len(values) × bound`` fits in
+    ``_BITMAP_BITS`` (else ``bitmaps`` is ``None``) and serves
+    :meth:`bits_where`.
+
+    The *slice form* serves :meth:`ids_where`, built on its first call:
+    the rows' item ids ordered by value, ``values`` as a one-column
+    :class:`ColumnarTable`, and the rows holding ``values[v]`` at
+    ``starts[v]:starts[v + 1]``.  A leaf runs once per distinct value,
     through the mask kernels, and a run of adjacent true values is one
-    slice of ``ids`` — one slice for a comparison or BETWEEN, since the
-    values are sorted.  Nothing here depends on a condition: every
-    request evaluates its own.
+    slice of the ids.
+
+    Nothing here depends on a condition: every request evaluates its own.
     """
 
-    __slots__ = ("values", "starts", "ids", "bound")
+    __slots__ = (
+        "name", "values", "bound", "bitmaps", "prefix", "suffix", "_by_value", "_literals",
+        "_row_rank", "_ids", "_slices",
+    )
 
     def __init__(self, name: str, index: dict[Any, int], codes, ids, bound: int):
-        ordered = sorted(index)  # one type, str or int: totally ordered
-        rank = _np.empty(len(ordered), dtype=_np.intp)
-        rank[[index[value] for value in ordered]] = _np.arange(len(ordered))
-        row_rank = rank.take(codes)
-        self.values = ColumnarTable(Schema((Attribute(name),), name), [(v,) for v in ordered])
-        self.starts = _np.zeros(len(ordered) + 1, dtype=_np.intp)
-        _np.cumsum(_np.bincount(row_rank, minlength=len(ordered)), out=self.starts[1:])
-        self.ids = ids.take(row_rank.argsort(kind="stable"))
+        self.name = name
+        self.values = sorted(index)
+        rank = _np.empty(len(self.values), dtype=_np.intp)
+        rank[[index[value] for value in self.values]] = _np.arange(len(self.values))
+        self._row_rank = rank.take(codes)
+        self._ids = ids
         self.bound = bound
+        self._slices = None
+        self._literals = _ORDERED_WITH[type(self.values[0])] if self.values else frozenset()
+        self.bitmaps = self.prefix = self.suffix = self._by_value = None
+        if len(self.values) * bound <= _BITMAP_BITS:
+            self._range_encode()
+
+    def _range_encode(self) -> None:
+        """The bitmap form: one flag byte per (value, item), set by one
+        scatter, packed per value and OR-accumulated both ways."""
+        flags = _np.zeros((len(self.values), self.bound), dtype=_np.uint8)
+        flags[self._row_rank, self._ids] = 1
+        packed = _np.packbits(flags, axis=1, bitorder="little")
+        self.bitmaps = _row_ints(packed)
+        self.prefix = [0] + _row_ints(_np.bitwise_or.accumulate(packed, axis=0))
+        self.suffix = _row_ints(_np.bitwise_or.accumulate(packed[::-1], axis=0)[::-1]) + [0]
+        self._by_value = dict(zip(self.values, self.bitmaps))
+
+    def _orders(self, literal: Any) -> bool:
+        """Does the bitmap form answer a comparison with ``literal``?"""
+        return type(literal) in self._literals and literal == literal
+
+    def bits_where(self, condition: Condition) -> int | None:
+        """The item bits of the rows satisfying ``condition``, a leaf over
+        this column, from the bitmap form; ``None`` when the index has no
+        bitmap form, or for a leaf it does not answer (``LIKE``, ``IS
+        NULL``, a literal outside the column's domain: a ``bool``,
+        ``None``, NaN, a ``str`` against ints, a number against strs).
+
+        ``IN`` looks its members up by ``==`` and hash, as the
+        reference kernel's ``in`` does, so it takes any member.
+        """
+        if self.bitmaps is None:
+            return None
+        if isinstance(condition, InSet):
+            return reduce(operator.or_, filter(None, map(self._by_value.get, condition.values)), 0)
+        if isinstance(condition, Comparison):
+            value, op = condition.value, condition.op
+            if not self._orders(value):
+                return None
+            if op == "=":
+                return self._by_value.get(value, 0)
+            if op == "!=":
+                at = bisect_left(self.values, value)
+                if at < len(self.values) and self.values[at] == value:
+                    return self.prefix[at] | self.suffix[at + 1]
+                return self.suffix[0]
+            at = (bisect_left if op in ("<", ">=") else bisect_right)(self.values, value)
+            return self.prefix[at] if op[0] == "<" else self.suffix[at]
+        if isinstance(condition, Between):
+            low, high = condition.low, condition.high
+            if not (self._orders(low) and self._orders(high)):
+                return None
+            start, stop = bisect_left(self.values, low), bisect_right(self.values, high)
+            if start >= stop:
+                return 0
+            if start == 0:
+                return self.prefix[stop]
+            if stop == len(self.values):
+                return self.suffix[start]
+            return reduce(operator.or_, self.bitmaps[start:stop])
+        return None
 
     def ids_where(self, condition: Condition):
         """The item ids of the rows satisfying ``condition``, a leaf over
-        this column (one id per row, an ``intp`` array)."""
+        this column (one id per row, an ``intp`` array), from the slice
+        form."""
+        if self._slices is None:
+            table = ColumnarTable(
+                Schema((Attribute(self.name),), self.name), [(v,) for v in self.values]
+            )
+            starts = _np.zeros(len(self.values) + 1, dtype=_np.intp)
+            _np.cumsum(_np.bincount(self._row_rank, minlength=len(self.values)), out=starts[1:])
+            self._slices = table, starts, self._ids.take(self._row_rank.argsort(kind="stable"))
+        table, starts, ids = self._slices
         # A run of true values starts and ends where the padded verdicts change.
-        padded = _np.zeros(self.values.length + 2, dtype=bool)
-        padded[1:-1] = _mask_np(condition, self.values)
+        padded = _np.zeros(table.length + 2, dtype=bool)
+        padded[1:-1] = _mask_np(condition, table)
         edges = _np.flatnonzero(padded[1:] != padded[:-1])
-        low, high = self.starts.take(edges[0::2]), self.starts.take(edges[1::2])
+        low, high = starts.take(edges[0::2]), starts.take(edges[1::2])
         if len(low) == 1:
-            return self.ids[low[0] : high[0]]
+            return ids[low[0] : high[0]]
         lengths = high - low
         # Position i of the output is row (i - run's first output) + run's low.
         shift = _np.repeat(low - (_np.cumsum(lengths) - lengths), lengths)
-        return self.ids.take(shift + _np.arange(len(shift)))
+        return ids.take(shift + _np.arange(len(shift)))
+
+
+def _row_ints(rows) -> list[int]:
+    """Each row of a 2-d ``uint8`` array as one little-endian int."""
+    data, width = rows.tobytes(), rows.shape[1]
+    return [int.from_bytes(data[i * width : (i + 1) * width], "little") for i in range(len(rows))]
 
 
 def _code_dtype(count: int):
@@ -897,22 +1002,32 @@ def _bitmap(ids, bound: int) -> ItemSet:
     return ItemSet(int.from_bytes(_np.packbits(flags, bitorder="little").tobytes(), "little"))
 
 
-def _value_index_for(table: ColumnarTable, condition: Condition) -> ValueIndex | None:
-    """The value index that answers a one-attribute leaf over ``table``:
-    on a table of at least ``_INDEX_MIN_ROWS`` rows (any length when a
-    parity test forces numpy) whose column has one; else None."""
-    if isinstance(condition, _INDEXED_LEAVES) and numpy_serves(table.length, _INDEX_MIN_ROWS):
-        return table.value_index(condition.attribute)
+def _indexed_items(table: ColumnarTable, condition: Condition) -> ItemSet | None:
+    """``sq(c, R)`` from the value index of a one-attribute leaf's column:
+    its bitmap form when it has one that answers the leaf, else its
+    slice form on a table of at least ``_INDEX_MIN_ROWS`` rows (any
+    length when a parity test forces numpy).  None when the row masks
+    must run — and whenever the numpy kernels are off, since numpy
+    builds the index."""
+    if not isinstance(condition, _INDEXED_LEAVES) or not numpy_enabled():
+        return None
+    index = table.value_index(condition.attribute)
+    if index is None:
+        return None
+    bits = index.bits_where(condition)
+    if bits is not None:
+        return ItemSet(bits)
+    if numpy_serves(table.length, _INDEX_MIN_ROWS):
+        return _bitmap(index.ids_where(condition), index.bound)
     return None
 
 
 def select_items(table: ColumnarTable, condition: Condition) -> ItemSet | frozenset[Any]:
     """``sq(c, R)`` on the columnar batch: distinct qualifying items —
-    the ids of a value index's qualifying slices, or the rows under a
-    predicate mask."""
-    index = _value_index_for(table, condition)
-    if index is not None:
-        return _bitmap(index.ids_where(condition), index.bound)
+    from a value index, or the rows under a predicate mask."""
+    selected = _indexed_items(table, condition)
+    if selected is not None:
+        return selected
     return _selected_items(table, predicate_mask(table, condition))
 
 
@@ -928,19 +1043,19 @@ def semijoin_items(
 ) -> ItemSet | frozenset[Any]:
     """``sjq(c, R, Y)``: the qualifying rows whose item is bound.
 
-    Through a value index, the qualifying slices' ids keep those whose
-    flag in ``wanted`` is set: one gather over the selected rows.
-    Otherwise membership is tested first — when no row is bound the
-    predicate is never evaluated.  The numpy kernels AND two whole-table
-    masks (both are gathers); the python kernels evaluate the predicate
-    on the bound rows only.
+    Through a value index it is ``sq(c, R) & Y`` on the bits (a set
+    that is not an :class:`ItemSet` is looked up in
+    :data:`~repro.relational.items.INDEX` first).  Otherwise membership
+    is tested first — when no row is bound the predicate is never
+    evaluated.  The numpy kernels AND two whole-table masks (both are
+    gathers); the python kernels evaluate the predicate on the bound
+    rows only.
     """
     if not wanted:
         return EMPTY_ITEMS
-    index = _value_index_for(table, condition)
-    if index is not None:
-        ids = index.ids_where(condition)
-        return _bitmap(ids[_binding_flags(wanted, index.bound).take(ids)], index.bound)
+    selected = _indexed_items(table, condition)
+    if selected is not None:
+        return selected & _interned(wanted)
     member = member_mask(table, wanted)
     if _is_array(member):
         if not member.any():
@@ -953,19 +1068,14 @@ def semijoin_items(
     return _selected_items(bound, _mask_python(condition, bound))
 
 
-def _binding_flags(wanted: ItemSet | frozenset[Any], bound: int):
-    """One bool per item id below ``bound`` (at least): is it in ``wanted``.
-
-    An :class:`ItemSet` unpacks its bits; any other set looks its items
-    up in :data:`~repro.relational.items.INDEX`, which holds every item
-    the table has (an equal item of another type, ``1.0`` for ``1``,
-    finds the same id, as ``in`` would).
-    """
+def _interned(wanted: ItemSet | frozenset[Any]) -> ItemSet:
+    """``wanted`` as an :class:`ItemSet` of the items :data:`INDEX` holds:
+    every item a table has is there, and an equal item of another type
+    (``1.0`` for ``1``) finds the same id, as ``in`` would."""
     if type(wanted) is ItemSet:
-        return _np.frombuffer(wanted.flags(bound), dtype=bool)
-    flags = _np.zeros(bound, dtype=bool)
-    flags[[i for i in map(INDEX.get, wanted) if i is not None and i < bound]] = True
-    return flags
+        return wanted
+    ids = [i for i in map(INDEX.get, wanted) if i is not None]
+    return ItemSet.from_ids(ids, max(ids, default=-1) + 1)
 
 
 def count_matching(table: ColumnarTable, condition: Condition) -> int:

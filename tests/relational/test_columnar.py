@@ -471,13 +471,17 @@ def _indexed_relation(n: int) -> Relation:
 
 @pytest.mark.skipif(not numpy_available(), reason="numpy not available")
 class TestValueIndexChosenBySizeAndColumnKind:
-    """Above ``_INDEX_MIN_ROWS`` rows a one-attribute leaf over a null-free
-    string or int column is answered from its value index: no mask over
-    the rows.  Everything else — shorter tables, boolean structure,
-    float and null-holding columns, slices, merge values without item
-    ids — masks the rows as before."""
+    """A one-attribute leaf over a null-free string or int column of a
+    source table reads no row mask.  The index's bitmap form answers
+    comparisons, BETWEEN and IN at any length when the column's distinct
+    values × item bound fit in ``_BITMAP_BITS``; its slice form answers
+    every leaf kind from ``_INDEX_MIN_ROWS`` rows on.  Everything else —
+    shorter tables the bitmap form does not answer for, boolean
+    structure, float and null-holding columns, slices, merge values
+    without item ids — masks the rows as before."""
 
     LIMIT = columnar._INDEX_MIN_ROWS
+    BITMAP_LEAVES = (Comparison, Between, InSet)
 
     @pytest.fixture
     def masked(self, monkeypatch):
@@ -498,6 +502,11 @@ class TestValueIndexChosenBySizeAndColumnKind:
         prev = set_numpy_enabled(None)
         yield lengths
         set_numpy_enabled(prev)
+
+    @pytest.fixture
+    def budget(self, monkeypatch):
+        """Set the bitmap form's bit budget (an index built later reads it)."""
+        return lambda bits: monkeypatch.setattr(columnar, "_BITMAP_BITS", bits)
 
     def _answers(self, relation, condition):
         table = relation.columnar()
@@ -520,7 +529,8 @@ class TestValueIndexChosenBySizeAndColumnKind:
         ],
         ids=str,
     )
-    def test_a_leaf_over_a_long_table_reads_no_row_mask(self, masked, condition):
+    def test_a_leaf_over_a_long_table_reads_no_row_mask(self, masked, budget, condition):
+        budget(-1)  # no bitmap form: the slice form alone, by table length
         relation = _indexed_relation(self.LIMIT)
         answers = self._answers(relation, condition)
         assert masked == []
@@ -531,6 +541,50 @@ class TestValueIndexChosenBySizeAndColumnKind:
             row[0] for row in relation.rows if condition.evaluate(INDEXED_SCHEMA.row_to_dict(row))
         )
         assert answers == [expected] * 3
+
+    @pytest.mark.parametrize(
+        "condition, answered",
+        [
+            (Comparison("V", "=", "sp"), True),
+            (Comparison("V", "!=", "sp"), True),
+            (Comparison("D", "<", 1995), True),
+            (Comparison("D", ">=", 1994.5), True),
+            (Between("D", 1992, 1994), True),
+            (InSet("V", ["dui", "nobody"]), True),
+            (InSet("D", [1991, 1991.0, True, "1991"]), True),
+            # What the bitmap form leaves to the row masks on a short table.
+            (Like("V", "p%"), False),
+            (IsNull("D", negated=True), False),
+            (Comparison("D", "<", True), False),
+            (Comparison("D", "<", float("nan")), False),
+            (Comparison("V", "<", 3), False),
+            (Between("D", "a", 1994), False),
+        ],
+        ids=str,
+    )
+    def test_a_short_table_answers_from_its_bitmaps(self, masked, budget, condition, answered):
+        budget(2**40)
+        relation = _indexed_relation(100)
+        answers = self._answers(relation, condition)
+        assert (masked == []) == answered, masked
+        expected = frozenset(
+            row[0] for row in relation.rows if condition.evaluate(INDEXED_SCHEMA.row_to_dict(row))
+        )
+        assert answers == [expected] * 3
+
+    def test_the_bitmap_form_is_kept_where_values_times_bound_fit(self, masked, budget):
+        table = _indexed_relation(100).columnar()
+        table.value_index("V")  # interns the items: the bound is known from here on
+        bits = 11 * table.np_item_ids()[1]  # D holds 11 distinct values
+        for fits, limit in ((True, bits), (False, bits - 1)):
+            budget(limit)
+            table = _indexed_relation(100).columnar()
+            index = table.value_index("D")
+            assert len(index.values) * index.bound == bits
+            assert (index.bitmaps is not None) == fits
+            select_items(table, Comparison("D", "<", 1995))
+            assert masked == ([] if fits else [100, 100]), masked
+            masked.clear()
 
     @pytest.mark.parametrize(
         "condition",
