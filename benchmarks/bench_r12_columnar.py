@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from repro.bench.columnar import run_columnar
+import pytest
+
+from repro.bench.columnar import leaf_paths, run_columnar
 from repro.relational import columnar
 from repro.relational.algebra import select_items, semijoin_items
 from repro.relational.parser import parse_condition
@@ -39,8 +41,6 @@ def test_filter_columnar_python(benchmark):
 
 def test_filter_columnar_numpy(benchmark):
     # The same filter under the numpy fast path (skipped if absent).
-    import pytest
-
     if not columnar.numpy_available():
         pytest.skip("numpy not available")
     relation = _relation()
@@ -58,6 +58,25 @@ def test_semijoin_columnar(benchmark):
     condition = parse_condition("D >= 1990")
     wanted = frozenset(sorted(relation.items())[:500])
     result = benchmark(semijoin_items, relation, condition, wanted)
+    assert result
+
+
+@pytest.mark.parametrize("rows", [100, 1_000, 10_000, 100_000])
+@pytest.mark.parametrize("path", ["mask", "slice", "bitmap"])
+def test_leaf_by_access_path(benchmark, path, rows):
+    # One sq leaf, V = 'dui', through the row masks and the value index's
+    # two forms: the per-call cost each size rule weighs.
+    if not columnar.numpy_available():
+        pytest.skip("numpy not available")
+    table = _relation(rows).columnar()
+    condition = parse_condition("V = 'dui'")
+    prev = columnar.set_numpy_enabled(True)
+    try:
+        paths = leaf_paths(table, condition)
+        result = benchmark(paths[path])
+        assert result == paths["mask"]()
+    finally:
+        columnar.set_numpy_enabled(prev)
     assert result
 
 

@@ -21,11 +21,14 @@ before its timings count.  The acceptance gate: pure-python columnar
 beats the row path by >= 3x on the ``merge`` (filter + merge) kernel at
 1e5 rows.
 
-A second table measures a source table's *value index* against the row
-masks it replaces for a one-attribute leaf — a string equality, an int
-range and a semijoin against an ``ItemSet`` binding — at every size,
-both on numpy: where the two cross is where ``_INDEX_MIN_ROWS`` sits.
-At 1e5 rows the index selection must be >= 1.5x the mask path.
+A second table measures the three access paths of a one-attribute leaf
+over a source table — the row masks, the value index's slice form and
+its bitmap form (:func:`leaf_paths`) — for a string equality, an int
+range and a semijoin against an ``ItemSet`` binding, at 10^2 to 10^5
+rows, numpy on: where the mask and slice columns cross is where
+``_INDEX_MIN_ROWS`` sits.  Its ``index`` column is the path
+``select_items`` / ``semijoin_items`` take; at 1e5 rows that selection
+must be >= 1.5x the mask path.
 """
 
 from __future__ import annotations
@@ -309,70 +312,81 @@ def _sweep_one_size(
     return results
 
 
-def _index_sweep_one_size(n: int, seed: int, reps: int) -> list[dict[str, Any]]:
-    """Time leaf selection and semijoin through the value index and
-    through the row masks at ``n`` rows, numpy forced on for both.
+def leaf_paths(
+    table: columnar.ColumnarTable, condition: Condition, binding: ItemSet | None = None
+) -> dict[str, Callable[[], Any]]:
+    """The three ways a leaf over a source table's null-free ``str`` /
+    ``int`` column can be answered, as calls giving the same
+    :class:`ItemSet`: ``mask`` (the numpy row masks), ``slice`` and
+    ``bitmap`` (the value index's two forms) — ``sq``, or with
+    ``binding`` ``sjq``.  The forms come from an index of their own,
+    with the bitmap form built whether or not the size rule keeps it
+    (the table's own index keeps to the rule), so every form can be
+    timed at every size.  Call them with the numpy kernels on."""
+    name = condition.attribute
+    index = columnar.ValueIndex(name, *table.encoded(name), *table.np_item_ids())
+    if index.bitmaps is None:
+        index._range_encode()
 
-    The mask path is called directly — the kernels ``select_items`` and
-    ``semijoin_items`` run when no index serves.  With one repetition
-    (the sweep's 1e6 rows) each path gets a fresh table per kernel, so
-    the index build (and the masks' mirrors) is inside its timing.
-    """
+    def masked():
+        mask = columnar._mask_np(condition, table)
+        if binding is not None:
+            mask = mask & columnar.member_mask(table, binding)
+        return columnar._selected_items(table, mask)
+
+    def bound(items: ItemSet) -> ItemSet:
+        return items if binding is None else items & binding
+
+    return {
+        "mask": masked,
+        "slice": lambda: bound(columnar._bitmap(index.ids_where(condition), index.bound)),
+        "bitmap": lambda: bound(ItemSet(index.bits_where(condition))),
+    }
+
+
+def _index_sweep_one_size(n: int, seed: int, reps: int) -> list[dict[str, Any]]:
+    """Time leaf selections and a semijoin at ``n`` rows through each of
+    :func:`leaf_paths` and through the public kernels (whichever path
+    they pick), numpy forced on, every answer checked equal first."""
     rows = _make_rows(n, seed)
-    relations = [Relation("R", dmv_schema(), rows) for _ in range(2 if reps == 1 else 1)]
+    table = Relation("R", dmv_schema(), rows).columnar()
     all_items = sorted({row[0] for row in rows})
     sample = random.Random(seed + 2).sample(all_items, max(1, len(all_items) // 10))
     ids = INDEX.ids(sample)
     binding = ItemSet.from_ids(ids, max(ids) + 1)
-    leaves = [
-        ("select =", parse_condition("V = 'dui'")),
-        ("select range", parse_condition("D BETWEEN 1990 AND 1995")),
-    ]
     semijoin = parse_condition("D >= 1995")
-
-    def masked_semijoin(table):
-        member = columnar.member_mask(table, binding)
-        return columnar._selected_items(table, member & columnar._mask_np(semijoin, table))
-
     kernels = [
-        (
-            name,
-            lambda table, c=condition: columnar._selected_items(
-                table, columnar.predicate_mask(table, c)
-            ),
-            lambda table, c=condition: columnar.select_items(table, c),
+        (name, condition, None, lambda c=condition: columnar.select_items(table, c))
+        for name, condition in (
+            ("select =", parse_condition("V = 'dui'")),
+            ("select range", parse_condition("D BETWEEN 1990 AND 1995")),
         )
-        for name, condition in leaves
     ]
     kernels.append(
-        (
-            "semijoin",
-            masked_semijoin,
-            lambda table: columnar.semijoin_items(table, semijoin, binding),
-        )
+        ("semijoin", semijoin, binding, lambda: columnar.semijoin_items(table, semijoin, binding))
     )
     results = []
     prev = columnar.set_numpy_enabled(True)
     try:
-        for name, mask_fn, index_fn in kernels:
-            tables = [relation.columnar() for relation in relations]
-            mask_s, mask_result = _best_of(lambda: mask_fn(tables[0]), reps)
-            index_s, index_result = _best_of(lambda: index_fn(tables[-1]), reps)
-            if index_result != mask_result:
-                raise AssertionError(f"{name}@{n}: the value index and the row masks disagree")
+        for name, condition, wanted, public in kernels:
+            paths = {**leaf_paths(table, condition, wanted), "index": public}
+            timed = {path: _best_of(call, reps) for path, call in paths.items()}
+            if len({repr(result) for __, result in timed.values()}) != 1:
+                raise AssertionError(f"{name}@{n}: the access paths disagree")
+            seconds = {path: best for path, (best, __) in timed.items()}
             results.append(
                 {
                     "bench": "R12",
                     "scenario": f"index {name}@{n}",
                     "kernel": name,
                     "rows": n,
-                    "mask_s": mask_s,
-                    "index_s": index_s,
-                    "speedup_index": mask_s / index_s if index_s > 0 else float("inf"),
+                    "bitmap_kept": table.value_index(condition.attribute).bitmaps is not None,
+                    **{f"{path}_s": best for path, best in seconds.items()},
+                    "speedup_index": seconds["mask"] / seconds["index"]
+                    if seconds["index"] > 0
+                    else float("inf"),
                 }
             )
-            if reps == 1:  # cold: the next kernel starts from fresh tables
-                relations = [Relation("R", dmv_schema(), rows) for _ in relations]
     finally:
         columnar.set_numpy_enabled(prev)
     return results
@@ -380,6 +394,7 @@ def _index_sweep_one_size(n: int, seed: int, reps: int) -> list[dict[str, Any]]:
 
 def run_columnar(
     sizes: tuple[int, ...] = (1_000, 10_000, 100_000, 1_000_000),
+    index_sizes: tuple[int, ...] = (100, 1_000, 10_000, 100_000),
     reps: int = 3,
     seed: int = 1200,
     bench_json: bool = True,
@@ -393,9 +408,9 @@ def run_columnar(
     available) the numpy fast path — with result equality asserted
     across all three before any timing counts.
 
-    With numpy, a second table times each size's one-attribute leaf
-    selections and semijoin through the value index against the row
-    masks (:func:`_index_sweep_one_size`).
+    With numpy, a second table times one-attribute leaf selections and
+    a semijoin at each of ``index_sizes`` through the row masks and the
+    value index's two forms (:func:`_index_sweep_one_size`).
 
     When ``bench_json`` is true the rows land in ``BENCH_R12.json``
     for CI trend tracking; ``check_speedup`` enforces the acceptance
@@ -420,11 +435,11 @@ def run_columnar(
     )
     rows: list[dict[str, Any]] = []
     index_rows: list[dict[str, Any]] = []
-    for n in sizes:
-        size_reps = reps if n < 1_000_000 else 1
-        rows.extend(_sweep_one_size(n, seed, size_reps))
-        if columnar.numpy_available():
-            index_rows.extend(_index_sweep_one_size(n, seed, size_reps))
+    for n in sorted(set(sizes) | set(index_sizes)):
+        if n in sizes:
+            rows.extend(_sweep_one_size(n, seed, reps if n < 1_000_000 else 1))
+        if n in index_sizes and columnar.numpy_available():
+            index_rows.extend(_index_sweep_one_size(n, seed, reps))
     for row in rows:
         table.add_row(
             [
@@ -477,16 +492,17 @@ def run_columnar(
     table.add_note(columnar.substrate_summary())
 
     index_table = Table(
-        f"value index vs row masks, one-attribute leaf (best of {reps}, numpy both)",
-        ["kernel", "rows", "mask us", "index us", "speedup"],
+        f"one-attribute leaf by access path, us per call (best of {reps}, numpy on)",
+        ["kernel", "rows", "mask", "slice", "bitmap", "kept", "index", "speedup"],
     )
     for row in index_rows:
         index_table.add_row(
             [
                 row["kernel"],
                 row["rows"],
-                round(row["mask_s"] * 1e6),
-                round(row["index_s"] * 1e6),
+                *(f"{row[f'{path}_s'] * 1e6:.1f}" for path in ("mask", "slice", "bitmap")),
+                "yes" if row["bitmap_kept"] else "no",
+                f"{row['index_s'] * 1e6:.1f}",
                 f"{row['speedup_index']:.2f}x",
             ]
         )
@@ -508,12 +524,12 @@ def run_columnar(
             f"{INDEX_ROWS} rows — measured "
             + ", ".join(f"{row['kernel']} {row['speedup_index']:.1f}x" for row in index_gate)
         )
-    if any(n >= 1_000_000 for n in sizes):
-        index_table.add_note(
-            "rows of 1e6 and more are one cold repetition on a fresh table per "
-            "path: the index build (value codes, item ids, the sort) is inside "
-            "the index timing, the numpy mirrors inside the mask timing"
-        )
+    index_table.add_note(
+        "mask / slice / bitmap: the row masks and the value index's two forms, each "
+        "timed at every size; kept: whether the size rule keeps the bitmap form "
+        "(distinct values x item bound <= 2**20 bits); index: the path the public "
+        "kernels take, mask / index its speedup"
+    )
 
     if bench_json:
         write_bench_rows("R12", rows + index_rows)
