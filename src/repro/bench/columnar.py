@@ -371,7 +371,8 @@ def _index_sweep_one_size(n: int, seed: int, reps: int) -> list[dict[str, Any]]:
         for name, condition, wanted, public in kernels:
             paths = {**leaf_paths(table, condition, wanted), "index": public}
             timed = {path: _best_of(call, reps) for path, call in paths.items()}
-            if len({repr(result) for __, result in timed.values()}) != 1:
+            answers = [answer for __, answer in timed.values()]
+            if any(answer != answers[0] for answer in answers):
                 raise AssertionError(f"{name}@{n}: the access paths disagree")
             seconds = {path: best for path, (best, __) in timed.items()}
             results.append(
