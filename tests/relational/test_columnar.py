@@ -446,7 +446,9 @@ class TestKernelChoiceBySize:
         )
         assert len(re.findall(r"^_NUMPY_MIN_ROWS = ", source, flags=re.M)) == 1
         assert len(re.findall(r"^_INDEX_MIN_ROWS = ", source, flags=re.M)) == 1
+        assert len(re.findall(r"^_BITMAP_BITS = ", source, flags=re.M)) == 1
         assert not any("MIN_ROWS" in name for name in repro.relational.__all__)
+        assert not any("BITMAP" in name for name in repro.relational.__all__)
 
 
 INDEXED_SCHEMA = Schema(
@@ -481,7 +483,6 @@ class TestValueIndexChosenBySizeAndColumnKind:
     without item ids — masks the rows as before."""
 
     LIMIT = columnar._INDEX_MIN_ROWS
-    BITMAP_LEAVES = (Comparison, Between, InSet)
 
     @pytest.fixture
     def masked(self, monkeypatch):
