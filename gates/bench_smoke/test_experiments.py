@@ -129,7 +129,7 @@ def test_deadline_smoke_r9(deadline_rows):
 
 def test_columnar_smoke_r12(columnar_rows, tmp_path):
     """Columnar smoke (R12) — 3x filter + 5x group-by + 1.5x / 5x semijoin + 100x numpy merge
-    + 1.5x value-index selection microbench + CLI aggregate query"""
+    + 1.5x value-index selection and slice-form microbench + CLI aggregate query"""
     report, rows = columnar_rows
     assert "acceptance" in report
     groupby = rows["aggregate@100000"]["speedup_columnar"]
@@ -162,12 +162,19 @@ def test_columnar_smoke_r12(columnar_rows, tmp_path):
             f"numpy merge is {merge['speedup_numpy']:.1f}x the row path "
             "at 1e5 rows (floor 100x)"
         )
-    # A one-attribute leaf through the value index against the row masks it replaces.
+    # A one-attribute leaf through the value index against the row masks it
+    # replaces: the public path (the bitmap form at 1e5 rows) and the slice
+    # form, which serves the leaves and columns the bitmap form does not.
     for kernel in ("select =", "select range"):
         row = rows.get(f"index {kernel}@100000")
         if row is not None:
             assert row["speedup_index"] >= 1.5, (
                 f"index {kernel} is {row['speedup_index']:.2f}x "
+                "the row masks at 1e5 rows (floor 1.5x)"
+            )
+            slice_speedup = row["mask_s"] / row["slice_s"]
+            assert slice_speedup >= 1.5, (
+                f"the slice form of {kernel} is {slice_speedup:.2f}x "
                 "the row masks at 1e5 rows (floor 1.5x)"
             )
     fed = tmp_path / "fed.json"

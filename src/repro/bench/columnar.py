@@ -27,14 +27,16 @@ its bitmap form (:func:`leaf_paths`) — for a string equality, an int
 range and a semijoin against an ``ItemSet`` binding, at 10^2 to 10^5
 rows, numpy on: where the mask and slice columns cross is where
 ``_INDEX_MIN_ROWS`` sits.  Its ``index`` column is the path
-``select_items`` / ``semijoin_items`` take; at 1e5 rows that selection
-must be >= 1.5x the mask path.
+``select_items`` / ``semijoin_items`` take; at 1e5 rows that selection,
+and the slice form on its own, must be >= 1.5x the mask path.  At 1e6
+rows it times the masks and the public path cold, builds included.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from functools import partial
 from typing import Any, Callable
 
 from repro.bench.report import Table, join_sections, write_bench_rows
@@ -51,10 +53,14 @@ from repro.relational.schema import dmv_schema
 SPEEDUP_FLOOR = 3.0
 SPEEDUP_ROWS = 100_000
 
-#: The value-index gate: a leaf selection through the index against
-#: the row-mask path at INDEX_ROWS rows.
+#: The value-index gate: a leaf selection through the index (and
+#: through its slice form alone) against the row-mask path at
+#: INDEX_ROWS rows.
 INDEX_FLOOR = 1.5
 INDEX_ROWS = 100_000
+
+#: The columns of the access-path table (:func:`_index_sweep_one_size`).
+_ACCESS_PATHS = ("mask", "slice", "bitmap", "index")
 
 _VIOLATIONS = ("dui", "sp", "park", "redlight", "nofault", "ins", "reg")
 
@@ -312,6 +318,30 @@ def _sweep_one_size(
     return results
 
 
+def _micros(seconds: float | None) -> str:
+    return "-" if seconds is None else f"{seconds * 1e6:.1f}"
+
+
+def _masked_leaf(
+    table: columnar.ColumnarTable, condition: Condition, binding: ItemSet | None
+) -> ItemSet:
+    """``sq`` (or with ``binding`` ``sjq``) through the numpy row masks."""
+    mask = columnar._mask_np(condition, table)
+    if binding is not None:
+        mask = mask & columnar.member_mask(table, binding)
+    return columnar._selected_items(table, mask)
+
+
+def _public_leaf(
+    table: columnar.ColumnarTable, condition: Condition, binding: ItemSet | None
+) -> ItemSet:
+    """``sq`` (or ``sjq``) through the public kernels, whichever path
+    they pick."""
+    if binding is None:
+        return columnar.select_items(table, condition)
+    return columnar.semijoin_items(table, condition, binding)
+
+
 def leaf_paths(
     table: columnar.ColumnarTable, condition: Condition, binding: ItemSet | None = None
 ) -> dict[str, Callable[[], Any]]:
@@ -328,17 +358,11 @@ def leaf_paths(
     if index.bitmaps is None:
         index._range_encode()
 
-    def masked():
-        mask = columnar._mask_np(condition, table)
-        if binding is not None:
-            mask = mask & columnar.member_mask(table, binding)
-        return columnar._selected_items(table, mask)
-
     def bound(items: ItemSet) -> ItemSet:
         return items if binding is None else items & binding
 
     return {
-        "mask": masked,
+        "mask": partial(_masked_leaf, table, condition, binding),
         "slice": lambda: bound(columnar._bitmap(index.ids_where(condition), index.bound)),
         "bitmap": lambda: bound(ItemSet(index.bits_where(condition))),
     }
@@ -346,30 +370,38 @@ def leaf_paths(
 
 def _index_sweep_one_size(n: int, seed: int, reps: int) -> list[dict[str, Any]]:
     """Time leaf selections and a semijoin at ``n`` rows through each of
-    :func:`leaf_paths` and through the public kernels (whichever path
-    they pick), numpy forced on, every answer checked equal first."""
+    :func:`leaf_paths` and through the public kernels, numpy forced on,
+    every answer checked equal first.
+
+    With one repetition (the sweep's 1e6 rows) only the masks and the
+    public path are timed, each on a fresh table per kernel, so the
+    index build (and the masks' numpy mirrors) is inside its timing.
+    """
     rows = _make_rows(n, seed)
-    table = Relation("R", dmv_schema(), rows).columnar()
+
+    def fresh() -> columnar.ColumnarTable:
+        return Relation("R", dmv_schema(), rows).columnar()
+
+    table = fresh()
     all_items = sorted({row[0] for row in rows})
     sample = random.Random(seed + 2).sample(all_items, max(1, len(all_items) // 10))
     ids = INDEX.ids(sample)
     binding = ItemSet.from_ids(ids, max(ids) + 1)
-    semijoin = parse_condition("D >= 1995")
     kernels = [
-        (name, condition, None, lambda c=condition: columnar.select_items(table, c))
-        for name, condition in (
-            ("select =", parse_condition("V = 'dui'")),
-            ("select range", parse_condition("D BETWEEN 1990 AND 1995")),
-        )
+        ("select =", parse_condition("V = 'dui'"), None),
+        ("select range", parse_condition("D BETWEEN 1990 AND 1995"), None),
+        ("semijoin", parse_condition("D >= 1995"), binding),
     ]
-    kernels.append(
-        ("semijoin", semijoin, binding, lambda: columnar.semijoin_items(table, semijoin, binding))
-    )
     results = []
     prev = columnar.set_numpy_enabled(True)
     try:
-        for name, condition, wanted, public in kernels:
-            paths = {**leaf_paths(table, condition, wanted), "index": public}
+        for name, condition, wanted in kernels:
+            if reps == 1:  # cold: a fresh table per path
+                table = fresh()
+                paths = {"mask": partial(_masked_leaf, fresh(), condition, wanted)}
+            else:
+                paths = leaf_paths(table, condition, wanted)
+            paths["index"] = partial(_public_leaf, table, condition, wanted)
             timed = {path: _best_of(call, reps) for path, call in paths.items()}
             answers = [answer for __, answer in timed.values()]
             if any(answer != answers[0] for answer in answers):
@@ -382,7 +414,7 @@ def _index_sweep_one_size(n: int, seed: int, reps: int) -> list[dict[str, Any]]:
                     "kernel": name,
                     "rows": n,
                     "bitmap_kept": table.value_index(condition.attribute).bitmaps is not None,
-                    **{f"{path}_s": best for path, best in seconds.items()},
+                    **{f"{path}_s": seconds.get(path) for path in _ACCESS_PATHS},
                     "speedup_index": seconds["mask"] / seconds["index"]
                     if seconds["index"] > 0
                     else float("inf"),
@@ -394,8 +426,7 @@ def _index_sweep_one_size(n: int, seed: int, reps: int) -> list[dict[str, Any]]:
 
 
 def run_columnar(
-    sizes: tuple[int, ...] = (1_000, 10_000, 100_000, 1_000_000),
-    index_sizes: tuple[int, ...] = (100, 1_000, 10_000, 100_000),
+    sizes: tuple[int, ...] = (100, 1_000, 10_000, 100_000, 1_000_000),
     reps: int = 3,
     seed: int = 1200,
     bench_json: bool = True,
@@ -410,13 +441,14 @@ def run_columnar(
     across all three before any timing counts.
 
     With numpy, a second table times one-attribute leaf selections and
-    a semijoin at each of ``index_sizes`` through the row masks and the
-    value index's two forms (:func:`_index_sweep_one_size`).
+    a semijoin at each size through the row masks and the value index's
+    two forms (:func:`_index_sweep_one_size`).
 
     When ``bench_json`` is true the rows land in ``BENCH_R12.json``
     for CI trend tracking; ``check_speedup`` enforces the acceptance
     gates (>= 3x pure-python columnar vs row path on the filter+merge
-    kernel, and >= 1.5x index vs masks on the selections, at 1e5 rows)
+    kernel, and >= 1.5x index and slice form vs masks on the
+    selections, at 1e5 rows)
     whenever the sweep includes that size.
     """
     if reps < 1:
@@ -436,11 +468,11 @@ def run_columnar(
     )
     rows: list[dict[str, Any]] = []
     index_rows: list[dict[str, Any]] = []
-    for n in sorted(set(sizes) | set(index_sizes)):
-        if n in sizes:
-            rows.extend(_sweep_one_size(n, seed, reps if n < 1_000_000 else 1))
-        if n in index_sizes and columnar.numpy_available():
-            index_rows.extend(_index_sweep_one_size(n, seed, reps))
+    for n in sizes:
+        size_reps = reps if n < 1_000_000 else 1
+        rows.extend(_sweep_one_size(n, seed, size_reps))
+        if columnar.numpy_available():
+            index_rows.extend(_index_sweep_one_size(n, seed, size_reps))
     for row in rows:
         table.add_row(
             [
@@ -501,9 +533,9 @@ def run_columnar(
             [
                 row["kernel"],
                 row["rows"],
-                *(f"{row[f'{path}_s'] * 1e6:.1f}" for path in ("mask", "slice", "bitmap")),
+                *(_micros(row[f"{path}_s"]) for path in ("mask", "slice", "bitmap")),
                 "yes" if row["bitmap_kept"] else "no",
-                f"{row['index_s'] * 1e6:.1f}",
+                _micros(row["index_s"]),
                 f"{row['speedup_index']:.2f}x",
             ]
         )
@@ -513,24 +545,35 @@ def run_columnar(
         if row["rows"] == INDEX_ROWS and row["kernel"].startswith("select")
     ]
     if check_speedup and index_gate:
+        measured = []
         for row in index_gate:
-            if row["speedup_index"] < INDEX_FLOOR:
-                raise AssertionError(
-                    f"{row['kernel']}@{row['rows']}: the value index is only "
-                    f"{row['speedup_index']:.2f}x the row masks (floor "
-                    f"{INDEX_FLOOR}x)"
-                )
+            for path in ("index", "slice"):
+                if row[f"{path}_s"] is None:  # cold: not timed apart
+                    continue
+                speedup = row["mask_s"] / row[f"{path}_s"]
+                if speedup < INDEX_FLOOR:
+                    raise AssertionError(
+                        f"{row['kernel']}@{row['rows']}: the {path} path is only "
+                        f"{speedup:.2f}x the row masks (floor {INDEX_FLOOR}x)"
+                    )
+                measured.append(f"{row['kernel']} {path} {speedup:.1f}x")
         index_table.add_note(
-            f"acceptance: index selection >= {INDEX_FLOOR}x the row masks at "
-            f"{INDEX_ROWS} rows — measured "
-            + ", ".join(f"{row['kernel']} {row['speedup_index']:.1f}x" for row in index_gate)
+            f"acceptance: index selection and the slice form alone >= {INDEX_FLOOR}x "
+            f"the row masks at {INDEX_ROWS} rows — measured " + ", ".join(measured)
         )
     index_table.add_note(
-        "mask / slice / bitmap: the row masks and the value index's two forms, each "
-        "timed at every size; kept: whether the size rule keeps the bitmap form "
-        "(distinct values x item bound <= 2**20 bits); index: the path the public "
-        "kernels take, mask / index its speedup"
+        "mask / slice / bitmap: the row masks and the value index's two forms; "
+        "kept: whether the size rule keeps the bitmap form (distinct values x "
+        "item bound <= 2**20 bits); index: the path the public kernels take, "
+        "mask / index its speedup"
     )
+    if any(n >= 1_000_000 for n in sizes):
+        index_table.add_note(
+            "rows of 1e6 and more are one cold repetition on a fresh table per "
+            "path, slice and bitmap not timed apart: the index build (value codes, "
+            "item ids, value ranks, and the bitmap form where it is kept) is inside "
+            "the index timing, the numpy mirrors inside the mask timing"
+        )
 
     if bench_json:
         write_bench_rows("R12", rows + index_rows)
